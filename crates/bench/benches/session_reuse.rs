@@ -18,9 +18,9 @@
 //! full-pass backend is the native semantic detector (pattern constants
 //! pre-resolved to codes at registration, coded group keys, sharded scan),
 //! which turned the ~5s per-pass figure of the SQL default at `|Tp|` = 160
-//! into low single-digit milliseconds on the reference machine — the
-//! `bench_detect` binary records the trajectory in `BENCH_detect.json`.
-//! `construct_per_detect` still measures the SQL path, so the gap between
+//! into low single-digit milliseconds on the reference machine
+//! (`detect.scan_ms` on the `tableau_160_6k` workload of `benchmark/` is the
+//! recorded figure). `construct_per_detect` still measures the SQL path, so the gap between
 //! the two groups now shows the backend swap *and* the compile reuse.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -1,9 +1,13 @@
 //! Pluggable detector backends: one trait in front of the three detection
 //! strategies of the crate.
 //!
-//! The paper presents three ways to keep violation flags correct — a full
-//! SQL pass (`BATCHDETECT`), incremental maintenance (`INCDETECT`) and the
-//! reproduction's native semantic oracle. Callers that only want *the flags
+//! There are three ways to keep violation flags correct — the paper's full
+//! SQL pass (`BATCHDETECT`, kept verbatim as the fidelity reference), its
+//! incremental maintenance (`INCDETECT`), and the reproduction's native
+//! semantic detector, whose full passes run a shared-scan program through
+//! the one scan kernel ([`crate::scan`]; `ecfd_plan` renders that program
+//! for `EXPLAIN PLAN` and can substitute the unfused contrast program via
+//! [`SemanticBackend::with_program`]). Callers that only want *the flags
 //! kept right* should not have to care which one runs; [`DetectorBackend`]
 //! gives them a single interface:
 //!
@@ -28,6 +32,7 @@ use crate::evidence::EvidenceReport;
 use crate::incremental::IncrementalDetector;
 use crate::parallel::Parallelism;
 use crate::report::DetectionReport;
+use crate::scan::ScanProgram;
 use crate::semantic::{ensure_flag_columns, write_flags, SemanticDetector};
 use crate::Result;
 use ecfd_core::ConstraintSet;
@@ -37,27 +42,26 @@ use std::fmt;
 /// Names one of the three detection strategies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum BackendKind {
-    /// The native index-based detector (`SemanticDetector`).
+    /// The native detector (`SemanticDetector`): the shared-scan program of
+    /// [`crate::scan`] over the dictionary-coded columnar core. The fast
+    /// path for full passes.
     Semantic,
     /// The SQL-based batch detector (`BatchDetector`, the paper's
-    /// `BATCHDETECT`).
+    /// `BATCHDETECT`). Its role is fidelity, not speed: it is the paper's
+    /// technique verbatim and the reference the native scan is diffed
+    /// against.
     Sql,
     /// The incremental maintainer (`IncrementalDetector`, the paper's
     /// `INCDETECT`).
     Incremental,
-    /// The compiled-plan executor (`ecfd_plan::PlanBackend`): constraints are
-    /// lowered once into an explicit scan/group/flag plan and executed
-    /// against a pluggable storage driver.
-    Plan,
 }
 
 impl BackendKind {
     /// All kinds, in a stable order (useful for differential sweeps).
-    pub const ALL: [BackendKind; 4] = [
+    pub const ALL: [BackendKind; 3] = [
         BackendKind::Semantic,
         BackendKind::Sql,
         BackendKind::Incremental,
-        BackendKind::Plan,
     ];
 
     /// The lowercase name, as used in `detect.pass.ns{backend=…}` metric
@@ -67,7 +71,6 @@ impl BackendKind {
             BackendKind::Semantic => "semantic",
             BackendKind::Sql => "sql",
             BackendKind::Incremental => "incremental",
-            BackendKind::Plan => "plan",
         }
     }
 }
@@ -157,6 +160,13 @@ impl SemanticBackend {
             table: set.schema().name().to_string(),
             base_arity: set.schema().arity(),
         }
+    }
+
+    /// Replaces the program the wrapped detector executes (see
+    /// [`SemanticDetector::with_program`], including when it panics).
+    pub fn with_program(mut self, program: ScanProgram) -> Self {
+        self.detector = self.detector.with_program(program);
+        self
     }
 
     /// Sets the worker fan-out of subsequent detection passes.

@@ -114,9 +114,14 @@ impl IncrementalDetector {
     ) -> Result<Self> {
         let table = schema.name().to_string();
         ensure_flag_columns(catalog, &table)?;
-        let (report, groups) = {
+        // Encode the base attributes once: the seeding pass scans the view
+        // the detector then keeps and maintains.
+        let (report, groups, view) = {
             let relation = catalog.get(&table)?;
-            semantic.detect_with_groups(relation)?
+            let mut codec = semantic.codec().write();
+            let view = ColumnarView::build_prefix(relation, schema.arity(), &mut codec.dict);
+            let (report, _, groups) = semantic.scan_view(schema, &view, &codec.dict)?;
+            (report, groups, view)
         };
         crate::semantic::write_flags(catalog, &table, &report)?;
         let specs = semantic
@@ -128,11 +133,6 @@ impl IncrementalDetector {
                 rhs: b.rhs_ids().to_vec(),
             })
             .collect();
-        let view = {
-            let relation = catalog.get(&table)?;
-            let mut codec = semantic.codec().write();
-            ColumnarView::build_prefix(relation, schema.arity(), &mut codec.dict)
-        };
         Ok(IncrementalDetector {
             schema: schema.clone(),
             semantic,

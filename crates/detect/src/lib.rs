@@ -30,6 +30,11 @@
 //!   `ecfd_relation::columnar` — pattern constants resolve to codes once at
 //!   construction, and the scan shards across worker threads
 //!   ([`parallel::Parallelism`]).
+//! * [`scan`] is the one scan kernel behind every full native pass: a
+//!   [`ScanProgram`] projects each distinct `X` attribute list once per row
+//!   however many pattern tuples are checked (the native analogue of
+//!   `BATCHDETECT`'s fixed query count), and the two-phase parallel scan
+//!   that executes it exists nowhere else in the workspace.
 //!
 //! * [`evidence`] extends all three detectors beyond the paper's flags: an
 //!   [`EvidenceReport`] names, for every flagged row, the violated constraint
@@ -75,6 +80,7 @@ pub mod incremental;
 mod obs;
 pub mod parallel;
 pub mod report;
+pub mod scan;
 pub mod semantic;
 pub mod sqlgen;
 
@@ -85,6 +91,7 @@ pub use evidence::{ConstraintRef, EvidenceReport, MvEvidence, SvEvidence};
 pub use incremental::IncrementalDetector;
 pub use parallel::Parallelism;
 pub use report::DetectionReport;
+pub use scan::ScanProgram;
 pub use semantic::{OpenGroup, SemanticDetector, ShardPartial};
 
 use std::fmt;

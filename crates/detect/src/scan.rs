@@ -1,0 +1,343 @@
+//! The scan kernel: the one two-phase, shared-scan pass every full detection
+//! runs — `Session::detect`, `Snapshot::detect_fresh`, the partition scan of
+//! the sharded read path, the incremental detector's seeding pass and the
+//! plan backend alike.
+//!
+//! The paper's `BATCHDETECT` finds all violations with a fixed number of SQL
+//! queries whose shape depends only on the schema, never on how many eCFDs
+//! are checked. The native analogue is a [`ScanProgram`]: a list of
+//! [`Scan`]s, each projecting one `X` attribute list **once per row** and
+//! feeding every member [`FlagOp`] from that shared projection. The default
+//! program ([`ScanProgram::fused`]) gives all single-pattern constraints with
+//! an identical `X` list one scan ([`fuse`] is that rule, and the only copy
+//! of it — `ecfd_plan`'s optimizer calls it too, so the plan `EXPLAIN PLAN`
+//! renders is the program that runs).
+//!
+//! The pass itself runs in two phases. Phase 1 splits the rows into
+//! contiguous chunks, one `std::thread::scope` worker each; a worker executes
+//! the program against the view's code columns and partitions its partial
+//! group states by `shard_of(ci, X-codes)`. Phase 2 merges each shard's
+//! partials (all members of a group land in one shard) and derives the
+//! multi-tuple violations. Both phases are deterministic, so any program
+//! covering the same constraints produces identical reports, evidence and
+//! group maps at 1 worker and at N.
+
+use crate::evidence::{ConstraintRef, EvidenceReport, MvEvidence, SvEvidence};
+use crate::parallel::{effective_threads, split_ranges, Parallelism};
+use crate::report::DetectionReport;
+use ecfd_core::coded::CodedSingle;
+use ecfd_core::matching::BoundECfd;
+use ecfd_relation::columnar::shard_of;
+use ecfd_relation::{AttrId, CodeMap, CodeVec, ColumnarView, Dictionary, RowId};
+use std::collections::hash_map::Entry;
+
+/// A key identifying one enforcement group: the single-pattern constraint id
+/// (index into the split constraint list) plus the tuple's coded `X`
+/// projection (codes issued by the detector's dictionary).
+pub type GroupKey = (usize, CodeVec);
+
+/// The group map every full pass produces and the incremental detector
+/// maintains (the paper's `Aux(D)` analogue), keyed by coded projections.
+pub type GroupMap = CodeMap<GroupKey, GroupState>;
+
+/// Per-group state: how many group members carry each distinct coded `Y`
+/// projection, plus the member rows themselves (one membership list shared
+/// with the count bookkeeping, so no per-tuple key clone is needed).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct GroupState {
+    /// Count of member tuples per distinct coded `Y` projection.
+    pub y_counts: CodeMap<CodeVec, usize>,
+    /// Every member row of the group, in scan / insertion order.
+    pub rows: Vec<RowId>,
+}
+
+impl GroupState {
+    /// Number of member tuples.
+    pub fn size(&self) -> usize {
+        self.y_counts.values().sum()
+    }
+
+    /// The group violates the embedded FD iff it contains members with at
+    /// least two distinct `Y` projections.
+    pub fn violates(&self) -> bool {
+        self.y_counts.len() > 1
+    }
+
+    /// Merges another partial state into this one (summing counts,
+    /// concatenating member lists in argument order).
+    fn absorb(&mut self, other: GroupState) {
+        for (y, count) in other.y_counts {
+            *self.y_counts.entry(y).or_insert(0) += count;
+        }
+        self.rows.extend(other.rows);
+    }
+}
+
+/// The per-row work for one split single-pattern constraint once the
+/// enclosing scan's `X` projection is in hand.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FlagOp {
+    /// Index into the split single-pattern constraint list — also the index
+    /// of the coded pattern cells matched for this operator.
+    pub ci: usize,
+    /// Positions of the `Y ∪ Yp` attributes in tableau cell order (the
+    /// single-tuple violation check).
+    pub check: Vec<AttrId>,
+    /// Positions of the `Y` attributes (the embedded-FD projection); empty
+    /// for pure pattern constraints, which skip group bookkeeping entirely.
+    pub group: Vec<AttrId>,
+}
+
+/// One scan: the `X` attribute list projected once per row, and the flag
+/// operators fed from that projection.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Scan {
+    /// Positions of the `X` attributes every member matches and groups on.
+    pub x: Vec<AttrId>,
+    /// The member operators, in first-seen constraint order.
+    pub members: Vec<FlagOp>,
+}
+
+/// The fusion rule: items with an identical `X` list share one scan, scans
+/// and members in first-seen order.
+pub fn fuse<T>(items: impl IntoIterator<Item = (Vec<AttrId>, T)>) -> Vec<(Vec<AttrId>, Vec<T>)> {
+    let mut scans: Vec<(Vec<AttrId>, Vec<T>)> = Vec::new();
+    for (x, item) in items {
+        match scans.iter_mut().find(|(seen, _)| *seen == x) {
+            Some((_, members)) => members.push(item),
+            None => scans.push((x, vec![item])),
+        }
+    }
+    scans
+}
+
+/// What the kernel executes: a list of scans whose flag operators together
+/// cover the split constraints of one compiled set. Data, not code — the
+/// unfused contrast program of `ecfd_plan` runs through the same kernel.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ScanProgram {
+    scans: Vec<Scan>,
+}
+
+impl ScanProgram {
+    /// A program made of exactly these scans.
+    pub fn new(scans: Vec<Scan>) -> Self {
+        ScanProgram { scans }
+    }
+
+    /// The default program for bound single-pattern constraints (in split
+    /// order): one operator per constraint, [`fuse`]d by `X` list.
+    pub fn fused(bounds: &[BoundECfd<'_>]) -> Self {
+        let ops = bounds.iter().enumerate().map(|(ci, bound)| {
+            let op = FlagOp {
+                ci,
+                check: bound.rhs_ids().to_vec(),
+                group: bound.fd_rhs_ids().to_vec(),
+            };
+            (bound.lhs_ids().to_vec(), op)
+        });
+        ScanProgram {
+            scans: fuse(ops)
+                .into_iter()
+                .map(|(x, members)| Scan { x, members })
+                .collect(),
+        }
+    }
+
+    /// The scans, in execution order.
+    pub fn scans(&self) -> &[Scan] {
+        &self.scans
+    }
+
+    /// Total number of flag operators across all scans.
+    pub fn num_flags(&self) -> usize {
+        self.scans.iter().map(|s| s.members.len()).sum()
+    }
+}
+
+/// Runs `program` over an already-encoded view: flags, evidence and group
+/// state from one (possibly parallel) pass. `cells` and `provenance` are
+/// parallel to the split constraints the program's operators index; `dict`
+/// must be the dictionary state (or a later state of the same lineage) that
+/// issued the view's codes and interned `cells`.
+pub(crate) fn run(
+    program: &ScanProgram,
+    cells: &[CodedSingle],
+    provenance: &[(usize, usize)],
+    view: &ColumnarView,
+    dict: &Dictionary,
+    parallelism: Parallelism,
+) -> (DetectionReport, EvidenceReport, GroupMap) {
+    let n_rows = view.num_rows();
+    let threads = effective_threads(parallelism, n_rows, program.num_flags());
+    let n_shards = threads;
+
+    // Phase 1: chunked row scan.
+    let chunks = fan_out(split_ranges(n_rows, threads), |(lo, hi)| {
+        scan_chunk(view, program, cells, lo, hi, n_shards)
+    });
+
+    // Transpose the per-chunk, per-shard partials into per-shard inputs
+    // (chunk order preserved so member lists merge in global row order).
+    let mut sv_pairs: Vec<(RowId, usize)> = Vec::new();
+    let mut shard_inputs: Vec<Vec<GroupMap>> = (0..n_shards)
+        .map(|_| Vec::with_capacity(chunks.len()))
+        .collect();
+    for chunk in chunks {
+        sv_pairs.extend(chunk.sv);
+        for (shard, part) in chunk.parts.into_iter().enumerate() {
+            shard_inputs[shard].push(part);
+        }
+    }
+
+    // Phase 2: per-shard merge; every member of a group is in exactly one
+    // shard, so merges are independent.
+    let shard_outs = fan_out(shard_inputs, |parts| merge_shard(parts, provenance, dict));
+
+    // Deterministic assembly: reports are sorted sets, evidence is
+    // normalized, the group map is a union of disjoint shard maps.
+    let mut report = DetectionReport {
+        total_rows: n_rows,
+        ..Default::default()
+    };
+    let mut evidence = EvidenceReport {
+        total_rows: n_rows,
+        ..Default::default()
+    };
+    for (row, ci) in sv_pairs {
+        report.sv_rows.insert(row);
+        let (constraint, pattern) = provenance[ci];
+        evidence.sv.push(SvEvidence {
+            row,
+            source: ConstraintRef::new(constraint, pattern),
+        });
+    }
+    let mut groups = GroupMap::default();
+    for shard in shard_outs {
+        report.mv_rows.extend(shard.mv_rows);
+        evidence.mv_groups.extend(shard.mv_groups);
+        if groups.is_empty() {
+            groups = shard.groups;
+        } else {
+            groups.extend(shard.groups);
+        }
+    }
+    evidence.normalize();
+    (report, evidence, groups)
+}
+
+/// Maps `work` over `inputs` in order: inline for a single input, otherwise
+/// one scoped worker per input.
+fn fan_out<I: Send, O: Send>(inputs: Vec<I>, work: impl Fn(I) -> O + Sync) -> Vec<O> {
+    if inputs.len() <= 1 {
+        return inputs.into_iter().map(work).collect();
+    }
+    let work = &work;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = inputs
+            .into_iter()
+            .map(|input| s.spawn(move || work(input)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("detection worker panicked"))
+            .collect()
+    })
+}
+
+/// What one phase-1 worker produces for its row chunk.
+struct ChunkOut {
+    /// `(row, split-constraint)` single-tuple violations, in visit order.
+    sv: Vec<(RowId, usize)>,
+    /// Partial group states, partitioned by `shard_of(ci, X-codes)`.
+    parts: Vec<GroupMap>,
+}
+
+/// Phase 1: executes every scan of the program over rows `lo..hi` of the
+/// view. `view.key(pos, &scan.x)` runs once per `(row, scan)` and every
+/// member operator matches the shared projection.
+fn scan_chunk(
+    view: &ColumnarView,
+    program: &ScanProgram,
+    cells: &[CodedSingle],
+    lo: usize,
+    hi: usize,
+    n_shards: usize,
+) -> ChunkOut {
+    let mut out = ChunkOut {
+        sv: Vec::new(),
+        parts: vec![GroupMap::default(); n_shards],
+    };
+    for pos in lo..hi {
+        let row_id = view.row_id(pos);
+        for scan in &program.scans {
+            let key = view.key(pos, &scan.x);
+            for member in &scan.members {
+                let cell = &cells[member.ci];
+                if !cell.lhs_matches(key.as_slice().iter().copied()) {
+                    continue;
+                }
+                if !cell.rhs_matches(member.check.iter().map(|a| view.code(pos, *a))) {
+                    out.sv.push((row_id, member.ci));
+                }
+                if !member.group.is_empty() {
+                    let shard = if n_shards == 1 {
+                        0
+                    } else {
+                        shard_of(member.ci, &key, n_shards)
+                    };
+                    let y = view.key(pos, &member.group);
+                    let state = out.parts[shard]
+                        .entry((member.ci, key.clone()))
+                        .or_default();
+                    *state.y_counts.entry(y).or_insert(0) += 1;
+                    state.rows.push(row_id);
+                }
+            }
+        }
+    }
+    out
+}
+
+/// What one phase-2 worker produces for its shard.
+struct ShardOut {
+    groups: GroupMap,
+    mv_rows: Vec<RowId>,
+    mv_groups: Vec<MvEvidence>,
+}
+
+/// Phase 2: merges one shard's partial group states (in chunk order, so
+/// member lists end up in global row order) and derives the multi-tuple
+/// violations.
+fn merge_shard(parts: Vec<GroupMap>, provenance: &[(usize, usize)], dict: &Dictionary) -> ShardOut {
+    let mut iter = parts.into_iter();
+    let mut groups = iter.next().unwrap_or_default();
+    for part in iter {
+        for (key, state) in part {
+            match groups.entry(key) {
+                Entry::Occupied(mut e) => e.get_mut().absorb(state),
+                Entry::Vacant(e) => {
+                    e.insert(state);
+                }
+            }
+        }
+    }
+    let mut mv_rows = Vec::new();
+    let mut mv_groups = Vec::new();
+    for ((ci, key), state) in &groups {
+        if state.violates() {
+            mv_rows.extend(state.rows.iter().copied());
+            let (constraint, pattern) = provenance[*ci];
+            mv_groups.push(MvEvidence {
+                source: ConstraintRef::new(constraint, pattern),
+                group_key: dict.decode_all(key.as_slice()),
+                rows: state.rows.iter().copied().collect(),
+            });
+        }
+    }
+    ShardOut {
+        groups,
+        mv_rows,
+        mv_groups,
+    }
+}

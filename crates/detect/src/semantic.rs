@@ -8,11 +8,13 @@
 //!   flag exactly the same rows);
 //! * it is the "native" baseline of the `bench_sql_vs_native` ablation; and
 //! * it is the system's fast path: rows are encoded once into a
-//!   [`ColumnarView`], pattern constants are pre-resolved to [`Code`]s at
-//!   construction (registration) time, group keys are [`CodeVec`] code
-//!   slices instead of cloned `Vec<Value>`s, and the scan hash-partitions
-//!   enforcement groups on the coded `X`-projection so it can fan out
-//!   across `std::thread::scope` workers (see [`crate::parallel`]).
+//!   [`ColumnarView`], pattern constants are pre-resolved to [`Code`]s and
+//!   attribute lists to column positions at construction (registration)
+//!   time, group keys are [`CodeVec`] code slices instead of cloned
+//!   `Vec<Value>`s, and every full pass runs the shared-scan program of
+//!   [`crate::scan`] — each distinct `X` list projected once per row,
+//!   fanned out across `std::thread::scope` workers (see
+//!   [`crate::parallel`]).
 //!
 //! It also exposes the group bookkeeping (`(CID, X-projection) → distinct Y
 //! projections + member rows`) that the incremental detector maintains.
@@ -20,62 +22,21 @@
 //! [`Code`]: ecfd_relation::Code
 
 use crate::evidence::{ConstraintRef, EvidenceReport, MvEvidence, SvEvidence};
-use crate::parallel::{effective_threads, split_ranges, Parallelism};
+use crate::parallel::Parallelism;
 use crate::report::DetectionReport;
-use crate::Result;
+use crate::scan::ScanProgram;
+use crate::{DetectError, Result};
 use ecfd_core::coded::{intern_singles, CodedSingle};
 use ecfd_core::matching::BoundECfd;
-use ecfd_core::normalize::split_patterns;
-use ecfd_core::ECfd;
-use ecfd_relation::columnar::shard_of;
+use ecfd_core::{CompileOptions, ConstraintSet, CoreError, ECfd};
 use ecfd_relation::{
-    AttrId, Catalog, CodeMap, CodeVec, ColumnarView, Dictionary, FrozenView, Relation, RowId,
-    Schema, Tuple, Value,
+    AttrId, Catalog, CodeVec, ColumnarView, Dictionary, FrozenView, Relation, RowId, Schema, Tuple,
+    Value,
 };
 use parking_lot::RwLock;
 use std::sync::Arc;
 
-/// A key identifying one enforcement group: the single-pattern constraint id
-/// (index into the split constraint list) plus the tuple's coded `X`
-/// projection (codes issued by the detector's dictionary).
-pub type GroupKey = (usize, CodeVec);
-
-/// The group map every detector produces and the incremental detector
-/// maintains (the paper's `Aux(D)` analogue), keyed by coded projections.
-pub type GroupMap = CodeMap<GroupKey, GroupState>;
-
-/// Per-group state: how many group members carry each distinct coded `Y`
-/// projection, plus the member rows themselves (one membership list shared
-/// with the count bookkeeping, so no per-tuple key clone is needed).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct GroupState {
-    /// Count of member tuples per distinct coded `Y` projection.
-    pub y_counts: CodeMap<CodeVec, usize>,
-    /// Every member row of the group, in scan / insertion order.
-    pub rows: Vec<RowId>,
-}
-
-impl GroupState {
-    /// Number of member tuples.
-    pub fn size(&self) -> usize {
-        self.y_counts.values().sum()
-    }
-
-    /// The group violates the embedded FD iff it contains members with at
-    /// least two distinct `Y` projections.
-    pub fn violates(&self) -> bool {
-        self.y_counts.len() > 1
-    }
-
-    /// Merges another partial state into this one (summing counts,
-    /// concatenating member lists in argument order).
-    fn absorb(&mut self, other: GroupState) {
-        for (y, count) in other.y_counts {
-            *self.y_counts.entry(y).or_insert(0) += count;
-        }
-        self.rows.extend(other.rows);
-    }
-}
+pub use crate::scan::{GroupKey, GroupMap, GroupState};
 
 /// The constraint codec shared by every clone of a detector (and by the
 /// incremental detector built on top of it): one [`Dictionary`] per compiled
@@ -91,9 +52,11 @@ pub(crate) struct Codec {
     pub(crate) dict: Dictionary,
 }
 
-/// The native detector.
+/// Everything about a detector that is fixed at construction. Shared behind
+/// one [`Arc`], so cloning a detector — once per published epoch and once
+/// per merged-read miss in the serving layer — copies no constraint.
 #[derive(Debug, Clone)]
-pub struct SemanticDetector {
+struct Compiled {
     ecfds: Vec<ECfd>,
     singles: Vec<ECfd>,
     /// For every split single-pattern constraint, the `(constraint, pattern)`
@@ -101,56 +64,110 @@ pub struct SemanticDetector {
     /// original constraints.
     provenance: Vec<(usize, usize)>,
     /// Coded pattern cells, parallel to the split single-pattern constraints.
-    /// Interned once at construction against the codec dictionary's *initial*
-    /// state; immutable afterwards, so they are shared outside the codec lock
-    /// and stay valid against every later dictionary state (grow-only
-    /// interning) — including the dictionary clone inside any [`FrozenView`]
-    /// descended from this detector's codec.
-    cells: Arc<Vec<CodedSingle>>,
+    /// Interned against the codec dictionary's *initial* state, so they stay
+    /// valid against every later dictionary state (grow-only interning) —
+    /// including the dictionary clone inside any [`FrozenView`] descended
+    /// from this detector's codec.
+    cells: Vec<CodedSingle>,
+    /// What every full pass executes; by default the shared-scan fusion of
+    /// `singles` ([`ScanProgram::fused`]).
+    program: ScanProgram,
+    /// Name of the relation the constraints are defined on.
+    table: String,
+    /// The position every constrained attribute had in the schema the
+    /// program was resolved against (see [`SemanticDetector::check_layout`]).
+    columns: Vec<(String, AttrId)>,
+}
+
+/// The native detector.
+#[derive(Debug, Clone)]
+pub struct SemanticDetector {
+    compiled: Arc<Compiled>,
     codec: Arc<RwLock<Codec>>,
     parallelism: Parallelism,
 }
 
 impl SemanticDetector {
-    /// Creates a detector for `ecfds` on `schema`.
+    /// Creates a detector for `ecfds` on `schema`. The constraints are
+    /// validated and split but neither merged nor deduplicated, so evidence
+    /// indexes `ecfds` exactly as given.
     pub fn new(schema: &Schema, ecfds: &[ECfd]) -> Result<Self> {
-        for e in ecfds {
-            e.validate_against(schema)?;
-        }
-        let split = split_patterns(ecfds);
-        let provenance = split
-            .iter()
-            .map(|s| (s.source_constraint, s.source_pattern))
-            .collect();
-        let singles: Vec<ECfd> = split.into_iter().map(|s| s.ecfd).collect();
-        Ok(Self::assemble(ecfds.to_vec(), singles, provenance))
+        let verbatim = CompileOptions {
+            merge: false,
+            dedupe: false,
+            ..CompileOptions::default()
+        };
+        let set = ConstraintSet::compile_with(schema, ecfds, verbatim)?;
+        Ok(Self::from_set(&set))
     }
 
     /// Creates a detector from an already-compiled [`ConstraintSet`]: the
     /// set's validation and split are reused verbatim, so no per-detector
     /// re-validation or re-splitting happens — and the pattern constants are
-    /// interned to codes here, once, at registration time.
-    ///
-    /// [`ConstraintSet`]: ecfd_core::ConstraintSet
-    pub fn from_set(set: &ecfd_core::ConstraintSet) -> Self {
-        Self::assemble(
-            set.ecfds().to_vec(),
-            set.singles().iter().map(|s| s.ecfd.clone()).collect(),
-            set.provenance(),
-        )
-    }
-
-    fn assemble(ecfds: Vec<ECfd>, singles: Vec<ECfd>, provenance: Vec<(usize, usize)>) -> Self {
+    /// interned to codes, and the scan program resolved, here, once, at
+    /// registration time.
+    pub fn from_set(set: &ConstraintSet) -> Self {
+        let schema = set.schema();
+        let singles: Vec<ECfd> = set.singles().iter().map(|s| s.ecfd.clone()).collect();
         let mut dict = Dictionary::new();
         let cells = intern_singles(&singles, &mut dict);
+        let bounds: Vec<BoundECfd<'_>> = singles
+            .iter()
+            .map(|e| BoundECfd::bind(e, schema).expect("a compiled set binds to its own schema"))
+            .collect();
+        let program = ScanProgram::fused(&bounds);
+        let mut columns: Vec<(String, AttrId)> = Vec::new();
+        for name in set.ecfds().iter().flat_map(|e| e.attributes()) {
+            if !columns.iter().any(|(seen, _)| seen == name) {
+                let id = schema.attr_id(name).expect("bound above");
+                columns.push((name.to_string(), id));
+            }
+        }
         SemanticDetector {
-            ecfds,
-            singles,
-            provenance,
-            cells: Arc::new(cells),
+            compiled: Arc::new(Compiled {
+                ecfds: set.ecfds().to_vec(),
+                singles,
+                provenance: set.provenance(),
+                cells,
+                program,
+                table: schema.name().to_string(),
+                columns,
+            }),
             codec: Arc::new(RwLock::new(Codec { dict })),
             parallelism: Parallelism::default(),
         }
+    }
+
+    /// Replaces the program full passes execute — how `ecfd_plan` runs a
+    /// compiled plan's scans (fused or unfused) through this detector. Any
+    /// program covering the same constraints produces the same output.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `program` holds exactly one operator per split
+    /// constraint of this detector, each with as many `X` and check
+    /// positions as the constraint's pattern tuple has cells — i.e. panics
+    /// when it was compiled from a different constraint set.
+    pub fn with_program(mut self, program: ScanProgram) -> Self {
+        let mut shape: Vec<(usize, usize, usize)> = program
+            .scans()
+            .iter()
+            .flat_map(|s| {
+                s.members
+                    .iter()
+                    .map(|op| (op.ci, s.x.len(), op.check.len()))
+            })
+            .collect();
+        shape.sort_unstable();
+        let cells = self.compiled.cells.iter().enumerate();
+        assert!(
+            shape
+                .into_iter()
+                .eq(cells.map(|(ci, c)| (ci, c.lhs.len(), c.rhs.len()))),
+            "the program was not compiled from this detector's constraint set"
+        );
+        Arc::make_mut(&mut self.compiled).program = program;
+        self
     }
 
     /// Sets the worker fan-out of subsequent detection passes.
@@ -171,19 +188,24 @@ impl SemanticDetector {
 
     /// The original constraints.
     pub fn ecfds(&self) -> &[ECfd] {
-        &self.ecfds
+        &self.compiled.ecfds
     }
 
     /// The split single-pattern constraints (aligned with incremental group
     /// constraint indices).
     pub fn singles(&self) -> &[ECfd] {
-        &self.singles
+        &self.compiled.singles
     }
 
     /// `(constraint, pattern)` provenance of every split constraint, parallel
     /// to [`SemanticDetector::singles`].
     pub fn provenance(&self) -> &[(usize, usize)] {
-        &self.provenance
+        &self.compiled.provenance
+    }
+
+    /// The program every full pass executes.
+    pub fn program(&self) -> &ScanProgram {
+        &self.compiled.program
     }
 
     /// The shared codec (the issuing dictionary). Crate-internal: the
@@ -196,7 +218,7 @@ impl SemanticDetector {
     /// The coded pattern cells, parallel to [`SemanticDetector::singles`].
     /// Immutable after construction and held outside the codec lock.
     pub(crate) fn cells(&self) -> &[CodedSingle] {
-        &self.cells
+        &self.compiled.cells
     }
 
     /// Encodes a tuple projection into a coded group key through the
@@ -262,24 +284,16 @@ impl SemanticDetector {
     }
 
     /// The full scan behind every `detect*` entry point: flags, evidence and
-    /// group state in one (possibly parallel) pass over the relation.
-    ///
-    /// The scan runs in two phases. Phase 1 splits the rows into contiguous
-    /// chunks, one `std::thread::scope` worker each; a worker evaluates the
-    /// coded pattern cells against the view's code columns and partitions
-    /// its partial group states by `shard_of(ci, X-codes)`. Phase 2 merges
-    /// each shard's partials (all members of a group land in one shard) and
-    /// derives the multi-tuple violations. Both phases are deterministic, so
-    /// 1 worker and N workers produce identical reports, evidence and group
-    /// maps.
+    /// group state in one (possibly parallel) pass of the detector's
+    /// [`ScanProgram`] over the relation. Deterministic at every worker
+    /// count — see [`crate::scan`].
     pub fn detect_full(
         &self,
         relation: &Relation,
     ) -> Result<(DetectionReport, EvidenceReport, GroupMap)> {
-        let bounds = self.bind(relation.schema())?;
-        let mut codec_guard = self.codec.write();
-        let view = ColumnarView::build(relation, &mut codec_guard.dict);
-        Ok(self.scan_view(&view, &codec_guard.dict, &bounds, relation.len()))
+        let mut codec = self.codec.write();
+        let view = ColumnarView::build(relation, &mut codec.dict);
+        self.scan_view(relation.schema(), &view, &codec.dict)
     }
 
     /// Runs a full, read-only detection pass over a [`FrozenView`] — the
@@ -296,9 +310,7 @@ impl SemanticDetector {
         frozen: &FrozenView,
         schema: &Schema,
     ) -> Result<(DetectionReport, EvidenceReport)> {
-        let bounds = self.bind(schema)?;
-        let (report, evidence, _) =
-            self.scan_view(frozen.view(), frozen.dict(), &bounds, frozen.num_rows());
+        let (report, evidence, _) = self.scan_view(schema, frozen.view(), frozen.dict())?;
         Ok((report, evidence))
     }
 
@@ -314,115 +326,61 @@ impl SemanticDetector {
         FrozenView::new(view, codec.dict.clone())
     }
 
-    /// The shared two-phase scan: flags, evidence and group state from one
-    /// (possibly parallel) pass over an already-encoded view. `dict` must be
-    /// the dictionary state (or a later state of the same lineage) that
-    /// issued the view's codes.
-    fn scan_view(
+    /// One full pass of the program over an already-encoded view whose
+    /// columns follow `schema`: the single caller of the scan kernel, and the
+    /// one place a pass is timed and counted. `dict` must be the dictionary
+    /// state (or a later state of the same lineage) that issued the view's
+    /// codes.
+    pub(crate) fn scan_view(
         &self,
+        schema: &Schema,
         view: &ColumnarView,
         dict: &Dictionary,
-        bounds: &[BoundECfd<'_>],
-        total_rows: usize,
-    ) -> (DetectionReport, EvidenceReport, GroupMap) {
+    ) -> Result<(DetectionReport, EvidenceReport, GroupMap)> {
+        self.check_layout(schema)?;
         let pass_started = std::time::Instant::now();
-        let cells: &[CodedSingle] = &self.cells;
-        let n_rows = view.num_rows();
-        let threads = effective_threads(self.parallelism, n_rows, self.singles.len());
-        let n_shards = threads;
-
-        // Phase 1: chunked row scan.
-        let chunks: Vec<ChunkOut> = if threads <= 1 {
-            vec![scan_chunk(view, bounds, cells, 0, n_rows, 1)]
-        } else {
-            let ranges = split_ranges(n_rows, threads);
-            std::thread::scope(|s| {
-                let handles: Vec<_> = ranges
-                    .iter()
-                    .map(|&(lo, hi)| {
-                        s.spawn(move || scan_chunk(view, bounds, cells, lo, hi, n_shards))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("detection worker panicked"))
-                    .collect()
-            })
-        };
-
-        // Transpose the per-chunk, per-shard partials into per-shard inputs
-        // (chunk order preserved so member lists merge in global row order).
-        let mut sv_pairs: Vec<(RowId, usize)> = Vec::new();
-        let mut shard_inputs: Vec<Vec<CodeMap<GroupKey, GroupState>>> = (0..n_shards)
-            .map(|_| Vec::with_capacity(chunks.len()))
-            .collect();
-        for chunk in chunks {
-            sv_pairs.extend(chunk.sv);
-            for (shard, part) in chunk.parts.into_iter().enumerate() {
-                shard_inputs[shard].push(part);
-            }
-        }
-
-        // Phase 2: per-shard merge; every member of a group is in exactly one
-        // shard, so merges are independent.
-        let shard_outs: Vec<ShardOut> = if threads <= 1 {
-            shard_inputs
-                .into_iter()
-                .map(|parts| merge_shard(parts, &self.provenance, dict))
-                .collect()
-        } else {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = shard_inputs
-                    .into_iter()
-                    .map(|parts| {
-                        let provenance = &self.provenance;
-                        s.spawn(move || merge_shard(parts, provenance, dict))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("merge worker panicked"))
-                    .collect()
-            })
-        };
-
-        // Deterministic assembly: reports are sorted sets, evidence is
-        // normalized, the group map is a union of disjoint shard maps.
-        let mut report = DetectionReport {
-            total_rows,
-            ..Default::default()
-        };
-        let mut evidence = EvidenceReport {
-            total_rows,
-            ..Default::default()
-        };
-        for (row, ci) in sv_pairs {
-            report.sv_rows.insert(row);
-            let (constraint, pattern) = self.provenance[ci];
-            evidence.sv.push(SvEvidence {
-                row,
-                source: ConstraintRef::new(constraint, pattern),
-            });
-        }
-        let mut groups = GroupMap::default();
-        for shard in shard_outs {
-            report.mv_rows.extend(shard.mv_rows);
-            evidence.mv_groups.extend(shard.mv_groups);
-            if groups.is_empty() {
-                groups = shard.groups;
-            } else {
-                groups.extend(shard.groups);
-            }
-        }
-        evidence.normalize();
+        let compiled = &*self.compiled;
+        let (report, evidence, groups) = crate::scan::run(
+            &compiled.program,
+            &compiled.cells,
+            &compiled.provenance,
+            view,
+            dict,
+            self.parallelism,
+        );
         crate::obs::record_pass(
             "semantic",
-            n_rows as u64,
+            view.num_rows() as u64,
             groups.len() as u64,
             report.num_violations() as u64,
             pass_started.elapsed(),
         );
-        (report, evidence, groups)
+        Ok((report, evidence, groups))
+    }
+
+    /// The program addresses columns by the positions its attributes had in
+    /// the construction schema. Detector-managed columns appended after them
+    /// (`SV` / `MV`) change nothing; a relation that names the attributes
+    /// differently or lays them out in another order would be scanned on the
+    /// wrong columns, so it is refused.
+    fn check_layout(&self, schema: &Schema) -> Result<()> {
+        let compiled = &*self.compiled;
+        if schema.name() != compiled.table {
+            return Err(CoreError::RelationMismatch {
+                expected: compiled.table.clone(),
+                actual: schema.name().to_string(),
+            }
+            .into());
+        }
+        let moved = |(name, id): &&(String, AttrId)| schema.attr_id(name) != Some(*id);
+        match compiled.columns.iter().find(moved) {
+            None => Ok(()),
+            Some((name, id)) => Err(DetectError::Unsupported(format!(
+                "the detector reads attribute {name} at column {id}, which is not where this \
+                 {} relation keeps it",
+                compiled.table
+            ))),
+        }
     }
 
     /// Detects violations and writes the `SV` / `MV` flag columns of the named
@@ -441,7 +399,8 @@ impl SemanticDetector {
 
     /// Resolves the split constraints against a (possibly extended) schema.
     pub fn bind<'a>(&'a self, schema: &Schema) -> Result<Vec<BoundECfd<'a>>> {
-        self.singles
+        self.compiled
+            .singles
             .iter()
             .map(|e| BoundECfd::bind(e, schema).map_err(Into::into))
             .collect()
@@ -481,16 +440,15 @@ impl SemanticDetector {
         schema: &Schema,
         aligned: &[bool],
     ) -> Result<ShardPartial> {
-        let bounds = self.bind(schema)?;
-        let (_, evidence, groups) =
-            self.scan_view(frozen.view(), frozen.dict(), &bounds, frozen.num_rows());
         let dict = frozen.dict();
+        let (_, evidence, groups) = self.scan_view(schema, frozen.view(), dict)?;
+        let provenance = &self.compiled.provenance;
         let mut local_mv = Vec::new();
         let mut open = Vec::new();
         for ((ci, key), state) in groups {
             if aligned.get(ci).copied().unwrap_or(false) {
                 if state.violates() {
-                    let (constraint, pattern) = self.provenance[ci];
+                    let (constraint, pattern) = provenance[ci];
                     local_mv.push(MvEvidence {
                         source: ConstraintRef::new(constraint, pattern),
                         group_key: dict.decode_all(key.as_slice()),
@@ -559,7 +517,7 @@ impl SemanticDetector {
         for ((ci, key), state) in merged {
             if state.y_counts.len() > 1 {
                 report.mv_rows.extend(state.rows.iter().copied());
-                let (constraint, pattern) = self.provenance[ci];
+                let (constraint, pattern) = self.compiled.provenance[ci];
                 evidence.mv_groups.push(MvEvidence {
                     source: ConstraintRef::new(constraint, pattern),
                     group_key: key,
@@ -610,102 +568,6 @@ pub struct ShardPartial {
 struct MergedGroup {
     y_counts: std::collections::BTreeMap<Vec<Value>, usize>,
     rows: Vec<RowId>,
-}
-
-/// What one phase-1 worker produces for its row chunk.
-struct ChunkOut {
-    /// `(row, split-constraint)` single-tuple violations, in row order.
-    sv: Vec<(RowId, usize)>,
-    /// Partial group states, partitioned by `shard_of(ci, X-codes)`.
-    parts: Vec<CodeMap<GroupKey, GroupState>>,
-}
-
-/// Phase 1: scans rows `lo..hi` of the view against every coded constraint.
-fn scan_chunk(
-    view: &ColumnarView,
-    bounds: &[BoundECfd<'_>],
-    coded: &[CodedSingle],
-    lo: usize,
-    hi: usize,
-    n_shards: usize,
-) -> ChunkOut {
-    let mut out = ChunkOut {
-        sv: Vec::new(),
-        parts: vec![CodeMap::default(); n_shards],
-    };
-    for pos in lo..hi {
-        let row_id = view.row_id(pos);
-        for (ci, bound) in bounds.iter().enumerate() {
-            let cells = &coded[ci];
-            if !cells.lhs_matches(bound.lhs_ids().iter().map(|a| view.code(pos, *a))) {
-                continue;
-            }
-            if !cells.rhs_matches(bound.rhs_ids().iter().map(|a| view.code(pos, *a))) {
-                out.sv.push((row_id, ci));
-            }
-            if !bound.fd_rhs_ids().is_empty() {
-                let key = view.key(pos, bound.lhs_ids());
-                let shard = if n_shards == 1 {
-                    0
-                } else {
-                    shard_of(ci, &key, n_shards)
-                };
-                let y = view.key(pos, bound.fd_rhs_ids());
-                // One key allocation serves count and membership bookkeeping.
-                let state = out.parts[shard].entry((ci, key)).or_default();
-                *state.y_counts.entry(y).or_insert(0) += 1;
-                state.rows.push(row_id);
-            }
-        }
-    }
-    out
-}
-
-/// What one phase-2 worker produces for its shard.
-struct ShardOut {
-    groups: CodeMap<GroupKey, GroupState>,
-    mv_rows: Vec<RowId>,
-    mv_groups: Vec<MvEvidence>,
-}
-
-/// Phase 2: merges one shard's partial group states (in chunk order, so
-/// member lists end up in global row order) and derives the multi-tuple
-/// violations.
-fn merge_shard(
-    parts: Vec<CodeMap<GroupKey, GroupState>>,
-    provenance: &[(usize, usize)],
-    dict: &Dictionary,
-) -> ShardOut {
-    let mut iter = parts.into_iter();
-    let mut groups = iter.next().unwrap_or_default();
-    for part in iter {
-        for (key, state) in part {
-            match groups.entry(key) {
-                std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().absorb(state),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(state);
-                }
-            }
-        }
-    }
-    let mut mv_rows = Vec::new();
-    let mut mv_groups = Vec::new();
-    for ((ci, key), state) in &groups {
-        if state.violates() {
-            mv_rows.extend(state.rows.iter().copied());
-            let (constraint, pattern) = provenance[*ci];
-            mv_groups.push(MvEvidence {
-                source: ConstraintRef::new(constraint, pattern),
-                group_key: dict.decode_all(key.as_slice()),
-                rows: state.rows.iter().copied().collect(),
-            });
-        }
-    }
-    ShardOut {
-        groups,
-        mv_rows,
-        mv_groups,
-    }
 }
 
 /// Adds integer `SV` / `MV` columns (initialised to 0) to `table` if absent,
@@ -1095,5 +957,45 @@ mod tests {
         .unwrap();
         let detector = SemanticDetector::new(&cust_schema(), &[phi1(), phi2()]).unwrap();
         assert!(detector.detect(&db).unwrap().is_clean());
+    }
+
+    #[test]
+    fn a_relation_laid_out_differently_is_refused_not_misread() {
+        // Column positions are resolved once, at construction. The same
+        // attributes in another order would put AC's codes under CT.
+        let detector = SemanticDetector::new(&cust_schema(), &[phi1(), phi2()]).unwrap();
+        let reordered = Schema::builder("cust")
+            .attr("CT", ecfd_relation::DataType::Str)
+            .attr("AC", ecfd_relation::DataType::Str)
+            .build();
+        let db = Relation::with_tuples(reordered, [Tuple::from_iter(["Albany", "718"])]).unwrap();
+        assert!(matches!(
+            detector.detect(&db),
+            Err(DetectError::Unsupported(_))
+        ));
+        let renamed = Relation::new(cust_schema().renamed("orders"));
+        assert!(matches!(
+            detector.detect(&renamed),
+            Err(DetectError::Core(CoreError::RelationMismatch { .. }))
+        ));
+        // Trailing detector-managed columns do not move the base attributes.
+        let flagged = d0()
+            .extend_schema(
+                vec![ecfd_relation::Attribute::new(
+                    "SV",
+                    ecfd_relation::DataType::Int,
+                )],
+                Value::Int(0),
+            )
+            .unwrap();
+        assert_eq!(detector.detect(&flagged).unwrap().num_sv(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "not compiled from this detector's constraint set")]
+    fn a_program_for_another_set_is_rejected() {
+        let narrow = SemanticDetector::new(&cust_schema(), &[phi2()]).unwrap();
+        let wide = SemanticDetector::new(&cust_schema(), &[phi1(), phi2()]).unwrap();
+        let _ = wide.with_program(narrow.program().clone());
     }
 }

@@ -1,77 +1,44 @@
-//! [`PlanBackend`]: a compiled plan plus a storage driver behind the
-//! ordinary [`DetectorBackend`] trait, routable by sessions and the serving
-//! layer like any other backend (`BackendKind::Plan`).
+//! [`PlanBackend`]: a compiled plan behind the ordinary [`DetectorBackend`]
+//! trait — the native backend, running the plan's scans instead of the
+//! default program.
 
-use crate::columnar::ColumnarDriver;
-use crate::driver::Driver;
 use crate::mir::Plan;
-use crate::sql::SqlDriver;
 use crate::Result;
 use ecfd_core::ConstraintSet;
-use ecfd_detect::backend::apply_base_delta;
-use ecfd_detect::{BackendKind, DetectionReport, DetectorBackend, EvidenceReport, Parallelism};
+use ecfd_detect::{
+    BackendKind, DetectionReport, DetectorBackend, EvidenceReport, Parallelism, SemanticBackend,
+};
 use ecfd_relation::{Catalog, Delta};
-use std::fmt;
-use std::sync::Arc;
 
-/// The plan-executing detector backend: compiles a constraint set once into
-/// a [`Plan`] and answers every detect/apply call by running the plan
-/// through its [`Driver`].
+/// A [`SemanticBackend`] that executes a compiled [`Plan`]'s scans: the same
+/// detector, kernel and flag-writing sequence, with the program chosen by
+/// the plan (fused or unfused) rather than defaulted.
 ///
-/// Stateless between calls (like the semantic and SQL backends): every
-/// `detect` is a fresh plan execution, every `apply` mutates the table and
-/// re-executes. Each pass is recorded as `detect.pass.ns{backend="plan"}`.
+/// For the fused plan this computes exactly what `SemanticBackend::from_set`
+/// does; the unfused plan is the contrast arm that keeps the shared-scan win
+/// measurable. Passes are recorded by the detector, under
+/// `detect.pass.ns{backend="semantic"}`, once.
+#[derive(Debug, Clone)]
 pub struct PlanBackend {
-    plan: Arc<Plan>,
-    driver: Box<dyn Driver>,
-    table: String,
-    base_arity: usize,
+    plan: Plan,
+    backend: SemanticBackend,
 }
 
 impl PlanBackend {
-    /// Builds the default backend: the optimized (shared-scan) plan executed
-    /// by the columnar driver.
+    /// Builds the backend on the optimized (shared-scan) plan.
     pub fn from_set(set: &ConstraintSet) -> Result<Self> {
         Ok(Self::from_plan(Plan::compile(set)?))
     }
 
     /// Builds the backend on the *unfused* baseline plan (one scan per
-    /// constraint), columnar driver — the contrast arm of the shared-scan
-    /// benchmark.
+    /// constraint) — the contrast arm of the shared-scan benchmark.
     pub fn from_set_unfused(set: &ConstraintSet) -> Result<Self> {
         Ok(Self::from_plan(Plan::compile_unfused(set)?))
     }
 
-    /// Builds the backend on the optimized plan with the SQL pushdown
-    /// driver. Fails when the set is outside the SQL encoding's envelope.
-    pub fn from_set_sql(set: &ConstraintSet) -> Result<Self> {
-        let plan = Arc::new(Plan::compile(set)?);
-        let driver = Box::new(SqlDriver::new(&plan)?);
-        Ok(Self::assemble(plan, driver))
-    }
-
-    /// Wraps an already-compiled plan with the columnar driver.
-    pub fn from_plan(plan: Plan) -> Self {
-        let plan = Arc::new(plan);
-        let driver = Box::new(ColumnarDriver::new(Arc::clone(&plan)));
-        Self::assemble(plan, driver)
-    }
-
-    /// Wraps an already-compiled plan with an explicit driver — the
-    /// extension point for out-of-tree storage.
-    pub fn with_driver(plan: Plan, driver: Box<dyn Driver>) -> Self {
-        Self::assemble(Arc::new(plan), driver)
-    }
-
-    fn assemble(plan: Arc<Plan>, driver: Box<dyn Driver>) -> Self {
-        let table = plan.set().schema().name().to_string();
-        let base_arity = plan.set().schema().arity();
-        PlanBackend {
-            plan,
-            driver,
-            table,
-            base_arity,
-        }
+    fn from_plan(plan: Plan) -> Self {
+        let backend = SemanticBackend::from_set(plan.set()).with_program(plan.program());
+        PlanBackend { plan, backend }
     }
 
     /// The compiled plan this backend executes (render with
@@ -80,54 +47,23 @@ impl PlanBackend {
         &self.plan
     }
 
-    /// The driver executing the plan.
-    pub fn driver(&self) -> &dyn Driver {
-        self.driver.as_ref()
-    }
-
-    /// Sets the worker fan-out of subsequent executions (forwarded to the
-    /// driver; pushdown drivers ignore it).
+    /// Sets the worker fan-out of subsequent executions.
     pub fn set_parallelism(&mut self, parallelism: Parallelism) {
-        self.driver.set_parallelism(parallelism);
-    }
-}
-
-impl fmt::Debug for PlanBackend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PlanBackend")
-            .field("table", &self.table)
-            .field("driver", &self.driver.name())
-            .field("capability", &self.driver.capability())
-            .field("fused", &self.plan.is_fused())
-            .field("scans", &self.plan.num_scans())
-            .finish()
+        self.backend.set_parallelism(parallelism);
     }
 }
 
 impl DetectorBackend for PlanBackend {
     fn kind(&self) -> BackendKind {
-        BackendKind::Plan
+        self.backend.kind()
     }
 
     fn table(&self) -> &str {
-        &self.table
+        self.backend.table()
     }
 
     fn detect(&mut self, catalog: &mut Catalog) -> Result<(DetectionReport, EvidenceReport)> {
-        let started = std::time::Instant::now();
-        let out = self.driver.execute(catalog)?;
-        let registry = ecfd_obs::registry();
-        registry
-            .histogram_with("detect.pass.ns", &[("backend", "plan")])
-            .record_duration(started.elapsed());
-        registry
-            .counter("detect.rows.scanned")
-            .add(out.rows_scanned);
-        registry.counter("detect.groups.merged").add(out.groups);
-        registry
-            .counter("detect.violations")
-            .add(out.report.num_violations() as u64);
-        Ok((out.report, out.evidence))
+        self.backend.detect(catalog)
     }
 
     fn apply(
@@ -135,8 +71,7 @@ impl DetectorBackend for PlanBackend {
         catalog: &mut Catalog,
         delta: &Delta,
     ) -> Result<(DetectionReport, EvidenceReport)> {
-        apply_base_delta(catalog, &self.table, self.base_arity, delta)?;
-        self.detect(catalog)
+        self.backend.apply(catalog, delta)
     }
 }
 
@@ -189,20 +124,15 @@ mod tests {
         let backends: Vec<PlanBackend> = vec![
             PlanBackend::from_set(&set).unwrap(),
             PlanBackend::from_set_unfused(&set).unwrap(),
-            PlanBackend::from_set_sql(&set).unwrap(),
         ];
         for mut backend in backends {
-            assert_eq!(backend.kind(), BackendKind::Plan);
+            assert_eq!(backend.kind(), BackendKind::Semantic);
             assert_eq!(backend.table(), "cust");
             let mut cat = catalog();
             let (report, evidence) = backend.detect(&mut cat).unwrap();
-            assert_eq!(report, want_report, "driver {}", backend.driver().name());
-            assert_eq!(
-                evidence,
-                want_evidence,
-                "driver {}",
-                backend.driver().name()
-            );
+            let fused = backend.plan().is_fused();
+            assert_eq!(report, want_report, "fused={fused}");
+            assert_eq!(evidence, want_evidence, "fused={fused}");
             // Flags land in the table exactly like the reference's.
             assert_eq!(
                 DetectionReport::from_catalog(&cat, "cust").unwrap(),

@@ -15,12 +15,14 @@
 //!
 //! The HIR is deliberately per-constraint and unoptimized; sharing decisions
 //! belong to the MIR ([`Hir::optimize`] / [`Hir::sequential`] in
-//! [`crate::mir`]).
+//! [`crate::mir`]), and the one sharing rule there is — fuse identical `X`
+//! lists — is the scan kernel's own ([`ecfd_detect::scan::fuse`]).
 
 use crate::mir::{FlagNode, Plan, ScanNode};
 use crate::Result;
 use ecfd_core::matching::BoundECfd;
 use ecfd_core::ConstraintSet;
+use ecfd_detect::scan::fuse;
 use ecfd_relation::AttrId;
 
 /// The lowered form of one split single-pattern constraint: a logical
@@ -29,7 +31,7 @@ use ecfd_relation::AttrId;
 #[derive(Debug, Clone)]
 pub struct HirNode {
     /// Index into the set's split single-pattern constraint list — also the
-    /// index of the coded pattern cells a driver matches for this node.
+    /// index of the coded pattern cells the kernel matches for this node.
     pub ci: usize,
     /// `(constraint, pattern)` provenance in the user's original set, for
     /// evidence attribution.
@@ -93,35 +95,26 @@ impl Hir {
     /// whose `X` attribute lists are identical fuse into one [`ScanNode`]
     /// feeding their flag operators, in first-seen order. Within a scan the
     /// per-row `X` projection is computed once and every member matches
-    /// against it.
+    /// against it. The grouping is [`ecfd_detect::scan::fuse`] — the rule the
+    /// detectors build their default program with — so this plan *is* what
+    /// `SemanticDetector::from_set` executes.
     pub fn optimize(self) -> Plan {
-        let mut scans: Vec<ScanNode> = Vec::new();
-        for node in &self.nodes {
-            match scans.iter_mut().find(|s| s.x == node.x) {
-                Some(scan) => scan.members.push(node.flag()),
-                None => scans.push(ScanNode {
-                    x: node.x.clone(),
-                    x_names: node.x_names.clone(),
-                    members: vec![node.flag()],
-                }),
-            }
-        }
+        let scans = fuse(self.nodes.iter().map(|node| (node.x.clone(), node)))
+            .into_iter()
+            .map(|(_, members)| ScanNode::feeding(&members))
+            .collect();
         Plan::assemble(self.set, scans, true)
     }
 
     /// Lowers the HIR into the *unfused* baseline [`Plan`]: one scan per
     /// constraint, no sharing — the plan a naive per-constraint interpreter
     /// corresponds to, kept selectable so the shared-scan win stays
-    /// measurable (`bench_detect --backend plan`).
+    /// measurable (`plan.unfused_ms` in `benchmark/`).
     pub fn sequential(self) -> Plan {
         let scans = self
             .nodes
             .iter()
-            .map(|node| ScanNode {
-                x: node.x.clone(),
-                x_names: node.x_names.clone(),
-                members: vec![node.flag()],
-            })
+            .map(|node| ScanNode::feeding(&[node]))
             .collect();
         Plan::assemble(self.set, scans, false)
     }

@@ -1,30 +1,32 @@
-//! The detection MIR: an explicit, driver-independent [`Plan`] of scan and
-//! flag operators, produced by optimizing (or sequentially lowering) the
-//! HIR of [`crate::hir`].
+//! The detection MIR: an explicit [`Plan`] of scan and flag operators,
+//! produced by optimizing (or sequentially lowering) the HIR of
+//! [`crate::hir`].
 //!
 //! A plan is *data*, not code: a list of [`ScanNode`]s, each projecting one
 //! `X` attribute list per row and feeding one or more [`FlagNode`] operators
 //! that match pattern cells, check `Y ∪ Yp` and maintain per-group `Y`
-//! projections. Drivers ([`crate::Driver`]) interpret the same plan against
-//! different storage — the plan itself never touches tuples.
+//! projections. The plan itself never touches tuples: [`Plan::program`]
+//! hands its scans to the scan kernel of [`ecfd_detect::scan`], which is
+//! what executes them.
 //!
 //! [`Plan::render`] is the deterministic text form exposed over the wire by
 //! the serving layer's `EXPLAIN PLAN` verb; its output depends only on the
 //! constraint set, so it is snapshot-stable across runs and platforms.
 
-use crate::hir;
+use crate::hir::{self, HirNode};
 use crate::Result;
 use ecfd_core::ConstraintSet;
+use ecfd_detect::scan::{FlagOp, Scan, ScanProgram};
 use ecfd_relation::AttrId;
 use std::fmt::Write as _;
 
-/// One flag operator: the per-row work a driver performs for a single split
-/// single-pattern constraint once the enclosing scan's `X` projection is in
-/// hand.
+/// One flag operator: the per-row work the kernel performs for a single
+/// split single-pattern constraint once the enclosing scan's `X` projection
+/// is in hand.
 #[derive(Debug, Clone)]
 pub struct FlagNode {
     /// Index into the set's split single-pattern constraint list — also the
-    /// index of the coded pattern cells a driver matches for this operator.
+    /// index of the coded pattern cells the kernel matches for this operator.
     pub ci: usize,
     /// `(constraint, pattern)` provenance in the user's original set, for
     /// evidence attribution.
@@ -65,8 +67,20 @@ pub struct ScanNode {
     pub members: Vec<FlagNode>,
 }
 
+impl ScanNode {
+    /// The scan over the (shared, non-empty) `X` list of `nodes`, feeding
+    /// one flag operator per node.
+    pub(crate) fn feeding(nodes: &[&HirNode]) -> Self {
+        ScanNode {
+            x: nodes[0].x.clone(),
+            x_names: nodes[0].x_names.clone(),
+            members: nodes.iter().map(|node| node.flag()).collect(),
+        }
+    }
+}
+
 /// An executable detection plan: the MIR produced from a compiled
-/// [`ConstraintSet`], interpreted by any [`crate::Driver`].
+/// [`ConstraintSet`], executed by the scan kernel via [`Plan::program`].
 #[derive(Debug, Clone)]
 pub struct Plan {
     set: ConstraintSet,
@@ -111,10 +125,33 @@ impl Plan {
         self.fused
     }
 
-    /// Number of scan operators (passes a naive interpreter would make;
-    /// the fused executor still makes exactly one physical pass).
+    /// Number of scan operators (`X` projections per row; the kernel still
+    /// makes exactly one physical pass over the rows).
     pub fn num_scans(&self) -> usize {
         self.scans.len()
+    }
+
+    /// The plan's scans as the kernel's executable form: the same scans and
+    /// members in the same order, without the names only
+    /// [`Plan::render`] needs.
+    pub fn program(&self) -> ScanProgram {
+        ScanProgram::new(
+            self.scans
+                .iter()
+                .map(|scan| Scan {
+                    x: scan.x.clone(),
+                    members: scan
+                        .members
+                        .iter()
+                        .map(|flag| FlagOp {
+                            ci: flag.ci,
+                            check: flag.check.clone(),
+                            group: flag.group.clone(),
+                        })
+                        .collect(),
+                })
+                .collect(),
+        )
     }
 
     /// Total number of flag operators across all scans — always equal to

@@ -5,11 +5,11 @@
 //! database: constraints are encoded once, and the per-query work is
 //! independent of how many eCFDs are checked. [`Session`] is that service as
 //! an API — it owns the [`Catalog`](ecfd_relation::Catalog), a registry of
-//! compiled [`ConstraintSet`](ecfd_core::ConstraintSet)s, and the four
+//! compiled [`ConstraintSet`](ecfd_core::ConstraintSet)s, and the three
 //! detector backends per set, so callers stop hand-wiring
 //! `SemanticDetector` / `BatchDetector` / `IncrementalDetector` /
-//! `PlanBackend` / `RepairEngine` object graphs and re-compiling the same
-//! constraints per detector. (Those types remain exported from their crates
+//! `RepairEngine` object graphs and re-compiling the same constraints per
+//! detector. (Those types remain exported from their crates
 //! as the low-level layer.)
 //!
 //! ## Lifecycle state machine
@@ -30,9 +30,8 @@
 //!   constraints yet.
 //! * **Registered** — [`Session::register`] compiled constraints for it
 //!   (validate → optional implication-based minimization → normalize →
-//!   dedupe → split, see [`ecfd_core::ConstraintSet`]); all four backends
-//!   are built from the one compiled set (the plan backend additionally
-//!   lowers it to an `ecfd_plan::Plan` here, once).
+//!   dedupe → split, see [`ecfd_core::ConstraintSet`]); all three backends
+//!   are built from the one compiled set.
 //! * **Detected** — a detection result (flags + evidence) is cached and
 //!   describes the current table contents. [`Session::detect`],
 //!   [`Session::explain`] and [`Session::apply`] land here.
@@ -48,7 +47,7 @@
 //! | `detect` (cache present)   | served, nothing runs   | kept                  |
 //! | `detect_with(kind)`        | replaced               | kept (see below)      |
 //! | `apply` via incremental    | replaced               | maintained            |
-//! | `apply` via semantic / SQL / plan | replaced        | dropped               |
+//! | `apply` via semantic / SQL | replaced               | dropped               |
 //! | `apply` that errors        | dropped (table may be partially mutated) | dropped |
 //! | `repair`                   | replaced (clean)       | maintained            |
 //! | `catalog_mut` / `invalidate` | dropped              | dropped               |
@@ -73,14 +72,13 @@
 //! Every detection-shaped call can name a [`BackendKind`] explicitly
 //! (`detect_with`, `apply_with`); otherwise the session's [`RoutingPolicy`]
 //! decides. The default policy runs full passes on the native semantic
-//! detector — the fast path since the dictionary-encoded columnar refactor —
-//! and routes update batches by the delta-size threshold of the paper's
-//! Fig. 7(a): small batches go to incremental maintenance, large ones to a
-//! fresh full pass. The SQL batch detector remains the paper-faithful
-//! reference, selectable per call or via [`RoutingPolicy::fixed`]; the
-//! compiled-plan executor (`BackendKind::Plan`, backed by
-//! `ecfd_plan::PlanBackend`) is routable the same way and reports
-//! byte-identically to the other three.
+//! detector — the fast path: one shared-scan program over the
+//! dictionary-encoded columns, the program `ecfd_plan::Plan::compile`
+//! renders for `EXPLAIN PLAN` — and routes update batches by the delta-size
+//! threshold of the paper's Fig. 7(a): small batches go to incremental
+//! maintenance, large ones to a fresh full pass. The SQL batch detector
+//! remains the paper-faithful reference (its role is fidelity, not speed),
+//! selectable per call or via [`RoutingPolicy::fixed`].
 //!
 //! The policy also carries the [`Parallelism`] of the detection scans:
 //! `Auto` (every available core, the default) or `Fixed(n)`. It is applied
@@ -622,7 +620,6 @@ mod tests {
             Box::new(ecfd_detect::SemanticBackend::from_set(&set)),
             Box::new(ecfd_detect::SqlBackend::from_set(&set).unwrap()),
             Box::new(ecfd_detect::IncrementalBackend::from_set(&set)),
-            Box::new(ecfd_plan::PlanBackend::from_set(&set).unwrap()),
         ];
         let mut catalog = ecfd_relation::Catalog::new();
         catalog.create(dirty()).unwrap();
@@ -632,24 +629,6 @@ mod tests {
         }
         assert_eq!(reports[0], reports[1]);
         assert_eq!(reports[1], reports[2]);
-        assert_eq!(reports[2], reports[3]);
-    }
-
-    #[test]
-    fn plan_policy_routes_everything_to_the_plan_backend() {
-        let mut session = Session::new().with_policy(RoutingPolicy::fixed(BackendKind::Plan));
-        session.load(dirty()).unwrap();
-        session.register_text(PHI).unwrap();
-        let report = session.detect().unwrap();
-        assert_eq!(session.last_backend(), Some(BackendKind::Plan));
-        assert_eq!(report.num_violations(), 2);
-        let delta = Delta::insert_only(vec![Tuple::from_iter(["Troy", "518"])]);
-        session.apply(&delta).unwrap();
-        assert_eq!(session.last_backend(), Some(BackendKind::Plan));
-        assert_eq!(
-            session.detect_with(BackendKind::Plan).unwrap(),
-            session.detect_with(BackendKind::Semantic).unwrap(),
-        );
     }
 
     #[test]
@@ -684,8 +663,8 @@ mod tests {
         // post-mutation cache must be stamped with the *post*-mutation
         // version so it stays servable.
         let mut session = ready_session();
-        let first = session.detect_with(BackendKind::Plan).unwrap();
-        assert_eq!(session.last_backend(), Some(BackendKind::Plan));
+        let first = session.detect_with(BackendKind::Sql).unwrap();
+        assert_eq!(session.last_backend(), Some(BackendKind::Sql));
         assert_eq!(session.report(), Some(&first));
 
         let delta = Delta::insert_only(vec![Tuple::from_iter(["Albany", "999"])]);
@@ -698,7 +677,7 @@ mod tests {
         );
         assert_eq!(session.last_backend(), Some(BackendKind::Semantic));
         // detect() serves the post-apply result — neither a rescan nor the
-        // pre-apply plan-backend report.
+        // pre-apply SQL-backend report.
         assert_eq!(session.detect().unwrap(), after);
     }
 }

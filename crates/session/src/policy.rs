@@ -12,11 +12,11 @@ use ecfd_detect::{BackendKind, Parallelism};
 /// scratch, above it the batch pass wins. The policy mirrors that crossover
 /// with a simple threshold on `|ΔD| / |D|`.
 ///
-/// Full passes default to the native semantic backend — since the
-/// dictionary-encoded columnar refactor it is the system's fast path (coded
-/// pattern matching, sharded parallel scan), while the SQL backend remains
-/// the paper-faithful reference implementation, selectable explicitly or via
-/// [`RoutingPolicy::fixed`].
+/// Full passes default to the native semantic backend — the system's fast
+/// path (coded pattern matching, one shared-scan program however many
+/// pattern tuples are checked, sharded parallel scan), while the SQL backend
+/// remains the paper-faithful reference implementation, selectable
+/// explicitly or via [`RoutingPolicy::fixed`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoutingPolicy {
     /// Backend for full detection passes ([`crate::Session::detect`]).
@@ -98,14 +98,6 @@ mod tests {
         assert_eq!(policy.detect_backend, BackendKind::Sql);
         assert_eq!(policy.route_delta(1, 1000), BackendKind::Sql);
         assert_eq!(policy.route_delta(999, 1000), BackendKind::Sql);
-    }
-
-    #[test]
-    fn plan_backend_is_routable_like_any_other() {
-        let policy = RoutingPolicy::fixed(BackendKind::Plan);
-        assert_eq!(policy.detect_backend, BackendKind::Plan);
-        assert_eq!(policy.route_delta(1, 1000), BackendKind::Plan);
-        assert_eq!(policy.route_delta(999, 1000), BackendKind::Plan);
     }
 
     #[test]

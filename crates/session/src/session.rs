@@ -10,7 +10,6 @@ use ecfd_detect::backend::{
     BackendKind, DetectorBackend, IncrementalBackend, SemanticBackend, SqlBackend,
 };
 use ecfd_detect::{DetectionReport, EvidenceReport};
-use ecfd_plan::PlanBackend;
 use ecfd_relation::{Catalog, Delta, Relation, RowId, Schema};
 use ecfd_repair::{
     base_relation, repair_verified_with, ConflictGraph, CostModel, RepairEngine, RepairOptions,
@@ -58,7 +57,6 @@ struct Entry {
     /// constrained attributes are outside the SQL encoding's envelope).
     sql: std::result::Result<SqlBackend, String>,
     incremental: IncrementalBackend,
-    plan: PlanBackend,
     repair: RepairEngine,
     cache: Option<Cached>,
     stage: Stage,
@@ -69,7 +67,6 @@ impl Entry {
         match kind {
             BackendKind::Semantic => Ok(&mut self.semantic),
             BackendKind::Incremental => Ok(&mut self.incremental),
-            BackendKind::Plan => Ok(&mut self.plan),
             BackendKind::Sql => match &mut self.sql {
                 Ok(backend) => Ok(backend),
                 Err(reason) => Err(SessionError::BackendUnavailable {
@@ -135,7 +132,6 @@ impl Session {
         for entry in self.tables.values_mut() {
             entry.semantic.set_parallelism(policy.parallelism);
             entry.incremental.set_parallelism(policy.parallelism);
-            entry.plan.set_parallelism(policy.parallelism);
         }
         self
     }
@@ -269,12 +265,9 @@ impl Session {
         semantic.set_parallelism(self.policy.parallelism);
         let mut incremental = IncrementalBackend::from_set(&set);
         incremental.set_parallelism(self.policy.parallelism);
-        let mut plan = PlanBackend::from_set(&set)?;
-        plan.set_parallelism(self.policy.parallelism);
         Ok(Entry {
             semantic,
             incremental,
-            plan,
             repair: RepairEngine::from_set(&set).with_cost_model_arc(self.cost.clone()),
             sql,
             set,

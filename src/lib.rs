@@ -18,17 +18,17 @@
 //!   and the MAXSS → MAXGSAT reduction.
 //! * [`detect`] — violation detection: the tableau-as-data encoding, the
 //!   SQL-based `BATCHDETECT`, the incremental `INCDETECT`, and a native
-//!   semantic detector.
+//!   semantic detector whose one scan kernel (`detect::scan`) runs a
+//!   shared-scan program for every full pass.
 //! * [`plan`] — plan compilation: constraint sets lowered into explicit
-//!   detection plans (HIR → shared-scan-fused MIR) executed over pluggable
-//!   storage drivers (columnar scan, SQL pushdown), behind the same
-//!   `DetectorBackend` trait; `EXPLAIN PLAN` renders the result.
+//!   detection plans (HIR → shared-scan-fused MIR) — the readable form of
+//!   the program that kernel runs; `EXPLAIN PLAN` renders it.
 //! * [`repair`] — violation explanation and data repair: conflict graphs,
 //!   cardinality repairs by tuple deletion (greedy and MAXGSAT-backed exact),
 //!   value-modification repairs under pluggable cost models, and a verified
 //!   repair → re-detect loop.
 //! * [`session`] — the high-level API: a stateful [`Session`](session::Session)
-//!   owning the catalog, compiled constraint sets, and the four detector
+//!   owning the catalog, compiled constraint sets, and the three detector
 //!   backends behind one `DetectorBackend` trait, with policy-based routing
 //!   between batch and incremental detection — plus epoch-stamped
 //!   [`Snapshot`](session::Snapshot)s for concurrent readers.
@@ -113,7 +113,7 @@ pub mod prelude {
     pub use ecfd_engine::{Engine, ResultSet};
     pub use ecfd_logic::{BoolExpr, HardSoftInstance, MaxGSatInstance, MaxGSatSolver};
     pub use ecfd_obs::{Histogram, Registry};
-    pub use ecfd_plan::{Capability, ColumnarDriver, Driver, Plan, PlanBackend, SqlDriver};
+    pub use ecfd_plan::{Plan, PlanBackend};
     pub use ecfd_relation::{
         Catalog, Code, CodeVec, ColumnarView, DataType, Delta, Dictionary, Domain, Relation, RowId,
         Schema, Tuple, Value,

@@ -1,19 +1,24 @@
-//! Differential safety net of the plan-executing backend.
+//! Differential safety net of the scan kernel and the plans it executes.
 //!
-//! A compiled detection plan is only an *execution strategy*: whatever the
-//! driver (fused columnar scan, unfused columnar scan, SQL pushdown) and
-//! whatever the worker fan-out, its output must be byte-identical to the
-//! three existing backends:
+//! A compiled detection plan is only an *execution strategy*: whichever
+//! program the one scan kernel runs (the fused plan — the native detector's
+//! default — or the unfused contrast plan) and whatever the worker fan-out,
+//! its output must be byte-identical to two independent references, the
+//! paper's value-level semantics (`check_all`) and the paper's SQL
+//! (`SqlBackend`):
 //!
-//! * proptest-generated relations and constraint sets: every plan driver
-//!   matches the semantic detector's report and normalized evidence at 1
-//!   and 4 workers;
+//! * proptest-generated relations and constraint sets: both programs match
+//!   `check_all`'s flags and the SQL backend's normalized evidence at 1 and
+//!   4 workers, and agree with each other on the group maps;
 //! * the datagen workloads, including after mixed insert/delete deltas
-//!   routed through sessions: a plan-routed session agrees record-for-record
-//!   with semantic-, SQL- and incremental-routed sessions.
+//!   routed through sessions: semantic- (= fused-plan-), SQL- and
+//!   incremental-routed sessions agree record-for-record;
+//! * `Plan::compile(set)` — what `EXPLAIN PLAN` renders — is, scan for scan,
+//!   the program `SemanticDetector::from_set(set)` executes.
 
 use ecfd::datagen::constraints::workload_constraints;
 use ecfd::datagen::{generate, generate_delta, CustConfig, UpdateConfig};
+use ecfd::detect::semantic::GroupMap;
 use ecfd::prelude::*;
 use proptest::prelude::*;
 
@@ -79,62 +84,81 @@ fn arb_ecfd() -> impl Strategy<Value = ECfd> {
         })
 }
 
-fn detect_all_drivers(
+/// Runs the fused and the unfused plan at 1 and 4 workers: report and
+/// normalized evidence through [`PlanBackend`], the group map from the same
+/// program on a detector of its own. Every detector interns the pattern
+/// constants, then the rows, in the same order, so codes — and whole group
+/// maps — compare directly across detectors.
+fn run_both_programs(
     set: &ConstraintSet,
     data: &Relation,
-    threads: usize,
-) -> Vec<(&'static str, DetectionReport, EvidenceReport)> {
-    let drivers: Vec<(&'static str, PlanBackend)> = vec![
-        ("columnar-fused", PlanBackend::from_set(set).unwrap()),
-        (
-            "columnar-unfused",
-            PlanBackend::from_set_unfused(set).unwrap(),
-        ),
-        ("sql-pushdown", PlanBackend::from_set_sql(set).unwrap()),
-    ];
-    drivers
-        .into_iter()
-        .map(|(label, mut backend)| {
-            backend.set_parallelism(Parallelism::Fixed(threads));
+) -> Vec<(String, DetectionReport, EvidenceReport, GroupMap)> {
+    let mut runs = Vec::new();
+    for threads in [1usize, 4] {
+        let workers = Parallelism::Fixed(threads);
+        for (label, mut backend) in [
+            ("fused", PlanBackend::from_set(set).unwrap()),
+            ("unfused", PlanBackend::from_set_unfused(set).unwrap()),
+        ] {
+            backend.set_parallelism(workers);
             let mut catalog = Catalog::new();
             catalog.create(data.clone()).unwrap();
-            let (report, mut evidence) = backend.detect(&mut catalog).unwrap();
-            evidence.normalize();
-            (label, report, evidence)
-        })
-        .collect()
+            let (report, evidence) = backend.detect(&mut catalog).unwrap();
+            let (_, _, groups) = SemanticDetector::from_set(set)
+                .with_program(backend.plan().program())
+                .with_parallelism(workers)
+                .detect_full(data)
+                .unwrap();
+            runs.push((
+                format!("{label}@{threads}"),
+                report,
+                evidence.normalized(),
+                groups,
+            ));
+        }
+    }
+    runs
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Every plan driver reproduces the semantic detector's report and
-    /// normalized evidence byte-for-byte, at 1 and 4 workers, on arbitrary
-    /// relations and constraint sets (fusing and non-fusing alike).
+    /// Both programs reproduce the reference flags (`check_all`, the paper's
+    /// semantics) and the reference evidence (`SqlBackend`, the paper's SQL)
+    /// byte-for-byte, at 1 and 4 workers, on arbitrary relations and
+    /// constraint sets (fusing and non-fusing alike) — and build identical
+    /// group maps.
     #[test]
     fn plan_drivers_match_the_semantic_detector_at_any_parallelism(
         data in arb_relation(),
         constraints in proptest::collection::vec(arb_ecfd(), 1..4),
     ) {
         let set = ConstraintSet::compile(&schema(), &constraints).unwrap();
-        let reference = SemanticDetector::from_set(&set)
-            .with_parallelism(Parallelism::Fixed(1));
-        let (want_report, mut want_evidence) =
-            reference.detect_with_evidence(&data).unwrap();
-        want_evidence.normalize();
+        let reference = check_all(&data, set.ecfds()).unwrap();
+        let want_report =
+            DetectionReport::from_violation_set(reference.violations(), data.len());
+        let mut sql_catalog = Catalog::new();
+        sql_catalog.create(data.clone()).unwrap();
+        let (sql_report, sql_evidence) = SqlBackend::from_set(&set)
+            .unwrap()
+            .detect(&mut sql_catalog)
+            .unwrap();
+        prop_assert_eq!(&sql_report, &want_report, "the two references disagree");
+        let want_evidence = sql_evidence.normalized();
 
-        for threads in [1usize, 4] {
-            for (label, report, evidence) in detect_all_drivers(&set, &data, threads) {
-                prop_assert_eq!(&report, &want_report, "driver {}@{}", label, threads);
-                prop_assert_eq!(&evidence, &want_evidence, "driver {}@{}", label, threads);
-            }
+        let runs = run_both_programs(&set, &data);
+        for (label, report, evidence, groups) in &runs {
+            prop_assert_eq!(report, &want_report, "{}", label);
+            prop_assert_eq!(evidence, &want_evidence, "{}", label);
+            prop_assert_eq!(groups, &runs[0].3, "{}", label);
         }
     }
 }
 
-/// The plan-routed session against all three existing backends on the
-/// datagen workloads: identical reports and evidence initially and after a
-/// mixed insert/delete delta, at 1 and 4 workers.
+/// Sessions routed to each of the three backends — `Semantic` being the
+/// fused plan's program — against the SQL-routed one on the datagen
+/// workloads: identical reports and evidence initially and after a mixed
+/// insert/delete delta, at 1 and 4 workers.
 #[test]
 fn plan_sessions_agree_with_every_backend_on_datagen_workloads() {
     for (size, noise, seed) in [(200usize, 5.0f64, 11u64), (300, 8.0, 23)] {
@@ -169,7 +193,7 @@ fn plan_sessions_agree_with_every_backend_on_datagen_workloads() {
             (report, evidence, after, after_evidence)
         };
 
-        let reference = run(BackendKind::Plan, 1);
+        let reference = run(BackendKind::Sql, 1);
         assert!(
             !reference.0.is_clean(),
             "noisy workloads must produce violations"
@@ -179,7 +203,7 @@ fn plan_sessions_agree_with_every_backend_on_datagen_workloads() {
                 let got = run(kind, threads);
                 assert_eq!(
                     got, reference,
-                    "{kind}@{threads} diverges from plan@1 (size {size})"
+                    "{kind}@{threads} diverges from sql@1 (size {size})"
                 );
             }
         }
@@ -188,11 +212,14 @@ fn plan_sessions_agree_with_every_backend_on_datagen_workloads() {
 
 /// The fused and unfused plans are different shapes of the same semantics:
 /// on a fusing workload the optimized plan has strictly fewer scans, yet
-/// both execute to identical output.
+/// both execute to identical output — at 1 worker and on 4 real ones (the
+/// instance is large enough to clear the sequential-scan cutoff) — and the
+/// optimized plan is exactly the program the native detector runs by
+/// default.
 #[test]
 fn fusion_changes_the_plan_shape_but_not_the_answer() {
     let (data, _) = generate(&CustConfig {
-        size: 150,
+        size: 1500,
         noise_percent: 6.0,
         seed: 7,
         ..CustConfig::default()
@@ -209,7 +236,29 @@ fn fusion_changes_the_plan_shape_but_not_the_answer() {
     );
     assert_eq!(fused.num_flags(), unfused.num_flags());
 
-    let outputs = detect_all_drivers(&set, &data, 2);
-    assert_eq!(outputs[0].1, outputs[1].1);
-    assert_eq!(outputs[0].2, outputs[1].2);
+    let runs = run_both_programs(&set, &data);
+    let (_, report, evidence, groups) = &runs[0];
+    assert!(!report.is_clean());
+    for (label, other_report, other_evidence, other_groups) in &runs[1..] {
+        assert_eq!(
+            (other_report, other_evidence, other_groups),
+            (report, evidence, groups),
+            "{label}"
+        );
+    }
+
+    let detector = SemanticDetector::from_set(&set);
+    let executed = detector.program().scans();
+    assert_eq!(executed.len(), fused.num_scans());
+    for (scan, node) in executed.iter().zip(fused.scans()) {
+        assert_eq!(scan.x, node.x);
+        assert_eq!(scan.members.len(), node.members.len());
+        for (op, flag) in scan.members.iter().zip(&node.members) {
+            assert_eq!(
+                (op.ci, &op.check, &op.group),
+                (flag.ci, &flag.check, &flag.group)
+            );
+        }
+    }
+    assert_ne!(detector.program(), &unfused.program());
 }
