@@ -17,7 +17,7 @@
 //! $ printf 'EPOCH\nDETECT\nAPPLY +519,7,Zoe,Pine%%20St.,Albany,12239\nSYNC\nDETECT\nQUIT\n' | nc 127.0.0.1 7878
 //! ```
 
-use ecfd_serve::{Client, Follower, ServeConfig, Server, ShardedConfig, ShardedServer};
+use ecfd_serve::{Client, Follower, ServeConfig, Server, ShardedConfig};
 use ecfd_session::Session;
 use std::path::Path;
 use std::time::Duration;
@@ -32,7 +32,7 @@ struct Args {
     wal_dir: Option<String>,
     recover: bool,
     follow: Option<String>,
-    shards: Option<usize>,
+    shards: usize,
     shard_key: Option<String>,
 }
 
@@ -48,7 +48,7 @@ impl Args {
             wal_dir: None,
             recover: false,
             follow: None,
-            shards: None,
+            shards: 1,
             shard_key: None,
         };
         let mut it = std::env::args().skip(1);
@@ -65,7 +65,7 @@ impl Args {
                 "--wal-dir" => args.wal_dir = Some(value("--wal-dir")?),
                 "--recover" => args.recover = true,
                 "--follow" => args.follow = Some(value("--follow")?),
-                "--shards" => args.shards = Some(parse_num(&value("--shards")?)?),
+                "--shards" => args.shards = parse_num(&value("--shards")?)?,
                 "--shard-key" => args.shard_key = Some(value("--shard-key")?),
                 "--help" | "-h" => {
                     println!(
@@ -75,9 +75,10 @@ impl Args {
                          \x20            [--shards N --shard-key ATTR]\n\
                          Without --csv, serves the paper's demo instance (Fig. 1 + φ1/φ2).\n\
                          --wal-dir makes writes durable; --recover replays an existing log;\n\
-                         --follow replicates a durable leader into this server;\n\
-                         --shards partitions rows by the hashed --shard-key value into N\n\
-                         independent writers behind a cross-shard merge layer."
+                         --follow replicates a durable one-shard leader into this server;\n\
+                         --shards (default 1) partitions rows by the hashed --shard-key value\n\
+                         into N independent writers behind a cross-shard merge layer; one\n\
+                         shard needs no key."
                     );
                     std::process::exit(0);
                 }
@@ -87,15 +88,15 @@ impl Args {
         if args.recover && args.wal_dir.is_none() {
             return Err("--recover needs --wal-dir".to_string());
         }
-        match (&args.shards, &args.shard_key) {
-            (Some(n), _) if *n == 0 => return Err("--shards must be at least 1".to_string()),
-            (Some(_), None) => return Err("--shards needs --shard-key ATTR".to_string()),
-            (None, Some(_)) => return Err("--shard-key needs --shards N".to_string()),
-            _ => {}
+        if args.shards == 0 {
+            return Err("--shards must be at least 1".to_string());
         }
-        if args.shards.is_some() && args.follow.is_some() {
-            return Err("--follow cannot combine with --shards (follow a single \
-                        shard's log instead)"
+        if args.shards > 1 && args.shard_key.is_none() {
+            return Err("--shards above 1 needs --shard-key ATTR".to_string());
+        }
+        if args.shards > 1 && args.follow.is_some() {
+            return Err("--follow cannot combine with --shards above 1 (REPLAY \
+                        streams one shard's log)"
                 .to_string());
         }
         Ok(args)
@@ -180,122 +181,28 @@ fn main() {
         None => demo_session(),
     };
 
+    // One shard routes every tuple to shard 0, so a key given with it is
+    // never resolved.
+    let shard_key = args.shard_key.as_deref().filter(|_| args.shards > 1);
     let config = ServeConfig {
         addr: args.addr.clone(),
-        queue_capacity: args.queue,
-        batch_max: args.batch,
+        sharding: ShardedConfig {
+            queue_capacity: args.queue,
+            batch_max: args.batch,
+            ..ShardedConfig::new(args.shards, shard_key.unwrap_or_default())
+        },
         ..ServeConfig::default()
     };
     let sync_timeout = config.sync_timeout;
 
-    if let Some(shards) = args.shards {
-        run_sharded(&args, shards, session, config);
-        return;
-    }
-
     let server = match &args.wal_dir {
         Some(dir) => {
             let dir = Path::new(dir);
-            if !args.recover && wal_has_records(dir) {
-                eprintln!(
-                    "serve: {} already holds a WAL with records; pass --recover to \
-                     replay it (or point --wal-dir at an empty directory)",
-                    dir.display()
-                );
+            if let Some(refusal) = wal_refusal(dir, args.shards, args.recover) {
+                eprintln!("serve: {refusal}");
                 std::process::exit(2);
             }
             match Server::bind_durable(session, config, dir) {
-                Ok((server, recovery)) => {
-                    println!(
-                        "recovered {} delta(s) to ticket {} ({} checkpoint(s) verified, \
-                         {} apply error(s), {} torn byte(s) dropped)",
-                        recovery.deltas_applied,
-                        recovery.last_ticket,
-                        recovery.checkpoints_verified,
-                        recovery.apply_errors,
-                        recovery.truncated_bytes,
-                    );
-                    server
-                }
-                Err(e) => {
-                    eprintln!("serve: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        None => match Server::bind(session, config) {
-            Ok(server) => server,
-            Err(e) => {
-                eprintln!("serve: {e}");
-                std::process::exit(1);
-            }
-        },
-    };
-    let addr = server.local_addr().expect("bound listener has an address");
-    println!("serving on {addr}");
-    println!("protocol: PING | EPOCH | DETECT [FRESH] | CHECK | EXPLAIN [PLAN] | APPLY +f,… -f,… | SYNC | REPLAY c [n] | REPAIR-PLAN | STATS [prefix] | INFO | QUIT");
-
-    if let Some(leader) = args.follow.clone() {
-        let hub = server.handle().hub().clone();
-        std::thread::spawn(move || {
-            let client = match Client::connect(&leader) {
-                Ok(client) => client,
-                Err(e) => {
-                    eprintln!("serve: connecting to leader {leader}: {e}");
-                    return;
-                }
-            };
-            println!("following {leader}");
-            let mut follower = Follower::new(client, hub);
-            loop {
-                match follower.catch_up(sync_timeout) {
-                    Ok(progress) => {
-                        if progress.records > 0 {
-                            println!(
-                                "replayed {} record(s) from {leader}; epoch {}",
-                                progress.records, progress.epoch
-                            );
-                        }
-                    }
-                    Err(e) => {
-                        eprintln!("serve: replication from {leader} stopped: {e}");
-                        return;
-                    }
-                }
-                std::thread::sleep(Duration::from_millis(200));
-            }
-        });
-    }
-
-    let hub = server.handle().hub().clone();
-    match server.run() {
-        Ok(_session) => {
-            println!("shut down cleanly; final metrics:");
-            print!("{}", hub.metrics().render());
-        }
-        Err(e) => {
-            eprintln!("serve: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// The sharded serving path behind `--shards N --shard-key ATTR`.
-fn run_sharded(args: &Args, shards: usize, session: Session, config: ServeConfig) {
-    let shard_key = args.shard_key.as_deref().expect("validated by Args::parse");
-    let sharding = ShardedConfig::new(shards, shard_key);
-    let server = match &args.wal_dir {
-        Some(dir) => {
-            let dir = Path::new(dir);
-            if !args.recover && sharded_wal_has_records(dir, shards) {
-                eprintln!(
-                    "serve: {} already holds shard WALs with records; pass --recover to \
-                     replay them (or point --wal-dir at an empty directory)",
-                    dir.display()
-                );
-                std::process::exit(2);
-            }
-            match ShardedServer::bind_durable(session, config, &sharding, dir) {
                 Ok((server, recoveries)) => {
                     for (s, recovery) in recoveries.iter().enumerate() {
                         println!(
@@ -316,7 +223,7 @@ fn run_sharded(args: &Args, shards: usize, session: Session, config: ServeConfig
                 }
             }
         }
-        None => match ShardedServer::bind(session, config, &sharding) {
+        None => match Server::bind(session, config) {
             Ok(server) => server,
             Err(e) => {
                 eprintln!("serve: {e}");
@@ -325,8 +232,45 @@ fn run_sharded(args: &Args, shards: usize, session: Session, config: ServeConfig
         },
     };
     let addr = server.local_addr().expect("bound listener has an address");
-    println!("serving on {addr} ({shards} shard(s) by {shard_key})");
-    println!("protocol: PING | EPOCH | DETECT [FRESH] | CHECK | EXPLAIN [PLAN] | APPLY +f,… -f,… | SYNC | REPAIR-PLAN | STATS [prefix] | INFO | QUIT");
+    match shard_key {
+        Some(key) => println!("serving on {addr} ({} shard(s) by {key})", args.shards),
+        None => println!("serving on {addr}"),
+    }
+    println!("protocol: PING | EPOCH | DETECT [FRESH] | CHECK | EXPLAIN [PLAN] | APPLY +f,… -f,… | SYNC | REPLAY c [n] | REPAIR-PLAN | STATS [prefix] | INFO | QUIT");
+
+    if let Some(leader) = args.follow.clone() {
+        let hub = server.handle().hub().clone();
+        std::thread::spawn(move || {
+            let client = match Client::connect(&leader) {
+                Ok(client) => client,
+                Err(e) => {
+                    eprintln!("serve: connecting to leader {leader}: {e}");
+                    return;
+                }
+            };
+            println!("following {leader}");
+            let mut follower =
+                Follower::new(client, hub).expect("--follow is refused above one shard");
+            loop {
+                match follower.catch_up(sync_timeout) {
+                    Ok(progress) => {
+                        if progress.records > 0 {
+                            println!(
+                                "replayed {} record(s) from {leader}; epoch {}",
+                                progress.records, progress.epoch
+                            );
+                        }
+                    }
+                    Err(e) => {
+                        eprintln!("serve: replication from {leader} stopped: {e}");
+                        return;
+                    }
+                }
+                std::thread::sleep(Duration::from_millis(200));
+            }
+        });
+    }
+
     match server.run() {
         Ok(_sessions) => {
             println!("shut down cleanly; final metrics:");
@@ -339,6 +283,28 @@ fn run_sharded(args: &Args, shards: usize, session: Session, config: ServeConfig
     }
 }
 
+/// Why `dir` must not be served as it stands, if so. Serving over ACKed
+/// deltas without replaying them would break the durability contract, so a
+/// log with records needs `--recover` — and a log from before the per-shard
+/// layout, which no shard would ever open, is refused either way.
+fn wal_refusal(dir: &Path, shards: usize, recover: bool) -> Option<String> {
+    let at = dir.display();
+    if wal_has_records(dir) {
+        return Some(format!(
+            "{at} holds a WAL written before the per-shard layout; move it into place with \
+             `mkdir {at}/shard-0 && mv {at}/{} {at}/shard-0/`, then pass --recover",
+            ecfd_wal::WAL_FILE_NAME
+        ));
+    }
+    let logged = (0..shards).any(|s| wal_has_records(&dir.join(format!("shard-{s}"))));
+    (logged && !recover).then(|| {
+        format!(
+            "{at} already holds shard WALs with records; pass --recover to replay them \
+             (or point --wal-dir at an empty directory)"
+        )
+    })
+}
+
 /// True when `dir` already holds a WAL file with at least one record (a
 /// bare magic header counts as empty, as does a missing file).
 fn wal_has_records(dir: &Path) -> bool {
@@ -347,9 +313,4 @@ fn wal_has_records(dir: &Path) -> bool {
         Ok(records) => !records.is_empty(),
         Err(_) => false,
     }
-}
-
-/// [`wal_has_records`] over every `shard-N/` segment of a sharded WAL dir.
-fn sharded_wal_has_records(dir: &Path, shards: usize) -> bool {
-    (0..shards).any(|s| wal_has_records(&dir.join(format!("shard-{s}"))))
 }

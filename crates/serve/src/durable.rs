@@ -32,27 +32,17 @@ struct SinkMetrics {
 }
 
 impl SinkMetrics {
-    /// Fetches the sink's metric handles; in a sharded deployment every
-    /// series carries a `shard` label (one WAL segment per shard).
+    /// Fetches the sink's metric handles; under a server every series carries
+    /// a `shard` label (one WAL segment per shard).
     fn fetch(shard: Option<u32>) -> Self {
         let registry = ecfd_obs::registry();
-        match shard {
-            None => SinkMetrics {
-                appends: registry.counter("wal.append.count"),
-                bytes: registry.counter("wal.bytes"),
-                fsyncs: registry.counter("wal.fsync.count"),
-                fsync_latency: registry.histogram("wal.fsync.ns"),
-            },
-            Some(shard) => {
-                let shard = shard.to_string();
-                let labels: &[(&str, &str)] = &[("shard", shard.as_str())];
-                SinkMetrics {
-                    appends: registry.counter_with("wal.append.count", labels),
-                    bytes: registry.counter_with("wal.bytes", labels),
-                    fsyncs: registry.counter_with("wal.fsync.count", labels),
-                    fsync_latency: registry.histogram_with("wal.fsync.ns", labels),
-                }
-            }
+        let shard = shard.map(|s| s.to_string());
+        let labels: Vec<(&str, &str)> = shard.iter().map(|s| ("shard", s.as_str())).collect();
+        SinkMetrics {
+            appends: registry.counter_with("wal.append.count", &labels),
+            bytes: registry.counter_with("wal.bytes", &labels),
+            fsyncs: registry.counter_with("wal.fsync.count", &labels),
+            fsync_latency: registry.histogram_with("wal.fsync.ns", &labels),
         }
     }
 
@@ -93,9 +83,8 @@ pub fn report_hash(report: &DetectionReport) -> u64 {
 struct SinkState {
     wal: Wal,
     metrics: SinkMetrics,
-    /// Records that arrived ahead of their turn, keyed by ticket: the delta
-    /// plus, in sharded mode, the globally pre-assigned insertion row ids.
-    pending: BTreeMap<Ticket, (Delta, Option<Vec<u64>>)>,
+    /// Delta records that arrived ahead of their turn, keyed by ticket.
+    pending: BTreeMap<Ticket, WalRecord>,
     /// Highest ticket whose record is on disk and fsynced.
     durable: Ticket,
     /// A write/sync failure poisons the sink: every current and future
@@ -120,7 +109,7 @@ pub(crate) struct WalSink {
 impl WalSink {
     /// Wraps an opened log whose records end at `durable` (the recovered
     /// last ticket; 0 for a fresh log). `shard` labels the sink's metric
-    /// series in sharded deployments.
+    /// series.
     pub(crate) fn new(wal: Wal, durable: Ticket, shard: Option<u32>) -> Self {
         WalSink {
             state: Mutex::new(SinkState {
@@ -142,31 +131,38 @@ impl WalSink {
     /// and including `ticket` is fsynced — the fsync-before-ACK half of the
     /// durability contract.
     pub(crate) fn log_delta(&self, ticket: Ticket, delta: &Delta) -> Result<()> {
-        self.log_item(ticket, delta, None)
+        let delta = delta.clone();
+        self.log_record(ticket, WalRecord::Delta { ticket, delta })
     }
 
     /// [`WalSink::log_delta`] for a shard-routed delta with globally
     /// pre-assigned insertion row ids — logged as a
     /// [`WalRecord::ScheduledDelta`] so recovery replay hands out the same
-    /// ids.
+    /// ids and the router resumes after `global`.
     pub(crate) fn log_scheduled(
         &self,
         ticket: Ticket,
+        global: Ticket,
         delta: &Delta,
         insert_ids: &[RowId],
     ) -> Result<()> {
-        let ids = insert_ids.iter().map(|id| id.0).collect();
-        self.log_item(ticket, delta, Some(ids))
+        let record = WalRecord::ScheduledDelta {
+            ticket,
+            global,
+            delta: delta.clone(),
+            insert_ids: insert_ids.iter().map(|id| id.0).collect(),
+        };
+        self.log_record(ticket, record)
     }
 
-    fn log_item(&self, ticket: Ticket, delta: &Delta, insert_ids: Option<Vec<u64>>) -> Result<()> {
+    fn log_record(&self, ticket: Ticket, record: WalRecord) -> Result<()> {
         let mut state = self.lock();
         if ticket <= state.durable {
             // Already on disk (a follower replaying records it was handed
             // twice, or a retry) — nothing to add.
             return fail_or(&state, ());
         }
-        state.pending.insert(ticket, (delta.clone(), insert_ids));
+        state.pending.insert(ticket, record);
         loop {
             drain(&mut state)?;
             if state.durable >= ticket {
@@ -227,16 +223,7 @@ impl WalSink {
 fn drain(state: &mut SinkState) -> Result<()> {
     fail_or(state, ())?;
     let mut appended = false;
-    while let Some((delta, insert_ids)) = state.pending.remove(&(state.durable + 1)) {
-        let ticket = state.durable + 1;
-        let record = match insert_ids {
-            Some(insert_ids) => WalRecord::ScheduledDelta {
-                ticket,
-                delta,
-                insert_ids,
-            },
-            None => WalRecord::Delta { ticket, delta },
-        };
+    while let Some(record) = state.pending.remove(&(state.durable + 1)) {
         match state.wal.append(&record) {
             Ok(bytes) => {
                 state.metrics.appends.inc();
@@ -248,7 +235,7 @@ fn drain(state: &mut SinkState) -> Result<()> {
                 return Err(e);
             }
         }
-        state.durable = ticket;
+        state.durable += 1;
         appended = true;
     }
     if appended {
@@ -288,6 +275,15 @@ pub struct RecoveryReport {
     pub checkpoints_verified: usize,
     /// Torn-tail bytes dropped when the log was opened.
     pub truncated_bytes: u64,
+    /// Highest router-global ticket in the log (0 when it held none) — the
+    /// recovered router continues numbering after it. A bare hub's `Delta`
+    /// record counts under its own ticket: with one hub, that was the global
+    /// one.
+    pub last_global: Ticket,
+    /// One past the highest pre-assigned row id in the log (0 when it held
+    /// none). The recovered router hands out nothing below it — surviving
+    /// rows alone understate it when logged insertions were later deleted.
+    pub next_row_id: u64,
 }
 
 impl RecoveryReport {
@@ -296,12 +292,9 @@ impl RecoveryReport {
     /// see what a `--recover` boot actually replayed. When `shard` is set,
     /// every gauge carries a `shard` label — one recovery per WAL segment.
     pub(crate) fn export_metrics(&self, shard: Option<u32>) {
-        let registry = ecfd_obs::registry();
         let shard = shard.map(|s| s.to_string());
-        let gauge = |name: &str| match &shard {
-            None => registry.gauge(name),
-            Some(s) => registry.gauge_with(name, &[("shard", s.as_str())]),
-        };
+        let labels: Vec<(&str, &str)> = shard.iter().map(|s| ("shard", s.as_str())).collect();
+        let gauge = |name: &str| ecfd_obs::registry().gauge_with(name, &labels);
         gauge("wal.recovery.deltas").set(self.deltas_applied as i64);
         gauge("wal.recovery.apply.errors").set(self.apply_errors as i64);
         gauge("wal.recovery.checkpoints.verified").set(self.checkpoints_verified as i64);
@@ -330,13 +323,7 @@ pub fn recover_session(
     table: &str,
     records: &[WalRecord],
 ) -> Result<RecoveryReport> {
-    let mut report = RecoveryReport {
-        last_ticket: 0,
-        deltas_applied: 0,
-        apply_errors: 0,
-        checkpoints_verified: 0,
-        truncated_bytes: 0,
-    };
+    let mut report = RecoveryReport::default();
     for record in records {
         match record {
             WalRecord::Delta { ticket, delta } => {
@@ -348,9 +335,11 @@ pub fn recover_session(
                 }
                 report.deltas_applied += 1;
                 report.last_ticket = report.last_ticket.max(*ticket);
+                report.last_global = report.last_global.max(*ticket);
             }
             WalRecord::ScheduledDelta {
                 ticket,
+                global,
                 delta,
                 insert_ids,
             } => {
@@ -362,6 +351,10 @@ pub fn recover_session(
                 }
                 report.deltas_applied += 1;
                 report.last_ticket = report.last_ticket.max(*ticket);
+                report.last_global = report.last_global.max(*global);
+                for id in insert_ids {
+                    report.next_row_id = report.next_row_id.max(id + 1);
+                }
             }
             WalRecord::Checkpoint {
                 epoch,

@@ -23,13 +23,12 @@ pub struct ServeStats {
     pub write_errors: u64,
 }
 
-/// The shared core of a serving deployment: the [`SnapshotStore`] readers
-/// poll, the [`IngestQueue`] producers feed, and the shutdown/error
-/// bookkeeping that ties the threads together. The TCP [`Server`] is a thin
-/// wrapper around a `Hub`; benchmarks and in-process embedders use it
-/// directly.
-///
-/// [`Server`]: crate::Server
+/// The per-shard pipeline's shared state: the [`SnapshotStore`] readers poll,
+/// the [`IngestQueue`] producers feed, and the shutdown/error bookkeeping
+/// that ties the threads together. A served deployment runs one `Hub` +
+/// [`Writer`](crate::Writer) per shard behind a
+/// [`ShardedHub`](crate::ShardedHub) — one shard included; benchmarks and
+/// in-process embedders can also drive a single pair directly.
 pub struct Hub {
     store: SnapshotStore,
     queue: IngestQueue,
@@ -39,9 +38,6 @@ pub struct Hub {
     /// Present in durable mode: the ticket-ordered WAL sink plus the log
     /// path the `REPLAY` verb reads from.
     durable: Option<DurableState>,
-    /// Set when this hub is fed by a [`Follower`](crate::Follower) replaying
-    /// a leader's WAL, as reported by `INFO`.
-    follower: AtomicBool,
 }
 
 struct DurableState {
@@ -79,7 +75,6 @@ impl Hub {
             write_errors: AtomicU64::new(0),
             last_error: Mutex::new(None),
             durable: None,
-            follower: AtomicBool::new(false),
         })
     }
 
@@ -104,7 +99,6 @@ impl Hub {
                 wal_path,
                 recovered,
             }),
-            follower: AtomicBool::new(false),
         })
     }
 
@@ -121,18 +115,6 @@ impl Hub {
             Some(state) if state.recovered => "recovered",
             Some(_) => "durable",
         }
-    }
-
-    /// Marks this hub as follower-fed (set by [`Follower`](crate::Follower));
-    /// reported by `INFO`.
-    pub(crate) fn mark_follower(&self) {
-        self.follower.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether a [`Follower`](crate::Follower) replays a leader's WAL into
-    /// this hub.
-    pub fn is_follower(&self) -> bool {
-        self.follower.load(Ordering::SeqCst)
     }
 
     /// The process-wide metrics registry every serving component reports
@@ -193,7 +175,7 @@ impl Hub {
     }
 
     /// Enqueues a shard-routed sub-delta with globally pre-assigned
-    /// insertion row ids, *without* logging it — the sharded router calls
+    /// insertion row ids, *without* logging it — the router calls
     /// this under its serialization lock and follows up with
     /// [`Hub::log_scheduled`] after releasing it, so WAL fsyncs never run
     /// under the router lock.
@@ -206,18 +188,21 @@ impl Hub {
             })
     }
 
-    /// Logs (and fsyncs) a scheduled sub-delta under its shard-local ticket.
-    /// No-op when the hub is not durable. The WAL sink tolerates
-    /// out-of-order arrival, so callers may invoke this in any order after
-    /// [`Hub::enqueue_scheduled`].
+    /// Logs (and fsyncs) a scheduled sub-delta under its shard-local ticket,
+    /// stamped with the router's `global` one. No-op when the hub is not
+    /// durable. The WAL sink tolerates out-of-order arrival, so callers may
+    /// invoke this in any order after [`Hub::enqueue_scheduled`].
     pub(crate) fn log_scheduled(
         &self,
         ticket: Ticket,
+        global: Ticket,
         delta: &Delta,
         insert_ids: &[RowId],
     ) -> Result<()> {
         match &self.durable {
-            Some(durable) => durable.sink.log_scheduled(ticket, delta, insert_ids),
+            Some(durable) => durable
+                .sink
+                .log_scheduled(ticket, global, delta, insert_ids),
             None => Ok(()),
         }
     }

@@ -24,35 +24,24 @@ struct QueueMetrics {
 }
 
 impl QueueMetrics {
-    /// Fetches the queue's metric handles; in a sharded deployment every
-    /// series carries a `shard` label so per-shard queues stay separable.
+    /// Fetches the queue's metric handles; under a server every series
+    /// carries a `shard` label so per-shard queues stay separable.
     fn fetch(shard: Option<u32>) -> Self {
         let registry = ecfd_obs::registry();
-        match shard {
-            None => QueueMetrics {
-                depth: registry.gauge("ingest.queue.depth"),
-                accepted: registry.counter("ingest.accepted"),
-                rejected: registry.counter("ingest.rejected"),
-                backpressure: registry.histogram("ingest.backpressure.wait.ns"),
-                lag: registry.gauge("writer.epoch.lag"),
-            },
-            Some(shard) => {
-                let shard = shard.to_string();
-                let labels: &[(&str, &str)] = &[("shard", shard.as_str())];
-                QueueMetrics {
-                    depth: registry.gauge_with("ingest.queue.depth", labels),
-                    accepted: registry.counter_with("ingest.accepted", labels),
-                    rejected: registry.counter_with("ingest.rejected", labels),
-                    backpressure: registry.histogram_with("ingest.backpressure.wait.ns", labels),
-                    lag: registry.gauge_with("writer.epoch.lag", labels),
-                }
-            }
+        let shard = shard.map(|s| s.to_string());
+        let labels: Vec<(&str, &str)> = shard.iter().map(|s| ("shard", s.as_str())).collect();
+        QueueMetrics {
+            depth: registry.gauge_with("ingest.queue.depth", &labels),
+            accepted: registry.counter_with("ingest.accepted", &labels),
+            rejected: registry.counter_with("ingest.rejected", &labels),
+            backpressure: registry.histogram_with("ingest.backpressure.wait.ns", &labels),
+            lag: registry.gauge_with("writer.epoch.lag", &labels),
         }
     }
 }
 
-/// One queued unit of work: the submitted delta plus, in sharded
-/// deployments, the globally pre-assigned row ids of its insertions
+/// One queued unit of work: the submitted delta plus, behind a router,
+/// the globally pre-assigned row ids of its insertions
 /// (`insert_ids[k]` is the id insertion `k` must receive at apply time, so
 /// every shard hands out exactly the ids a single-session run would have).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,8 +49,9 @@ pub struct IngestItem {
     /// The insertions and deletions, exactly as submitted (or as routed to
     /// this shard).
     pub delta: Delta,
-    /// Pre-assigned row ids parallel to `delta.insertions`, or `None` in
-    /// unsharded deployments where the relation assigns ids itself.
+    /// Pre-assigned row ids parallel to `delta.insertions`, or `None` for a
+    /// bare [`Hub::submit`](crate::Hub::submit), where the relation assigns
+    /// ids itself.
     pub insert_ids: Option<Vec<RowId>>,
 }
 
@@ -133,8 +123,8 @@ impl IngestQueue {
     }
 
     /// Like [`IngestQueue::starting_at`], but tagging every metric series
-    /// with the owning shard's index — per-shard queues in a sharded
-    /// deployment report `ingest.*{shard=N}`.
+    /// with the owning shard's index — the queues of a served deployment
+    /// report `ingest.*{shard=N}`.
     pub fn starting_at_sharded(capacity: usize, last_ticket: Ticket, shard: Option<u32>) -> Self {
         IngestQueue {
             inner: Mutex::new(Inner {
@@ -197,7 +187,7 @@ impl IngestQueue {
     }
 
     /// [`IngestQueue::push`] with globally pre-assigned row ids for the
-    /// delta's insertions — the sharded router's entry point.
+    /// delta's insertions — the router's entry point.
     pub fn push_scheduled(
         &self,
         delta: Delta,

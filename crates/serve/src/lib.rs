@@ -1,8 +1,8 @@
 //! # ecfd-serve
 //!
 //! A concurrent, snapshot-isolated serving layer over
-//! [`ecfd_session::Session`]: one writer, any number of lock-free readers,
-//! and a line-delimited request/response protocol over TCP.
+//! [`ecfd_session::Session`]: one writer per shard, any number of lock-free
+//! readers, and a line-delimited request/response protocol over TCP.
 //!
 //! ## Why
 //!
@@ -12,8 +12,8 @@
 //! This crate adds that place to stand without giving up the session's
 //! correctness story:
 //!
-//! * **Single-writer discipline.** Exactly one [`Writer`] thread owns the
-//!   mutable [`Session`](ecfd_session::Session). It drains
+//! * **Single-writer discipline.** Exactly one [`Writer`] thread owns each
+//!   shard's mutable [`Session`](ecfd_session::Session). It drains
 //!   [`Delta`](ecfd_relation::Delta) batches
 //!   from a bounded [`IngestQueue`] (producers block when the queue is full —
 //!   backpressure, not unbounded memory), applies them through the session's
@@ -33,25 +33,31 @@
 //!   many deltas the writer has applied since. The serving tests assert the
 //!   strong form: a reader's from-scratch detect over the snapshot is
 //!   byte-identical to the published report at that epoch.
+//! * **One stack at every shard count.** Producers go through one router
+//!   (global tickets, global row ids), readers through one merge layer; a
+//!   one-shard deployment is the same code with nothing to route or merge.
 //!
 //! ```text
-//!   clients ──APPLY──▶ IngestQueue ──▶ Writer (owns Session)
-//!                      (bounded,          │ apply(Δ) → snapshot()
-//!                       backpressure)     ▼
-//!                                    SnapshotStore ──Arc-swap──▶ epoch N
-//!   clients ◀─DETECT/EXPLAIN/…── reader threads ──current()──────┘
+//!   clients ──APPLY──▶ router ──▶ IngestQueue ──▶ Writer (owns Session)   ┐
+//!                  (global ids)   (bounded,          │ apply(Δ) → snapshot() │ × N shards
+//!                                  backpressure)     ▼                       │
+//!                                               SnapshotStore ── epoch n_s   ┘
+//!   clients ◀─DETECT/EXPLAIN/…── reader threads ◀── merge layer ◀── N snapshots
 //! ```
 //!
 //! ## Pieces
 //!
-//! * [`Hub`] — the shared core: [`SnapshotStore`] + [`IngestQueue`] +
-//!   shutdown/error bookkeeping. Everything else is wiring around it, and
-//!   embedders (benchmarks, in-process readers) can use it without TCP.
-//! * [`Writer`] — the apply→snapshot→publish loop.
-//! * [`Server`] — a [`std::net::TcpListener`] front end: one
-//!   [`std::thread::scope`] worker per connection speaking the
-//!   [`protocol`]. No async runtime is involved (or available offline);
-//!   blocking I/O plus scoped threads keeps the whole crate dependency-free.
+//! * [`Hub`] + [`Writer`] — the per-shard pipeline: [`SnapshotStore`] +
+//!   [`IngestQueue`] + shutdown/error bookkeeping, and the
+//!   apply→snapshot→publish loop that feeds it. Embedders (benchmarks,
+//!   in-process readers) can drive one pair without TCP.
+//! * [`ShardedHub`] — `N ≥ 1` hubs behind the router and the merge layer;
+//!   what the server serves.
+//! * [`Server`] — a [`std::net::TcpListener`] front end over a
+//!   [`ShardedHub`]: one [`std::thread::scope`] worker per connection
+//!   speaking the [`protocol`]. No async runtime is involved (or available
+//!   offline); blocking I/O plus scoped threads keeps the whole crate
+//!   dependency-free.
 //! * [`Client`] — a small blocking client for the protocol, used by the
 //!   examples, tests and the `serve` binary's peers.
 //!
@@ -112,7 +118,7 @@ pub use hub::{Hub, ServeStats};
 pub use ingest::{IngestItem, IngestQueue, PushError, Ticket};
 pub use protocol::{Request, Response};
 pub use replica::{Follower, FollowerProgress};
-pub use server::{ServeConfig, Server, ServerHandle, ShardedHandle, ShardedServer};
+pub use server::{ServeConfig, Server, ServerHandle};
 pub use sharded::{MergedView, ShardedConfig, ShardedHub, SubmitReceipt};
 pub use store::SnapshotStore;
 pub use writer::{StepOutcome, Writer};

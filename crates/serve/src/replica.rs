@@ -1,15 +1,16 @@
 //! The follower: replicate a durable leader by replaying its WAL stream.
 //!
-//! A [`Follower`] connects a local serving stack (its own [`Hub`] + writer,
-//! built from the *same base data and constraints* as the leader's) to a
-//! remote durable leader via the `REPLAY` verb. Each poll fetches a page of
-//! leader WAL records and pushes them through the follower's completely
-//! ordinary ingest path:
+//! A [`Follower`] connects a local one-shard serving stack (its own
+//! [`ShardedHub`] + writer, built from the *same base data and constraints*
+//! as the leader's) to a remote durable one-shard leader via the `REPLAY`
+//! verb. Each poll fetches a page of the leader's shard-0 WAL records and
+//! pushes them through the follower's completely ordinary ingest path:
 //!
-//! * a **delta** record is submitted to the local hub, and its local ticket
-//!   must come back equal to the leader's — both sides number accepted
-//!   deltas from 1 in the same order, so any mismatch means the streams
-//!   have diverged and replication stops rather than papering over it;
+//! * a **delta** record is submitted to the local hub, and its local
+//!   shard-0 ticket must come back equal to the leader's — both sides number
+//!   accepted deltas from 1 in the same order, so any mismatch means the
+//!   streams have diverged and replication stops rather than papering over
+//!   it;
 //! * a **checkpoint** record is a proof obligation: the follower barriers
 //!   until its own writer has applied and published everything up to the
 //!   checkpoint's ticket, then compares its published epoch and canonical
@@ -33,6 +34,7 @@ use crate::durable::report_hash;
 use crate::hub::Hub;
 use crate::ingest::Ticket;
 use crate::protocol::{ReplayRecord, Request, REPLAY_DEFAULT_MAX};
+use crate::sharded::ShardedHub;
 use crate::{Result, ServeError};
 use std::sync::Arc;
 use std::time::Duration;
@@ -56,7 +58,7 @@ pub struct FollowerProgress {
 #[derive(Debug)]
 pub struct Follower {
     client: Client,
-    hub: Arc<Hub>,
+    hub: Arc<ShardedHub>,
     cursor: u64,
     /// Highest leader ticket applied locally — the idempotency watermark.
     /// Starts at the local hub's own applied ticket, so recovered history
@@ -69,17 +71,29 @@ impl Follower {
     /// Wraps an open connection to the leader and the local hub to feed.
     /// The hub must have been bootstrapped from the same base data and
     /// constraints as the leader's; a mismatch surfaces as a divergence
-    /// error at the first checkpoint, not as silent drift.
-    pub fn new(client: Client, hub: Arc<Hub>) -> Follower {
+    /// error at the first checkpoint, not as silent drift. `REPLAY` streams
+    /// one shard's log, so a hub with more than one shard is refused.
+    pub fn new(client: Client, hub: Arc<ShardedHub>) -> Result<Follower> {
+        let [shard] = hub.shard_hubs() else {
+            return Err(ServeError::Replication(format!(
+                "a follower replays one log into one shard; the local hub has {}",
+                hub.num_shards()
+            )));
+        };
+        let last_ticket = shard.queue().applied_ticket();
         hub.mark_follower();
-        let last_ticket = hub.queue().applied_ticket();
-        Follower {
+        Ok(Follower {
             client,
             hub,
             cursor: 0,
             last_ticket,
             page_max: REPLAY_DEFAULT_MAX,
-        }
+        })
+    }
+
+    /// The local shard-0 pipeline the leader's log is replayed into.
+    fn shard(&self) -> &Hub {
+        &self.hub.shard_hubs()[0]
     }
 
     /// The log position the next poll will request.
@@ -107,14 +121,13 @@ impl Follower {
                     if ticket <= self.last_ticket {
                         continue; // already applied (overlapping page or recovered history)
                     }
-                    let snap = self.hub.snapshot();
-                    let delta =
-                        Request::ops_to_delta(&ops, snap.schema()).map_err(ServeError::Protocol)?;
-                    let local = self.hub.submit(delta)?;
-                    if local != ticket {
+                    let delta = Request::ops_to_delta(&ops, self.hub.schema())
+                        .map_err(ServeError::Protocol)?;
+                    let local = self.hub.submit(delta)?.shard_tickets;
+                    if local != [(0, ticket)] {
                         return Err(ServeError::Replication(format!(
                             "leader streamed ticket {ticket} but the local queue issued \
-                             {local} — the replicas have diverged"
+                             {local:?} — the replicas have diverged"
                         )));
                     }
                     self.last_ticket = ticket;
@@ -133,8 +146,8 @@ impl Follower {
                     }
                     // Barrier: the local writer must have published exactly
                     // this far before the epoch comparison means anything.
-                    self.hub.sync_to(last_ticket, sync_timeout)?;
-                    let snap = self.hub.snapshot();
+                    self.shard().sync_to(last_ticket, sync_timeout)?;
+                    let snap = self.shard().snapshot();
                     if snap.epoch() != epoch {
                         return Err(ServeError::Replication(format!(
                             "leader checkpoint is epoch {epoch} at ticket {last_ticket}, \

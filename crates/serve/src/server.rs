@@ -1,4 +1,5 @@
-//! The TCP front end: a listener plus scoped per-connection workers.
+//! The TCP front end: a listener plus scoped per-connection workers, over a
+//! [`ShardedHub`] of any shard count.
 
 use crate::durable::RecoveryReport;
 use crate::hub::Hub;
@@ -6,11 +7,10 @@ use crate::protocol::{delta_to_ops, MvLine, ReplayRecord, Request, Response};
 use crate::sharded::{ShardedConfig, ShardedHub};
 use crate::writer::Writer;
 use crate::Result;
-use ecfd_detect::EvidenceReport;
 use ecfd_repair::RepairOptions;
-use ecfd_session::{Session, Snapshot};
+use ecfd_session::{Session, SessionError};
 use ecfd_wal::WalRecord;
-use std::io::{BufRead, BufReader, BufWriter, Write as _};
+use std::io::{BufRead, BufReader, BufWriter, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::Arc;
@@ -20,17 +20,22 @@ use std::time::Duration;
 /// asked for — bounds response-line length.
 const REPLAY_MAX_CLAMP: usize = 1024;
 
+/// Longest request line a connection may send, newline excluded. The longest
+/// line an in-repo client sends is an `APPLY` carrying one generated `cust`
+/// delta (tens of eight-field tuples, a few KiB); 1 MiB leaves batches a few
+/// hundred times that size room while bounding what a client that never
+/// sends a newline can make the server buffer.
+const MAX_REQUEST_LINE: usize = 1 << 20;
+
 /// Tuning knobs of a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Address to bind (`127.0.0.1:0` picks an ephemeral port — the default,
     /// so tests and examples never collide).
     pub addr: String,
-    /// Capacity of the ingest queue (backpressure threshold).
-    pub queue_capacity: usize,
-    /// Maximum number of queued deltas the writer applies (in ticket order)
-    /// per published epoch.
-    pub batch_max: usize,
+    /// Shard count, shard key and the per-shard queue / batch / merge knobs
+    /// (one shard by default).
+    pub sharding: ShardedConfig,
     /// How long a `SYNC` request waits before reporting a timeout.
     pub sync_timeout: Duration,
     /// Socket read timeout; doubles as the shutdown-poll interval of idle
@@ -44,8 +49,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
-            queue_capacity: 64,
-            batch_max: 32,
+            sharding: ShardedConfig::default(),
             sync_timeout: Duration::from_secs(30),
             read_timeout: Duration::from_millis(100),
             poll_interval: Duration::from_millis(2),
@@ -53,73 +57,72 @@ impl Default for ServeConfig {
     }
 }
 
-/// A bound-but-not-yet-running server: the TCP face of a [`Hub`] + [`Writer`]
-/// pair. [`Server::run`] blocks the calling thread; grab a
-/// [`ServerHandle`] first to shut it down from elsewhere.
+/// A bound-but-not-yet-running server: the TCP face of a [`ShardedHub`] and
+/// its per-shard [`Writer`]s. Reader verbs (`DETECT`, `EXPLAIN`, `EPOCH`, …)
+/// answer from the *merged* view; `APPLY` routes through the global-ticket
+/// router; `SYNC` barriers on the connection's per-shard ACK high-water
+/// marks. [`Server::run`] blocks the calling thread; grab a [`ServerHandle`]
+/// first to shut it down from elsewhere.
 #[derive(Debug)]
 pub struct Server {
     listener: TcpListener,
-    hub: Arc<Hub>,
-    writer: Writer,
+    hub: Arc<ShardedHub>,
+    writers: Vec<Writer>,
     config: ServeConfig,
 }
 
-/// A cheap, cloneable remote control for a running [`Server`] (or bare hub):
-/// request shutdown, read the epoch, take in-process snapshots.
+/// A cheap, cloneable remote control for a running [`Server`]: request
+/// shutdown, reach the hub for in-process reads.
 #[derive(Debug, Clone)]
 pub struct ServerHandle {
-    hub: Arc<Hub>,
+    hub: Arc<ShardedHub>,
 }
 
 impl ServerHandle {
-    /// Requests shutdown: the queue closes, pending deltas drain, connection
-    /// workers and the accept loop exit, and [`Server::run`] returns.
+    /// Requests shutdown on every shard: the queues close, pending deltas
+    /// drain, connection workers and the accept loop exit, and
+    /// [`Server::run`] returns.
     pub fn shutdown(&self) {
         self.hub.shutdown();
     }
 
     /// The shared hub, for in-process readers living next to the server.
-    pub fn hub(&self) -> &Arc<Hub> {
+    pub fn hub(&self) -> &Arc<ShardedHub> {
         &self.hub
     }
 }
 
 impl Server {
-    /// Binds the listener and bootstraps the writer: takes ownership of a
-    /// prepared session (data loaded, constraints registered), publishes the
-    /// initial snapshot, and returns the server ready to [`Server::run`].
+    /// Binds the listener and bootstraps one writer per shard from a
+    /// prepared session (data loaded, constraints registered) — see
+    /// [`ShardedHub::bootstrap`].
     pub fn bind(session: Session, config: ServeConfig) -> Result<Server> {
-        let (writer, hub) = Writer::bootstrap(session, config.queue_capacity, config.batch_max)?;
-        let listener = TcpListener::bind(&config.addr)?;
-        Ok(Server {
-            listener,
-            hub,
-            writer,
-            config,
-        })
+        let (writers, hub) = ShardedHub::bootstrap(session, &config.sharding)?;
+        Server::listen(writers, hub, config)
     }
 
-    /// Like [`Server::bind`], but durable: the WAL in `wal_dir` is opened
-    /// (created if missing), its records are replayed over `session` before
-    /// serving, and every accepted delta is logged + fsynced before its ACK.
-    /// See [`Writer::bootstrap_durable`] for the recovery contract.
+    /// Like [`Server::bind`], but durable: each shard recovers its own
+    /// `wal_dir/shard-N/` segment, every accepted delta is logged + fsynced
+    /// before its ACK, and the merged checkpoint is re-verified — see
+    /// [`ShardedHub::bootstrap_durable`]. Returns the per-shard recovery
+    /// reports.
     pub fn bind_durable(
         session: Session,
         config: ServeConfig,
         wal_dir: &Path,
-    ) -> Result<(Server, RecoveryReport)> {
-        let (writer, hub, recovery) =
-            Writer::bootstrap_durable(session, config.queue_capacity, config.batch_max, wal_dir)?;
-        let listener = TcpListener::bind(&config.addr)?;
-        Ok((
-            Server {
-                listener,
-                hub,
-                writer,
-                config,
-            },
-            recovery,
-        ))
+    ) -> Result<(Server, Vec<RecoveryReport>)> {
+        let (writers, hub, recoveries) =
+            ShardedHub::bootstrap_durable(session, &config.sharding, wal_dir)?;
+        Ok((Server::listen(writers, hub, config)?, recoveries))
+    }
+
+    fn listen(writers: Vec<Writer>, hub: Arc<ShardedHub>, config: ServeConfig) -> Result<Server> {
+        Ok(Server {
+            listener: TcpListener::bind(&config.addr)?,
+            hub,
+            writers,
+            config,
+        })
     }
 
     /// The bound address (resolves the ephemeral port of `127.0.0.1:0`).
@@ -134,364 +137,15 @@ impl Server {
         }
     }
 
-    /// Serves until [`ServerHandle::shutdown`] is called: the writer loop and
-    /// one worker per accepted connection all run as [`std::thread::scope`]
-    /// threads, so this call owns every serving thread and returns only after
-    /// all of them (and the drained session) are done. Returns the session
-    /// in its final state.
-    pub fn run(self) -> Result<Session> {
-        let Server {
-            listener,
-            hub,
-            writer,
-            config,
-        } = self;
-        listener.set_nonblocking(true)?;
-        let session = std::thread::scope(|scope| -> Result<Session> {
-            let writer_thread = scope.spawn(|| writer.run(&hub));
-            loop {
-                if hub.is_shutdown() {
-                    break;
-                }
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        let hub = &hub;
-                        let config = &config;
-                        scope.spawn(move || {
-                            let _ = handle_connection(stream, hub, config);
-                        });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(config.poll_interval);
-                    }
-                    Err(_) => break,
-                }
-            }
-            // Make sure the writer drains and exits even if the accept loop
-            // stopped for a reason other than an explicit shutdown.
-            hub.shutdown();
-            writer_thread.join().expect("writer thread panicked")
-        })?;
-        Ok(session)
-    }
-}
-
-/// The line-per-request connection loop shared by the unsharded and sharded
-/// servers: read a line, answer a line, until `QUIT`, EOF or shutdown.
-fn serve_lines(
-    stream: TcpStream,
-    read_timeout: Duration,
-    is_shutdown: impl Fn() -> bool,
-    mut respond: impl FnMut(&str) -> Response,
-) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(read_timeout))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    let mut line = String::new();
-    loop {
-        if is_shutdown() {
-            return Ok(());
-        }
-        match reader.read_line(&mut line) {
-            Ok(0) => return Ok(()), // client closed
-            Ok(_) => {
-                let response = respond(&line);
-                let quit = matches!(response, Response::Bye);
-                writer.write_all(response.render().as_bytes())?;
-                writer.write_all(b"\n")?;
-                writer.flush()?;
-                line.clear();
-                if quit {
-                    return Ok(());
-                }
-            }
-            // Timeout mid-wait: partial bytes (if any) stay in `line`; loop
-            // to poll the shutdown flag and keep accumulating.
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// Serves one connection against an unsharded hub.
-fn handle_connection(stream: TcpStream, hub: &Hub, config: &ServeConfig) -> std::io::Result<()> {
-    // The most recent ticket ACKed on *this* connection: SYNC barriers on
-    // it, so one client's barrier is never hostage to another's backlog.
-    let mut last_ticket: u64 = 0;
-    serve_lines(
-        stream,
-        config.read_timeout,
-        || hub.is_shutdown(),
-        |line| {
-            respond_counted(line, |request| {
-                dispatch(request, hub, config, &mut last_ticket)
-            })
-        },
-    )
-}
-
-/// Parses one request line and runs it through `dispatch`, with the verb
-/// accounting both servers share. Never panics on client input — malformed
-/// lines come back as `ERR`.
-///
-/// Every parsed request is counted and timed under its wire verb
-/// (`serve.requests{verb=…}` / `serve.request.ns{verb=…}`); unparseable
-/// lines are counted under the pseudo-verb `INVALID`.
-fn respond_counted(line: &str, dispatch: impl FnOnce(Request) -> Response) -> Response {
-    let registry = ecfd_obs::registry();
-    let request = match Request::parse(line) {
-        Ok(request) => request,
-        Err(message) => {
-            registry
-                .counter_with("serve.requests", &[("verb", "INVALID")])
-                .inc();
-            return Response::Err { message };
-        }
-    };
-    let verb = request.verb();
-    registry
-        .counter_with("serve.requests", &[("verb", verb)])
-        .inc();
-    registry
-        .histogram_with("serve.request.ns", &[("verb", verb)])
-        .time(|| dispatch(request))
-}
-
-/// The verb dispatch behind [`respond`], separated so the caller can time it.
-fn dispatch(request: Request, hub: &Hub, config: &ServeConfig, last_ticket: &mut u64) -> Response {
-    match request {
-        Request::Ping => Response::Pong,
-        Request::Quit => Response::Bye,
-        Request::Epoch => {
-            let snap = hub.snapshot();
-            let stats = hub.stats();
-            Response::Epoch {
-                epoch: snap.epoch(),
-                rows: snap.num_rows(),
-                sv: snap.report().num_sv(),
-                mv: snap.report().num_mv(),
-                queued: stats.queued,
-                errors: stats.write_errors,
-            }
-        }
-        Request::Detect { fresh } => {
-            let snap = hub.snapshot();
-            let report = if fresh {
-                match snap.detect_fresh() {
-                    Ok(report) => report,
-                    Err(e) => {
-                        return Response::Err {
-                            message: e.to_string(),
-                        }
-                    }
-                }
-            } else {
-                snap.report().clone()
-            };
-            Response::Report {
-                epoch: snap.epoch(),
-                total: report.total_rows,
-                sv: report.sv_rows.iter().map(|r| r.as_u64()).collect(),
-                mv: report.mv_rows.iter().map(|r| r.as_u64()).collect(),
-            }
-        }
-        Request::Check => {
-            let snap = hub.snapshot();
-            match snap.detect_fresh() {
-                Ok(fresh) => Response::Checked {
-                    epoch: snap.epoch(),
-                    total: fresh.total_rows,
-                    sv: fresh.num_sv(),
-                    mv: fresh.num_mv(),
-                    consistent: &fresh == snap.report(),
-                },
-                Err(e) => Response::Err {
-                    message: e.to_string(),
-                },
-            }
-        }
-        Request::Explain => {
-            let snap = hub.snapshot();
-            evidence_response(&snap)
-        }
-        Request::ExplainPlan => {
-            let snap = hub.snapshot();
-            match ecfd_plan::Plan::compile(snap.constraints()) {
-                Ok(plan) => Response::PlanText {
-                    text: plan.render(),
-                },
-                Err(e) => Response::Err {
-                    message: e.to_string(),
-                },
-            }
-        }
-        Request::Apply { ops } => {
-            let snap = hub.snapshot();
-            let delta = match Request::ops_to_delta(&ops, snap.schema()) {
-                Ok(delta) => delta,
-                Err(message) => return Response::Err { message },
-            };
-            match hub.submit(delta) {
-                Ok(ticket) => {
-                    *last_ticket = ticket;
-                    Response::Ack {
-                        ticket,
-                        epoch: snap.epoch(),
-                    }
-                }
-                Err(e) => Response::Err {
-                    message: e.to_string(),
-                },
-            }
-        }
-        Request::Sync => match hub.sync_to(*last_ticket, config.sync_timeout) {
-            Ok(epoch) => Response::Synced { epoch },
-            Err(e) => Response::Err {
-                message: e.to_string(),
-            },
-        },
-        Request::RepairPlan => {
-            let snap = hub.snapshot();
-            match snap.repair_plan(RepairOptions::default()) {
-                Ok(plan) => Response::Plan {
-                    epoch: snap.epoch(),
-                    deletions: plan.num_deletions(),
-                    modifications: plan.num_modifications(),
-                    cost: plan.total_cost(),
-                },
-                Err(e) => Response::Err {
-                    message: e.to_string(),
-                },
-            }
-        }
-        Request::Replay { cursor, max } => replay_response(hub, cursor, max),
-        Request::Stats { prefix } => Response::Metrics {
-            text: match prefix {
-                Some(prefix) => hub.metrics().render_prefix(&prefix),
-                None => hub.metrics().render(),
-            },
-        },
-        Request::Info => {
-            let queue = hub.queue();
-            Response::Info {
-                version: env!("CARGO_PKG_VERSION").to_string(),
-                epoch: hub.epoch(),
-                accepted: queue.last_ticket(),
-                applied: queue.applied_ticket(),
-                wal: hub.wal_mode().to_string(),
-                follower: hub.is_follower(),
-            }
-        }
-    }
-}
-
-// ── the sharded front end ────────────────────────────────────────────────
-
-/// The TCP face of a [`ShardedHub`]: the same wire protocol as [`Server`],
-/// served over `N` shards behind the router + merge layer. Reader verbs
-/// (`DETECT`, `EXPLAIN`, `EPOCH`, …) answer from the *merged* cross-shard
-/// view; `APPLY` routes through the global-ticket router; `SYNC` barriers on
-/// the connection's per-shard ACK high-water marks. `REPLAY` is the one verb
-/// a sharded server refuses — followers must tail the per-shard logs.
-#[derive(Debug)]
-pub struct ShardedServer {
-    listener: TcpListener,
-    hub: Arc<ShardedHub>,
-    writers: Vec<Writer>,
-    config: ServeConfig,
-}
-
-/// A cheap, cloneable remote control for a running [`ShardedServer`].
-#[derive(Debug, Clone)]
-pub struct ShardedHandle {
-    hub: Arc<ShardedHub>,
-}
-
-impl ShardedHandle {
-    /// Requests shutdown on every shard; [`ShardedServer::run`] returns once
-    /// all shard writers have drained.
-    pub fn shutdown(&self) {
-        self.hub.shutdown();
-    }
-
-    /// The shared sharded hub, for in-process readers.
-    pub fn hub(&self) -> &Arc<ShardedHub> {
-        &self.hub
-    }
-}
-
-impl ShardedServer {
-    /// Binds the listener and bootstraps one writer per shard from a
-    /// prepared template session — see [`ShardedHub::bootstrap`].
-    pub fn bind(
-        session: Session,
-        config: ServeConfig,
-        sharding: &ShardedConfig,
-    ) -> Result<ShardedServer> {
-        let mut sharding = sharding.clone();
-        sharding.queue_capacity = config.queue_capacity;
-        sharding.batch_max = config.batch_max;
-        let (writers, hub) = ShardedHub::bootstrap(session, &sharding)?;
-        let listener = TcpListener::bind(&config.addr)?;
-        Ok(ShardedServer {
-            listener,
-            hub,
-            writers,
-            config,
-        })
-    }
-
-    /// Like [`ShardedServer::bind`], but durable: each shard recovers its
-    /// own `wal_dir/shard-N/` segment and the merged checkpoint is
-    /// re-verified — see [`ShardedHub::bootstrap_durable`]. Returns the
-    /// per-shard recovery reports.
-    pub fn bind_durable(
-        session: Session,
-        config: ServeConfig,
-        sharding: &ShardedConfig,
-        wal_dir: &Path,
-    ) -> Result<(ShardedServer, Vec<RecoveryReport>)> {
-        let mut sharding = sharding.clone();
-        sharding.queue_capacity = config.queue_capacity;
-        sharding.batch_max = config.batch_max;
-        let (writers, hub, recoveries) =
-            ShardedHub::bootstrap_durable(session, &sharding, wal_dir)?;
-        let listener = TcpListener::bind(&config.addr)?;
-        Ok((
-            ShardedServer {
-                listener,
-                hub,
-                writers,
-                config,
-            },
-            recoveries,
-        ))
-    }
-
-    /// The bound address (resolves the ephemeral port of `127.0.0.1:0`).
-    pub fn local_addr(&self) -> Result<SocketAddr> {
-        Ok(self.listener.local_addr()?)
-    }
-
-    /// A handle for shutting the server down from another thread.
-    pub fn handle(&self) -> ShardedHandle {
-        ShardedHandle {
-            hub: self.hub.clone(),
-        }
-    }
-
-    /// Serves until shutdown: one writer thread per shard plus one worker
-    /// per accepted connection, all scoped. A dead shard writer trips the
-    /// sharded shutdown flag, so the accept loop exits rather than serving
-    /// a deployment that can no longer apply writes. Returns the per-shard
-    /// sessions in their final states.
+    /// Serves until [`ServerHandle::shutdown`] is called: one writer thread
+    /// per shard plus one worker per accepted connection all run as
+    /// [`std::thread::scope`] threads, so this call owns every serving
+    /// thread and returns only after all of them are done. A dead shard
+    /// writer trips the shutdown flag, so the accept loop exits rather than
+    /// serving a deployment that can no longer apply writes. Returns the
+    /// per-shard sessions in their final states.
     pub fn run(self) -> Result<Vec<Session>> {
-        let ShardedServer {
+        let Server {
             listener,
             hub,
             writers,
@@ -516,7 +170,7 @@ impl ShardedServer {
                         let hub = &hub;
                         let config = &config;
                         scope.spawn(move || {
-                            let _ = handle_sharded_connection(stream, hub, config);
+                            let _ = handle_connection(stream, hub, config);
                         });
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -525,6 +179,8 @@ impl ShardedServer {
                     Err(_) => break,
                 }
             }
+            // Make sure the writers drain and exit even if the accept loop
+            // stopped for a reason other than an explicit shutdown.
             hub.shutdown();
             let mut sessions = Vec::new();
             for thread in writer_threads {
@@ -535,162 +191,213 @@ impl ShardedServer {
     }
 }
 
-/// Serves one connection against a sharded hub.
-fn handle_sharded_connection(
+/// Serves one connection, a line per request: read a line, answer a line,
+/// until `QUIT`, EOF, shutdown or a line longer than [`MAX_REQUEST_LINE`].
+fn handle_connection(
     stream: TcpStream,
     hub: &ShardedHub,
     config: &ServeConfig,
 ) -> std::io::Result<()> {
     // Per-shard ACK high-water marks of *this* connection (0 = nothing
-    // submitted to that shard yet): the SYNC barrier waits on exactly these.
+    // submitted to that shard yet): SYNC barriers on exactly these, so one
+    // client's barrier is never hostage to another's backlog.
     let mut last: Vec<u64> = vec![0; hub.num_shards()];
-    serve_lines(
-        stream,
-        config.read_timeout,
-        || hub.is_shutdown(),
-        |line| {
-            respond_counted(line, |request| {
-                dispatch_sharded(request, hub, config, &mut last)
-            })
-        },
-    )
+    stream.set_read_timeout(Some(config.read_timeout))?;
+    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut writer = BufWriter::new(stream);
+    let mut line = String::new();
+    loop {
+        if hub.is_shutdown() {
+            return Ok(());
+        }
+        // One byte past the cap is enough to tell an over-long line from a
+        // full one; a timeout always leaves `line` short of that.
+        let budget = (MAX_REQUEST_LINE + 1 - line.len()) as u64;
+        match reader.by_ref().take(budget).read_line(&mut line) {
+            Ok(0) => return Ok(()), // client closed
+            Ok(_) => {
+                let too_long = line.len() > MAX_REQUEST_LINE && !line.ends_with('\n');
+                let response = if too_long {
+                    refuse(format!(
+                        "request line exceeds {MAX_REQUEST_LINE} bytes; closing the connection"
+                    ))
+                } else {
+                    respond_counted(&line, |request| dispatch(request, hub, config, &mut last))
+                };
+                writer.write_all(response.render().as_bytes())?;
+                writer.write_all(b"\n")?;
+                writer.flush()?;
+                line.clear();
+                if too_long || matches!(response, Response::Bye) {
+                    return Ok(());
+                }
+            }
+            // Timeout mid-wait: partial bytes (if any) stay in `line`; loop
+            // to poll the shutdown flag and keep accumulating.
+            Err(e)
+                if e.kind() == std::io::ErrorKind::WouldBlock
+                    || e.kind() == std::io::ErrorKind::TimedOut =>
+            {
+                continue;
+            }
+            Err(e) => return Err(e),
+        }
+    }
 }
 
-/// The sharded verb dispatch: reader verbs answer from the merged view,
-/// `APPLY` goes through the router, `SYNC` barriers per shard.
-fn dispatch_sharded(
+/// Answers a line that never reaches `dispatch` with `ERR`, counted under
+/// the pseudo-verb `INVALID`.
+fn refuse(message: String) -> Response {
+    ecfd_obs::registry()
+        .counter_with("serve.requests", &[("verb", "INVALID")])
+        .inc();
+    Response::Err { message }
+}
+
+/// Parses one request line and runs it through `dispatch`, with the verb
+/// accounting. Never panics on client input — malformed lines, and requests
+/// `dispatch` fails, come back as `ERR`.
+///
+/// Every parsed request is counted and timed under its wire verb
+/// (`serve.requests{verb=…}` / `serve.request.ns{verb=…}`); unparseable
+/// lines are counted under the pseudo-verb `INVALID`.
+fn respond_counted(line: &str, dispatch: impl FnOnce(Request) -> Result<Response>) -> Response {
+    let request = match Request::parse(line) {
+        Ok(request) => request,
+        Err(message) => return refuse(message),
+    };
+    let registry = ecfd_obs::registry();
+    let verb = request.verb();
+    registry
+        .counter_with("serve.requests", &[("verb", verb)])
+        .inc();
+    registry
+        .histogram_with("serve.request.ns", &[("verb", verb)])
+        .time(|| dispatch(request))
+        .unwrap_or_else(|e| Response::Err {
+            message: e.to_string(),
+        })
+}
+
+/// The verb dispatch: reader verbs answer from the merged view, `APPLY` goes
+/// through the router, `SYNC` barriers per shard. An `Err` goes back to the
+/// client as an `ERR` line.
+fn dispatch(
     request: Request,
     hub: &ShardedHub,
     config: &ServeConfig,
     last: &mut [u64],
-) -> Response {
-    match request {
+) -> Result<Response> {
+    Ok(match request {
         Request::Ping => Response::Pong,
         Request::Quit => Response::Bye,
-        Request::Epoch => match hub.merged() {
-            Ok(merged) => {
-                let stats = hub.stats();
-                Response::Epoch {
-                    epoch: merged.epoch(),
-                    rows: merged.report.total_rows,
-                    sv: merged.report.num_sv(),
-                    mv: merged.report.num_mv(),
-                    queued: stats.queued,
-                    errors: stats.write_errors,
-                }
+        Request::Epoch => {
+            let merged = hub.merged()?;
+            let stats = hub.stats();
+            Response::Epoch {
+                epoch: merged.epoch(),
+                rows: merged.report.total_rows,
+                sv: merged.report.num_sv(),
+                mv: merged.report.num_mv(),
+                queued: stats.queued,
+                errors: stats.write_errors,
             }
-            Err(e) => Response::Err {
-                message: e.to_string(),
-            },
-        },
+        }
         Request::Detect { fresh } => {
             let merged = if fresh {
-                hub.merged_fresh().map(Arc::new)
+                Arc::new(hub.merged_fresh()?)
             } else {
-                hub.merged()
+                hub.merged()?
             };
-            match merged {
-                Ok(merged) => Response::Report {
-                    epoch: merged.epoch(),
-                    total: merged.report.total_rows,
-                    sv: merged.report.sv_rows.iter().map(|r| r.as_u64()).collect(),
-                    mv: merged.report.mv_rows.iter().map(|r| r.as_u64()).collect(),
-                },
-                Err(e) => Response::Err {
-                    message: e.to_string(),
-                },
+            Response::Report {
+                epoch: merged.epoch(),
+                total: merged.report.total_rows,
+                sv: merged.report.sv_rows.iter().map(|r| r.as_u64()).collect(),
+                mv: merged.report.mv_rows.iter().map(|r| r.as_u64()).collect(),
             }
         }
         Request::Check => {
-            // The strong sharded consistency check: compose the shards into
-            // one single-session snapshot (the oracle path) and compare its
+            // The strong consistency check: compose the shards into one
+            // single-session snapshot (the oracle path) and compare its
             // from-scratch report against the merge layer's answer.
-            let merged = match hub.merged() {
-                Ok(merged) => merged,
-                Err(e) => {
-                    return Response::Err {
-                        message: e.to_string(),
-                    }
-                }
-            };
-            match hub.compose() {
-                Ok(composed) => Response::Checked {
-                    epoch: merged.epoch(),
-                    total: composed.report().total_rows,
-                    sv: composed.report().num_sv(),
-                    mv: composed.report().num_mv(),
-                    consistent: composed.report() == &merged.report,
-                },
-                Err(e) => Response::Err {
-                    message: e.to_string(),
-                },
+            let merged = hub.merged()?;
+            let composed = hub.compose()?;
+            Response::Checked {
+                epoch: merged.epoch(),
+                total: composed.report().total_rows,
+                sv: composed.report().num_sv(),
+                mv: composed.report().num_mv(),
+                consistent: composed.report() == &merged.report,
             }
         }
-        Request::Explain => match hub.merged() {
-            Ok(merged) => evidence_parts(merged.epoch(), &merged.evidence),
-            Err(e) => Response::Err {
-                message: e.to_string(),
-            },
-        },
+        Request::Explain => {
+            let merged = hub.merged()?;
+            let evidence = &merged.evidence;
+            Response::Evidence {
+                epoch: merged.epoch(),
+                total: evidence.total_rows,
+                sv: evidence
+                    .sv
+                    .iter()
+                    .map(|e| (e.row.as_u64(), e.source.constraint, e.source.pattern))
+                    .collect(),
+                mv: evidence
+                    .mv_groups
+                    .iter()
+                    .map(|g| MvLine {
+                        constraint: g.source.constraint,
+                        pattern: g.source.pattern,
+                        key: g.group_key.iter().map(|v| v.to_string()).collect(),
+                        rows: g.rows.iter().map(|r| r.as_u64()).collect(),
+                    })
+                    .collect(),
+            }
+        }
         Request::ExplainPlan => {
             // Every shard registers the same constraint set; compile the
             // plan from shard 0's published snapshot.
             let snap = hub.shard_hubs()[0].snapshot();
-            match ecfd_plan::Plan::compile(snap.constraints()) {
-                Ok(plan) => Response::PlanText {
-                    text: plan.render(),
-                },
-                Err(e) => Response::Err {
-                    message: e.to_string(),
-                },
+            let plan = ecfd_plan::Plan::compile(snap.constraints()).map_err(SessionError::from)?;
+            Response::PlanText {
+                text: plan.render(),
             }
         }
         Request::Apply { ops } => {
             let delta = match Request::ops_to_delta(&ops, hub.schema()) {
                 Ok(delta) => delta,
-                Err(message) => return Response::Err { message },
+                Err(message) => return Ok(Response::Err { message }),
             };
-            match hub.submit(delta) {
-                Ok(receipt) => {
-                    for &(s, ticket) in &receipt.shard_tickets {
-                        last[s] = last[s].max(ticket);
-                    }
-                    Response::Ack {
-                        ticket: receipt.global,
-                        epoch: hub.epoch(),
-                    }
-                }
-                Err(e) => Response::Err {
-                    message: e.to_string(),
-                },
+            let receipt = hub.submit(delta)?;
+            for &(s, ticket) in &receipt.shard_tickets {
+                last[s] = last[s].max(ticket);
+            }
+            Response::Ack {
+                ticket: receipt.global,
+                epoch: hub.epoch(),
             }
         }
-        Request::Sync => match hub.sync_tickets(last, config.sync_timeout) {
-            Ok(epoch) => Response::Synced { epoch },
-            Err(e) => Response::Err {
-                message: e.to_string(),
-            },
+        Request::Sync => Response::Synced {
+            epoch: hub.sync_tickets(last, config.sync_timeout)?,
         },
-        Request::RepairPlan => match hub.compose() {
-            Ok(composed) => match composed.repair_plan(RepairOptions::default()) {
-                Ok(plan) => Response::Plan {
-                    epoch: composed.epoch(),
-                    deletions: plan.num_deletions(),
-                    modifications: plan.num_modifications(),
-                    cost: plan.total_cost(),
-                },
-                Err(e) => Response::Err {
-                    message: e.to_string(),
-                },
+        Request::RepairPlan => {
+            let composed = hub.compose()?;
+            let plan = composed.repair_plan(RepairOptions::default())?;
+            Response::Plan {
+                epoch: composed.epoch(),
+                deletions: plan.num_deletions(),
+                modifications: plan.num_modifications(),
+                cost: plan.total_cost(),
+            }
+        }
+        // One shard's log *is* the deployment's log; with more, a follower
+        // would need every segment and the router's interleaving.
+        Request::Replay { cursor, max } => match hub.shard_hubs() {
+            [shard] => replay_response(shard, cursor, max)?,
+            _ => Response::Err {
+                message: "REPLAY is not available on a sharded server; \
+                          tail the per-shard WAL segments instead"
+                    .into(),
             },
-            Err(e) => Response::Err {
-                message: e.to_string(),
-            },
-        },
-        Request::Replay { .. } => Response::Err {
-            message: "REPLAY is not available on a sharded server; \
-                      tail the per-shard WAL segments instead"
-                .into(),
         },
         Request::Stats { prefix } => Response::Metrics {
             text: match prefix {
@@ -704,9 +411,9 @@ fn dispatch_sharded(
             accepted: hub.accepted_global(),
             applied: hub.applied_global(),
             wal: hub.wal_mode().to_string(),
-            follower: false,
+            follower: hub.is_follower(),
         },
-    }
+    })
 }
 
 /// Serves one `REPLAY` page straight from the WAL file. Everything in the
@@ -715,32 +422,23 @@ fn dispatch_sharded(
 /// ends the page early — the next poll picks it up. Cursors are record
 /// positions in the file, so checkpoint records occupy positions too and a
 /// page boundary can never silently skip one.
-fn replay_response(hub: &Hub, cursor: u64, max: usize) -> Response {
+fn replay_response(hub: &Hub, cursor: u64, max: usize) -> Result<Response> {
     let Some(path) = hub.wal_path() else {
-        return Response::Err {
+        return Ok(Response::Err {
             message: "REPLAY requires a durable server (start with --wal-dir)".into(),
-        };
+        });
     };
-    let records = match ecfd_wal::read_records(path) {
-        Ok(records) => records,
-        Err(e) => {
-            return Response::Err {
-                message: e.to_string(),
-            }
-        }
-    };
+    let records = ecfd_wal::read_records(path)?;
     let start = (cursor as usize).min(records.len());
     let end = (start + max.clamp(1, REPLAY_MAX_CLAMP)).min(records.len());
     let page = records[start..end]
         .iter()
         .map(|record| match record {
-            WalRecord::Delta { ticket, delta } => ReplayRecord::Delta {
-                ticket: *ticket,
-                ops: delta_to_ops(delta),
-            },
-            // Sharded logs stream the same way; the pre-assigned ids are an
-            // apply-time detail the wire replay format does not carry.
-            WalRecord::ScheduledDelta { ticket, delta, .. } => ReplayRecord::Delta {
+            // The pre-assigned ids and the global ticket are apply-time
+            // details the wire replay format does not carry: a follower's own
+            // router hands out the same ones.
+            WalRecord::Delta { ticket, delta }
+            | WalRecord::ScheduledDelta { ticket, delta, .. } => ReplayRecord::Delta {
                 ticket: *ticket,
                 ops: delta_to_ops(delta),
             },
@@ -755,34 +453,8 @@ fn replay_response(hub: &Hub, cursor: u64, max: usize) -> Response {
             },
         })
         .collect();
-    Response::Replayed {
+    Ok(Response::Replayed {
         records: page,
         next: end as u64,
-    }
-}
-
-fn evidence_response(snap: &Snapshot) -> Response {
-    evidence_parts(snap.epoch(), snap.evidence())
-}
-
-fn evidence_parts(epoch: u64, evidence: &EvidenceReport) -> Response {
-    Response::Evidence {
-        epoch,
-        total: evidence.total_rows,
-        sv: evidence
-            .sv
-            .iter()
-            .map(|e| (e.row.as_u64(), e.source.constraint, e.source.pattern))
-            .collect(),
-        mv: evidence
-            .mv_groups
-            .iter()
-            .map(|g| MvLine {
-                constraint: g.source.constraint,
-                pattern: g.source.pattern,
-                key: g.group_key.iter().map(|v| v.to_string()).collect(),
-                rows: g.rows.iter().map(|r| r.as_u64()).collect(),
-            })
-            .collect(),
-    }
+    })
 }

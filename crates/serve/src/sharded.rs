@@ -1,17 +1,18 @@
-//! Sharded multi-writer serving: row partitioning, the global-id router,
-//! and the cross-shard merge layer.
+//! The serving core: row partitioning, the global-id router, and the
+//! cross-shard merge layer — at every shard count, one included.
 //!
-//! A sharded deployment partitions one relation's rows over `N` independent
-//! per-shard serving stacks — each with its own [`Session`], [`Writer`],
-//! ingest queue, WAL segment and snapshot store — by hashing the value of a
+//! A deployment partitions one relation's rows over `N ≥ 1` independent
+//! per-shard pipelines — each with its own [`Session`], [`Writer`], ingest
+//! queue, WAL segment and snapshot store — by hashing the value of a
 //! configured **shard attribute** ([`shard_of_value`]). Routing hashes
 //! *values*, never dictionary codes, so placement is stable across restarts
-//! and across the shards' independently grown dictionaries.
+//! and across the shards' independently grown dictionaries. With one shard
+//! every tuple routes to shard 0 and no attribute is needed.
 //!
 //! Correctness hinges on one invariant, asserted end-to-end by the sharded
 //! differential suite: **the merged report is byte-identical to what a
-//! single unsharded session fed the same deltas would publish.** Two
-//! mechanisms make that hold:
+//! single session fed the same deltas would publish.** Two mechanisms make
+//! that hold:
 //!
 //! * **Global row-id pre-assignment.** The router owns the global row-id
 //!   counter. Every submitted delta's insertions receive consecutive global
@@ -28,32 +29,38 @@
 //!   (per-shard dictionaries assign different codes to the same value) and
 //!   merges the open groups across shards before deciding violations — see
 //!   [`SemanticDetector::merge_partials`](ecfd_detect::SemanticDetector::merge_partials).
+//!   **When no constraint has open groups, the merged view is the union of
+//!   what the shards already published** — no scan. At one shard that is
+//!   always so, whatever the constraints' `X`.
 //!
 //! Durability composes per shard: each shard logs its sub-deltas (with
-//! their pre-assigned ids, as [`ScheduledDelta`](ecfd_wal::WalRecord)
-//! records) into `wal_dir/shard-N/`, and recovery replays every shard then
-//! re-verifies the merged report hash against `wal_dir/merged.ckpt`.
+//! their pre-assigned ids and the global ticket, as
+//! [`ScheduledDelta`](ecfd_wal::WalRecord) records) into `wal_dir/shard-N/`,
+//! and recovery replays every shard then re-verifies the merged report hash
+//! against `wal_dir/merged.ckpt`.
 
 use crate::durable::{report_hash, RecoveryReport};
 use crate::hub::{Hub, ServeStats};
 use crate::ingest::Ticket;
-use crate::writer::Writer;
+use crate::writer::{sole_table, Writer};
 use crate::{Result, ServeError};
 use ecfd_detect::{DetectionReport, EvidenceReport, ShardPartial};
 use ecfd_relation::{shard_of_value, AttrId, Delta, Relation, RowId, Schema, Tuple};
 use ecfd_session::{Session, SessionError, Snapshot};
-use ecfd_wal::WalRecord;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// Tuning knobs of a sharded deployment.
+/// Tuning knobs of the serving core. The default is one shard, which needs
+/// no shard key.
 #[derive(Debug, Clone)]
 pub struct ShardedConfig {
     /// Number of shards (clamped to at least 1).
     pub num_shards: usize,
     /// Name of the attribute whose value routes each row to its shard.
+    /// Resolved against the schema only when there is more than one shard.
     pub shard_key: String,
     /// Per-shard ingest-queue capacity (backpressure threshold).
     pub queue_capacity: usize,
@@ -75,6 +82,12 @@ impl ShardedConfig {
             batch_max: 32,
             detect_workers: None,
         }
+    }
+}
+
+impl Default for ShardedConfig {
+    fn default() -> Self {
+        ShardedConfig::new(1, "")
     }
 }
 
@@ -123,16 +136,17 @@ struct RouterState {
     inflight: BTreeMap<Ticket, Vec<(usize, Ticket)>>,
 }
 
-/// The shared core of a sharded deployment: `N` per-shard [`Hub`]s behind
+/// The shared core of a served deployment: `N ≥ 1` per-shard [`Hub`]s behind
 /// one router (global tickets + global row-id pre-assignment) and one merge
-/// layer. The sharded analogue of [`Hub`] — the TCP front end and
-/// in-process embedders drive this type directly.
+/// layer. The TCP front end and in-process embedders drive this type
+/// directly.
 pub struct ShardedHub {
     table: String,
     schema: Schema,
-    shard_key: String,
-    shard_attr: AttrId,
-    /// Per split constraint: does its `X` contain the shard key?
+    /// The routing attribute; `None` at one shard, where nothing routes.
+    shard_attr: Option<AttrId>,
+    /// Per split constraint: is every enforcement group local to one shard
+    /// (its `X` contains the shard key, or there is only one shard)?
     aligned: Vec<bool>,
     hubs: Vec<Arc<Hub>>,
     router: Mutex<RouterState>,
@@ -140,6 +154,9 @@ pub struct ShardedHub {
     detect_workers: Option<usize>,
     /// Present in durable mode: where the merged checkpoint is persisted.
     merged_ckpt: Option<PathBuf>,
+    /// Set when a [`Follower`](crate::Follower) replays a leader's WAL into
+    /// this hub, as reported by `INFO`.
+    follower: AtomicBool,
 }
 
 impl std::fmt::Debug for ShardedHub {
@@ -147,18 +164,19 @@ impl std::fmt::Debug for ShardedHub {
         f.debug_struct("ShardedHub")
             .field("table", &self.table)
             .field("shards", &self.hubs.len())
-            .field("shard_key", &self.shard_key)
+            .field("shard_attr", &self.shard_attr)
             .field("epoch", &self.epoch())
             .finish_non_exhaustive()
     }
 }
 
 impl ShardedHub {
-    /// Bootstraps a sharded deployment from a prepared template session
-    /// (data loaded, constraints registered): partitions the template's rows
-    /// by the shard key's value, builds one independent session + writer +
-    /// hub per shard (rows keep their global ids), and returns the per-shard
-    /// writers alongside the hub. Run each writer against its hub
+    /// Bootstraps a deployment from a prepared template session (data
+    /// loaded, constraints registered): partitions the template's rows by the
+    /// shard key's value, builds one independent session + writer + hub per
+    /// shard (rows keep their global ids), and returns the per-shard writers
+    /// alongside the hub. With one shard the template *is* shard 0, taken as
+    /// it stands. Run each writer against its hub
     /// (`writers[s].run(&hub.shard_hubs()[s])`) — or step them manually in
     /// tests.
     pub fn bootstrap(
@@ -178,17 +196,17 @@ impl ShardedHub {
             writers.push(writer);
             hubs.push(hub);
         }
-        let hub = parts.meta.into_hub(hubs, config, None);
+        let hub = parts.meta.into_hub(hubs, config, 0, None);
         Ok((writers, hub))
     }
 
     /// [`ShardedHub::bootstrap`], durable: each shard opens (or recovers)
-    /// its own WAL segment in `wal_dir/shard-N/`, the global row-id counter
-    /// continues past every id any shard's log ever assigned, and the merged
-    /// report is re-verified against `wal_dir/merged.ckpt` when the
-    /// recovered epochs match the checkpointed ones (gauge
-    /// `wal.recovery.merged.verified`). Returns the per-shard recovery
-    /// reports.
+    /// its own WAL segment in `wal_dir/shard-N/`, the global row-id and
+    /// ticket counters continue past everything any shard's log ever
+    /// assigned, and the merged report is re-verified against
+    /// `wal_dir/merged.ckpt` when the recovered epochs match the checkpointed
+    /// ones (gauge `wal.recovery.merged.verified`). Returns the per-shard
+    /// recovery reports.
     pub fn bootstrap_durable(
         template: Session,
         config: &ShardedConfig,
@@ -199,6 +217,7 @@ impl ShardedHub {
         let mut hubs = Vec::with_capacity(parts.sessions.len());
         let mut recoveries = Vec::with_capacity(parts.sessions.len());
         let mut next_row_id = parts.meta.next_row_id;
+        let mut last_global: Ticket = 0;
         for (s, session) in parts.sessions.into_iter().enumerate() {
             let shard_dir = wal_dir.join(format!("shard-{s}"));
             let (writer, hub, recovery) = Writer::bootstrap_durable_shard(
@@ -208,25 +227,23 @@ impl ShardedHub {
                 &shard_dir,
                 Some(s as u32),
             )?;
-            // The global id sequence must continue past every id this
-            // shard's log ever assigned — surviving rows alone understate it
-            // when logged insertions were later deleted.
-            if let Some(path) = hub.wal_path() {
-                for record in ecfd_wal::read_records(path)? {
-                    if let WalRecord::ScheduledDelta { insert_ids, .. } = record {
-                        for id in insert_ids {
-                            next_row_id = next_row_id.max(id + 1);
-                        }
-                    }
-                }
-            }
+            // The global sequences continue past everything this shard's log
+            // ever assigned — and past the relation's own counter, which
+            // replaying a bare hub's records (a log moved in from the
+            // pre-shard layout, ids not pre-assigned) has advanced.
+            last_global = last_global.max(recovery.last_global);
+            let relation = writer.session().catalog().get(writer.table());
+            next_row_id = next_row_id
+                .max(recovery.next_row_id)
+                .max(relation.map_err(SessionError::from)?.next_row_id());
             writers.push(writer);
             hubs.push(hub);
             recoveries.push(recovery);
         }
         let mut meta = parts.meta;
         meta.next_row_id = next_row_id;
-        let hub = meta.into_hub(hubs, config, Some(wal_dir.join("merged.ckpt")));
+        let merged_ckpt = Some(wal_dir.join("merged.ckpt"));
+        let hub = meta.into_hub(hubs, config, last_global, merged_ckpt);
         hub.verify_recovered_merged()?;
         Ok((writers, hub, recoveries))
     }
@@ -241,11 +258,6 @@ impl ShardedHub {
     /// The relation's base schema (shared by every shard).
     pub fn schema(&self) -> &Schema {
         &self.schema
-    }
-
-    /// Name of the routing attribute.
-    pub fn shard_key(&self) -> &str {
-        &self.shard_key
     }
 
     /// Number of shards.
@@ -299,12 +311,23 @@ impl ShardedHub {
         self.hubs.iter().find_map(|h| h.last_error())
     }
 
+    /// Marks this hub as follower-fed (set by [`Follower`](crate::Follower)).
+    pub(crate) fn mark_follower(&self) {
+        self.follower.store(true, Ordering::SeqCst);
+    }
+
+    /// Whether a [`Follower`](crate::Follower) replays a leader's WAL into
+    /// this hub.
+    pub fn is_follower(&self) -> bool {
+        self.follower.load(Ordering::SeqCst)
+    }
+
     // ── the router: submit / sync / progress ──────────────────────────────
 
     /// Which shard a tuple routes to. Tuples too short to reach the shard
     /// attribute go to shard 0, whose writer records the apply failure.
     pub fn shard_of_tuple(&self, tuple: &Tuple) -> usize {
-        match tuple.get(self.shard_attr) {
+        match self.shard_attr.and_then(|attr| tuple.get(attr)) {
             Some(value) => shard_of_value(value, self.hubs.len()),
             None => 0,
         }
@@ -357,12 +380,14 @@ impl ShardedHub {
         let global = router.next_global;
         router.next_global += 1;
         router.inflight.insert(global, shard_tickets.clone());
+        // Without this, only `INFO` traffic would ever shrink the map.
+        self.drain_applied(&mut router);
         drop(router);
 
         // WAL appends (and their fsyncs) happen outside the router lock; the
         // sink reorders out-of-order arrivals into strict ticket order.
         for &(s, ticket) in &shard_tickets {
-            self.hubs[s].log_scheduled(ticket, &parts[s], &ids[s])?;
+            self.hubs[s].log_scheduled(ticket, global, &parts[s], &ids[s])?;
         }
         Ok(SubmitReceipt {
             global,
@@ -379,6 +404,13 @@ impl ShardedHub {
     /// and published — the global applied watermark `INFO` reports.
     pub fn applied_global(&self) -> Ticket {
         let mut router = self.lock_router();
+        self.drain_applied(&mut router);
+        router.applied_global
+    }
+
+    /// Pops the fully applied prefix of `inflight`, advancing the applied
+    /// watermark past it.
+    fn drain_applied(&self, router: &mut RouterState) {
         while let Some((_, shard_tickets)) = router.inflight.first_key_value() {
             let done = shard_tickets
                 .iter()
@@ -389,7 +421,11 @@ impl ShardedHub {
             let (global, _) = router.inflight.pop_first().expect("non-empty");
             router.applied_global = global;
         }
-        router.applied_global
+    }
+
+    #[cfg(test)]
+    fn inflight_len(&self) -> usize {
+        self.lock_router().inflight.len()
     }
 
     /// Blocks until every shard has applied and published the per-shard
@@ -429,18 +465,23 @@ impl ShardedHub {
 
     // ── the merge layer ───────────────────────────────────────────────────
 
+    fn snapshots(&self) -> Vec<Arc<Snapshot>> {
+        self.hubs.iter().map(|h| h.snapshot()).collect()
+    }
+
     /// The merged cross-shard view of the current per-shard snapshots,
     /// cached by epoch vector: repeated reads at an unchanged cut are free.
-    /// In durable mode a fresh merge also persists the merged checkpoint
+    /// A miss re-scans the shards only when some constraint has open groups;
+    /// otherwise the view is the union of what the shards published. In
+    /// durable mode a fresh merge also persists the merged checkpoint
     /// (`merged.ckpt`: epoch vector + report hash) for the next recovery to
     /// verify against.
     pub fn merged(&self) -> Result<Arc<MergedView>> {
-        let snapshots: Vec<Arc<Snapshot>> = self.hubs.iter().map(|h| h.snapshot()).collect();
-        let epochs: Vec<u64> = snapshots.iter().map(|s| s.epoch()).collect();
+        let snapshots = self.snapshots();
         {
             let cache = self.merged_cache.lock().unwrap_or_else(|e| e.into_inner());
             if let Some(view) = cache.as_ref() {
-                if view.epochs == epochs {
+                if view.epochs == epochs_of(&snapshots) {
                     return Ok(Arc::clone(view));
                 }
             }
@@ -453,14 +494,22 @@ impl ShardedHub {
 
     /// A from-scratch merge of the current per-shard snapshots, bypassing
     /// (and not updating) the cache — the `DETECT FRESH` path readers use to
-    /// *verify* the published merged state rather than trust it.
+    /// *verify* the published merged state rather than trust it, so it
+    /// always re-scans, open groups or not.
     pub fn merged_fresh(&self) -> Result<MergedView> {
-        let snapshots: Vec<Arc<Snapshot>> = self.hubs.iter().map(|h| h.snapshot()).collect();
-        self.merge(snapshots)
+        self.merge_scanned(self.snapshots())
     }
 
+    /// The merge behind a [`ShardedHub::merged`] miss.
     fn merge(&self, snapshots: Vec<Arc<Snapshot>>) -> Result<MergedView> {
-        let epochs: Vec<u64> = snapshots.iter().map(|s| s.epoch()).collect();
+        if self.aligned.iter().all(|&aligned| aligned) {
+            Ok(merge_published(snapshots))
+        } else {
+            self.merge_scanned(snapshots)
+        }
+    }
+
+    fn merge_scanned(&self, snapshots: Vec<Arc<Snapshot>>) -> Result<MergedView> {
         let partials: Vec<ShardPartial> = snapshots
             .iter()
             .map(|snap| match self.detect_workers {
@@ -470,7 +519,7 @@ impl ShardedHub {
             .collect::<std::result::Result<_, SessionError>>()?;
         let (report, evidence) = snapshots[0].merge_partials(partials);
         Ok(MergedView {
-            epochs,
+            epochs: epochs_of(&snapshots),
             report,
             evidence,
             snapshots,
@@ -481,7 +530,7 @@ impl ShardedHub {
     /// single-session snapshot over the union of the shards' rows — the
     /// oracle path behind `CHECK` and `REPAIR-PLAN`.
     pub fn compose(&self) -> Result<Snapshot> {
-        let snapshots: Vec<Arc<Snapshot>> = self.hubs.iter().map(|h| h.snapshot()).collect();
+        let snapshots = self.snapshots();
         let refs: Vec<&Snapshot> = snapshots.iter().map(Arc::as_ref).collect();
         Ok(Snapshot::compose(&refs)?)
     }
@@ -500,39 +549,71 @@ impl ShardedHub {
     }
 
     /// At durable bootstrap: if the persisted merged checkpoint describes
-    /// exactly the recovered epoch vector, the recovered merge must hash to
-    /// it — anything else is a [`ServeError::Replication`]. A checkpoint for
-    /// a different epoch vector is stale (the crash happened between a
-    /// shard's publish and the next merged read) and is skipped, not an
-    /// error. Either way the gauge `wal.recovery.merged.verified` records
-    /// what happened and a fresh checkpoint is persisted.
+    /// exactly the recovered epoch vector, a from-scratch merge of the
+    /// recovered shards must hash to it — anything else is a
+    /// [`ServeError::Replication`]. A checkpoint for a different epoch vector
+    /// is stale (the crash happened between a shard's publish and the next
+    /// merged read) and is skipped, not an error. Either way the gauge
+    /// `wal.recovery.merged.verified` records what happened and a fresh
+    /// checkpoint is persisted.
     fn verify_recovered_merged(&self) -> Result<()> {
         let stored = self
             .merged_ckpt
             .as_ref()
             .and_then(|path| std::fs::read_to_string(path).ok())
             .and_then(|text| parse_merged_ckpt(&text));
-        let view = self.merged_fresh()?;
-        let verified = match stored {
-            Some((epochs, expected)) if epochs == view.epochs => {
+        let snapshots = self.snapshots();
+        let stored = stored.filter(|(epochs, _)| *epochs == epochs_of(&snapshots));
+        let view = match &stored {
+            Some((epochs, expected)) => {
+                let view = self.merge_scanned(snapshots)?;
                 let actual = report_hash(&view.report);
-                if actual != expected {
+                if actual != *expected {
                     return Err(ServeError::Replication(format!(
                         "sharded recovery diverged: merged checkpoint hashes to \
                          {expected:#018x} at epochs {epochs:?}, replayed merge hashes to \
                          {actual:#018x}"
                     )));
                 }
-                true
+                view
             }
-            _ => false,
+            None => self.merge(snapshots)?,
         };
         ecfd_obs::registry()
             .gauge("wal.recovery.merged.verified")
-            .set(i64::from(verified));
+            .set(i64::from(stored.is_some()));
         self.persist_merged(&view)?;
         *self.merged_cache.lock().unwrap_or_else(|e| e.into_inner()) = Some(Arc::new(view));
         Ok(())
+    }
+}
+
+fn epochs_of(snapshots: &[Arc<Snapshot>]) -> Vec<u64> {
+    snapshots.iter().map(|s| s.epoch()).collect()
+}
+
+/// The merged view when no constraint has open groups: every violation is
+/// decided within one shard, so the shards' published reports and evidence
+/// already hold all of them — their union is the merge, with no scan.
+fn merge_published(snapshots: Vec<Arc<Snapshot>>) -> MergedView {
+    let mut report = DetectionReport::default();
+    let mut evidence = EvidenceReport::default();
+    for snap in &snapshots {
+        report.total_rows += snap.report().total_rows;
+        report.sv_rows.extend(&snap.report().sv_rows);
+        report.mv_rows.extend(&snap.report().mv_rows);
+        evidence.sv.extend_from_slice(&snap.evidence().sv);
+        evidence
+            .mv_groups
+            .extend_from_slice(&snap.evidence().mv_groups);
+    }
+    evidence.total_rows = report.total_rows;
+    evidence.normalize();
+    MergedView {
+        epochs: epochs_of(&snapshots),
+        report,
+        evidence,
+        snapshots,
     }
 }
 
@@ -568,35 +649,38 @@ struct PartitionedTemplate {
 struct PartitionMeta {
     table: String,
     schema: Schema,
-    shard_key: String,
-    shard_attr: AttrId,
+    shard_attr: Option<AttrId>,
     aligned: Vec<bool>,
     next_row_id: u64,
 }
 
 impl PartitionMeta {
+    /// `last_global` is the highest global ticket already issued (and, this
+    /// being bootstrap, applied): 0 for a fresh deployment, the logged
+    /// maximum after recovery.
     fn into_hub(
         self,
         hubs: Vec<Arc<Hub>>,
         config: &ShardedConfig,
+        last_global: Ticket,
         merged_ckpt: Option<PathBuf>,
     ) -> Arc<ShardedHub> {
         Arc::new(ShardedHub {
             table: self.table,
             schema: self.schema,
-            shard_key: self.shard_key,
             shard_attr: self.shard_attr,
             aligned: self.aligned,
             hubs,
             router: Mutex::new(RouterState {
                 next_row_id: self.next_row_id,
-                next_global: 1,
-                applied_global: 0,
+                next_global: last_global + 1,
+                applied_global: last_global,
                 inflight: BTreeMap::new(),
             }),
             merged_cache: Mutex::new(None),
             detect_workers: config.detect_workers,
             merged_ckpt,
+            follower: AtomicBool::new(false),
         })
     }
 }
@@ -607,8 +691,29 @@ impl PartitionedTemplate {
     /// ids, and the global id counter continues after the highest existing
     /// id — exactly where the template's own insertion counter stood for
     /// freshly loaded data.
+    ///
+    /// One shard partitions nothing: the template becomes shard 0 as it is
+    /// (no decode, re-load or re-registration), no shard key is resolved,
+    /// and every constraint is aligned — all of a group's rows are on the
+    /// only shard, whatever its `X`.
     fn build(mut template: Session, config: &ShardedConfig) -> Result<PartitionedTemplate> {
         let num_shards = config.num_shards.max(1);
+        if num_shards == 1 {
+            let table = sole_table(&template)?;
+            let set = template.constraints(&table)?;
+            let relation = template.catalog().get(&table);
+            let meta = PartitionMeta {
+                schema: set.schema().clone(),
+                shard_attr: None,
+                aligned: vec![true; set.singles().len()],
+                next_row_id: relation.map_err(SessionError::from)?.next_row_id(),
+                table,
+            };
+            return Ok(PartitionedTemplate {
+                meta,
+                sessions: vec![template],
+            });
+        }
         let snapshot = template.snapshot()?;
         let table = snapshot.table().to_string();
         let schema = snapshot.schema().clone();
@@ -639,8 +744,7 @@ impl PartitionedTemplate {
             meta: PartitionMeta {
                 table,
                 schema,
-                shard_key: config.shard_key.clone(),
-                shard_attr,
+                shard_attr: Some(shard_attr),
                 aligned,
                 next_row_id,
             },
@@ -698,8 +802,14 @@ mod tests {
     #[test]
     fn sharded_merge_matches_unsharded_oracle_after_deltas() {
         for shards in [1usize, 2, 4] {
-            let config = ShardedConfig::new(shards, "AC");
+            let config = match shards {
+                1 => ShardedConfig::default(), // no key to resolve
+                _ => ShardedConfig::new(shards, "AC"),
+            };
             let (mut writers, hub) = ShardedHub::bootstrap(template(), &config).unwrap();
+            // [CT] -> [AC] has open groups under AC-routing — unless there
+            // is only one shard to hold them.
+            assert_eq!(hub.aligned.iter().all(|&a| a), shards == 1);
             let mut oracle = oracle();
 
             let deltas = [
@@ -744,6 +854,13 @@ mod tests {
         }
     }
 
+    /// A shard key is only ever resolved to route between shards.
+    #[test]
+    fn an_unknown_shard_key_is_refused_only_above_one_shard() {
+        assert!(ShardedHub::bootstrap(template(), &ShardedConfig::new(1, "NOPE")).is_ok());
+        assert!(ShardedHub::bootstrap(template(), &ShardedConfig::new(2, "NOPE")).is_err());
+    }
+
     #[test]
     fn router_tracks_global_progress() {
         let config = ShardedConfig::new(2, "CT");
@@ -769,8 +886,30 @@ mod tests {
         assert_eq!(hub.sync(Duration::from_secs(5)).unwrap(), hub.epoch());
         assert_eq!(hub.applied_global(), 2);
 
+        // An empty delta still takes a global ticket, and no shard ticket.
+        let r3 = hub.submit(Delta::new()).unwrap();
+        assert_eq!((r3.global, r3.shard_tickets.len()), (3, 0));
+        assert_eq!(hub.applied_global(), 3);
+
+        // Submitting drains what has been applied: with nobody asking for
+        // `applied_global()`, the in-flight map still holds only the deltas
+        // not yet applied when the last one was submitted.
+        let colonie = || vec![Tuple::from_iter(["Colonie", "518"])];
+        for round in 0..10 {
+            hub.submit(Delta::insert_only(colonie())).unwrap();
+            assert_eq!(hub.inflight_len(), 1, "round {round}");
+            drive(&mut writers, &hub);
+        }
+        for backlog in 1..=3 {
+            hub.submit(Delta::delete_only(colonie())).unwrap();
+            assert_eq!(hub.inflight_len(), backlog);
+        }
+        drive(&mut writers, &hub);
+        hub.submit(Delta::new()).unwrap();
+        assert_eq!(hub.inflight_len(), 0);
+
         // Row ids were assigned globally in submission order: 3 base rows,
-        // then 3 insertions.
+        // then 3 insertions (the ten Colonie rows came and went).
         let composed = hub.compose().unwrap();
         let ids: Vec<u64> = composed
             .to_relation()
@@ -780,6 +919,41 @@ mod tests {
             .map(|id| id.0)
             .collect();
         assert_eq!(ids, vec![0, 1, 2, 3, 4, 5]);
+    }
+
+    /// Regression: a recovered router restarted its global ticket at 1 while
+    /// the shard queues continued the logged numbering. The logged deltas
+    /// carry the global ticket, so the sequence resumes — including past a
+    /// delta that split across shards and so counts twice in shard tickets.
+    #[test]
+    fn global_ticket_sequence_survives_recovery() {
+        let dir = std::env::temp_dir().join(format!("ecfd-sharded-global-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = ShardedConfig::new(2, "CT");
+        let split = Delta::insert_only(
+            ["Albany", "NYC", "Troy", "Utica"]
+                .map(|city| Tuple::from_iter([city, "518"]))
+                .to_vec(),
+        );
+        {
+            let (mut writers, hub, _) =
+                ShardedHub::bootstrap_durable(template(), &config, &dir).unwrap();
+            let receipt = hub.submit(split).unwrap();
+            assert_eq!(
+                receipt.shard_tickets.len(),
+                2,
+                "the delta spans both shards"
+            );
+            hub.submit(Delta::insert_only(vec![Tuple::from_iter([
+                "Albany", "519",
+            ])]))
+            .unwrap();
+            drive(&mut writers, &hub);
+        }
+        let (_writers, hub, _) = ShardedHub::bootstrap_durable(template(), &config, &dir).unwrap();
+        assert_eq!((hub.accepted_global(), hub.applied_global()), (2, 2));
+        assert_eq!(hub.submit(Delta::new()).unwrap().global, 3);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -27,29 +27,18 @@ struct WriterMetrics {
 }
 
 impl WriterMetrics {
-    /// Fetches the writer's metric handles; in a sharded deployment every
-    /// series carries a `shard` label (one writer per shard).
+    /// Fetches the writer's metric handles; under a server every series
+    /// carries a `shard` label (one writer per shard).
     fn fetch(shard: Option<u32>) -> Self {
         let registry = ecfd_obs::registry();
-        match shard {
-            None => WriterMetrics {
-                apply: registry.histogram("writer.apply.ns"),
-                apply_failed: registry.counter("writer.apply.failed"),
-                batch_size: registry.histogram("writer.batch.size"),
-                publish: registry.histogram("writer.publish.ns"),
-                epochs: registry.counter("writer.epochs"),
-            },
-            Some(shard) => {
-                let shard = shard.to_string();
-                let labels: &[(&str, &str)] = &[("shard", shard.as_str())];
-                WriterMetrics {
-                    apply: registry.histogram_with("writer.apply.ns", labels),
-                    apply_failed: registry.counter_with("writer.apply.failed", labels),
-                    batch_size: registry.histogram_with("writer.batch.size", labels),
-                    publish: registry.histogram_with("writer.publish.ns", labels),
-                    epochs: registry.counter_with("writer.epochs", labels),
-                }
-            }
+        let shard = shard.map(|s| s.to_string());
+        let labels: Vec<(&str, &str)> = shard.iter().map(|s| ("shard", s.as_str())).collect();
+        WriterMetrics {
+            apply: registry.histogram_with("writer.apply.ns", &labels),
+            apply_failed: registry.counter_with("writer.apply.failed", &labels),
+            batch_size: registry.histogram_with("writer.batch.size", &labels),
+            publish: registry.histogram_with("writer.publish.ns", &labels),
+            epochs: registry.counter_with("writer.epochs", &labels),
         }
     }
 }
@@ -110,7 +99,7 @@ impl Writer {
         Writer::bootstrap_shard(session, queue_capacity, batch_max, None)
     }
 
-    /// [`Writer::bootstrap`] for one shard of a sharded deployment: the
+    /// [`Writer::bootstrap`] for one shard of a served deployment: the
     /// writer's (and its queue's) metric series carry a `shard` label so the
     /// per-shard apply latencies stay separable.
     pub fn bootstrap_shard(
@@ -159,7 +148,7 @@ impl Writer {
         Writer::bootstrap_durable_shard(session, queue_capacity, batch_max, wal_dir, None)
     }
 
-    /// [`Writer::bootstrap_durable`] for one shard of a sharded deployment:
+    /// [`Writer::bootstrap_durable`] for one shard of a served deployment:
     /// `wal_dir` is the shard's own log directory, and every metric series
     /// (writer, queue, WAL sink, recovery gauges) carries a `shard` label.
     pub fn bootstrap_durable_shard(
@@ -170,14 +159,7 @@ impl Writer {
         shard: Option<u32>,
     ) -> Result<(Writer, Arc<Hub>, RecoveryReport)> {
         let opened = Wal::open(wal_dir)?;
-        let table = match session.registered_tables().as_slice() {
-            [sole] => sole.to_string(),
-            _ => {
-                return Err(ServeError::Protocol(
-                    "durable bootstrap needs exactly one registered relation".into(),
-                ))
-            }
-        };
+        let table = sole_table(&session)?;
         let recovered = !opened.records.is_empty();
         let mut recovery = recover_session(&mut session, &table, &opened.records)?;
         recovery.truncated_bytes = opened.truncated_bytes;
@@ -309,6 +291,16 @@ impl Writer {
                 StepOutcome::Applied(_) | StepOutcome::Idle => {}
             }
         }
+    }
+}
+
+/// Name of the one relation a served session must have registered.
+pub(crate) fn sole_table(session: &Session) -> Result<String> {
+    match session.registered_tables().as_slice() {
+        [sole] => Ok(sole.to_string()),
+        _ => Err(ServeError::Protocol(
+            "serving needs exactly one registered relation".into(),
+        )),
     }
 }
 

@@ -8,7 +8,7 @@
 //! report.
 
 use ecfd_serve::protocol::TupleOp;
-use ecfd_serve::{report_hash, Client, Follower, Request, Response, ServeConfig, Server};
+use ecfd_serve::{report_hash, Client, Follower, Request, Response, ServeConfig, Server, Writer};
 use ecfd_session::Session;
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
@@ -142,7 +142,11 @@ fn kill_nine_then_recover_matches_fresh_oracle() {
         .into_iter()
         .collect();
     assert!(
-        pre_kill.get("wal.fsync.count").copied().unwrap_or(0) > 0,
+        pre_kill
+            .get(r#"wal.fsync.count{shard="0"}"#)
+            .copied()
+            .unwrap_or(0)
+            > 0,
         "ACKed deltas imply fsyncs before the crash"
     );
     drop(leader); // Drop kills the child (SIGKILL), mid-everything.
@@ -170,13 +174,16 @@ fn kill_nine_then_recover_matches_fresh_oracle() {
         .into_iter()
         .collect();
     assert_eq!(
-        replay.get("wal.recovery.deltas"),
+        replay.get(r#"wal.recovery.deltas{shard="0"}"#),
         Some(&((PHASE_ONE + PHASE_TWO) as i64)),
         "every ACKed delta is replayed"
     );
-    assert_eq!(replay.get("wal.recovery.apply.errors"), Some(&0));
     assert_eq!(
-        replay.get("wal.recovery.last.ticket"),
+        replay.get(r#"wal.recovery.apply.errors{shard="0"}"#),
+        Some(&0)
+    );
+    assert_eq!(
+        replay.get(r#"wal.recovery.last.ticket{shard="0"}"#),
         Some(&((PHASE_ONE + PHASE_TWO) as i64))
     );
     let recovered_line = detect_fresh_line(&mut client);
@@ -231,13 +238,14 @@ fn follower_replays_to_the_leader_epoch() {
     let follower_handle = follower_server.handle();
     let follower_thread = std::thread::spawn(move || follower_server.run().unwrap());
 
-    let mut follower = Follower::new(Client::connect(leader_addr).unwrap(), follower_hub.clone());
+    let mut follower =
+        Follower::new(Client::connect(leader_addr).unwrap(), follower_hub.clone()).unwrap();
     let progress = follower.catch_up(Duration::from_secs(30)).unwrap();
     assert_eq!(progress.deltas_applied, 5);
     assert!(progress.checkpoints_verified >= 1);
 
-    let leader_snap = leader_handle.hub().snapshot();
-    let follower_snap = follower_hub.snapshot();
+    let leader_snap = leader_handle.hub().shard_hubs()[0].snapshot();
+    let follower_snap = follower_hub.shard_hubs()[0].snapshot();
     assert_eq!(follower_snap.epoch(), leader_snap.epoch());
     assert_eq!(follower_snap.report(), leader_snap.report());
     assert_eq!(
@@ -254,8 +262,8 @@ fn follower_replays_to_the_leader_epoch() {
     assert_eq!(progress.deltas_applied, 4);
     assert_eq!(follower_hub.epoch(), leader_handle.hub().epoch());
     assert_eq!(
-        follower_hub.snapshot().report(),
-        leader_handle.hub().snapshot().report()
+        follower_hub.merged().unwrap().report,
+        leader_handle.hub().merged().unwrap().report
     );
 
     follower_handle.shutdown();
@@ -298,5 +306,78 @@ fn follow_flag_replicates_between_processes() {
     assert_eq!(follower_line, leader_line);
     drop(follower);
     drop(leader);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A `--wal-dir` holding a log from before the per-shard layout (records in
+/// a top-level `ecfd.wal`, no `shard-0/`) is refused with or without
+/// `--recover` — no shard would open it, so serving would silently drop
+/// ACKed deltas — and, moved into `shard-0/` as the refusal says, recovers:
+/// tickets and row ids continue where the old log stopped.
+#[test]
+fn legacy_top_level_log_is_refused_until_moved_into_shard_zero() {
+    const LOGGED: usize = 3;
+    let dir = temp_dir("legacy-layout");
+    let dir_flag = dir.to_str().unwrap();
+
+    // What the single-writer server logged: a bare durable hub's unscheduled
+    // records, straight into the directory.
+    {
+        let (mut writer, hub, _) =
+            Writer::bootstrap_durable(ready_session(), 64, 32, &dir).unwrap();
+        let schema = hub.snapshot().schema().clone();
+        for round in 0..LOGGED {
+            let delta = Request::ops_to_delta(&[op(round)], &schema).unwrap();
+            hub.submit(delta).unwrap();
+            writer.step(&hub, Duration::from_millis(50)).unwrap();
+        }
+    }
+
+    for flags in [
+        &["--wal-dir", dir_flag][..],
+        &["--wal-dir", dir_flag, "--recover"],
+    ] {
+        let refused = Command::new(env!("CARGO_BIN_EXE_serve"))
+            .args(["--addr", "127.0.0.1:0"])
+            .args(flags)
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .output()
+            .unwrap();
+        assert_eq!(refused.status.code(), Some(2), "legacy layout, {flags:?}");
+        let stderr = String::from_utf8_lossy(&refused.stderr);
+        assert!(
+            stderr.contains("shard-0") && stderr.contains("mv "),
+            "the refusal names the move: {stderr}"
+        );
+    }
+
+    std::fs::create_dir(dir.join("shard-0")).unwrap();
+    std::fs::rename(
+        dir.join(ecfd_wal::WAL_FILE_NAME),
+        dir.join("shard-0").join(ecfd_wal::WAL_FILE_NAME),
+    )
+    .unwrap();
+    let recovered = spawn_serve(&["--wal-dir", dir_flag, "--recover"]);
+    let mut client = Client::connect(&recovered.addr).unwrap();
+    let Response::Info {
+        accepted, applied, ..
+    } = client.info().unwrap()
+    else {
+        panic!("INFO response expected");
+    };
+    assert_eq!((accepted, applied), (LOGGED as u64, LOGGED as u64));
+    assert_eq!(client.apply(vec![op(LOGGED)]).unwrap(), LOGGED as u64 + 1);
+    client.sync().unwrap();
+    let recovered_line = detect_fresh_line(&mut client);
+
+    let oracle = spawn_serve(&[]);
+    let mut oracle_client = Client::connect(&oracle.addr).unwrap();
+    for round in 0..=LOGGED {
+        oracle_client.apply(vec![op(round)]).unwrap();
+        oracle_client.sync().unwrap();
+    }
+    assert_eq!(recovered_line, detect_fresh_line(&mut oracle_client));
+    drop(recovered);
     std::fs::remove_dir_all(&dir).unwrap();
 }

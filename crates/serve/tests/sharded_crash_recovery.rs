@@ -190,6 +190,16 @@ fn kill_nine_sharded_then_recover_matches_unsharded_oracle() {
         recovered_body, merged_pre_kill,
         "recovery reproduces the exact pre-kill merged answer"
     );
+    // The router resumes the global ticket the logs carried, not 1.
+    let Response::Info {
+        accepted, applied, ..
+    } = client.info().unwrap()
+    else {
+        panic!("INFO response expected");
+    };
+    let logged = (PHASE_ONE + PHASE_TWO) as u64;
+    assert_eq!(accepted, logged, "ticket sequence continues the log");
+    assert_eq!(applied, logged, "recovery replays everything");
 
     // The unsharded oracle: a fresh in-memory demo server fed the same ops.
     let oracle = spawn_serve(&[]);

@@ -1,7 +1,9 @@
 //! End-to-end tests of the observability surface: the `STATS` / `INFO`
-//! protocol verbs against the real `serve` binary (each spawn gets its own
-//! process, so its metrics registry starts from zero), plus the in-process
-//! [`Hub::metrics`] handle.
+//! protocol verbs against the real `serve` binary at its default one shard
+//! (each spawn gets its own process, so its metrics registry starts from
+//! zero), plus the in-process [`Hub::metrics`] handle. The exact counters
+//! pinned here are the ones the pre-unification single-writer server showed
+//! for the same script: one shard must cost what that server cost.
 //!
 //! [`Hub::metrics`]: ecfd_serve::Hub
 
@@ -11,6 +13,8 @@ use ecfd_serve::{Client, Request, Response, ServeConfig, Server};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write as _};
 use std::process::{Child, Command, Stdio};
+
+const SEMANTIC_PASSES: &str = r#"detect.pass.ns.count{backend="semantic"}"#;
 
 fn op(round: usize) -> TupleOp {
     let tag = format!("{:07}", 8000000 + round);
@@ -68,10 +72,35 @@ fn stats_counters_move_with_traffic() {
 
     // Baseline scrape (this STATS itself is counted from now on).
     let before = scrape(&mut client, None);
+    // Boot detected the base instance once — bootstrap neither re-loads nor
+    // re-detects the session it was handed.
+    assert_eq!(before.get(SEMANTIC_PASSES), Some(&1));
+    assert_eq!(before.get("detect.rows.scanned"), Some(&6));
 
+    // SYNC after every APPLY, so writer batching cannot vary a count.
     client.apply(vec![op(0)]).unwrap();
+    client.sync().unwrap();
     client.apply(vec![op(1)]).unwrap();
     client.sync().unwrap();
+
+    // Reads of a published epoch scan nothing: the one-shard merged view is
+    // the published report, not a re-detection.
+    let settled = scrape(&mut client, Some("detect."));
+    assert!(matches!(
+        client.detect(false).unwrap(),
+        Response::Report { .. }
+    ));
+    assert!(matches!(client.epoch().unwrap(), Response::Epoch { .. }));
+    assert!(matches!(
+        client.explain().unwrap(),
+        Response::Evidence { .. }
+    ));
+    assert_eq!(
+        scrape(&mut client, Some("detect.")),
+        settled,
+        "cached DETECT / EPOCH / EXPLAIN run no detection pass"
+    );
+
     let detect = client.detect(true).unwrap();
     assert!(matches!(detect, Response::Report { .. }));
 
@@ -90,20 +119,27 @@ fn stats_counters_move_with_traffic() {
 
     let delta =
         |key: &str| after.get(key).copied().unwrap_or(0) - before.get(key).copied().unwrap_or(0);
-    // Ingest + writer pipeline.
-    assert_eq!(delta("ingest.accepted"), 2);
-    assert_eq!(delta("writer.apply.ns.count"), 2);
-    assert!(delta("writer.epochs") >= 1);
-    assert_eq!(after.get("writer.epoch.lag"), Some(&0), "synced ⇒ no lag");
+    // Ingest + writer pipeline: per-shard series, one shard included.
+    assert_eq!(delta(r#"ingest.accepted{shard="0"}"#), 2);
+    assert_eq!(delta(r#"writer.apply.ns.count{shard="0"}"#), 2);
+    assert_eq!(delta(r#"writer.epochs{shard="0"}"#), 2);
+    assert_eq!(
+        after.get(r#"writer.epoch.lag{shard="0"}"#),
+        Some(&0),
+        "synced ⇒ no lag"
+    );
     // Per-verb serving metrics.
     assert_eq!(delta(r#"serve.requests{verb="APPLY"}"#), 2);
-    assert_eq!(delta(r#"serve.requests{verb="SYNC"}"#), 1);
-    assert_eq!(delta(r#"serve.requests{verb="DETECT"}"#), 1);
+    assert_eq!(delta(r#"serve.requests{verb="SYNC"}"#), 2);
+    assert_eq!(delta(r#"serve.requests{verb="DETECT"}"#), 2);
     assert!(delta(r#"serve.request.ns.count{verb="APPLY"}"#) >= 2);
     assert!(after.contains_key(r#"serve.requests{verb="STATS"}"#));
-    // DETECT FRESH ran a frozen semantic pass.
-    assert!(delta(r#"detect.pass.ns.count{backend="semantic"}"#) >= 1);
-    assert!(delta("detect.rows.scanned") > 0);
+    // DETECT FRESH ran exactly one frozen semantic pass over the 8 rows, on
+    // top of the one that warmed the incremental maintainer at the first
+    // apply (10 rows scanned while applying, the single-writer server's
+    // figure for this script).
+    assert_eq!(delta(SEMANTIC_PASSES), 2);
+    assert_eq!(delta("detect.rows.scanned"), 10 + 8);
     // No WAL attached: the wal.* family never appears.
     assert!(!after.keys().any(|k| k.starts_with("wal.")));
 
@@ -150,6 +186,21 @@ fn stats_counters_move_with_traffic() {
         after_invalid.get(r#"serve.requests{verb="INVALID"}"#),
         Some(&1)
     );
+
+    // A line that outgrows the server's 1 MiB cap without a newline is
+    // refused, counted, and its connection closed — the server buffers no
+    // further — while other connections carry on.
+    let mut hog = std::net::TcpStream::connect(&server.addr).unwrap();
+    hog.write_all(&vec![b'A'; (1 << 20) + 1]).unwrap();
+    let mut hog = BufReader::new(hog);
+    let mut answer = String::new();
+    hog.read_line(&mut answer).unwrap();
+    assert!(answer.starts_with("ERR "), "got `{answer}`");
+    answer.clear();
+    assert_eq!(hog.read_line(&mut answer).unwrap(), 0, "socket closed");
+    client.ping().unwrap();
+    let after_hog = scrape(&mut client, Some("serve.requests"));
+    assert_eq!(after_hog.get(r#"serve.requests{verb="INVALID"}"#), Some(&2));
 
     client.quit().unwrap();
 }
@@ -229,18 +280,27 @@ fn wal_metrics_survive_recover() {
 
     let leader = spawn_serve(&["--wal-dir", &dir_flag]);
     let mut client = Client::connect(&leader.addr).unwrap();
+    // Durable boot is still one detection pass: with no merged checkpoint to
+    // verify, nothing is re-derived.
+    assert_eq!(
+        scrape(&mut client, Some("detect.")).get(SEMANTIC_PASSES),
+        Some(&1)
+    );
     for round in 0..DELTAS {
         client.apply(vec![op(round)]).unwrap();
+        client.sync().unwrap();
     }
-    client.sync().unwrap();
 
     let stats = scrape(&mut client, Some("wal."));
-    // Appends count deltas *and* epoch checkpoints.
-    assert!(stats.get("wal.append.count").copied().unwrap_or(0) >= DELTAS as i64);
-    assert!(stats.get("wal.fsync.count").copied().unwrap_or(0) > 0);
-    assert!(stats.get("wal.bytes").copied().unwrap_or(0) > 0);
-    assert!(
-        stats.get("wal.fsync.ns.count").copied().unwrap_or(0) > 0,
+    // The bootstrap anchor, then one record per delta and one per epoch
+    // checkpoint, each fsynced on its own (SYNC after every APPLY).
+    let logged = 1 + 2 * DELTAS as i64;
+    assert_eq!(stats.get(r#"wal.append.count{shard="0"}"#), Some(&logged));
+    assert_eq!(stats.get(r#"wal.fsync.count{shard="0"}"#), Some(&logged));
+    assert!(stats.get(r#"wal.bytes{shard="0"}"#).copied().unwrap_or(0) > 0);
+    assert_eq!(
+        stats.get(r#"wal.fsync.ns.count{shard="0"}"#),
+        Some(&logged),
         "fsync latency histogram populated"
     );
     let Response::Info { wal, .. } = client.info().unwrap() else {
@@ -253,10 +313,16 @@ fn wal_metrics_survive_recover() {
     let recovered = spawn_serve(&["--wal-dir", &dir_flag, "--recover"]);
     let mut client = Client::connect(&recovered.addr).unwrap();
     let stats = scrape(&mut client, Some("wal.recovery."));
-    assert_eq!(stats.get("wal.recovery.deltas"), Some(&(DELTAS as i64)));
-    assert_eq!(stats.get("wal.recovery.apply.errors"), Some(&0));
     assert_eq!(
-        stats.get("wal.recovery.last.ticket"),
+        stats.get(r#"wal.recovery.deltas{shard="0"}"#),
+        Some(&(DELTAS as i64))
+    );
+    assert_eq!(
+        stats.get(r#"wal.recovery.apply.errors{shard="0"}"#),
+        Some(&0)
+    );
+    assert_eq!(
+        stats.get(r#"wal.recovery.last.ticket{shard="0"}"#),
         Some(&(DELTAS as i64))
     );
     let Response::Info {
@@ -304,21 +370,23 @@ fn hub_metrics_is_the_stats_registry() {
     let hub = handle.hub().clone();
     let thread = std::thread::spawn(move || server.run().unwrap());
 
-    let accepted_before = hub.metrics().counter("ingest.accepted").get();
+    let shard = [("shard", "0")];
+    let metrics = hub.shard_hubs()[0].metrics();
+    let accepted_before = metrics.counter_with("ingest.accepted", &shard).get();
     let mut client = Client::connect(addr).unwrap();
     client
         .apply(vec![TupleOp::insert(["Troy", "518"])])
         .unwrap();
     client.sync().unwrap();
     assert!(
-        hub.metrics().counter("ingest.accepted").get() > accepted_before,
+        metrics.counter_with("ingest.accepted", &shard).get() > accepted_before,
         "the hub handle observes protocol traffic"
     );
 
     // The exposition the wire returns parses and contains the same counter.
     let text = client.stats(Some("ingest.accepted")).unwrap();
     let parsed: BTreeMap<String, i64> = parse_exposition(&text).unwrap().into_iter().collect();
-    assert!(parsed.contains_key("ingest.accepted"));
+    assert!(parsed.contains_key(r#"ingest.accepted{shard="0"}"#));
 
     // The raw wire line carries the payload as one escaped token.
     let rendered = Request::Stats {

@@ -14,9 +14,12 @@
 //!
 //! ## Records
 //!
-//! Two record kinds ([`WalRecord`]):
+//! Three record kinds ([`WalRecord`]):
 //!
 //! * **Delta** — one accepted update batch, stamped with its ticket.
+//! * **ScheduledDelta** — the part of an accepted batch routed to one shard
+//!   of a served deployment: the shard-local ticket, the router's global
+//!   ticket, and the pre-assigned row ids of its insertions.
 //! * **Checkpoint** — an epoch boundary: the writer published a snapshot
 //!   covering everything up to `last_ticket`, whose detection report hashes
 //!   to `report_hash`. Checkpoints carry no data; they are verification

@@ -1,4 +1,4 @@
-//! The two record kinds and their binary payload encoding.
+//! The record kinds and their binary payload encoding.
 //!
 //! The payload format is deliberately self-contained (no serde, no schema):
 //! a one-byte kind tag followed by fixed-width little-endian integers and
@@ -15,7 +15,10 @@ pub type Ticket = u64;
 
 const KIND_DELTA: u8 = 1;
 const KIND_CHECKPOINT: u8 = 2;
-const KIND_SCHEDULED_DELTA: u8 = 3;
+/// Scheduled deltas as logged before they carried the global ticket; still
+/// decoded (as `global: 0`), never written.
+const KIND_SCHEDULED_DELTA_V1: u8 = 3;
+const KIND_SCHEDULED_DELTA: u8 = 4;
 
 const TAG_NULL: u8 = 0;
 const TAG_INT: u8 = 1;
@@ -39,6 +42,11 @@ pub enum WalRecord {
     ScheduledDelta {
         /// The shard-local ingest ticket.
         ticket: Ticket,
+        /// The router's global ticket of the submitted delta this record is
+        /// a part of — what lets a restarted router resume its numbering
+        /// (a delta split across shards leaves no shard ticket equal to it).
+        /// 0 in logs written before the field existed.
+        global: Ticket,
         /// The insertions and deletions, exactly as routed to this shard.
         delta: Delta,
         /// Globally allocated row ids, parallel to `delta.insertions`.
@@ -74,11 +82,13 @@ impl WalRecord {
             }
             WalRecord::ScheduledDelta {
                 ticket,
+                global,
                 delta,
                 insert_ids,
             } => {
                 out.push(KIND_SCHEDULED_DELTA);
                 out.extend_from_slice(&ticket.to_le_bytes());
+                out.extend_from_slice(&global.to_le_bytes());
                 put_u32(&mut out, delta.insertions.len());
                 put_u32(&mut out, delta.deletions.len());
                 debug_assert_eq!(insert_ids.len(), delta.insertions.len());
@@ -128,8 +138,12 @@ impl WalRecord {
                     },
                 }
             }
-            KIND_SCHEDULED_DELTA => {
+            kind @ (KIND_SCHEDULED_DELTA | KIND_SCHEDULED_DELTA_V1) => {
                 let ticket = cursor.u64()?;
+                let global = match kind {
+                    KIND_SCHEDULED_DELTA => cursor.u64()?,
+                    _ => 0,
+                };
                 let num_insertions = cursor.u32()? as usize;
                 let num_deletions = cursor.u32()? as usize;
                 let mut insert_ids = Vec::with_capacity(num_insertions.min(1024));
@@ -143,6 +157,7 @@ impl WalRecord {
                 let deletions = tuples.split_off(num_insertions);
                 WalRecord::ScheduledDelta {
                     ticket,
+                    global,
                     delta: Delta {
                         insertions: tuples,
                         deletions,
@@ -297,6 +312,7 @@ mod tests {
         });
         round_trip(WalRecord::ScheduledDelta {
             ticket: 9,
+            global: 12,
             delta: Delta {
                 insertions: vec![
                     Tuple::new(vec![Value::str("a"), Value::Int(1)]),
@@ -308,9 +324,26 @@ mod tests {
         });
         round_trip(WalRecord::ScheduledDelta {
             ticket: 1,
+            global: u64::MAX,
             delta: Delta::delete_only(vec![Tuple::new(vec![Value::Int(3)])]),
             insert_ids: vec![],
         });
+    }
+
+    /// A log written before scheduled deltas carried the global ticket still
+    /// decodes — recovery must keep reading every ACKed delta.
+    #[test]
+    fn scheduled_deltas_without_a_global_ticket_still_decode() {
+        let record = WalRecord::ScheduledDelta {
+            ticket: 5,
+            global: 0,
+            delta: Delta::insert_only(vec![Tuple::new(vec![Value::str("a")])]),
+            insert_ids: vec![8],
+        };
+        let mut old = record.encode();
+        old[0] = KIND_SCHEDULED_DELTA_V1;
+        old.drain(9..17); // the global ticket sits right after the shard ticket
+        assert_eq!(WalRecord::decode(&old).unwrap(), record);
     }
 
     #[test]

@@ -47,6 +47,16 @@ fn arb_delta() -> impl Strategy<Value = Delta> {
 fn arb_record() -> impl Strategy<Value = WalRecord> {
     prop_oneof![
         (any::<u64>(), arb_delta()).prop_map(|(ticket, delta)| WalRecord::Delta { ticket, delta }),
+        (any::<u64>(), any::<u64>(), arb_delta(), any::<u64>()).prop_map(
+            |(ticket, global, delta, first_id)| WalRecord::ScheduledDelta {
+                ticket,
+                global,
+                insert_ids: (0..delta.insertions.len() as u64)
+                    .map(|k| first_id.wrapping_add(k))
+                    .collect(),
+                delta,
+            }
+        ),
         (any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(epoch, last_ticket, report_hash)| {
             WalRecord::Checkpoint {
                 epoch,

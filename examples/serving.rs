@@ -107,9 +107,9 @@ fn main() {
     client.quit().expect("QUIT");
 
     handle.shutdown();
-    let session = server_thread.join().expect("server thread");
+    let sessions = server_thread.join().expect("server thread");
     println!(
-        "server returned the session at version {} — shut down cleanly",
-        session.version()
+        "server returned its one shard's session at version {} — shut down cleanly",
+        sessions[0].version()
     );
 }

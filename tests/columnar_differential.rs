@@ -10,8 +10,8 @@
 //!   not change a single byte of output;
 //! * the property holds on the datagen workloads too, including after mixed
 //!   insert/delete deltas applied through the session's backends, where all
-//!   four backends (coded semantic, coded incremental, value-based SQL
-//!   readback, plan executor) must agree record-for-record.
+//!   three backends (coded semantic, coded incremental, value-based SQL
+//!   readback) must agree record-for-record.
 
 use ecfd::datagen::constraints::workload_constraints;
 use ecfd::datagen::{generate, generate_delta, CustConfig, UpdateConfig};

@@ -8,7 +8,7 @@
 
 use ecfd::prelude::*;
 use ecfd::serve::protocol::TupleOp;
-use ecfd::serve::{Client, Request, Response, ServeConfig, Server, Writer};
+use ecfd::serve::{Client, Request, Response, ServeConfig, Server, ShardedConfig, Writer};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
@@ -193,19 +193,44 @@ fn snapshots_pin_their_epoch() {
     assert_eq!(pinned.to_relation().unwrap().len(), pinned_rows);
 }
 
+/// A response's wire line without its `EPOCH <n>` field — the payload, which
+/// must not depend on the shard count (the global epoch, a sum of shard
+/// epochs, does).
+fn payload(response: &Response) -> String {
+    let line = response.render();
+    let mut tokens = line.split(' ');
+    let mut kept = Vec::new();
+    while let Some(token) = tokens.next() {
+        if token == "EPOCH" {
+            tokens.next();
+        } else {
+            kept.push(token);
+        }
+    }
+    kept.join(" ")
+}
+
 /// Protocol round-trip over a live server: APPLY → SYNC → DETECT/CHECK/
-/// EXPLAIN/REPAIR-PLAN from two client connections, then shutdown.
-#[test]
-fn serve_binary_protocol_round_trips_over_tcp() {
-    let server = Server::bind(ready_session(), ServeConfig::default()).unwrap();
+/// EXPLAIN/REPAIR-PLAN from two client connections, then shutdown. Returns
+/// the epoch-free payloads of every REPORT / CHECKED / EVIDENCE / PLAN
+/// answer, in script order.
+fn protocol_script(sharding: ShardedConfig) -> Vec<String> {
+    let config = ServeConfig {
+        sharding,
+        ..ServeConfig::default()
+    };
+    let server = Server::bind(ready_session(), config).unwrap();
     let addr = server.local_addr().unwrap();
     let handle = server.handle();
     let server_thread = std::thread::spawn(move || server.run().unwrap());
+    let mut payloads = Vec::new();
 
     // Client A: liveness, baseline detect.
     let mut a = Client::connect(addr).unwrap();
     a.ping().unwrap();
-    let baseline = match a.detect(false).unwrap() {
+    let response = a.detect(false).unwrap();
+    payloads.push(payload(&response));
+    let baseline = match response {
         Response::Report { total, sv, mv, .. } => (total, sv, mv),
         other => panic!("expected REPORT, got {other:?}"),
     };
@@ -221,17 +246,29 @@ fn serve_binary_protocol_round_trips_over_tcp() {
     let epoch_after = b.sync().unwrap();
 
     // Client A (unaware of B) now sees the new epoch, still consistent.
-    let (epoch_checked, consistent) = a.check().unwrap();
-    assert!(consistent);
-    assert!(epoch_checked >= epoch_after);
-    match a.detect(true).unwrap() {
+    let checked = a.request(&Request::Check).unwrap();
+    payloads.push(payload(&checked));
+    match checked {
+        Response::Checked {
+            epoch, consistent, ..
+        } => {
+            assert!(consistent);
+            assert!(epoch >= epoch_after);
+        }
+        other => panic!("expected CHECKED, got {other:?}"),
+    }
+    let response = a.detect(true).unwrap();
+    payloads.push(payload(&response));
+    match response {
         Response::Report { total, mv, .. } => {
             assert_eq!(total, 7);
             assert_eq!(mv.len(), 2, "the two Albany rows now conflict");
         }
         other => panic!("expected REPORT, got {other:?}"),
     }
-    match a.explain().unwrap() {
+    let response = a.explain().unwrap();
+    payloads.push(payload(&response));
+    match response {
         Response::Evidence { sv, mv, .. } => {
             assert!(!sv.is_empty());
             assert_eq!(mv.len(), 2, "one violating group per φ1 pattern tuple");
@@ -242,7 +279,9 @@ fn serve_binary_protocol_round_trips_over_tcp() {
         }
         other => panic!("expected EVIDENCE, got {other:?}"),
     }
-    match a.repair_plan().unwrap() {
+    let response = a.repair_plan().unwrap();
+    payloads.push(payload(&response));
+    match response {
         Response::Plan {
             deletions,
             modifications,
@@ -264,7 +303,9 @@ fn serve_binary_protocol_round_trips_over_tcp() {
     let spaced = ["212", "8888888", "Ann", "Fifth Ave. #2", "NYC", "10017"];
     b.apply(vec![TupleOp::insert(spaced)]).unwrap();
     b.sync().unwrap();
-    match a.detect(false).unwrap() {
+    let response = a.detect(false).unwrap();
+    payloads.push(payload(&response));
+    match response {
         Response::Report { total, .. } => assert_eq!(total, 8),
         other => panic!("expected REPORT, got {other:?}"),
     }
@@ -272,10 +313,26 @@ fn serve_binary_protocol_round_trips_over_tcp() {
     a.quit().unwrap();
     b.quit().unwrap();
     handle.shutdown();
-    let session = server_thread.join().unwrap();
-    // The returned session owns the final state: 8 rows, detect agrees with
-    // what the last protocol answer said.
-    assert_eq!(session.report().map(|r| r.total_rows), Some(8));
+    let sessions = server_thread.join().unwrap();
+    // The returned sessions own the final state: 8 rows between them, as the
+    // last protocol answer said.
+    let rows: usize = sessions
+        .iter()
+        .map(|session| session.report().map_or(0, |r| r.total_rows))
+        .sum();
+    assert_eq!(rows, 8);
+    payloads
+}
+
+/// The protocol script answers the same at one shard and at two shards by
+/// `CT`: identical REPORT / CHECKED / EVIDENCE / PLAN payloads, epoch fields
+/// aside.
+#[test]
+fn serve_binary_protocol_round_trips_over_tcp() {
+    let one = protocol_script(ShardedConfig::default());
+    let two = protocol_script(ShardedConfig::new(2, "CT"));
+    assert_eq!(one.len(), 6);
+    assert_eq!(one, two);
 }
 
 /// Backpressure propagates to protocol clients: with a capacity-1 queue and
@@ -284,7 +341,10 @@ fn serve_binary_protocol_round_trips_over_tcp() {
 #[test]
 fn apply_backpressure_then_sync_completes() {
     let config = ServeConfig {
-        queue_capacity: 1,
+        sharding: ShardedConfig {
+            queue_capacity: 1,
+            ..ShardedConfig::default()
+        },
         ..ServeConfig::default()
     };
     let server = Server::bind(ready_session(), config).unwrap();

@@ -1,5 +1,5 @@
 //! Integration tests for the `Session` facade: the differential contract
-//! across all four `DetectorBackend` implementations on generated workloads
+//! across all three `DetectorBackend` implementations on generated workloads
 //! (including after mixed insert/delete deltas), backend auto-routing, and
 //! the session-driven detect → explain → repair → re-verify pipeline.
 
@@ -24,7 +24,7 @@ fn session_for(kind: BackendKind, data: Relation, constraints: &[ECfd]) -> Sessi
     session
 }
 
-/// Satellite contract: all four backends produce identical
+/// Satellite contract: all three backends produce identical
 /// `DetectionReport`s and `EvidenceReport`s through the session API on the
 /// datagen workloads, including after a mixed insert/delete `Delta`.
 #[test]

@@ -3,13 +3,15 @@
 //! The signature invariant: a sharded deployment's **merged** report and
 //! evidence must be byte-identical to what one unsharded session fed the
 //! same delta stream publishes — at every tested shard count, with both
-//! serial and parallel merge-layer scans, for both shard-aligned and
-//! cross-shard constraint sets.
+//! serial and parallel merge-layer scans, for shard-aligned, cross-shard and
+//! mixed constraint sets (all-aligned sets take the merge layer's
+//! no-open-groups branch: the union of the published reports, no scan).
 //!
 //! The suite drives the per-shard writers synchronously (every submitted
 //! delta is applied and published before the comparison), so the merged
 //! view is compared at quiescent cuts where the unsharded oracle is exact.
 
+use ecfd::core::ECfd;
 use ecfd::datagen::constraints::workload_constraints;
 use ecfd::datagen::{generate, generate_delta, CustConfig, UpdateConfig};
 use ecfd::relation::{Delta, Relation, Tuple};
@@ -26,13 +28,24 @@ const TABLE: &str = "cust";
 /// goes through the open-group merge).
 const SHARD_KEYS: [&str; 2] = ["CT", "PN"];
 
-fn workload_session(base: &Relation) -> Session {
+fn workload_session(base: &Relation, constraints: &[ECfd]) -> Session {
     let mut session = Session::new();
     session.load(base.clone()).expect("base loads");
     session
-        .register(&workload_constraints())
+        .register(constraints)
         .expect("workload constraints register");
     session
+}
+
+/// The workload constraints whose `X` contains `CT`: sharded by `CT`, none
+/// of them has open groups at any shard count.
+fn ct_aligned_constraints() -> Vec<ECfd> {
+    let aligned: Vec<ECfd> = workload_constraints()
+        .into_iter()
+        .filter(|c| c.lhs().iter().any(|attr| attr == "CT"))
+        .collect();
+    assert!(aligned.len() >= 2, "the workload has CT-keyed constraints");
+    aligned
 }
 
 /// Applies `rounds` generated deltas to a sharded deployment and an
@@ -40,6 +53,7 @@ fn workload_session(base: &Relation) -> Session {
 /// after every round.
 fn assert_sharded_matches_oracle(
     base: &Relation,
+    constraints: &[ECfd],
     deltas: &[Delta],
     shards: usize,
     shard_key: &str,
@@ -47,9 +61,9 @@ fn assert_sharded_matches_oracle(
 ) {
     let mut config = ShardedConfig::new(shards, shard_key);
     config.detect_workers = workers;
-    let (mut writers, hub) =
-        ShardedHub::bootstrap(workload_session(base), &config).expect("sharded bootstrap");
-    let mut oracle = workload_session(base);
+    let (mut writers, hub) = ShardedHub::bootstrap(workload_session(base, constraints), &config)
+        .expect("sharded bootstrap");
+    let mut oracle = workload_session(base, constraints);
 
     for (round, delta) in deltas.iter().enumerate() {
         hub.submit(delta.clone()).expect("submit");
@@ -132,12 +146,20 @@ proptest! {
             num_items: 6,
         });
         let deltas = datagen_rounds(&base, 3, seed.wrapping_mul(31).wrapping_add(7));
+        let workload = workload_constraints();
         for shard_key in SHARD_KEYS {
             for shards in [1usize, 2, 4] {
                 for workers in [Some(1), Some(4)] {
-                    assert_sharded_matches_oracle(&base, &deltas, shards, shard_key, workers);
+                    assert_sharded_matches_oracle(
+                        &base, &workload, &deltas, shards, shard_key, workers,
+                    );
                 }
             }
+        }
+        // No open groups at N > 1 (the 1-shard rows above cover N = 1).
+        let aligned = ct_aligned_constraints();
+        for shards in [2usize, 4] {
+            assert_sharded_matches_oracle(&base, &aligned, &deltas, shards, "CT", Some(1));
         }
     }
 }
@@ -162,7 +184,14 @@ fn duplicate_rows_delete_identically_across_shards() {
         },
     ];
     for shards in [2usize, 4] {
-        assert_sharded_matches_oracle(&base, &deltas, shards, "CT", Some(1));
+        assert_sharded_matches_oracle(
+            &base,
+            &workload_constraints(),
+            &deltas,
+            shards,
+            "CT",
+            Some(1),
+        );
     }
 }
 
@@ -182,6 +211,13 @@ fn sharding_an_empty_base_matches_oracle() {
     let mut deltas = vec![first];
     deltas.extend(datagen_rounds(&seed_rows, 2, 99));
     for shards in [1usize, 2, 4] {
-        assert_sharded_matches_oracle(&empty, &deltas, shards, "AC", Some(2));
+        assert_sharded_matches_oracle(
+            &empty,
+            &workload_constraints(),
+            &deltas,
+            shards,
+            "AC",
+            Some(2),
+        );
     }
 }
