@@ -16,7 +16,9 @@
 //!   with the attributing [`EvidenceReport`];
 //! * [`DetectorBackend::apply`] — apply a base-schema [`Delta`] to the table
 //!   and return the post-update report/evidence, maintaining whatever state
-//!   the backend keeps (only [`IncrementalBackend`] keeps any);
+//!   the backend keeps (only [`IncrementalBackend`] keeps any). Both come
+//!   back as a [`ReadOut`] — behind `Arc`s, because the incremental backend
+//!   hands out the pair it maintains rather than rebuilding one per delta;
 //! * [`DetectorBackend::invalidate`] — drop maintained state after the table
 //!   was mutated behind the backend's back.
 //!
@@ -38,6 +40,12 @@ use crate::Result;
 use ecfd_core::ConstraintSet;
 use ecfd_relation::{Catalog, Delta, RowId, Tuple, Value};
 use std::fmt;
+use std::sync::Arc;
+
+/// What a backend answers with: the flag-level report and the evidence
+/// behind it, shared by reference count so that caching one and publishing
+/// it in a snapshot copies neither.
+pub type ReadOut = (Arc<DetectionReport>, Arc<EvidenceReport>);
 
 /// Names one of the three detection strategies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -95,15 +103,11 @@ pub trait DetectorBackend {
 
     /// Runs a full detection pass, returning flags and evidence. The table's
     /// `SV` / `MV` columns are (re)written.
-    fn detect(&mut self, catalog: &mut Catalog) -> Result<(DetectionReport, EvidenceReport)>;
+    fn detect(&mut self, catalog: &mut Catalog) -> Result<ReadOut>;
 
     /// Applies a batch of base-schema updates to the table and returns the
     /// post-update flags and evidence.
-    fn apply(
-        &mut self,
-        catalog: &mut Catalog,
-        delta: &Delta,
-    ) -> Result<(DetectionReport, EvidenceReport)>;
+    fn apply(&mut self, catalog: &mut Catalog, delta: &Delta) -> Result<ReadOut>;
 
     /// Drops any maintained state. Call after the table was mutated outside
     /// this backend; the next [`DetectorBackend::detect`] or
@@ -189,21 +193,17 @@ impl DetectorBackend for SemanticBackend {
         &self.table
     }
 
-    fn detect(&mut self, catalog: &mut Catalog) -> Result<(DetectionReport, EvidenceReport)> {
+    fn detect(&mut self, catalog: &mut Catalog) -> Result<ReadOut> {
         ensure_flag_columns(catalog, &self.table)?;
         let (report, evidence) = {
             let relation = catalog.get(&self.table)?;
             self.detector.detect_with_evidence(relation)?
         };
         write_flags(catalog, &self.table, &report)?;
-        Ok((report, evidence))
+        Ok((Arc::new(report), Arc::new(evidence)))
     }
 
-    fn apply(
-        &mut self,
-        catalog: &mut Catalog,
-        delta: &Delta,
-    ) -> Result<(DetectionReport, EvidenceReport)> {
+    fn apply(&mut self, catalog: &mut Catalog, delta: &Delta) -> Result<ReadOut> {
         apply_base_delta(catalog, &self.table, self.base_arity, delta)?;
         self.detect(catalog)
     }
@@ -245,15 +245,12 @@ impl DetectorBackend for SqlBackend {
         &self.table
     }
 
-    fn detect(&mut self, catalog: &mut Catalog) -> Result<(DetectionReport, EvidenceReport)> {
-        self.detector.detect_with_evidence(catalog)
+    fn detect(&mut self, catalog: &mut Catalog) -> Result<ReadOut> {
+        let (report, evidence) = self.detector.detect_with_evidence(catalog)?;
+        Ok((Arc::new(report), Arc::new(evidence)))
     }
 
-    fn apply(
-        &mut self,
-        catalog: &mut Catalog,
-        delta: &Delta,
-    ) -> Result<(DetectionReport, EvidenceReport)> {
+    fn apply(&mut self, catalog: &mut Catalog, delta: &Delta) -> Result<ReadOut> {
         apply_base_delta(catalog, &self.table, self.base_arity, delta)?;
         self.detect(catalog)
     }
@@ -261,7 +258,8 @@ impl DetectorBackend for SqlBackend {
 
 /// The incremental maintainer as a backend: the first `detect`/`apply` seeds
 /// the auxiliary group state with a full pass, subsequent `apply` calls touch
-/// only the affected tuples and groups.
+/// only the affected tuples and groups — the answer included, which is the
+/// detector's maintained read-out handed over by reference count.
 #[derive(Debug, Clone)]
 pub struct IncrementalBackend {
     set: ConstraintSet,
@@ -317,12 +315,13 @@ impl IncrementalBackend {
         self.state = Some(state);
     }
 
-    fn read_out(
-        &self,
-        catalog: &Catalog,
-        state: &IncrementalDetector,
-    ) -> Result<(DetectionReport, EvidenceReport)> {
-        Ok((state.report(catalog)?, state.evidence(catalog)?))
+    /// The detector's maintained report and evidence: seeded by the full
+    /// pass, kept current by every `apply` — never rebuilt from the flags.
+    fn read_out(state: &IncrementalDetector) -> ReadOut {
+        (
+            state.maintained_report().clone(),
+            state.maintained_evidence().clone(),
+        )
     }
 }
 
@@ -335,25 +334,18 @@ impl DetectorBackend for IncrementalBackend {
         self.set.schema().name()
     }
 
-    fn detect(&mut self, catalog: &mut Catalog) -> Result<(DetectionReport, EvidenceReport)> {
-        let state = self.seed(catalog)?;
-        let out = self.read_out(catalog, &state)?;
-        self.state = Some(state);
-        Ok(out)
+    fn detect(&mut self, catalog: &mut Catalog) -> Result<ReadOut> {
+        let state = self.state.insert(self.seed(catalog)?);
+        Ok(Self::read_out(state))
     }
 
-    fn apply(
-        &mut self,
-        catalog: &mut Catalog,
-        delta: &Delta,
-    ) -> Result<(DetectionReport, EvidenceReport)> {
+    fn apply(&mut self, catalog: &mut Catalog, delta: &Delta) -> Result<ReadOut> {
         if self.state.is_none() {
             self.state = Some(self.seed(catalog)?);
         }
         let state = self.state.as_mut().expect("seeded above");
         state.apply(catalog, delta)?;
-        let state = self.state.as_ref().expect("seeded above");
-        self.read_out(catalog, state)
+        Ok(Self::read_out(state))
     }
 
     fn invalidate(&mut self) {
@@ -388,7 +380,7 @@ mod tests {
             let mut catalog = catalog_with_d0();
             assert_eq!(backend.table(), "cust");
             let (report, evidence) = backend.detect(&mut catalog).unwrap();
-            assert_eq!(evidence.detection_report(), report);
+            assert_eq!(evidence.detection_report(), *report);
             outputs.push((backend.kind(), report, evidence.normalized()));
         }
         for pair in outputs.windows(2) {

@@ -27,7 +27,7 @@ use ecfd_core::coded::CodedSingle;
 use ecfd_core::matching::BoundECfd;
 use ecfd_core::ECfd;
 use ecfd_engine::Engine;
-use ecfd_relation::{Catalog, CodeMap, CodeVec, ColumnarView, Dictionary, Schema, Value};
+use ecfd_relation::{Catalog, CodeColumns, CodeMap, CodeVec, Dictionary, Schema, Value};
 use std::collections::{BTreeSet, HashMap};
 
 /// The SQL-based batch detector.
@@ -214,7 +214,7 @@ impl BatchDetector {
                         )
                     })
                     .collect();
-                let view = ColumnarView::build(data, &mut dict);
+                let view = CodeColumns::build(data, &mut dict);
                 for pos in 0..view.num_rows() {
                     for (&ci, groups) in &pending {
                         let bound = &bounds[ci];

@@ -22,10 +22,25 @@
 //! `(CID, X-codes) → {Y-codes → count} + member rows` — plus a base-attribute
 //! [`ColumnarView`] of the stored table, both kept up to date under `Delta`
 //! application through the semantic detector's shared dictionary. Deletion
-//! victims are matched by coded prefix comparison (a victim containing a
-//! never-interned string cannot match any stored row), and `MV` re-derivation
-//! touches only the member rows of groups whose violation status changed,
-//! instead of re-scanning the table.
+//! victims are found through the view's index of row codes (a victim
+//! containing a never-interned string cannot match any stored row), and `MV`
+//! re-derivation touches only the member rows of groups whose violation
+//! status changed, instead of re-scanning the table.
+//!
+//! The state also includes the *read-out*: the [`DetectionReport`] and the
+//! normalized [`EvidenceReport`] of the table as it is now
+//! ([`IncrementalDetector::maintained_report`] /
+//! [`IncrementalDetector::maintained_evidence`]). The seeding pass produces
+//! both; after that they are edited in the same places the flags are written
+//! and groups flip — a row's `SV` records and flags come and go with the
+//! row, a group's evidence record appears when it starts violating, follows
+//! its membership while it does, and disappears when it stops — so handing
+//! the current answer to a caller costs two `Arc` clones instead of a read of
+//! every row's flags and a sweep of every group. The `SV` / `MV` columns are
+//! still written: they are the paper's representation, and
+//! [`IncrementalDetector::report`] / [`IncrementalDetector::evidence`]
+//! rebuild the same answer from them, which is what the tests diff the
+//! maintained copies against.
 //!
 //! ### Substitution note
 //!
@@ -46,9 +61,10 @@ use crate::semantic::{ensure_flag_columns, GroupKey, GroupMap, GroupState, Seman
 use crate::Result;
 use ecfd_core::ECfd;
 use ecfd_relation::{
-    AttrId, Catalog, Code, CodeVec, ColumnarView, Delta, RowId, Schema, Tuple, Value,
+    AttrId, Catalog, Code, CodeVec, ColumnarView, Delta, RelationError, RowId, Schema, Tuple, Value,
 };
 use std::collections::{BTreeSet, HashSet};
+use std::sync::Arc;
 
 /// Counters describing how much work one incremental step did — used by the
 /// experiments to explain the crossover of Fig. 7(a).
@@ -62,6 +78,14 @@ pub struct IncrementalStats {
     pub groups_changed: usize,
     /// Rows whose `MV` flag was re-derived because a group changed status.
     pub rows_reflagged: usize,
+    /// Rows whose codes or flags the pass read: the stored rows compared
+    /// against a deletion victim, the inserted tuples, and the rows
+    /// re-flagged. Exact, and independent of the table's size.
+    pub rows_examined: usize,
+    /// Column and symbol-table chunks the pass copied before writing them,
+    /// because a frozen epoch still shared them (see
+    /// [`ecfd_relation::ChunkedVec`]). Exact.
+    pub chunks_copied: usize,
 }
 
 /// Per-single-pattern-constraint attribute positions, resolved against the
@@ -75,7 +99,8 @@ struct KeySpec {
 
 /// The incremental detector: wraps the constraint set, the coded group state
 /// (`Aux(D)` analogue), the maintained columnar view of the table's base
-/// attributes, and the name of the data table it maintains.
+/// attributes, the maintained read-out, and the name of the data table it
+/// maintains.
 #[derive(Debug, Clone)]
 pub struct IncrementalDetector {
     schema: Schema,
@@ -84,6 +109,30 @@ pub struct IncrementalDetector {
     groups: GroupMap,
     view: ColumnarView,
     specs: Vec<KeySpec>,
+    /// The flags of the table as it is now. Behind an `Arc` so a caller takes
+    /// it by reference count; edited through `Arc::make_mut`, which copies it
+    /// once per epoch while a published snapshot still holds the previous
+    /// state.
+    report: Arc<DetectionReport>,
+    /// The normalized evidence behind `report`, kept the same way.
+    evidence: Arc<EvidenceReport>,
+}
+
+/// The user-facing reference of split constraint `ci`.
+fn source_of(provenance: &[(usize, usize)], ci: usize) -> ConstraintRef {
+    let (constraint, pattern) = provenance[ci];
+    ConstraintRef::new(constraint, pattern)
+}
+
+/// Where the record of group `(source, key)` sits in normalized multi-tuple
+/// evidence, or where it would be inserted. A group has one record, so the
+/// `(source, key)` order is the normalized order.
+fn find_group(
+    groups: &[MvEvidence],
+    source: ConstraintRef,
+    key: &[Value],
+) -> std::result::Result<usize, usize> {
+    groups.binary_search_by(|g| (g.source, g.group_key.as_slice()).cmp(&(source, key)))
 }
 
 impl IncrementalDetector {
@@ -115,13 +164,15 @@ impl IncrementalDetector {
         let table = schema.name().to_string();
         ensure_flag_columns(catalog, &table)?;
         // Encode the base attributes once: the seeding pass scans the view
-        // the detector then keeps and maintains.
-        let (report, groups, view) = {
+        // the detector then keeps and maintains, and its report and evidence
+        // seed the maintained read-out.
+        let (report, evidence, groups, view) = {
             let relation = catalog.get(&table)?;
             let mut codec = semantic.codec().write();
             let view = ColumnarView::build_prefix(relation, schema.arity(), &mut codec.dict);
-            let (report, _, groups) = semantic.scan_view(schema, &view, &codec.dict)?;
-            (report, groups, view)
+            let (report, evidence, groups) =
+                semantic.scan_view(schema, view.columns(), codec.dict.symbols())?;
+            (report, evidence, groups, view)
         };
         crate::semantic::write_flags(catalog, &table, &report)?;
         let specs = semantic
@@ -140,6 +191,8 @@ impl IncrementalDetector {
             groups,
             view,
             specs,
+            report: Arc::new(report),
+            evidence: Arc::new(evidence),
         })
     }
 
@@ -168,15 +221,27 @@ impl IncrementalDetector {
         &self.semantic
     }
 
-    /// Freezes the maintained base-attribute view together with the current
-    /// dictionary state: a consistent point-in-time unit that
+    /// Freezes the maintained base-attribute columns together with the
+    /// current symbol table: a consistent point-in-time unit that
     /// [`SemanticDetector::detect_frozen`] can re-scan without
-    /// synchronisation, and the cheapest snapshot-extraction path when the
-    /// incremental state is warm (the view is already encoded — no table
-    /// re-encode happens, only the clone).
+    /// synchronisation. The frozen handle *shares* the maintained chunks — no
+    /// row is re-encoded and none is copied; the next delta copies the chunks
+    /// it writes.
     pub fn freeze(&self) -> ecfd_relation::FrozenView {
         let codec = self.semantic.codec().read();
-        ecfd_relation::FrozenView::new(self.view.clone(), codec.dict.clone())
+        ecfd_relation::FrozenView::new(self.view.columns().clone(), codec.dict.symbols().clone())
+    }
+
+    /// The maintained flags of the table as it is now — equal to
+    /// [`IncrementalDetector::report`] without reading a flag.
+    pub fn maintained_report(&self) -> &Arc<DetectionReport> {
+        &self.report
+    }
+
+    /// The maintained, normalized evidence of the table as it is now — equal
+    /// to [`IncrementalDetector::evidence`] without visiting a group.
+    pub fn maintained_evidence(&self) -> &Arc<EvidenceReport> {
+        &self.evidence
     }
 
     /// Number of groups currently violating their embedded FD.
@@ -184,7 +249,8 @@ impl IncrementalDetector {
         self.groups.values().filter(|g| g.violates()).count()
     }
 
-    /// Reads the current violation report from the table's flags.
+    /// Reads the current violation report from the table's flags: the
+    /// from-flags reference of [`IncrementalDetector::maintained_report`].
     pub fn report(&self, catalog: &Catalog) -> Result<DetectionReport> {
         DetectionReport::from_catalog(catalog, &self.table)
     }
@@ -193,7 +259,8 @@ impl IncrementalDetector {
     /// (`Aux(D)` analogue) yields one evidence record per violating group —
     /// member rows included, no table scan — and the `SV` flags are
     /// attributed by re-matching only the flagged rows against the coded
-    /// single-pattern constraints.
+    /// single-pattern constraints. This is the from-flags reference of
+    /// [`IncrementalDetector::maintained_evidence`].
     pub fn evidence(&self, catalog: &Catalog) -> Result<EvidenceReport> {
         let relation = catalog.get(&self.table)?;
         let report = DetectionReport::from_flags(relation)?;
@@ -239,12 +306,13 @@ impl IncrementalDetector {
     }
 
     /// Applies a batch of updates, maintaining the table contents, the flags,
-    /// the columnar view and the auxiliary state. Deletions are processed
-    /// before insertions, as in the paper's presentation.
+    /// the columnar view, the auxiliary state and the read-out. Deletions are
+    /// processed before insertions, as in the paper's presentation.
     pub fn apply(&mut self, catalog: &mut Catalog, delta: &Delta) -> Result<IncrementalStats> {
         let pass_started = std::time::Instant::now();
         let mut stats = IncrementalStats::default();
         let mut changed_groups: HashSet<GroupKey> = HashSet::new();
+        let copied_before = self.chunks_copied();
 
         self.apply_deletions(catalog, &delta.deletions, &mut stats, &mut changed_groups)?;
         self.apply_insertions(catalog, &delta.insertions, &mut stats, &mut changed_groups)?;
@@ -254,14 +322,29 @@ impl IncrementalDetector {
             stats.groups_changed = changed_groups.len();
             stats.rows_reflagged = self.reflag_members(catalog, &changed_groups)?;
         }
+        let total_rows = catalog.get(&self.table)?.len();
+        if self.report.total_rows != total_rows {
+            Arc::make_mut(&mut self.report).total_rows = total_rows;
+            Arc::make_mut(&mut self.evidence).total_rows = total_rows;
+        }
+        stats.rows_examined += stats.inserted + stats.rows_reflagged;
+        let chunks_copied = self.chunks_copied() - copied_before;
+        stats.chunks_copied = chunks_copied as usize;
         crate::obs::record_pass(
             "incremental",
-            (stats.inserted + stats.deleted + stats.rows_reflagged) as u64,
+            stats.rows_examined as u64,
             stats.groups_changed as u64,
             0,
             pass_started.elapsed(),
         );
+        crate::obs::record_incremental_work(stats.rows_examined as u64, chunks_copied);
         Ok(stats)
+    }
+
+    /// Chunks of the view and of the dictionary's symbol table copied on
+    /// write so far.
+    fn chunks_copied(&self) -> u64 {
+        self.view.chunks_copied() + self.semantic.codec().read().dict.chunks_copied()
     }
 
     fn apply_deletions(
@@ -277,11 +360,11 @@ impl IncrementalDetector {
         let table = self.table.clone();
         let relation = catalog.get_mut(&table)?;
         let codec_arc = self.semantic.codec().clone();
+        let provenance = self.semantic.provenance();
 
         for victim in deletions {
-            // A victim with the wrong arity cannot equal any base tuple —
-            // without this guard the coded prefix match below would treat a
-            // short victim as a wildcard over the remaining attributes.
+            // A victim with the wrong arity cannot equal any base tuple, and
+            // the index below is keyed by whole rows.
             if victim.arity() != self.schema.arity() {
                 continue;
             }
@@ -299,14 +382,10 @@ impl IncrementalDetector {
             let Some(victim_codes) = victim_codes else {
                 continue;
             };
-            // All stored rows whose base attributes equal the victim
-            // (coded prefix comparison against the maintained view).
-            let matching: Vec<RowId> = self
-                .view
-                .matching_prefix(&victim_codes)
-                .into_iter()
-                .map(|pos| self.view.row_id(pos))
-                .collect();
+            // All stored rows whose base attributes equal the victim, from
+            // the maintained view's index of row codes.
+            let (matching, compared) = self.view.rows_matching(&victim_codes);
+            stats.rows_examined += compared;
             if matching.is_empty() {
                 continue;
             }
@@ -336,32 +415,56 @@ impl IncrementalDetector {
                     .collect()
             };
             for row_id in matching {
-                for (key, y) in &hits {
-                    if let Some(state) = self.groups.get_mut(key) {
-                        let was_violating = state.violates();
-                        if let Some(count) = state.y_counts.get_mut(y) {
-                            *count -= 1;
-                            if *count == 0 {
-                                state.y_counts.remove(y);
-                            }
-                        }
-                        state.rows.retain(|r| *r != row_id);
-                        if state.y_counts.is_empty() {
-                            self.groups.remove(key);
-                        }
-                        let now_violating = self
-                            .groups
-                            .get(key)
-                            .map(GroupState::violates)
-                            .unwrap_or(false);
-                        if was_violating != now_violating {
-                            changed_groups.insert(key.clone());
-                        }
-                    }
-                }
                 relation.delete(row_id)?;
                 self.view.remove(row_id);
                 stats.deleted += 1;
+                // The row's own flags and single-tuple records go with it.
+                if self.report.sv_rows.contains(&row_id) {
+                    Arc::make_mut(&mut self.report).sv_rows.remove(&row_id);
+                    let sv = &mut Arc::make_mut(&mut self.evidence).sv;
+                    let records = sv.partition_point(|e| e.row < row_id)
+                        ..sv.partition_point(|e| e.row <= row_id);
+                    sv.drain(records);
+                }
+                if self.report.mv_rows.contains(&row_id) {
+                    Arc::make_mut(&mut self.report).mv_rows.remove(&row_id);
+                }
+                for (key, y) in &hits {
+                    let Some(state) = self.groups.get_mut(key) else {
+                        continue;
+                    };
+                    let was_violating = state.violates();
+                    if let Some(count) = state.y_counts.get_mut(y) {
+                        *count -= 1;
+                        if *count == 0 {
+                            state.y_counts.remove(y);
+                        }
+                    }
+                    state.rows.retain(|r| *r != row_id);
+                    let now_violating = state.violates();
+                    if state.y_counts.is_empty() {
+                        self.groups.remove(key);
+                    }
+                    if !was_violating {
+                        continue;
+                    }
+                    // A violating group lost a member: its record loses the
+                    // row, or goes when the group stops violating (a
+                    // deletion cannot start a violation).
+                    let source = source_of(provenance, key.0);
+                    let group_key = codec_arc.read().dict.decode_all(key.1.as_slice());
+                    let mv_groups = &mut Arc::make_mut(&mut self.evidence).mv_groups;
+                    if let Ok(at) = find_group(mv_groups, source, &group_key) {
+                        if now_violating {
+                            mv_groups[at].rows.remove(&row_id);
+                        } else {
+                            mv_groups.remove(at);
+                        }
+                    }
+                    if !now_violating {
+                        changed_groups.insert(key.clone());
+                    }
+                }
             }
         }
         Ok(())
@@ -380,12 +483,22 @@ impl IncrementalDetector {
         let table = self.table.clone();
         let relation = catalog.get_mut(&table)?;
         let codec_arc = self.semantic.codec().clone();
+        let provenance = self.semantic.provenance();
 
         for tuple in insertions {
+            // The constraint positions below index the tuple's codes, so a
+            // short tuple has to be refused here, not by `Relation::insert`.
+            if tuple.arity() != self.schema.arity() {
+                return Err(RelationError::ArityMismatch {
+                    expected: self.schema.arity(),
+                    actual: tuple.arity(),
+                }
+                .into());
+            }
             let codes: Vec<Code> = codec_arc.write().dict.encode_tuple(tuple);
             // Step 1 plus steps 2a/2d: the SV check on the new tuple alone,
             // and the predicted group states after it joins.
-            let mut sv = false;
+            let mut sv: Vec<ConstraintRef> = Vec::new();
             let mut mv = false;
             let mut hits: Vec<(GroupKey, CodeVec)> = Vec::new();
             {
@@ -395,7 +508,7 @@ impl IncrementalDetector {
                         continue;
                     }
                     if !cells.rhs_matches(spec.rhs.iter().map(|a| codes[a.index()])) {
-                        sv = true;
+                        sv.push(source_of(provenance, ci));
                     }
                     if spec.fd_rhs.is_empty() {
                         continue;
@@ -421,15 +534,56 @@ impl IncrementalDetector {
                     hits.push((key, y));
                 }
             }
-            let stored = tuple.extended([Value::Int(i64::from(sv)), Value::Int(i64::from(mv))]);
-            let row_id = relation.insert(stored)?;
+            let flags = [!sv.is_empty(), mv].map(|set| Value::Int(i64::from(set)));
+            let row_id = relation.insert(tuple.extended(flags))?;
             self.view.insert(row_id, &codes);
+            stats.inserted += 1;
+            // The relation accepted the row: its flags and single-tuple
+            // records enter the read-out.
+            if !sv.is_empty() {
+                Arc::make_mut(&mut self.report).sv_rows.insert(row_id);
+                let records = &mut Arc::make_mut(&mut self.evidence).sv;
+                for source in sv {
+                    let record = SvEvidence {
+                        row: row_id,
+                        source,
+                    };
+                    if let Err(at) = records.binary_search(&record) {
+                        records.insert(at, record);
+                    }
+                }
+            }
+            if mv {
+                Arc::make_mut(&mut self.report).mv_rows.insert(row_id);
+            }
             for (key, y) in hits {
+                let source = source_of(provenance, key.0);
+                let group_key = key.1.clone();
                 let state = self.groups.entry(key).or_default();
                 *state.y_counts.entry(y).or_insert(0) += 1;
                 state.rows.push(row_id);
+                if !state.violates() {
+                    continue;
+                }
+                // A violating group gained a member: its record gains the
+                // row, or is created with every member when the group has
+                // just started violating.
+                let group_key = codec_arc.read().dict.decode_all(group_key.as_slice());
+                let mv_groups = &mut Arc::make_mut(&mut self.evidence).mv_groups;
+                match find_group(mv_groups, source, &group_key) {
+                    Ok(at) => {
+                        mv_groups[at].rows.insert(row_id);
+                    }
+                    Err(at) => mv_groups.insert(
+                        at,
+                        MvEvidence {
+                            source,
+                            group_key,
+                            rows: state.rows.iter().copied().collect(),
+                        },
+                    ),
+                }
             }
-            stats.inserted += 1;
         }
         Ok(())
     }
@@ -439,7 +593,11 @@ impl IncrementalDetector {
     /// belongs to, so membership in an unchanged violating group keeps the
     /// flag set. Only the member rows of changed groups are touched — the
     /// maintained membership lists replace the full-table scan.
-    fn reflag_members(&self, catalog: &mut Catalog, changed: &HashSet<GroupKey>) -> Result<usize> {
+    fn reflag_members(
+        &mut self,
+        catalog: &mut Catalog,
+        changed: &HashSet<GroupKey>,
+    ) -> Result<usize> {
         let affected: BTreeSet<RowId> = changed
             .iter()
             .filter_map(|key| self.groups.get(key))
@@ -476,6 +634,14 @@ impl IncrementalDetector {
                 }
             }
             relation.update_value(row, mv_col, Value::Int(i64::from(violates_any)))?;
+            if violates_any != self.report.mv_rows.contains(&row) {
+                let mv_rows = &mut Arc::make_mut(&mut self.report).mv_rows;
+                if violates_any {
+                    mv_rows.insert(row);
+                } else {
+                    mv_rows.remove(&row);
+                }
+            }
             count += 1;
         }
         Ok(count)
@@ -731,6 +897,117 @@ mod tests {
         assert_eq!(stats.deleted, 0);
         assert_eq!(inc.report(&catalog).unwrap(), before);
         assert_eq!(catalog.get("cust").unwrap().len(), 6);
+    }
+
+    #[test]
+    fn a_short_inserted_tuple_is_refused_before_it_is_indexed() {
+        // The constraint positions index the tuple's codes, so a tuple that
+        // matches the LHS but lacks the RHS attribute used to panic the
+        // maintainer; one that does not match fell through to
+        // `Relation::insert`. Both are an arity error now, as for every
+        // other backend.
+        use ecfd_relation::{DataType, Relation};
+        let schema = Schema::builder("cust")
+            .attr("CT", DataType::Str)
+            .attr("AC", DataType::Str)
+            .build();
+        let rows = (0..20).map(|i| Tuple::from_iter(["Troy", &format!("5{i:02}")]));
+        let set = ecfd_core::ConstraintSet::parse(
+            &schema,
+            "cust: [CT] -> [AC] | [], { {Albany} || {518} }",
+        )
+        .unwrap();
+        for short in [["Albany"], ["only-one"]] {
+            let mut catalog = Catalog::new();
+            catalog
+                .create(Relation::with_tuples(schema.clone(), rows.clone()).unwrap())
+                .unwrap();
+            let mut inc = IncrementalDetector::from_set(&set, &mut catalog).unwrap();
+            let refused = inc.apply(
+                &mut catalog,
+                &Delta::insert_only(vec![Tuple::from_iter(short)]),
+            );
+            assert!(
+                matches!(
+                    refused,
+                    Err(crate::DetectError::Relation(RelationError::ArityMismatch {
+                        expected: 2,
+                        actual: 1
+                    }))
+                ),
+                "{short:?}: {refused:?}"
+            );
+            assert_eq!(catalog.get("cust").unwrap().len(), 20);
+        }
+    }
+
+    #[test]
+    fn a_warm_delta_costs_the_same_at_every_table_size() {
+        // 8 deletions + 8 insertions at the table's tail, against a state a
+        // frozen epoch shares: the exact work counters — rows examined,
+        // chunks copied — must not know how many rows the table has.
+        let row = |i: usize| {
+            let town = i % 50;
+            Tuple::from_iter([
+                format!("5{town:02}"),
+                format!("{i:07}"),
+                "Gen".to_string(),
+                "Any St.".to_string(),
+                format!("Town{town}"),
+                "00000".to_string(),
+            ])
+        };
+        let constraints = [phi1(), phi2(), fd_ct_ac()];
+        let stats_at = |n: usize| {
+            let mut catalog = Catalog::new();
+            catalog
+                .create(Relation::with_tuples(cust_schema(), (0..n).map(row)).unwrap())
+                .unwrap();
+            let mut inc =
+                IncrementalDetector::initialize(&cust_schema(), &constraints, &mut catalog)
+                    .unwrap();
+            let delta = Delta {
+                deletions: (n - 8..n).map(row).collect(),
+                insertions: (n..n + 8).map(row).collect(),
+            };
+            let epoch = inc.freeze();
+            let shared = inc.apply(&mut catalog, &delta).unwrap();
+            assert_eq!(epoch.num_rows(), n, "the frozen epoch kept its rows");
+            // With no epoch sharing the state, the same work copies nothing.
+            let inverse = Delta {
+                deletions: delta.insertions,
+                insertions: delta.deletions,
+            };
+            let private = inc.apply(&mut catalog, &inverse).unwrap();
+            assert_eq!(
+                private,
+                IncrementalStats {
+                    chunks_copied: 0,
+                    ..shared
+                }
+            );
+            assert_eq!(
+                **inc.maintained_report(),
+                inc.report(&catalog).unwrap(),
+                "clean at rest"
+            );
+            shared
+        };
+        let small = stats_at(2_000);
+        assert_eq!(
+            small,
+            IncrementalStats {
+                inserted: 8,
+                deleted: 8,
+                groups_changed: 0,
+                rows_reflagged: 0,
+                rows_examined: 16,
+                // Six columns and the row ids, one tail chunk each, plus the
+                // tail chunk of the symbol table the new strings land in.
+                chunks_copied: 8,
+            }
+        );
+        assert_eq!(stats_at(20_000), small);
     }
 
     #[test]

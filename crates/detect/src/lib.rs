@@ -84,7 +84,9 @@ pub mod scan;
 pub mod semantic;
 pub mod sqlgen;
 
-pub use backend::{BackendKind, DetectorBackend, IncrementalBackend, SemanticBackend, SqlBackend};
+pub use backend::{
+    BackendKind, DetectorBackend, IncrementalBackend, ReadOut, SemanticBackend, SqlBackend,
+};
 pub use batch::BatchDetector;
 pub use encode::Encoding;
 pub use evidence::{ConstraintRef, EvidenceReport, MvEvidence, SvEvidence};

@@ -13,7 +13,7 @@ use std::time::Duration;
 /// * `detect.pass.ns{backend=…}` — wall-clock duration histogram, labelled
 ///   `semantic`, `sql`, or `incremental`;
 /// * `detect.rows.scanned` — rows the pass examined (for incremental passes:
-///   delta tuples processed plus rows reflagged);
+///   `IncrementalStats::rows_examined`);
 /// * `detect.groups.merged` — enforcement groups materialised or touched;
 /// * `detect.violations` — flagged violations the pass reported (full passes
 ///   only; incremental passes maintain flags in place and pass 0).
@@ -31,4 +31,21 @@ pub(crate) fn record_pass(
     registry.counter("detect.rows.scanned").add(rows);
     registry.counter("detect.groups.merged").add(groups);
     registry.counter("detect.violations").add(violations);
+}
+
+/// Records the exact work of one incremental pass, the counters a gate on
+/// "a delta costs what it touches" reads:
+///
+/// * `detect.incremental.rows.examined` — rows whose codes or flags the pass
+///   read;
+/// * `detect.incremental.chunks.copied` — column and symbol-table chunks it
+///   copied because a frozen epoch still shared them.
+pub(crate) fn record_incremental_work(rows_examined: u64, chunks_copied: u64) {
+    let registry = ecfd_obs::registry();
+    registry
+        .counter("detect.incremental.rows.examined")
+        .add(rows_examined);
+    registry
+        .counter("detect.incremental.chunks.copied")
+        .add(chunks_copied);
 }

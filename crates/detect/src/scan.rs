@@ -28,7 +28,7 @@ use crate::report::DetectionReport;
 use ecfd_core::coded::CodedSingle;
 use ecfd_core::matching::BoundECfd;
 use ecfd_relation::columnar::shard_of;
-use ecfd_relation::{AttrId, CodeMap, CodeVec, ColumnarView, Dictionary, RowId};
+use ecfd_relation::{AttrId, CodeColumns, CodeMap, CodeVec, RowId, SymbolTable};
 use std::collections::hash_map::Entry;
 
 /// A key identifying one enforcement group: the single-pattern constraint id
@@ -155,17 +155,19 @@ impl ScanProgram {
     }
 }
 
-/// Runs `program` over an already-encoded view: flags, evidence and group
+/// Runs `program` over already-encoded columns: flags, evidence and group
 /// state from one (possibly parallel) pass. `cells` and `provenance` are
 /// parallel to the split constraints the program's operators index; `dict`
-/// must be the dictionary state (or a later state of the same lineage) that
-/// issued the view's codes and interned `cells`.
+/// must be the symbol-table state (or a later state of the same lineage) of
+/// the dictionary that issued the view's codes and interned `cells`. Both
+/// are read sides only, so the pass runs the same over live state and over a
+/// [`FrozenView`](ecfd_relation::FrozenView).
 pub(crate) fn run(
     program: &ScanProgram,
     cells: &[CodedSingle],
     provenance: &[(usize, usize)],
-    view: &ColumnarView,
-    dict: &Dictionary,
+    view: &CodeColumns,
+    dict: &SymbolTable,
     parallelism: Parallelism,
 ) -> (DetectionReport, EvidenceReport, GroupMap) {
     let n_rows = view.num_rows();
@@ -254,10 +256,12 @@ struct ChunkOut {
 }
 
 /// Phase 1: executes every scan of the program over rows `lo..hi` of the
-/// view. `view.key(pos, &scan.x)` runs once per `(row, scan)` and every
-/// member operator matches the shared projection.
+/// view, one storage block at a time — the chunk pointers of the view's
+/// columns are resolved once per block and the per-code reads in between
+/// index plain slices. `rows.key(off, &scan.x)` runs once per `(row, scan)`
+/// and every member operator matches the shared projection.
 fn scan_chunk(
-    view: &ColumnarView,
+    view: &CodeColumns,
     program: &ScanProgram,
     cells: &[CodedSingle],
     lo: usize,
@@ -268,30 +272,32 @@ fn scan_chunk(
         sv: Vec::new(),
         parts: vec![GroupMap::default(); n_shards],
     };
-    for pos in lo..hi {
-        let row_id = view.row_id(pos);
-        for scan in &program.scans {
-            let key = view.key(pos, &scan.x);
-            for member in &scan.members {
-                let cell = &cells[member.ci];
-                if !cell.lhs_matches(key.as_slice().iter().copied()) {
-                    continue;
-                }
-                if !cell.rhs_matches(member.check.iter().map(|a| view.code(pos, *a))) {
-                    out.sv.push((row_id, member.ci));
-                }
-                if !member.group.is_empty() {
-                    let shard = if n_shards == 1 {
-                        0
-                    } else {
-                        shard_of(member.ci, &key, n_shards)
-                    };
-                    let y = view.key(pos, &member.group);
-                    let state = out.parts[shard]
-                        .entry((member.ci, key.clone()))
-                        .or_default();
-                    *state.y_counts.entry(y).or_insert(0) += 1;
-                    state.rows.push(row_id);
+    for rows in view.blocks(lo, hi) {
+        for off in 0..rows.len() {
+            let row_id = rows.row_id(off);
+            for scan in &program.scans {
+                let key = rows.key(off, &scan.x);
+                for member in &scan.members {
+                    let cell = &cells[member.ci];
+                    if !cell.lhs_matches(key.as_slice().iter().copied()) {
+                        continue;
+                    }
+                    if !cell.rhs_matches(member.check.iter().map(|a| rows.code(off, *a))) {
+                        out.sv.push((row_id, member.ci));
+                    }
+                    if !member.group.is_empty() {
+                        let shard = if n_shards == 1 {
+                            0
+                        } else {
+                            shard_of(member.ci, &key, n_shards)
+                        };
+                        let y = rows.key(off, &member.group);
+                        let state = out.parts[shard]
+                            .entry((member.ci, key.clone()))
+                            .or_default();
+                        *state.y_counts.entry(y).or_insert(0) += 1;
+                        state.rows.push(row_id);
+                    }
                 }
             }
         }
@@ -309,7 +315,11 @@ struct ShardOut {
 /// Phase 2: merges one shard's partial group states (in chunk order, so
 /// member lists end up in global row order) and derives the multi-tuple
 /// violations.
-fn merge_shard(parts: Vec<GroupMap>, provenance: &[(usize, usize)], dict: &Dictionary) -> ShardOut {
+fn merge_shard(
+    parts: Vec<GroupMap>,
+    provenance: &[(usize, usize)],
+    dict: &SymbolTable,
+) -> ShardOut {
     let mut iter = parts.into_iter();
     let mut groups = iter.next().unwrap_or_default();
     for part in iter {

@@ -8,7 +8,7 @@
 //!   flag exactly the same rows);
 //! * it is the "native" baseline of the `bench_sql_vs_native` ablation; and
 //! * it is the system's fast path: rows are encoded once into a
-//!   [`ColumnarView`], pattern constants are pre-resolved to [`Code`]s and
+//!   [`CodeColumns`], pattern constants are pre-resolved to [`Code`]s and
 //!   attribute lists to column positions at construction (registration)
 //!   time, group keys are [`CodeVec`] code slices instead of cloned
 //!   `Vec<Value>`s, and every full pass runs the shared-scan program of
@@ -30,8 +30,8 @@ use ecfd_core::coded::{intern_singles, CodedSingle};
 use ecfd_core::matching::BoundECfd;
 use ecfd_core::{CompileOptions, ConstraintSet, CoreError, ECfd};
 use ecfd_relation::{
-    AttrId, Catalog, CodeVec, ColumnarView, Dictionary, FrozenView, Relation, RowId, Schema, Tuple,
-    Value,
+    AttrId, Catalog, CodeColumns, CodeVec, Dictionary, FrozenView, Relation, RowId, Schema,
+    SymbolTable, Tuple, Value,
 };
 use parking_lot::RwLock;
 use std::sync::Arc;
@@ -66,8 +66,8 @@ struct Compiled {
     /// Coded pattern cells, parallel to the split single-pattern constraints.
     /// Interned against the codec dictionary's *initial* state, so they stay
     /// valid against every later dictionary state (grow-only interning) —
-    /// including the dictionary clone inside any [`FrozenView`] descended
-    /// from this detector's codec.
+    /// including the symbol table inside any [`FrozenView`] descended from
+    /// this detector's codec.
     cells: Vec<CodedSingle>,
     /// What every full pass executes; by default the shared-scan fusion of
     /// `singles` ([`ScanProgram::fused`]).
@@ -292,8 +292,8 @@ impl SemanticDetector {
         relation: &Relation,
     ) -> Result<(DetectionReport, EvidenceReport, GroupMap)> {
         let mut codec = self.codec.write();
-        let view = ColumnarView::build(relation, &mut codec.dict);
-        self.scan_view(relation.schema(), &view, &codec.dict)
+        let view = CodeColumns::build(relation, &mut codec.dict);
+        self.scan_view(relation.schema(), &view, codec.dict.symbols())
     }
 
     /// Runs a full, read-only detection pass over a [`FrozenView`] — the
@@ -315,27 +315,28 @@ impl SemanticDetector {
     }
 
     /// Encodes the first `base_arity` attributes of `relation` through the
-    /// detector's dictionary and freezes the result together with a
-    /// dictionary clone: one consistent point-in-time unit that
+    /// detector's dictionary and freezes the result together with the
+    /// dictionary's symbol table as of that instant (shared by chunk, not
+    /// copied): one consistent point-in-time unit that
     /// [`SemanticDetector::detect_frozen`] can re-scan without
     /// synchronisation. This is the snapshot-extraction primitive of the
-    /// serving layer.
+    /// serving layer when no maintained view exists to share.
     pub fn freeze(&self, relation: &Relation, base_arity: usize) -> FrozenView {
         let mut codec = self.codec.write();
-        let view = ColumnarView::build_prefix(relation, base_arity, &mut codec.dict);
-        FrozenView::new(view, codec.dict.clone())
+        let view = CodeColumns::build_prefix(relation, base_arity, &mut codec.dict);
+        FrozenView::new(view, codec.dict.symbols().clone())
     }
 
-    /// One full pass of the program over an already-encoded view whose
-    /// columns follow `schema`: the single caller of the scan kernel, and the
-    /// one place a pass is timed and counted. `dict` must be the dictionary
-    /// state (or a later state of the same lineage) that issued the view's
-    /// codes.
+    /// One full pass of the program over already-encoded columns that
+    /// follow `schema`: the single caller of the scan kernel, and the one
+    /// place a pass is timed and counted. `dict` must be the symbol-table
+    /// state (or a later state of the same lineage) of the dictionary that
+    /// issued the view's codes.
     pub(crate) fn scan_view(
         &self,
         schema: &Schema,
-        view: &ColumnarView,
-        dict: &Dictionary,
+        view: &CodeColumns,
+        dict: &SymbolTable,
     ) -> Result<(DetectionReport, EvidenceReport, GroupMap)> {
         self.check_layout(schema)?;
         let pass_started = std::time::Instant::now();

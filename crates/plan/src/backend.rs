@@ -5,9 +5,7 @@
 use crate::mir::Plan;
 use crate::Result;
 use ecfd_core::ConstraintSet;
-use ecfd_detect::{
-    BackendKind, DetectionReport, DetectorBackend, EvidenceReport, Parallelism, SemanticBackend,
-};
+use ecfd_detect::{BackendKind, DetectorBackend, Parallelism, ReadOut, SemanticBackend};
 use ecfd_relation::{Catalog, Delta};
 
 /// A [`SemanticBackend`] that executes a compiled [`Plan`]'s scans: the same
@@ -62,15 +60,11 @@ impl DetectorBackend for PlanBackend {
         self.backend.table()
     }
 
-    fn detect(&mut self, catalog: &mut Catalog) -> Result<(DetectionReport, EvidenceReport)> {
+    fn detect(&mut self, catalog: &mut Catalog) -> Result<ReadOut> {
         self.backend.detect(catalog)
     }
 
-    fn apply(
-        &mut self,
-        catalog: &mut Catalog,
-        delta: &Delta,
-    ) -> Result<(DetectionReport, EvidenceReport)> {
+    fn apply(&mut self, catalog: &mut Catalog, delta: &Delta) -> Result<ReadOut> {
         self.backend.apply(catalog, delta)
     }
 }
@@ -78,6 +72,7 @@ impl DetectorBackend for PlanBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ecfd_detect::DetectionReport;
     use ecfd_relation::{DataType, Relation, Schema, Tuple};
 
     fn schema() -> Schema {

@@ -7,13 +7,17 @@
 //! the compact representation every layer above shares instead:
 //!
 //! * [`Dictionary`] interns strings (and out-of-range integers) to dense
-//!   `u32` symbols;
+//!   `u32` symbols; its decode side is a [`SymbolTable`];
 //! * [`Code`] packs any [`Value`] into one fixed-width 64-bit word;
 //! * [`CodeVec`] is a small-vector projection key (inline up to four codes)
 //!   used as the group key of the detection group machinery;
-//! * [`ColumnarView`] holds per-attribute code columns derived from a
-//!   [`Relation`] and can be kept incrementally up to date under
-//!   [`Delta`](crate::Delta)-style row insertion and removal.
+//! * [`CodeColumns`] holds per-attribute code columns (plus the row-id
+//!   column) derived from a [`Relation`] — what a scan reads;
+//! * [`ColumnarView`] is a `CodeColumns` plus the row indexes that keep it
+//!   incrementally up to date under [`Delta`](crate::Delta)-style row
+//!   insertion and removal;
+//! * [`ChunkedVec`] is the persistent vector all of the shared state lives
+//!   in, so that a [`FrozenView`] of it costs pointer bumps, not a copy.
 //!
 //! ## Value ↔ Code mapping
 //!
@@ -46,25 +50,41 @@
 //! detection pass, and the incremental maintenance state), interning pattern
 //! constants once at registration time and data values as views are built.
 //!
+//! ## Shared read side, live-only index
+//!
+//! Both maintained structures split the same way. What a *reader* touches —
+//! the code columns and row ids ([`CodeColumns`]), and the symbol → value
+//! tables ([`SymbolTable`]: all a reader ever does with a dictionary is
+//! decode) — lives in [`ChunkedVec`]s: fixed-size chunks behind `Arc`s.
+//! Cloning one bumps a pointer per chunk; a writer that then changes an
+//! element copies only the chunk holding it (copy-on-write), so a chunk
+//! shared with any [`FrozenView`] is never written. What only the *writer*
+//! needs — `RowId → position` and row-codes → row ids in [`ColumnarView`],
+//! value → symbol in [`Dictionary`] — lives in ordinary hash maps beside the
+//! read side and never enters a frozen handle.
+//!
 //! ## When a `ColumnarView` is invalidated
 //!
-//! A view is a snapshot of a relation's codes plus a row-id index. It stays
-//! valid as long as every mutation of the underlying relation is mirrored
-//! through [`ColumnarView::insert`] / [`ColumnarView::remove`] (which is how
-//! the incremental detector keeps its view current under `Delta`
-//! application). Mutating the relation behind the view's back — replacing
-//! tuples, updating values in place, or dropping/recreating the table —
-//! invalidates it; rebuild with [`ColumnarView::build`]. Appending extra
-//! columns to the *schema* does not invalidate a prefix view built with
-//! [`ColumnarView::build_prefix`].
+//! A view is the current encoding of a relation's rows plus its row indexes.
+//! It stays valid as long as every mutation of the underlying relation is
+//! mirrored through [`ColumnarView::insert`] / [`ColumnarView::remove`]
+//! (which is how the incremental detector keeps its view current under
+//! `Delta` application). Mutating the relation behind the view's back —
+//! replacing tuples, updating values in place, or dropping/recreating the
+//! table — invalidates it; rebuild with [`ColumnarView::build`]. Appending
+//! extra columns to the *schema* does not invalidate a prefix view built
+//! with [`ColumnarView::build_prefix`]. Frozen handles taken earlier are
+//! unaffected by any of this: they keep the chunks they were frozen with.
 
 use crate::relation::{Relation, RowId};
 use crate::schema::AttrId;
 use crate::tuple::Tuple;
 use crate::value::Value;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Index;
+use std::sync::Arc;
 
 const TAG_BITS: u32 = 3;
 const TAG_MASK: u64 = (1 << TAG_BITS) - 1;
@@ -104,17 +124,201 @@ impl fmt::Display for Code {
     }
 }
 
+/// Elements per chunk of a [`ChunkedVec`]: 1024 codes are 8 KB, so a
+/// 100 000-row column is 98 chunk pointers and copying one chunk on write is
+/// about a microsecond. A power of two, so locating an element is a shift
+/// and a mask.
+pub const CHUNK: usize = 1 << CHUNK_BITS;
+const CHUNK_BITS: u32 = 10;
+const CHUNK_MASK: usize = CHUNK - 1;
+
+/// A persistent vector: fixed-size chunks behind [`Arc`]s, copy-on-write.
+///
+/// `clone` bumps one reference count per chunk and copies no element; the
+/// clones then diverge independently — a mutation copies the one chunk it
+/// writes if (and only if) another handle still shares it. This is what lets
+/// the serving layer freeze an epoch of a maintained table in time
+/// proportional to `len / CHUNK` and pay for the next delta in chunks
+/// touched, not rows stored.
+///
+/// Every chunk but the last holds exactly [`CHUNK`] elements and the last
+/// holds at least one, so element `i` is `chunks[i / CHUNK][i % CHUNK]`.
+#[derive(Debug, Clone)]
+pub struct ChunkedVec<T> {
+    chunks: Vec<Arc<Vec<T>>>,
+    len: usize,
+    /// Chunks copied because a write found them shared (cumulative).
+    copied: u64,
+}
+
+impl<T> Default for ChunkedVec<T> {
+    fn default() -> Self {
+        ChunkedVec {
+            chunks: Vec::new(),
+            len: 0,
+            copied: 0,
+        }
+    }
+}
+
+impl<T: Clone> ChunkedVec<T> {
+    /// An empty vector.
+    pub fn new() -> Self {
+        ChunkedVec::default()
+    }
+
+    /// Number of elements.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the vector holds no element.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The element at `index`, if in bounds.
+    pub fn get(&self, index: usize) -> Option<&T> {
+        self.chunks
+            .get(index >> CHUNK_BITS)?
+            .get(index & CHUNK_MASK)
+    }
+
+    /// Iterates over the elements in order.
+    pub fn iter(&self) -> impl Iterator<Item = &T> + '_ {
+        self.chunks.iter().flat_map(|chunk| chunk.iter())
+    }
+
+    /// How many chunks writes through this handle (or the handles it was
+    /// cloned from) had to copy because they were shared — the exact cost of
+    /// copy-on-write, for the work counters of the layers above.
+    pub fn chunks_copied(&self) -> u64 {
+        self.copied
+    }
+
+    /// Appends an element.
+    pub fn push(&mut self, value: T) {
+        if self.len & CHUNK_MASK == 0 {
+            self.chunks.push(Arc::new(Vec::with_capacity(CHUNK)));
+        }
+        self.chunk_mut(self.chunks.len() - 1).push(value);
+        self.len += 1;
+    }
+
+    /// Removes and returns the element at `index`, moving the last element
+    /// into its place (order is not preserved).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `index` is out of bounds.
+    pub fn swap_remove(&mut self, index: usize) -> T {
+        assert!(index < self.len, "swap_remove index {index} out of bounds");
+        let tail = self.chunks.len() - 1;
+        let last = self
+            .chunk_mut(tail)
+            .pop()
+            .expect("a chunked vector keeps no empty chunk");
+        if self.chunks[tail].is_empty() {
+            self.chunks.pop();
+        }
+        self.len -= 1;
+        if index == self.len {
+            return last;
+        }
+        let slot = &mut self.chunk_mut(index >> CHUNK_BITS)[index & CHUNK_MASK];
+        std::mem::replace(slot, last)
+    }
+
+    /// Appends a whole pre-filled chunk — how a bulk build avoids one
+    /// uniqueness check per element. The vector must end on a chunk boundary
+    /// and only the final chunk of a build may be short.
+    fn push_chunk(&mut self, chunk: Vec<T>) {
+        debug_assert!(self.len & CHUNK_MASK == 0 && (1..=CHUNK).contains(&chunk.len()));
+        self.len += chunk.len();
+        self.chunks.push(Arc::new(chunk));
+    }
+
+    /// Write access to chunk `k`, copying it first when another handle
+    /// shares it.
+    fn chunk_mut(&mut self, k: usize) -> &mut Vec<T> {
+        let chunk = &mut self.chunks[k];
+        if Arc::get_mut(chunk).is_none() {
+            self.copied += 1;
+        }
+        Arc::make_mut(chunk)
+    }
+}
+
+impl<T: Clone> Index<usize> for ChunkedVec<T> {
+    type Output = T;
+
+    fn index(&self, index: usize) -> &T {
+        &self.chunks[index >> CHUNK_BITS][index & CHUNK_MASK]
+    }
+}
+
+/// The decode side of a [`Dictionary`]: symbol → string and big-int tables.
+///
+/// This is all a *reader* of coded data ever needs, and it is what a
+/// [`FrozenView`] carries. Both tables are [`ChunkedVec`]s, so cloning a
+/// symbol table shares every chunk with the dictionary it came from; the
+/// dictionary's later interning appends to (a private copy of) the tail
+/// chunk and never disturbs the clone.
+#[derive(Debug, Clone, Default)]
+pub struct SymbolTable {
+    strings: ChunkedVec<Arc<str>>,
+    big_ints: ChunkedVec<i64>,
+}
+
+impl SymbolTable {
+    /// Number of interned strings.
+    pub fn num_strings(&self) -> usize {
+        self.strings.len()
+    }
+
+    /// Decodes a code back to the value it was issued for.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the code was not issued by the dictionary this table
+    /// belongs to, or was issued after the table was cloned from it (a
+    /// symbol index out of range) — codes are only meaningful relative to
+    /// their issuing dictionary.
+    pub fn decode(&self, code: Code) -> Value {
+        let payload = code.0 >> TAG_BITS;
+        match code.0 & TAG_MASK {
+            TAG_NULL => Value::Null,
+            TAG_BOOL => Value::Bool(payload != 0),
+            TAG_INT => {
+                // Sign-extend the 61-bit payload.
+                Value::Int(((payload << TAG_BITS) as i64) >> TAG_BITS)
+            }
+            TAG_BIG_INT => Value::Int(self.big_ints[payload as usize]),
+            TAG_SYM => Value::Str(self.strings[payload as usize].to_string()),
+            _ => unreachable!("invalid code tag"),
+        }
+    }
+
+    /// Decodes a slice of codes to values.
+    pub fn decode_all(&self, codes: &[Code]) -> Vec<Value> {
+        codes.iter().map(|&c| self.decode(c)).collect()
+    }
+}
+
 /// Interns strings and out-of-range integers to dense symbols, issuing
 /// canonical [`Code`]s for every [`Value`]. Grows monotonically; never
 /// invalidates issued codes.
+///
+/// The decode side is a [`SymbolTable`] that readers share by chunk
+/// ([`Dictionary::symbols`]); the value → symbol maps are the encode side,
+/// which only the writer consults.
 #[derive(Debug, Clone, Default)]
 pub struct Dictionary {
-    /// Symbol → string table; shares each allocation with the `by_string`
-    /// key (the dictionary is grow-only, so the footprint is one `Arc<str>`
-    /// per distinct string, not two `String`s).
-    strings: Vec<std::sync::Arc<str>>,
-    by_string: HashMap<std::sync::Arc<str>, u32>,
-    big_ints: Vec<i64>,
+    symbols: SymbolTable,
+    /// Shares each allocation with the symbol table (the dictionary is
+    /// grow-only, so the footprint is one `Arc<str>` per distinct string,
+    /// not two `String`s).
+    by_string: HashMap<Arc<str>, u32>,
     by_big_int: HashMap<i64, u32>,
 }
 
@@ -124,9 +328,21 @@ impl Dictionary {
         Dictionary::default()
     }
 
+    /// The decode side. Clone it to pin the dictionary's current state for a
+    /// reader — a pointer bump per chunk.
+    pub fn symbols(&self) -> &SymbolTable {
+        &self.symbols
+    }
+
     /// Number of interned strings.
     pub fn num_strings(&self) -> usize {
-        self.strings.len()
+        self.symbols.num_strings()
+    }
+
+    /// See [`ChunkedVec::chunks_copied`]: symbol-table chunks interning had
+    /// to copy because a [`SymbolTable`] clone still shared them.
+    pub fn chunks_copied(&self) -> u64 {
+        self.symbols.strings.chunks_copied() + self.symbols.big_ints.chunks_copied()
     }
 
     /// Interns a string, returning its symbol.
@@ -134,9 +350,10 @@ impl Dictionary {
         if let Some(&sym) = self.by_string.get(s) {
             return sym;
         }
-        let sym = u32::try_from(self.strings.len()).expect("dictionary overflow (> 2^32 strings)");
-        let shared: std::sync::Arc<str> = s.into();
-        self.strings.push(shared.clone());
+        let sym = u32::try_from(self.symbols.strings.len())
+            .expect("dictionary overflow (> 2^32 strings)");
+        let shared: Arc<str> = s.into();
+        self.symbols.strings.push(shared.clone());
         self.by_string.insert(shared, sym);
         sym
     }
@@ -154,8 +371,9 @@ impl Dictionary {
                 let idx = match self.by_big_int.get(i) {
                     Some(&idx) => idx,
                     None => {
-                        let idx = u32::try_from(self.big_ints.len()).expect("dictionary overflow");
-                        self.big_ints.push(*i);
+                        let idx = u32::try_from(self.symbols.big_ints.len())
+                            .expect("dictionary overflow");
+                        self.symbols.big_ints.push(*i);
                         self.by_big_int.insert(*i, idx);
                         idx
                     }
@@ -192,31 +410,15 @@ impl Dictionary {
         tuple.values().iter().map(|v| self.encode(v)).collect()
     }
 
-    /// Decodes a code back to the value it was issued for.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the code was not issued by this dictionary (a symbol index
-    /// out of range) — codes are only meaningful relative to their issuing
-    /// dictionary.
+    /// Decodes a code back to the value it was issued for (see
+    /// [`SymbolTable::decode`], including when it panics).
     pub fn decode(&self, code: Code) -> Value {
-        let payload = code.0 >> TAG_BITS;
-        match code.0 & TAG_MASK {
-            TAG_NULL => Value::Null,
-            TAG_BOOL => Value::Bool(payload != 0),
-            TAG_INT => {
-                // Sign-extend the 61-bit payload.
-                Value::Int(((payload << TAG_BITS) as i64) >> TAG_BITS)
-            }
-            TAG_BIG_INT => Value::Int(self.big_ints[payload as usize]),
-            TAG_SYM => Value::Str(self.strings[payload as usize].to_string()),
-            _ => unreachable!("invalid code tag"),
-        }
+        self.symbols.decode(code)
     }
 
     /// Decodes a slice of codes to values.
     pub fn decode_all(&self, codes: &[Code]) -> Vec<Value> {
-        codes.iter().map(|&c| self.decode(c)).collect()
+        self.symbols.decode_all(codes)
     }
 }
 
@@ -407,41 +609,53 @@ pub fn shard_of_value(value: &crate::value::Value, num_shards: usize) -> usize {
     (h.finish() % num_shards as u64) as usize
 }
 
-/// Per-attribute code columns derived from a [`Relation`], with a row-id
-/// index so it can be kept up to date under row insertion and removal. See
-/// the module docs for the invalidation rules.
+/// Per-attribute code columns plus the row-id column: the read side of an
+/// encoded relation — everything a scan, a decode or a snapshot touches.
+///
+/// Every column is a [`ChunkedVec`] of the same length, so all of them break
+/// into chunks at the same rows; [`CodeColumns::blocks`] hands those out as
+/// plain slices. `clone` shares every chunk (see [`ChunkedVec`]).
 #[derive(Debug, Clone, Default)]
-pub struct ColumnarView {
-    columns: Vec<Vec<Code>>,
-    row_ids: Vec<RowId>,
-    positions: CodeMap<RowId, usize>,
+pub struct CodeColumns {
+    columns: Vec<ChunkedVec<Code>>,
+    row_ids: ChunkedVec<RowId>,
 }
 
-impl ColumnarView {
+impl CodeColumns {
     /// Encodes every column of `relation` through `dict`.
     pub fn build(relation: &Relation, dict: &mut Dictionary) -> Self {
         Self::build_prefix(relation, relation.schema().arity(), dict)
     }
 
-    /// Encodes the first `num_columns` attributes of `relation` — used by the
-    /// incremental detector, whose stored table carries detector-managed flag
-    /// columns after the base attributes.
+    /// Encodes the first `num_columns` attributes of `relation` — used for
+    /// the incremental detector's stored table, which carries
+    /// detector-managed flag columns after the base attributes. Values are
+    /// interned in row-major order.
     pub fn build_prefix(relation: &Relation, num_columns: usize, dict: &mut Dictionary) -> Self {
-        let mut columns = vec![Vec::with_capacity(relation.len()); num_columns];
-        let mut row_ids = Vec::with_capacity(relation.len());
-        let mut positions = CodeMap::default();
-        for (row_id, tuple) in relation.iter() {
-            positions.insert(row_id, row_ids.len());
-            row_ids.push(row_id);
-            for (col, value) in columns.iter_mut().zip(tuple.values()) {
-                col.push(dict.encode(value));
+        let mut out = CodeColumns {
+            columns: vec![ChunkedVec::new(); num_columns],
+            row_ids: ChunkedVec::new(),
+        };
+        // Fill one chunk per column at a time and hand the chunks over
+        // whole.
+        let mut rows = relation.iter().peekable();
+        while rows.peek().is_some() {
+            let mut ids = Vec::with_capacity(CHUNK);
+            let mut codes: Vec<Vec<Code>> = (0..num_columns)
+                .map(|_| Vec::with_capacity(CHUNK))
+                .collect();
+            for (row_id, tuple) in rows.by_ref().take(CHUNK) {
+                ids.push(row_id);
+                for (chunk, value) in codes.iter_mut().zip(tuple.values()) {
+                    chunk.push(dict.encode(value));
+                }
+            }
+            out.row_ids.push_chunk(ids);
+            for (col, chunk) in out.columns.iter_mut().zip(codes) {
+                col.push_chunk(chunk);
             }
         }
-        ColumnarView {
-            columns,
-            row_ids,
-            positions,
-        }
+        out
     }
 
     /// Number of rows.
@@ -454,19 +668,14 @@ impl ColumnarView {
         self.columns.len()
     }
 
-    /// The code column of one attribute.
-    pub fn column(&self, attr: AttrId) -> &[Code] {
-        &self.columns[attr.index()]
-    }
-
     /// The row id stored at a position.
     pub fn row_id(&self, pos: usize) -> RowId {
         self.row_ids[pos]
     }
 
     /// All row ids, in storage order.
-    pub fn row_ids(&self) -> &[RowId] {
-        &self.row_ids
+    pub fn row_ids(&self) -> impl Iterator<Item = RowId> + '_ {
+        self.row_ids.iter().copied()
     }
 
     /// The code at (row position, attribute).
@@ -480,20 +689,187 @@ impl ColumnarView {
         CodeVec::from_iter_exact(attrs.iter().map(|a| self.columns[a.index()][pos]))
     }
 
+    /// The codes of one row across all columns, in attribute order.
+    pub fn row_codes(&self, pos: usize) -> Vec<Code> {
+        self.columns.iter().map(|col| col[pos]).collect()
+    }
+
+    /// Rows `lo..hi` as a sequence of [`Block`]s, one per chunk the range
+    /// overlaps: a full scan resolves the chunk pointers once per
+    /// [`CHUNK`] rows and indexes plain slices in between.
+    pub fn blocks(&self, lo: usize, hi: usize) -> impl Iterator<Item = Block<'_>> + '_ {
+        let hi = hi.min(self.num_rows());
+        let chunks = if lo < hi {
+            (lo >> CHUNK_BITS)..((hi - 1) >> CHUNK_BITS) + 1
+        } else {
+            0..0
+        };
+        chunks.map(move |k| {
+            let base = k << CHUNK_BITS;
+            let rows = lo.max(base) - base..hi.min(base + CHUNK) - base;
+            Block {
+                row_ids: &self.row_ids.chunks[k][rows.clone()],
+                columns: self
+                    .columns
+                    .iter()
+                    .map(|col| &col.chunks[k][rows.clone()])
+                    .collect(),
+            }
+        })
+    }
+
+    fn push(&mut self, row: RowId, codes: &[Code]) {
+        debug_assert_eq!(codes.len(), self.columns.len());
+        self.row_ids.push(row);
+        for (col, &code) in self.columns.iter_mut().zip(codes) {
+            col.push(code);
+        }
+    }
+
+    fn swap_remove(&mut self, pos: usize) {
+        self.row_ids.swap_remove(pos);
+        for col in &mut self.columns {
+            col.swap_remove(pos);
+        }
+    }
+
+    fn chunks_copied(&self) -> u64 {
+        let columns: u64 = self.columns.iter().map(ChunkedVec::chunks_copied).sum();
+        columns + self.row_ids.chunks_copied()
+    }
+
+    /// The victim-index hash of the row at `pos` (see [`row_hash`]).
+    fn row_hash(&self, pos: usize) -> u64 {
+        row_hash(self.columns.iter().map(|col| col[pos]))
+    }
+}
+
+/// A run of consecutive rows of a [`CodeColumns`] that lie in one chunk: the
+/// row ids and every column as plain slices, addressed by offset within the
+/// block.
+#[derive(Debug)]
+pub struct Block<'a> {
+    row_ids: &'a [RowId],
+    columns: Vec<&'a [Code]>,
+}
+
+impl Block<'_> {
+    /// Number of rows in the block.
+    pub fn len(&self) -> usize {
+        self.row_ids.len()
+    }
+
+    /// Whether the block holds no row (never true of a block
+    /// [`CodeColumns::blocks`] yields).
+    pub fn is_empty(&self) -> bool {
+        self.row_ids.is_empty()
+    }
+
+    /// The row id at an offset.
+    pub fn row_id(&self, off: usize) -> RowId {
+        self.row_ids[off]
+    }
+
+    /// The code at (offset, attribute).
+    pub fn code(&self, off: usize, attr: AttrId) -> Code {
+        self.columns[attr.index()][off]
+    }
+
+    /// The projection key of the row at an offset over the given attributes.
+    pub fn key(&self, off: usize, attrs: &[AttrId]) -> CodeVec {
+        CodeVec::from_iter_exact(attrs.iter().map(|a| self.columns[a.index()][off]))
+    }
+}
+
+/// Hashes a row's codes for the victim index of a [`ColumnarView`].
+fn row_hash(codes: impl Iterator<Item = Code>) -> u64 {
+    let mut h = FxHasher::default();
+    for code in codes {
+        h.write_u64(code.raw());
+    }
+    h.finish()
+}
+
+/// A maintained encoding of a relation: the [`CodeColumns`] readers share,
+/// plus two indexes only the maintainer reads — where each row id sits, and
+/// which rows carry a given tuple of codes (how a deletion victim is found
+/// without scanning the table). See the module docs for the invalidation
+/// rules; the indexes never enter a [`FrozenView`].
+#[derive(Debug, Clone, Default)]
+pub struct ColumnarView {
+    columns: CodeColumns,
+    positions: CodeMap<RowId, usize>,
+    /// `(hash of a row's codes, row)`, ordered: the rows of one hash —
+    /// duplicate tuples, and any collision — are a range. About 18 bytes per
+    /// row; every hit is verified against the columns, so a collision costs
+    /// one extra comparison and nothing else.
+    by_codes: BTreeSet<(u64, RowId)>,
+}
+
+impl ColumnarView {
+    /// Encodes every column of `relation` through `dict` and indexes the
+    /// rows.
+    pub fn build(relation: &Relation, dict: &mut Dictionary) -> Self {
+        Self::index(CodeColumns::build(relation, dict))
+    }
+
+    /// [`ColumnarView::build`] over the first `num_columns` attributes (see
+    /// [`CodeColumns::build_prefix`]).
+    pub fn build_prefix(relation: &Relation, num_columns: usize, dict: &mut Dictionary) -> Self {
+        Self::index(CodeColumns::build_prefix(relation, num_columns, dict))
+    }
+
+    /// Builds the row indexes over already-encoded columns.
+    pub fn index(columns: CodeColumns) -> Self {
+        let rows = 0..columns.num_rows();
+        ColumnarView {
+            positions: rows.clone().map(|pos| (columns.row_id(pos), pos)).collect(),
+            by_codes: rows
+                .map(|pos| (columns.row_hash(pos), columns.row_id(pos)))
+                .collect(),
+            columns,
+        }
+    }
+
+    /// The read side: what scans and frozen handles see. Clone it to freeze
+    /// the current rows (a pointer bump per chunk).
+    pub fn columns(&self) -> &CodeColumns {
+        &self.columns
+    }
+
+    /// Number of rows.
+    pub fn num_rows(&self) -> usize {
+        self.columns.num_rows()
+    }
+
+    /// The code at (row position, attribute).
+    pub fn code(&self, pos: usize, attr: AttrId) -> Code {
+        self.columns.code(pos, attr)
+    }
+
+    /// The projection key of a row over the given attributes (the coded
+    /// `t[Z]`).
+    pub fn key(&self, pos: usize, attrs: &[AttrId]) -> CodeVec {
+        self.columns.key(pos, attrs)
+    }
+
     /// The position of a row id, if the view still contains it.
     pub fn position(&self, row: RowId) -> Option<usize> {
         self.positions.get(&row).copied()
     }
 
-    /// Appends a row. `codes` must hold exactly [`ColumnarView::num_columns`]
-    /// codes issued by the view's dictionary.
+    /// Column chunks that [`ColumnarView::insert`] / [`ColumnarView::remove`]
+    /// had to copy because a frozen handle still shared them (cumulative).
+    pub fn chunks_copied(&self) -> u64 {
+        self.columns.chunks_copied()
+    }
+
+    /// Appends a row. `codes` must hold exactly one code per column, issued
+    /// by the view's dictionary.
     pub fn insert(&mut self, row: RowId, codes: &[Code]) {
-        debug_assert_eq!(codes.len(), self.columns.len());
-        self.positions.insert(row, self.row_ids.len());
-        self.row_ids.push(row);
-        for (col, &code) in self.columns.iter_mut().zip(codes) {
-            col.push(code);
-        }
+        self.positions.insert(row, self.columns.num_rows());
+        self.by_codes.insert((row_hash(codes.iter().copied()), row));
+        self.columns.push(row, codes);
     }
 
     /// Removes a row by id (swap-remove; positions of other rows are kept
@@ -503,78 +879,81 @@ impl ColumnarView {
         let Some(pos) = self.positions.remove(&row) else {
             return false;
         };
-        let last = self.row_ids.len() - 1;
-        self.row_ids.swap_remove(pos);
-        for col in &mut self.columns {
-            col.swap_remove(pos);
-        }
+        self.by_codes.remove(&(self.columns.row_hash(pos), row));
+        let last = self.columns.num_rows() - 1;
+        self.columns.swap_remove(pos);
         if pos != last {
-            self.positions.insert(self.row_ids[pos], pos);
+            self.positions.insert(self.columns.row_id(pos), pos);
         }
         true
     }
 
-    /// The codes of one row across all columns, in attribute order.
-    pub fn row_codes(&self, pos: usize) -> Vec<Code> {
-        self.columns.iter().map(|col| col[pos]).collect()
-    }
-
-    /// Row positions whose first `codes.len()` columns equal `codes` — the
-    /// coded equivalent of matching a deletion victim by base-attribute
-    /// prefix.
-    pub fn matching_prefix(&self, codes: &[Code]) -> Vec<usize> {
-        debug_assert!(codes.len() <= self.columns.len());
-        (0..self.num_rows())
-            .filter(|&pos| {
-                codes
-                    .iter()
-                    .enumerate()
-                    .all(|(c, &code)| self.columns[c][pos] == code)
+    /// The rows whose codes equal `codes` (one code per column), in row-id
+    /// order — how a deletion victim finds every stored duplicate of itself.
+    /// Answered from the victim index; also returns how many rows it had to
+    /// compare against the columns to be sure (the matches, plus any hash
+    /// collision).
+    pub fn rows_matching(&self, codes: &[Code]) -> (Vec<RowId>, usize) {
+        debug_assert_eq!(codes.len(), self.columns.num_columns());
+        let hash = row_hash(codes.iter().copied());
+        let mut examined = 0;
+        let rows = self
+            .by_codes
+            .range((hash, RowId(0))..=(hash, RowId(u64::MAX)))
+            .map(|(_, row)| *row)
+            .filter(|row| {
+                examined += 1;
+                let pos = self.positions[row];
+                let stored = self.columns.columns.iter().map(|col| col[pos]);
+                stored.eq(codes.iter().copied())
             })
-            .collect()
+            .collect();
+        (rows, examined)
     }
 }
 
-/// An immutable, cheaply cloneable `(view, dictionary)` pair: one consistent
+/// An immutable, cheaply cloneable `(columns, symbols)` pair: one consistent
 /// point-in-time encoding of a relation.
 ///
-/// A live [`ColumnarView`] is only meaningful next to the (growing)
-/// [`Dictionary`] that issued its codes, and both mutate as deltas stream in.
-/// A `FrozenView` pins the pair: the view and a clone of the dictionary taken
-/// at the same instant, shared behind [`Arc`]s so that handing a copy to
-/// another thread is two reference-count bumps. Nothing behind the handle can
-/// change, so any number of threads may scan, decode and re-detect against it
-/// without synchronisation — this is the unit the serving layer publishes as
-/// an epoch snapshot.
+/// Live [`CodeColumns`] are only meaningful next to the (growing)
+/// [`Dictionary`] that issued their codes, and both mutate as deltas stream
+/// in. A `FrozenView` pins the pair: clones of the two read sides taken at
+/// the same instant — which share every chunk with the live structures — each
+/// behind an [`Arc`], so that handing a copy to another thread is two
+/// reference-count bumps. Nothing behind the handle can change (the writer
+/// copies a shared chunk before writing it), so any number of threads may
+/// scan, decode and re-detect against it without synchronisation — this is
+/// the unit the serving layer publishes as an epoch snapshot. A chunk is
+/// freed by whoever drops the last handle that holds it.
 ///
-/// Because a dictionary only ever grows, codes inside the frozen view remain
-/// valid against *later* states of the source dictionary; the converse does
-/// not hold (a code interned after the freeze is unknown to the frozen
-/// dictionary), which is why the pair is kept together.
-///
-/// [`Arc`]: std::sync::Arc
+/// Because a dictionary only ever grows, codes inside the frozen columns
+/// remain valid against *later* states of the source dictionary; the converse
+/// does not hold (a code interned after the freeze is unknown to the frozen
+/// symbol table), which is why the pair is kept together.
 #[derive(Debug, Clone)]
 pub struct FrozenView {
-    view: std::sync::Arc<ColumnarView>,
-    dict: std::sync::Arc<Dictionary>,
+    view: Arc<CodeColumns>,
+    dict: Arc<SymbolTable>,
 }
 
 impl FrozenView {
-    /// Freezes a view together with the dictionary state that encoded it.
-    pub fn new(view: ColumnarView, dict: Dictionary) -> Self {
+    /// Freezes columns together with the symbol-table state that decodes
+    /// them — typically `view.columns().clone()` and
+    /// `dict.symbols().clone()`, taken under whatever lock guards the pair.
+    pub fn new(view: CodeColumns, dict: SymbolTable) -> Self {
         FrozenView {
-            view: std::sync::Arc::new(view),
-            dict: std::sync::Arc::new(dict),
+            view: Arc::new(view),
+            dict: Arc::new(dict),
         }
     }
 
     /// The frozen code columns.
-    pub fn view(&self) -> &ColumnarView {
+    pub fn view(&self) -> &CodeColumns {
         &self.view
     }
 
-    /// The dictionary state that issued the view's codes.
-    pub fn dict(&self) -> &Dictionary {
+    /// The symbol-table state that decodes the view's codes.
+    pub fn dict(&self) -> &SymbolTable {
         &self.dict
     }
 
@@ -704,22 +1083,37 @@ mod tests {
         .unwrap();
         let mut dict = Dictionary::new();
         let mut view = ColumnarView::build(&rel, &mut dict);
-        let frozen = FrozenView::new(view.clone(), dict.clone());
+        let frozen = FrozenView::new(view.columns().clone(), dict.symbols().clone());
         let reader = frozen.clone(); // cheap Arc clone, shareable across threads
 
-        // Mutate the live view and dictionary behind the frozen handle's back.
+        // Mutate the live view and dictionary behind the frozen handle's
+        // back: append into, and remove a row from, the one chunk the handle
+        // shares with them.
         let t = Tuple::new(vec![Value::str("Troy"), Value::int(3), Value::bool(true)]);
         let codes = dict.encode_tuple(&t);
         let id = rel.insert(t).unwrap();
         view.insert(id, &codes);
+        let first = rel.row_ids()[0];
+        rel.delete(first).unwrap();
+        assert!(view.remove(first));
+        assert_eq!(view.num_rows(), 2);
+        assert_eq!(
+            view.columns().row_id(0),
+            id,
+            "the appended row was swapped into slot 0"
+        );
 
         assert_eq!(reader.num_rows(), 2, "the freeze predates the insert");
         assert_eq!(reader.dict().num_strings(), 2, "`Troy` was interned later");
         let rows = reader.decode_rows();
         assert_eq!(rows.len(), 2);
         assert_eq!(
-            rows[0].1,
-            vec![Value::str("Albany"), Value::int(1), Value::bool(true)]
+            rows[0],
+            (
+                first,
+                vec![Value::str("Albany"), Value::int(1), Value::bool(true)]
+            ),
+            "the removed row is still the frozen handle's first"
         );
         // A relation rebuilt from the frozen rows preserves the row ids.
         let copy = Relation::with_rows(
@@ -728,12 +1122,82 @@ mod tests {
         )
         .unwrap();
         assert_eq!(copy.len(), 2);
-        for (pos, row) in reader.view().row_ids().iter().enumerate() {
+        for (pos, row) in reader.view().row_ids().enumerate() {
             assert_eq!(
-                copy.get(*row).unwrap().values(),
+                copy.get(row).unwrap().values(),
                 reader.decode_row(pos).as_slice()
             );
         }
+    }
+
+    /// Chunks of `new` that are not the very same allocation as the chunk at
+    /// that index of `old`.
+    fn unshared<T>(old: &ChunkedVec<T>, new: &ChunkedVec<T>) -> usize {
+        let shared = |k: usize, chunk: &Arc<Vec<T>>| {
+            old.chunks.get(k).is_some_and(|o| Arc::ptr_eq(o, chunk))
+        };
+        (new.chunks.iter().enumerate())
+            .filter(|(k, chunk)| !shared(*k, chunk))
+            .count()
+    }
+
+    #[test]
+    fn a_tail_delta_copies_the_same_few_chunks_at_every_table_size() {
+        // Freeze, mirror 8 removes + 8 inserts at the table's tail, freeze
+        // again: what the two epochs do not share is a handful of chunks,
+        // however many rows the table has.
+        let copied_at = |n: usize| -> usize {
+            let row = |i: usize| {
+                let city = format!("city-{}", i % 50);
+                Tuple::new(vec![
+                    Value::str(city),
+                    Value::int(i as i64),
+                    Value::bool(i.is_multiple_of(2)),
+                ])
+            };
+            let mut rel = Relation::with_tuples(schema(), (0..n).map(row)).unwrap();
+            let mut dict = Dictionary::new();
+            let mut view = ColumnarView::build(&rel, &mut dict);
+            let before = FrozenView::new(view.columns().clone(), dict.symbols().clone());
+            let old_rows = before.decode_rows();
+            assert_eq!(old_rows.len(), n);
+
+            let ids = rel.row_ids();
+            for id in &ids[n - 8..] {
+                rel.delete(*id).unwrap();
+                assert!(view.remove(*id));
+            }
+            for i in n..n + 8 {
+                let mut t = row(i);
+                t.set(AttrId(0), Value::str(format!("new-{i}"))).unwrap();
+                let codes = dict.encode_tuple(&t);
+                view.insert(rel.insert(t).unwrap(), &codes);
+            }
+            let after = FrozenView::new(view.columns().clone(), dict.symbols().clone());
+
+            assert_eq!(before.decode_rows(), old_rows, "the first epoch is intact");
+            let live: Vec<_> = (rel.iter().map(|(id, t)| (id, t.values().to_vec()))).collect();
+            let mut served = after.decode_rows();
+            served.sort_by_key(|(id, _)| *id);
+            assert_eq!(served, live, "the second epoch is the table as it is now");
+
+            let (old, new) = (before.view(), after.view());
+            let columns: usize = (old.columns.iter().zip(&new.columns))
+                .map(|(o, n)| unshared(o, n))
+                .sum();
+            let copied = columns
+                + unshared(&old.row_ids, &new.row_ids)
+                + unshared(&before.dict().strings, &after.dict().strings);
+            assert_eq!(
+                copied as u64,
+                view.chunks_copied() + dict.chunks_copied(),
+                "the counters report exactly the chunks that were copied"
+            );
+            copied
+        };
+        let small = copied_at(2_000);
+        assert_eq!(small, 5, "3 columns + row ids + the symbol table's tail");
+        assert_eq!(copied_at(20_000), small);
     }
 
     #[test]
@@ -749,7 +1213,7 @@ mod tests {
         let mut dict = Dictionary::new();
         let mut view = ColumnarView::build(&rel, &mut dict);
         assert_eq!(view.num_rows(), 2);
-        assert_eq!(view.num_columns(), 3);
+        assert_eq!(view.columns().num_columns(), 3);
         let albany = dict.try_encode(&Value::str("Albany")).unwrap();
         assert_eq!(view.code(0, AttrId(0)), albany);
 
@@ -771,22 +1235,77 @@ mod tests {
         assert!(view.remove(first));
         assert!(!view.remove(first));
         assert_eq!(view.num_rows(), 2);
-        for (pos, row) in view.row_ids().iter().enumerate() {
-            assert_eq!(view.position(*row), Some(pos));
-            let stored = rel.get(*row).unwrap();
-            for c in 0..view.num_columns() {
-                assert_eq!(dict.decode(view.code(pos, AttrId(c))), stored.values()[c]);
+        for (pos, row) in view.columns().row_ids().enumerate() {
+            assert_eq!(view.position(row), Some(pos));
+            let stored = rel.get(row).unwrap();
+            for (c, value) in stored.values().iter().enumerate() {
+                assert_eq!(dict.decode(view.code(pos, AttrId(c))), *value);
             }
         }
 
-        // Prefix matching finds rows by coded victim.
-        let troy_codes = dict.encode_tuple(&Tuple::new(vec![
-            Value::str("Troy"),
-            Value::int(3),
-            Value::bool(true),
-        ]));
-        let hits = view.matching_prefix(&troy_codes);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(view.row_id(hits[0]), id);
+        // The victim index finds rows by their codes — every duplicate, in
+        // row-id order, and nothing once they are gone.
+        let troy = Tuple::new(vec![Value::str("Troy"), Value::int(3), Value::bool(true)]);
+        let troy_codes = dict.encode_tuple(&troy);
+        assert_eq!(view.rows_matching(&troy_codes), (vec![id], 1));
+        let twin = rel.insert(troy.clone()).unwrap();
+        view.insert(twin, &troy_codes);
+        let triplet = rel.insert(troy).unwrap();
+        view.insert(triplet, &troy_codes);
+        assert_eq!(
+            view.rows_matching(&troy_codes),
+            (vec![id, twin, triplet], 3)
+        );
+        assert!(
+            view.remove(id),
+            "the indexed row goes; a duplicate moves up"
+        );
+        assert_eq!(view.rows_matching(&troy_codes), (vec![twin, triplet], 2));
+        assert!(view.remove(triplet));
+        assert!(view.remove(twin));
+        assert_eq!(view.rows_matching(&troy_codes), (vec![], 0));
+        assert_eq!(view.by_codes.len(), view.num_rows());
+        let absent = [troy_codes[0], albany, troy_codes[2]];
+        assert_eq!(view.rows_matching(&absent), (vec![], 0));
+    }
+
+    #[test]
+    fn blocks_cover_a_row_range_chunk_by_chunk() {
+        let n = 2 * CHUNK + 10;
+        let rel = Relation::with_tuples(
+            schema(),
+            (0..n).map(|i| {
+                Tuple::new(vec![
+                    Value::str("x"),
+                    Value::int(i as i64),
+                    Value::bool(true),
+                ])
+            }),
+        )
+        .unwrap();
+        let columns = CodeColumns::build(&rel, &mut Dictionary::new());
+        for (lo, hi) in [
+            (0, n),
+            (5, CHUNK),
+            (CHUNK - 1, CHUNK + 1),
+            (CHUNK, n),
+            (7, 7),
+        ] {
+            let mut pos = lo;
+            for block in columns.blocks(lo, hi) {
+                assert!(!block.is_empty() && block.len() <= CHUNK);
+                for off in 0..block.len() {
+                    assert_eq!(block.row_id(off), columns.row_id(pos));
+                    assert_eq!(block.code(off, AttrId(1)), columns.code(pos, AttrId(1)));
+                    assert_eq!(
+                        block.key(off, &[AttrId(1), AttrId(0)]),
+                        columns.key(pos, &[AttrId(1), AttrId(0)])
+                    );
+                    pos += 1;
+                }
+            }
+            assert_eq!(pos, hi.max(lo), "blocks({lo}, {hi}) visits every row once");
+        }
+        assert_eq!(columns.blocks(0, n).count(), 3);
     }
 }

@@ -280,8 +280,7 @@ mod tests {
     /// marker the SQL encoding uses.
     #[test]
     fn dictionary_codes_are_stable_across_csv_reload() {
-        use crate::columnar::{ColumnarView, Dictionary};
-        use crate::schema::AttrId;
+        use crate::columnar::{CodeColumns, Dictionary};
 
         let schema = Schema::builder("t")
             .attr("CT", DataType::Str)
@@ -310,21 +309,21 @@ mod tests {
 
         let mut dict_a = Dictionary::new();
         let mut dict_b = Dictionary::new();
-        let view_a = ColumnarView::build(&rel, &mut dict_a);
-        let view_b = ColumnarView::build(&reloaded, &mut dict_b);
+        let view_a = CodeColumns::build(&rel, &mut dict_a);
+        let view_b = CodeColumns::build(&reloaded, &mut dict_b);
         assert_eq!(view_a.num_rows(), view_b.num_rows());
-        for col in 0..view_a.num_columns() {
+        for pos in 0..view_a.num_rows() {
             assert_eq!(
-                view_a.column(AttrId(col)),
-                view_b.column(AttrId(col)),
-                "codes diverge in column {col} after CSV reload"
+                view_a.row_codes(pos),
+                view_b.row_codes(pos),
+                "codes diverge in row {pos} after CSV reload"
             );
         }
         // And re-encoding the original into its own dictionary issues the
         // same codes again (interning is idempotent).
-        let view_c = ColumnarView::build(&rel, &mut dict_a);
-        for col in 0..view_a.num_columns() {
-            assert_eq!(view_a.column(AttrId(col)), view_c.column(AttrId(col)));
+        let view_c = CodeColumns::build(&rel, &mut dict_a);
+        for pos in 0..view_a.num_rows() {
+            assert_eq!(view_a.row_codes(pos), view_c.row_codes(pos));
         }
     }
 }

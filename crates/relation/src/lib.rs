@@ -21,10 +21,13 @@
 //! word packing `Null` / `Int` / `Bool` / interned-string values (see the
 //! [`columnar`] module docs for the exact Value ↔ Code mapping, dictionary
 //! lifetime rules, and when a view is invalidated), a [`CodeVec`]
-//! small-vector projection key, and a [`ColumnarView`] of per-attribute code
-//! columns derivable from any [`Relation`] and maintainable under [`Delta`]
-//! application. Code equality decides value equality within one dictionary,
-//! so group-by and pattern matching become single-word integer comparisons.
+//! small-vector projection key, [`CodeColumns`] of per-attribute codes
+//! derivable from any [`Relation`], and a [`ColumnarView`] that keeps such
+//! columns current under [`Delta`] application. Code equality decides value
+//! equality within one dictionary, so group-by and pattern matching become
+//! single-word integer comparisons. Columns and the dictionary's decode side
+//! ([`SymbolTable`]) live in [`ChunkedVec`]s, so a [`FrozenView`] of a
+//! maintained table shares its chunks instead of copying them.
 //!
 //! ## Example
 //!
@@ -57,8 +60,8 @@ pub mod value;
 
 pub use catalog::{Catalog, SharedCatalog};
 pub use columnar::{
-    shard_of, shard_of_value, Code, CodeMap, CodeVec, ColumnarView, Dictionary, FrozenView,
-    FxBuildHasher, FxHasher,
+    shard_of, shard_of_value, ChunkedVec, Code, CodeColumns, CodeMap, CodeVec, ColumnarView,
+    Dictionary, FrozenView, FxBuildHasher, FxHasher, SymbolTable,
 };
 pub use error::{RelationError, Result};
 pub use index::HashIndex;

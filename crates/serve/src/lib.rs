@@ -20,10 +20,13 @@
 //!   routed backends (incremental maintenance for small batches), and
 //!   extracts an epoch-stamped [`Snapshot`](ecfd_session::Snapshot).
 //! * **Arc-swapped publication.** The snapshot — frozen
-//!   [`ColumnarView`](ecfd_relation::ColumnarView) + dictionary + cached
-//!   report/evidence — is published into a [`SnapshotStore`]. Publication
-//!   swaps one `Arc` pointer; readers clone the `Arc` and from then on touch
-//!   no shared mutable state at all: cached answers are field reads, and a
+//!   [`CodeColumns`](ecfd_relation::CodeColumns) + symbol table +
+//!   report/evidence — is published into a [`SnapshotStore`]. It shares the
+//!   session's chunks and `Arc`s instead of copying them, so extracting one
+//!   costs the same at every table size. Publication swaps one `Arc`
+//!   pointer; readers clone the `Arc` and from then on touch no shared
+//!   mutable state at all (the writer copies a chunk before writing one a
+//!   snapshot still holds): cached answers are field reads, and a
 //!   from-scratch re-detection
 //!   ([`Snapshot::detect_fresh`](ecfd_session::Snapshot::detect_fresh)) is a
 //!   pure scan over the frozen codes.

@@ -50,12 +50,20 @@ impl SnapshotStore {
     /// Publishes a new snapshot, returning its epoch. Publishing an epoch at
     /// or below the current one is ignored (the newer state wins) and returns
     /// the retained epoch.
+    ///
+    /// The snapshot that loses — normally the previous epoch — is released
+    /// after the lock: if the store was its last holder, dropping it frees
+    /// the chunks, report and evidence the new epoch does not share, and no
+    /// reader should wait on that.
     pub fn publish(&self, snapshot: Snapshot) -> u64 {
+        let mut incoming = Arc::new(snapshot);
         let mut slot = self.write();
-        if snapshot.epoch() > slot.epoch() {
-            *slot = Arc::new(snapshot);
+        if incoming.epoch() > slot.epoch() {
+            std::mem::swap(&mut *slot, &mut incoming);
         }
-        slot.epoch()
+        let epoch = slot.epoch();
+        drop(slot);
+        epoch
     }
 }
 

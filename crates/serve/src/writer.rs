@@ -311,18 +311,24 @@ mod tests {
     use std::path::PathBuf;
 
     fn ready_session() -> Session {
+        session_with_filler(0)
+    }
+
+    /// The two-row session plus `filler` clean rows — enough of them and a
+    /// one-tuple delta routes to the incremental backend instead of a full
+    /// pass.
+    fn session_with_filler(filler: usize) -> Session {
         let schema = Schema::builder("cust")
             .attr("CT", DataType::Str)
             .attr("AC", DataType::Str)
             .build();
-        let data = Relation::with_tuples(
-            schema,
-            [
-                Tuple::from_iter(["Albany", "718"]),
-                Tuple::from_iter(["NYC", "212"]),
-            ],
-        )
-        .unwrap();
+        let rows = [
+            Tuple::from_iter(["Albany", "718"]),
+            Tuple::from_iter(["NYC", "212"]),
+        ]
+        .into_iter()
+        .chain((0..filler).map(|i| Tuple::from_iter(["Utica", &format!("3{i:02}")])));
+        let data = Relation::with_tuples(schema, rows).unwrap();
         let mut session = Session::new();
         session.load(data).unwrap();
         session
@@ -395,29 +401,35 @@ mod tests {
 
     #[test]
     fn bad_deltas_are_skipped_not_fatal() {
-        let (mut writer, hub) = Writer::bootstrap(ready_session(), 8, 4).unwrap();
-        let before = hub.snapshot();
         // An insertion with the wrong arity cannot be applied — and a valid
-        // delta behind it in the same batch must still land.
-        let ticket = hub
-            .submit(Delta::insert_only(vec![Tuple::from_iter(["only-one"])]))
-            .unwrap();
-        let good = hub
-            .submit(Delta::insert_only(vec![Tuple::from_iter(["Troy", "518"])]))
-            .unwrap();
-        writer.step(&hub, Duration::from_millis(10)).unwrap();
-        assert!(hub.queue().is_applied(ticket), "SYNC must not hang");
-        assert!(hub.queue().is_applied(good));
-        assert_eq!(hub.stats().write_errors, 1);
-        assert!(hub.last_error().unwrap().starts_with("ticket 1:"));
-        let after = hub.snapshot();
-        assert_eq!(after.num_rows(), 3, "the good ticket landed");
-        assert_eq!(
-            after.report().sv_rows,
-            before.report().sv_rows,
-            "the clean Troy insert changed no flags"
-        );
-        assert_eq!(&after.detect_fresh().unwrap(), after.report());
+        // delta behind it in the same batch must still land. On two rows the
+        // delta goes to a full pass; on twenty it goes to the incremental
+        // maintainer, which a short tuple matching a constraint's LHS
+        // (`Albany`) used to panic — killing the writer — instead of failing.
+        for (filler, short) in [(0, "only-one"), (18, "only-one"), (18, "Albany")] {
+            let (mut writer, hub) = Writer::bootstrap(session_with_filler(filler), 8, 4).unwrap();
+            let before = hub.snapshot();
+            let ticket = hub
+                .submit(Delta::insert_only(vec![Tuple::from_iter([short])]))
+                .unwrap();
+            let good = hub
+                .submit(Delta::insert_only(vec![Tuple::from_iter(["Troy", "518"])]))
+                .unwrap();
+            writer.step(&hub, Duration::from_millis(10)).unwrap();
+            assert!(hub.queue().is_applied(ticket), "SYNC must not hang");
+            assert!(hub.queue().is_applied(good));
+            assert_eq!(hub.stats().write_errors, 1, "{short} on {filler} + 2 rows");
+            let error = hub.last_error().unwrap();
+            assert!(error.starts_with("ticket 1:"), "{error}");
+            let after = hub.snapshot();
+            assert_eq!(after.num_rows(), filler + 3, "the good ticket landed");
+            assert_eq!(
+                after.report().sv_rows,
+                before.report().sv_rows,
+                "the clean Troy insert changed no flags"
+            );
+            assert_eq!(&after.detect_fresh().unwrap(), after.report());
+        }
     }
 
     fn temp_dir(tag: &str) -> PathBuf {

@@ -41,17 +41,22 @@ pub enum Stage {
 /// mutation routed through a different entry's backend — automatically
 /// retires it instead of relying on every such code path to remember to
 /// clear it.
+///
+/// Report and evidence are held by reference count: the incremental backend
+/// hands over the pair it maintains and a snapshot takes the same pair on,
+/// so neither caching nor publishing a result copies it.
 #[derive(Debug, Clone)]
 struct Cached {
     kind: BackendKind,
-    report: DetectionReport,
-    evidence: EvidenceReport,
+    report: Arc<DetectionReport>,
+    evidence: Arc<EvidenceReport>,
     at_version: u64,
 }
 
 /// Everything the session holds for one registered relation.
 struct Entry {
-    set: ConstraintSet,
+    /// Shared with every snapshot taken of the relation.
+    set: Arc<ConstraintSet>,
     semantic: SemanticBackend,
     /// The SQL backend, or the reason it cannot serve this set (non-string
     /// constrained attributes are outside the SQL encoding's envelope).
@@ -257,7 +262,7 @@ impl Session {
     }
 
     fn build_entry(&self, schema: &Schema, source: &[ECfd]) -> Result<Entry> {
-        let set = ConstraintSet::compile_with(schema, source, self.compile)?;
+        let set = Arc::new(ConstraintSet::compile_with(schema, source, self.compile)?);
         let sql = SqlBackend::from_set(&set).map_err(|e| e.to_string());
         // Pattern constants resolve to dictionary codes inside the backends'
         // `from_set` constructors — once, here, at registration time.
@@ -318,7 +323,7 @@ impl Session {
                 ecfd_obs::registry()
                     .counter("session.detect.cache.hits")
                     .inc();
-                return Ok(cached.report.clone());
+                return Ok(DetectionReport::clone(&cached.report));
             }
         }
         let kind = kind.unwrap_or(self.policy.detect_backend);
@@ -326,14 +331,15 @@ impl Session {
             .counter_with("session.detect.passes", &[("backend", kind.as_str())])
             .inc();
         let (report, evidence) = entry.backend_mut(kind)?.detect(&mut self.catalog)?;
+        let owned = DetectionReport::clone(&report);
         entry.cache = Some(Cached {
             kind,
-            report: report.clone(),
+            report,
             evidence,
             at_version: version,
         });
         entry.stage = Stage::Detected;
-        Ok(report)
+        Ok(owned)
     }
 
     /// The evidence behind the current detection result — which constraint
@@ -352,12 +358,8 @@ impl Session {
         let name = self.resolve(table)?;
         self.detect_impl(Some(&name), None)?;
         let entry = self.tables.get(&name).expect("resolved");
-        Ok(entry
-            .cache
-            .as_ref()
-            .expect("just detected")
-            .evidence
-            .clone())
+        let cached = entry.cache.as_ref().expect("just detected");
+        Ok(EvidenceReport::clone(&cached.evidence))
     }
 
     /// The conflict graph of the current violations (who conflicts with whom,
@@ -461,14 +463,16 @@ impl Session {
         // Bump *before* stamping: the fresh result describes the post-apply
         // contents, so it must carry the post-apply version to stay servable.
         self.version += 1;
+        // The one copy this path makes: the caller's own report.
+        let owned = DetectionReport::clone(&report);
         entry.cache = Some(Cached {
             kind,
-            report: report.clone(),
+            report,
             evidence,
             at_version: self.version,
         });
         entry.stage = Stage::Detected;
-        Ok(report)
+        Ok(owned)
     }
 
     // ── lifecycle: repair ──────────────────────────────────────────────────
@@ -500,7 +504,10 @@ impl Session {
         let name = self.resolve(table)?;
         self.detect_impl(Some(&name), None)?;
         let entry = self.tables.get_mut(&name).expect("resolved");
-        let seed = entry.cache.as_ref().map(|c| c.evidence.clone());
+        let seed = entry
+            .cache
+            .as_ref()
+            .map(|c| EvidenceReport::clone(&c.evidence));
         entry.repair.set_options(options);
         // Warm incremental state means flags and group structure already
         // describe the table — hand it to the loop and skip the seeding
@@ -517,11 +524,11 @@ impl Session {
         self.version += 1;
         entry.cache = Some(Cached {
             kind: BackendKind::Semantic,
-            report: outcome.final_report.clone(),
-            evidence: EvidenceReport {
+            report: Arc::new(outcome.final_report.clone()),
+            evidence: Arc::new(EvidenceReport {
                 total_rows: outcome.final_report.total_rows,
                 ..Default::default()
-            },
+            }),
             at_version: self.version,
         });
         entry.stage = Stage::Repaired;
@@ -561,7 +568,7 @@ impl Session {
     /// The cached detection report, if current — `None` when the cache is
     /// stale (produced at an earlier session version) or absent.
     pub fn report(&self) -> Option<&DetectionReport> {
-        self.current_cache().map(|c| &c.report)
+        self.current_cache().map(|c| &*c.report)
     }
 
     /// The sole relation's cache, only if stamped at the current version.
@@ -586,16 +593,19 @@ impl Session {
     }
 
     /// Extracts an immutable, epoch-stamped [`Snapshot`] of the sole
-    /// registered relation: the frozen base-attribute view and dictionary,
-    /// the compiled constraint set with a lineage-matched detector, and the
-    /// current report/evidence (running detection first when nothing is
-    /// cached). The snapshot is self-contained — cloning it is cheap, every
-    /// query on it is read-only, and later session mutations never affect it.
+    /// registered relation: the frozen base-attribute columns and symbol
+    /// table, the compiled constraint set with a lineage-matched detector,
+    /// and the current report/evidence (running detection first when nothing
+    /// is cached). The snapshot is self-contained — cloning it is cheap,
+    /// every query on it is read-only, and later session mutations never
+    /// affect it.
     ///
-    /// When the incremental backend's maintenance state is warm, the frozen
-    /// view is cloned straight from it (the rows are already encoded); the
-    /// cold path encodes the table once through the semantic detector's
-    /// dictionary.
+    /// When the incremental backend's maintenance state is warm — the state
+    /// a served session is in after its first delta — nothing is copied: the
+    /// frozen view *shares* the maintained chunks, and the set, report and
+    /// evidence travel by reference count, so a snapshot costs the same at
+    /// every table size. The cold path encodes the table once through the
+    /// semantic detector's dictionary.
     pub fn snapshot(&mut self) -> Result<Snapshot> {
         let name = self.resolve(None)?;
         self.snapshot_of(&name)
@@ -609,21 +619,19 @@ impl Session {
         self.detect_impl(Some(&name), None)?;
         let entry = self.tables.get(&name).expect("resolved");
         let cached = entry.cache.as_ref().expect("just detected");
-        let schema = entry.set.schema().clone();
         let (frozen, detector) = match entry.incremental.detector() {
             // Warm incremental state: its maintained view *is* the current
-            // encoding of the table — freeze is a clone, not a re-encode.
+            // encoding of the table — the freeze shares its chunks.
             Some(inc) => (inc.freeze(), inc.semantic().clone()),
             None => {
                 let relation = self.catalog.get(&name)?;
                 let detector = entry.semantic.detector();
-                (detector.freeze(relation, schema.arity()), detector.clone())
+                let arity = entry.set.schema().arity();
+                (detector.freeze(relation, arity), detector.clone())
             }
         };
         Ok(Snapshot {
             epoch: self.version,
-            table: name,
-            schema,
             set: entry.set.clone(),
             detector,
             frozen,
@@ -636,7 +644,7 @@ impl Session {
     pub fn constraints(&self, table: &str) -> Result<&ConstraintSet> {
         self.tables
             .get(table)
-            .map(|entry| &entry.set)
+            .map(|entry| &*entry.set)
             .ok_or_else(|| self.missing(table))
     }
 

@@ -7,39 +7,45 @@
 //! time:
 //!
 //! * the relation's base attributes as a [`FrozenView`] (dictionary-encoded
-//!   code columns plus the issuing dictionary state, both behind `Arc`s);
+//!   code columns plus the symbol table that decodes them);
 //! * the compiled [`ConstraintSet`] and a lineage-matched
 //!   [`SemanticDetector`] clone, so the coded pattern cells agree with the
-//!   frozen dictionary;
-//! * the cached [`DetectionReport`] and [`EvidenceReport`] describing that
-//!   exact state;
+//!   frozen symbol table;
+//! * the [`DetectionReport`] and [`EvidenceReport`] describing that exact
+//!   state;
 //! * the **epoch**: the session's mutation counter at extraction time.
 //!
-//! Cloning a snapshot is cheap (reference-count bumps plus the report
-//! clones), every accessor takes `&self`, and [`Snapshot::detect_fresh`]
-//! re-derives the report from the frozen codes without any lock — so any
-//! number of threads can hold and query the same snapshot while the owning
-//! session keeps mutating. This is the unit the `ecfd_serve` crate publishes
-//! to its readers.
+//! Nothing in a snapshot is a private copy. The frozen view shares the
+//! chunks of the session's maintained columns and dictionary
+//! ([`ecfd_relation::ChunkedVec`]: the session copies a shared chunk before
+//! it writes one, so what a snapshot holds never changes), and the set, the
+//! report and the evidence are the session's own, held by reference count.
+//! Extracting one from a warm session therefore costs pointer bumps —
+//! independent of the table's size — and the state it pins is freed, chunk by
+//! chunk, by whoever drops the last snapshot that holds it. Cloning a
+//! snapshot is reference-count bumps, every accessor takes `&self`, and
+//! [`Snapshot::detect_fresh`] re-derives the report from the frozen codes
+//! without any lock — so any number of threads can hold and query the same
+//! snapshot while the owning session keeps mutating. This is the unit the
+//! `ecfd_serve` crate publishes to its readers.
 
 use crate::error::{Result, SessionError};
 use ecfd_core::ConstraintSet;
 use ecfd_detect::{DetectionReport, EvidenceReport, Parallelism, SemanticDetector, ShardPartial};
 use ecfd_relation::{FrozenView, Relation, Schema, Tuple};
 use ecfd_repair::{Repair, RepairEngine, RepairOptions};
+use std::sync::Arc;
 
 /// An immutable, epoch-stamped view of one relation's detection state. See
 /// the module docs for the isolation contract.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     pub(crate) epoch: u64,
-    pub(crate) table: String,
-    pub(crate) schema: Schema,
-    pub(crate) set: ConstraintSet,
+    pub(crate) set: Arc<ConstraintSet>,
     pub(crate) detector: SemanticDetector,
     pub(crate) frozen: FrozenView,
-    pub(crate) report: DetectionReport,
-    pub(crate) evidence: EvidenceReport,
+    pub(crate) report: Arc<DetectionReport>,
+    pub(crate) evidence: Arc<EvidenceReport>,
 }
 
 impl Snapshot {
@@ -52,13 +58,13 @@ impl Snapshot {
 
     /// Name of the snapshotted relation.
     pub fn table(&self) -> &str {
-        &self.table
+        self.set.schema().name()
     }
 
     /// The base schema the constraints compile against (without the
     /// detector-managed `SV` / `MV` flag columns).
     pub fn schema(&self) -> &Schema {
-        &self.schema
+        self.set.schema()
     }
 
     /// The compiled constraint set in force at the epoch.
@@ -95,13 +101,13 @@ impl Snapshot {
     /// (asserted by the serving layer's tests); readers call this to *verify*
     /// the published state rather than trust it.
     pub fn detect_fresh(&self) -> Result<DetectionReport> {
-        let (report, _) = self.detector.detect_frozen(&self.frozen, &self.schema)?;
+        let (report, _) = self.detector.detect_frozen(&self.frozen, self.schema())?;
         Ok(report)
     }
 
     /// Like [`Snapshot::detect_fresh`], also re-deriving the evidence.
     pub fn detect_fresh_with_evidence(&self) -> Result<(DetectionReport, EvidenceReport)> {
-        Ok(self.detector.detect_frozen(&self.frozen, &self.schema)?)
+        Ok(self.detector.detect_frozen(&self.frozen, self.schema())?)
     }
 
     /// Materialises the frozen rows as a standalone base-schema [`Relation`]
@@ -109,7 +115,7 @@ impl Snapshot {
     /// row ids remain meaningful against the copy.
     pub fn to_relation(&self) -> Result<Relation> {
         Ok(Relation::with_rows(
-            self.schema.clone(),
+            self.schema().clone(),
             self.frozen
                 .decode_rows()
                 .into_iter()
@@ -125,8 +131,8 @@ impl Snapshot {
     /// multi-tuple violations within one shard; the rest go through
     /// [`Snapshot::merge_partials`].
     pub fn aligned_mask(&self, shard_key: &str) -> Result<Vec<bool>> {
-        let attr = self.schema.require_attr(shard_key)?;
-        Ok(self.detector.aligned_mask(&self.schema, attr)?)
+        let attr = self.schema().require_attr(shard_key)?;
+        Ok(self.detector.aligned_mask(self.schema(), attr)?)
     }
 
     /// Scans this snapshot as one partition of a row-partitioned relation,
@@ -136,7 +142,7 @@ impl Snapshot {
     pub fn detect_partition(&self, aligned: &[bool]) -> Result<ShardPartial> {
         Ok(self
             .detector
-            .detect_partition(&self.frozen, &self.schema, aligned)?)
+            .detect_partition(&self.frozen, self.schema(), aligned)?)
     }
 
     /// [`Snapshot::detect_partition`] with an explicit worker fan-out — the
@@ -146,7 +152,7 @@ impl Snapshot {
             .detector
             .clone()
             .with_parallelism(Parallelism::Fixed(workers));
-        Ok(detector.detect_partition(&self.frozen, &self.schema, aligned)?)
+        Ok(detector.detect_partition(&self.frozen, self.schema(), aligned)?)
     }
 
     /// Combines per-shard partials into the global report and evidence (see
@@ -173,24 +179,23 @@ impl Snapshot {
         let mut rows: Vec<(ecfd_relation::RowId, Vec<ecfd_relation::Value>)> =
             parts.iter().flat_map(|p| p.frozen.decode_rows()).collect();
         rows.sort_by_key(|(id, _)| *id);
+        let schema = first.schema();
         let relation = Relation::with_rows(
-            first.schema.clone(),
+            schema.clone(),
             rows.into_iter()
                 .map(|(id, values)| (id, Tuple::new(values))),
         )?;
         let detector =
             SemanticDetector::from_set(&first.set).with_parallelism(first.detector.parallelism());
-        let frozen = detector.freeze(&relation, first.schema.arity());
-        let (report, evidence) = detector.detect_frozen(&frozen, &first.schema)?;
+        let frozen = detector.freeze(&relation, schema.arity());
+        let (report, evidence) = detector.detect_frozen(&frozen, schema)?;
         Ok(Snapshot {
             epoch: parts.iter().map(|p| p.epoch).sum(),
-            table: first.table.clone(),
-            schema: first.schema.clone(),
             set: first.set.clone(),
             detector,
             frozen,
-            report,
-            evidence,
+            report: Arc::new(report),
+            evidence: Arc::new(evidence),
         })
     }
 

@@ -166,9 +166,43 @@ fn backends_agree_on_datagen_workloads_at_one_and_n_threads() {
     }
 }
 
+/// The detector's maintained read-out must equal, byte for byte, the answer
+/// rebuilt from the table's `SV` / `MV` flags and group state (the from-flags
+/// reference) and a fresh detector's pass over the same rows and row ids.
+fn assert_read_out_is_current(
+    inc: &IncrementalDetector,
+    catalog: &Catalog,
+    constraints: &[ECfd],
+    step: &str,
+) {
+    let report = inc.maintained_report();
+    let evidence = inc.maintained_evidence();
+    assert_eq!(**report, inc.report(catalog).unwrap(), "report, {step}");
+    assert_eq!(
+        **evidence,
+        inc.evidence(catalog).unwrap(),
+        "evidence, {step}"
+    );
+    let base = inc.base_schema();
+    let stored = catalog.get(base.name()).unwrap();
+    let rows = stored
+        .iter()
+        .map(|(id, t)| (id, Tuple::new(t.values()[..base.arity()].to_vec())));
+    let scratch = Relation::with_rows(base.clone(), rows).unwrap();
+    let fresh = SemanticDetector::new(base, constraints)
+        .unwrap()
+        .detect_with_evidence(&scratch)
+        .unwrap();
+    assert_eq!((&**report, &**evidence), (&fresh.0, &fresh.1), "{step}");
+}
+
 /// A sequence of deltas through the incremental maintainer at N workers must
 /// track a from-scratch coded pass *and* the value-based reference at every
-/// step.
+/// step — and a detector driven in lockstep must keep its maintained
+/// read-out equal to the from-flags reference and to a fresh pass after
+/// every one of them: generated mixed deltas, duplicate rows deleted by one
+/// victim, a group flipping to violating and back, a victim holding a
+/// never-interned string, and an empty delta.
 #[test]
 fn incremental_maintenance_tracks_reference_semantics_under_deltas() {
     let (data, _) = generate(&CustConfig {
@@ -186,22 +220,21 @@ fn incremental_maintenance_tracks_reference_semantics_under_deltas() {
     session.register(&constraints).unwrap();
     session.detect().unwrap();
 
-    let mut mirror = data;
-    for step in 0..3u64 {
-        let delta = generate_delta(
-            &mirror,
-            &UpdateConfig {
-                insertions: 20,
-                deletions: 12,
-                noise_percent: 8.0,
-                seed: 100 + step,
-                ..UpdateConfig::default()
-            },
-        );
-        let incremental = session.apply(&delta).unwrap();
-        delta.apply(&mut mirror).unwrap();
+    let mut catalog = Catalog::new();
+    catalog.create(data.clone()).unwrap();
+    let mut inc = IncrementalDetector::initialize(data.schema(), &constraints, &mut catalog)
+        .expect("the workload compiles");
+    assert_read_out_is_current(&inc, &catalog, &constraints, "seed");
 
-        let reference = check_all(&mirror, &constraints).unwrap();
+    let mut mirror = data;
+    let mut step = |label: &str, delta: &Delta, mirror: &mut Relation| {
+        let incremental = session.apply(delta).unwrap();
+        inc.apply(&mut catalog, delta).unwrap();
+        delta.apply(mirror).unwrap();
+        assert_read_out_is_current(&inc, &catalog, &constraints, label);
+        assert_eq!(incremental, **inc.maintained_report(), "{label}");
+
+        let reference = check_all(mirror, &constraints).unwrap();
         let expected = DetectionReport::from_violation_set(reference.violations(), mirror.len());
         // Row ids diverge between session table and mirror after deletions,
         // so compare the flagged tuples, not the ids.
@@ -218,13 +251,76 @@ fn incremental_maintenance_tracks_reference_semantics_under_deltas() {
         let session_data = session.catalog().get("cust").unwrap();
         assert_eq!(
             project(session_data, &incremental.sv_rows),
-            project(&mirror, &expected.sv_rows),
-            "SV diverges from the reference at step {step}"
+            project(mirror, &expected.sv_rows),
+            "SV diverges from the reference at step {label}"
         );
         assert_eq!(
             project(session_data, &incremental.mv_rows),
-            project(&mirror, &expected.mv_rows),
-            "MV diverges from the reference at step {step}"
+            project(mirror, &expected.mv_rows),
+            "MV diverges from the reference at step {label}"
         );
+        incremental
+    };
+
+    let mut at_rest = DetectionReport::default();
+    for k in 0..3u64 {
+        let delta = generate_delta(
+            &mirror,
+            &UpdateConfig {
+                insertions: 20,
+                deletions: 12,
+                noise_percent: 8.0,
+                seed: 100 + k,
+                ..UpdateConfig::default()
+            },
+        );
+        at_rest = step(&format!("generated {k}"), &delta, &mut mirror);
     }
+
+    assert_eq!(step("empty", &Delta::default(), &mut mirror), at_rest);
+
+    // A town whose rows all agree on the area code, and a copy of one of
+    // them carrying a code nobody has: inserted three times over, the copies
+    // make the town's `CT → AC` group violate; one victim then deletes all
+    // three and the group is clean again.
+    let schema = mirror.schema().clone();
+    let ct = schema.require_attr("CT").unwrap();
+    let ac = schema.require_attr("AC").unwrap();
+    let consistent = |t: &Tuple| {
+        t.value(ct).as_str().is_some_and(|c| c.starts_with("Town"))
+            && mirror
+                .tuples()
+                .filter(|other| other.value(ct) == t.value(ct))
+                .all(|other| other.value(ac) == t.value(ac))
+    };
+    let town = mirror
+        .tuples()
+        .find(|t| consistent(t))
+        .expect("some generated town is consistent")
+        .clone();
+    let mut odd = town.clone();
+    odd.set(ac, Value::str("000")).unwrap();
+    let triple = Delta::insert_only(vec![odd.clone(), odd.clone(), odd.clone()]);
+    let flipped = step("group starts violating", &triple, &mut mirror);
+    assert!(
+        flipped.num_mv() >= at_rest.num_mv() + 4,
+        "the town's own rows and the three copies are flagged"
+    );
+    let healed = step(
+        "one victim, three duplicates",
+        &Delta::delete_only(vec![odd.clone()]),
+        &mut mirror,
+    );
+    assert_eq!(healed, at_rest, "the group is clean again");
+
+    // Victims that match nothing: a string the dictionary never interned, and
+    // the tuple that has just been deleted.
+    let mut ghost = town;
+    ghost.set(ct, Value::str("never-interned")).unwrap();
+    let unchanged = step(
+        "victims that match nothing",
+        &Delta::delete_only(vec![ghost, odd]),
+        &mut mirror,
+    );
+    assert_eq!(unchanged, at_rest);
 }

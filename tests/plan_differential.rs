@@ -21,6 +21,7 @@ use ecfd::datagen::{generate, generate_delta, CustConfig, UpdateConfig};
 use ecfd::detect::semantic::GroupMap;
 use ecfd::prelude::*;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 const CITIES: [&str; 5] = ["Albany", "Troy", "NYC", "LI", "Utica"];
 const CODES: [&str; 4] = ["518", "212", "315", "716"];
@@ -111,7 +112,7 @@ fn run_both_programs(
                 .unwrap();
             runs.push((
                 format!("{label}@{threads}"),
-                report,
+                Arc::unwrap_or_clone(report),
                 evidence.normalized(),
                 groups,
             ));
@@ -143,7 +144,7 @@ proptest! {
             .unwrap()
             .detect(&mut sql_catalog)
             .unwrap();
-        prop_assert_eq!(&sql_report, &want_report, "the two references disagree");
+        prop_assert_eq!(&*sql_report, &want_report, "the two references disagree");
         let want_evidence = sql_evidence.normalized();
 
         let runs = run_both_programs(&set, &data);
