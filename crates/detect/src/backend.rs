@@ -38,7 +38,7 @@ use crate::scan::ScanProgram;
 use crate::semantic::{ensure_flag_columns, write_flags, SemanticDetector};
 use crate::Result;
 use ecfd_core::ConstraintSet;
-use ecfd_relation::{Catalog, Delta, RowId, Tuple, Value};
+use ecfd_relation::{Catalog, Delta, RowId, Schema, Tuple, Value};
 use std::fmt;
 use std::sync::Arc;
 
@@ -115,24 +115,24 @@ pub trait DetectorBackend {
     fn invalidate(&mut self) {}
 }
 
-/// Applies a base-schema delta to a stored table that may carry extra
-/// detector-managed columns (the `SV` / `MV` flags): deletions match rows by
-/// their first `base_arity` values (all duplicates go, processed in victim
-/// order), insertions are zero-extended to the stored arity. Mirrors the
-/// mutation order of [`IncrementalDetector::apply`] so that row ids stay
-/// identical across backends fed the same delta sequence.
-pub fn apply_base_delta(
-    catalog: &mut Catalog,
-    table: &str,
-    base_arity: usize,
-    delta: &Delta,
-) -> Result<()> {
-    let relation = catalog.get_mut(table)?;
+/// Applies a base-schema delta to the stored table `base` names, which may
+/// carry extra detector-managed columns (the `SV` / `MV` flags): every
+/// insertion is checked against `base` first, so a delta that does not fit
+/// is refused before anything moves; then deletions match rows by their base
+/// values (all duplicates go, processed in victim order) and insertions are
+/// zero-extended to the stored arity. Mirrors the mutation order of
+/// [`IncrementalDetector::apply`] so that row ids stay identical across
+/// backends fed the same delta sequence.
+pub fn apply_base_delta(catalog: &mut Catalog, base: &Schema, delta: &Delta) -> Result<()> {
+    for ins in &delta.insertions {
+        base.validate(ins)?;
+    }
+    let relation = catalog.get_mut(base.name())?;
     let stored_arity = relation.schema().arity();
     for victim in &delta.deletions {
         let matching: Vec<RowId> = relation
             .iter()
-            .filter(|(_, t)| &t.values()[..base_arity] == victim.values())
+            .filter(|(_, t)| &t.values()[..base.arity()] == victim.values())
             .map(|(id, _)| id)
             .collect();
         for id in matching {
@@ -152,8 +152,7 @@ pub fn apply_base_delta(
 #[derive(Debug, Clone)]
 pub struct SemanticBackend {
     detector: SemanticDetector,
-    table: String,
-    base_arity: usize,
+    schema: Schema,
 }
 
 impl SemanticBackend {
@@ -161,8 +160,7 @@ impl SemanticBackend {
     pub fn from_set(set: &ConstraintSet) -> Self {
         SemanticBackend {
             detector: SemanticDetector::from_set(set),
-            table: set.schema().name().to_string(),
-            base_arity: set.schema().arity(),
+            schema: set.schema().clone(),
         }
     }
 
@@ -190,21 +188,22 @@ impl DetectorBackend for SemanticBackend {
     }
 
     fn table(&self) -> &str {
-        &self.table
+        self.schema.name()
     }
 
     fn detect(&mut self, catalog: &mut Catalog) -> Result<ReadOut> {
-        ensure_flag_columns(catalog, &self.table)?;
+        let table = self.schema.name();
+        ensure_flag_columns(catalog, table)?;
         let (report, evidence) = {
-            let relation = catalog.get(&self.table)?;
+            let relation = catalog.get(table)?;
             self.detector.detect_with_evidence(relation)?
         };
-        write_flags(catalog, &self.table, &report)?;
+        write_flags(catalog, table, &report)?;
         Ok((Arc::new(report), Arc::new(evidence)))
     }
 
     fn apply(&mut self, catalog: &mut Catalog, delta: &Delta) -> Result<ReadOut> {
-        apply_base_delta(catalog, &self.table, self.base_arity, delta)?;
+        apply_base_delta(catalog, &self.schema, delta)?;
         self.detect(catalog)
     }
 }
@@ -214,8 +213,7 @@ impl DetectorBackend for SemanticBackend {
 #[derive(Debug, Clone)]
 pub struct SqlBackend {
     detector: BatchDetector,
-    table: String,
-    base_arity: usize,
+    schema: Schema,
 }
 
 impl SqlBackend {
@@ -225,8 +223,7 @@ impl SqlBackend {
     pub fn from_set(set: &ConstraintSet) -> Result<Self> {
         Ok(SqlBackend {
             detector: BatchDetector::from_set(set)?,
-            table: set.schema().name().to_string(),
-            base_arity: set.schema().arity(),
+            schema: set.schema().clone(),
         })
     }
 
@@ -242,7 +239,7 @@ impl DetectorBackend for SqlBackend {
     }
 
     fn table(&self) -> &str {
-        &self.table
+        self.schema.name()
     }
 
     fn detect(&mut self, catalog: &mut Catalog) -> Result<ReadOut> {
@@ -251,7 +248,7 @@ impl DetectorBackend for SqlBackend {
     }
 
     fn apply(&mut self, catalog: &mut Catalog, delta: &Delta) -> Result<ReadOut> {
-        apply_base_delta(catalog, &self.table, self.base_arity, delta)?;
+        apply_base_delta(catalog, &self.schema, delta)?;
         self.detect(catalog)
     }
 }
@@ -411,6 +408,40 @@ mod tests {
         for pair in outputs.windows(2) {
             assert_eq!(pair[0].1, pair[1].1, "{} vs {}", pair[0].0, pair[1].0);
             assert_eq!(pair[0].2, pair[1].2, "{} vs {}", pair[0].0, pair[1].0);
+        }
+    }
+
+    #[test]
+    fn a_delta_with_a_bad_insertion_is_refused_whole_by_every_backend() {
+        let set = ConstraintSet::compile(&cust_schema(), &[phi1(), phi2()]).unwrap();
+        let t2 = Tuple::from_iter(["518", "2222222", "Joe", "Elm Str.", "Colonie", "12205"]);
+        let good = |pn: &str| Tuple::from_iter(["519", pn, "Zoe", "Pine St.", "Albany", "12239"]);
+        let fits = good("9").values().to_vec();
+        let mut int_tail = fits.clone();
+        int_tail.push(Value::Int(1));
+        let mut int_in_str = fits.clone();
+        int_in_str[4] = Value::Int(7);
+        let bad_tuples = [int_tail, fits[..5].to_vec(), int_in_str];
+        let stored = |catalog: &Catalog| -> Vec<(RowId, Tuple)> {
+            let relation = catalog.get("cust").unwrap();
+            relation.iter().map(|(id, t)| (id, t.clone())).collect()
+        };
+        for bad in bad_tuples {
+            for mut backend in backends(&set) {
+                let kind = backend.kind();
+                let mut catalog = catalog_with_d0();
+                let before = backend.detect(&mut catalog).unwrap();
+                let rows = stored(&catalog);
+                let delta = Delta {
+                    deletions: vec![t2.clone()],
+                    insertions: vec![good("1"), good("2"), Tuple::new(bad.clone())],
+                };
+                let refused = backend.apply(&mut catalog, &delta);
+                assert!(refused.is_err(), "{kind} accepted {bad:?}");
+                assert_eq!(stored(&catalog), rows, "{kind} moved rows for {bad:?}");
+                let after = backend.detect(&mut catalog).unwrap();
+                assert_eq!(after, before, "{kind} after refusing {bad:?}");
+            }
         }
     }
 

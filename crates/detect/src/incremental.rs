@@ -27,6 +27,18 @@
 //! re-derivation touches only the member rows of groups whose violation
 //! status changed, instead of re-scanning the table.
 //!
+//! A delta is interpreted by the full pass's own per-row step: every
+//! inserted tuple, deletion victim and re-flagged row goes through the
+//! semantic detector's [`ScanProgram`](crate::ScanProgram) exactly as a
+//! stored row does in a full pass (see [`crate::scan`]). Each distinct `X`
+//! list is projected once per tuple however many pattern tuples share it,
+//! and the `Q_sv` check and group keys a delta maintains are the ones the
+//! seeding pass built. The detector keeps no constraint positions of its
+//! own.
+//!
+//! A delta is accepted whole or refused whole: every insertion is checked
+//! against the base schema before the first deletion is applied.
+//!
 //! The state also includes the *read-out*: the [`DetectionReport`] and the
 //! normalized [`EvidenceReport`] of the table as it is now
 //! ([`IncrementalDetector::maintained_report`] /
@@ -57,13 +69,13 @@
 
 use crate::evidence::{ConstraintRef, EvidenceReport, MvEvidence, SvEvidence};
 use crate::report::DetectionReport;
-use crate::semantic::{ensure_flag_columns, GroupKey, GroupMap, GroupState, SemanticDetector};
+use crate::scan::Members;
+use crate::semantic::{ensure_flag_columns, GroupKey, GroupMap, SemanticDetector};
 use crate::Result;
 use ecfd_core::ECfd;
-use ecfd_relation::{
-    AttrId, Catalog, Code, CodeVec, ColumnarView, Delta, RelationError, RowId, Schema, Tuple, Value,
-};
+use ecfd_relation::{Catalog, Code, CodeVec, ColumnarView, Delta, RowId, Schema, Tuple, Value};
 use std::collections::{BTreeSet, HashSet};
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// Counters describing how much work one incremental step did — used by the
@@ -88,15 +100,6 @@ pub struct IncrementalStats {
     pub chunks_copied: usize,
 }
 
-/// Per-single-pattern-constraint attribute positions, resolved against the
-/// base schema once at initialisation.
-#[derive(Debug, Clone)]
-struct KeySpec {
-    lhs: Vec<AttrId>,
-    fd_rhs: Vec<AttrId>,
-    rhs: Vec<AttrId>,
-}
-
 /// The incremental detector: wraps the constraint set, the coded group state
 /// (`Aux(D)` analogue), the maintained columnar view of the table's base
 /// attributes, the maintained read-out, and the name of the data table it
@@ -108,7 +111,6 @@ pub struct IncrementalDetector {
     table: String,
     groups: GroupMap,
     view: ColumnarView,
-    specs: Vec<KeySpec>,
     /// The flags of the table as it is now. Behind an `Arc` so a caller takes
     /// it by reference count; edited through `Arc::make_mut`, which copies it
     /// once per epoch while a published snapshot still holds the previous
@@ -175,22 +177,12 @@ impl IncrementalDetector {
             (report, evidence, groups, view)
         };
         crate::semantic::write_flags(catalog, &table, &report)?;
-        let specs = semantic
-            .bind(schema)?
-            .iter()
-            .map(|b| KeySpec {
-                lhs: b.lhs_ids().to_vec(),
-                fd_rhs: b.fd_rhs_ids().to_vec(),
-                rhs: b.rhs_ids().to_vec(),
-            })
-            .collect();
         Ok(IncrementalDetector {
             schema: schema.clone(),
             semantic,
             table,
             groups,
             view,
-            specs,
             report: Arc::new(report),
             evidence: Arc::new(evidence),
         })
@@ -271,23 +263,24 @@ impl IncrementalDetector {
             total_rows: relation.len(),
             ..Default::default()
         };
-        // SV attribution over the flagged rows only, via the coded cells.
+        // SV attribution over the flagged rows only, via the per-row step.
         for &row in &report.sv_rows {
             let Some(pos) = self.view.position(row) else {
                 continue;
             };
-            for (ci, spec) in self.specs.iter().enumerate() {
-                let cells = &self.semantic.cells()[ci];
-                if cells.lhs_matches(spec.lhs.iter().map(|a| self.view.code(pos, *a)))
-                    && !cells.rhs_matches(spec.rhs.iter().map(|a| self.view.code(pos, *a)))
-                {
-                    let (constraint, pattern) = provenance[ci];
-                    evidence.sv.push(SvEvidence {
-                        row,
-                        source: ConstraintRef::new(constraint, pattern),
-                    });
-                }
-            }
+            self.semantic.match_row(
+                Members::All,
+                |a| self.view.code(pos, a),
+                |hit| {
+                    if hit.violated() {
+                        evidence.sv.push(SvEvidence {
+                            row,
+                            source: source_of(provenance, hit.op.ci),
+                        });
+                    }
+                    ControlFlow::Continue(())
+                },
+            );
         }
         // MV evidence straight from the maintained membership lists.
         for ((ci, lhs_key), state) in &self.groups {
@@ -308,8 +301,14 @@ impl IncrementalDetector {
     /// Applies a batch of updates, maintaining the table contents, the flags,
     /// the columnar view, the auxiliary state and the read-out. Deletions are
     /// processed before insertions, as in the paper's presentation.
+    ///
+    /// An insertion that does not fit the base schema (arity or type) refuses
+    /// the whole delta before anything is applied.
     pub fn apply(&mut self, catalog: &mut Catalog, delta: &Delta) -> Result<IncrementalStats> {
         let pass_started = std::time::Instant::now();
+        for tuple in &delta.insertions {
+            self.schema.validate(tuple)?;
+        }
         let mut stats = IncrementalStats::default();
         let mut changed_groups: HashSet<GroupKey> = HashSet::new();
         let copied_before = self.chunks_copied();
@@ -391,29 +390,15 @@ impl IncrementalDetector {
             }
             // Every matched row carries the same base values, so the group
             // memberships are computed once per victim.
-            let hits: Vec<(GroupKey, CodeVec)> = {
-                self.specs
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(ci, spec)| {
-                        if spec.fd_rhs.is_empty() {
-                            return None;
-                        }
-                        let cells = &self.semantic.cells()[ci];
-                        if !cells.lhs_matches(spec.lhs.iter().map(|a| victim_codes[a.index()])) {
-                            return None;
-                        }
-                        let key: CodeVec =
-                            spec.lhs.iter().map(|a| victim_codes[a.index()]).collect();
-                        let y: CodeVec = spec
-                            .fd_rhs
-                            .iter()
-                            .map(|a| victim_codes[a.index()])
-                            .collect();
-                        Some(((ci, key), y))
-                    })
-                    .collect()
-            };
+            let mut hits: Vec<(GroupKey, CodeVec)> = Vec::new();
+            self.semantic.match_row(
+                Members::Grouped,
+                |a| victim_codes[a.index()],
+                |hit| {
+                    hits.push(((hit.op.ci, hit.key.clone()), hit.y()));
+                    ControlFlow::Continue(())
+                },
+            );
             for row_id in matching {
                 relation.delete(row_id)?;
                 self.view.remove(row_id);
@@ -486,35 +471,26 @@ impl IncrementalDetector {
         let provenance = self.semantic.provenance();
 
         for tuple in insertions {
-            // The constraint positions below index the tuple's codes, so a
-            // short tuple has to be refused here, not by `Relation::insert`.
-            if tuple.arity() != self.schema.arity() {
-                return Err(RelationError::ArityMismatch {
-                    expected: self.schema.arity(),
-                    actual: tuple.arity(),
-                }
-                .into());
-            }
+            // `apply` checked the tuple against the base schema, so the
+            // program's positions index its codes.
             let codes: Vec<Code> = codec_arc.write().dict.encode_tuple(tuple);
             // Step 1 plus steps 2a/2d: the SV check on the new tuple alone,
             // and the predicted group states after it joins.
             let mut sv: Vec<ConstraintRef> = Vec::new();
             let mut mv = false;
             let mut hits: Vec<(GroupKey, CodeVec)> = Vec::new();
-            {
-                for (ci, spec) in self.specs.iter().enumerate() {
-                    let cells = &self.semantic.cells()[ci];
-                    if !cells.lhs_matches(spec.lhs.iter().map(|a| codes[a.index()])) {
-                        continue;
+            self.semantic.match_row(
+                Members::All,
+                |a| codes[a.index()],
+                |hit| {
+                    if hit.violated() {
+                        sv.push(source_of(provenance, hit.op.ci));
                     }
-                    if !cells.rhs_matches(spec.rhs.iter().map(|a| codes[a.index()])) {
-                        sv.push(source_of(provenance, ci));
+                    if hit.op.group.is_empty() {
+                        return ControlFlow::Continue(());
                     }
-                    if spec.fd_rhs.is_empty() {
-                        continue;
-                    }
-                    let key: GroupKey = (ci, spec.lhs.iter().map(|a| codes[a.index()]).collect());
-                    let y: CodeVec = spec.fd_rhs.iter().map(|a| codes[a.index()]).collect();
+                    let key: GroupKey = (hit.op.ci, hit.key.clone());
+                    let y = hit.y();
                     let (was_violating, now_violating) = match self.groups.get(&key) {
                         Some(state) => {
                             let distinct_after = state.y_counts.len()
@@ -532,8 +508,9 @@ impl IncrementalDetector {
                         changed_groups.insert(key.clone());
                     }
                     hits.push((key, y));
-                }
-            }
+                    ControlFlow::Continue(())
+                },
+            );
             let flags = [!sv.is_empty(), mv].map(|set| Value::Int(i64::from(set)));
             let row_id = relation.insert(tuple.extended(flags))?;
             self.view.insert(row_id, &codes);
@@ -613,26 +590,15 @@ impl IncrementalDetector {
             let Some(pos) = self.view.position(row) else {
                 continue;
             };
-            let mut violates_any = false;
-            for (ci, spec) in self.specs.iter().enumerate() {
-                if spec.fd_rhs.is_empty() {
-                    continue;
-                }
-                let cells = &self.semantic.cells()[ci];
-                if !cells.lhs_matches(spec.lhs.iter().map(|a| self.view.code(pos, *a))) {
-                    continue;
-                }
-                let key: GroupKey = (ci, self.view.key(pos, &spec.lhs));
-                if self
-                    .groups
-                    .get(&key)
-                    .map(GroupState::violates)
-                    .unwrap_or(false)
-                {
-                    violates_any = true;
-                    break;
-                }
-            }
+            // The first violating group the row belongs to decides.
+            let violates_any = self.semantic.match_row(
+                Members::Grouped,
+                |a| self.view.code(pos, a),
+                |hit| match self.groups.get(&(hit.op.ci, hit.key.clone())) {
+                    Some(group) if group.violates() => ControlFlow::Break(()),
+                    _ => ControlFlow::Continue(()),
+                },
+            );
             relation.update_value(row, mv_col, Value::Int(i64::from(violates_any)))?;
             if violates_any != self.report.mv_rows.contains(&row) {
                 let mv_rows = &mut Arc::make_mut(&mut self.report).mv_rows;
@@ -653,7 +619,7 @@ mod tests {
     use super::*;
     use crate::batch::BatchDetector;
     use crate::semantic::fixtures::*;
-    use ecfd_relation::Relation;
+    use ecfd_relation::{Relation, RelationError};
 
     fn fresh_catalog(extra_rows: &[[&str; 6]]) -> Catalog {
         let mut db = d0();

@@ -33,8 +33,9 @@
 //! * [`scan`] is the one scan kernel behind every full native pass: a
 //!   [`ScanProgram`] projects each distinct `X` attribute list once per row
 //!   however many pattern tuples are checked (the native analogue of
-//!   `BATCHDETECT`'s fixed query count), and the two-phase parallel scan
-//!   that executes it exists nowhere else in the workspace.
+//!   `BATCHDETECT`'s fixed query count). The two-phase parallel scan that
+//!   executes it exists nowhere else in the workspace, and its per-row step
+//!   is also what [`incremental`] runs on every tuple a delta touches.
 //!
 //! * [`evidence`] extends all three detectors beyond the paper's flags: an
 //!   [`EvidenceReport`] names, for every flagged row, the violated constraint

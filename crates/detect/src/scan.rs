@@ -1,7 +1,8 @@
 //! The scan kernel: the one two-phase, shared-scan pass every full detection
 //! runs — `Session::detect`, `Snapshot::detect_fresh`, the partition scan of
 //! the sharded read path, the incremental detector's seeding pass and the
-//! plan backend alike.
+//! plan backend alike — and the per-row step that full passes and deltas
+//! share.
 //!
 //! The paper's `BATCHDETECT` finds all violations with a fixed number of SQL
 //! queries whose shape depends only on the schema, never on how many eCFDs
@@ -10,8 +11,18 @@
 //! feeding every member [`FlagOp`] from that shared projection. The default
 //! program ([`ScanProgram::fused`]) gives all single-pattern constraints with
 //! an identical `X` list one scan ([`fuse`] is that rule, and the only copy
-//! of it — `ecfd_plan`'s optimizer calls it too, so the plan `EXPLAIN PLAN`
-//! renders is the program that runs).
+//! of it); `ecfd_plan` renders that same program for `EXPLAIN PLAN`.
+//!
+//! `ScanProgram::match_row` is the program's only interpreter: it matches one
+//! row, given as a code per attribute, against the members. A full pass
+//! calls it per stored row; `INCDETECT`
+//! ([`IncrementalDetector`](crate::IncrementalDetector)) calls it per
+//! inserted tuple, per deletion victim and per re-flagged row, so the `Q_sv`
+//! check and the group keys a delta maintains are the full pass's own. A
+//! deletion or an `MV` re-derivation only reads groups, so it asks for the
+//! grouped members alone (`Members::Grouped`) and stops at the first
+//! violating group, and the `Q_sv` check runs only for the callers that ask
+//! (`Hit::violated`).
 //!
 //! The pass itself runs in two phases. Phase 1 splits the rows into
 //! contiguous chunks, one `std::thread::scope` worker each; a worker executes
@@ -28,8 +39,9 @@ use crate::report::DetectionReport;
 use ecfd_core::coded::CodedSingle;
 use ecfd_core::matching::BoundECfd;
 use ecfd_relation::columnar::shard_of;
-use ecfd_relation::{AttrId, CodeColumns, CodeMap, CodeVec, RowId, SymbolTable};
+use ecfd_relation::{AttrId, Code, CodeColumns, CodeMap, CodeVec, RowId, SymbolTable};
 use std::collections::hash_map::Entry;
+use std::ops::ControlFlow;
 
 /// A key identifying one enforcement group: the single-pattern constraint id
 /// (index into the split constraint list) plus the tuple's coded `X`
@@ -153,6 +165,81 @@ impl ScanProgram {
     pub fn num_flags(&self) -> usize {
         self.scans.iter().map(|s| s.members.len()).sum()
     }
+
+    /// The per-row step, and the only place a row is matched against the
+    /// constraints: projects each scan's `X` once from `code` (the row's
+    /// code per attribute) and hands every one of `members` whose pattern `X`
+    /// cells match to `visit` as a [`Hit`]. Stops at the first `Break` the
+    /// visitor returns; the result says whether it stopped.
+    #[inline]
+    pub(crate) fn match_row<F: Fn(AttrId) -> Code>(
+        &self,
+        cells: &[CodedSingle],
+        members: Members,
+        code: F,
+        mut visit: impl FnMut(Hit<'_, F>) -> ControlFlow<()>,
+    ) -> bool {
+        for scan in &self.scans {
+            let key = CodeVec::from_iter_exact(scan.x.iter().map(|a| code(*a)));
+            for op in &scan.members {
+                if members == Members::Grouped && op.group.is_empty() {
+                    continue;
+                }
+                let cell = &cells[op.ci];
+                if cell.lhs_matches(key.as_slice().iter().copied()) {
+                    let hit = Hit {
+                        op,
+                        key: &key,
+                        cell,
+                        code: &code,
+                    };
+                    if visit(hit).is_break() {
+                        return true;
+                    }
+                }
+            }
+        }
+        false
+    }
+}
+
+/// Which members of each scan [`ScanProgram::match_row`] matches a row
+/// against.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Members {
+    /// Every member: what a full pass and an inserted tuple need.
+    All,
+    /// The members that keep groups (a non-empty `Y`): all a deletion or an
+    /// `MV` re-derivation reads.
+    Grouped,
+}
+
+/// A member whose pattern `X` cells one row matched: what
+/// [`ScanProgram::match_row`] hands its visitor.
+pub(crate) struct Hit<'a, F> {
+    /// The member operator.
+    pub(crate) op: &'a FlagOp,
+    /// The row's projection on the enclosing scan's `X` list.
+    pub(crate) key: &'a CodeVec,
+    cell: &'a CodedSingle,
+    code: &'a F,
+}
+
+impl<F: Fn(AttrId) -> Code> Hit<'_, F> {
+    /// Whether the row violates the member's `Y ∪ Yp` cells on its own (the
+    /// `Q_sv` check). Only the visitors that need it pay for it.
+    #[inline]
+    pub(crate) fn violated(&self) -> bool {
+        !self
+            .cell
+            .rhs_matches(self.op.check.iter().map(|a| (self.code)(*a)))
+    }
+
+    /// The row's projection on the member's `Y` list.
+    #[inline]
+    pub(crate) fn y(&self) -> CodeVec {
+        CodeVec::from_iter_exact(self.op.group.iter().map(|a| (self.code)(*a)))
+    }
 }
 
 /// Runs `program` over already-encoded columns: flags, evidence and group
@@ -255,11 +342,10 @@ struct ChunkOut {
     parts: Vec<GroupMap>,
 }
 
-/// Phase 1: executes every scan of the program over rows `lo..hi` of the
-/// view, one storage block at a time — the chunk pointers of the view's
-/// columns are resolved once per block and the per-code reads in between
-/// index plain slices. `rows.key(off, &scan.x)` runs once per `(row, scan)`
-/// and every member operator matches the shared projection.
+/// Phase 1: runs the program's per-row step ([`ScanProgram::match_row`])
+/// over rows `lo..hi` of the view, one storage block at a time — the chunk
+/// pointers of the view's columns are resolved once per block and the
+/// per-code reads in between index plain slices.
 fn scan_chunk(
     view: &CodeColumns,
     program: &ScanProgram,
@@ -275,31 +361,28 @@ fn scan_chunk(
     for rows in view.blocks(lo, hi) {
         for off in 0..rows.len() {
             let row_id = rows.row_id(off);
-            for scan in &program.scans {
-                let key = rows.key(off, &scan.x);
-                for member in &scan.members {
-                    let cell = &cells[member.ci];
-                    if !cell.lhs_matches(key.as_slice().iter().copied()) {
-                        continue;
+            program.match_row(
+                cells,
+                Members::All,
+                |a| rows.code(off, a),
+                |hit| {
+                    let ci = hit.op.ci;
+                    if hit.violated() {
+                        out.sv.push((row_id, ci));
                     }
-                    if !cell.rhs_matches(member.check.iter().map(|a| rows.code(off, *a))) {
-                        out.sv.push((row_id, member.ci));
-                    }
-                    if !member.group.is_empty() {
+                    if !hit.op.group.is_empty() {
                         let shard = if n_shards == 1 {
                             0
                         } else {
-                            shard_of(member.ci, &key, n_shards)
+                            shard_of(ci, hit.key, n_shards)
                         };
-                        let y = rows.key(off, &member.group);
-                        let state = out.parts[shard]
-                            .entry((member.ci, key.clone()))
-                            .or_default();
-                        *state.y_counts.entry(y).or_insert(0) += 1;
+                        let state = out.parts[shard].entry((ci, hit.key.clone())).or_default();
+                        *state.y_counts.entry(hit.y()).or_insert(0) += 1;
                         state.rows.push(row_id);
                     }
-                }
-            }
+                    ControlFlow::Continue(())
+                },
+            );
         }
     }
     out

@@ -24,16 +24,17 @@
 use crate::evidence::{ConstraintRef, EvidenceReport, MvEvidence, SvEvidence};
 use crate::parallel::Parallelism;
 use crate::report::DetectionReport;
-use crate::scan::ScanProgram;
+use crate::scan::{Hit, Members, ScanProgram};
 use crate::{DetectError, Result};
 use ecfd_core::coded::{intern_singles, CodedSingle};
 use ecfd_core::matching::BoundECfd;
 use ecfd_core::{CompileOptions, ConstraintSet, CoreError, ECfd};
 use ecfd_relation::{
-    AttrId, Catalog, CodeColumns, CodeVec, Dictionary, FrozenView, Relation, RowId, Schema,
+    AttrId, Catalog, Code, CodeColumns, CodeVec, Dictionary, FrozenView, Relation, RowId, Schema,
     SymbolTable, Tuple, Value,
 };
 use parking_lot::RwLock;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 pub use crate::scan::{GroupKey, GroupMap, GroupState};
@@ -215,10 +216,20 @@ impl SemanticDetector {
         &self.codec
     }
 
-    /// The coded pattern cells, parallel to [`SemanticDetector::singles`].
-    /// Immutable after construction and held outside the codec lock.
-    pub(crate) fn cells(&self) -> &[CodedSingle] {
-        &self.compiled.cells
+    /// Runs one row — `code` gives its code per attribute — through the
+    /// program's per-row step ([`ScanProgram::match_row`]) against this
+    /// detector's coded pattern cells. The incremental detector matches
+    /// every tuple a delta touches through here.
+    pub(crate) fn match_row<F: Fn(AttrId) -> Code>(
+        &self,
+        members: Members,
+        code: F,
+        visit: impl FnMut(Hit<'_, F>) -> ControlFlow<()>,
+    ) -> bool {
+        let compiled = &*self.compiled;
+        compiled
+            .program
+            .match_row(&compiled.cells, members, code, visit)
     }
 
     /// Encodes a tuple projection into a coded group key through the

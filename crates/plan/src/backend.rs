@@ -35,7 +35,7 @@ impl PlanBackend {
     }
 
     fn from_plan(plan: Plan) -> Self {
-        let backend = SemanticBackend::from_set(plan.set()).with_program(plan.program());
+        let backend = SemanticBackend::from_set(plan.set()).with_program(plan.program().clone());
         PlanBackend { plan, backend }
     }
 

@@ -1,35 +1,34 @@
 //! # ecfd-plan
 //!
-//! Detection-plan compilation: the verify → lower → plan → execute pipeline
-//! that turns a compiled [`ConstraintSet`](ecfd_core::ConstraintSet) into an
-//! explicit, inspectable detection plan — the readable form of the program
-//! every full native detection pass runs.
+//! Detection plans: a compiled [`ConstraintSet`](ecfd_core::ConstraintSet)
+//! turned into the explicit, inspectable program every full native detection
+//! pass runs, plus the text form `EXPLAIN PLAN` shows.
 //!
-//! 1. **Lower** ([`lower`]): every split single-pattern constraint becomes
-//!    one [`HirNode`] — a logical scan / group / flag tree over
-//!    dictionary-coded columns, with the constraint's attribute lists
-//!    resolved to column positions once.
-//! 2. **Plan** ([`Hir::optimize`]): the HIR is optimized into a [`Plan`]
-//!    (the MIR). The one rewrite is *shared scans*: constraints whose `X`
-//!    attribute lists are identical fuse into one grouped [`ScanNode`]
-//!    feeding multiple [`FlagNode`] operators, so the per-row `X` projection
-//!    is computed once per scan instead of once per constraint. The fusion
-//!    rule is not this crate's: it is [`ecfd_detect::scan::fuse`], the rule
-//!    `SemanticDetector` builds its default program with, so
-//!    `Plan::compile(set)` describes what `DETECT FRESH` runs by
-//!    construction. [`Hir::sequential`] produces the unfused baseline plan
-//!    (one scan per constraint) the benchmark compares against.
-//! 3. **Execute**: [`Plan::program`] hands the plan's scans to the one scan
-//!    kernel in the workspace, [`ecfd_detect::scan`]. There is no second
-//!    interpreter here.
+//! A [`Plan`] is the scan kernel's own [`ScanProgram`](ecfd_detect::ScanProgram)
+//! — a list of `Scan` / `FlagOp` operators, the one description of per-row
+//! work in the workspace — and the set it was compiled from. This crate adds
+//! only what the kernel does not need:
 //!
-//! [`PlanBackend`] is that hand-over packaged behind the ordinary
+//! * [`Plan::compile`] builds the shared-scan program with
+//!   [`ScanProgram::fused`](ecfd_detect::ScanProgram::fused): constraints
+//!   whose `X` attribute lists are identical share one scan, so the per-row
+//!   `X` projection is computed once per scan instead of once per
+//!   constraint. It is the program `SemanticDetector` builds by default, so
+//!   `Plan::compile(set)` describes what `DETECT FRESH` runs by
+//!   construction.
+//! * [`Plan::compile_unfused`] splits that program into one scan per
+//!   constraint: the baseline the benchmark compares against, run by the
+//!   same kernel.
+//! * [`Plan::render`] produces the deterministic text form the serving
+//!   layer's `EXPLAIN PLAN` verb exposes, resolving attribute names and
+//!   `(constraint, pattern)` provenance through the set.
+//!
+//! [`PlanBackend`] packages a plan behind the ordinary
 //! [`DetectorBackend`](ecfd_detect::DetectorBackend) trait: a
 //! [`SemanticBackend`](ecfd_detect::SemanticBackend) whose program is the
 //! plan's. On the fused plan it computes exactly what the semantic backend
 //! does; the unfused plan is the measured contrast arm (`plan.unfused_ms` in
-//! `benchmark/`). [`Plan::render`] produces the deterministic text form the
-//! serving layer's `EXPLAIN PLAN` verb exposes.
+//! `benchmark/`). There is no interpreter here.
 //!
 //! ## Example
 //!
@@ -53,7 +52,7 @@
 //! assert_eq!(plan.num_scans(), 1);
 //! assert_eq!(plan.num_flags(), 2);
 //! // …and, by construction, the program the native detector executes.
-//! assert_eq!(&plan.program(), SemanticDetector::from_set(&set).program());
+//! assert_eq!(plan.program(), SemanticDetector::from_set(&set).program());
 //!
 //! let mut catalog = Catalog::new();
 //! catalog.create(Relation::with_tuples(schema, [
@@ -69,12 +68,10 @@
 #![deny(missing_docs)]
 
 mod backend;
-mod hir;
 mod mir;
 
 pub use backend::PlanBackend;
-pub use hir::{lower, Hir, HirNode};
-pub use mir::{FlagNode, Plan, ScanNode};
+pub use mir::Plan;
 
 /// Result alias for plan operations — plan compilation and execution report
 /// through the detection layer's error type, since a plan is executed by the

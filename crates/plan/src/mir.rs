@@ -1,113 +1,76 @@
-//! The detection MIR: an explicit [`Plan`] of scan and flag operators,
-//! produced by optimizing (or sequentially lowering) the HIR of
-//! [`crate::hir`].
+//! The detection plan: the kernel's [`ScanProgram`] plus the compiled set it
+//! was built from, which is where [`Plan::render`] resolves attribute names
+//! and `(constraint, pattern)` provenance.
 //!
-//! A plan is *data*, not code: a list of [`ScanNode`]s, each projecting one
-//! `X` attribute list per row and feeding one or more [`FlagNode`] operators
-//! that match pattern cells, check `Y ∪ Yp` and maintain per-group `Y`
-//! projections. The plan itself never touches tuples: [`Plan::program`]
-//! hands its scans to the scan kernel of [`ecfd_detect::scan`], which is
-//! what executes them.
+//! A plan is *data*, not code, and it is the kernel's own data: a list of
+//! [`Scan`]s, each projecting one `X` attribute list per row and feeding one
+//! or more [`FlagOp`](ecfd_detect::scan::FlagOp)s that match pattern cells,
+//! check `Y ∪ Yp` and maintain per-group `Y` projections. The plan itself
+//! never touches tuples: [`Plan::program`] is what the scan kernel of
+//! [`ecfd_detect::scan`] executes.
 //!
 //! [`Plan::render`] is the deterministic text form exposed over the wire by
 //! the serving layer's `EXPLAIN PLAN` verb; its output depends only on the
 //! constraint set, so it is snapshot-stable across runs and platforms.
 
-use crate::hir::{self, HirNode};
 use crate::Result;
+use ecfd_core::matching::BoundECfd;
 use ecfd_core::ConstraintSet;
-use ecfd_detect::scan::{FlagOp, Scan, ScanProgram};
+use ecfd_detect::scan::{Scan, ScanProgram};
 use ecfd_relation::AttrId;
 use std::fmt::Write as _;
 
-/// One flag operator: the per-row work the kernel performs for a single
-/// split single-pattern constraint once the enclosing scan's `X` projection
-/// is in hand.
-#[derive(Debug, Clone)]
-pub struct FlagNode {
-    /// Index into the set's split single-pattern constraint list — also the
-    /// index of the coded pattern cells the kernel matches for this operator.
-    pub ci: usize,
-    /// `(constraint, pattern)` provenance in the user's original set, for
-    /// evidence attribution.
-    pub source: (usize, usize),
-    /// Positions of the `Y ∪ Yp` attributes in tableau cell order (the
-    /// single-tuple violation check).
-    pub check: Vec<AttrId>,
-    /// Names of the checked attributes, parallel to [`FlagNode::check`].
-    pub check_names: Vec<String>,
-    /// Positions of the `Y` attributes (the embedded-FD projection); empty
-    /// for pure pattern constraints, which skip group bookkeeping entirely.
-    pub group: Vec<AttrId>,
-    /// Names of the grouped attributes, parallel to [`FlagNode::group`].
-    pub group_names: Vec<String>,
-}
-
-impl FlagNode {
-    /// Whether this operator maintains per-group state (the embedded FD has
-    /// a right-hand side).
-    pub fn grouped(&self) -> bool {
-        !self.group.is_empty()
-    }
-}
-
-/// One scan operator: a single pass over the table projecting the `X`
-/// attribute list once per row, feeding every member flag operator.
-///
-/// In a *fused* plan ([`Plan::compile`]) all constraints with an identical
-/// `X` list share one scan; in the *unfused* baseline
-/// ([`Plan::compile_unfused`]) every constraint gets its own.
-#[derive(Debug, Clone)]
-pub struct ScanNode {
-    /// Positions of the shared `X` attributes this scan projects per row.
-    pub x: Vec<AttrId>,
-    /// Names of the `X` attributes, parallel to [`ScanNode::x`].
-    pub x_names: Vec<String>,
-    /// The flag operators fed by this scan, in first-seen constraint order.
-    pub members: Vec<FlagNode>,
-}
-
-impl ScanNode {
-    /// The scan over the (shared, non-empty) `X` list of `nodes`, feeding
-    /// one flag operator per node.
-    pub(crate) fn feeding(nodes: &[&HirNode]) -> Self {
-        ScanNode {
-            x: nodes[0].x.clone(),
-            x_names: nodes[0].x_names.clone(),
-            members: nodes.iter().map(|node| node.flag()).collect(),
-        }
-    }
-}
-
-/// An executable detection plan: the MIR produced from a compiled
+/// An executable detection plan: the [`ScanProgram`] compiled from a
 /// [`ConstraintSet`], executed by the scan kernel via [`Plan::program`].
 #[derive(Debug, Clone)]
 pub struct Plan {
     set: ConstraintSet,
-    scans: Vec<ScanNode>,
+    program: ScanProgram,
     fused: bool,
 }
 
 impl Plan {
-    /// Assembles a plan from already-lowered scan operators. Crate-internal:
-    /// the only producers are [`crate::Hir::optimize`] and
-    /// [`crate::Hir::sequential`].
-    pub(crate) fn assemble(set: ConstraintSet, scans: Vec<ScanNode>, fused: bool) -> Self {
-        Plan { set, scans, fused }
-    }
-
     /// Compiles a constraint set into the optimized (shared-scan) plan:
-    /// lower to HIR, then fuse constraints with identical `X` lists into
-    /// shared scans.
+    /// every split constraint is re-bound against the set's schema (so a
+    /// malformed set fails here, not mid-scan), and constraints with
+    /// identical `X` lists fuse into shared scans — [`ScanProgram::fused`],
+    /// the program `SemanticDetector::from_set` executes.
     pub fn compile(set: &ConstraintSet) -> Result<Self> {
-        Ok(hir::lower(set)?.optimize())
+        let bounds = set
+            .singles()
+            .iter()
+            .map(|single| BoundECfd::bind(&single.ecfd, set.schema()))
+            .collect::<std::result::Result<Vec<_>, _>>()?;
+        Ok(Plan {
+            set: set.clone(),
+            program: ScanProgram::fused(&bounds),
+            fused: true,
+        })
     }
 
-    /// Compiles a constraint set into the unfused baseline plan (one scan
-    /// per split constraint), kept selectable so the shared-scan win stays
-    /// measurable rather than assumed.
+    /// Compiles a constraint set into the unfused baseline plan: the fused
+    /// plan's operators one scan each, in split-constraint order — kept
+    /// selectable so the shared-scan win stays measurable rather than
+    /// assumed.
     pub fn compile_unfused(set: &ConstraintSet) -> Result<Self> {
-        Ok(hir::lower(set)?.sequential())
+        let fused = Self::compile(set)?;
+        let mut scans: Vec<Scan> = fused
+            .program
+            .scans()
+            .iter()
+            .flat_map(|scan| {
+                scan.members.iter().map(|op| Scan {
+                    x: scan.x.clone(),
+                    members: vec![op.clone()],
+                })
+            })
+            .collect();
+        scans.sort_by_key(|scan| scan.members[0].ci);
+        Ok(Plan {
+            program: ScanProgram::new(scans),
+            fused: false,
+            ..fused
+        })
     }
 
     /// The compiled set this plan detects for.
@@ -115,9 +78,9 @@ impl Plan {
         &self.set
     }
 
-    /// The scan operators, in first-seen constraint order.
-    pub fn scans(&self) -> &[ScanNode] {
-        &self.scans
+    /// The program the scan kernel executes for this plan.
+    pub fn program(&self) -> &ScanProgram {
+        &self.program
     }
 
     /// Whether identical-`X` constraints were fused into shared scans.
@@ -128,36 +91,13 @@ impl Plan {
     /// Number of scan operators (`X` projections per row; the kernel still
     /// makes exactly one physical pass over the rows).
     pub fn num_scans(&self) -> usize {
-        self.scans.len()
-    }
-
-    /// The plan's scans as the kernel's executable form: the same scans and
-    /// members in the same order, without the names only
-    /// [`Plan::render`] needs.
-    pub fn program(&self) -> ScanProgram {
-        ScanProgram::new(
-            self.scans
-                .iter()
-                .map(|scan| Scan {
-                    x: scan.x.clone(),
-                    members: scan
-                        .members
-                        .iter()
-                        .map(|flag| FlagOp {
-                            ci: flag.ci,
-                            check: flag.check.clone(),
-                            group: flag.group.clone(),
-                        })
-                        .collect(),
-                })
-                .collect(),
-        )
+        self.program.scans().len()
     }
 
     /// Total number of flag operators across all scans — always equal to
     /// the set's split single-pattern constraint count.
     pub fn num_flags(&self) -> usize {
-        self.scans.iter().map(|s| s.members.len()).sum()
+        self.program.num_flags()
     }
 
     /// Renders the plan as deterministic, line-oriented text — the payload
@@ -165,30 +105,37 @@ impl Plan {
     /// function of the constraint set and plan mode: suitable for snapshot
     /// tests and CI artifacts.
     pub fn render(&self) -> String {
+        let schema = self.set.schema();
+        let names = |ids: &[AttrId]| {
+            let names: Vec<&str> = ids
+                .iter()
+                .map(|id| schema.attribute(*id).map_or("?", |a| a.name.as_str()))
+                .collect();
+            names.join(",")
+        };
+        let provenance = self.set.provenance();
         let mut out = String::new();
         let _ = writeln!(
             out,
             "plan table={} mode={} singles={} scans={}",
-            self.set.schema().name(),
+            schema.name(),
             if self.fused { "fused" } else { "unfused" },
             self.set.singles().len(),
-            self.scans.len(),
+            self.num_scans(),
         );
-        for (si, scan) in self.scans.iter().enumerate() {
-            let _ = writeln!(out, "scan[{si}] x=[{}]", scan.x_names.join(","));
-            for member in &scan.members {
-                let group = if member.grouped() {
-                    format!("[{}]", member.group_names.join(","))
-                } else {
+        for (si, scan) in self.program.scans().iter().enumerate() {
+            let _ = writeln!(out, "scan[{si}] x=[{}]", names(&scan.x));
+            for op in &scan.members {
+                let (constraint, pattern) = provenance[op.ci];
+                let group = if op.group.is_empty() {
                     "-".to_string()
+                } else {
+                    format!("[{}]", names(&op.group))
                 };
                 let _ = writeln!(
                     out,
-                    "  flag c{}.p{} check=[{}] group={}",
-                    member.source.0,
-                    member.source.1,
-                    member.check_names.join(","),
-                    group,
+                    "  flag c{constraint}.p{pattern} check=[{}] group={group}",
+                    names(&op.check),
                 );
             }
         }
@@ -240,5 +187,43 @@ mod tests {
         let text = plan.render();
         assert!(text.starts_with("plan table=cust mode=unfused singles=3 scans=3\n"));
         assert_eq!(text.matches("scan[").count(), 3);
+    }
+
+    #[test]
+    fn optimize_fuses_identical_x_lists_in_first_seen_order() {
+        let schema = set().schema().clone();
+        let set = ConstraintSet::parse(
+            &schema,
+            "cust: [CT] -> [AC] | [], { {Albany} || {518} ; {Troy} || {518} }\n\
+             cust: [AC] -> [] | [CT], { {212} || {NYC} }\n\
+             cust: [CT] -> [ZIP] | [], { {NYC} || _ }",
+        )
+        .unwrap();
+        let ct = schema.require_attr("CT").unwrap();
+        let ac = schema.require_attr("AC").unwrap();
+        let plan = Plan::compile(&set).unwrap();
+        assert!(plan.is_fused());
+        assert_eq!(plan.num_scans(), 2, "three X=[CT] nodes share one scan");
+        assert_eq!(plan.num_flags(), 4);
+        let scans = plan.program().scans();
+        assert_eq!(scans[0].x, [ct]);
+        assert_eq!(scans[0].members.len(), 3);
+        assert_eq!(scans[1].x, [ac]);
+
+        let unfused = Plan::compile_unfused(&set).unwrap();
+        assert!(!unfused.is_fused());
+        assert_eq!(unfused.num_scans(), 4);
+        assert_eq!(unfused.num_flags(), 4);
+        let order: Vec<usize> = unfused
+            .program()
+            .scans()
+            .iter()
+            .map(|scan| scan.members[0].ci)
+            .collect();
+        assert_eq!(
+            order,
+            [0, 1, 2, 3],
+            "one scan per constraint, in split order"
+        );
     }
 }

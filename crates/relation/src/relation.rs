@@ -84,7 +84,7 @@ impl Relation {
     ) -> Result<Self> {
         let mut rel = Relation::new(schema);
         for (id, tuple) in rows {
-            rel.validate(&tuple)?;
+            rel.schema.validate(&tuple)?;
             if rel.positions.contains_key(&id) {
                 return Err(RelationError::DuplicateRow(id.0));
             }
@@ -115,30 +115,11 @@ impl Relation {
         self.rows.is_empty()
     }
 
-    fn validate(&self, tuple: &Tuple) -> Result<()> {
-        if tuple.arity() != self.schema.arity() {
-            return Err(RelationError::ArityMismatch {
-                expected: self.schema.arity(),
-                actual: tuple.arity(),
-            });
-        }
-        for (attr, value) in self.schema.attributes().iter().zip(tuple.values()) {
-            if !attr.data_type().admits(value) {
-                return Err(RelationError::TypeMismatch {
-                    attribute: attr.name.clone(),
-                    expected: attr.data_type().name().to_string(),
-                    actual: value.to_string(),
-                });
-            }
-        }
-        Ok(())
-    }
-
     /// Inserts a tuple, returning the assigned row id: the next scheduled id
     /// when one is queued (see [`Relation::schedule_row_ids`]), otherwise the
     /// next sequential id.
     pub fn insert(&mut self, tuple: Tuple) -> Result<RowId> {
-        self.validate(&tuple)?;
+        self.schema.validate(&tuple)?;
         let id = match self.scheduled_ids.pop_front() {
             Some(id) => {
                 if self.positions.contains_key(&id) {
@@ -225,7 +206,7 @@ impl Relation {
 
     /// Replaces the tuple stored under `id`.
     pub fn replace(&mut self, id: RowId, tuple: Tuple) -> Result<Tuple> {
-        self.validate(&tuple)?;
+        self.schema.validate(&tuple)?;
         let pos = *self
             .positions
             .get(&id)

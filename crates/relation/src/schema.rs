@@ -6,6 +6,7 @@
 //! satisfiability machinery in `ecfd-core` consults it.
 
 use crate::error::{RelationError, Result};
+use crate::tuple::Tuple;
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -261,6 +262,27 @@ impl Schema {
                 name: name.to_string(),
                 relation: self.name.clone(),
             })
+    }
+
+    /// Checks that `tuple` fits this schema: one value per attribute, each
+    /// admitted by the attribute's type.
+    pub fn validate(&self, tuple: &Tuple) -> Result<()> {
+        if tuple.arity() != self.arity() {
+            return Err(RelationError::ArityMismatch {
+                expected: self.arity(),
+                actual: tuple.arity(),
+            });
+        }
+        for (attr, value) in self.attributes.iter().zip(tuple.values()) {
+            if !attr.data_type().admits(value) {
+                return Err(RelationError::TypeMismatch {
+                    attribute: attr.name.clone(),
+                    expected: attr.data_type().name().to_string(),
+                    actual: value.to_string(),
+                });
+            }
+        }
+        Ok(())
     }
 
     /// Names of all attributes, in order.

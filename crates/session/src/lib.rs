@@ -73,12 +73,13 @@
 //! (`detect_with`, `apply_with`); otherwise the session's [`RoutingPolicy`]
 //! decides. The default policy runs full passes on the native semantic
 //! detector — the fast path: one shared-scan program over the
-//! dictionary-encoded columns, the program `ecfd_plan::Plan::compile`
-//! renders for `EXPLAIN PLAN` — and routes update batches by the delta-size
-//! threshold of the paper's Fig. 7(a): small batches go to incremental
-//! maintenance, large ones to a fresh full pass. The SQL batch detector
-//! remains the paper-faithful reference (its role is fidelity, not speed),
-//! selectable per call or via [`RoutingPolicy::fixed`].
+//! dictionary-encoded columns, the `ScanProgram` an `ecfd_plan::Plan` holds
+//! and renders for `EXPLAIN PLAN` — and routes update batches by the
+//! delta-size threshold of the paper's Fig. 7(a): small batches go to
+//! incremental maintenance, which runs each touched tuple through the same
+//! program's per-row step, large ones to a fresh full pass. The SQL batch
+//! detector remains the paper-faithful reference (its role is fidelity, not
+//! speed), selectable per call or via [`RoutingPolicy::fixed`].
 //!
 //! The policy also carries the [`Parallelism`] of the detection scans:
 //! `Auto` (every available core, the default) or `Fixed(n)`. It is applied
@@ -541,13 +542,18 @@ mod tests {
         let mut session = ready_session();
         session.detect().unwrap();
         let version_before = session.version();
-        // The deletion is valid and lands before the wrong-arity insertion
-        // fails the batch: the table has mutated, so every cache must go.
+        // A tuple that does not fit the schema is refused before anything
+        // moves, but a scheduled row id that clashes with a stored row fails
+        // the batch only after the (valid) deletion landed: the table has
+        // mutated, so every cache must go.
         let delta = Delta {
             deletions: vec![Tuple::from_iter(["NYC", "212"])],
-            insertions: vec![Tuple::from_iter(["only-one"])],
+            insertions: vec![Tuple::from_iter(["Troy", "518"])],
         };
-        assert!(session.apply(&delta).is_err());
+        let taken = session.catalog().get("cust").unwrap().row_ids()[0];
+        assert!(session
+            .apply_scheduled_on("cust", &delta, &[taken])
+            .is_err());
         assert!(session.version() > version_before, "table mutated");
         assert!(session.report().is_none(), "stale cache must be dropped");
         let report = session.detect().unwrap();

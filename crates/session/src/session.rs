@@ -442,10 +442,12 @@ impl Session {
         let (report, evidence) = match entry.backend_mut(kind)?.apply(&mut self.catalog, delta) {
             Ok(out) => out,
             Err(e) => {
-                // The backend may have mutated part of the table (e.g. the
-                // deletions of a mixed delta) before failing on the rest —
-                // nothing cached describes the table any more. Drop it all so
-                // the next detect rebuilds from the actual contents.
+                // Every backend refuses a tuple that does not fit the base
+                // schema before it mutates anything, but some failures can
+                // still strike mid-delta — e.g. a scheduled row id that
+                // clashes with a stored one, after the deletions landed.
+                // Nothing cached may describe the table any more: drop it
+                // all so the next detect rebuilds from the actual contents.
                 entry.cache = None;
                 entry.incremental.invalidate();
                 if entry.stage > Stage::Registered {

@@ -19,10 +19,11 @@
 //! * [`detect`] — violation detection: the tableau-as-data encoding, the
 //!   SQL-based `BATCHDETECT`, the incremental `INCDETECT`, and a native
 //!   semantic detector whose one scan kernel (`detect::scan`) runs a
-//!   shared-scan program for every full pass.
-//! * [`plan`] — plan compilation: constraint sets lowered into explicit
-//!   detection plans (HIR → shared-scan-fused MIR) — the readable form of
-//!   the program that kernel runs; `EXPLAIN PLAN` renders it.
+//!   shared-scan program for every full pass, and whose per-row step
+//!   `INCDETECT` runs for every delta.
+//! * [`plan`] — detection plans: that kernel's own program for a constraint
+//!   set (fused, or unfused as the measured contrast), with attribute names
+//!   resolved only when `EXPLAIN PLAN` renders it.
 //! * [`repair`] — violation explanation and data repair: conflict graphs,
 //!   cardinality repairs by tuple deletion (greedy and MAXGSAT-backed exact),
 //!   value-modification repairs under pluggable cost models, and a verified

@@ -13,7 +13,7 @@
 //!   three backends (coded semantic, coded incremental, value-based SQL
 //!   readback) must agree record-for-record.
 
-use ecfd::datagen::constraints::workload_constraints;
+use ecfd::datagen::constraints::{workload_constraints, workload_with_scaled_constraint};
 use ecfd::datagen::{generate, generate_delta, CustConfig, UpdateConfig};
 use ecfd::prelude::*;
 use proptest::prelude::*;
@@ -202,39 +202,45 @@ fn assert_read_out_is_current(
 /// read-out equal to the from-flags reference and to a fresh pass after
 /// every one of them: generated mixed deltas, duplicate rows deleted by one
 /// victim, a group flipping to violating and back, a victim holding a
-/// never-interned string, and an empty delta.
+/// never-interned string, and an empty delta. Run over the base workload and
+/// over the `tableau_160_6k` set, whose 125 singles are mostly members of one
+/// fused `[CT]` scan.
 #[test]
 fn incremental_maintenance_tracks_reference_semantics_under_deltas() {
+    maintenance_tracks_reference_semantics(&workload_constraints());
+    maintenance_tracks_reference_semantics(&workload_with_scaled_constraint(160, 42));
+}
+
+fn maintenance_tracks_reference_semantics(constraints: &[ECfd]) {
     let (data, _) = generate(&CustConfig {
         size: 250,
         noise_percent: 6.0,
         seed: 17,
         ..CustConfig::default()
     });
-    let constraints = workload_constraints();
     let mut session = Session::new().with_policy(
         ecfd::session::RoutingPolicy::fixed(BackendKind::Incremental)
             .with_parallelism(Parallelism::Fixed(4)),
     );
     session.load(data.clone()).unwrap();
-    session.register(&constraints).unwrap();
+    session.register(constraints).unwrap();
     session.detect().unwrap();
 
     let mut catalog = Catalog::new();
     catalog.create(data.clone()).unwrap();
-    let mut inc = IncrementalDetector::initialize(data.schema(), &constraints, &mut catalog)
+    let mut inc = IncrementalDetector::initialize(data.schema(), constraints, &mut catalog)
         .expect("the workload compiles");
-    assert_read_out_is_current(&inc, &catalog, &constraints, "seed");
+    assert_read_out_is_current(&inc, &catalog, constraints, "seed");
 
     let mut mirror = data;
     let mut step = |label: &str, delta: &Delta, mirror: &mut Relation| {
         let incremental = session.apply(delta).unwrap();
         inc.apply(&mut catalog, delta).unwrap();
         delta.apply(mirror).unwrap();
-        assert_read_out_is_current(&inc, &catalog, &constraints, label);
+        assert_read_out_is_current(&inc, &catalog, constraints, label);
         assert_eq!(incremental, **inc.maintained_report(), "{label}");
 
-        let reference = check_all(mirror, &constraints).unwrap();
+        let reference = check_all(mirror, constraints).unwrap();
         let expected = DetectionReport::from_violation_set(reference.violations(), mirror.len());
         // Row ids diverge between session table and mirror after deletions,
         // so compare the flagged tuples, not the ids.

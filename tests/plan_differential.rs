@@ -106,7 +106,7 @@ fn run_both_programs(
             catalog.create(data.clone()).unwrap();
             let (report, evidence) = backend.detect(&mut catalog).unwrap();
             let (_, _, groups) = SemanticDetector::from_set(set)
-                .with_program(backend.plan().program())
+                .with_program(backend.plan().program().clone())
                 .with_parallelism(workers)
                 .detect_full(data)
                 .unwrap();
@@ -249,17 +249,6 @@ fn fusion_changes_the_plan_shape_but_not_the_answer() {
     }
 
     let detector = SemanticDetector::from_set(&set);
-    let executed = detector.program().scans();
-    assert_eq!(executed.len(), fused.num_scans());
-    for (scan, node) in executed.iter().zip(fused.scans()) {
-        assert_eq!(scan.x, node.x);
-        assert_eq!(scan.members.len(), node.members.len());
-        for (op, flag) in scan.members.iter().zip(&node.members) {
-            assert_eq!(
-                (op.ci, &op.check, &op.group),
-                (flag.ci, &flag.check, &flag.group)
-            );
-        }
-    }
-    assert_ne!(detector.program(), &unfused.program());
+    assert_eq!(detector.program(), fused.program());
+    assert_ne!(detector.program(), unfused.program());
 }
