@@ -36,6 +36,10 @@
 //!   `BATCHDETECT`'s fixed query count). The two-phase parallel scan that
 //!   executes it exists nowhere else in the workspace, and its per-row step
 //!   is also what [`incremental`] runs on every tuple a delta touches.
+//! * [`merge`] keeps a row-partitioned relation's cross-partition groups
+//!   merged under row insertions and removals — the maintained counterpart
+//!   of [`SemanticDetector::merge_partials`], folding rows through the same
+//!   per-row step.
 //!
 //! * [`evidence`] extends all three detectors beyond the paper's flags: an
 //!   [`EvidenceReport`] names, for every flagged row, the violated constraint
@@ -78,6 +82,7 @@ pub mod batch;
 pub mod encode;
 pub mod evidence;
 pub mod incremental;
+pub mod merge;
 mod obs;
 pub mod parallel;
 pub mod report;
@@ -92,6 +97,7 @@ pub use batch::BatchDetector;
 pub use encode::Encoding;
 pub use evidence::{ConstraintRef, EvidenceReport, MvEvidence, SvEvidence};
 pub use incremental::IncrementalDetector;
+pub use merge::{MergeState, MergeStats};
 pub use parallel::Parallelism;
 pub use report::DetectionReport;
 pub use scan::ScanProgram;

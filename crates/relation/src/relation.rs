@@ -48,6 +48,10 @@ pub struct Relation {
     /// would; when empty, `insert` falls back to `next_row_id`.
     #[serde(skip)]
     scheduled_ids: VecDeque<RowId>,
+    /// While recording (see [`Relation::record_deletions`]), every deleted
+    /// row, in deletion order.
+    #[serde(skip)]
+    deleted: Option<Vec<(RowId, Tuple)>>,
 }
 
 impl Relation {
@@ -59,6 +63,7 @@ impl Relation {
             rows: Vec::new(),
             positions: HashMap::new(),
             scheduled_ids: VecDeque::new(),
+            deleted: None,
         }
     }
 
@@ -155,6 +160,21 @@ impl Relation {
         self.scheduled_ids.clear();
     }
 
+    /// Starts recording deletions: until [`Relation::take_deleted`], every
+    /// deleted row's id and tuple is kept. A sharded serving layer records
+    /// what a scheduled apply removed, whichever detector backend did the
+    /// removing, so it can fold exactly those rows out of its merge state.
+    pub fn record_deletions(&mut self) {
+        self.deleted = Some(Vec::new());
+    }
+
+    /// Stops recording and returns the rows deleted since
+    /// [`Relation::record_deletions`], in deletion order (empty when nothing
+    /// was recording).
+    pub fn take_deleted(&mut self) -> Vec<(RowId, Tuple)> {
+        self.deleted.take().unwrap_or_default()
+    }
+
     /// The id the next unscheduled insertion would be assigned.
     pub fn next_row_id(&self) -> u64 {
         self.next_row_id
@@ -175,6 +195,9 @@ impl Relation {
         // Re-index all rows after the removed position.
         for (i, (rid, _)) in self.rows.iter().enumerate().skip(pos) {
             self.positions.insert(*rid, i);
+        }
+        if let Some(deleted) = &mut self.deleted {
+            deleted.push((id, tuple.clone()));
         }
         Ok(tuple)
     }
@@ -268,7 +291,8 @@ impl Relation {
     /// Creates a new relation with the same tuples but a schema extended by
     /// the given attributes, filling the new columns with `fill`. Row ids and
     /// the next-id counter are preserved (ids may be non-contiguous, e.g. in
-    /// a shard of a partitioned table), as are any scheduled row ids.
+    /// a shard of a partitioned table), as are any scheduled row ids and a
+    /// running deletion record.
     pub fn extend_schema(
         &self,
         extra: Vec<crate::schema::Attribute>,
@@ -284,6 +308,7 @@ impl Relation {
         )?;
         rel.next_row_id = rel.next_row_id.max(self.next_row_id);
         rel.scheduled_ids = self.scheduled_ids.clone();
+        rel.deleted = self.deleted.clone();
         Ok(rel)
     }
 
@@ -393,6 +418,19 @@ mod tests {
         assert!(r
             .delete_matching(&Tuple::from_iter(["Nowhere", "000"]))
             .is_empty());
+    }
+
+    #[test]
+    fn recorded_deletions_are_returned_once() {
+        let mut r = rel_with(&[("NYC", "212"), ("Troy", "518"), ("NYC", "212")]);
+        let ids = r.row_ids();
+        r.delete(ids[1]).unwrap();
+        assert!(r.take_deleted().is_empty(), "nothing was recording");
+        r.record_deletions();
+        r.delete_matching(&Tuple::from_iter(["NYC", "212"]));
+        let nyc = Tuple::from_iter(["NYC", "212"]);
+        assert_eq!(r.take_deleted(), vec![(ids[0], nyc.clone()), (ids[2], nyc)]);
+        assert!(r.take_deleted().is_empty(), "taking stops the recording");
     }
 
     #[test]

@@ -2,13 +2,14 @@
 
 use crate::durable::WalSink;
 use crate::ingest::{IngestQueue, PushError, Ticket};
+use crate::sharded::{AppliedRows, MergeLayer};
 use crate::store::SnapshotStore;
 use crate::{Result, ServeError};
 use ecfd_relation::{Delta, RowId};
 use ecfd_session::Snapshot;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 /// A point-in-time view of the hub's counters, as reported by `EPOCH`.
@@ -38,6 +39,10 @@ pub struct Hub {
     /// Present in durable mode: the ticket-ordered WAL sink plus the log
     /// path the `REPLAY` verb reads from.
     durable: Option<DurableState>,
+    /// The merge layer this hub publishes through, and the hub's shard index
+    /// in it: set once, when the hub is a shard of a deployment whose
+    /// constraints leave open groups.
+    merge: OnceLock<(Arc<MergeLayer>, usize)>,
 }
 
 struct DurableState {
@@ -75,6 +80,7 @@ impl Hub {
             write_errors: AtomicU64::new(0),
             last_error: Mutex::new(None),
             durable: None,
+            merge: OnceLock::new(),
         })
     }
 
@@ -99,7 +105,31 @@ impl Hub {
                 wal_path,
                 recovered,
             }),
+            merge: OnceLock::new(),
         })
+    }
+
+    /// Makes this hub shard `shard` of `layer`: from now on every publish
+    /// folds the batch's rows into it. Set once, at bootstrap, before any
+    /// writer runs.
+    pub(crate) fn attach_merge(&self, layer: Arc<MergeLayer>, shard: usize) {
+        let attached = self.merge.set((layer, shard));
+        debug_assert!(attached.is_ok(), "a hub belongs to one merge layer");
+    }
+
+    /// Publishes the writer's new snapshot: first into the merge layer, if
+    /// this hub is a shard of one that folds rows (`rows` is what the batch
+    /// did, `None` when that is unknown), then into the store readers poll.
+    /// The store is updated even when the merge layer fails, and every hub
+    /// without a merge layer does nothing more than that.
+    pub(crate) fn publish(&self, snapshot: Snapshot, rows: Option<Vec<AppliedRows>>) -> Result<()> {
+        let snapshot = Arc::new(snapshot);
+        let merged = match self.merge.get() {
+            Some((layer, shard)) => layer.publish(*shard, Arc::clone(&snapshot), rows),
+            None => Ok(()),
+        };
+        self.store.publish(snapshot);
+        merged
     }
 
     /// Whether submits are logged to a WAL before acknowledgement.

@@ -24,13 +24,30 @@
 //!   "same violations" into "same bytes".
 //! * **The merge layer.** Constraints whose `X` contains the shard key are
 //!   *aligned*: every enforcement group lives entirely on one shard, and its
-//!   violations are final locally. The rest leave their groups **open**;
-//!   [`ShardedHub::merged`] decodes the per-shard group keys back to values
-//!   (per-shard dictionaries assign different codes to the same value) and
-//!   merges the open groups across shards before deciding violations — see
-//!   [`SemanticDetector::merge_partials`](ecfd_detect::SemanticDetector::merge_partials).
-//!   **When no constraint has open groups, the merged view is the union of
-//!   what the shards already published** — no scan. At one shard that is
+//!   violations are final locally. The rest leave their groups **open**, and
+//!   the layer keeps them merged in one maintained
+//!   [`MergeState`](ecfd_detect::MergeState), keyed through its own
+//!   dictionary (per-shard dictionaries assign different codes to the same
+//!   value):
+//!   - *seed*: at bootstrap and recovery the state is built from each
+//!     shard's scanned partial, one shard at a time;
+//!   - *fold*: every shard writer, when it publishes, folds the rows its
+//!     batch inserted and removed into the state and swaps its snapshot into
+//!     the layer's cut, under the layer's lock — before the batch counts as
+//!     applied, so a `SYNC`-ed delta is in the next merged read. Only a
+//!     failed sub-delta or a failed publish, which leave the shard's changes
+//!     unknown, re-seeds;
+//!   - *read-out*: a [`ShardedHub::merged`] miss is the union of what the
+//!     shards published plus the violating merged open groups — it scans
+//!     nothing and costs O(violations);
+//!   - *fresh*: [`ShardedHub::merged_fresh`] (`DETECT FRESH`) stays the
+//!     independent verifier, re-scanning every shard into partials and
+//!     merging them from scratch with
+//!     [`SemanticDetector::merge_partials`](ecfd_detect::SemanticDetector::merge_partials).
+//!
+//!   **No open groups, nothing to fold:** without an open constraint there
+//!   is no merge state, the writers publish as they would alone, and the
+//!   read-out is the union of the published reports. At one shard that is
 //!   always so, whatever the constraints' `X`.
 //!
 //! Durability composes per shard: each shard logs its sub-deltas (with
@@ -44,7 +61,8 @@ use crate::hub::{Hub, ServeStats};
 use crate::ingest::Ticket;
 use crate::writer::{sole_table, Writer};
 use crate::{Result, ServeError};
-use ecfd_detect::{DetectionReport, EvidenceReport, ShardPartial};
+use ecfd_detect::{DetectionReport, EvidenceReport, MergeState, MergeStats, ShardPartial};
+use ecfd_obs::{Counter, Histogram};
 use ecfd_relation::{shard_of_value, AttrId, Delta, Relation, RowId, Schema, Tuple};
 use ecfd_session::{Session, SessionError, Snapshot};
 use std::collections::BTreeMap;
@@ -103,7 +121,9 @@ pub struct SubmitReceipt {
 }
 
 /// A merged cross-shard view: the global report and evidence over one cut
-/// of per-shard snapshots.
+/// of per-shard snapshots. [`ShardedHub::merged`] reads it out of what the
+/// shards published and the maintained open groups of that same cut;
+/// [`ShardedHub::merged_fresh`] re-derives it by scanning the snapshots.
 #[derive(Debug, Clone)]
 pub struct MergedView {
     /// The per-shard snapshot epochs this view was merged from.
@@ -113,7 +133,7 @@ pub struct MergedView {
     pub report: DetectionReport,
     /// The merged evidence behind [`MergedView::report`].
     pub evidence: EvidenceReport,
-    /// The per-shard snapshots the view was computed from.
+    /// The per-shard snapshots the view describes.
     pub snapshots: Vec<Arc<Snapshot>>,
 }
 
@@ -150,6 +170,10 @@ pub struct ShardedHub {
     aligned: Vec<bool>,
     hubs: Vec<Arc<Hub>>,
     router: Mutex<RouterState>,
+    /// `router.lock.wait.ns`: how long a submit waited for the router lock.
+    router_wait: Histogram,
+    /// The maintained open groups; `None` when no constraint has any.
+    merge: Option<Arc<MergeLayer>>,
     merged_cache: Mutex<Option<Arc<MergedView>>>,
     detect_workers: Option<usize>,
     /// Present in durable mode: where the merged checkpoint is persisted.
@@ -196,7 +220,7 @@ impl ShardedHub {
             writers.push(writer);
             hubs.push(hub);
         }
-        let hub = parts.meta.into_hub(hubs, config, 0, None);
+        let hub = parts.meta.into_hub(hubs, config, 0, None)?;
         Ok((writers, hub))
     }
 
@@ -243,7 +267,7 @@ impl ShardedHub {
         let mut meta = parts.meta;
         meta.next_row_id = next_row_id;
         let merged_ckpt = Some(wal_dir.join("merged.ckpt"));
-        let hub = meta.into_hub(hubs, config, last_global, merged_ckpt);
+        let hub = meta.into_hub(hubs, config, last_global, merged_ckpt)?;
         hub.verify_recovered_merged()?;
         Ok((writers, hub, recoveries))
     }
@@ -311,6 +335,17 @@ impl ShardedHub {
         self.hubs.iter().find_map(|h| h.last_error())
     }
 
+    /// The exact work of this deployment's merge layer: seeds (scans of
+    /// every shard), rows folded and open groups flipped. All zero when no
+    /// constraint has open groups. Unlike the process-wide `merge.*`
+    /// metrics, these count this hub alone.
+    pub fn merge_stats(&self) -> MergeStats {
+        self.merge
+            .as_ref()
+            .map(|layer| layer.lock().state.stats())
+            .unwrap_or_default()
+    }
+
     /// Marks this hub as follower-fed (set by [`Follower`](crate::Follower)).
     pub(crate) fn mark_follower(&self) {
         self.follower.store(true, Ordering::SeqCst);
@@ -324,8 +359,10 @@ impl ShardedHub {
 
     // ── the router: submit / sync / progress ──────────────────────────────
 
-    /// Which shard a tuple routes to. Tuples too short to reach the shard
-    /// attribute go to shard 0, whose writer records the apply failure.
+    /// Which shard a tuple routes to. A tuple too short to reach the shard
+    /// attribute goes to shard 0 — only a deletion victim can be one
+    /// ([`ShardedHub::submit`] refuses such an insertion), and there it
+    /// matches no row.
     pub fn shard_of_tuple(&self, tuple: &Tuple) -> usize {
         match self.shard_attr.and_then(|attr| tuple.get(attr)) {
             Some(value) => shard_of_value(value, self.hubs.len()),
@@ -343,7 +380,15 @@ impl ShardedHub {
     /// never interleave), enqueues the non-empty sub-deltas, and — in
     /// durable mode — logs each sub-delta to its shard's WAL (fsynced
     /// before this returns, *outside* the router lock).
+    ///
+    /// A delta is accepted whole or refused whole, here: an insertion that
+    /// does not fit the schema refuses it with [`ServeError::Session`]
+    /// before it takes a ticket or a row id, so no shard applies any part of
+    /// it — exactly what one session does with such a delta.
     pub fn submit(&self, delta: Delta) -> Result<SubmitReceipt> {
+        for tuple in &delta.insertions {
+            self.schema.validate(tuple).map_err(SessionError::from)?;
+        }
         let shards = self.hubs.len();
         let mut parts: Vec<Delta> = std::iter::repeat_with(Delta::new).take(shards).collect();
         let mut ids: Vec<Vec<RowId>> = vec![Vec::new(); shards];
@@ -364,7 +409,9 @@ impl ShardedHub {
                 .push(tuple.clone());
         }
 
+        let waited = Instant::now();
         let mut router = self.lock_router();
+        self.router_wait.record_duration(waited.elapsed());
         for &s in &targets {
             ids[s].push(RowId(router.next_row_id));
             router.next_row_id += 1;
@@ -469,24 +516,21 @@ impl ShardedHub {
         self.hubs.iter().map(|h| h.snapshot()).collect()
     }
 
-    /// The merged cross-shard view of the current per-shard snapshots,
-    /// cached by epoch vector: repeated reads at an unchanged cut are free.
-    /// A miss re-scans the shards only when some constraint has open groups;
-    /// otherwise the view is the union of what the shards published. In
-    /// durable mode a fresh merge also persists the merged checkpoint
-    /// (`merged.ckpt`: epoch vector + report hash) for the next recovery to
-    /// verify against.
+    /// The merged cross-shard view of the current cut, cached by epoch
+    /// vector: repeated reads at an unchanged cut are free. A miss reads the
+    /// view out of what the shards published and the maintained open groups
+    /// (see the module docs): it scans nothing. In durable mode a miss also
+    /// persists the merged checkpoint (`merged.ckpt`: epoch vector + report
+    /// hash) for the next recovery to verify against.
     pub fn merged(&self) -> Result<Arc<MergedView>> {
-        let snapshots = self.snapshots();
         {
+            let epochs = self.cut_epochs();
             let cache = self.merged_cache.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(view) = cache.as_ref() {
-                if view.epochs == epochs_of(&snapshots) {
-                    return Ok(Arc::clone(view));
-                }
+            if let Some(view) = cache.as_ref().filter(|view| view.epochs == epochs) {
+                return Ok(Arc::clone(view));
             }
         }
-        let view = Arc::new(self.merge(snapshots)?);
+        let view = Arc::new(self.read_out()?);
         self.persist_merged(&view)?;
         *self.merged_cache.lock().unwrap_or_else(|e| e.into_inner()) = Some(Arc::clone(&view));
         Ok(view)
@@ -500,23 +544,37 @@ impl ShardedHub {
         self.merge_scanned(self.snapshots())
     }
 
-    /// The merge behind a [`ShardedHub::merged`] miss.
-    fn merge(&self, snapshots: Vec<Arc<Snapshot>>) -> Result<MergedView> {
-        if self.aligned.iter().all(|&aligned| aligned) {
-            Ok(merge_published(snapshots))
-        } else {
-            self.merge_scanned(snapshots)
+    /// The epoch vector of the cut [`ShardedHub::merged`] reads: the merge
+    /// layer's when there is one, else the shards' published snapshots.
+    fn cut_epochs(&self) -> Vec<u64> {
+        match &self.merge {
+            Some(layer) => epochs_of(&layer.lock().snapshots),
+            None => self.hubs.iter().map(|h| h.epoch()).collect(),
         }
+    }
+
+    /// The read-out behind a [`ShardedHub::merged`] miss. A merge state that
+    /// does not describe its cut — a seed failed, or a fold never finished —
+    /// answers nothing until the next publish re-seeds it; meanwhile the cut
+    /// is merged by scanning.
+    fn read_out(&self) -> Result<MergedView> {
+        let Some(layer) = &self.merge else {
+            return Ok(read_out_cut(self.snapshots(), None));
+        };
+        let cut = layer.lock();
+        if !cut.stale {
+            return Ok(read_out_cut(cut.snapshots.clone(), Some(&cut.state)));
+        }
+        let snapshots = cut.snapshots.clone();
+        drop(cut);
+        self.merge_scanned(snapshots)
     }
 
     fn merge_scanned(&self, snapshots: Vec<Arc<Snapshot>>) -> Result<MergedView> {
         let partials: Vec<ShardPartial> = snapshots
             .iter()
-            .map(|snap| match self.detect_workers {
-                Some(workers) => snap.detect_partition_with(&self.aligned, workers),
-                None => snap.detect_partition(&self.aligned),
-            })
-            .collect::<std::result::Result<_, SessionError>>()?;
+            .map(|snap| scan_partial(snap, &self.aligned, self.detect_workers))
+            .collect::<Result<_>>()?;
         let (report, evidence) = snapshots[0].merge_partials(partials);
         Ok(MergedView {
             epochs: epochs_of(&snapshots),
@@ -549,36 +607,36 @@ impl ShardedHub {
     }
 
     /// At durable bootstrap: if the persisted merged checkpoint describes
-    /// exactly the recovered epoch vector, a from-scratch merge of the
-    /// recovered shards must hash to it — anything else is a
-    /// [`ServeError::Replication`]. A checkpoint for a different epoch vector
-    /// is stale (the crash happened between a shard's publish and the next
-    /// merged read) and is skipped, not an error. Either way the gauge
-    /// `wal.recovery.merged.verified` records what happened and a fresh
-    /// checkpoint is persisted.
+    /// exactly the recovered epoch vector, the merged view of the recovered
+    /// shards must hash to it — anything else is a
+    /// [`ServeError::Replication`]. With open groups that view is the
+    /// read-out of the merge state just seeded from the recovered shards'
+    /// scans; without, a from-scratch merge checks the union instead. A
+    /// checkpoint for a different epoch vector is stale (the crash happened
+    /// between a shard's publish and the next merged read) and is skipped,
+    /// not an error. Either way the gauge `wal.recovery.merged.verified`
+    /// records what happened and a fresh checkpoint is persisted.
     fn verify_recovered_merged(&self) -> Result<()> {
         let stored = self
             .merged_ckpt
             .as_ref()
             .and_then(|path| std::fs::read_to_string(path).ok())
-            .and_then(|text| parse_merged_ckpt(&text));
-        let snapshots = self.snapshots();
-        let stored = stored.filter(|(epochs, _)| *epochs == epochs_of(&snapshots));
-        let view = match &stored {
-            Some((epochs, expected)) => {
-                let view = self.merge_scanned(snapshots)?;
-                let actual = report_hash(&view.report);
-                if actual != *expected {
-                    return Err(ServeError::Replication(format!(
-                        "sharded recovery diverged: merged checkpoint hashes to \
-                         {expected:#018x} at epochs {epochs:?}, replayed merge hashes to \
-                         {actual:#018x}"
-                    )));
-                }
-                view
-            }
-            None => self.merge(snapshots)?,
+            .and_then(|text| parse_merged_ckpt(&text))
+            .filter(|(epochs, _)| *epochs == self.cut_epochs());
+        let view = match (&self.merge, &stored) {
+            (None, Some(_)) => self.merge_scanned(self.snapshots())?,
+            _ => self.read_out()?,
         };
+        if let Some((epochs, expected)) = &stored {
+            let actual = report_hash(&view.report);
+            if actual != *expected {
+                return Err(ServeError::Replication(format!(
+                    "sharded recovery diverged: merged checkpoint hashes to \
+                     {expected:#018x} at epochs {epochs:?}, replayed merge hashes to \
+                     {actual:#018x}"
+                )));
+            }
+        }
         ecfd_obs::registry()
             .gauge("wal.recovery.merged.verified")
             .set(i64::from(stored.is_some()));
@@ -592,10 +650,24 @@ fn epochs_of(snapshots: &[Arc<Snapshot>]) -> Vec<u64> {
     snapshots.iter().map(|s| s.epoch()).collect()
 }
 
-/// The merged view when no constraint has open groups: every violation is
-/// decided within one shard, so the shards' published reports and evidence
-/// already hold all of them — their union is the merge, with no scan.
-fn merge_published(snapshots: Vec<Arc<Snapshot>>) -> MergedView {
+/// One shard's scanned partial, at the configured worker fan-out.
+fn scan_partial(
+    snapshot: &Snapshot,
+    aligned: &[bool],
+    workers: Option<usize>,
+) -> Result<ShardPartial> {
+    Ok(match workers {
+        Some(workers) => snapshot.detect_partition_with(aligned, workers)?,
+        None => snapshot.detect_partition(aligned)?,
+    })
+}
+
+/// The merged view of a cut, with no scan: every single-tuple violation and
+/// every aligned group is decided within one shard, so the union of what
+/// the shards published holds them; `open` — the maintained merge state of
+/// this same cut, when some constraint has open groups — completes the
+/// union with the violating merged open groups. O(violations).
+fn read_out_cut(snapshots: Vec<Arc<Snapshot>>, open: Option<&MergeState>) -> MergedView {
     let mut report = DetectionReport::default();
     let mut evidence = EvidenceReport::default();
     for snap in &snapshots {
@@ -607,6 +679,9 @@ fn merge_published(snapshots: Vec<Arc<Snapshot>>) -> MergedView {
             .mv_groups
             .extend_from_slice(&snap.evidence().mv_groups);
     }
+    if let Some(state) = open {
+        state.read_out(&mut report, &mut evidence);
+    }
     evidence.total_rows = report.total_rows;
     evidence.normalize();
     MergedView {
@@ -614,6 +689,131 @@ fn merge_published(snapshots: Vec<Arc<Snapshot>>) -> MergedView {
         report,
         evidence,
         snapshots,
+    }
+}
+
+/// What one applied sub-delta did to its shard's rows — what a shard hands
+/// the merge layer. Rows, not groups: the same whichever backend the
+/// sub-delta was routed to.
+#[derive(Debug)]
+pub(crate) struct AppliedRows {
+    /// `(id, stored tuple)` of every row a deletion removed, in order
+    /// ([`Session::apply_scheduled_on`]'s answer).
+    pub(crate) removed: Vec<(RowId, Tuple)>,
+    /// The scheduled id of every insertion, parallel to `inserted`.
+    pub(crate) ids: Vec<RowId>,
+    /// The inserted tuples.
+    pub(crate) inserted: Vec<Tuple>,
+}
+
+/// The merge layer of a deployment whose constraints leave open groups: the
+/// maintained [`MergeState`] and the cut of per-shard snapshots it
+/// describes, under one lock, fed by the shard writers at publish time.
+pub(crate) struct MergeLayer {
+    cut: Mutex<MergeCut>,
+    detect_workers: Option<usize>,
+    /// `merge.seeds`: seeds, i.e. scans of every shard.
+    seeds: Counter,
+    /// `merge.rows.folded`: rows folded in or out.
+    rows_folded: Counter,
+    /// `merge.fold.ns`: per-publish fold latency.
+    fold: Histogram,
+}
+
+struct MergeCut {
+    state: MergeState,
+    /// The per-shard snapshots `state` describes.
+    snapshots: Vec<Arc<Snapshot>>,
+    /// Set while `state` does not describe `snapshots`: during a seed or a
+    /// fold, and after one that failed or panicked, until the next seed.
+    stale: bool,
+}
+
+impl MergeLayer {
+    /// The layer over `snapshots`, seeded — or `None` when `state` has no
+    /// open groups to keep.
+    fn seeded(
+        state: MergeState,
+        snapshots: Vec<Arc<Snapshot>>,
+        detect_workers: Option<usize>,
+    ) -> Result<Option<MergeLayer>> {
+        if !state.has_open_groups() {
+            return Ok(None);
+        }
+        let registry = ecfd_obs::registry();
+        let layer = MergeLayer {
+            cut: Mutex::new(MergeCut {
+                state,
+                snapshots,
+                stale: true,
+            }),
+            detect_workers,
+            seeds: registry.counter("merge.seeds"),
+            rows_folded: registry.counter("merge.rows.folded"),
+            fold: registry.histogram("merge.fold.ns"),
+        };
+        layer.seed(&mut layer.lock())?;
+        Ok(Some(layer))
+    }
+
+    /// The cut. A writer that panicked mid-fold left `stale` set, so the
+    /// guard of a poisoned lock is still safe to use.
+    fn lock(&self) -> MutexGuard<'_, MergeCut> {
+        self.cut.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Writer side: swaps shard `shard`'s new snapshot into the cut and
+    /// folds `rows` — what the shard's batch did since its last publish —
+    /// into the state. `None` means that is unknown, and re-seeds the state
+    /// from every shard's snapshot instead.
+    pub(crate) fn publish(
+        &self,
+        shard: usize,
+        snapshot: Arc<Snapshot>,
+        rows: Option<Vec<AppliedRows>>,
+    ) -> Result<()> {
+        let mut cut = self.lock();
+        cut.snapshots[shard] = snapshot;
+        match rows {
+            Some(rows) if !cut.stale => {
+                let started = Instant::now();
+                cut.stale = true;
+                let mut folded = 0;
+                for applied in rows {
+                    for (id, tuple) in &applied.removed {
+                        cut.state.remove(*id, tuple);
+                    }
+                    for (id, tuple) in applied.ids.iter().zip(&applied.inserted) {
+                        cut.state.insert(*id, tuple);
+                    }
+                    folded += applied.removed.len() + applied.inserted.len();
+                }
+                cut.stale = false;
+                self.rows_folded.add(folded as u64);
+                self.fold.record_duration(started.elapsed());
+                Ok(())
+            }
+            _ => self.seed(&mut cut),
+        }
+    }
+
+    /// Rebuilds the state from every shard's scanned partial, one shard at
+    /// a time (each partial is dropped before the next shard is scanned).
+    fn seed(&self, cut: &mut MergeCut) -> Result<()> {
+        let MergeCut {
+            state,
+            snapshots,
+            stale,
+        } = cut;
+        *stale = true;
+        state.reset();
+        self.seeds.inc();
+        for snapshot in snapshots.iter() {
+            let partial = scan_partial(snapshot, state.aligned(), self.detect_workers)?;
+            state.absorb(partial);
+        }
+        *stale = false;
+        Ok(())
     }
 }
 
@@ -657,15 +857,25 @@ struct PartitionMeta {
 impl PartitionMeta {
     /// `last_global` is the highest global ticket already issued (and, this
     /// being bootstrap, applied): 0 for a fresh deployment, the logged
-    /// maximum after recovery.
+    /// maximum after recovery. When some constraint has open groups, the
+    /// merge layer is seeded from the shards' current snapshots here, and
+    /// every shard hub is attached to it.
     fn into_hub(
         self,
         hubs: Vec<Arc<Hub>>,
         config: &ShardedConfig,
         last_global: Ticket,
         merged_ckpt: Option<PathBuf>,
-    ) -> Arc<ShardedHub> {
-        Arc::new(ShardedHub {
+    ) -> Result<Arc<ShardedHub>> {
+        let snapshots: Vec<Arc<Snapshot>> = hubs.iter().map(|h| h.snapshot()).collect();
+        let state = MergeState::new(snapshots[0].constraints(), self.aligned.clone());
+        let merge = MergeLayer::seeded(state, snapshots, config.detect_workers)?.map(Arc::new);
+        if let Some(layer) = &merge {
+            for (s, hub) in hubs.iter().enumerate() {
+                hub.attach_merge(Arc::clone(layer), s);
+            }
+        }
+        Ok(Arc::new(ShardedHub {
             table: self.table,
             schema: self.schema,
             shard_attr: self.shard_attr,
@@ -677,11 +887,13 @@ impl PartitionMeta {
                 applied_global: last_global,
                 inflight: BTreeMap::new(),
             }),
+            router_wait: ecfd_obs::registry().histogram("router.lock.wait.ns"),
+            merge,
             merged_cache: Mutex::new(None),
             detect_workers: config.detect_workers,
             merged_ckpt,
             follower: AtomicBool::new(false),
-        })
+        }))
     }
 }
 
@@ -756,7 +968,7 @@ impl PartitionedTemplate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ecfd_relation::{DataType, Schema};
+    use ecfd_relation::{DataType, Schema, Value};
     use std::time::Duration;
 
     fn template() -> Session {
@@ -778,7 +990,7 @@ mod tests {
         session
             .register_text(
                 "cust: [CT] -> [AC] | [], { {Albany} || {518} }\n\
-                 cust: [AC] -> [CT] | [], { {_} || {_} }",
+                 cust: [AC] -> [CT] | [], { _ || _ }",
             )
             .unwrap();
         session
@@ -852,6 +1064,182 @@ mod tests {
             let again = hub.merged().unwrap();
             assert!(Arc::ptr_eq(&merged, &again));
         }
+    }
+
+    /// The maintained merge answers like the scanning verifier and like the
+    /// unsharded oracle, report and evidence both.
+    fn assert_merged_matches(hub: &ShardedHub, oracle: &mut Session) {
+        let merged = hub.merged().unwrap();
+        let fresh = hub.merged_fresh().unwrap();
+        assert_eq!(merged.report, fresh.report);
+        assert_eq!(merged.evidence, fresh.evidence);
+        assert_eq!(merged.report, oracle.detect_on("cust").unwrap());
+        assert_eq!(merged.evidence, *oracle.snapshot().unwrap().evidence());
+    }
+
+    /// Regression: the router split a delta before anything checked it, so
+    /// the part on one shard landed while the part that did not fit the
+    /// schema failed on the other — a state no single session produces, and
+    /// the failed part still used up a row id. The whole delta is refused at
+    /// the front door now.
+    #[test]
+    fn a_delta_that_does_not_fit_is_refused_whole_at_the_front_door() {
+        let (mut writers, hub) =
+            ShardedHub::bootstrap(template(), &ShardedConfig::new(2, "CT")).unwrap();
+        let mut oracle = oracle();
+        let good = Tuple::from_iter(["Albany", "519"]);
+        let shard_of = |city: &str| shard_of_value(&Value::str(city), 2);
+        let other_city = ["NYC", "Troy", "Utica", "Colonie", "Rome"]
+            .into_iter()
+            .find(|city| shard_of(city) != shard_of("Albany"))
+            .expect("some city routes to the other shard");
+        let bad = Tuple::new(vec![Value::str(other_city), Value::Int(518)]);
+        assert_ne!(hub.shard_of_tuple(&good), hub.shard_of_tuple(&bad));
+        let delta = Delta::insert_only(vec![good, bad]);
+
+        let refused = hub.submit(delta.clone());
+        assert!(
+            matches!(refused, Err(ServeError::Session(_))),
+            "{refused:?}"
+        );
+        assert!(oracle.apply_on("cust", &delta).is_err());
+        drive(&mut writers, &hub);
+        assert_eq!(hub.stats().write_errors, 0);
+        assert_eq!(hub.accepted_global(), 0, "a refused delta takes no ticket");
+        assert_merged_matches(&hub, &mut oracle);
+
+        // The refused delta used up no row id: the next one's ids are the
+        // oracle's.
+        let next = Delta::insert_only(vec![
+            Tuple::from_iter(["Utica", "315"]),
+            Tuple::from_iter([other_city, "518"]),
+        ]);
+        hub.submit(next.clone()).unwrap();
+        oracle.apply_on("cust", &next).unwrap();
+        drive(&mut writers, &hub);
+        assert_merged_matches(&hub, &mut oracle);
+        let ids = |relation: Relation| relation.row_ids();
+        assert_eq!(
+            ids(hub.compose().unwrap().to_relation().unwrap()),
+            ids(oracle.data("cust").unwrap())
+        );
+    }
+
+    /// The incremental detector's exact-counter gate one level up: with the
+    /// merge layer warm, the same 8 + 8 delta folds the same rows at 2 000
+    /// and 20 000 rows, and scans no shard.
+    #[test]
+    fn a_warm_merge_costs_the_same_at_every_table_size() {
+        // Fifty towns with one area code each and a unique phone number:
+        // clean, and `[AC] -> [CT]` keeps open groups under `CT` routing.
+        let row = |i: usize| {
+            let town = i % 50;
+            Tuple::from_iter([
+                format!("Town{town}"),
+                format!("5{town:02}"),
+                format!("{i:07}"),
+            ])
+        };
+        let stats_at = |n: usize| {
+            let schema = Schema::builder("cust")
+                .attr("CT", DataType::Str)
+                .attr("AC", DataType::Str)
+                .attr("PN", DataType::Str)
+                .build();
+            let mut session = Session::new();
+            session
+                .load(Relation::with_tuples(schema, (0..n).map(row)).unwrap())
+                .unwrap();
+            session
+                .register_text(
+                    "cust: [CT] -> [AC] | [], { _ || _ }\n\
+                     cust: [AC] -> [CT] | [], { _ || _ }",
+                )
+                .unwrap();
+            let (mut writers, hub) =
+                ShardedHub::bootstrap(session, &ShardedConfig::new(2, "CT")).unwrap();
+            let before = hub.merge_stats();
+            assert_eq!(before.seeds, 1, "bootstrap seeds once");
+            hub.submit(Delta {
+                deletions: (n - 8..n).map(row).collect(),
+                insertions: (n..n + 8).map(row).collect(),
+            })
+            .unwrap();
+            drive(&mut writers, &hub);
+            let merged = hub.merged().unwrap();
+            assert_eq!(merged.report, hub.merged_fresh().unwrap().report);
+            assert_eq!(merged.report.total_rows, n);
+            let after = hub.merge_stats();
+            MergeStats {
+                seeds: after.seeds - before.seeds,
+                rows_folded: after.rows_folded - before.rows_folded,
+                groups_flipped: after.groups_flipped - before.groups_flipped,
+            }
+        };
+        let small = stats_at(2_000);
+        assert_eq!(
+            small,
+            MergeStats {
+                seeds: 0,
+                rows_folded: 16,
+                groups_flipped: 0,
+            }
+        );
+        assert_eq!(stats_at(20_000), small);
+    }
+
+    /// Between bootstrap and shutdown the merge re-seeds only when a shard's
+    /// changes are unknown: after a failed sub-delta or a failed publish.
+    #[test]
+    fn only_unknown_changes_reseed_the_merge() {
+        let (mut writers, hub) =
+            ShardedHub::bootstrap(template(), &ShardedConfig::new(2, "CT")).unwrap();
+        let mut oracle = oracle();
+        let seeds = |hub: &ShardedHub| hub.merge_stats().seeds;
+        assert_eq!(seeds(&hub), 1);
+
+        // Warm deltas fold, including a cross-shard `[AC] -> [CT]` conflict.
+        let colonie = || vec![Tuple::from_iter(["Colonie", "518"])];
+        for delta in [Delta::insert_only(colonie()), Delta::delete_only(colonie())] {
+            hub.submit(delta.clone()).unwrap();
+            oracle.apply_on("cust", &delta).unwrap();
+            drive(&mut writers, &hub);
+            assert_merged_matches(&hub, &mut oracle);
+        }
+        assert_eq!(seeds(&hub), 1);
+        assert_eq!(
+            hub.merge_stats().groups_flipped,
+            2,
+            "the conflict came and went"
+        );
+
+        // A failed publish: the layer never saw that batch.
+        let utica = Delta::insert_only(vec![Tuple::from_iter(["Utica", "315"])]);
+        let s = hub.shard_of_tuple(&utica.insertions[0]);
+        writers[s].fail_next_snapshots = 1;
+        hub.submit(utica.clone()).unwrap();
+        oracle.apply_on("cust", &utica).unwrap();
+        let shard = &hub.shard_hubs()[s];
+        assert!(writers[s].step(shard, Duration::from_millis(10)).is_err());
+        assert_eq!(seeds(&hub), 1, "nothing folded, nothing seeded yet");
+        let rome = Delta::insert_only(vec![Tuple::from_iter(["Utica", "316"])]);
+        hub.submit(rome.clone()).unwrap();
+        oracle.apply_on("cust", &rome).unwrap();
+        drive(&mut writers, &hub);
+        assert_eq!(seeds(&hub), 2, "the next publish re-seeds");
+        assert_merged_matches(&hub, &mut oracle);
+
+        // A failed sub-delta: its row id is taken, so it lands nowhere.
+        let taken = Delta::insert_only(vec![Tuple::from_iter(["Utica", "317"])]);
+        let s = hub.shard_of_tuple(&taken.insertions[0]);
+        let stored = hub.shard_hubs()[s].snapshot().frozen().decode_rows()[0].0;
+        hub.shard_hubs()[s]
+            .enqueue_scheduled(taken, vec![stored])
+            .unwrap();
+        drive(&mut writers, &hub);
+        assert_eq!(hub.stats().write_errors, 2);
+        assert_eq!(seeds(&hub), 3);
+        assert_merged_matches(&hub, &mut oracle);
     }
 
     /// A shard key is only ever resolved to route between shards.

@@ -55,8 +55,8 @@ impl SnapshotStore {
     /// after the lock: if the store was its last holder, dropping it frees
     /// the chunks, report and evidence the new epoch does not share, and no
     /// reader should wait on that.
-    pub fn publish(&self, snapshot: Snapshot) -> u64 {
-        let mut incoming = Arc::new(snapshot);
+    pub fn publish(&self, snapshot: impl Into<Arc<Snapshot>>) -> u64 {
+        let mut incoming = snapshot.into();
         let mut slot = self.write();
         if incoming.epoch() > slot.epoch() {
             std::mem::swap(&mut *slot, &mut incoming);

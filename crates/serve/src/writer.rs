@@ -1,8 +1,13 @@
 //! The single writer: drain the queue, apply, snapshot, publish.
+//!
+//! Behind a merge layer with open groups (see [`crate::ShardedHub`]) the
+//! publish step also hands the layer the rows the batch inserted and
+//! removed, so a merged read never has to re-scan the shard to learn them.
 
 use crate::durable::{recover_session, report_hash, RecoveryReport, WalSink};
 use crate::hub::Hub;
 use crate::ingest::{IngestQueue, Ticket};
+use crate::sharded::AppliedRows;
 use crate::{Result, ServeError};
 use ecfd_obs::{Counter, Histogram};
 use ecfd_session::Session;
@@ -73,17 +78,26 @@ pub enum StepOutcome {
 /// still marked applied so `SYNC` barriers cannot hang on a poisoned delta
 /// (the error is observable via the `ERRORS` counter of `EPOCH` and
 /// [`Hub::last_error`]).
+///
+/// When the hub is a shard of a merge layer that keeps open groups, the
+/// publish folds the batch into it before the batch is marked applied: the
+/// rows each scheduled apply removed and the ones it inserted under their
+/// pre-assigned ids. A failed delta or a failed publish leaves what the
+/// shard's rows did unknown, and the next publish re-seeds the layer instead.
 #[derive(Debug)]
 pub struct Writer {
     session: Session,
     table: String,
     batch_max: usize,
     metrics: WriterMetrics,
+    /// Set when a publish failed: the merge layer never saw that batch, so
+    /// the next publish cannot hand it rows and has it re-seed instead.
+    rows_lost: bool,
     /// Test-only fault injection: fail this many upcoming snapshot
     /// extractions, to exercise the publish-error path (a genuine
     /// `snapshot_of` failure is unreachable from a healthy session).
     #[cfg(test)]
-    fail_next_snapshots: usize,
+    pub(crate) fail_next_snapshots: usize,
 }
 
 impl Writer {
@@ -118,6 +132,7 @@ impl Writer {
                 table,
                 batch_max: batch_max.max(1),
                 metrics: WriterMetrics::fetch(shard),
+                rows_lost: false,
                 #[cfg(test)]
                 fail_next_snapshots: 0,
             },
@@ -181,6 +196,7 @@ impl Writer {
                 table,
                 batch_max: batch_max.max(1),
                 metrics: WriterMetrics::fetch(shard),
+                rows_lost: false,
                 #[cfg(test)]
                 fail_next_snapshots: 0,
             },
@@ -211,25 +227,50 @@ impl Writer {
         let max_ticket = batch.iter().map(|(t, _)| *t).max().expect("non-empty");
         let count = batch.len();
         self.metrics.batch_size.record(count as u64);
+        // How the batch changed the rows, delta by delta, for a merge layer
+        // that folds them; `None` once that is unknown.
+        let mut rows: Option<Vec<AppliedRows>> = (!self.rows_lost).then(Vec::new);
         for (ticket, item) in batch {
             // One failing ticket is skipped (and recorded) on its own; a
             // failed apply drops the session's caches, so the snapshot below
             // still describes the actual table contents.
             let applied_at = Instant::now();
-            let applied = match &item.insert_ids {
+            let applied = match item.insert_ids {
                 Some(ids) => self
                     .session
-                    .apply_scheduled_on(&self.table, &item.delta, ids),
-                None => self.session.apply_on(&self.table, &item.delta),
+                    .apply_scheduled_on(&self.table, &item.delta, &ids)
+                    .map(|removed| {
+                        // Every insertion took its scheduled id, or the rows
+                        // it landed under are not known here.
+                        (ids.len() == item.delta.insertions.len()).then_some(AppliedRows {
+                            removed,
+                            ids,
+                            inserted: item.delta.insertions,
+                        })
+                    }),
+                None => self
+                    .session
+                    .apply_on(&self.table, &item.delta)
+                    .map(|_| None),
             };
-            if let Err(e) = applied {
-                self.metrics.apply_failed.inc();
-                hub.record_write_error(format!("ticket {ticket}: {e}"));
+            match applied {
+                Ok(Some(applied)) => {
+                    if let Some(rows) = &mut rows {
+                        rows.push(applied);
+                    }
+                }
+                Ok(None) => rows = None,
+                Err(e) => {
+                    rows = None;
+                    self.metrics.apply_failed.inc();
+                    hub.record_write_error(format!("ticket {ticket}: {e}"));
+                }
             }
             self.metrics.apply.record_duration(applied_at.elapsed());
         }
         let published_at = Instant::now();
-        let published = self.publish_epoch(hub, max_ticket);
+        let published = self.publish_epoch(hub, max_ticket, rows);
+        self.rows_lost = published.is_err();
         self.metrics.publish.record_duration(published_at.elapsed());
         if published.is_ok() {
             self.metrics.epochs.inc();
@@ -244,9 +285,15 @@ impl Writer {
         published.map(|()| StepOutcome::Applied(count))
     }
 
-    /// Extracts the batch's snapshot, publishes it, and (in durable mode)
-    /// stamps the epoch-boundary checkpoint into the WAL.
-    fn publish_epoch(&mut self, hub: &Hub, max_ticket: Ticket) -> Result<()> {
+    /// Extracts the batch's snapshot, publishes it — folding `rows` into the
+    /// hub's merge layer, if it has one — and (in durable mode) stamps the
+    /// epoch-boundary checkpoint into the WAL.
+    fn publish_epoch(
+        &mut self,
+        hub: &Hub,
+        max_ticket: Ticket,
+        rows: Option<Vec<AppliedRows>>,
+    ) -> Result<()> {
         #[cfg(test)]
         if self.fail_next_snapshots > 0 {
             self.fail_next_snapshots -= 1;
@@ -257,8 +304,9 @@ impl Writer {
         let snapshot = self.session.snapshot_of(&self.table)?;
         let epoch = snapshot.epoch();
         let hash = report_hash(snapshot.report());
-        hub.store().publish(snapshot);
-        hub.log_checkpoint(epoch, max_ticket, hash)
+        let published = hub.publish(snapshot, rows);
+        hub.log_checkpoint(epoch, max_ticket, hash)?;
+        published
     }
 
     /// The writer loop: steps until the hub shuts down and the queue drains,

@@ -565,6 +565,39 @@ mod tests {
         );
     }
 
+    /// What a scheduled apply removed comes back as rows, whichever backend
+    /// the delta was routed to — every duplicate a victim matched, in
+    /// removal order, and nothing for a victim that matched no row.
+    #[test]
+    fn a_scheduled_apply_returns_the_rows_it_removed() {
+        use ecfd_relation::RowId;
+        let albany = Tuple::from_iter(["Albany", "718"]);
+        let base = |t: &Tuple| t.values()[..2].to_vec();
+        for kind in BackendKind::ALL {
+            let mut session = Session::new().with_policy(RoutingPolicy::fixed(kind));
+            session.load(dirty()).unwrap();
+            session.register_text(PHI).unwrap();
+            session.detect().unwrap();
+            let delta = Delta {
+                deletions: vec![albany.clone(), Tuple::from_iter(["Nowhere", "000"])],
+                insertions: vec![albany.clone(), albany.clone()],
+            };
+            let removed = session
+                .apply_scheduled_on("cust", &delta, &[RowId(7), RowId(9)])
+                .unwrap();
+            let ids: Vec<RowId> = removed.iter().map(|(id, _)| *id).collect();
+            assert_eq!(ids, [RowId(0)], "{kind}");
+            assert_eq!(base(&removed[0].1), albany.values(), "{kind}");
+
+            let removed = session
+                .apply_scheduled_on("cust", &Delta::delete_only(vec![albany.clone()]), &[])
+                .unwrap();
+            let ids: Vec<RowId> = removed.iter().map(|(id, _)| *id).collect();
+            assert_eq!(ids, [RowId(7), RowId(9)], "{kind}: both scheduled rows go");
+            assert_eq!(session.data("cust").unwrap().len(), 2, "{kind}");
+        }
+    }
+
     #[test]
     fn snapshot_repair_plan_is_read_only() {
         let mut session = ready_session();

@@ -10,7 +10,7 @@ use ecfd_detect::backend::{
     BackendKind, DetectorBackend, IncrementalBackend, SemanticBackend, SqlBackend,
 };
 use ecfd_detect::{DetectionReport, EvidenceReport};
-use ecfd_relation::{Catalog, Delta, Relation, RowId, Schema};
+use ecfd_relation::{Catalog, Delta, Relation, RowId, Schema, Tuple};
 use ecfd_repair::{
     base_relation, repair_verified_with, ConflictGraph, CostModel, RepairEngine, RepairOptions,
     VerifiedRepair,
@@ -384,17 +384,17 @@ impl Session {
     /// incremental maintenance for small batches, a fresh batch pass for
     /// large ones (the crossover of the paper's Fig. 7a).
     pub fn apply(&mut self, delta: &Delta) -> Result<DetectionReport> {
-        self.apply_impl(None, None, delta)
+        self.apply_impl(None, None, delta).map(owned)
     }
 
     /// [`Session::apply`] against a named relation.
     pub fn apply_on(&mut self, table: &str, delta: &Delta) -> Result<DetectionReport> {
-        self.apply_impl(Some(table), None, delta)
+        self.apply_impl(Some(table), None, delta).map(owned)
     }
 
     /// Applies updates through an explicitly chosen backend.
     pub fn apply_with(&mut self, kind: BackendKind, delta: &Delta) -> Result<DetectionReport> {
-        self.apply_impl(None, Some(kind), delta)
+        self.apply_impl(None, Some(kind), delta).map(owned)
     }
 
     /// [`Session::apply_on`] with globally pre-assigned row ids for the
@@ -405,33 +405,50 @@ impl Session {
     /// would — the invariant that makes merged reports byte-identical to the
     /// unsharded oracle. The schedule is cleared afterwards whether the
     /// apply succeeded or not.
+    ///
+    /// Returns every row the delta's deletions removed, as `(id, stored
+    /// tuple)` in removal order — the stored tuple carries the base
+    /// attributes first, so its base projection is the victim it matched.
+    /// Together with `insert_ids` zipped with the delta's insertions this is
+    /// exactly how the rows changed, whichever backend the delta was routed
+    /// to: the shard writer folds both into the cross-shard merge state, and
+    /// recovery replay ignores them. The current report stays available
+    /// through [`Session::report`].
     pub fn apply_scheduled_on(
         &mut self,
         table: &str,
         delta: &Delta,
         insert_ids: &[RowId],
-    ) -> Result<DetectionReport> {
+    ) -> Result<Vec<(RowId, Tuple)>> {
         let name = self.resolve(Some(table))?;
         {
-            // Direct catalog access on purpose: scheduling ids changes no
-            // observable contents, so no cache needs invalidating.
+            // Direct catalog access on purpose: scheduling ids and recording
+            // deletions change no observable contents, so no cache needs
+            // invalidating.
             let relation = self.catalog.get_mut(&name)?;
             relation.clear_scheduled_row_ids();
             relation.schedule_row_ids(insert_ids.iter().copied());
+            relation.record_deletions();
         }
         let result = self.apply_impl(Some(&name), None, delta);
-        if let Ok(relation) = self.catalog.get_mut(&name) {
-            relation.clear_scheduled_row_ids();
-        }
-        result
+        let removed = match self.catalog.get_mut(&name) {
+            Ok(relation) => {
+                relation.clear_scheduled_row_ids();
+                relation.take_deleted()
+            }
+            Err(_) => Vec::new(),
+        };
+        result.map(|_| removed)
     }
 
+    /// Applies `delta` and caches the post-apply answer, returning the
+    /// cached report (callers that want their own copy clone it).
     fn apply_impl(
         &mut self,
         table: Option<&str>,
         kind: Option<BackendKind>,
         delta: &Delta,
-    ) -> Result<DetectionReport> {
+    ) -> Result<Arc<DetectionReport>> {
         let name = self.resolve(table)?;
         let table_len = self.catalog.get(&name)?.len();
         let entry = self.tables.get_mut(&name).expect("resolved");
@@ -465,16 +482,14 @@ impl Session {
         // Bump *before* stamping: the fresh result describes the post-apply
         // contents, so it must carry the post-apply version to stay servable.
         self.version += 1;
-        // The one copy this path makes: the caller's own report.
-        let owned = DetectionReport::clone(&report);
         entry.cache = Some(Cached {
             kind,
-            report,
+            report: Arc::clone(&report),
             evidence,
             at_version: self.version,
         });
         entry.stage = Stage::Detected;
-        Ok(owned)
+        Ok(report)
     }
 
     // ── lifecycle: repair ──────────────────────────────────────────────────
@@ -735,6 +750,11 @@ impl Session {
             SessionError::NotLoaded(table.to_string())
         }
     }
+}
+
+/// The one copy an `apply` makes: the caller's own report.
+fn owned(report: Arc<DetectionReport>) -> DetectionReport {
+    DetectionReport::clone(&report)
 }
 
 impl std::fmt::Debug for Session {

@@ -4,8 +4,16 @@
 //! evidence must be byte-identical to what one unsharded session fed the
 //! same delta stream publishes — at every tested shard count, with both
 //! serial and parallel merge-layer scans, for shard-aligned, cross-shard and
-//! mixed constraint sets (all-aligned sets take the merge layer's
-//! no-open-groups branch: the union of the published reports, no scan).
+//! mixed constraint sets (all-aligned sets have no open groups, so nothing
+//! is seeded or folded: the merged view is the union of the published
+//! reports).
+//!
+//! The merged view is the maintained merge state's read-out, so every round
+//! also diffs it against `merged_fresh()` — the scanning verifier — on report
+//! and evidence, and checks that no round re-seeded the state: the warm
+//! merge folded every delta's rows. The 600-row bases make the shards'
+//! sub-deltas small enough to route to incremental maintenance, and a
+//! scripted delta makes an open group violate across shards and stop again.
 //!
 //! The suite drives the per-shard writers synchronously (every submitted
 //! delta is applied and published before the comparison), so the merged
@@ -14,10 +22,11 @@
 use ecfd::core::ECfd;
 use ecfd::datagen::constraints::workload_constraints;
 use ecfd::datagen::{generate, generate_delta, CustConfig, UpdateConfig};
-use ecfd::relation::{Delta, Relation, Tuple};
+use ecfd::relation::{shard_of_value, Delta, Relation, Tuple};
 use ecfd::serve::{ShardedConfig, ShardedHub};
 use ecfd::session::Session;
 use proptest::prelude::*;
+use std::sync::Arc;
 use std::time::Duration;
 
 const TABLE: &str = "cust";
@@ -58,12 +67,23 @@ fn assert_sharded_matches_oracle(
     shards: usize,
     shard_key: &str,
     workers: Option<usize>,
-) {
+) -> Arc<ShardedHub> {
     let mut config = ShardedConfig::new(shards, shard_key);
     config.detect_workers = workers;
     let (mut writers, hub) = ShardedHub::bootstrap(workload_session(base, constraints), &config)
         .expect("sharded bootstrap");
     let mut oracle = workload_session(base, constraints);
+    // Some constraint keeps open groups iff its `X` lacks the shard key
+    // (every workload constraint with such an `X` has groups).
+    let open = shards > 1
+        && constraints
+            .iter()
+            .any(|c| !c.lhs().iter().any(|attr| attr == shard_key));
+    assert_eq!(
+        hub.merge_stats().seeds,
+        u64::from(open),
+        "bootstrap seeds the merge state once, if there is one"
+    );
 
     for (round, delta) in deltas.iter().enumerate() {
         hub.submit(delta.clone()).expect("submit");
@@ -93,9 +113,19 @@ fn assert_sharded_matches_oracle(
              ({shards} shard(s) by {shard_key}, workers {workers:?})"
         );
 
-        // DETECT FRESH (cache bypass) re-derives the same bytes.
+        // DETECT FRESH (cache bypass, full re-scan) re-derives the same
+        // bytes, and the warm merge never fell back to a seed.
         let fresh = hub.merged_fresh().expect("fresh merge");
-        assert_eq!(fresh.report, expected, "round {round}: fresh merge differs");
+        assert_eq!(fresh.report, merged.report, "round {round}: fresh report");
+        assert_eq!(
+            fresh.evidence, merged.evidence,
+            "round {round}: fresh evidence"
+        );
+        assert_eq!(
+            hub.merge_stats().seeds,
+            u64::from(open),
+            "round {round}: a warm merge re-seeded"
+        );
 
         // The composed single-session snapshot — the CHECK / REPAIR-PLAN
         // oracle path — agrees as well.
@@ -106,6 +136,21 @@ fn assert_sharded_matches_oracle(
             "round {round}: composed snapshot differs"
         );
     }
+    hub
+}
+
+/// A 600-row base: the shards' few-tuple sub-deltas stay under the
+/// incremental routing threshold, so the shards maintain rather than
+/// re-scan, and the merge folds what incremental maintenance removed.
+fn base_600(seed: u64, noise_percent: f64) -> Relation {
+    generate(&CustConfig {
+        size: 600,
+        noise_percent,
+        seed,
+        extra_cities: 4,
+        num_items: 6,
+    })
+    .0
 }
 
 /// Deterministic delta streams from the datagen update generator: mixed
@@ -218,6 +263,86 @@ fn sharding_an_empty_base_matches_oracle() {
             shards,
             "AC",
             Some(2),
+        );
+    }
+}
+
+/// Sub-deltas small enough for incremental maintenance on every shard: the
+/// merge folds the rows INCDETECT removed and inserted, at 2 and 4 shards,
+/// under aligned and cross-shard keys.
+#[test]
+fn incremental_sub_deltas_fold_like_the_oracle() {
+    let base = base_600(17, 5.0);
+    let deltas = datagen_rounds(&base, 4, 23);
+    for shard_key in SHARD_KEYS {
+        for shards in [2usize, 4] {
+            assert_sharded_matches_oracle(
+                &base,
+                &workload_constraints(),
+                &deltas,
+                shards,
+                shard_key,
+                Some(1),
+            );
+        }
+    }
+}
+
+/// An `AC → CT` group (φ9) made to violate across shards and then clean
+/// again: under `CT` routing, one town's city with another town's area code
+/// lands on the other town's shard, so only the merged group sees both
+/// cities.
+#[test]
+fn an_open_group_flips_across_shards_and_back() {
+    // Clean, so the donor's area-code group is not violating already.
+    let base = base_600(29, 0.0);
+    let schema = base.schema().clone();
+    let [ac, ct] = ["AC", "CT"].map(|name| schema.require_attr(name).unwrap());
+    // Area codes several cities share leave φ9 unchecked.
+    let shared = |t: &Tuple| {
+        ["518", "315", "607"].contains(&t.value(ac).as_str().unwrap())
+            || ["NYC", "LI"].contains(&t.value(ct).as_str().unwrap())
+    };
+    for shards in [2usize, 4] {
+        let shard_of = |t: &Tuple| shard_of_value(t.value(ct), shards);
+        let (donor, host) = base
+            .tuples()
+            .filter(|t| !shared(t))
+            .find_map(|donor| {
+                base.tuples()
+                    .find(|host| shard_of(host) != shard_of(donor) && !shared(host))
+                    .map(|host| (donor, host))
+            })
+            .expect("two towns on different shards");
+        // The host's row with the donor's area code.
+        let mut flip = host.clone();
+        flip.set(ac, donor.value(ac).clone()).unwrap();
+        let deltas = [
+            Delta::insert_only(vec![flip.clone()]),
+            Delta::delete_only(vec![flip]),
+        ];
+        let hub = assert_sharded_matches_oracle(
+            &base,
+            &workload_constraints(),
+            &deltas[..1],
+            shards,
+            "CT",
+            Some(1),
+        );
+        let flipped = hub.merge_stats().groups_flipped;
+        assert!(flipped >= 1, "{shards} shards: no open group flipped");
+        let hub = assert_sharded_matches_oracle(
+            &base,
+            &workload_constraints(),
+            &deltas,
+            shards,
+            "CT",
+            Some(1),
+        );
+        assert_eq!(
+            hub.merge_stats().groups_flipped,
+            2 * flipped,
+            "{shards} shards: every group that started violating stopped"
         );
     }
 }
