@@ -198,7 +198,7 @@ fn inc_vs_batch(
         inc.apply(&mut inc_catalog, &delta)
             .expect("incremental apply")
     });
-    let inc_report = inc.report(&inc_catalog).expect("incremental report");
+    let inc_report = inc.maintained_report();
 
     // Batch: apply the updates first, then detect from scratch (the paper:
     // "BATCHDETECT was applied to the data after database updates are
@@ -276,7 +276,7 @@ pub fn fig6c(scale: Scale) -> Vec<Row> {
 /// Fig. 7(a): effect of the update size on INCDETECT vs BATCHDETECT
 /// (|D| fixed; |ΔD⁺| = |ΔD⁻| so |D| stays constant). Also reports the native
 /// (non-SQL) batch baseline, against which the paper's ~50 % crossover is
-/// visible on our substrate — see EXPERIMENTS.md.
+/// visible on our substrate.
 pub fn fig7a(scale: Scale) -> Vec<Row> {
     let workload = PreparedWorkload::new(scale.fixed_d(), 5.0, 42);
     scale

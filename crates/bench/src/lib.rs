@@ -1,11 +1,12 @@
 //! # ecfd-bench
 //!
 //! Experiment harness regenerating every figure of the paper's evaluation
-//! (Section VI, Figs. 5–7) plus the ablation studies listed in `DESIGN.md`.
+//! (Section VI, Figs. 5–7) plus the SQL-vs-native ablation
+//! ([`ablation_sql_vs_native`]).
 //!
 //! Each `fig*` function returns a table of [`Row`]s — the same series the
-//! paper plots — so that the `experiments` binary, the Criterion benches and
-//! the integration tests all share one implementation. Experiments run at a
+//! paper plots — so that the `experiments` binary (`src/bin/experiments.rs`)
+//! and this crate's tests share one implementation. Experiments run at a
 //! configurable [`Scale`]: the default [`Scale::Small`] keeps wall-clock time
 //! reasonable on the bundled (unoptimised) SQL engine, while
 //! [`Scale::Paper`] uses the paper's original parameter ranges (10k–100k

@@ -58,7 +58,7 @@ pub fn generate_delta(db: &Relation, config: &UpdateConfig) -> Delta {
     let ct_idx = schema.attr_id("CT").expect("CT exists");
 
     // Deletions: a random sample of current rows (projected onto the base
-    // schema in case the relation carries SV/MV flag columns).
+    // schema in case a BATCHDETECT run added its SV/MV flag columns).
     let base_arity = schema.arity();
     let mut all_rows: Vec<Tuple> = db
         .tuples()

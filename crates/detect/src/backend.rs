@@ -35,10 +35,10 @@ use crate::incremental::IncrementalDetector;
 use crate::parallel::Parallelism;
 use crate::report::DetectionReport;
 use crate::scan::ScanProgram;
-use crate::semantic::{ensure_flag_columns, write_flags, SemanticDetector};
-use crate::Result;
+use crate::semantic::SemanticDetector;
+use crate::{DetectError, Result};
 use ecfd_core::ConstraintSet;
-use ecfd_relation::{Catalog, Delta, RowId, Schema, Tuple, Value};
+use ecfd_relation::{Catalog, Delta, Schema};
 use std::fmt;
 use std::sync::Arc;
 
@@ -92,8 +92,9 @@ impl fmt::Display for BackendKind {
 /// A detection strategy hidden behind a uniform detect/apply interface.
 ///
 /// Implementations operate on one named table of a [`Catalog`] (fixed at
-/// construction) and leave the table's `SV` / `MV` flag columns populated, so
-/// switching backends mid-stream keeps the catalog state comparable.
+/// construction). The flags live only in the returned [`ReadOut`]: a detect
+/// leaves the catalog exactly as it was, and an apply changes nothing but
+/// the table's rows, so switching backends mid-stream sees the same catalog.
 pub trait DetectorBackend {
     /// Which strategy this backend runs.
     fn kind(&self) -> BackendKind;
@@ -101,8 +102,7 @@ pub trait DetectorBackend {
     /// The catalog table the backend detects on.
     fn table(&self) -> &str;
 
-    /// Runs a full detection pass, returning flags and evidence. The table's
-    /// `SV` / `MV` columns are (re)written.
+    /// Runs a full detection pass, returning flags and evidence.
     fn detect(&mut self, catalog: &mut Catalog) -> Result<ReadOut>;
 
     /// Applies a batch of base-schema updates to the table and returns the
@@ -115,36 +115,44 @@ pub trait DetectorBackend {
     fn invalidate(&mut self) {}
 }
 
-/// Applies a base-schema delta to the stored table `base` names, which may
-/// carry extra detector-managed columns (the `SV` / `MV` flags): every
-/// insertion is checked against `base` first, so a delta that does not fit
-/// is refused before anything moves; then deletions match rows by their base
-/// values (all duplicates go, processed in victim order) and insertions are
-/// zero-extended to the stored arity. Mirrors the mutation order of
-/// [`IncrementalDetector::apply`] so that row ids stay identical across
-/// backends fed the same delta sequence.
+/// Applies a base-schema delta to the stored table `base` names. A delta
+/// that does not fit is refused before anything moves: the table must carry
+/// exactly the base attributes (not the `SV` / `MV` columns a
+/// [`BatchDetector`] run leaves behind) and every insertion must fit `base`.
+/// Then deletions match whole stored tuples (all duplicates go, processed in
+/// victim order) and insertions are stored as given. Mirrors the mutation
+/// order of [`IncrementalDetector::apply`] so that row ids stay identical
+/// across backends fed the same delta sequence.
 pub fn apply_base_delta(catalog: &mut Catalog, base: &Schema, delta: &Delta) -> Result<()> {
+    let relation = catalog.get_mut(base.name())?;
+    refuse_extra_columns(relation.schema(), base)?;
     for ins in &delta.insertions {
         base.validate(ins)?;
     }
-    let relation = catalog.get_mut(base.name())?;
-    let stored_arity = relation.schema().arity();
     for victim in &delta.deletions {
-        let matching: Vec<RowId> = relation
-            .iter()
-            .filter(|(_, t)| &t.values()[..base.arity()] == victim.values())
-            .map(|(id, _)| id)
-            .collect();
-        for id in matching {
-            relation.delete(id)?;
-        }
+        relation.delete_matching(victim);
     }
     for ins in &delta.insertions {
-        let mut values = ins.values().to_vec();
-        values.resize(stored_arity, Value::Int(0));
-        relation.insert(Tuple::new(values))?;
+        relation.insert(ins.clone())?;
     }
     Ok(())
+}
+
+/// Refuses a stored table that carries columns beyond `base`: the `SV` /
+/// `MV` flags a [`BatchDetector`] run on the caller's own catalog leaves
+/// behind. Maintenance stores exactly the base attributes, so such a table
+/// is refused up front instead of half-maintained.
+pub(crate) fn refuse_extra_columns(stored: &Schema, base: &Schema) -> Result<()> {
+    let extra: Vec<&str> = stored.attr_names().into_iter().skip(base.arity()).collect();
+    if extra.is_empty() {
+        return Ok(());
+    }
+    Err(DetectError::Unsupported(format!(
+        "table {} carries columns {} beyond its base schema; maintain a copy of the base rows \
+         instead",
+        base.name(),
+        extra.join(", ")
+    )))
 }
 
 /// The native detector as a backend: stateless between calls, every `detect`
@@ -192,13 +200,8 @@ impl DetectorBackend for SemanticBackend {
     }
 
     fn detect(&mut self, catalog: &mut Catalog) -> Result<ReadOut> {
-        let table = self.schema.name();
-        ensure_flag_columns(catalog, table)?;
-        let (report, evidence) = {
-            let relation = catalog.get(table)?;
-            self.detector.detect_with_evidence(relation)?
-        };
-        write_flags(catalog, table, &report)?;
+        let relation = catalog.get(self.schema.name())?;
+        let (report, evidence) = self.detector.detect_with_evidence(relation)?;
         Ok((Arc::new(report), Arc::new(evidence)))
     }
 
@@ -209,7 +212,9 @@ impl DetectorBackend for SemanticBackend {
 }
 
 /// The SQL batch detector as a backend: stateless between calls, every
-/// `detect` replays the fixed pair of detection statements.
+/// `detect` replays the fixed pair of detection statements — on a scratch
+/// catalog holding a copy of the table, so the encoding, the auxiliary
+/// relation and the `SV` / `MV` columns never reach the caller's catalog.
 #[derive(Debug, Clone)]
 pub struct SqlBackend {
     detector: BatchDetector,
@@ -243,7 +248,9 @@ impl DetectorBackend for SqlBackend {
     }
 
     fn detect(&mut self, catalog: &mut Catalog) -> Result<ReadOut> {
-        let (report, evidence) = self.detector.detect_with_evidence(catalog)?;
+        let mut scratch = Catalog::new();
+        scratch.create(catalog.get(self.schema.name())?.clone())?;
+        let (report, evidence) = self.detector.detect_with_evidence(&mut scratch)?;
         Ok((Arc::new(report), Arc::new(evidence)))
     }
 
@@ -313,7 +320,7 @@ impl IncrementalBackend {
     }
 
     /// The detector's maintained report and evidence: seeded by the full
-    /// pass, kept current by every `apply` — never rebuilt from the flags.
+    /// pass, kept current by every `apply` — never re-derived.
     fn read_out(state: &IncrementalDetector) -> ReadOut {
         (
             state.maintained_report().clone(),
@@ -354,6 +361,7 @@ impl DetectorBackend for IncrementalBackend {
 mod tests {
     use super::*;
     use crate::semantic::fixtures::{cust_schema, d0, fd_ct_ac, phi1, phi2};
+    use ecfd_relation::{RowId, Tuple, Value};
 
     fn backends(set: &ConstraintSet) -> Vec<Box<dyn DetectorBackend>> {
         vec![
@@ -443,6 +451,44 @@ mod tests {
                 assert_eq!(after, before, "{kind} after refusing {bad:?}");
             }
         }
+    }
+
+    #[test]
+    fn a_batchdetect_flagged_table_is_refused_before_anything_moves() {
+        // Only a caller running BATCHDETECT on their own catalog produces a
+        // table with `SV` / `MV` columns. A full pass still reads it by its
+        // base attributes; maintaining it is refused, naming the columns.
+        let set = ConstraintSet::compile(&cust_schema(), &[phi1(), phi2()]).unwrap();
+        let mut catalog = catalog_with_d0();
+        let mut seeded_before = IncrementalDetector::from_set(&set, &mut catalog).unwrap();
+        let flags = BatchDetector::from_set(&set)
+            .unwrap()
+            .detect(&mut catalog)
+            .unwrap();
+        let stored = catalog.get("cust").unwrap().clone();
+        let delta = Delta {
+            deletions: vec![Tuple::from_iter([
+                "518", "2222222", "Joe", "Elm Str.", "Colonie", "12205",
+            ])],
+            insertions: vec![Tuple::from_iter([
+                "519", "7", "Zoe", "Pine St.", "Albany", "12239",
+            ])],
+        };
+        for mut backend in backends(&set) {
+            let kind = backend.kind();
+            if kind != BackendKind::Incremental {
+                let (report, _) = backend.detect(&mut catalog).unwrap();
+                assert_eq!(*report, flags, "{kind}");
+            }
+            let refused = backend.apply(&mut catalog, &delta).unwrap_err();
+            assert!(refused.to_string().contains("SV, MV"), "{kind}: {refused}");
+            assert_eq!(catalog.get("cust").unwrap(), &stored, "{kind}");
+        }
+        // A detector seeded before the columns appeared refuses too, rather
+        // than landing the deletion and failing on the insertion.
+        let refused = seeded_before.apply(&mut catalog, &delta).unwrap_err();
+        assert!(refused.to_string().contains("SV, MV"), "{refused}");
+        assert_eq!(catalog.get("cust").unwrap(), &stored);
     }
 
     #[test]

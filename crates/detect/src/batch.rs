@@ -16,18 +16,25 @@
 //! detection statements make two passes over `D` (one for `Q_sv`, one for the
 //! `macro` table of `Q_mv`), matching the data complexity claimed in the
 //! paper.
+//!
+//! This is the only detector that materialises the flags as columns: every
+//! native path hands its flags over as a [`DetectionReport`] and leaves the
+//! stored table as it was loaded. Steps 1–3 write into the catalog they are
+//! given, so [`SqlBackend`](crate::SqlBackend) runs them on a scratch catalog
+//! holding a copy of the table.
 
 use crate::encode::{Encoding, AUX_TABLE};
 use crate::evidence::{attribute_sv_rows, ConstraintRef, EvidenceReport, MvEvidence};
 use crate::report::DetectionReport;
-use crate::semantic::ensure_flag_columns;
 use crate::sqlgen;
 use crate::Result;
 use ecfd_core::coded::CodedSingle;
 use ecfd_core::matching::BoundECfd;
 use ecfd_core::ECfd;
 use ecfd_engine::Engine;
-use ecfd_relation::{Catalog, CodeColumns, CodeMap, CodeVec, Dictionary, Schema, Value};
+use ecfd_relation::{
+    Attribute, Catalog, CodeColumns, CodeMap, CodeVec, DataType, Dictionary, Schema, Value,
+};
 use std::collections::{BTreeSet, HashMap};
 
 /// The SQL-based batch detector.
@@ -108,7 +115,8 @@ impl BatchDetector {
 
     /// Runs the full batch detection pipeline and returns the violation
     /// report. The data table's `SV` / `MV` columns and the auxiliary relation
-    /// are left populated (the incremental detector builds on them).
+    /// are left populated, for [`BatchDetector::explain`] and for SQL queries
+    /// over the flags.
     pub fn detect(&self, catalog: &mut Catalog) -> Result<DetectionReport> {
         let pass_started = std::time::Instant::now();
         self.prepare(catalog)?;
@@ -235,9 +243,9 @@ impl BatchDetector {
 
     /// Runs detection restricted to a single `CID` (one pattern tuple). This
     /// is the naive "one pair of queries per constraint" strategy that the
-    /// single-pair design avoids; it exists only for the ablation benchmark
-    /// `bench_encoding`, which measures the cost of issuing `2·|Σ|` statements
-    /// instead of 2.
+    /// single-pair design avoids, kept so that the cost of issuing `2·|Σ|`
+    /// statements instead of 2 can be measured against
+    /// [`BatchDetector::detect`].
     pub fn detect_per_constraint(&self, catalog: &mut Catalog) -> Result<DetectionReport> {
         self.prepare(catalog)?;
         let table = self.schema.name();
@@ -258,6 +266,29 @@ impl BatchDetector {
         self.engine.execute(catalog, &self.sql_mv)?;
         DetectionReport::from_catalog(catalog, table)
     }
+}
+
+/// Adds integer `SV` / `MV` columns (initialised to 0) to `table` if absent,
+/// and resets them to 0 if present.
+fn ensure_flag_columns(catalog: &mut Catalog, table: &str) -> Result<()> {
+    let relation = catalog.get(table)?;
+    if relation.schema().attr_id("SV").is_none() {
+        let flags = vec![
+            Attribute::new("SV", DataType::Int),
+            Attribute::new("MV", DataType::Int),
+        ];
+        let extended = relation.extend_schema(flags, Value::Int(0))?;
+        catalog.create_or_replace(extended);
+        return Ok(());
+    }
+    let relation = catalog.get_mut(table)?;
+    let sv = relation.schema().require_attr("SV")?;
+    let mv = relation.schema().require_attr("MV")?;
+    for row_id in relation.row_ids() {
+        relation.update_value(row_id, sv, Value::Int(0))?;
+        relation.update_value(row_id, mv, Value::Int(0))?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -25,8 +25,8 @@
 //!   auxiliary relation `Aux(D)` under tuple insertions and deletions,
 //!   touching only affected tuples and groups.
 //! * [`semantic`] is a pure-Rust detector with the same output, used for
-//!   differential testing and as the "native" baseline in the ablation
-//!   benchmarks. It runs on the dictionary-encoded columnar core of
+//!   differential testing and as the "native" baseline in the SQL-vs-native
+//!   ablation. It runs on the dictionary-encoded columnar core of
 //!   `ecfd_relation::columnar` — pattern constants resolve to codes once at
 //!   construction, and the scan shards across worker threads
 //!   ([`parallel::Parallelism`]).
@@ -111,8 +111,9 @@ pub type Result<T> = std::result::Result<T, DetectError>;
 /// Errors produced by the detection layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DetectError {
-    /// The constraints are not supported by the SQL encoding (e.g. a
-    /// constrained attribute is not string-typed).
+    /// The constraints or the stored table are outside what a detector
+    /// supports (e.g. a constrained attribute the SQL encoding cannot hold,
+    /// or a table carrying columns beyond its base schema).
     Unsupported(String),
     /// Error from the constraint library.
     Core(ecfd_core::CoreError),
@@ -125,7 +126,7 @@ pub enum DetectError {
 impl fmt::Display for DetectError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DetectError::Unsupported(msg) => write!(f, "unsupported constraint shape: {msg}"),
+            DetectError::Unsupported(msg) => write!(f, "unsupported: {msg}"),
             DetectError::Core(e) => write!(f, "constraint error: {e}"),
             DetectError::Engine(e) => write!(f, "SQL engine error: {e}"),
             DetectError::Relation(e) => write!(f, "storage error: {e}"),

@@ -195,7 +195,7 @@ impl MergeState {
     }
 
     /// Folds out a row a partition removed; `tuple` is the row as it was
-    /// stored (extra trailing columns are ignored).
+    /// stored.
     pub fn remove(&mut self, row: RowId, tuple: &Tuple) {
         for (key, y) in self.open_hits(tuple) {
             let Some(state) = self.groups.get_mut(&key) else {

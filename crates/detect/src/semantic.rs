@@ -6,7 +6,8 @@
 //!
 //! * it is the *oracle* for differential testing of the SQL path (both must
 //!   flag exactly the same rows);
-//! * it is the "native" baseline of the `bench_sql_vs_native` ablation; and
+//! * it is the "native" baseline of the SQL-vs-native ablation
+//!   (`ecfd_bench::ablation_sql_vs_native`); and
 //! * it is the system's fast path: rows are encoded once into a
 //!   [`CodeColumns`], pattern constants are pre-resolved to [`Code`]s and
 //!   attribute lists to column positions at construction (registration)
@@ -371,8 +372,8 @@ impl SemanticDetector {
     }
 
     /// The program addresses columns by the positions its attributes had in
-    /// the construction schema. Detector-managed columns appended after them
-    /// (`SV` / `MV`) change nothing; a relation that names the attributes
+    /// the construction schema. Columns appended after them (the `SV` / `MV`
+    /// flags BATCHDETECT materialises) change nothing; a relation that names the attributes
     /// differently or lays them out in another order would be scanned on the
     /// wrong columns, so it is refused.
     fn check_layout(&self, schema: &Schema) -> Result<()> {
@@ -393,20 +394,6 @@ impl SemanticDetector {
                 compiled.table
             ))),
         }
-    }
-
-    /// Detects violations and writes the `SV` / `MV` flag columns of the named
-    /// table in place (adding the columns if the table does not have them).
-    /// This is the "native BATCHDETECT" baseline used by the ablation
-    /// benchmarks.
-    pub fn detect_and_flag(&self, catalog: &mut Catalog, table: &str) -> Result<DetectionReport> {
-        ensure_flag_columns(catalog, table)?;
-        let report = {
-            let relation = catalog.get(table)?;
-            self.detect(relation)?
-        };
-        write_flags(catalog, table, &report)?;
-        Ok(report)
     }
 
     /// Resolves the split constraints against a (possibly extended) schema.
@@ -582,49 +569,6 @@ struct MergedGroup {
     rows: Vec<RowId>,
 }
 
-/// Adds integer `SV` / `MV` columns (initialised to 0) to `table` if absent,
-/// and resets them to 0 if present.
-pub fn ensure_flag_columns(catalog: &mut Catalog, table: &str) -> Result<()> {
-    let needs_extend = {
-        let relation = catalog.get(table)?;
-        relation.schema().attr_id("SV").is_none()
-    };
-    if needs_extend {
-        let relation = catalog.get(table)?;
-        let extended = relation.extend_schema(
-            vec![
-                ecfd_relation::Attribute::new("SV", ecfd_relation::DataType::Int),
-                ecfd_relation::Attribute::new("MV", ecfd_relation::DataType::Int),
-            ],
-            Value::Int(0),
-        )?;
-        catalog.create_or_replace(extended);
-    } else {
-        let relation = catalog.get_mut(table)?;
-        let sv = relation.schema().require_attr("SV")?;
-        let mv = relation.schema().require_attr("MV")?;
-        for row_id in relation.row_ids() {
-            relation.update_value(row_id, sv, Value::Int(0))?;
-            relation.update_value(row_id, mv, Value::Int(0))?;
-        }
-    }
-    Ok(())
-}
-
-/// Writes the report's flags into the `SV` / `MV` columns of `table`.
-pub fn write_flags(catalog: &mut Catalog, table: &str, report: &DetectionReport) -> Result<()> {
-    let relation = catalog.get_mut(table)?;
-    let sv = relation.schema().require_attr("SV")?;
-    let mv = relation.schema().require_attr("MV")?;
-    for row_id in report.sv_rows.iter() {
-        relation.update_value(*row_id, sv, Value::Int(1))?;
-    }
-    for row_id in report.mv_rows.iter() {
-        relation.update_value(*row_id, mv, Value::Int(1))?;
-    }
-    Ok(())
-}
-
 /// Fig. 1's instance `D0` plus the two constraints of Fig. 2 — shared by the
 /// tests of several modules in this crate.
 #[cfg(test)]
@@ -742,17 +686,28 @@ mod tests {
     }
 
     #[test]
-    fn detect_and_flag_writes_sv_mv_columns() {
+    fn detect_reads_a_batchdetect_flagged_table_like_its_base() {
+        // BATCHDETECT materialises its flags as trailing `SV` / `MV` columns
+        // of the caller's catalog; the native pass reads such a table by its
+        // base attributes and agrees with the flags it carries.
+        let constraints = [phi1(), phi2()];
         let mut catalog = Catalog::new();
         catalog.create(d0()).unwrap();
-        let detector = SemanticDetector::new(&cust_schema(), &[phi1(), phi2()]).unwrap();
-        let report = detector.detect_and_flag(&mut catalog, "cust").unwrap();
+        let flags = crate::batch::BatchDetector::new(&cust_schema(), &constraints)
+            .unwrap()
+            .detect(&mut catalog)
+            .unwrap();
+        let flagged = catalog.get("cust").unwrap();
+        assert_eq!(flagged.schema().arity(), cust_schema().arity() + 2);
+        let detector = SemanticDetector::new(&cust_schema(), &constraints).unwrap();
+        let report = detector.detect(flagged).unwrap();
         assert_eq!(report.num_sv(), 2);
-        let read_back = DetectionReport::from_catalog(&catalog, "cust").unwrap();
-        assert_eq!(read_back, report);
-        // Re-running resets the flags and produces the same answer.
-        let report2 = detector.detect_and_flag(&mut catalog, "cust").unwrap();
-        assert_eq!(report2.sv_rows, report.sv_rows);
+        assert_eq!(report, flags);
+        assert_eq!(
+            report,
+            DetectionReport::from_catalog(&catalog, "cust").unwrap()
+        );
+        assert_eq!(report, detector.detect(&d0()).unwrap());
     }
 
     #[test]
@@ -990,7 +945,8 @@ mod tests {
             detector.detect(&renamed),
             Err(DetectError::Core(CoreError::RelationMismatch { .. }))
         ));
-        // Trailing detector-managed columns do not move the base attributes.
+        // Trailing columns (BATCHDETECT's flags) do not move the base
+        // attributes.
         let flagged = d0()
             .extend_schema(
                 vec![ecfd_relation::Attribute::new(

@@ -71,10 +71,9 @@
 //! (which is how the incremental detector keeps its view current under
 //! `Delta` application). Mutating the relation behind the view's back —
 //! replacing tuples, updating values in place, or dropping/recreating the
-//! table — invalidates it; rebuild with [`ColumnarView::build`]. Appending
-//! extra columns to the *schema* does not invalidate a prefix view built
-//! with [`ColumnarView::build_prefix`]. Frozen handles taken earlier are
-//! unaffected by any of this: they keep the chunks they were frozen with.
+//! table — invalidates it; rebuild with [`ColumnarView::build`]. Frozen
+//! handles taken earlier are unaffected by any of this: they keep the chunks
+//! they were frozen with.
 
 use crate::relation::{Relation, RowId};
 use crate::schema::AttrId;
@@ -627,10 +626,9 @@ impl CodeColumns {
         Self::build_prefix(relation, relation.schema().arity(), dict)
     }
 
-    /// Encodes the first `num_columns` attributes of `relation` — used for
-    /// the incremental detector's stored table, which carries
-    /// detector-managed flag columns after the base attributes. Values are
-    /// interned in row-major order.
+    /// Encodes the first `num_columns` attributes of `relation`, leaving out
+    /// any trailing columns (such as the `SV` / `MV` flags a SQL detection
+    /// pass adds). Values are interned in row-major order.
     pub fn build_prefix(relation: &Relation, num_columns: usize, dict: &mut Dictionary) -> Self {
         let mut out = CodeColumns {
             columns: vec![ChunkedVec::new(); num_columns],
@@ -811,12 +809,6 @@ impl ColumnarView {
     /// rows.
     pub fn build(relation: &Relation, dict: &mut Dictionary) -> Self {
         Self::index(CodeColumns::build(relation, dict))
-    }
-
-    /// [`ColumnarView::build`] over the first `num_columns` attributes (see
-    /// [`CodeColumns::build_prefix`]).
-    pub fn build_prefix(relation: &Relation, num_columns: usize, dict: &mut Dictionary) -> Self {
-        Self::index(CodeColumns::build_prefix(relation, num_columns, dict))
     }
 
     /// Builds the row indexes over already-encoded columns.

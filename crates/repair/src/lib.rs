@@ -67,8 +67,7 @@ pub use cost::{ConstantCost, CostModel, EditDistanceCost, PerAttributeCost};
 pub use engine::{DeletionSolver, RepairEngine, RepairMode, RepairOptions};
 pub use plan::{DeletionRepair, Repair, ValueRepair};
 pub use verify::{
-    base_relation, repair_verified, repair_verified_seeded, repair_verified_with, RepairRound,
-    VerifiedRepair,
+    repair_verified, repair_verified_seeded, repair_verified_with, RepairRound, VerifiedRepair,
 };
 
 use ecfd_detect::evidence::ConstraintRef;

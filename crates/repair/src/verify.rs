@@ -15,7 +15,7 @@ use crate::plan::Repair;
 use crate::{RepairError, Result};
 use ecfd_detect::incremental::IncrementalStats;
 use ecfd_detect::{DetectionReport, IncrementalDetector, SemanticDetector};
-use ecfd_relation::{Catalog, Delta, Relation, Schema, Tuple};
+use ecfd_relation::{Catalog, Delta};
 
 /// One plan/apply round of the verified repair loop.
 #[derive(Debug, Clone)]
@@ -118,10 +118,10 @@ pub fn repair_verified_with(
 
     let mut rounds = Vec::new();
     for round in 0..max_rounds {
-        let base = base_relation(catalog.get(&table)?, engine.schema())?;
+        let stored = catalog.get(&table)?;
         let evidence = match seed.take() {
             Some(seeded) => seeded,
-            None => engine.explain(&base)?,
+            None => engine.explain(stored)?,
         };
         if evidence.is_clean() {
             break;
@@ -134,8 +134,8 @@ pub fn repair_verified_with(
         } else {
             engine.options().mode
         };
-        let repair = engine.plan_with_mode(&base, &evidence, mode)?;
-        let delta = repair.to_delta(&base)?;
+        let repair = engine.plan_with_mode(stored, &evidence, mode)?;
+        let delta = repair.to_delta(stored)?;
         let stats = inc.apply(catalog, &delta)?;
         rounds.push(RepairRound {
             round,
@@ -147,10 +147,10 @@ pub fn repair_verified_with(
     }
 
     // Verification layer 1: the incrementally maintained flags.
-    let final_report = inc.report(catalog)?;
+    let final_report = DetectionReport::clone(inc.maintained_report());
     // Verification layer 2: an independent from-scratch semantic pass.
-    let base = base_relation(catalog.get(&table)?, engine.schema())?;
-    let scratch = SemanticDetector::new(engine.schema(), engine.ecfds())?.detect(&base)?;
+    let scratch =
+        SemanticDetector::new(engine.schema(), engine.ecfds())?.detect(catalog.get(&table)?)?;
     if !final_report.is_clean() || !scratch.is_clean() {
         return Err(RepairError::NotClean {
             remaining: scratch.num_violations().max(final_report.num_violations()),
@@ -162,25 +162,12 @@ pub fn repair_verified_with(
     })
 }
 
-/// Projects a stored table (which carries the detector-managed `SV` / `MV`
-/// flag columns) back onto the base schema.
-pub fn base_relation(stored: &Relation, schema: &Schema) -> Result<Relation> {
-    let arity = schema.arity();
-    Relation::with_tuples(
-        schema.clone(),
-        stored
-            .tuples()
-            .map(|t| Tuple::new(t.values()[..arity].to_vec())),
-    )
-    .map_err(Into::into)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{RepairMode, RepairOptions};
     use ecfd_core::ECfdBuilder;
-    use ecfd_relation::{DataType, Value};
+    use ecfd_relation::{DataType, Relation, Schema, Tuple, Value};
 
     fn schema() -> Schema {
         Schema::builder("cust")
@@ -232,8 +219,10 @@ mod tests {
         assert!(outcome.final_report.is_clean());
         assert!(outcome.num_deletions() + outcome.num_modifications() > 0);
         // The surviving table re-verifies clean from scratch as well.
-        let base = base_relation(catalog.get("cust").unwrap(), &schema()).unwrap();
-        assert!(engine.explain(&base).unwrap().is_clean());
+        assert!(engine
+            .explain(catalog.get("cust").unwrap())
+            .unwrap()
+            .is_clean());
     }
 
     #[test]
@@ -291,7 +280,7 @@ mod tests {
         for delta in outcome.deltas() {
             delta.apply(&mut replay).unwrap();
         }
-        let repaired = base_relation(catalog.get("cust").unwrap(), &schema()).unwrap();
+        let repaired = catalog.get("cust").unwrap();
         let mut replayed: Vec<&Tuple> = replay.tuples().collect();
         let mut expected: Vec<&Tuple> = repaired.tuples().collect();
         replayed.sort();
@@ -301,16 +290,17 @@ mod tests {
     }
 
     #[test]
-    fn base_relation_strips_the_flag_columns() {
+    fn repair_leaves_the_stored_schema_as_loaded() {
+        // The flags live in the reports: seeding, every repair round and both
+        // verification layers leave the table with its loaded attributes.
         let mut catalog = dirty_catalog();
-        let _inc =
-            IncrementalDetector::initialize(&schema(), &constraints(), &mut catalog).unwrap();
+        let engine = RepairEngine::new(&schema(), &constraints()).unwrap();
+        let outcome = repair_verified(&engine, &mut catalog).unwrap();
+        assert!(!outcome.is_noop());
+        assert_eq!(catalog.table_names(), ["cust"]);
         let stored = catalog.get("cust").unwrap();
-        assert_eq!(stored.schema().arity(), 4, "CT, AC, SV, MV");
-        let base = base_relation(stored, &schema()).unwrap();
-        assert_eq!(base.schema(), &schema());
-        assert_eq!(base.len(), 4);
-        assert!(base
+        assert_eq!(stored.schema(), &schema());
+        assert!(stored
             .tuples()
             .all(|t| t.values().iter().all(|v| matches!(v, Value::Str(_)))));
     }

@@ -1118,10 +1118,9 @@ mod tests {
         oracle.apply_on("cust", &next).unwrap();
         drive(&mut writers, &hub);
         assert_merged_matches(&hub, &mut oracle);
-        let ids = |relation: Relation| relation.row_ids();
         assert_eq!(
-            ids(hub.compose().unwrap().to_relation().unwrap()),
-            ids(oracle.data("cust").unwrap())
+            hub.compose().unwrap().to_relation().unwrap().row_ids(),
+            oracle.data("cust").unwrap().row_ids()
         );
     }
 

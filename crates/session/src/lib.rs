@@ -48,16 +48,21 @@
 //! | `detect_with(kind)`        | replaced               | kept (see below)      |
 //! | `apply` via incremental    | replaced               | maintained            |
 //! | `apply` via semantic / SQL | replaced               | dropped               |
-//! | `apply` that errors        | dropped (table may be partially mutated) | dropped |
+//! | `apply` refused (a tuple that does not fit) | kept | kept            |
+//! | `apply` failing mid-delta  | dropped (table may be partially mutated) | dropped |
 //! | `repair`                   | replaced (clean)       | maintained            |
 //! | `catalog_mut` / `invalidate` | dropped              | dropped               |
 //! | `with_policy` (new [`Parallelism`]) | kept          | kept (fan-out retrofitted) |
 //! | `with_cost_model` / `set_compile_options` | retired (version bump) | kept / dropped |
 //!
-//! A full detection pass rewrites the `SV` / `MV` flag columns but does not
-//! move rows, so the incremental backend's group state stays valid across
-//! `detect_with` regardless of which backend ran. Updates applied through a
-//! non-incremental backend *do* move rows, which is why they drop it.
+//! The `SV` / `MV` flags live in the cached report, never in the catalog: a
+//! full detection pass leaves the stored table exactly as loaded (the SQL
+//! backend runs the paper's statements on a scratch copy), so the
+//! incremental backend's group state stays valid across `detect_with`
+//! regardless of which backend ran. Updates applied through a
+//! non-incremental backend *do* move rows, which is why they drop it. A
+//! delta with an insertion that does not fit the loaded schema is refused
+//! before any backend sees it, so it costs nothing.
 //!
 //! Beyond the explicit drops in the table, every cached result carries the
 //! session version it was produced at, and is served (by `detect`,
@@ -412,7 +417,7 @@ mod tests {
         .unwrap();
         assert!(session.load(incompatible).is_err());
         assert_eq!(session.report(), Some(&before));
-        assert_eq!(session.data("cust").unwrap(), dirty());
+        assert_eq!(session.data("cust").unwrap(), &dirty());
         assert_eq!(session.detect().unwrap(), before);
     }
 
@@ -624,9 +629,7 @@ mod tests {
             .catalog_mut()
             .get_mut("cust")
             .unwrap()
-            .delete_matching(
-                &Tuple::from_iter(["NYC", "212"]).extended([Value::Int(0), Value::Int(0)]),
-            );
+            .delete_matching(&Tuple::from_iter(["NYC", "212"]));
         assert!(session.report().is_none(), "cache must be dropped");
         let report = session.detect().unwrap();
         assert_eq!(report.total_rows, 2);
@@ -644,9 +647,33 @@ mod tests {
         );
         let graph = session.conflict_graph().unwrap();
         assert!(graph.num_nodes() >= 2);
-        // data() strips the flag columns the backends added.
+        // data() is the stored relation, which kept its loaded schema.
         let base = session.data("cust").unwrap();
         assert_eq!(base.schema(), &schema());
+    }
+
+    /// Detector state never leaks into the catalog: whichever backend runs
+    /// every call, after a detect, a mixed delta and a repair the catalog
+    /// holds the loaded relation alone, with its loaded schema — no `SV` /
+    /// `MV` columns, no SQL encoding or auxiliary tables.
+    #[test]
+    fn detector_state_never_leaks_into_the_catalog() {
+        for kind in BackendKind::ALL {
+            let mut session = Session::new().with_policy(RoutingPolicy::fixed(kind));
+            session.load(dirty()).unwrap();
+            session.register_text(PHI).unwrap();
+            session.detect().unwrap();
+            let delta = Delta {
+                insertions: vec![Tuple::from_iter(["Albany", "519"])],
+                deletions: vec![Tuple::from_iter(["NYC", "212"])],
+            };
+            session.apply(&delta).unwrap();
+            assert_eq!(session.last_backend(), Some(kind));
+            assert!(session.repair().unwrap().final_report.is_clean(), "{kind}");
+            let catalog = session.catalog();
+            assert_eq!(catalog.table_names(), ["cust"], "{kind}");
+            assert_eq!(catalog.get("cust").unwrap().schema(), &schema(), "{kind}");
+        }
     }
 
     #[test]

@@ -12,8 +12,7 @@ use ecfd_detect::backend::{
 use ecfd_detect::{DetectionReport, EvidenceReport};
 use ecfd_relation::{Catalog, Delta, Relation, RowId, Schema, Tuple};
 use ecfd_repair::{
-    base_relation, repair_verified_with, ConflictGraph, CostModel, RepairEngine, RepairOptions,
-    VerifiedRepair,
+    repair_verified_with, ConflictGraph, CostModel, RepairEngine, RepairOptions, VerifiedRepair,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -95,10 +94,9 @@ pub struct Session {
     policy: RoutingPolicy,
     compile: CompileOptions,
     cost: Arc<dyn CostModel + Send + Sync>,
-    /// Base schema of every loaded relation, keyed by relation name. The
-    /// *stored* schema may grow detector-managed `SV` / `MV` columns; the
-    /// base schema is what constraints compile against and what
-    /// [`Session::data`] projects back to.
+    /// Base schema of every loaded relation, keyed by relation name: what
+    /// constraints compile against, and what the stored table keeps (no
+    /// backend adds a column).
     loaded: BTreeMap<String, Schema>,
     tables: BTreeMap<String, Entry>,
     /// Mutation counter: bumped by every operation that can change what a
@@ -369,10 +367,9 @@ impl Session {
         let name = self.resolve(None)?;
         let evidence = self.explain_on_impl(Some(&name))?;
         let entry = self.tables.get(&name).expect("resolved");
-        let base = base_relation(self.catalog.get(&name)?, entry.set.schema())?;
         entry
             .repair
-            .conflict_graph(&base, &evidence)
+            .conflict_graph(self.catalog.get(&name)?, &evidence)
             .map_err(Into::into)
     }
 
@@ -407,8 +404,7 @@ impl Session {
     /// apply succeeded or not.
     ///
     /// Returns every row the delta's deletions removed, as `(id, stored
-    /// tuple)` in removal order — the stored tuple carries the base
-    /// attributes first, so its base projection is the victim it matched.
+    /// tuple)` in removal order — the stored tuple is the victim it matched.
     /// Together with `insert_ids` zipped with the delta's insertions this is
     /// exactly how the rows changed, whichever backend the delta was routed
     /// to: the shard writer folds both into the cross-shard merge state, and
@@ -452,6 +448,11 @@ impl Session {
         let name = self.resolve(table)?;
         let table_len = self.catalog.get(&name)?.len();
         let entry = self.tables.get_mut(&name).expect("resolved");
+        // A delta that does not fit is refused here, before routing: the
+        // table, the cache and the warm incremental state all stay valid.
+        for ins in &delta.insertions {
+            entry.set.schema().validate(ins)?;
+        }
         let kind = kind.unwrap_or_else(|| self.policy.route_delta(delta.len(), table_len));
         ecfd_obs::registry()
             .counter_with("session.apply.routed", &[("backend", kind.as_str())])
@@ -459,12 +460,11 @@ impl Session {
         let (report, evidence) = match entry.backend_mut(kind)?.apply(&mut self.catalog, delta) {
             Ok(out) => out,
             Err(e) => {
-                // Every backend refuses a tuple that does not fit the base
-                // schema before it mutates anything, but some failures can
-                // still strike mid-delta — e.g. a scheduled row id that
-                // clashes with a stored one, after the deletions landed.
-                // Nothing cached may describe the table any more: drop it
-                // all so the next detect rebuilds from the actual contents.
+                // Only a failure that strikes mid-delta gets here — e.g. a
+                // scheduled row id that clashes with a stored one, after the
+                // deletions landed. Nothing cached may describe the table
+                // any more: drop it all so the next detect rebuilds from the
+                // actual contents.
                 entry.cache = None;
                 entry.incremental.invalidate();
                 if entry.stage > Stage::Registered {
@@ -665,18 +665,18 @@ impl Session {
             .ok_or_else(|| self.missing(table))
     }
 
-    /// The current contents of a relation, projected back onto its base
-    /// schema (without the detector-managed `SV` / `MV` flag columns).
-    pub fn data(&self, table: &str) -> Result<Relation> {
-        let schema = self
-            .loaded
-            .get(table)
-            .ok_or_else(|| SessionError::NotLoaded(table.to_string()))?;
-        base_relation(self.catalog.get(table)?, schema).map_err(Into::into)
+    /// The current contents of a relation, with its loaded schema and live
+    /// row ids.
+    pub fn data(&self, table: &str) -> Result<&Relation> {
+        if !self.loaded.contains_key(table) {
+            return Err(SessionError::NotLoaded(table.to_string()));
+        }
+        Ok(self.catalog.get(table)?)
     }
 
-    /// Read access to the owned catalog (data tables plus whatever encoding /
-    /// auxiliary relations the backends installed).
+    /// Read access to the owned catalog: exactly the loaded relations, with
+    /// their loaded schemas. Flags live in the reports, and the SQL backend
+    /// runs on a scratch copy, so no backend adds a column or a table here.
     pub fn catalog(&self) -> &Catalog {
         &self.catalog
     }
@@ -764,5 +764,61 @@ impl std::fmt::Debug for Session {
             .field("registered", &self.tables.keys().collect::<Vec<_>>())
             .field("policy", &self.policy)
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ecfd_relation::{DataType, Value};
+
+    /// A delta whose insertion does not fit the loaded schema is refused
+    /// before routing, so nothing it could have touched moves: the version,
+    /// the cached answer and its backend stay, and the incremental state
+    /// stays warm — the next delta pays no seeding pass.
+    #[test]
+    fn a_refused_delta_keeps_the_warm_state() {
+        let schema = Schema::builder("cust")
+            .attr("CT", DataType::Str)
+            .attr("AC", DataType::Str)
+            .build();
+        let rows = [["Albany", "718"], ["Albany", "518"], ["NYC", "212"]];
+        let data = Relation::with_tuples(schema, rows.map(Tuple::from_iter)).unwrap();
+        let mut session = Session::new();
+        session.load(data).unwrap();
+        session
+            .register_text("cust: [CT] -> [AC] | [], { {Albany} || {518} }")
+            .unwrap();
+        session.detect().unwrap();
+        let warmup = Delta::insert_only(vec![Tuple::from_iter(["Troy", "518"])]);
+        session
+            .apply_with(BackendKind::Incremental, &warmup)
+            .unwrap();
+        let is_warm = |session: &Session| session.tables["cust"].incremental.is_warm();
+        assert!(is_warm(&session));
+        let version = session.version();
+        let report = session.report().cloned();
+        let backend = session.last_backend();
+
+        let refused = Delta {
+            deletions: vec![Tuple::from_iter(["NYC", "212"])],
+            insertions: vec![
+                Tuple::from_iter(["Utica", "315"]),
+                Tuple::new(vec![Value::str("Utica"), Value::Int(315)]),
+            ],
+        };
+        assert!(session.apply(&refused).is_err());
+        assert_eq!(session.version(), version);
+        assert_eq!(session.report().cloned(), report);
+        assert_eq!(session.last_backend(), backend);
+        assert!(is_warm(&session));
+        assert_eq!(session.data("cust").unwrap().len(), 4, "no row moved");
+
+        let good = Delta {
+            deletions: vec![Tuple::from_iter(["NYC", "212"])],
+            insertions: vec![Tuple::from_iter(["Albany", "315"])],
+        };
+        let after = session.apply_with(BackendKind::Incremental, &good).unwrap();
+        assert_eq!(after, session.detect_with(BackendKind::Semantic).unwrap());
     }
 }

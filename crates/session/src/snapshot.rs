@@ -61,8 +61,8 @@ impl Snapshot {
         self.set.schema().name()
     }
 
-    /// The base schema the constraints compile against (without the
-    /// detector-managed `SV` / `MV` flag columns).
+    /// The schema the relation was loaded with, which the constraints
+    /// compile against.
     pub fn schema(&self) -> &Schema {
         self.set.schema()
     }

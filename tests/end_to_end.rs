@@ -62,7 +62,7 @@ fn incremental_detection_tracks_batch_detection_across_update_rounds() {
         inc.apply(&mut catalog, &delta).unwrap();
         delta.apply(&mut mirror).unwrap();
 
-        let incremental = inc.report(&catalog).unwrap();
+        let incremental = inc.report();
         let mut scratch = Catalog::new();
         scratch.create(mirror.clone()).unwrap();
         let from_scratch = BatchDetector::new(&schema, &constraints)
@@ -241,7 +241,11 @@ fn yp_attribute_violations_are_flagged_by_every_path_without_joining_the_fd() {
     assert!(sql.mv_rows.is_empty());
 
     // Incremental maintenance: inserting a fresh Yp violation and a genuine
-    // FD violation updates the flags to distinguish the two kinds.
+    // FD violation updates the flags to distinguish the two kinds. INCDETECT
+    // seeds itself with a pass of its own, so it starts from a fresh catalog
+    // of the same rows, not from BATCHDETECT's flagged table.
+    let mut catalog = Catalog::new();
+    catalog.create(data.clone()).unwrap();
     let mut inc = IncrementalDetector::initialize(&schema, &constraints, &mut catalog).unwrap();
     let delta = Delta {
         insertions: vec![
@@ -251,7 +255,7 @@ fn yp_attribute_violations_are_flagged_by_every_path_without_joining_the_fd() {
         deletions: vec![],
     };
     inc.apply(&mut catalog, &delta).unwrap();
-    let report = inc.report(&catalog).unwrap();
+    let report = inc.report();
     // SV: the original bad zip plus the freshly inserted one.
     assert_eq!(report.num_sv(), 2);
     // MV: every NYC tuple now sits in a group where CT no longer determines
@@ -300,7 +304,7 @@ fn evidence_reports_agree_across_all_three_detectors() {
         inc_catalog.create(data.clone()).unwrap();
         let mut inc =
             IncrementalDetector::initialize(&schema, &constraints, &mut inc_catalog).unwrap();
-        let incremental = inc.evidence(&inc_catalog).unwrap();
+        let incremental = inc.evidence();
 
         assert_eq!(semantic.sv_pairs(), batch.sv_pairs(), "size {size}");
         assert_eq!(semantic.mv_pairs(), batch.mv_pairs(), "size {size}");
@@ -323,7 +327,7 @@ fn evidence_reports_agree_across_all_three_detectors() {
             .unwrap()
             .detect_with_evidence(&mirror)
             .unwrap();
-        let updated = inc.evidence(&inc_catalog).unwrap();
+        let updated = inc.evidence();
         assert_eq!(scratch.sv_pairs(), updated.sv_pairs(), "after updates");
         assert_eq!(scratch.mv_pairs(), updated.mv_pairs(), "after updates");
     }

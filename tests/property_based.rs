@@ -210,10 +210,12 @@ proptest! {
         catalog.create(data).unwrap();
         let outcome = repair_verified(&engine, &mut catalog).unwrap();
         prop_assert!(outcome.final_report.is_clean());
-        // Independent re-check over the surviving base tuples.
-        let base = ecfd::repair::base_relation(catalog.get("cust").unwrap(), &schema).unwrap();
+        // Independent re-check over the surviving tuples, which kept the
+        // loaded schema.
+        let stored = catalog.get("cust").unwrap();
+        prop_assert_eq!(stored.schema(), &schema);
         let recheck = SemanticDetector::new(&schema, &constraints).unwrap()
-            .detect(&base).unwrap();
+            .detect(stored).unwrap();
         prop_assert!(recheck.is_clean());
     }
 
@@ -274,7 +276,7 @@ proptest! {
         catalog.create(data.clone()).unwrap();
         let mut inc = IncrementalDetector::initialize(&schema, &constraints, &mut catalog).unwrap();
         inc.apply(&mut catalog, &delta).unwrap();
-        let incremental = inc.report(&catalog).unwrap();
+        let incremental = inc.report();
 
         let mut updated = data;
         delta.apply(&mut updated).unwrap();
