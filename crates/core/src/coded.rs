@@ -8,9 +8,9 @@
 //! of 64-bit [`Code`]s.
 //!
 //! Coded cells are only meaningful relative to the dictionary that interned
-//! them (see the `ecfd_relation::columnar` docs); detectors keep one
-//! dictionary per compiled constraint set and use it for pattern constants
-//! and data alike, which makes code equality decide value equality.
+//! them (see the `ecfd_relation::columnar` docs); a detector keeps one
+//! dictionary and uses it for pattern constants and data alike, which makes
+//! code equality decide value equality.
 
 use crate::ecfd::ECfd;
 use crate::pattern::PatternValue;
@@ -107,8 +107,7 @@ pub struct CodedSingle {
 
 impl CodedSingle {
     /// Interns the (sole) pattern tuple of a single-pattern constraint.
-    /// Detectors call this once per compiled constraint set, at registration
-    /// time.
+    /// A detector calls this once per split constraint, at construction.
     pub fn intern(single: &ECfd, dict: &mut Dictionary) -> Self {
         let tp = &single.tableau()[0];
         CodedSingle {

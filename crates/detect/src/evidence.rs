@@ -42,6 +42,14 @@ impl ConstraintRef {
     }
 }
 
+/// A `(constraint, pattern)` pair — one entry of a compiled set's
+/// provenance.
+impl From<(usize, usize)> for ConstraintRef {
+    fn from((constraint, pattern): (usize, usize)) -> Self {
+        ConstraintRef::new(constraint, pattern)
+    }
+}
+
 /// Evidence for one single-tuple violation: `row` matches the LHS of the
 /// referenced pattern tuple but fails its RHS pattern on its own.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]

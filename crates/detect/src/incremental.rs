@@ -7,15 +7,21 @@
 //! parts of the data:
 //!
 //! * **Deletions** cannot create new violations. For every deleted tuple the
-//!   detector locates the enforcement groups it belonged to, decrements their
-//!   `Y`-projection counts, and — only for groups that thereby stop violating
-//!   the embedded FD — re-derives the `MV` flag of the remaining members
-//!   (a row keeps `MV = 1` if any *other* group it belongs to still violates).
+//!   detector locates the enforcement groups it belonged to, retracts it from
+//!   each, and — only for groups that thereby stop violating the embedded FD
+//!   — re-derives the `MV` flag of the remaining members (a row keeps
+//!   `MV = 1` if any *other* group it belongs to still violates).
 //! * **Insertions** are first checked for single-tuple violations on their
 //!   own (the `Q_sv` logic applied to `ΔD⁺` only, step 1 of the paper), then
-//!   merged into the group structure; groups that start violating, or
+//!   added to the group structure; groups that start violating, or
 //!   violating groups that gain members, have their members' `MV` flags set
 //!   (steps 2a–2e).
+//!
+//! Both edits are the full pass's own group step, `GroupState::add` and
+//! `GroupState::retract` (see [`crate::scan`]): each answers whether the
+//! group violated before and after, and that answer alone decides the new
+//! row's `MV` flag, the groups whose members are re-flagged and how the
+//! group's evidence record changes.
 //!
 //! ### The coded auxiliary state
 //!
@@ -71,7 +77,7 @@
 use crate::backend::refuse_extra_columns;
 use crate::evidence::{ConstraintRef, EvidenceReport, MvEvidence, SvEvidence};
 use crate::report::DetectionReport;
-use crate::scan::Members;
+use crate::scan::{GroupState, Members};
 use crate::semantic::{GroupKey, GroupMap, SemanticDetector};
 use crate::Result;
 use ecfd_core::ECfd;
@@ -120,12 +126,6 @@ pub struct IncrementalDetector {
     report: Arc<DetectionReport>,
     /// The normalized evidence behind `report`, kept the same way.
     evidence: Arc<EvidenceReport>,
-}
-
-/// The user-facing reference of split constraint `ci`.
-fn source_of(provenance: &[(usize, usize)], ci: usize) -> ConstraintRef {
-    let (constraint, pattern) = provenance[ci];
-    ConstraintRef::new(constraint, pattern)
 }
 
 /// Where the record of group `(source, key)` sits in normalized multi-tuple
@@ -274,7 +274,7 @@ impl IncrementalDetector {
                     if hit.violated() {
                         evidence.sv.push(SvEvidence {
                             row,
-                            source: source_of(provenance, hit.op.ci),
+                            source: ConstraintRef::from(provenance[hit.op.ci]),
                         });
                     }
                     ControlFlow::Continue(())
@@ -282,16 +282,11 @@ impl IncrementalDetector {
             );
         }
         // MV evidence straight from the maintained membership lists.
-        for ((ci, lhs_key), state) in &self.groups {
-            if !state.violates() {
-                continue;
+        for (key, state) in &self.groups {
+            if state.violates() {
+                let record = state.record(key, provenance, codec.dict.symbols());
+                evidence.mv_groups.push(record);
             }
-            let (constraint, pattern) = provenance[*ci];
-            evidence.mv_groups.push(MvEvidence {
-                source: ConstraintRef::new(constraint, pattern),
-                group_key: codec.dict.decode_all(lhs_key.as_slice()),
-                rows: state.rows.iter().copied().collect(),
-            });
         }
         evidence.normalize();
         evidence
@@ -416,38 +411,24 @@ impl IncrementalDetector {
                     Arc::make_mut(&mut self.report).mv_rows.remove(&row_id);
                 }
                 for (key, y) in &hits {
-                    let Some(state) = self.groups.get_mut(key) else {
-                        continue;
-                    };
-                    let was_violating = state.violates();
-                    if let Some(count) = state.y_counts.get_mut(y) {
-                        *count -= 1;
-                        if *count == 0 {
-                            state.y_counts.remove(y);
-                        }
-                    }
-                    state.rows.retain(|r| *r != row_id);
-                    let now_violating = state.violates();
-                    if state.y_counts.is_empty() {
-                        self.groups.remove(key);
-                    }
-                    if !was_violating {
+                    let flip = GroupState::retract(&mut self.groups, key, y, row_id);
+                    if !flip.before {
                         continue;
                     }
                     // A violating group lost a member: its record loses the
                     // row, or goes when the group stops violating (a
                     // deletion cannot start a violation).
-                    let source = source_of(provenance, key.0);
+                    let source = ConstraintRef::from(provenance[key.0]);
                     let group_key = codec_arc.read().dict.decode_all(key.1.as_slice());
                     let mv_groups = &mut Arc::make_mut(&mut self.evidence).mv_groups;
                     if let Ok(at) = find_group(mv_groups, source, &group_key) {
-                        if now_violating {
+                        if flip.after {
                             mv_groups[at].rows.remove(&row_id);
                         } else {
                             mv_groups.remove(at);
                         }
                     }
-                    if !now_violating {
+                    if flip.changed() {
                         changed_groups.insert(key.clone());
                     }
                 }
@@ -475,40 +456,20 @@ impl IncrementalDetector {
             // `apply` checked the tuple against the base schema, so the
             // program's positions index its codes.
             let codes: Vec<Code> = codec_arc.write().dict.encode_tuple(tuple);
-            // Step 1 plus steps 2a/2d: the SV check on the new tuple alone,
-            // and the predicted group states after it joins.
+            // Step 1: the SV check on the new tuple alone, and the groups it
+            // joins.
             let mut sv: Vec<ConstraintRef> = Vec::new();
-            let mut mv = false;
             let mut hits: Vec<(GroupKey, CodeVec)> = Vec::new();
             self.semantic.match_row(
                 Members::All,
                 |a| codes[a.index()],
                 |hit| {
                     if hit.violated() {
-                        sv.push(source_of(provenance, hit.op.ci));
+                        sv.push(ConstraintRef::from(provenance[hit.op.ci]));
                     }
-                    if hit.op.group.is_empty() {
-                        return ControlFlow::Continue(());
+                    if !hit.op.group.is_empty() {
+                        hits.push(((hit.op.ci, hit.key.clone()), hit.y()));
                     }
-                    let key: GroupKey = (hit.op.ci, hit.key.clone());
-                    let y = hit.y();
-                    let (was_violating, now_violating) = match self.groups.get(&key) {
-                        Some(state) => {
-                            let distinct_after = state.y_counts.len()
-                                + usize::from(!state.y_counts.contains_key(&y));
-                            (state.violates(), distinct_after > 1)
-                        }
-                        None => (false, false),
-                    };
-                    if now_violating {
-                        // The new tuple itself is part of a violating group
-                        // (step 2a / 2e).
-                        mv = true;
-                    }
-                    if was_violating != now_violating {
-                        changed_groups.insert(key.clone());
-                    }
-                    hits.push((key, y));
                     ControlFlow::Continue(())
                 },
             );
@@ -530,36 +491,38 @@ impl IncrementalDetector {
                     }
                 }
             }
-            if mv {
-                Arc::make_mut(&mut self.report).mv_rows.insert(row_id);
-            }
+            // Steps 2a–2e: the row joins its groups.
+            let mut mv = false;
             for (key, y) in hits {
-                let source = source_of(provenance, key.0);
-                let group_key = key.1.clone();
-                let state = self.groups.entry(key).or_default();
-                *state.y_counts.entry(y).or_insert(0) += 1;
-                state.rows.push(row_id);
-                if !state.violates() {
+                let flip = GroupState::add(&mut self.groups, key.clone(), y, row_id);
+                if flip.changed() {
+                    changed_groups.insert(key.clone());
+                }
+                if !flip.after {
                     continue;
                 }
-                // A violating group gained a member: its record gains the
-                // row, or is created with every member when the group has
-                // just started violating.
-                let group_key = codec_arc.read().dict.decode_all(group_key.as_slice());
+                // The new tuple itself is part of a violating group (step
+                // 2a / 2e). The group's record gains the row, or is created
+                // with every member when the group has just started
+                // violating.
+                mv = true;
+                let codec = codec_arc.read();
                 let mv_groups = &mut Arc::make_mut(&mut self.evidence).mv_groups;
-                match find_group(mv_groups, source, &group_key) {
-                    Ok(at) => {
+                if flip.before {
+                    let source = ConstraintRef::from(provenance[key.0]);
+                    let group_key = codec.dict.decode_all(key.1.as_slice());
+                    if let Ok(at) = find_group(mv_groups, source, &group_key) {
                         mv_groups[at].rows.insert(row_id);
                     }
-                    Err(at) => mv_groups.insert(
-                        at,
-                        MvEvidence {
-                            source,
-                            group_key,
-                            rows: state.rows.iter().copied().collect(),
-                        },
-                    ),
+                } else {
+                    let record = self.groups[&key].record(&key, provenance, codec.dict.symbols());
+                    if let Err(at) = find_group(mv_groups, record.source, &record.group_key) {
+                        mv_groups.insert(at, record);
+                    }
                 }
+            }
+            if mv {
+                Arc::make_mut(&mut self.report).mv_rows.insert(row_id);
             }
         }
         Ok(())

@@ -7,24 +7,27 @@
 //! group of an *aligned* constraint, whose `X` contains the partition key.
 //! The other constraints leave their groups **open**: one group's members can
 //! sit on several partitions, so only the union says whether it violates.
-//! A [`MergeState`] keeps exactly those open groups — `(constraint, X-codes)
-//! → Y-counts + member rows`, coded through the state's own dictionary,
-//! because every partition's dictionary assigns its own codes — plus the set
-//! of groups that violate now.
+//! A [`MergeState`] keeps exactly those open groups — a [`GroupMap`],
+//! `(constraint, X-codes) → Y-counts + member rows`, coded through the
+//! state's own dictionary, because every partition's dictionary assigns its
+//! own codes — plus the set of groups that violate now.
 //!
 //! The state is seeded from the partitions' scanned partials
 //! ([`MergeState::absorb`]). After that, every row a partition inserts or
 //! removes is folded in through the full pass's own per-row step
 //! ([`ScanProgram::match_row`](crate::ScanProgram)): a fold costs the rows
-//! it folds, never the table's size. Reading the merged answer out
-//! ([`MergeState::read_out`]) visits the violating groups only.
+//! it folds, never the table's size. Seeding and folding edit the groups
+//! through the full pass's own group step, `GroupState::add` and
+//! `GroupState::retract`, whose answer — did the group violate before,
+//! does it now — keeps the set of violating groups. Reading the merged
+//! answer out ([`MergeState::read_out`]) visits the violating groups only.
 
-use crate::evidence::{ConstraintRef, EvidenceReport, MvEvidence};
+use crate::evidence::{ConstraintRef, EvidenceReport};
 use crate::report::DetectionReport;
-use crate::scan::{GroupKey, Members};
+use crate::scan::{Flip, GroupKey, GroupMap, GroupState, Members};
 use crate::semantic::{SemanticDetector, ShardPartial};
 use ecfd_core::ConstraintSet;
-use ecfd_relation::{AttrId, Code, CodeMap, CodeVec, RowId, Tuple};
+use ecfd_relation::{AttrId, Code, CodeVec, FxBuildHasher, RowId, Tuple, Value};
 use std::collections::HashSet;
 use std::ops::ControlFlow;
 
@@ -53,44 +56,11 @@ pub struct MergeState {
     attrs: Vec<AttrId>,
     /// The base arity of the relation.
     arity: usize,
-    groups: CodeMap<GroupKey, GroupTally>,
-    violating: HashSet<GroupKey>,
+    groups: GroupMap,
+    /// The keys of the groups that violate now: a subset of `groups`' keys,
+    /// hashed the same way.
+    violating: HashSet<GroupKey, FxBuildHasher>,
     stats: MergeStats,
-}
-
-/// One merged open group: how many members carry each distinct coded `Y`
-/// projection, and the members. The counts are a short list, not a map:
-/// only a violating group has more than one, a map's smallest table has
-/// four slots, and one table per group would be most of the state's size.
-#[derive(Debug, Default)]
-struct GroupTally {
-    y_counts: Vec<(CodeVec, usize)>,
-    rows: Vec<RowId>,
-}
-
-impl GroupTally {
-    fn violates(&self) -> bool {
-        self.y_counts.len() > 1
-    }
-
-    fn add(&mut self, y: CodeVec, n: usize) {
-        match self.y_counts.iter_mut().find(|(seen, _)| *seen == y) {
-            Some((_, count)) => *count += n,
-            None => {
-                self.y_counts.reserve_exact(1);
-                self.y_counts.push((y, n));
-            }
-        }
-    }
-
-    fn retract(&mut self, y: &CodeVec) {
-        if let Some(at) = self.y_counts.iter().position(|(seen, _)| seen == y) {
-            self.y_counts[at].1 -= 1;
-            if self.y_counts[at].1 == 0 {
-                self.y_counts.swap_remove(at);
-            }
-        }
-    }
 }
 
 impl MergeState {
@@ -118,7 +88,7 @@ impl MergeState {
             .iter()
             .enumerate()
             .filter(|&(ci, _)| is_open(ci))
-            .map(|(_, &(constraint, pattern))| ConstraintRef::new(constraint, pattern))
+            .map(|(_, &source)| ConstraintRef::from(source))
             .collect();
         MergeState {
             arity: set.schema().arity(),
@@ -126,8 +96,8 @@ impl MergeState {
             aligned,
             open_sources,
             attrs,
-            groups: CodeMap::default(),
-            violating: HashSet::new(),
+            groups: GroupMap::default(),
+            violating: HashSet::default(),
             stats: MergeStats::default(),
         }
     }
@@ -153,7 +123,7 @@ impl MergeState {
     /// Drops every group, to be seeded again by [`MergeState::absorb`]ing
     /// one partial per partition. Counts as one seed.
     pub fn reset(&mut self) {
-        self.groups.clear();
+        self.groups = GroupMap::default();
         self.violating.clear();
         self.stats.seeds += 1;
     }
@@ -165,18 +135,23 @@ impl MergeState {
     pub fn absorb(&mut self, partial: ShardPartial) {
         let codec = self.detector.codec().clone();
         let mut codec = codec.write();
-        let mut encode = |values: &[ecfd_relation::Value]| {
+        let mut encode = |values: &[Value]| {
             CodeVec::from_iter_exact(values.iter().map(|v| codec.dict.encode(v)))
         };
         for group in partial.open {
             let key = (group.ci, encode(&group.key));
-            let state = self.groups.entry(key.clone()).or_default();
+            // A partial counts its members per `Y` projection without saying
+            // which member carries which; any pairing yields the same state,
+            // since a group's members are not ordered.
+            let mut rows = group.rows.into_iter();
             for (y, n) in group.y_counts {
-                state.add(encode(&y), n);
-            }
-            state.rows.extend(group.rows);
-            if state.violates() {
-                self.violating.insert(key);
+                let y = encode(&y);
+                for row in rows.by_ref().take(n) {
+                    let flip = GroupState::add(&mut self.groups, key.clone(), y.clone(), row);
+                    if flip.changed() {
+                        self.violating.insert(key.clone());
+                    }
+                }
             }
         }
     }
@@ -184,12 +159,8 @@ impl MergeState {
     /// Folds in a row a partition inserted.
     pub fn insert(&mut self, row: RowId, tuple: &Tuple) {
         for (key, y) in self.open_hits(tuple) {
-            let state = self.groups.entry(key.clone()).or_default();
-            let was_violating = state.violates();
-            state.add(y, 1);
-            state.rows.push(row);
-            let now_violating = state.violates();
-            self.flipped(key, was_violating, now_violating);
+            let flip = GroupState::add(&mut self.groups, key.clone(), y, row);
+            self.flipped(key, flip);
         }
         self.stats.rows_folded += 1;
     }
@@ -198,19 +169,8 @@ impl MergeState {
     /// stored.
     pub fn remove(&mut self, row: RowId, tuple: &Tuple) {
         for (key, y) in self.open_hits(tuple) {
-            let Some(state) = self.groups.get_mut(&key) else {
-                continue;
-            };
-            let was_violating = state.violates();
-            state.retract(&y);
-            if let Some(at) = state.rows.iter().position(|r| *r == row) {
-                state.rows.swap_remove(at);
-            }
-            let now_violating = state.violates();
-            if state.y_counts.is_empty() {
-                self.groups.remove(&key);
-            }
-            self.flipped(key, was_violating, now_violating);
+            let flip = GroupState::retract(&mut self.groups, &key, &y, row);
+            self.flipped(key, flip);
         }
         self.stats.rows_folded += 1;
     }
@@ -227,15 +187,12 @@ impl MergeState {
             .mv_groups
             .retain(|group| !self.open_sources.contains(&group.source));
         let provenance = self.detector.provenance();
+        let codec = self.detector.codec().read();
         for key in &self.violating {
-            let rows = &self.groups[key].rows;
-            report.mv_rows.extend(rows.iter().copied());
-            let (constraint, pattern) = provenance[key.0];
-            evidence.mv_groups.push(MvEvidence {
-                source: ConstraintRef::new(constraint, pattern),
-                group_key: self.detector.decode_key(&key.1),
-                rows: rows.iter().copied().collect(),
-            });
+            let group = &self.groups[key];
+            report.mv_rows.extend(group.rows.iter().copied());
+            let record = group.record(key, provenance, codec.dict.symbols());
+            evidence.mv_groups.push(record);
         }
     }
 
@@ -265,12 +222,13 @@ impl MergeState {
         hits
     }
 
-    fn flipped(&mut self, key: GroupKey, was_violating: bool, now_violating: bool) {
-        if was_violating == now_violating {
+    /// Keeps the violating set in step with a fold's edit of group `key`.
+    fn flipped(&mut self, key: GroupKey, flip: Flip) {
+        if !flip.changed() {
             return;
         }
         self.stats.groups_flipped += 1;
-        if now_violating {
+        if flip.after {
             self.violating.insert(key);
         } else {
             self.violating.remove(&key);
@@ -281,8 +239,10 @@ impl MergeState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::incremental::IncrementalDetector;
     use crate::semantic::fixtures::*;
-    use ecfd_relation::{shard_of_value, Relation};
+    use ecfd_relation::{shard_of_value, Catalog, Delta, Relation};
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn rows() -> Vec<Tuple> {
         let mut rows: Vec<Tuple> = d0().tuples().cloned().collect();
@@ -386,6 +346,111 @@ mod tests {
         assert_eq!(stats.seeds, 1);
         assert_eq!(stats.rows_folded as usize, folded.len() + 7);
         assert!(stats.groups_flipped > 0, "{stats:?}");
+    }
+
+    /// A group map decoded through its dictionary:
+    /// `(ci, X) → (Y → member count, members)`.
+    type Decoded = BTreeMap<(usize, Vec<Value>), (BTreeMap<Vec<Value>, usize>, BTreeSet<RowId>)>;
+
+    fn decoded(groups: &GroupMap, decode: impl Fn(&CodeVec) -> Vec<Value>) -> Decoded {
+        groups
+            .iter()
+            .map(|((ci, key), state)| {
+                let ys = state.y_counts.iter().map(|(y, n)| (decode(y), *n));
+                let rows = state.rows.iter().copied().collect();
+                ((*ci, decode(key)), (ys.collect(), rows))
+            })
+            .collect()
+    }
+
+    /// The violating groups of a decoded map: `(ci, X) → members`.
+    fn violating(groups: &Decoded) -> BTreeMap<(usize, Vec<Value>), BTreeSet<RowId>> {
+        groups
+            .iter()
+            .filter(|(_, (ys, _))| ys.len() > 1)
+            .map(|(key, (_, rows))| (key.clone(), rows.clone()))
+            .collect()
+    }
+
+    /// INCDETECT and a merge state with every constraint open keep the same
+    /// groups under the same single-tuple inserts and deletes, and count the
+    /// same flips.
+    #[test]
+    fn incdetect_and_the_merge_state_keep_the_same_groups() {
+        let schema = cust_schema();
+        let set = ConstraintSet::compile(&schema, &[phi1(), phi2(), fd_ct_ac()]).unwrap();
+        let mut catalog = Catalog::new();
+        catalog.create(d0()).unwrap();
+        let mut inc = IncrementalDetector::from_set(&set, &mut catalog).unwrap();
+        let aligned = vec![false; set.singles().len()];
+        let mut state = MergeState::new(&set, aligned.clone());
+        state.reset();
+        let seeder = SemanticDetector::from_set(&set);
+        let frozen = seeder.freeze(catalog.get("cust").unwrap(), schema.arity());
+        state.absorb(seeder.detect_partition(&frozen, &schema, &aligned).unwrap());
+
+        // t1 is Albany with area code 718: an Albany row with 518 makes the
+        // Albany groups violate, and deleting it again ends that.
+        let albany = Tuple::from_iter(["518", "9", "Ann", "Elm St.", "Albany", "12239"]);
+        let mut steps = vec![(true, albany.clone()), (false, albany)];
+        // Then a generated mix over small pools of towns and area codes, so
+        // tuples repeat (a deletion removes every duplicate) and groups flip
+        // both ways.
+        let mut seed = 0x2545_f491_u64;
+        let mut next = |n: u64| {
+            seed = seed
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (seed >> 33) % n
+        };
+        for _ in 0..120 {
+            let town = ["Albany", "Troy", "Colonie", "NYC", "Utica"][next(5) as usize];
+            let ac = ["518", "718", "212"][next(3) as usize];
+            let tuple = Tuple::from_iter([ac, "0", "Gen", "Any St.", town, "00000"]);
+            steps.push((next(3) != 0, tuple));
+        }
+
+        let mut flips = 0;
+        let mut duplicates_deleted = false;
+        for (step, (insert, tuple)) in steps.into_iter().enumerate() {
+            let relation = catalog.get_mut("cust").unwrap();
+            let id = RowId(relation.next_row_id());
+            relation.record_deletions();
+            let delta = if insert {
+                Delta::insert_only(vec![tuple.clone()])
+            } else {
+                Delta::delete_only(vec![tuple.clone()])
+            };
+            let stats = inc.apply(&mut catalog, &delta).unwrap();
+            let deleted = catalog.get_mut("cust").unwrap().take_deleted();
+            if insert {
+                assert_eq!(catalog.get("cust").unwrap().get(id), Some(&tuple));
+                state.insert(id, &tuple);
+            }
+            for (row, stored) in &deleted {
+                state.remove(*row, stored);
+            }
+            duplicates_deleted |= deleted.len() > 1;
+            if step < 2 {
+                assert!(stats.groups_changed > 0, "the scripted Albany row flips");
+            }
+            flips += stats.groups_changed as u64;
+
+            let want = decoded(inc.groups(), |key| inc.decode_key(key));
+            let got = decoded(&state.groups, |key| state.detector.decode_key(key));
+            assert_eq!(violating(&got), violating(&want), "step {step}");
+            assert_eq!(got, want, "step {step}");
+            let flagged: HashSet<GroupKey, FxBuildHasher> = state
+                .groups
+                .iter()
+                .filter(|(_, group)| group.violates())
+                .map(|(key, _)| key.clone())
+                .collect();
+            assert_eq!(state.violating, flagged, "step {step}");
+            assert_eq!(state.stats().groups_flipped, flips, "step {step}");
+        }
+        assert!(duplicates_deleted, "some deletion removed duplicates");
+        assert_eq!(state.stats().seeds, 1);
     }
 
     #[test]

@@ -24,14 +24,23 @@
 //! violating group, and the `Q_sv` check runs only for the callers that ask
 //! (`Hit::violated`).
 //!
+//! A row joins an enforcement group through the one group step,
+//! `GroupState::add`, and leaves it through `GroupState::retract`; both
+//! say whether the group violated before and after. The full pass adds every
+//! row, `INCDETECT` adds and retracts a delta's rows, and the cross-partition
+//! [`MergeState`](crate::MergeState) folds partition rows in and out through
+//! the same two calls, so the paper's `Q_mv` rule (two or more distinct `Y`
+//! projections) is kept in one place. `GroupState::record` is the one
+//! constructor of a violating group's evidence record.
+//!
 //! The pass itself runs in two phases. Phase 1 splits the rows into
 //! contiguous chunks, one `std::thread::scope` worker each; a worker executes
-//! the program against the view's code columns and partitions its partial
-//! group states by `shard_of(ci, X-codes)`. Phase 2 merges each shard's
-//! partials (all members of a group land in one shard) and derives the
-//! multi-tuple violations. Both phases are deterministic, so any program
-//! covering the same constraints produces identical reports, evidence and
-//! group maps at 1 worker and at N.
+//! the program against the view's code columns and adds each row to its
+//! partial group states, partitioned by `shard_of(ci, X-codes)`. Phase 2
+//! merges each shard's partials (all members of a group land in one shard)
+//! and derives the multi-tuple violations. Both phases are deterministic, so
+//! any program covering the same constraints produces identical reports,
+//! evidence and group maps at 1 worker and at N.
 
 use crate::evidence::{ConstraintRef, EvidenceReport, MvEvidence, SvEvidence};
 use crate::parallel::{effective_threads, split_ranges, Parallelism};
@@ -55,12 +64,34 @@ pub type GroupMap = CodeMap<GroupKey, GroupState>;
 /// Per-group state: how many group members carry each distinct coded `Y`
 /// projection, plus the member rows themselves (one membership list shared
 /// with the count bookkeeping, so no per-tuple key clone is needed).
+///
+/// A group map is edited one member at a time through `GroupState::add`
+/// and `GroupState::retract` — by the scan's phase 1, by `INCDETECT` and by
+/// the cross-partition [`MergeState`](crate::MergeState) alike.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GroupState {
     /// Count of member tuples per distinct coded `Y` projection.
     pub y_counts: CodeMap<CodeVec, usize>,
-    /// Every member row of the group, in scan / insertion order.
+    /// Every member row of the group. Not ordered: a retraction may move
+    /// the last member into the retracted one's place.
     pub rows: Vec<RowId>,
+}
+
+/// Whether a group violated before and after one `GroupState::add` or
+/// `GroupState::retract`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Flip {
+    /// The group violated before the edit.
+    pub(crate) before: bool,
+    /// The group violates after the edit.
+    pub(crate) after: bool,
+}
+
+impl Flip {
+    /// Whether the edit made the group start or stop violating.
+    pub(crate) fn changed(self) -> bool {
+        self.before != self.after
+    }
 }
 
 impl GroupState {
@@ -70,9 +101,52 @@ impl GroupState {
     }
 
     /// The group violates the embedded FD iff it contains members with at
-    /// least two distinct `Y` projections.
+    /// least two distinct `Y` projections (the paper's `Q_mv`).
+    #[inline]
     pub fn violates(&self) -> bool {
         self.y_counts.len() > 1
+    }
+
+    /// Member `row`, whose `Y` projection is `y`, joins group `key` of
+    /// `groups`; the group is created with its first member.
+    #[inline]
+    pub(crate) fn add(groups: &mut GroupMap, key: GroupKey, y: CodeVec, row: RowId) -> Flip {
+        let state = groups.entry(key).or_default();
+        let before = state.violates();
+        *state.y_counts.entry(y).or_insert(0) += 1;
+        state.rows.push(row);
+        Flip {
+            before,
+            after: state.violates(),
+        }
+    }
+
+    /// Member `row`, whose `Y` projection is `y`, leaves group `key` of
+    /// `groups`; a group left without members leaves the map. Retracting
+    /// from a group that does not exist changes nothing.
+    #[inline]
+    pub(crate) fn retract(groups: &mut GroupMap, key: &GroupKey, y: &CodeVec, row: RowId) -> Flip {
+        let Some(state) = groups.get_mut(key) else {
+            return Flip {
+                before: false,
+                after: false,
+            };
+        };
+        let before = state.violates();
+        if let Some(count) = state.y_counts.get_mut(y) {
+            *count -= 1;
+            if *count == 0 {
+                state.y_counts.remove(y);
+            }
+        }
+        if let Some(at) = state.rows.iter().position(|r| *r == row) {
+            state.rows.swap_remove(at);
+        }
+        let after = state.violates();
+        if state.y_counts.is_empty() {
+            groups.remove(key);
+        }
+        Flip { before, after }
     }
 
     /// Merges another partial state into this one (summing counts,
@@ -82,6 +156,22 @@ impl GroupState {
             *self.y_counts.entry(y).or_insert(0) += count;
         }
         self.rows.extend(other.rows);
+    }
+
+    /// The evidence record of this group, stored under `key`: the source of
+    /// its constraint (`provenance` is indexed by split constraint), its `X`
+    /// projection decoded through `dict`, and its members.
+    pub(crate) fn record(
+        &self,
+        (ci, key): &GroupKey,
+        provenance: &[(usize, usize)],
+        dict: &SymbolTable,
+    ) -> MvEvidence {
+        MvEvidence {
+            source: ConstraintRef::from(provenance[*ci]),
+            group_key: dict.decode_all(key.as_slice()),
+            rows: self.rows.iter().copied().collect(),
+        }
     }
 }
 
@@ -295,10 +385,9 @@ pub(crate) fn run(
     };
     for (row, ci) in sv_pairs {
         report.sv_rows.insert(row);
-        let (constraint, pattern) = provenance[ci];
         evidence.sv.push(SvEvidence {
             row,
-            source: ConstraintRef::new(constraint, pattern),
+            source: ConstraintRef::from(provenance[ci]),
         });
     }
     let mut groups = GroupMap::default();
@@ -376,9 +465,8 @@ fn scan_chunk(
                         } else {
                             shard_of(ci, hit.key, n_shards)
                         };
-                        let state = out.parts[shard].entry((ci, hit.key.clone())).or_default();
-                        *state.y_counts.entry(hit.y()).or_insert(0) += 1;
-                        state.rows.push(row_id);
+                        let key = (ci, hit.key.clone());
+                        GroupState::add(&mut out.parts[shard], key, hit.y(), row_id);
                     }
                     ControlFlow::Continue(())
                 },
@@ -417,20 +505,82 @@ fn merge_shard(
     }
     let mut mv_rows = Vec::new();
     let mut mv_groups = Vec::new();
-    for ((ci, key), state) in &groups {
+    for (key, state) in &groups {
         if state.violates() {
             mv_rows.extend(state.rows.iter().copied());
-            let (constraint, pattern) = provenance[*ci];
-            mv_groups.push(MvEvidence {
-                source: ConstraintRef::new(constraint, pattern),
-                group_key: dict.decode_all(key.as_slice()),
-                rows: state.rows.iter().copied().collect(),
-            });
+            mv_groups.push(state.record(key, provenance, dict));
         }
     }
     ShardOut {
         groups,
         mv_rows,
         mv_groups,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ecfd_relation::{Dictionary, Value};
+
+    /// The one-attribute projection holding integer `n`.
+    fn codes(n: i64) -> CodeVec {
+        [Dictionary::new().encode(&Value::Int(n))]
+            .into_iter()
+            .collect()
+    }
+
+    #[test]
+    fn add_and_retract_report_the_group_flip() {
+        let mut groups = GroupMap::default();
+        let key: GroupKey = (0, codes(7));
+        let (y518, y718) = (codes(518), codes(718));
+        let flip = |before, after| Flip { before, after };
+
+        // The first `Y` does not flip the group, nor does a repeat of it.
+        assert_eq!(
+            GroupState::add(&mut groups, key.clone(), y518.clone(), RowId(1)),
+            flip(false, false)
+        );
+        assert_eq!(
+            GroupState::add(&mut groups, key.clone(), y518.clone(), RowId(2)),
+            flip(false, false)
+        );
+        // A second distinct `Y` does, and a third member keeps it violating.
+        let started = GroupState::add(&mut groups, key.clone(), y718.clone(), RowId(3));
+        assert_eq!(started, flip(false, true));
+        assert!(started.changed());
+        assert_eq!(
+            GroupState::add(&mut groups, key.clone(), y718.clone(), RowId(4)),
+            flip(true, true)
+        );
+        assert_eq!(groups[&key].size(), 4);
+
+        // Retracting one of two members with that `Y` keeps the violation;
+        // retracting the last one flips it back.
+        assert_eq!(
+            GroupState::retract(&mut groups, &key, &y718, RowId(3)),
+            flip(true, true)
+        );
+        let stopped = GroupState::retract(&mut groups, &key, &y718, RowId(4));
+        assert_eq!(stopped, flip(true, false));
+        assert!(stopped.changed());
+        let mut rows = groups[&key].rows.clone();
+        rows.sort();
+        assert_eq!(rows, [RowId(1), RowId(2)]);
+
+        // An emptied group is gone from the map; retracting from a missing
+        // group changes nothing.
+        GroupState::retract(&mut groups, &key, &y518, RowId(1));
+        assert_eq!(
+            GroupState::retract(&mut groups, &key, &y518, RowId(2)),
+            flip(false, false)
+        );
+        assert!(groups.is_empty());
+        assert_eq!(
+            GroupState::retract(&mut groups, &key, &y518, RowId(2)),
+            flip(false, false)
+        );
+        assert!(groups.is_empty());
     }
 }

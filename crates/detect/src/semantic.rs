@@ -31,7 +31,7 @@ use ecfd_core::coded::{intern_singles, CodedSingle};
 use ecfd_core::matching::BoundECfd;
 use ecfd_core::{CompileOptions, ConstraintSet, CoreError, ECfd};
 use ecfd_relation::{
-    AttrId, Catalog, Code, CodeColumns, CodeVec, Dictionary, FrozenView, Relation, RowId, Schema,
+    AttrId, Code, CodeColumns, CodeVec, Dictionary, FrozenView, Relation, RowId, Schema,
     SymbolTable, Tuple, Value,
 };
 use parking_lot::RwLock;
@@ -41,9 +41,10 @@ use std::sync::Arc;
 pub use crate::scan::{GroupKey, GroupMap, GroupState};
 
 /// The constraint codec shared by every clone of a detector (and by the
-/// incremental detector built on top of it): one [`Dictionary`] per compiled
-/// constraint set. The dictionary only grows — interning data values never
-/// invalidates the pattern codes resolved at construction time.
+/// incremental detector built on top of it): one [`Dictionary`] per
+/// detector. Two detectors of the same constraint set have two, whose codes
+/// are never compared. The dictionary only grows — interning data values
+/// never invalidates the pattern codes resolved at construction time.
 ///
 /// The coded pattern cells themselves live *outside* this lock (they are
 /// immutable after construction, see [`SemanticDetector`]), so read-only
@@ -233,18 +234,10 @@ impl SemanticDetector {
             .match_row(&compiled.cells, members, code, visit)
     }
 
-    /// Encodes a tuple projection into a coded group key through the
-    /// detector's dictionary (interning unseen values). This is how the
-    /// repair layer keys its conflict classes by the same codes the
-    /// detectors group on. Prefer [`SemanticDetector::encode_keys`] for
-    /// many tuples — it takes the dictionary lock once.
-    pub fn encode_key(&self, tuple: &Tuple, attrs: &[AttrId]) -> CodeVec {
-        let mut codec = self.codec.write();
-        CodeVec::from_iter_exact(attrs.iter().map(|a| codec.dict.encode(tuple.value(*a))))
-    }
-
-    /// Encodes the same projection of many tuples under a single dictionary
-    /// lock, in input order.
+    /// Encodes the same projection of many tuples into coded keys through
+    /// the detector's dictionary (interning unseen values), under a single
+    /// dictionary lock, in input order. This is how the repair layer keys its
+    /// conflict classes by the same codes the detectors group on.
     pub fn encode_keys<'t>(
         &self,
         tuples: impl IntoIterator<Item = &'t Tuple>,
@@ -269,11 +262,6 @@ impl SemanticDetector {
     pub fn detect(&self, relation: &Relation) -> Result<DetectionReport> {
         let (report, _) = self.detect_with_groups(relation)?;
         Ok(report)
-    }
-
-    /// Detects violations in the named catalog table.
-    pub fn detect_in_catalog(&self, catalog: &Catalog, table: &str) -> Result<DetectionReport> {
-        self.detect(catalog.get(table)?)
     }
 
     /// Detects violations and also returns the group state, which is the seed
@@ -444,20 +432,15 @@ impl SemanticDetector {
         let provenance = &self.compiled.provenance;
         let mut local_mv = Vec::new();
         let mut open = Vec::new();
-        for ((ci, key), state) in groups {
-            if aligned.get(ci).copied().unwrap_or(false) {
+        for (key, state) in groups {
+            if aligned.get(key.0).copied().unwrap_or(false) {
                 if state.violates() {
-                    let (constraint, pattern) = provenance[ci];
-                    local_mv.push(MvEvidence {
-                        source: ConstraintRef::new(constraint, pattern),
-                        group_key: dict.decode_all(key.as_slice()),
-                        rows: state.rows.iter().copied().collect(),
-                    });
+                    local_mv.push(state.record(&key, provenance, dict));
                 }
             } else {
                 open.push(OpenGroup {
-                    ci,
-                    key: dict.decode_all(key.as_slice()),
+                    ci: key.0,
+                    key: dict.decode_all(key.1.as_slice()),
                     y_counts: state
                         .y_counts
                         .iter()
@@ -644,7 +627,7 @@ pub(crate) mod fixtures {
 mod tests {
     use super::fixtures::*;
     use super::*;
-    use ecfd_relation::Tuple;
+    use ecfd_relation::{Catalog, Tuple};
 
     #[test]
     fn d0_has_the_two_violations_of_example_2_2() {

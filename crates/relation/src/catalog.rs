@@ -8,7 +8,6 @@
 
 use crate::error::{RelationError, Result};
 use crate::relation::Relation;
-use crate::schema::Schema;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -38,11 +37,6 @@ impl Catalog {
     /// Registers a relation, replacing any existing relation of the same name.
     pub fn create_or_replace(&mut self, relation: Relation) {
         self.tables.insert(relation.name().to_string(), relation);
-    }
-
-    /// Creates an empty relation with the given schema.
-    pub fn create_empty(&mut self, schema: Schema) -> Result<()> {
-        self.create(Relation::new(schema))
     }
 
     /// Removes a relation, returning it.
@@ -132,7 +126,7 @@ impl From<Catalog> for SharedCatalog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::DataType;
+    use crate::schema::{DataType, Schema};
     use crate::tuple::Tuple;
 
     fn cust() -> Relation {

@@ -45,10 +45,10 @@
 //! code. Codes are meaningful only relative to the dictionary that issued
 //! them — two dictionaries fed the same values in the same order issue the
 //! same codes (interning is deterministic), but codes must never be compared
-//! across dictionaries. The detectors therefore keep one dictionary per
-//! compiled constraint set (shared by the constraint patterns, every
-//! detection pass, and the incremental maintenance state), interning pattern
-//! constants once at registration time and data values as views are built.
+//! across dictionaries. A detector therefore keeps one dictionary, shared
+//! with its clones (by the constraint patterns, every detection pass, and
+//! the incremental maintenance state built on it), interning pattern
+//! constants once at construction and data values as views are built.
 //!
 //! ## Shared read side, live-only index
 //!

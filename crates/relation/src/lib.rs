@@ -6,8 +6,8 @@
 //! without Extra Complexity", ICDE 2008) evaluates its detection algorithms on a
 //! `cust` relation stored in a commercial RDBMS. This crate provides the storage
 //! layer that substitutes for that RDBMS: typed values and domains, schemas,
-//! tuples, relations with stable row identifiers, secondary hash indexes, a named
-//! catalog, CSV import/export and update batches (the paper's `ΔD⁺` / `ΔD⁻`).
+//! tuples, relations with stable row identifiers, a named catalog, CSV
+//! import/export and update batches (the paper's `ΔD⁺` / `ΔD⁻`).
 //!
 //! The crate is deliberately free of any eCFD-specific logic so that it can be
 //! reused by the SQL engine (`ecfd-engine`), the constraint library
@@ -51,7 +51,6 @@ pub mod catalog;
 pub mod columnar;
 pub mod csv;
 pub mod error;
-pub mod index;
 pub mod relation;
 pub mod schema;
 pub mod tuple;
@@ -64,7 +63,6 @@ pub use columnar::{
     Dictionary, FrozenView, FxBuildHasher, FxHasher, SymbolTable,
 };
 pub use error::{RelationError, Result};
-pub use index::HashIndex;
 pub use relation::{Relation, RowId};
 pub use schema::{AttrId, Attribute, DataType, Domain, Schema, SchemaBuilder};
 pub use tuple::Tuple;

@@ -180,11 +180,6 @@ impl Relation {
         self.next_row_id
     }
 
-    /// Inserts many tuples, returning their row ids.
-    pub fn insert_all(&mut self, tuples: impl IntoIterator<Item = Tuple>) -> Result<Vec<RowId>> {
-        tuples.into_iter().map(|t| self.insert(t)).collect()
-    }
-
     /// Deletes a row by id, returning the removed tuple.
     pub fn delete(&mut self, id: RowId) -> Result<Tuple> {
         let pos = self
@@ -281,11 +276,6 @@ impl Relation {
     /// Collects all tuples into a vector (cloning).
     pub fn to_tuples(&self) -> Vec<Tuple> {
         self.rows.iter().map(|(_, t)| t.clone()).collect()
-    }
-
-    /// Resolves a list of attribute names to ids against this relation's schema.
-    pub fn attr_ids(&self, names: &[&str]) -> Result<Vec<AttrId>> {
-        names.iter().map(|n| self.schema.require_attr(n)).collect()
     }
 
     /// Creates a new relation with the same tuples but a schema extended by
