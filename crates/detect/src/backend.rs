@@ -24,7 +24,9 @@
 //!
 //! All three implementations are constructed from one compiled
 //! [`ecfd_core::ConstraintSet`], so the validate/normalize/split work happens
-//! once per registration, not once per backend. The differential contract —
+//! once per registration, not once per backend; the two native ones also
+//! take one already-compiled [`SemanticDetector`] (`new`), so they share its
+//! scan program and dictionary. The differential contract —
 //! every backend produces the same report and (normalized) evidence on the
 //! same data — is asserted by this module's tests and by the workspace-level
 //! differential suite.
@@ -160,16 +162,17 @@ pub(crate) fn refuse_extra_columns(stored: &Schema, base: &Schema) -> Result<()>
 #[derive(Debug, Clone)]
 pub struct SemanticBackend {
     detector: SemanticDetector,
-    schema: Schema,
 }
 
 impl SemanticBackend {
     /// Builds the backend from a compiled constraint set.
     pub fn from_set(set: &ConstraintSet) -> Self {
-        SemanticBackend {
-            detector: SemanticDetector::from_set(set),
-            schema: set.schema().clone(),
-        }
+        Self::new(SemanticDetector::from_set(set))
+    }
+
+    /// Wraps an already-compiled detector, on the table its schema names.
+    pub fn new(detector: SemanticDetector) -> Self {
+        SemanticBackend { detector }
     }
 
     /// Replaces the program the wrapped detector executes (see
@@ -196,17 +199,17 @@ impl DetectorBackend for SemanticBackend {
     }
 
     fn table(&self) -> &str {
-        self.schema.name()
+        self.detector.schema().name()
     }
 
     fn detect(&mut self, catalog: &mut Catalog) -> Result<ReadOut> {
-        let relation = catalog.get(self.schema.name())?;
+        let relation = catalog.get(self.table())?;
         let (report, evidence) = self.detector.detect_with_evidence(relation)?;
         Ok((Arc::new(report), Arc::new(evidence)))
     }
 
     fn apply(&mut self, catalog: &mut Catalog, delta: &Delta) -> Result<ReadOut> {
-        apply_base_delta(catalog, &self.schema, delta)?;
+        apply_base_delta(catalog, self.detector.schema(), delta)?;
         self.detect(catalog)
     }
 }
@@ -218,7 +221,6 @@ impl DetectorBackend for SemanticBackend {
 #[derive(Debug, Clone)]
 pub struct SqlBackend {
     detector: BatchDetector,
-    schema: Schema,
 }
 
 impl SqlBackend {
@@ -228,7 +230,6 @@ impl SqlBackend {
     pub fn from_set(set: &ConstraintSet) -> Result<Self> {
         Ok(SqlBackend {
             detector: BatchDetector::from_set(set)?,
-            schema: set.schema().clone(),
         })
     }
 
@@ -244,18 +245,18 @@ impl DetectorBackend for SqlBackend {
     }
 
     fn table(&self) -> &str {
-        self.schema.name()
+        self.detector.encoding().schema().name()
     }
 
     fn detect(&mut self, catalog: &mut Catalog) -> Result<ReadOut> {
         let mut scratch = Catalog::new();
-        scratch.create(catalog.get(self.schema.name())?.clone())?;
+        scratch.create(catalog.get(self.table())?.clone())?;
         let (report, evidence) = self.detector.detect_with_evidence(&mut scratch)?;
         Ok((Arc::new(report), Arc::new(evidence)))
     }
 
     fn apply(&mut self, catalog: &mut Catalog, delta: &Delta) -> Result<ReadOut> {
-        apply_base_delta(catalog, &self.schema, delta)?;
+        apply_base_delta(catalog, self.detector.encoding().schema(), delta)?;
         self.detect(catalog)
     }
 }
@@ -264,21 +265,26 @@ impl DetectorBackend for SqlBackend {
 /// the auxiliary group state with a full pass, subsequent `apply` calls touch
 /// only the affected tuples and groups — the answer included, which is the
 /// detector's maintained read-out handed over by reference count.
+/// Every seed clones the backend's one detector, so re-seeding never
+/// recompiles and every seed encodes through the same dictionary.
 #[derive(Debug, Clone)]
 pub struct IncrementalBackend {
-    set: ConstraintSet,
+    detector: SemanticDetector,
     state: Option<IncrementalDetector>,
-    parallelism: Parallelism,
 }
 
 impl IncrementalBackend {
-    /// Builds the backend from a compiled constraint set. No work happens
-    /// until the first `detect` / `apply` call.
+    /// Builds the backend from a compiled constraint set. No detection work
+    /// happens until the first `detect` / `apply` call.
     pub fn from_set(set: &ConstraintSet) -> Self {
+        Self::new(SemanticDetector::from_set(set))
+    }
+
+    /// Wraps an already-compiled detector, which every seed clones.
+    pub fn new(detector: SemanticDetector) -> Self {
         IncrementalBackend {
-            set: set.clone(),
+            detector,
             state: None,
-            parallelism: Parallelism::default(),
         }
     }
 
@@ -286,23 +292,19 @@ impl IncrementalBackend {
     /// per-delta maintenance itself touches only affected tuples and stays
     /// sequential).
     pub fn set_parallelism(&mut self, parallelism: Parallelism) {
-        self.parallelism = parallelism;
+        self.detector.set_parallelism(parallelism);
     }
 
-    fn seed(&self, catalog: &mut Catalog) -> Result<IncrementalDetector> {
-        let semantic = SemanticDetector::from_set(&self.set).with_parallelism(self.parallelism);
-        IncrementalDetector::initialize_from(self.set.schema(), semantic, catalog)
+    /// Seeds a state over the current table without keeping it, e.g. for a
+    /// repair loop to drive and hand back via [`IncrementalBackend::put_state`].
+    pub fn seed(&self, catalog: &mut Catalog) -> Result<IncrementalDetector> {
+        IncrementalDetector::initialize_from(self.detector.clone(), catalog)
     }
 
-    /// The maintained detector, if seeded.
+    /// The maintained detector, if seeded: `Some` while the state is warm
+    /// (an `apply` will be incremental rather than seed with a full pass).
     pub fn detector(&self) -> Option<&IncrementalDetector> {
         self.state.as_ref()
-    }
-
-    /// Whether the auxiliary state is warm (an `apply` will be incremental
-    /// rather than trigger a full seeding pass).
-    pub fn is_warm(&self) -> bool {
-        self.state.is_some()
     }
 
     /// Hands the maintained detector to the caller (leaving this backend
@@ -335,7 +337,7 @@ impl DetectorBackend for IncrementalBackend {
     }
 
     fn table(&self) -> &str {
-        self.set.schema().name()
+        self.detector.schema().name()
     }
 
     fn detect(&mut self, catalog: &mut Catalog) -> Result<ReadOut> {
@@ -495,17 +497,17 @@ mod tests {
     fn apply_without_detect_seeds_the_incremental_state() {
         let set = ConstraintSet::compile(&cust_schema(), &[phi1()]).unwrap();
         let mut backend = IncrementalBackend::from_set(&set);
-        assert!(!backend.is_warm());
+        assert!(backend.detector().is_none());
         let mut catalog = catalog_with_d0();
         let delta = Delta::insert_only(vec![Tuple::from_iter([
             "519", "7", "Zoe", "Pine St.", "Albany", "12239",
         ])]);
         let (report, _) = backend.apply(&mut catalog, &delta).unwrap();
-        assert!(backend.is_warm());
+        assert!(backend.detector().is_some());
         assert_eq!(report.num_mv(), 2, "the two Albany rows now conflict");
 
         backend.invalidate();
-        assert!(!backend.is_warm());
+        assert!(backend.detector().is_none());
         // A fresh detect after invalidation reproduces the same picture.
         let (after, _) = backend.detect(&mut catalog).unwrap();
         assert_eq!(after, report);

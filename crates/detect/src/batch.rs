@@ -40,7 +40,6 @@ use std::collections::{BTreeSet, HashMap};
 /// The SQL-based batch detector.
 #[derive(Debug, Clone)]
 pub struct BatchDetector {
-    schema: Schema,
     encoding: Encoding,
     engine: Engine,
     sql_sv: String,
@@ -55,7 +54,7 @@ impl BatchDetector {
     /// The data table in the catalog must carry the same name as `schema`
     /// (the constraints already name it — `cust` in the paper's examples).
     pub fn new(schema: &Schema, ecfds: &[ECfd]) -> Result<Self> {
-        Self::from_encoding(schema, Encoding::build(schema, ecfds)?)
+        Self::from_encoding(Encoding::build(schema, ecfds)?)
     }
 
     /// Builds the detector from an already-compiled [`ConstraintSet`],
@@ -65,17 +64,16 @@ impl BatchDetector {
     ///
     /// [`ConstraintSet`]: ecfd_core::ConstraintSet
     pub fn from_set(set: &ecfd_core::ConstraintSet) -> Result<Self> {
-        let schema = set.schema();
-        Self::from_encoding(
-            schema,
-            Encoding::from_singles(schema, set.singles().to_vec())?,
-        )
+        Self::from_encoding(Encoding::from_singles(
+            set.schema(),
+            set.singles().to_vec(),
+        )?)
     }
 
-    fn from_encoding(schema: &Schema, encoding: Encoding) -> Result<Self> {
+    fn from_encoding(encoding: Encoding) -> Result<Self> {
+        let schema = encoding.schema();
         let table = schema.name();
         Ok(BatchDetector {
-            schema: schema.clone(),
             sql_sv: sqlgen::single_violation_update(schema, table),
             sql_aux_insert: sqlgen::aux_insert(schema, table),
             sql_mv: sqlgen::multi_violation_update(schema, table),
@@ -105,7 +103,7 @@ impl BatchDetector {
     /// sure the data table has zeroed `SV` / `MV` columns.
     pub fn prepare(&self, catalog: &mut Catalog) -> Result<()> {
         self.encoding.install(catalog);
-        ensure_flag_columns(catalog, self.schema.name())?;
+        ensure_flag_columns(catalog, self.encoding.schema().name())?;
         if catalog.contains(AUX_TABLE) {
             let _ = catalog.drop_table(AUX_TABLE);
         }
@@ -123,7 +121,7 @@ impl BatchDetector {
         self.engine.execute(catalog, &self.sql_sv)?;
         self.engine.execute(catalog, &self.sql_aux_insert)?;
         self.engine.execute(catalog, &self.sql_mv)?;
-        let report = DetectionReport::from_catalog(catalog, self.schema.name())?;
+        let report = DetectionReport::from_catalog(catalog, self.encoding.schema().name())?;
         let groups = catalog.get(AUX_TABLE).map(|aux| aux.len()).unwrap_or(0);
         crate::obs::record_pass(
             "sql",
@@ -153,7 +151,8 @@ impl BatchDetector {
     /// the `SV` flags are attributed by re-matching the flagged rows against
     /// the split single-pattern constraints of the encoding.
     pub fn explain(&self, catalog: &Catalog, report: &DetectionReport) -> Result<EvidenceReport> {
-        let data = catalog.get(self.schema.name())?;
+        let schema = self.encoding.schema();
+        let data = catalog.get(schema.name())?;
         let stored_schema = data.schema();
         let provenance: Vec<(usize, usize)> = self
             .encoding
@@ -199,7 +198,7 @@ impl BatchDetector {
                     .lhs()
                     .iter()
                     .map(|attr| {
-                        let id = self.schema.attr_id(attr).expect("validated at build");
+                        let id = schema.attr_id(attr).expect("validated at build");
                         aux_row.values()[1 + id.index()].clone()
                     })
                     .collect();
@@ -223,6 +222,7 @@ impl BatchDetector {
                     })
                     .collect();
                 let view = CodeColumns::build(data, &mut dict);
+                crate::obs::count("relation.rows.encoded", view.num_rows() as u64);
                 for pos in 0..view.num_rows() {
                     for (&ci, groups) in &pending {
                         let bound = &bounds[ci];
@@ -248,7 +248,7 @@ impl BatchDetector {
     /// [`BatchDetector::detect`].
     pub fn detect_per_constraint(&self, catalog: &mut Catalog) -> Result<DetectionReport> {
         self.prepare(catalog)?;
-        let table = self.schema.name();
+        let table = self.encoding.schema().name();
         for cid in 1..=self.encoding.num_patterns() as i64 {
             // Scope each statement to one constraint by rewriting the enc
             // reference — the WHERE shape stays identical.

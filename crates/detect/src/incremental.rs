@@ -108,15 +108,13 @@ pub struct IncrementalStats {
     pub chunks_copied: usize,
 }
 
-/// The incremental detector: wraps the constraint set, the coded group state
-/// (`Aux(D)` analogue), the maintained columnar view of the table's base
-/// attributes, the maintained read-out, and the name of the data table it
-/// maintains.
+/// The incremental detector: wraps the compiled detector (which carries the
+/// constraints and the schema of the table it maintains), the coded group
+/// state (`Aux(D)` analogue), the maintained columnar view of the table's
+/// base attributes, and the maintained read-out.
 #[derive(Debug, Clone)]
 pub struct IncrementalDetector {
-    schema: Schema,
     semantic: SemanticDetector,
-    table: String,
     groups: GroupMap,
     view: ColumnarView,
     /// The flags of the table as it is now. Behind an `Arc` so a caller takes
@@ -146,8 +144,7 @@ impl IncrementalDetector {
     /// The table must carry exactly the base attributes: one with columns
     /// beyond them (a BATCHDETECT run's `SV` / `MV`) is refused.
     pub fn initialize(schema: &Schema, ecfds: &[ECfd], catalog: &mut Catalog) -> Result<Self> {
-        let semantic = SemanticDetector::new(schema, ecfds)?;
-        Self::initialize_from(schema, semantic, catalog)
+        Self::initialize_from(SemanticDetector::new(schema, ecfds)?, catalog)
     }
 
     /// Like [`IncrementalDetector::initialize`], but reusing an
@@ -156,19 +153,17 @@ impl IncrementalDetector {
     ///
     /// [`ConstraintSet`]: ecfd_core::ConstraintSet
     pub fn from_set(set: &ecfd_core::ConstraintSet, catalog: &mut Catalog) -> Result<Self> {
-        Self::initialize_from(set.schema(), SemanticDetector::from_set(set), catalog)
+        Self::initialize_from(SemanticDetector::from_set(set), catalog)
     }
 
-    /// Like [`IncrementalDetector::initialize`], but reusing an existing
-    /// (already-compiled) [`SemanticDetector`] — no constraint re-validation
-    /// or re-splitting happens; the seeding detection pass still runs.
-    pub fn initialize_from(
-        schema: &Schema,
-        semantic: SemanticDetector,
-        catalog: &mut Catalog,
-    ) -> Result<Self> {
+    /// Like [`IncrementalDetector::initialize`], but seeding the table its
+    /// schema names through an existing (already-compiled) detector and the
+    /// dictionary its clones share; the seeding detection pass still runs.
+    pub fn initialize_from(semantic: SemanticDetector, catalog: &mut Catalog) -> Result<Self> {
+        let schema = semantic.schema();
         let relation = catalog.get(schema.name())?;
         refuse_extra_columns(relation.schema(), schema)?;
+        crate::obs::count("relation.rows.encoded", relation.len() as u64);
         // Encode the table once: the seeding pass scans the view the detector
         // then keeps and maintains, and its report and evidence seed the
         // maintained read-out.
@@ -179,10 +174,9 @@ impl IncrementalDetector {
                 semantic.scan_view(schema, view.columns(), codec.dict.symbols())?;
             (report, evidence, groups, view)
         };
+        crate::obs::count("detect.incremental.seeds", 1);
         Ok(IncrementalDetector {
-            schema: schema.clone(),
             semantic,
-            table: schema.name().to_string(),
             groups,
             view,
             report: Arc::new(report),
@@ -190,27 +184,15 @@ impl IncrementalDetector {
         })
     }
 
-    /// The base schema the constraints were compiled against, which is also
-    /// the stored table's schema.
-    pub fn base_schema(&self) -> &Schema {
-        &self.schema
-    }
-
     /// The current auxiliary group state (the `Aux(D)` analogue), keyed by
-    /// coded projections. Use [`IncrementalDetector::decode_key`] to read a
-    /// key back as values.
+    /// coded projections, which [`SemanticDetector::decode_key`] on
+    /// [`IncrementalDetector::semantic`] reads back as values.
     pub fn groups(&self) -> &GroupMap {
         &self.groups
     }
 
-    /// Decodes a coded group key back to the values it stands for.
-    pub fn decode_key(&self, key: &CodeVec) -> Vec<Value> {
-        self.semantic.decode_key(key)
-    }
-
-    /// The semantic detector whose codec this maintainer shares. Reader-side
-    /// code pairs it with [`IncrementalDetector::freeze`] to re-detect over a
-    /// snapshot without touching the live state.
+    /// The semantic detector whose codec this maintainer shares, and which
+    /// carries the constraints and the maintained table's schema.
     pub fn semantic(&self) -> &SemanticDetector {
         &self.semantic
     }
@@ -301,9 +283,10 @@ impl IncrementalDetector {
     /// anything is applied.
     pub fn apply(&mut self, catalog: &mut Catalog, delta: &Delta) -> Result<IncrementalStats> {
         let pass_started = std::time::Instant::now();
-        refuse_extra_columns(catalog.get(&self.table)?.schema(), &self.schema)?;
+        let schema = self.semantic.schema();
+        refuse_extra_columns(catalog.get(schema.name())?.schema(), schema)?;
         for tuple in &delta.insertions {
-            self.schema.validate(tuple)?;
+            schema.validate(tuple)?;
         }
         let mut stats = IncrementalStats::default();
         let mut changed_groups: HashSet<GroupKey> = HashSet::new();
@@ -317,7 +300,7 @@ impl IncrementalDetector {
             stats.groups_changed = changed_groups.len();
             stats.rows_reflagged = self.reflag_members(&changed_groups);
         }
-        let total_rows = catalog.get(&self.table)?.len();
+        let total_rows = catalog.get(self.semantic.schema().name())?.len();
         if self.report.total_rows != total_rows {
             Arc::make_mut(&mut self.report).total_rows = total_rows;
             Arc::make_mut(&mut self.evidence).total_rows = total_rows;
@@ -332,7 +315,12 @@ impl IncrementalDetector {
             0,
             pass_started.elapsed(),
         );
-        crate::obs::record_incremental_work(stats.rows_examined as u64, chunks_copied);
+        crate::obs::count(
+            "detect.incremental.rows.examined",
+            stats.rows_examined as u64,
+        );
+        crate::obs::count("detect.incremental.chunks.copied", chunks_copied);
+        crate::obs::count("relation.rows.encoded", delta.len() as u64);
         Ok(stats)
     }
 
@@ -352,15 +340,14 @@ impl IncrementalDetector {
         if deletions.is_empty() {
             return Ok(());
         }
-        let table = self.table.clone();
-        let relation = catalog.get_mut(&table)?;
+        let relation = catalog.get_mut(self.semantic.schema().name())?;
         let codec_arc = self.semantic.codec().clone();
         let provenance = self.semantic.provenance();
 
         for victim in deletions {
             // A victim with the wrong arity cannot equal any base tuple, and
             // the index below is keyed by whole rows.
-            if victim.arity() != self.schema.arity() {
+            if victim.arity() != self.semantic.schema().arity() {
                 continue;
             }
             // Encode the victim read-only: a component the dictionary has
@@ -447,8 +434,7 @@ impl IncrementalDetector {
         if insertions.is_empty() {
             return Ok(());
         }
-        let table = self.table.clone();
-        let relation = catalog.get_mut(&table)?;
+        let relation = catalog.get_mut(self.semantic.schema().name())?;
         let codec_arc = self.semantic.codec().clone();
         let provenance = self.semantic.provenance();
 

@@ -54,8 +54,6 @@ pub struct MergeState {
     open_sources: HashSet<ConstraintRef>,
     /// The attributes a fold encodes: the `X` and `Y` of every open member.
     attrs: Vec<AttrId>,
-    /// The base arity of the relation.
-    arity: usize,
     groups: GroupMap,
     /// The keys of the groups that violate now: a subset of `groups`' keys,
     /// hashed the same way.
@@ -91,7 +89,6 @@ impl MergeState {
             .map(|(_, &source)| ConstraintRef::from(source))
             .collect();
         MergeState {
-            arity: set.schema().arity(),
             detector,
             aligned,
             open_sources,
@@ -201,7 +198,7 @@ impl MergeState {
         // Only the open members' attributes are encoded: a value no open
         // group reads is never interned. The other positions stay NULL, and
         // the members that would read them — aligned ones — are skipped.
-        let mut codes = vec![Code::NULL; self.arity];
+        let mut codes = vec![Code::NULL; self.detector.schema().arity()];
         {
             let mut codec = self.detector.codec().write();
             for &attr in &self.attrs {
@@ -436,7 +433,7 @@ mod tests {
             }
             flips += stats.groups_changed as u64;
 
-            let want = decoded(inc.groups(), |key| inc.decode_key(key));
+            let want = decoded(inc.groups(), |key| inc.semantic().decode_key(key));
             let got = decoded(&state.groups, |key| state.detector.decode_key(key));
             assert_eq!(violating(&got), violating(&want), "step {step}");
             assert_eq!(got, want, "step {step}");

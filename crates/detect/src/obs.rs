@@ -33,19 +33,19 @@ pub(crate) fn record_pass(
     registry.counter("detect.violations").add(violations);
 }
 
-/// Records the exact work of one incremental pass, the counters a gate on
-/// "a delta costs what it touches" reads:
+/// Adds `n` to an exact work counter — the counters a gate on "the work
+/// does not depend on the table's size" reads:
 ///
-/// * `detect.incremental.rows.examined` — rows whose codes or flags the pass
-///   read;
+/// * `detect.incremental.rows.examined` — rows whose codes or flags an
+///   incremental pass read;
 /// * `detect.incremental.chunks.copied` — column and symbol-table chunks it
-///   copied because a frozen epoch still shared them.
-pub(crate) fn record_incremental_work(rows_examined: u64, chunks_copied: u64) {
-    let registry = ecfd_obs::registry();
-    registry
-        .counter("detect.incremental.rows.examined")
-        .add(rows_examined);
-    registry
-        .counter("detect.incremental.chunks.copied")
-        .add(chunks_copied);
+///   copied because a frozen epoch still shared them;
+/// * `detect.incremental.seeds` — incremental states seeded by a full pass;
+/// * `detect.detectors.compiled` — `SemanticDetector` compiles (clones share
+///   one);
+/// * `relation.rows.encoded` — rows or tuples turned into codes: full passes,
+///   freezes, seeds, BATCHDETECT's read-back, repair keys, and every tuple a
+///   delta inserts or looks up.
+pub(crate) fn count(counter: &'static str, n: u64) {
+    ecfd_obs::registry().counter(counter).add(n);
 }

@@ -40,11 +40,11 @@ use std::sync::Arc;
 
 pub use crate::scan::{GroupKey, GroupMap, GroupState};
 
-/// The constraint codec shared by every clone of a detector (and by the
-/// incremental detector built on top of it): one [`Dictionary`] per
-/// detector. Two detectors of the same constraint set have two, whose codes
-/// are never compared. The dictionary only grows — interning data values
-/// never invalidates the pattern codes resolved at construction time.
+/// The constraint codec shared by every clone of a detector (and so by the
+/// incremental states seeded from one): one [`Dictionary`] per compile. Two
+/// compiles of the same constraint set have two, whose codes are never
+/// compared. The dictionary only grows — interning data values never
+/// invalidates the pattern codes resolved at construction time.
 ///
 /// The coded pattern cells themselves live *outside* this lock (they are
 /// immutable after construction, see [`SemanticDetector`]), so read-only
@@ -75,8 +75,8 @@ struct Compiled {
     /// What every full pass executes; by default the shared-scan fusion of
     /// `singles` ([`ScanProgram::fused`]).
     program: ScanProgram,
-    /// Name of the relation the constraints are defined on.
-    table: String,
+    /// The schema the constraints were compiled against: the stored table's.
+    schema: Schema,
     /// The position every constrained attribute had in the schema the
     /// program was resolved against (see [`SemanticDetector::check_layout`]).
     columns: Vec<(String, AttrId)>,
@@ -126,6 +126,7 @@ impl SemanticDetector {
                 columns.push((name.to_string(), id));
             }
         }
+        crate::obs::count("detect.detectors.compiled", 1);
         SemanticDetector {
             compiled: Arc::new(Compiled {
                 ecfds: set.ecfds().to_vec(),
@@ -133,7 +134,7 @@ impl SemanticDetector {
                 provenance: set.provenance(),
                 cells,
                 program,
-                table: schema.name().to_string(),
+                schema: schema.clone(),
                 columns,
             }),
             codec: Arc::new(RwLock::new(Codec { dict })),
@@ -211,6 +212,12 @@ impl SemanticDetector {
         &self.compiled.program
     }
 
+    /// The schema the constraints were compiled against: the stored table's,
+    /// which every consumer of this detector reads and validates deltas by.
+    pub fn schema(&self) -> &Schema {
+        &self.compiled.schema
+    }
+
     /// The shared codec (the issuing dictionary). Crate-internal: the
     /// incremental detector maintains its view and group state through the
     /// same dictionary.
@@ -244,12 +251,14 @@ impl SemanticDetector {
         attrs: &[AttrId],
     ) -> Vec<CodeVec> {
         let mut codec = self.codec.write();
-        tuples
+        let keys: Vec<CodeVec> = tuples
             .into_iter()
             .map(|tuple| {
                 CodeVec::from_iter_exact(attrs.iter().map(|a| codec.dict.encode(tuple.value(*a))))
             })
-            .collect()
+            .collect();
+        crate::obs::count("relation.rows.encoded", keys.len() as u64);
+        keys
     }
 
     /// Decodes a coded group key back to the values it was issued for.
@@ -293,6 +302,7 @@ impl SemanticDetector {
     ) -> Result<(DetectionReport, EvidenceReport, GroupMap)> {
         let mut codec = self.codec.write();
         let view = CodeColumns::build(relation, &mut codec.dict);
+        crate::obs::count("relation.rows.encoded", view.num_rows() as u64);
         self.scan_view(relation.schema(), &view, codec.dict.symbols())
     }
 
@@ -324,6 +334,7 @@ impl SemanticDetector {
     pub fn freeze(&self, relation: &Relation, base_arity: usize) -> FrozenView {
         let mut codec = self.codec.write();
         let view = CodeColumns::build_prefix(relation, base_arity, &mut codec.dict);
+        crate::obs::count("relation.rows.encoded", view.num_rows() as u64);
         FrozenView::new(view, codec.dict.symbols().clone())
     }
 
@@ -366,9 +377,10 @@ impl SemanticDetector {
     /// wrong columns, so it is refused.
     fn check_layout(&self, schema: &Schema) -> Result<()> {
         let compiled = &*self.compiled;
-        if schema.name() != compiled.table {
+        let table = compiled.schema.name();
+        if schema.name() != table {
             return Err(CoreError::RelationMismatch {
-                expected: compiled.table.clone(),
+                expected: table.to_string(),
                 actual: schema.name().to_string(),
             }
             .into());
@@ -378,8 +390,7 @@ impl SemanticDetector {
             None => Ok(()),
             Some((name, id)) => Err(DetectError::Unsupported(format!(
                 "the detector reads attribute {name} at column {id}, which is not where this \
-                 {} relation keeps it",
-                compiled.table
+                 {table} relation keeps it"
             ))),
         }
     }

@@ -48,7 +48,10 @@
 //! across dictionaries. A detector therefore keeps one dictionary, shared
 //! with its clones (by the constraint patterns, every detection pass, and
 //! the incremental maintenance state built on it), interning pattern
-//! constants once at construction and data values as views are built.
+//! constants once at construction and data values as views are built. A
+//! session compiles one detector per registered relation, so its backends,
+//! seeds, repair engine and snapshots all read and issue one dictionary's
+//! codes.
 //!
 //! ## Shared read side, live-only index
 //!

@@ -25,6 +25,13 @@ pub trait CostModel {
     fn change_cost(&self, attr: &str, old: &Value, new: &Value) -> f64;
 }
 
+/// Lets the holders of a shared model (engines, snapshots) derive `Debug`.
+impl std::fmt::Debug for dyn CostModel + Send + Sync {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("dyn CostModel")
+    }
+}
+
 /// Uniform costs: every deletion costs `deletion`, every change costs
 /// `change`. With the defaults (1.0 / 1.0) deletion repairs minimise the
 /// number of deleted tuples — the cardinality-repair objective.

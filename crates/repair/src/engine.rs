@@ -17,7 +17,7 @@ use crate::{RepairError, Result};
 use ecfd_core::matching::BoundECfd;
 use ecfd_core::{ECfd, PatternValue};
 use ecfd_detect::evidence::{ConstraintRef, EvidenceReport};
-use ecfd_detect::SemanticDetector;
+use ecfd_detect::{Parallelism, SemanticDetector};
 use ecfd_relation::{AttrId, Relation, RowId, Schema, Tuple};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -83,10 +83,10 @@ impl Default for RepairOptions {
     }
 }
 
-/// The repair engine for one schema and constraint set.
+/// The repair engine for one constraint set, on the schema its detector was
+/// compiled against.
+#[derive(Debug)]
 pub struct RepairEngine {
-    schema: Schema,
-    ecfds: Vec<ECfd>,
     detector: SemanticDetector,
     cost: Arc<dyn CostModel + Send + Sync>,
     options: RepairOptions,
@@ -96,13 +96,7 @@ impl RepairEngine {
     /// Creates an engine with the default cost model ([`ConstantCost`]) and
     /// default [`RepairOptions`].
     pub fn new(schema: &Schema, ecfds: &[ECfd]) -> Result<Self> {
-        Ok(RepairEngine {
-            schema: schema.clone(),
-            ecfds: ecfds.to_vec(),
-            detector: SemanticDetector::new(schema, ecfds)?,
-            cost: Arc::new(ConstantCost::default()),
-            options: RepairOptions::default(),
-        })
+        Ok(Self::from_detector(SemanticDetector::new(schema, ecfds)?))
     }
 
     /// Creates an engine from an already-compiled
@@ -111,25 +105,29 @@ impl RepairEngine {
     /// index the set's *compiled* constraints (which is exactly what the
     /// detector backends built from the same set produce).
     pub fn from_set(set: &ecfd_core::ConstraintSet) -> Self {
+        Self::from_detector(SemanticDetector::from_set(set))
+    }
+
+    /// Creates an engine driving an already-compiled detector, whose
+    /// dictionary keys the conflict classes.
+    pub fn from_detector(detector: SemanticDetector) -> Self {
         RepairEngine {
-            schema: set.schema().clone(),
-            ecfds: set.ecfds().to_vec(),
-            detector: SemanticDetector::from_set(set),
+            detector,
             cost: Arc::new(ConstantCost::default()),
             options: RepairOptions::default(),
         }
     }
 
     /// Replaces the cost model.
-    pub fn with_cost_model(self, cost: impl CostModel + Send + Sync + 'static) -> Self {
-        self.with_cost_model_arc(Arc::new(cost))
+    pub fn with_cost_model(mut self, cost: impl CostModel + Send + Sync + 'static) -> Self {
+        self.set_cost_model(Arc::new(cost));
+        self
     }
 
-    /// Replaces the cost model with an already-shared one (the session layer
-    /// holds the model once and shares it across the engines it builds).
-    pub fn with_cost_model_arc(mut self, cost: Arc<dyn CostModel + Send + Sync>) -> Self {
+    /// Replaces the cost model in place with an already-shared one (the
+    /// session layer holds the model once and shares it across its engines).
+    pub fn set_cost_model(&mut self, cost: Arc<dyn CostModel + Send + Sync>) {
         self.cost = cost;
-        self
     }
 
     /// Replaces the planner options.
@@ -143,14 +141,9 @@ impl RepairEngine {
         self.options = options;
     }
 
-    /// The constrained schema.
-    pub fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    /// The constraint set being repaired against.
-    pub fn ecfds(&self) -> &[ECfd] {
-        &self.ecfds
+    /// Sets the worker fan-out of the engine's detection passes.
+    pub fn set_parallelism(&mut self, parallelism: Parallelism) {
+        self.detector.set_parallelism(parallelism);
     }
 
     /// The planner options.
@@ -158,13 +151,8 @@ impl RepairEngine {
         &self.options
     }
 
-    /// The cost model.
-    pub fn cost_model(&self) -> &dyn CostModel {
-        &*self.cost
-    }
-
-    /// The engine's (compiled) semantic detector — shared with the verified
-    /// repair loop so it never re-compiles the constraints.
+    /// The engine's semantic detector, which carries the schema and the
+    /// constraints it repairs against — the verified repair loop seeds by it.
     pub fn detector(&self) -> &SemanticDetector {
         &self.detector
     }
@@ -305,16 +293,6 @@ impl RepairEngine {
             deletions,
             modifications,
         })
-    }
-}
-
-impl std::fmt::Debug for RepairEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RepairEngine")
-            .field("schema", &self.schema.name())
-            .field("ecfds", &self.ecfds.len())
-            .field("options", &self.options)
-            .finish_non_exhaustive()
     }
 }
 

@@ -96,8 +96,7 @@ pub fn repair_verified_seeded(
 ) -> Result<VerifiedRepair> {
     // Reuse the engine's compiled detector; the seeding pass that
     // initialises the incremental maintenance state still runs.
-    let mut inc =
-        IncrementalDetector::initialize_from(engine.schema(), engine.detector().clone(), catalog)?;
+    let mut inc = IncrementalDetector::initialize_from(engine.detector().clone(), catalog)?;
     repair_verified_with(engine, catalog, &mut inc, seed)
 }
 
@@ -112,7 +111,8 @@ pub fn repair_verified_with(
     inc: &mut IncrementalDetector,
     seed: Option<ecfd_detect::EvidenceReport>,
 ) -> Result<VerifiedRepair> {
-    let table = engine.schema().name().to_string();
+    let detector = engine.detector();
+    let table = detector.schema().name().to_string();
     let max_rounds = engine.options().max_rounds.max(1);
     let mut seed = seed;
 
@@ -148,9 +148,10 @@ pub fn repair_verified_with(
 
     // Verification layer 1: the incrementally maintained flags.
     let final_report = DetectionReport::clone(inc.maintained_report());
-    // Verification layer 2: an independent from-scratch semantic pass.
+    // Verification layer 2: an independent from-scratch semantic pass, through
+    // its own compile and dictionary — a reference shares nothing it checks.
     let scratch =
-        SemanticDetector::new(engine.schema(), engine.ecfds())?.detect(catalog.get(&table)?)?;
+        SemanticDetector::new(detector.schema(), detector.ecfds())?.detect(catalog.get(&table)?)?;
     if !final_report.is_clean() || !scratch.is_clean() {
         return Err(RepairError::NotClean {
             remaining: scratch.num_violations().max(final_report.num_violations()),

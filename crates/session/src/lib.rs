@@ -8,9 +8,11 @@
 //! compiled [`ConstraintSet`](ecfd_core::ConstraintSet)s, and the three
 //! detector backends per set, so callers stop hand-wiring
 //! `SemanticDetector` / `BatchDetector` / `IncrementalDetector` /
-//! `RepairEngine` object graphs and re-compiling the same constraints per
-//! detector. (Those types remain exported from their crates
-//! as the low-level layer.)
+//! `RepairEngine` object graphs. A registration compiles its set into one
+//! `SemanticDetector`, and every native consumer — both native backends,
+//! each incremental seed, the repair engine and every [`Snapshot`] — shares
+//! that compile and its dictionary. (Those types remain exported from their
+//! crates as the low-level layer.)
 //!
 //! ## Lifecycle state machine
 //!

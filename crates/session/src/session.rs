@@ -9,7 +9,7 @@ use ecfd_core::{CompileOptions, ConstraintSet, ECfd};
 use ecfd_detect::backend::{
     BackendKind, DetectorBackend, IncrementalBackend, SemanticBackend, SqlBackend,
 };
-use ecfd_detect::{DetectionReport, EvidenceReport};
+use ecfd_detect::{DetectionReport, EvidenceReport, SemanticDetector};
 use ecfd_relation::{Catalog, Delta, Relation, RowId, Schema, Tuple};
 use ecfd_repair::{
     repair_verified_with, ConflictGraph, CostModel, RepairEngine, RepairOptions, VerifiedRepair,
@@ -135,6 +135,7 @@ impl Session {
         for entry in self.tables.values_mut() {
             entry.semantic.set_parallelism(policy.parallelism);
             entry.incremental.set_parallelism(policy.parallelism);
+            entry.repair.set_parallelism(policy.parallelism);
         }
         self
     }
@@ -172,8 +173,7 @@ impl Session {
     pub fn with_cost_model(mut self, cost: impl CostModel + Send + Sync + 'static) -> Self {
         self.cost = Arc::new(cost);
         for entry in self.tables.values_mut() {
-            entry.repair =
-                RepairEngine::from_set(&entry.set).with_cost_model_arc(self.cost.clone());
+            entry.repair.set_cost_model(self.cost.clone());
         }
         self.version += 1;
         self
@@ -262,16 +262,16 @@ impl Session {
     fn build_entry(&self, schema: &Schema, source: &[ECfd]) -> Result<Entry> {
         let set = Arc::new(ConstraintSet::compile_with(schema, source, self.compile)?);
         let sql = SqlBackend::from_set(&set).map_err(|e| e.to_string());
-        // Pattern constants resolve to dictionary codes inside the backends'
-        // `from_set` constructors — once, here, at registration time.
-        let mut semantic = SemanticBackend::from_set(&set);
-        semantic.set_parallelism(self.policy.parallelism);
-        let mut incremental = IncrementalBackend::from_set(&set);
-        incremental.set_parallelism(self.policy.parallelism);
+        // The registration's one compile: every native consumer — both
+        // backends, each seed, the repair engine, each snapshot — holds a
+        // clone sharing its program and dictionary.
+        let detector = SemanticDetector::from_set(&set).with_parallelism(self.policy.parallelism);
+        let mut repair = RepairEngine::from_detector(detector.clone());
+        repair.set_cost_model(self.cost.clone());
         Ok(Entry {
-            semantic,
-            incremental,
-            repair: RepairEngine::from_set(&set).with_cost_model_arc(self.cost.clone()),
+            semantic: SemanticBackend::new(detector.clone()),
+            incremental: IncrementalBackend::new(detector),
+            repair,
             sql,
             set,
             cache: None,
@@ -528,11 +528,11 @@ impl Session {
         entry.repair.set_options(options);
         // Warm incremental state means flags and group structure already
         // describe the table — hand it to the loop and skip the seeding
-        // pass; otherwise run one pass from the compiled set. Either way the
-        // loop maintains the state, so it is handed back warm afterwards.
+        // pass; otherwise seed one through the backend. Either way the loop
+        // maintains the state, so it is handed back warm afterwards.
         let mut inc = match entry.incremental.take_state() {
             Some(state) => state,
-            None => ecfd_detect::IncrementalDetector::from_set(&entry.set, &mut self.catalog)?,
+            None => entry.incremental.seed(&mut self.catalog)?,
         };
         let outcome = repair_verified_with(&entry.repair, &mut self.catalog, &mut inc, seed)?;
         entry.incremental.put_state(inc);
@@ -636,21 +636,20 @@ impl Session {
         self.detect_impl(Some(&name), None)?;
         let entry = self.tables.get(&name).expect("resolved");
         let cached = entry.cache.as_ref().expect("just detected");
-        let (frozen, detector) = match entry.incremental.detector() {
+        // Both arms ship the entry's one detector, whose dictionary issued
+        // the warm state's codes too.
+        let detector = entry.semantic.detector();
+        let frozen = match entry.incremental.detector() {
             // Warm incremental state: its maintained view *is* the current
             // encoding of the table — the freeze shares its chunks.
-            Some(inc) => (inc.freeze(), inc.semantic().clone()),
-            None => {
-                let relation = self.catalog.get(&name)?;
-                let detector = entry.semantic.detector();
-                let arity = entry.set.schema().arity();
-                (detector.freeze(relation, arity), detector.clone())
-            }
+            Some(inc) => inc.freeze(),
+            None => detector.freeze(self.catalog.get(&name)?, entry.set.schema().arity()),
         };
         Ok(Snapshot {
             epoch: self.version,
             set: entry.set.clone(),
-            detector,
+            detector: detector.clone(),
+            cost: self.cost.clone(),
             frozen,
             report: cached.report.clone(),
             evidence: cached.evidence.clone(),
@@ -770,7 +769,25 @@ impl std::fmt::Debug for Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ecfd_detect::Parallelism;
     use ecfd_relation::{DataType, Value};
+
+    /// A session over a two-column `cust (CT, AC)` table holding `rows`, with
+    /// `rule` registered.
+    fn two_column_session(rows: &[[&str; 2]], rule: &str) -> Session {
+        let schema = Schema::builder("cust")
+            .attr("CT", DataType::Str)
+            .attr("AC", DataType::Str)
+            .build();
+        let tuples = rows.iter().map(|row| Tuple::from_iter(*row));
+        let data = Relation::with_tuples(schema, tuples).unwrap();
+        let mut session = Session::new();
+        session.load(data).unwrap();
+        session.register_text(rule).unwrap();
+        session
+    }
+
+    const ALBANY_518: &str = "cust: [CT] -> [AC] | [], { {Albany} || {518} }";
 
     /// A delta whose insertion does not fit the loaded schema is refused
     /// before routing, so nothing it could have touched moves: the version,
@@ -778,23 +795,14 @@ mod tests {
     /// stays warm — the next delta pays no seeding pass.
     #[test]
     fn a_refused_delta_keeps_the_warm_state() {
-        let schema = Schema::builder("cust")
-            .attr("CT", DataType::Str)
-            .attr("AC", DataType::Str)
-            .build();
         let rows = [["Albany", "718"], ["Albany", "518"], ["NYC", "212"]];
-        let data = Relation::with_tuples(schema, rows.map(Tuple::from_iter)).unwrap();
-        let mut session = Session::new();
-        session.load(data).unwrap();
-        session
-            .register_text("cust: [CT] -> [AC] | [], { {Albany} || {518} }")
-            .unwrap();
+        let mut session = two_column_session(&rows, ALBANY_518);
         session.detect().unwrap();
         let warmup = Delta::insert_only(vec![Tuple::from_iter(["Troy", "518"])]);
         session
             .apply_with(BackendKind::Incremental, &warmup)
             .unwrap();
-        let is_warm = |session: &Session| session.tables["cust"].incremental.is_warm();
+        let is_warm = |session: &Session| session.tables["cust"].incremental.detector().is_some();
         assert!(is_warm(&session));
         let version = session.version();
         let report = session.report().cloned();
@@ -820,5 +828,67 @@ mod tests {
         };
         let after = session.apply_with(BackendKind::Incremental, &good).unwrap();
         assert_eq!(after, session.detect_with(BackendKind::Semantic).unwrap());
+    }
+
+    /// `with_policy` retrofits its fan-out onto the entry's detector, and a
+    /// snapshot of a warm entry ships that detector, not the one the warm
+    /// state was seeded with.
+    #[test]
+    fn a_new_policy_reaches_the_snapshots_of_a_warm_entry() {
+        let rows = [["Albany", "718"], ["Albany", "518"], ["NYC", "212"]];
+        let mut session = two_column_session(&rows, ALBANY_518);
+        let warmup = Delta::insert_only(vec![Tuple::from_iter(["Troy", "518"])]);
+        session
+            .apply_with(BackendKind::Incremental, &warmup)
+            .unwrap();
+        assert!(session.tables["cust"].incremental.detector().is_some());
+        let fixed = Parallelism::Fixed(1);
+        let mut session = session.with_policy(RoutingPolicy::default().with_parallelism(fixed));
+        assert!(session.tables["cust"].incremental.detector().is_some());
+        let snapshot = session.snapshot().unwrap();
+        assert_eq!(snapshot.detector.parallelism(), fixed);
+        assert_eq!(&snapshot.detect_fresh().unwrap(), snapshot.report());
+    }
+
+    /// A snapshot's repair plan is priced by the session's cost model, like
+    /// `Session::repair`, not by the constant default.
+    #[test]
+    fn a_snapshot_plans_repairs_with_the_session_cost_model() {
+        /// Changing a value to 519 is cheaper than to anything else.
+        #[derive(Clone, Copy)]
+        struct Prefer519;
+        impl CostModel for Prefer519 {
+            fn deletion_cost(&self, _tuple: &Tuple) -> f64 {
+                10.0
+            }
+            fn change_cost(&self, _attr: &str, _old: &Value, new: &Value) -> f64 {
+                if *new == Value::str("519") {
+                    0.5
+                } else {
+                    1.0
+                }
+            }
+        }
+        let rows = [["Albany", "718"], ["NYC", "212"]];
+        let rule = "cust: [CT] -> [AC] | [], { {Albany} || {518, 519} }";
+        let session = two_column_session(&rows, rule);
+        let mut session = session.with_cost_model(Prefer519);
+        let plan = session
+            .snapshot()
+            .unwrap()
+            .repair_plan(RepairOptions::default())
+            .unwrap();
+
+        let data = session.data("cust").unwrap().clone();
+        let evidence = session.explain().unwrap();
+        let set = session.constraints("cust").unwrap();
+        let want = RepairEngine::from_set(set)
+            .with_cost_model(Prefer519)
+            .plan(&data, &evidence)
+            .unwrap();
+        assert_eq!(plan, want);
+        // Under the constant model the tie goes to 518, the set's first value.
+        assert_eq!(plan.modifications.len(), 1);
+        assert_eq!(plan.modifications[0].new, Value::str("519"));
     }
 }

@@ -8,9 +8,9 @@
 //!
 //! * the relation's base attributes as a [`FrozenView`] (dictionary-encoded
 //!   code columns plus the symbol table that decodes them);
-//! * the compiled [`ConstraintSet`] and a lineage-matched
-//!   [`SemanticDetector`] clone, so the coded pattern cells agree with the
-//!   frozen symbol table;
+//! * the compiled [`ConstraintSet`] and a clone of the session entry's one
+//!   [`SemanticDetector`], so the coded pattern cells agree with the frozen
+//!   symbol table, and the session's repair cost model;
 //! * the [`DetectionReport`] and [`EvidenceReport`] describing that exact
 //!   state;
 //! * the **epoch**: the session's mutation counter at extraction time.
@@ -33,7 +33,7 @@ use crate::error::{Result, SessionError};
 use ecfd_core::ConstraintSet;
 use ecfd_detect::{DetectionReport, EvidenceReport, Parallelism, SemanticDetector, ShardPartial};
 use ecfd_relation::{FrozenView, Relation, Schema, Tuple};
-use ecfd_repair::{Repair, RepairEngine, RepairOptions};
+use ecfd_repair::{CostModel, Repair, RepairEngine, RepairOptions};
 use std::sync::Arc;
 
 /// An immutable, epoch-stamped view of one relation's detection state. See
@@ -43,6 +43,9 @@ pub struct Snapshot {
     pub(crate) epoch: u64,
     pub(crate) set: Arc<ConstraintSet>,
     pub(crate) detector: SemanticDetector,
+    /// The session's repair cost model at the epoch: part of what the
+    /// snapshot describes, so [`Snapshot::repair_plan`] prices by it.
+    pub(crate) cost: Arc<dyn CostModel + Send + Sync>,
     pub(crate) frozen: FrozenView,
     pub(crate) report: Arc<DetectionReport>,
     pub(crate) evidence: Arc<EvidenceReport>,
@@ -193,6 +196,7 @@ impl Snapshot {
             epoch: parts.iter().map(|p| p.epoch).sum(),
             set: first.set.clone(),
             detector,
+            cost: first.cost.clone(),
             frozen,
             report: Arc::new(report),
             evidence: Arc::new(evidence),
@@ -200,12 +204,13 @@ impl Snapshot {
     }
 
     /// Plans (but does not apply) a repair of the snapshot's violations: a
-    /// deletion cover plus value modifications under `options`, computed on a
-    /// private decoded copy of the frozen rows. Pure read-only with respect
-    /// to the owning session — the serving layer exposes this as the
-    /// `REPAIR-PLAN` query.
+    /// deletion cover plus value modifications under `options`, priced by
+    /// the session's cost model, on a private decoded copy of the frozen
+    /// rows. A private compile too, so it never interns into the live
+    /// dictionary — the serving layer's `REPAIR-PLAN` query.
     pub fn repair_plan(&self, options: RepairOptions) -> Result<Repair> {
-        let engine = RepairEngine::from_set(&self.set).with_options(options);
+        let mut engine = RepairEngine::from_set(&self.set).with_options(options);
+        engine.set_cost_model(self.cost.clone());
         let base = self.to_relation()?;
         Ok(engine.plan(&base, &self.evidence)?)
     }

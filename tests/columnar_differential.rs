@@ -179,7 +179,7 @@ fn assert_read_out_is_current(
     let evidence = inc.maintained_evidence();
     assert_eq!(**report, inc.report(), "report, {step}");
     assert_eq!(**evidence, inc.evidence(), "evidence, {step}");
-    let base = inc.base_schema();
+    let base = inc.semantic().schema();
     let stored = catalog.get(base.name()).unwrap();
     assert_eq!(stored.schema(), base, "{step}");
     let fresh = SemanticDetector::new(base, constraints)
