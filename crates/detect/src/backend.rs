@@ -16,11 +16,29 @@
 //!   with the attributing [`EvidenceReport`];
 //! * [`DetectorBackend::apply`] — apply a base-schema [`Delta`] to the table
 //!   and return the post-update report/evidence, maintaining whatever state
-//!   the backend keeps (only [`IncrementalBackend`] keeps any). Both come
-//!   back as a [`ReadOut`] — behind `Arc`s, because the incremental backend
-//!   hands out the pair it maintains rather than rebuilding one per delta;
-//! * [`DetectorBackend::invalidate`] — drop maintained state after the table
-//!   was mutated behind the backend's back.
+//!   the backend keeps. Both come back as a [`ReadOut`] — behind `Arc`s,
+//!   because the incremental backend hands out the pair it maintains rather
+//!   than rebuilding one per delta;
+//! * [`DetectorBackend::invalidate`] — drop whatever state the backend keeps.
+//!
+//! The two native backends keep state between calls, and both of them key
+//! it by the table's [`Relation::stamp`](ecfd_relation::Relation::stamp), so
+//! neither ever serves it for contents it was not built from, whoever
+//! changed the rows:
+//!
+//! * [`SemanticBackend`] keeps the [`EncodedTable`] its last pass read. A
+//!   pass over an unchanged table rescans those columns and encodes
+//!   nothing; any other pass encodes the table once and keeps that instead.
+//! * [`IncrementalBackend`] keeps its maintained [`IncrementalDetector`],
+//!   whose view is the table's encoding too. A seed adopts an encoding
+//!   handed to it ([`IncrementalBackend::detect_from`] /
+//!   [`IncrementalBackend::apply_from`]) and a warm re-seed rescans its own
+//!   view; only a seed with neither encodes.
+//!
+//! A session entry holding both backends hands the first one's encoding to
+//! the second's seed and, while the incremental state is warm, lets full
+//! passes scan its view ([`SemanticBackend::detect_over`]), so it keeps one
+//! encoding of the table at a time.
 //!
 //! All three implementations are constructed from one compiled
 //! [`ecfd_core::ConstraintSet`], so the validate/normalize/split work happens
@@ -37,10 +55,10 @@ use crate::incremental::IncrementalDetector;
 use crate::parallel::Parallelism;
 use crate::report::DetectionReport;
 use crate::scan::ScanProgram;
-use crate::semantic::SemanticDetector;
+use crate::semantic::{EncodedTable, SemanticDetector};
 use crate::{DetectError, Result};
 use ecfd_core::ConstraintSet;
-use ecfd_relation::{Catalog, Delta, Schema};
+use ecfd_relation::{Catalog, Delta, FrozenView, Relation, Schema};
 use std::fmt;
 use std::sync::Arc;
 
@@ -157,11 +175,13 @@ pub(crate) fn refuse_extra_columns(stored: &Schema, base: &Schema) -> Result<()>
     )))
 }
 
-/// The native detector as a backend: stateless between calls, every `detect`
-/// is a fresh scan.
+/// The native detector as a backend. It keeps the encoding of the table
+/// version its last pass read: a `detect` on an unchanged table rescans
+/// those columns, and encodes the table (once) only when its stamp moved.
 #[derive(Debug, Clone)]
 pub struct SemanticBackend {
     detector: SemanticDetector,
+    kept: Option<EncodedTable>,
 }
 
 impl SemanticBackend {
@@ -172,7 +192,10 @@ impl SemanticBackend {
 
     /// Wraps an already-compiled detector, on the table its schema names.
     pub fn new(detector: SemanticDetector) -> Self {
-        SemanticBackend { detector }
+        SemanticBackend {
+            detector,
+            kept: None,
+        }
     }
 
     /// Replaces the program the wrapped detector executes (see
@@ -191,6 +214,46 @@ impl SemanticBackend {
     pub fn detector(&self) -> &SemanticDetector {
         &self.detector
     }
+
+    /// Makes the kept encoding describe `relation`, encoding it when the
+    /// kept one does not (the stale one is dropped first, so two are never
+    /// alive at once).
+    fn keep(&mut self, relation: &Relation) -> Result<()> {
+        if !self.kept.as_ref().is_some_and(|e| e.describes(relation)) {
+            self.kept = None;
+            self.kept = Some(self.detector.encode(relation)?);
+        }
+        Ok(())
+    }
+
+    /// Freezes the kept encoding of `relation` — encoding it first unless
+    /// the last pass read this very version — with the dictionary's current
+    /// symbols. The frozen view shares the kept chunks.
+    pub fn freeze(&mut self, relation: &Relation) -> Result<FrozenView> {
+        self.keep(relation)?;
+        let kept = self.kept.as_ref().expect("kept above");
+        let codec = self.detector.codec().read();
+        Ok(FrozenView::new(
+            kept.columns.clone(),
+            codec.dict.symbols().clone(),
+        ))
+    }
+
+    /// Hands the kept encoding over, e.g. to an incremental seed that adopts
+    /// it, keeping none.
+    pub fn take_encoded(&mut self) -> Option<EncodedTable> {
+        self.kept.take()
+    }
+
+    /// A full pass over the view a warm incremental state maintains for the
+    /// current table, keeping nothing: the state's columns are the table's
+    /// encoding already.
+    pub fn detect_over(&self, state: &IncrementalDetector) -> Result<ReadOut> {
+        let (report, evidence, _) = self
+            .detector
+            .scan(self.detector.schema(), state.columns())?;
+        Ok((Arc::new(report), Arc::new(evidence)))
+    }
 }
 
 impl DetectorBackend for SemanticBackend {
@@ -204,13 +267,19 @@ impl DetectorBackend for SemanticBackend {
 
     fn detect(&mut self, catalog: &mut Catalog) -> Result<ReadOut> {
         let relation = catalog.get(self.table())?;
-        let (report, evidence) = self.detector.detect_with_evidence(relation)?;
+        self.keep(relation)?;
+        let kept = self.kept.as_ref().expect("kept above");
+        let (report, evidence, _) = self.detector.scan(relation.schema(), &kept.columns)?;
         Ok((Arc::new(report), Arc::new(evidence)))
     }
 
     fn apply(&mut self, catalog: &mut Catalog, delta: &Delta) -> Result<ReadOut> {
         apply_base_delta(catalog, self.detector.schema(), delta)?;
         self.detect(catalog)
+    }
+
+    fn invalidate(&mut self) {
+        self.kept = None;
     }
 }
 
@@ -266,7 +335,9 @@ impl DetectorBackend for SqlBackend {
 /// only the affected tuples and groups — the answer included, which is the
 /// detector's maintained read-out handed over by reference count.
 /// Every seed clones the backend's one detector, so re-seeding never
-/// recompiles and every seed encodes through the same dictionary.
+/// recompiles and every seed encodes through the same dictionary. The state
+/// is used only while it [describes](IncrementalDetector::describes) the
+/// table; one that does not is re-seeded.
 #[derive(Debug, Clone)]
 pub struct IncrementalBackend {
     detector: SemanticDetector,
@@ -297,8 +368,57 @@ impl IncrementalBackend {
 
     /// Seeds a state over the current table without keeping it, e.g. for a
     /// repair loop to drive and hand back via [`IncrementalBackend::put_state`].
-    pub fn seed(&self, catalog: &mut Catalog) -> Result<IncrementalDetector> {
-        IncrementalDetector::initialize_from(self.detector.clone(), catalog)
+    /// The state adopts `encoded` when it describes the table (see
+    /// [`IncrementalDetector::initialize_from`]).
+    pub fn seed(
+        &self,
+        catalog: &mut Catalog,
+        encoded: Option<EncodedTable>,
+    ) -> Result<IncrementalDetector> {
+        IncrementalDetector::initialize_from(self.detector.clone(), catalog, encoded)
+    }
+
+    /// The maintained detector when it describes `relation` as it is now.
+    /// A state that does not is dropped here.
+    pub fn warm(&mut self, relation: &Relation) -> Option<&IncrementalDetector> {
+        if !self.state.as_ref().is_some_and(|s| s.describes(relation)) {
+            self.state = None;
+        }
+        self.state.as_ref()
+    }
+
+    /// [`DetectorBackend::detect`], re-seeding the state. A warm state that
+    /// describes the table is re-seeded from its own view; otherwise the
+    /// seed adopts `encoded` (or encodes the table when that does not
+    /// describe it either).
+    pub fn detect_from(
+        &mut self,
+        catalog: &mut Catalog,
+        encoded: Option<EncodedTable>,
+    ) -> Result<ReadOut> {
+        let relation = catalog.get(self.table())?;
+        let encoded = match self.state.take() {
+            Some(state) if state.describes(relation) => Some(state.into_encoded()),
+            _ => encoded,
+        };
+        let state = self.state.insert(self.seed(catalog, encoded)?);
+        Ok(Self::read_out(state))
+    }
+
+    /// [`DetectorBackend::apply`], seeding first — adopting `encoded` when
+    /// it describes the table — unless a warm state describes the table.
+    pub fn apply_from(
+        &mut self,
+        catalog: &mut Catalog,
+        delta: &Delta,
+        encoded: Option<EncodedTable>,
+    ) -> Result<ReadOut> {
+        if self.warm(catalog.get(self.table())?).is_none() {
+            self.state = Some(self.seed(catalog, encoded)?);
+        }
+        let state = self.state.as_mut().expect("seeded above");
+        state.apply(catalog, delta)?;
+        Ok(Self::read_out(state))
     }
 
     /// The maintained detector, if seeded: `Some` while the state is warm
@@ -307,16 +427,17 @@ impl IncrementalBackend {
         self.state.as_ref()
     }
 
-    /// Hands the maintained detector to the caller (leaving this backend
-    /// cold), e.g. so a repair loop can drive it directly. Pair with
+    /// Hands the maintained detector to the caller when it describes
+    /// `relation` (leaving this backend cold either way), e.g. so a repair
+    /// loop can drive it directly. Pair with
     /// [`IncrementalBackend::put_state`] to hand it back.
-    pub fn take_state(&mut self) -> Option<IncrementalDetector> {
-        self.state.take()
+    pub fn take_state(&mut self, relation: &Relation) -> Option<IncrementalDetector> {
+        self.state.take().filter(|s| s.describes(relation))
     }
 
     /// Restores a detector previously obtained via
-    /// [`IncrementalBackend::take_state`]. The caller is responsible for the
-    /// state still matching the table's contents.
+    /// [`IncrementalBackend::take_state`]. A state that no longer describes
+    /// the table is dropped, not used, at its next use.
     pub fn put_state(&mut self, state: IncrementalDetector) {
         self.state = Some(state);
     }
@@ -341,17 +462,11 @@ impl DetectorBackend for IncrementalBackend {
     }
 
     fn detect(&mut self, catalog: &mut Catalog) -> Result<ReadOut> {
-        let state = self.state.insert(self.seed(catalog)?);
-        Ok(Self::read_out(state))
+        self.detect_from(catalog, None)
     }
 
     fn apply(&mut self, catalog: &mut Catalog, delta: &Delta) -> Result<ReadOut> {
-        if self.state.is_none() {
-            self.state = Some(self.seed(catalog)?);
-        }
-        let state = self.state.as_mut().expect("seeded above");
-        state.apply(catalog, delta)?;
-        Ok(Self::read_out(state))
+        self.apply_from(catalog, delta, None)
     }
 
     fn invalidate(&mut self) {

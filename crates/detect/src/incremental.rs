@@ -78,10 +78,12 @@ use crate::backend::refuse_extra_columns;
 use crate::evidence::{ConstraintRef, EvidenceReport, MvEvidence, SvEvidence};
 use crate::report::DetectionReport;
 use crate::scan::{GroupState, Members};
-use crate::semantic::{GroupKey, GroupMap, SemanticDetector};
+use crate::semantic::{EncodedTable, GroupKey, GroupMap, SemanticDetector};
 use crate::Result;
 use ecfd_core::ECfd;
-use ecfd_relation::{Catalog, Code, CodeVec, ColumnarView, Delta, RowId, Schema, Tuple, Value};
+use ecfd_relation::{
+    Catalog, Code, CodeColumns, CodeVec, ColumnarView, Delta, Relation, RowId, Schema, Tuple, Value,
+};
 use std::collections::{BTreeSet, HashSet};
 use std::ops::ControlFlow;
 use std::sync::Arc;
@@ -117,6 +119,9 @@ pub struct IncrementalDetector {
     semantic: SemanticDetector,
     groups: GroupMap,
     view: ColumnarView,
+    /// The [`Relation::stamp`] of the contents `view` and `groups` describe:
+    /// the table's as of the seed or the last applied delta.
+    stamp: u64,
     /// The flags of the table as it is now. Behind an `Arc` so a caller takes
     /// it by reference count; edited through `Arc::make_mut`, which copies it
     /// once per epoch while a published snapshot still holds the previous
@@ -144,7 +149,7 @@ impl IncrementalDetector {
     /// The table must carry exactly the base attributes: one with columns
     /// beyond them (a BATCHDETECT run's `SV` / `MV`) is refused.
     pub fn initialize(schema: &Schema, ecfds: &[ECfd], catalog: &mut Catalog) -> Result<Self> {
-        Self::initialize_from(SemanticDetector::new(schema, ecfds)?, catalog)
+        Self::initialize_from(SemanticDetector::new(schema, ecfds)?, catalog, None)
     }
 
     /// Like [`IncrementalDetector::initialize`], but reusing an
@@ -153,35 +158,62 @@ impl IncrementalDetector {
     ///
     /// [`ConstraintSet`]: ecfd_core::ConstraintSet
     pub fn from_set(set: &ecfd_core::ConstraintSet, catalog: &mut Catalog) -> Result<Self> {
-        Self::initialize_from(SemanticDetector::from_set(set), catalog)
+        Self::initialize_from(SemanticDetector::from_set(set), catalog, None)
     }
 
     /// Like [`IncrementalDetector::initialize`], but seeding the table its
     /// schema names through an existing (already-compiled) detector and the
-    /// dictionary its clones share; the seeding detection pass still runs.
-    pub fn initialize_from(semantic: SemanticDetector, catalog: &mut Catalog) -> Result<Self> {
+    /// dictionary its clones share. The seed's view adopts `encoded`'s
+    /// columns when they describe the table as it is now (they must come
+    /// from the same dictionary); otherwise, the cold case, the table is
+    /// encoded here. Either way the seeding pass scans the view the detector
+    /// then keeps and maintains, and its report and evidence seed the
+    /// maintained read-out.
+    pub fn initialize_from(
+        semantic: SemanticDetector,
+        catalog: &mut Catalog,
+        encoded: Option<EncodedTable>,
+    ) -> Result<Self> {
         let schema = semantic.schema();
         let relation = catalog.get(schema.name())?;
         refuse_extra_columns(relation.schema(), schema)?;
-        crate::obs::count("relation.rows.encoded", relation.len() as u64);
-        // Encode the table once: the seeding pass scans the view the detector
-        // then keeps and maintains, and its report and evidence seed the
-        // maintained read-out.
-        let (report, evidence, groups, view) = {
-            let mut codec = semantic.codec().write();
-            let view = ColumnarView::build(relation, &mut codec.dict);
-            let (report, evidence, groups) =
-                semantic.scan_view(schema, view.columns(), codec.dict.symbols())?;
-            (report, evidence, groups, view)
+        let encoded = match encoded.filter(|e| e.describes(relation)) {
+            Some(encoded) => encoded,
+            None => semantic.encode(relation)?,
         };
+        let view = ColumnarView::index(encoded.columns);
+        let (report, evidence, groups) = semantic.scan(schema, view.columns())?;
         crate::obs::count("detect.incremental.seeds", 1);
         Ok(IncrementalDetector {
             semantic,
             groups,
             view,
+            stamp: encoded.stamp,
             report: Arc::new(report),
             evidence: Arc::new(evidence),
         })
+    }
+
+    /// Whether the state describes `relation` as it is now: nothing changed
+    /// its rows since the seed or the last delta this detector applied.
+    pub(crate) fn describes(&self, relation: &Relation) -> bool {
+        self.stamp == relation.stamp()
+    }
+
+    /// The maintained columns of the table's base attributes, in the view's
+    /// own row order: what a full pass can scan instead of encoding the
+    /// table again while the state [`describes`](Self::describes) it.
+    pub(crate) fn columns(&self) -> &CodeColumns {
+        self.view.columns()
+    }
+
+    /// Gives up the group state and read-out and keeps the view's columns,
+    /// which a re-seed adopts instead of encoding the table again.
+    pub(crate) fn into_encoded(self) -> EncodedTable {
+        EncodedTable {
+            stamp: self.stamp,
+            columns: self.view.into_columns(),
+        }
     }
 
     /// The current auxiliary group state (the `Aux(D)` analogue), keyed by
@@ -300,7 +332,9 @@ impl IncrementalDetector {
             stats.groups_changed = changed_groups.len();
             stats.rows_reflagged = self.reflag_members(&changed_groups);
         }
-        let total_rows = catalog.get(self.semantic.schema().name())?.len();
+        let relation = catalog.get(self.semantic.schema().name())?;
+        self.stamp = relation.stamp();
+        let total_rows = relation.len();
         if self.report.total_rows != total_rows {
             Arc::make_mut(&mut self.report).total_rows = total_rows;
             Arc::make_mut(&mut self.evidence).total_rows = total_rows;

@@ -101,7 +101,7 @@ pub use merge::{MergeState, MergeStats};
 pub use parallel::Parallelism;
 pub use report::DetectionReport;
 pub use scan::ScanProgram;
-pub use semantic::{OpenGroup, SemanticDetector, ShardPartial};
+pub use semantic::{EncodedTable, OpenGroup, SemanticDetector, ShardPartial};
 
 use std::fmt;
 

@@ -82,6 +82,24 @@ struct Compiled {
     columns: Vec<(String, AttrId)>,
 }
 
+/// One version of a table, encoded: the code columns of its base attributes,
+/// issued by one detector's dictionary, and the [`Relation::stamp`] of the
+/// contents they were built from. A full pass, a freeze or an INCDETECT seed
+/// reuses it only while that stamp is current, so it is never read for any
+/// other contents.
+#[derive(Debug, Clone)]
+pub struct EncodedTable {
+    pub(crate) stamp: u64,
+    pub(crate) columns: CodeColumns,
+}
+
+impl EncodedTable {
+    /// Whether these are the codes of `relation` as it is now.
+    pub fn describes(&self, relation: &Relation) -> bool {
+        self.stamp == relation.stamp()
+    }
+}
+
 /// The native detector.
 #[derive(Debug, Clone)]
 pub struct SemanticDetector {
@@ -300,10 +318,39 @@ impl SemanticDetector {
         &self,
         relation: &Relation,
     ) -> Result<(DetectionReport, EvidenceReport, GroupMap)> {
+        let encoded = self.encode(relation)?;
+        self.scan(relation.schema(), &encoded.columns)
+    }
+
+    /// Encodes the base attributes of `relation` through the detector's
+    /// dictionary: where a full pass, a session's freeze and an INCDETECT
+    /// seed turn a stored table into codes ([`SemanticDetector::freeze`]
+    /// keeps its own for callers outside a session). Columns the detector
+    /// was not compiled against (BATCHDETECT's `SV` / `MV`) are left out; a
+    /// relation whose attributes are not where the program reads them is
+    /// refused.
+    pub(crate) fn encode(&self, relation: &Relation) -> Result<EncodedTable> {
+        self.check_layout(relation.schema())?;
+        let arity = relation.schema().arity().min(self.schema().arity());
         let mut codec = self.codec.write();
-        let view = CodeColumns::build(relation, &mut codec.dict);
-        crate::obs::count("relation.rows.encoded", view.num_rows() as u64);
-        self.scan_view(relation.schema(), &view, codec.dict.symbols())
+        let columns = CodeColumns::build_prefix(relation, arity, &mut codec.dict);
+        crate::obs::count("relation.rows.encoded", columns.num_rows() as u64);
+        Ok(EncodedTable {
+            stamp: relation.stamp(),
+            columns,
+        })
+    }
+
+    /// One full pass over columns this detector's dictionary issued, laid
+    /// out as `schema` says: an [`EncodedTable`]'s, or the view an
+    /// incremental state maintains. Encodes nothing.
+    pub(crate) fn scan(
+        &self,
+        schema: &Schema,
+        columns: &CodeColumns,
+    ) -> Result<(DetectionReport, EvidenceReport, GroupMap)> {
+        let codec = self.codec.read();
+        self.scan_view(schema, columns, codec.dict.symbols())
     }
 
     /// Runs a full, read-only detection pass over a [`FrozenView`] — the

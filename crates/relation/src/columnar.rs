@@ -74,9 +74,11 @@
 //! (which is how the incremental detector keeps its view current under
 //! `Delta` application). Mutating the relation behind the view's back —
 //! replacing tuples, updating values in place, or dropping/recreating the
-//! table — invalidates it; rebuild with [`ColumnarView::build`]. Frozen
-//! handles taken earlier are unaffected by any of this: they keep the chunks
-//! they were frozen with.
+//! table — invalidates it; rebuild with [`ColumnarView::index`]. Every such
+//! mutation moves the relation's [`Relation::stamp`], which is how a holder
+//! of an encoding tells whether it still describes the rows. Frozen handles
+//! taken earlier are unaffected by any of this: they keep the chunks they
+//! were frozen with.
 
 use crate::relation::{Relation, RowId};
 use crate::schema::AttrId;
@@ -808,12 +810,6 @@ pub struct ColumnarView {
 }
 
 impl ColumnarView {
-    /// Encodes every column of `relation` through `dict` and indexes the
-    /// rows.
-    pub fn build(relation: &Relation, dict: &mut Dictionary) -> Self {
-        Self::index(CodeColumns::build(relation, dict))
-    }
-
     /// Builds the row indexes over already-encoded columns.
     pub fn index(columns: CodeColumns) -> Self {
         let rows = 0..columns.num_rows();
@@ -830,6 +826,11 @@ impl ColumnarView {
     /// the current rows (a pointer bump per chunk).
     pub fn columns(&self) -> &CodeColumns {
         &self.columns
+    }
+
+    /// Drops the row indexes and keeps the columns.
+    pub fn into_columns(self) -> CodeColumns {
+        self.columns
     }
 
     /// Number of rows.
@@ -1077,7 +1078,7 @@ mod tests {
         )
         .unwrap();
         let mut dict = Dictionary::new();
-        let mut view = ColumnarView::build(&rel, &mut dict);
+        let mut view = ColumnarView::index(CodeColumns::build(&rel, &mut dict));
         let frozen = FrozenView::new(view.columns().clone(), dict.symbols().clone());
         let reader = frozen.clone(); // cheap Arc clone, shareable across threads
 
@@ -1152,7 +1153,7 @@ mod tests {
             };
             let mut rel = Relation::with_tuples(schema(), (0..n).map(row)).unwrap();
             let mut dict = Dictionary::new();
-            let mut view = ColumnarView::build(&rel, &mut dict);
+            let mut view = ColumnarView::index(CodeColumns::build(&rel, &mut dict));
             let before = FrozenView::new(view.columns().clone(), dict.symbols().clone());
             let old_rows = before.decode_rows();
             assert_eq!(old_rows.len(), n);
@@ -1206,7 +1207,7 @@ mod tests {
         )
         .unwrap();
         let mut dict = Dictionary::new();
-        let mut view = ColumnarView::build(&rel, &mut dict);
+        let mut view = ColumnarView::index(CodeColumns::build(&rel, &mut dict));
         assert_eq!(view.num_rows(), 2);
         assert_eq!(view.columns().num_columns(), 3);
         let albany = dict.try_encode(&Value::str("Albany")).unwrap();

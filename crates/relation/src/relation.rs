@@ -12,6 +12,7 @@ use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Stable identifier of a row within a relation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -30,11 +31,24 @@ impl fmt::Display for RowId {
     }
 }
 
+/// A stamp no relation state has carried before: drawn from one
+/// process-wide counter, so two stamps are equal only when one state was
+/// cloned from the other. `Relaxed` suffices: only uniqueness matters, and
+/// the counter publishes no other data.
+fn fresh_stamp() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
 /// An in-memory relation instance: a schema plus a bag of tuples with stable
 /// row identifiers.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Relation {
     schema: Schema,
+    /// Names the current contents (see [`Relation::stamp`]). `clone` keeps
+    /// it; a deserialised relation draws a fresh one.
+    #[serde(skip, default = "fresh_stamp")]
+    stamp: u64,
     next_row_id: u64,
     /// Row storage in insertion order (after deletions, order of survivors is
     /// preserved).
@@ -59,6 +73,7 @@ impl Relation {
     pub fn new(schema: Schema) -> Self {
         Relation {
             schema,
+            stamp: fresh_stamp(),
             next_row_id: 0,
             rows: Vec::new(),
             positions: HashMap::new(),
@@ -110,6 +125,18 @@ impl Relation {
         self.schema.name()
     }
 
+    /// Names the relation's current contents: every change of its rows
+    /// (`insert`, `delete`, `replace`, `update_value`) moves it to a stamp no
+    /// earlier state of any relation carried, while a refused change, a
+    /// read, and the row-id bookkeeping (`schedule_row_ids`,
+    /// `record_deletions`, `rebuild_positions`) leave it alone. A clone keeps
+    /// it. So two relations with equal stamps hold the same rows under the
+    /// same ids, which is what lets an encoding of the rows be reused for as
+    /// long as the stamp it was built at is current.
+    pub fn stamp(&self) -> u64 {
+        self.stamp
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -141,6 +168,7 @@ impl Relation {
         };
         self.positions.insert(id, self.rows.len());
         self.rows.push((id, tuple));
+        self.stamp = fresh_stamp();
         Ok(id)
     }
 
@@ -194,6 +222,7 @@ impl Relation {
         if let Some(deleted) = &mut self.deleted {
             deleted.push((id, tuple.clone()));
         }
+        self.stamp = fresh_stamp();
         Ok(tuple)
     }
 
@@ -229,6 +258,7 @@ impl Relation {
             .positions
             .get(&id)
             .ok_or(RelationError::UnknownRow(id.0))?;
+        self.stamp = fresh_stamp();
         Ok(std::mem::replace(&mut self.rows[pos].1, tuple))
     }
 
@@ -252,10 +282,12 @@ impl Relation {
                 actual: value.to_string(),
             });
         }
-        Ok(self.rows[pos]
+        let old = self.rows[pos]
             .1
             .set(attr, value)
-            .expect("validated position"))
+            .expect("validated position");
+        self.stamp = fresh_stamp();
+        Ok(old)
     }
 
     /// Iterates over `(RowId, &Tuple)` pairs in storage order.
@@ -516,6 +548,80 @@ mod tests {
         let s = r.render();
         assert!(s.contains("CT | AC"));
         assert!(s.contains("Albany | 518"));
+    }
+
+    #[test]
+    fn every_row_change_and_only_a_row_change_moves_the_stamp() {
+        let mut r = rel_with(&[("Albany", "518"), ("Troy", "518"), ("NYC", "212")]);
+        let ids = r.row_ids();
+        let mut seen = vec![r.stamp()];
+        let mut changed = |r: &Relation, what: &str| {
+            assert!(!seen.contains(&r.stamp()), "{what} reused a stamp");
+            seen.push(r.stamp());
+        };
+        r.insert(Tuple::from_iter(["LI", "516"])).unwrap();
+        changed(&r, "insert");
+        r.delete(ids[0]).unwrap();
+        changed(&r, "delete");
+        r.replace(ids[1], Tuple::from_iter(["Troy", "519"]))
+            .unwrap();
+        changed(&r, "replace");
+        r.update_value(ids[2], AttrId(1), Value::str("646"))
+            .unwrap();
+        changed(&r, "update_value");
+        r.delete_matching(&Tuple::from_iter(["LI", "516"]));
+        changed(&r, "delete_matching");
+
+        // Refused changes, bookkeeping and reads keep the stamp.
+        let stamp = r.stamp();
+        assert!(r
+            .insert(Tuple::new(vec![Value::int(1), Value::str("518")]))
+            .is_err());
+        assert!(r.delete(ids[0]).is_err());
+        assert!(r.replace(RowId(77), Tuple::from_iter(["x", "y"])).is_err());
+        assert!(r.update_value(ids[1], AttrId(1), Value::int(5)).is_err());
+        assert!(r
+            .update_value(RowId(77), AttrId(1), Value::str("x"))
+            .is_err());
+        assert!(r
+            .delete_matching(&Tuple::from_iter(["Nowhere", "000"]))
+            .is_empty());
+        r.schedule_row_ids([RowId(40)]);
+        r.clear_scheduled_row_ids();
+        r.record_deletions();
+        assert!(r.take_deleted().is_empty());
+        r.rebuild_positions();
+        let _ = (
+            r.get(ids[1]),
+            r.len(),
+            r.row_ids(),
+            r.to_tuples(),
+            r.render(),
+        );
+        assert_eq!(r.stamp(), stamp);
+
+        // A clone holds the same rows under the same ids, so it keeps the
+        // stamp; until one of the two changes.
+        let mut copy = r.clone();
+        assert_eq!(copy.stamp(), stamp);
+        copy.insert(Tuple::from_iter(["Rye", "914"])).unwrap();
+        changed(&copy, "insert into a clone");
+        assert_eq!(r.stamp(), stamp);
+
+        // Rebuilt relations get fresh stamps, even over the same rows.
+        let rebuilt = Relation::with_rows(schema(), r.iter().map(|(id, t)| (id, t.clone())));
+        changed(&rebuilt.unwrap(), "with_rows");
+        let extended = r.extend_schema(
+            vec![crate::schema::Attribute::new("SV", DataType::Bool)],
+            Value::bool(false),
+        );
+        changed(&extended.unwrap(), "extend_schema");
+        // Deserialisation skips the field and fills it from `fresh_stamp`.
+        let deserialised = fresh_stamp();
+        assert!(
+            !seen.contains(&deserialised),
+            "deserialisation reused a stamp"
+        );
     }
 
     #[test]

@@ -96,7 +96,7 @@ pub fn repair_verified_seeded(
 ) -> Result<VerifiedRepair> {
     // Reuse the engine's compiled detector; the seeding pass that
     // initialises the incremental maintenance state still runs.
-    let mut inc = IncrementalDetector::initialize_from(engine.detector().clone(), catalog)?;
+    let mut inc = IncrementalDetector::initialize_from(engine.detector().clone(), catalog, None)?;
     repair_verified_with(engine, catalog, &mut inc, seed)
 }
 

@@ -42,20 +42,35 @@
 //!
 //! ## What invalidates what
 //!
-//! | operation                  | cached report/evidence | incremental aux state |
-//! |----------------------------|------------------------|-----------------------|
-//! | `load` (same name again)   | dropped                | dropped               |
-//! | `register` (more rules)    | dropped                | dropped               |
-//! | `detect` (cache present)   | served, nothing runs   | kept                  |
-//! | `detect_with(kind)`        | replaced               | kept (see below)      |
-//! | `apply` via incremental    | replaced               | maintained            |
-//! | `apply` via semantic / SQL | replaced               | dropped               |
-//! | `apply` refused (a tuple that does not fit) | kept | kept            |
-//! | `apply` failing mid-delta  | dropped (table may be partially mutated) | dropped |
-//! | `repair`                   | replaced (clean)       | maintained            |
-//! | `catalog_mut` / `invalidate` | dropped              | dropped               |
-//! | `with_policy` (new [`Parallelism`]) | kept          | kept (fan-out retrofitted) |
-//! | `with_cost_model` / `set_compile_options` | retired (version bump) | kept / dropped |
+//! | operation                  | cached report/evidence | incremental aux state | kept encoding |
+//! |----------------------------|------------------------|-----------------------|---------------|
+//! | `load` (same name again)   | dropped                | dropped               | stamp-checked |
+//! | `register` (more rules)    | dropped                | dropped               | dropped       |
+//! | `detect` (cache present)   | served, nothing runs   | kept                  | kept          |
+//! | `detect_with(Semantic)`    | replaced               | kept (its view is scanned) | rescanned, or re-encoded if the stamp moved |
+//! | `detect_with(Incremental)` | replaced               | re-seeded: a warm state from its own view, a cold one adopting the kept encoding | handed to the seed |
+//! | `detect_with(Sql)`         | replaced               | kept                  | kept          |
+//! | `apply` via incremental    | replaced               | maintained (seeded first when cold) | handed to the seed |
+//! | `apply` via semantic       | replaced               | dropped               | re-encoded    |
+//! | `apply` via SQL            | replaced               | dropped               | dropped       |
+//! | `apply` refused (a tuple that does not fit) | kept | kept            | kept          |
+//! | `apply` failing mid-delta  | dropped (table may be partially mutated) | dropped | stamp-checked |
+//! | `repair`                   | replaced (clean)       | maintained (a cold seed adopts the kept encoding) | handed to the seed |
+//! | `catalog_mut` / `invalidate` | dropped              | dropped               | stamp-checked |
+//! | `snapshot`                 | served or replaced     | kept (its view is frozen) | frozen, encoded first only if the stamp moved |
+//! | `with_policy` (new [`Parallelism`]) | kept          | kept (fan-out retrofitted) | kept |
+//! | `with_cost_model` / `set_compile_options` | retired (version bump) | kept / dropped | kept / dropped |
+//!
+//! The *kept encoding* is the dictionary codes of the table's current
+//! contents. The entry holds at most one: the warm incremental state's
+//! maintained view, or else the columns the semantic backend's last pass
+//! encoded. Every row change moves the table's content stamp
+//! ([`Relation::stamp`](ecfd_relation::Relation::stamp)), and an encoding is
+//! read only while the stamp it was built at is current, so "stamp-checked"
+//! means it is reused if and only if the rows did not change — whoever
+//! changed them, `catalog_mut` included. A full pass over an unchanged table
+//! therefore encodes nothing, and a cold set-up (register → detect →
+//! snapshot → first small delta) encodes the table once.
 //!
 //! The `SV` / `MV` flags live in the cached report, never in the catalog: a
 //! full detection pass leaves the stored table exactly as loaded (the SQL
@@ -147,7 +162,7 @@ mod tests {
     use super::*;
     use ecfd_core::{CompileOptions, ECfdBuilder};
     use ecfd_detect::DetectorBackend;
-    use ecfd_relation::{DataType, Delta, Relation, Schema, Tuple, Value};
+    use ecfd_relation::{AttrId, DataType, Delta, Relation, Schema, Tuple, Value};
     use ecfd_repair::{RepairMode, RepairOptions};
 
     fn schema() -> Schema {
@@ -635,6 +650,29 @@ mod tests {
         assert!(session.report().is_none(), "cache must be dropped");
         let report = session.detect().unwrap();
         assert_eq!(report.total_rows, 2);
+    }
+
+    /// A full pass rescans the encoding its last pass kept only while the
+    /// table's stamp is unchanged: an edit made behind the session's back,
+    /// through `catalog_mut`, is seen by the next pass.
+    #[test]
+    fn a_full_pass_sees_an_edit_made_through_catalog_mut() {
+        let mut session = ready_session();
+        let before = session.detect_with(BackendKind::Semantic).unwrap();
+        assert_eq!((before.num_sv(), before.num_mv()), (1, 2));
+        let albany_718 = session.data("cust").unwrap().row_ids()[0];
+        session
+            .catalog_mut()
+            .get_mut("cust")
+            .unwrap()
+            .update_value(albany_718, AttrId(1), Value::str("518"))
+            .unwrap();
+        let after = session.detect_with(BackendKind::Semantic).unwrap();
+        assert!(
+            after.is_clean(),
+            "the edit repaired both violations: {after:?}"
+        );
+        assert_eq!(after, session.detect_with(BackendKind::Sql).unwrap());
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::policy::RoutingPolicy;
 use crate::snapshot::Snapshot;
 use ecfd_core::{CompileOptions, ConstraintSet, ECfd};
 use ecfd_detect::backend::{
-    BackendKind, DetectorBackend, IncrementalBackend, SemanticBackend, SqlBackend,
+    BackendKind, DetectorBackend, IncrementalBackend, ReadOut, SemanticBackend, SqlBackend,
 };
 use ecfd_detect::{DetectionReport, EvidenceReport, SemanticDetector};
 use ecfd_relation::{Catalog, Delta, Relation, RowId, Schema, Tuple};
@@ -53,6 +53,13 @@ struct Cached {
 }
 
 /// Everything the session holds for one registered relation.
+///
+/// The entry keeps at most one encoding of the table, and only of its
+/// current contents (both native backends key theirs by the table's
+/// stamp): while the incremental state is warm it is that state's view,
+/// which full passes and snapshots read; otherwise it is the columns the
+/// semantic backend's last pass encoded, which a snapshot freezes and the
+/// next incremental seed adopts.
 struct Entry {
     /// Shared with every snapshot taken of the relation.
     set: Arc<ConstraintSet>,
@@ -67,17 +74,70 @@ struct Entry {
 }
 
 impl Entry {
-    fn backend_mut(&mut self, kind: BackendKind) -> Result<&mut dyn DetectorBackend> {
-        match kind {
-            BackendKind::Semantic => Ok(&mut self.semantic),
-            BackendKind::Incremental => Ok(&mut self.incremental),
-            BackendKind::Sql => match &mut self.sql {
-                Ok(backend) => Ok(backend),
-                Err(reason) => Err(SessionError::BackendUnavailable {
-                    kind: BackendKind::Sql,
-                    reason: reason.clone(),
-                }),
-            },
+    fn sql(&mut self) -> Result<&mut SqlBackend> {
+        self.sql
+            .as_mut()
+            .map_err(|reason| SessionError::BackendUnavailable {
+                kind: BackendKind::Sql,
+                reason: reason.clone(),
+            })
+    }
+
+    /// A full detection pass through `kind`, over the entry's one encoding.
+    fn detect(&mut self, kind: BackendKind, catalog: &mut Catalog) -> Result<ReadOut> {
+        let out = match kind {
+            BackendKind::Semantic => {
+                let relation = catalog.get(self.set.schema().name())?;
+                match self.incremental.warm(relation) {
+                    Some(state) => self.semantic.detect_over(state)?,
+                    None => self.semantic.detect(catalog)?,
+                }
+            }
+            BackendKind::Incremental => {
+                let kept = self.semantic.take_encoded();
+                self.incremental.detect_from(catalog, kept)?
+            }
+            BackendKind::Sql => self.sql()?.detect(catalog)?,
+        };
+        Ok(out)
+    }
+
+    /// Applies `delta` through `kind`. An incremental seed adopts the
+    /// semantic backend's kept encoding; a full-pass route moves rows behind
+    /// the incremental state's back, so that state goes first (and, for the
+    /// SQL route, the kept encoding too).
+    fn apply(
+        &mut self,
+        kind: BackendKind,
+        catalog: &mut Catalog,
+        delta: &Delta,
+    ) -> Result<ReadOut> {
+        let out = match kind {
+            BackendKind::Incremental => {
+                let kept = self.semantic.take_encoded();
+                self.incremental.apply_from(catalog, delta, kept)?
+            }
+            BackendKind::Semantic => {
+                self.incremental.invalidate();
+                self.semantic.apply(catalog, delta)?
+            }
+            BackendKind::Sql => {
+                self.incremental.invalidate();
+                self.semantic.invalidate();
+                self.sql()?.apply(catalog, delta)?
+            }
+        };
+        Ok(out)
+    }
+
+    /// Drops the cached answer and the incremental state. The semantic
+    /// backend's kept encoding stays: its stamp already decides whether it
+    /// still describes the table.
+    fn reset(&mut self) {
+        self.cache = None;
+        self.incremental.invalidate();
+        if self.stage > Stage::Registered {
+            self.stage = Stage::Registered;
         }
     }
 }
@@ -204,9 +264,7 @@ impl Session {
         if let Some(rebuilt) = rebuilt {
             self.tables.insert(name, rebuilt);
         } else if let Some(entry) = self.tables.get_mut(&name) {
-            entry.cache = None;
-            entry.incremental.invalidate();
-            entry.stage = Stage::Registered;
+            entry.reset();
         }
         Ok(())
     }
@@ -328,7 +386,7 @@ impl Session {
         ecfd_obs::registry()
             .counter_with("session.detect.passes", &[("backend", kind.as_str())])
             .inc();
-        let (report, evidence) = entry.backend_mut(kind)?.detect(&mut self.catalog)?;
+        let (report, evidence) = entry.detect(kind, &mut self.catalog)?;
         let owned = DetectionReport::clone(&report);
         entry.cache = Some(Cached {
             kind,
@@ -457,7 +515,7 @@ impl Session {
         ecfd_obs::registry()
             .counter_with("session.apply.routed", &[("backend", kind.as_str())])
             .inc();
-        let (report, evidence) = match entry.backend_mut(kind)?.apply(&mut self.catalog, delta) {
+        let (report, evidence) = match entry.apply(kind, &mut self.catalog, delta) {
             Ok(out) => out,
             Err(e) => {
                 // Only a failure that strikes mid-delta gets here — e.g. a
@@ -465,20 +523,11 @@ impl Session {
                 // deletions landed. Nothing cached may describe the table
                 // any more: drop it all so the next detect rebuilds from the
                 // actual contents.
-                entry.cache = None;
-                entry.incremental.invalidate();
-                if entry.stage > Stage::Registered {
-                    entry.stage = Stage::Registered;
-                }
+                entry.reset();
                 self.version += 1;
-                return Err(e.into());
+                return Err(e);
             }
         };
-        if kind != BackendKind::Incremental {
-            // The rows changed behind the incremental maintainer's back; its
-            // auxiliary group state no longer describes the table.
-            entry.incremental.invalidate();
-        }
         // Bump *before* stamping: the fresh result describes the post-apply
         // contents, so it must carry the post-apply version to stay servable.
         self.version += 1;
@@ -530,9 +579,12 @@ impl Session {
         // describe the table — hand it to the loop and skip the seeding
         // pass; otherwise seed one through the backend. Either way the loop
         // maintains the state, so it is handed back warm afterwards.
-        let mut inc = match entry.incremental.take_state() {
+        let mut inc = match entry.incremental.take_state(self.catalog.get(&name)?) {
             Some(state) => state,
-            None => entry.incremental.seed(&mut self.catalog)?,
+            None => {
+                let kept = entry.semantic.take_encoded();
+                entry.incremental.seed(&mut self.catalog, kept)?
+            }
         };
         let outcome = repair_verified_with(&entry.repair, &mut self.catalog, &mut inc, seed)?;
         entry.incremental.put_state(inc);
@@ -617,12 +669,12 @@ impl Session {
     /// every query on it is read-only, and later session mutations never
     /// affect it.
     ///
-    /// When the incremental backend's maintenance state is warm — the state
-    /// a served session is in after its first delta — nothing is copied: the
-    /// frozen view *shares* the maintained chunks, and the set, report and
-    /// evidence travel by reference count, so a snapshot costs the same at
-    /// every table size. The cold path encodes the table once through the
-    /// semantic detector's dictionary.
+    /// Nothing is encoded or copied unless the table changed since its last
+    /// encoding: the frozen view *shares* the chunks of the entry's one
+    /// encoding — the warm incremental state's maintained view (the state a
+    /// served session is in after its first delta), else the semantic
+    /// backend's kept columns — and the set, report and evidence travel by
+    /// reference count, so a snapshot costs the same at every table size.
     pub fn snapshot(&mut self) -> Result<Snapshot> {
         let name = self.resolve(None)?;
         self.snapshot_of(&name)
@@ -634,17 +686,16 @@ impl Session {
         // Make sure a report/evidence pair describing the current contents is
         // cached (served from the cache when already current).
         self.detect_impl(Some(&name), None)?;
-        let entry = self.tables.get(&name).expect("resolved");
-        let cached = entry.cache.as_ref().expect("just detected");
-        // Both arms ship the entry's one detector, whose dictionary issued
-        // the warm state's codes too.
-        let detector = entry.semantic.detector();
-        let frozen = match entry.incremental.detector() {
-            // Warm incremental state: its maintained view *is* the current
-            // encoding of the table — the freeze shares its chunks.
+        let entry = self.tables.get_mut(&name).expect("resolved");
+        let relation = self.catalog.get(&name)?;
+        let frozen = match entry.incremental.warm(relation) {
             Some(inc) => inc.freeze(),
-            None => detector.freeze(self.catalog.get(&name)?, entry.set.schema().arity()),
+            None => entry.semantic.freeze(relation)?,
         };
+        let cached = entry.cache.as_ref().expect("just detected");
+        // Both arms froze codes of the entry's one detector, which the
+        // snapshot ships.
+        let detector = entry.semantic.detector();
         Ok(Snapshot {
             epoch: self.version,
             set: entry.set.clone(),
@@ -694,11 +745,7 @@ impl Session {
     pub fn invalidate(&mut self) {
         self.version += 1;
         for entry in self.tables.values_mut() {
-            entry.cache = None;
-            entry.incremental.invalidate();
-            if entry.stage > Stage::Registered {
-                entry.stage = Stage::Registered;
-            }
+            entry.reset();
         }
     }
 
