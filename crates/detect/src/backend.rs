@@ -7,7 +7,7 @@
 //! semantic detector, whose full passes run a shared-scan program through
 //! the one scan kernel ([`crate::scan`]; `ecfd_plan` renders that program
 //! for `EXPLAIN PLAN` and can substitute the unfused contrast program via
-//! [`SemanticBackend::with_program`]). Callers that only want *the flags
+//! [`NativeBackend::with_program`]). Callers that only want *the flags
 //! kept right* should not have to care which one runs; [`DetectorBackend`]
 //! gives them a single interface:
 //!
@@ -15,39 +15,30 @@
 //!   catalog table, returning the flag-level [`DetectionReport`] together
 //!   with the attributing [`EvidenceReport`];
 //! * [`DetectorBackend::apply`] — apply a base-schema [`Delta`] to the table
-//!   and return the post-update report/evidence, maintaining whatever state
-//!   the backend keeps. Both come back as a [`ReadOut`] — behind `Arc`s,
-//!   because the incremental backend hands out the pair it maintains rather
-//!   than rebuilding one per delta;
-//! * [`DetectorBackend::invalidate`] — drop whatever state the backend keeps.
+//!   and return the post-update report/evidence. Both come back as a
+//!   [`ReadOut`] — behind `Arc`s, because INCDETECT hands out the pair it
+//!   maintains rather than rebuilding one per delta.
 //!
-//! The two native backends keep state between calls, and both of them key
-//! it by the table's [`Relation::stamp`](ecfd_relation::Relation::stamp), so
-//! neither ever serves it for contents it was not built from, whoever
-//! changed the rows:
+//! Two types implement it. [`SqlBackend`] keeps nothing between calls.
+//! [`NativeBackend`] runs both native strategies over one held state: nothing
+//! (cold), the encoding of the table version its last full pass read, or a
+//! warm [`IncrementalDetector`] — the paper's `Aux(D)` — whose maintained
+//! view is that encoding. The state is keyed by the table's
+//! [`Relation::stamp`](ecfd_relation::Relation::stamp) and dropped before
+//! anything is encoded once the rows moved under it, so the backend holds at
+//! most one encoding, and only of the table as it is, whoever changed the
+//! rows. Its trait impl is the full pass (kind `Semantic`); INCDETECT is the
+//! verbs [`NativeBackend::fold`] and [`NativeBackend::reseed`]. Every verb
+//! reads what the slot holds and encodes the table only when that does not
+//! describe it.
 //!
-//! * [`SemanticBackend`] keeps the [`EncodedTable`] its last pass read. A
-//!   pass over an unchanged table rescans those columns and encodes
-//!   nothing; any other pass encodes the table once and keeps that instead.
-//! * [`IncrementalBackend`] keeps its maintained [`IncrementalDetector`],
-//!   whose view is the table's encoding too. A seed adopts an encoding
-//!   handed to it ([`IncrementalBackend::detect_from`] /
-//!   [`IncrementalBackend::apply_from`]) and a warm re-seed rescans its own
-//!   view; only a seed with neither encodes.
-//!
-//! A session entry holding both backends hands the first one's encoding to
-//! the second's seed and, while the incremental state is warm, lets full
-//! passes scan its view ([`SemanticBackend::detect_over`]), so it keeps one
-//! encoding of the table at a time.
-//!
-//! All three implementations are constructed from one compiled
+//! Both backends are constructed from one compiled
 //! [`ecfd_core::ConstraintSet`], so the validate/normalize/split work happens
-//! once per registration, not once per backend; the two native ones also
-//! take one already-compiled [`SemanticDetector`] (`new`), so they share its
-//! scan program and dictionary. The differential contract —
-//! every backend produces the same report and (normalized) evidence on the
-//! same data — is asserted by this module's tests and by the workspace-level
-//! differential suite.
+//! once per registration; [`NativeBackend::new`] takes one already-compiled
+//! [`SemanticDetector`], whose scan program and dictionary every seed shares.
+//! The differential contract — every strategy produces the same report and
+//! (normalized) evidence on the same data — is asserted by this module's
+//! tests and by the workspace-level differential suite.
 
 use crate::batch::BatchDetector;
 use crate::evidence::EvidenceReport;
@@ -58,7 +49,7 @@ use crate::scan::ScanProgram;
 use crate::semantic::{EncodedTable, SemanticDetector};
 use crate::{DetectError, Result};
 use ecfd_core::ConstraintSet;
-use ecfd_relation::{Catalog, Delta, FrozenView, Relation, Schema};
+use ecfd_relation::{Catalog, CodeColumns, Delta, FrozenView, Relation, Schema};
 use std::fmt;
 use std::sync::Arc;
 
@@ -128,11 +119,6 @@ pub trait DetectorBackend {
     /// Applies a batch of base-schema updates to the table and returns the
     /// post-update flags and evidence.
     fn apply(&mut self, catalog: &mut Catalog, delta: &Delta) -> Result<ReadOut>;
-
-    /// Drops any maintained state. Call after the table was mutated outside
-    /// this backend; the next [`DetectorBackend::detect`] or
-    /// [`DetectorBackend::apply`] rebuilds from the current table contents.
-    fn invalidate(&mut self) {}
 }
 
 /// Applies a base-schema delta to the stored table `base` names. A delta
@@ -175,26 +161,64 @@ pub(crate) fn refuse_extra_columns(stored: &Schema, base: &Schema) -> Result<()>
     )))
 }
 
-/// The native detector as a backend. It keeps the encoding of the table
-/// version its last pass read: a `detect` on an unchanged table rescans
-/// those columns, and encodes the table (once) only when its stamp moved.
-#[derive(Debug, Clone)]
-pub struct SemanticBackend {
-    detector: SemanticDetector,
-    kept: Option<EncodedTable>,
+/// What a [`NativeBackend`] holds of its table. Both non-cold variants
+/// carry the codes of one table version, issued by the backend's
+/// dictionary, and the stamp of that version.
+#[derive(Debug, Clone, Default)]
+enum Held {
+    /// Nothing: the next read encodes the table.
+    #[default]
+    Cold,
+    /// The encoding the last full pass read.
+    Encoded(EncodedTable),
+    /// The INCDETECT state; its maintained view is the table's encoding.
+    Warm(IncrementalDetector),
 }
 
-impl SemanticBackend {
-    /// Builds the backend from a compiled constraint set.
+impl Held {
+    /// The held codes, if they describe `relation` as it is now.
+    fn columns_of(&self, relation: &Relation) -> Option<&CodeColumns> {
+        match self {
+            Held::Encoded(encoded) if encoded.describes(relation) => Some(&encoded.columns),
+            Held::Warm(state) if state.describes(relation) => Some(state.columns()),
+            _ => None,
+        }
+    }
+
+    /// The codes of `relation` as it is now: the held ones, else ones
+    /// `detector` encodes here, which the slot holds from then on. A stale
+    /// state is dropped first, so two encodings are never alive at once.
+    fn hold(&mut self, detector: &SemanticDetector, relation: &Relation) -> Result<&CodeColumns> {
+        if self.columns_of(relation).is_none() {
+            *self = Held::Cold;
+            *self = Held::Encoded(detector.encode(relation)?);
+        }
+        Ok(self.columns_of(relation).expect("held above"))
+    }
+}
+
+/// The native detector as a backend: full passes and INCDETECT over one held
+/// state (see the [module docs](self)). Every seed clones the backend's one
+/// detector, so re-seeding never recompiles and every encoding comes from
+/// the same dictionary.
+#[derive(Debug, Clone)]
+pub struct NativeBackend {
+    detector: SemanticDetector,
+    held: Held,
+}
+
+impl NativeBackend {
+    /// Builds the backend from a compiled constraint set. Nothing is encoded
+    /// until the first call that reads the table.
     pub fn from_set(set: &ConstraintSet) -> Self {
         Self::new(SemanticDetector::from_set(set))
     }
 
     /// Wraps an already-compiled detector, on the table its schema names.
     pub fn new(detector: SemanticDetector) -> Self {
-        SemanticBackend {
+        NativeBackend {
             detector,
-            kept: None,
+            held: Held::Cold,
         }
     }
 
@@ -205,7 +229,9 @@ impl SemanticBackend {
         self
     }
 
-    /// Sets the worker fan-out of subsequent detection passes.
+    /// Sets the worker fan-out of subsequent full passes and seeds (the
+    /// per-delta maintenance touches only affected tuples and stays
+    /// sequential).
     pub fn set_parallelism(&mut self, parallelism: Parallelism) {
         self.detector.set_parallelism(parallelism);
     }
@@ -215,48 +241,81 @@ impl SemanticBackend {
         &self.detector
     }
 
-    /// Makes the kept encoding describe `relation`, encoding it when the
-    /// kept one does not (the stale one is dropped first, so two are never
-    /// alive at once).
-    fn keep(&mut self, relation: &Relation) -> Result<()> {
-        if !self.kept.as_ref().is_some_and(|e| e.describes(relation)) {
-            self.kept = None;
-            self.kept = Some(self.detector.encode(relation)?);
-        }
-        Ok(())
+    /// Whether the slot holds an INCDETECT state, which a
+    /// [`fold`](Self::fold) extends instead of seeding while the table's
+    /// rows have not moved under it.
+    pub fn is_warm(&self) -> bool {
+        matches!(self.held, Held::Warm(_))
     }
 
-    /// Freezes the kept encoding of `relation` — encoding it first unless
-    /// the last pass read this very version — with the dictionary's current
-    /// symbols. The frozen view shares the kept chunks.
+    /// Drops the held state: the next call starts cold.
+    pub fn clear(&mut self) {
+        self.held = Held::Cold;
+    }
+
+    /// Freezes the codes of `relation` with the dictionary's current
+    /// symbols — encoding it first unless the slot holds this very version.
+    /// The frozen view shares the held chunks.
     pub fn freeze(&mut self, relation: &Relation) -> Result<FrozenView> {
-        self.keep(relation)?;
-        let kept = self.kept.as_ref().expect("kept above");
+        let columns = self.held.hold(&self.detector, relation)?;
         let codec = self.detector.codec().read();
         Ok(FrozenView::new(
-            kept.columns.clone(),
+            columns.clone(),
             codec.dict.symbols().clone(),
         ))
     }
 
-    /// Hands the kept encoding over, e.g. to an incremental seed that adopts
-    /// it, keeping none.
-    pub fn take_encoded(&mut self) -> Option<EncodedTable> {
-        self.kept.take()
+    /// The INCDETECT state of the table as it is now. Unless the slot holds
+    /// one that describes the table, it is seeded here from the held
+    /// encoding (or from the table, encoded once, when none describes it).
+    /// The caller may drive the state in place, as a repair loop does.
+    pub fn warm(&mut self, catalog: &Catalog) -> Result<&mut IncrementalDetector> {
+        let relation = catalog.get(self.table())?;
+        if !matches!(&self.held, Held::Warm(state) if state.describes(relation)) {
+            refuse_extra_columns(relation.schema(), self.detector.schema())?;
+            self.held.hold(&self.detector, relation)?;
+            let Held::Encoded(encoded) = std::mem::take(&mut self.held) else {
+                unreachable!("a slot that is not warm holds an encoding once held")
+            };
+            let state = IncrementalDetector::adopt(self.detector.clone(), encoded)?;
+            self.held = Held::Warm(state);
+        }
+        match &mut self.held {
+            Held::Warm(state) => Ok(state),
+            _ => unreachable!("warmed above"),
+        }
     }
 
-    /// A full pass over the view a warm incremental state maintains for the
-    /// current table, keeping nothing: the state's columns are the table's
-    /// encoding already.
-    pub fn detect_over(&self, state: &IncrementalDetector) -> Result<ReadOut> {
-        let (report, evidence, _) = self
-            .detector
-            .scan(self.detector.schema(), state.columns())?;
-        Ok((Arc::new(report), Arc::new(evidence)))
+    /// Applies `delta` through INCDETECT, seeding first as
+    /// [`warm`](Self::warm) does, and returns the maintained read-out.
+    pub fn fold(&mut self, catalog: &mut Catalog, delta: &Delta) -> Result<ReadOut> {
+        let state = self.warm(catalog)?;
+        state.apply(catalog, delta)?;
+        Ok(read_out(state))
+    }
+
+    /// Seeds INCDETECT afresh and returns its read-out. A warm state gives
+    /// its view to the new seed, so this encodes only what
+    /// [`warm`](Self::warm) would.
+    pub fn reseed(&mut self, catalog: &Catalog) -> Result<ReadOut> {
+        self.held = match std::mem::take(&mut self.held) {
+            Held::Warm(state) => Held::Encoded(state.into_encoded()),
+            held => held,
+        };
+        Ok(read_out(self.warm(catalog)?))
     }
 }
 
-impl DetectorBackend for SemanticBackend {
+/// INCDETECT's answer: the maintained report and evidence, seeded by the
+/// full pass and kept current by every delta — never re-derived.
+fn read_out(state: &IncrementalDetector) -> ReadOut {
+    (
+        state.maintained_report().clone(),
+        state.maintained_evidence().clone(),
+    )
+}
+
+impl DetectorBackend for NativeBackend {
     fn kind(&self) -> BackendKind {
         BackendKind::Semantic
     }
@@ -267,19 +326,16 @@ impl DetectorBackend for SemanticBackend {
 
     fn detect(&mut self, catalog: &mut Catalog) -> Result<ReadOut> {
         let relation = catalog.get(self.table())?;
-        self.keep(relation)?;
-        let kept = self.kept.as_ref().expect("kept above");
-        let (report, evidence, _) = self.detector.scan(relation.schema(), &kept.columns)?;
+        let columns = self.held.hold(&self.detector, relation)?;
+        let (report, evidence, _) = self.detector.scan(relation.schema(), columns)?;
         Ok((Arc::new(report), Arc::new(evidence)))
     }
 
+    /// The rows move under whatever the slot holds, so it is dropped first.
     fn apply(&mut self, catalog: &mut Catalog, delta: &Delta) -> Result<ReadOut> {
+        self.clear();
         apply_base_delta(catalog, self.detector.schema(), delta)?;
         self.detect(catalog)
-    }
-
-    fn invalidate(&mut self) {
-        self.kept = None;
     }
 }
 
@@ -330,161 +386,55 @@ impl DetectorBackend for SqlBackend {
     }
 }
 
-/// The incremental maintainer as a backend: the first `detect`/`apply` seeds
-/// the auxiliary group state with a full pass, subsequent `apply` calls touch
-/// only the affected tuples and groups — the answer included, which is the
-/// detector's maintained read-out handed over by reference count.
-/// Every seed clones the backend's one detector, so re-seeding never
-/// recompiles and every seed encodes through the same dictionary. The state
-/// is used only while it [describes](IncrementalDetector::describes) the
-/// table; one that does not is re-seeded.
-#[derive(Debug, Clone)]
-pub struct IncrementalBackend {
-    detector: SemanticDetector,
-    state: Option<IncrementalDetector>,
-}
-
-impl IncrementalBackend {
-    /// Builds the backend from a compiled constraint set. No detection work
-    /// happens until the first `detect` / `apply` call.
-    pub fn from_set(set: &ConstraintSet) -> Self {
-        Self::new(SemanticDetector::from_set(set))
-    }
-
-    /// Wraps an already-compiled detector, which every seed clones.
-    pub fn new(detector: SemanticDetector) -> Self {
-        IncrementalBackend {
-            detector,
-            state: None,
-        }
-    }
-
-    /// Sets the worker fan-out used by the seeding detection pass (the
-    /// per-delta maintenance itself touches only affected tuples and stays
-    /// sequential).
-    pub fn set_parallelism(&mut self, parallelism: Parallelism) {
-        self.detector.set_parallelism(parallelism);
-    }
-
-    /// Seeds a state over the current table without keeping it, e.g. for a
-    /// repair loop to drive and hand back via [`IncrementalBackend::put_state`].
-    /// The state adopts `encoded` when it describes the table (see
-    /// [`IncrementalDetector::initialize_from`]).
-    pub fn seed(
-        &self,
-        catalog: &mut Catalog,
-        encoded: Option<EncodedTable>,
-    ) -> Result<IncrementalDetector> {
-        IncrementalDetector::initialize_from(self.detector.clone(), catalog, encoded)
-    }
-
-    /// The maintained detector when it describes `relation` as it is now.
-    /// A state that does not is dropped here.
-    pub fn warm(&mut self, relation: &Relation) -> Option<&IncrementalDetector> {
-        if !self.state.as_ref().is_some_and(|s| s.describes(relation)) {
-            self.state = None;
-        }
-        self.state.as_ref()
-    }
-
-    /// [`DetectorBackend::detect`], re-seeding the state. A warm state that
-    /// describes the table is re-seeded from its own view; otherwise the
-    /// seed adopts `encoded` (or encodes the table when that does not
-    /// describe it either).
-    pub fn detect_from(
-        &mut self,
-        catalog: &mut Catalog,
-        encoded: Option<EncodedTable>,
-    ) -> Result<ReadOut> {
-        let relation = catalog.get(self.table())?;
-        let encoded = match self.state.take() {
-            Some(state) if state.describes(relation) => Some(state.into_encoded()),
-            _ => encoded,
-        };
-        let state = self.state.insert(self.seed(catalog, encoded)?);
-        Ok(Self::read_out(state))
-    }
-
-    /// [`DetectorBackend::apply`], seeding first — adopting `encoded` when
-    /// it describes the table — unless a warm state describes the table.
-    pub fn apply_from(
-        &mut self,
-        catalog: &mut Catalog,
-        delta: &Delta,
-        encoded: Option<EncodedTable>,
-    ) -> Result<ReadOut> {
-        if self.warm(catalog.get(self.table())?).is_none() {
-            self.state = Some(self.seed(catalog, encoded)?);
-        }
-        let state = self.state.as_mut().expect("seeded above");
-        state.apply(catalog, delta)?;
-        Ok(Self::read_out(state))
-    }
-
-    /// The maintained detector, if seeded: `Some` while the state is warm
-    /// (an `apply` will be incremental rather than seed with a full pass).
-    pub fn detector(&self) -> Option<&IncrementalDetector> {
-        self.state.as_ref()
-    }
-
-    /// Hands the maintained detector to the caller when it describes
-    /// `relation` (leaving this backend cold either way), e.g. so a repair
-    /// loop can drive it directly. Pair with
-    /// [`IncrementalBackend::put_state`] to hand it back.
-    pub fn take_state(&mut self, relation: &Relation) -> Option<IncrementalDetector> {
-        self.state.take().filter(|s| s.describes(relation))
-    }
-
-    /// Restores a detector previously obtained via
-    /// [`IncrementalBackend::take_state`]. A state that no longer describes
-    /// the table is dropped, not used, at its next use.
-    pub fn put_state(&mut self, state: IncrementalDetector) {
-        self.state = Some(state);
-    }
-
-    /// The detector's maintained report and evidence: seeded by the full
-    /// pass, kept current by every `apply` — never re-derived.
-    fn read_out(state: &IncrementalDetector) -> ReadOut {
-        (
-            state.maintained_report().clone(),
-            state.maintained_evidence().clone(),
-        )
-    }
-}
-
-impl DetectorBackend for IncrementalBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Incremental
-    }
-
-    fn table(&self) -> &str {
-        self.detector.schema().name()
-    }
-
-    fn detect(&mut self, catalog: &mut Catalog) -> Result<ReadOut> {
-        self.detect_from(catalog, None)
-    }
-
-    fn apply(&mut self, catalog: &mut Catalog, delta: &Delta) -> Result<ReadOut> {
-        self.apply_from(catalog, delta, None)
-    }
-
-    fn invalidate(&mut self) {
-        self.state = None;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::semantic::fixtures::{cust_schema, d0, fd_ct_ac, phi1, phi2};
     use ecfd_relation::{RowId, Tuple, Value};
 
-    fn backends(set: &ConstraintSet) -> Vec<Box<dyn DetectorBackend>> {
+    /// One way to an answer: a trait backend, or INCDETECT through the
+    /// native backend's `reseed` / `fold`.
+    enum Route {
+        Trait(Box<dyn DetectorBackend>),
+        Incdetect(Box<NativeBackend>),
+    }
+
+    impl Route {
+        fn kind(&self) -> BackendKind {
+            match self {
+                Route::Trait(backend) => backend.kind(),
+                Route::Incdetect(_) => BackendKind::Incremental,
+            }
+        }
+
+        fn table(&self) -> &str {
+            match self {
+                Route::Trait(backend) => backend.table(),
+                Route::Incdetect(native) => native.table(),
+            }
+        }
+
+        fn detect(&mut self, catalog: &mut Catalog) -> Result<ReadOut> {
+            match self {
+                Route::Trait(backend) => backend.detect(catalog),
+                Route::Incdetect(native) => native.reseed(catalog),
+            }
+        }
+
+        fn apply(&mut self, catalog: &mut Catalog, delta: &Delta) -> Result<ReadOut> {
+            match self {
+                Route::Trait(backend) => backend.apply(catalog, delta),
+                Route::Incdetect(native) => native.fold(catalog, delta),
+            }
+        }
+    }
+
+    /// Every route, in `BackendKind::ALL` order.
+    fn routes(set: &ConstraintSet) -> Vec<Route> {
         vec![
-            Box::new(SemanticBackend::from_set(set)),
-            Box::new(SqlBackend::from_set(set).unwrap()),
-            Box::new(IncrementalBackend::from_set(set)),
+            Route::Trait(Box::new(NativeBackend::from_set(set))),
+            Route::Trait(Box::new(SqlBackend::from_set(set).unwrap())),
+            Route::Incdetect(Box::new(NativeBackend::from_set(set))),
         ]
     }
 
@@ -498,7 +448,7 @@ mod tests {
     fn all_backends_agree_through_the_trait() {
         let set = ConstraintSet::compile(&cust_schema(), &[phi1(), phi2(), fd_ct_ac()]).unwrap();
         let mut outputs = Vec::new();
-        for mut backend in backends(&set) {
+        for mut backend in routes(&set) {
             let mut catalog = catalog_with_d0();
             assert_eq!(backend.table(), "cust");
             let (report, evidence) = backend.detect(&mut catalog).unwrap();
@@ -524,7 +474,7 @@ mod tests {
             ])],
         };
         let mut outputs = Vec::new();
-        for mut backend in backends(&set) {
+        for mut backend in routes(&set) {
             let mut catalog = catalog_with_d0();
             backend.detect(&mut catalog).unwrap();
             let (report, evidence) = backend.apply(&mut catalog, &delta).unwrap();
@@ -552,7 +502,7 @@ mod tests {
             relation.iter().map(|(id, t)| (id, t.clone())).collect()
         };
         for bad in bad_tuples {
-            for mut backend in backends(&set) {
+            for mut backend in routes(&set) {
                 let kind = backend.kind();
                 let mut catalog = catalog_with_d0();
                 let before = backend.detect(&mut catalog).unwrap();
@@ -591,7 +541,7 @@ mod tests {
                 "519", "7", "Zoe", "Pine St.", "Albany", "12239",
             ])],
         };
-        for mut backend in backends(&set) {
+        for mut backend in routes(&set) {
             let kind = backend.kind();
             if kind != BackendKind::Incremental {
                 let (report, _) = backend.detect(&mut catalog).unwrap();
@@ -611,21 +561,49 @@ mod tests {
     #[test]
     fn apply_without_detect_seeds_the_incremental_state() {
         let set = ConstraintSet::compile(&cust_schema(), &[phi1()]).unwrap();
-        let mut backend = IncrementalBackend::from_set(&set);
-        assert!(backend.detector().is_none());
+        let mut backend = NativeBackend::from_set(&set);
+        assert!(!backend.is_warm());
         let mut catalog = catalog_with_d0();
         let delta = Delta::insert_only(vec![Tuple::from_iter([
             "519", "7", "Zoe", "Pine St.", "Albany", "12239",
         ])]);
-        let (report, _) = backend.apply(&mut catalog, &delta).unwrap();
-        assert!(backend.detector().is_some());
+        let (report, _) = backend.fold(&mut catalog, &delta).unwrap();
+        assert!(backend.is_warm());
         assert_eq!(report.num_mv(), 2, "the two Albany rows now conflict");
 
-        backend.invalidate();
-        assert!(backend.detector().is_none());
-        // A fresh detect after invalidation reproduces the same picture.
-        let (after, _) = backend.detect(&mut catalog).unwrap();
+        backend.clear();
+        assert!(!backend.is_warm());
+        // A fresh seed after clearing reproduces the same picture, and so
+        // does a full pass over the view it holds.
+        let (after, _) = backend.reseed(&catalog).unwrap();
         assert_eq!(after, report);
+        assert!(backend.is_warm());
+        let (full, _) = backend.detect(&mut catalog).unwrap();
+        assert_eq!(full, report);
+        assert!(backend.is_warm(), "a full pass scans the warm view");
+    }
+
+    /// Rows moved outside the backend leave a warm slot stale: the next
+    /// full pass drops it and scans a fresh encoding, and the next fold
+    /// seeds from that encoding.
+    #[test]
+    fn a_slot_the_rows_moved_under_is_replaced() {
+        let set = ConstraintSet::compile(&cust_schema(), &[phi1(), phi2()]).unwrap();
+        let mut native = NativeBackend::from_set(&set);
+        let mut catalog = catalog_with_d0();
+        native.reseed(&catalog).unwrap();
+        let rick = Tuple::from_iter(["100", "1111111", "Rick", "8th Ave.", "NYC", "10001"]);
+        let removed = catalog.get_mut("cust").unwrap().delete_matching(&rick);
+        assert_eq!(removed.len(), 1);
+        let (full, _) = native.detect(&mut catalog).unwrap();
+        assert!(!native.is_warm());
+        let want = SemanticDetector::from_set(&set)
+            .detect(catalog.get("cust").unwrap())
+            .unwrap();
+        assert_eq!(*full, want);
+        let (folded, _) = native.fold(&mut catalog, &Delta::default()).unwrap();
+        assert!(native.is_warm());
+        assert_eq!(*folded, want);
     }
 
     #[test]
@@ -644,7 +622,7 @@ mod tests {
             .unwrap();
         let set = ConstraintSet::compile(&schema, &[phi]).unwrap();
         assert!(SqlBackend::from_set(&set).is_err());
-        // The semantic backend handles the same set fine.
+        // The native backend handles the same set fine.
         let mut catalog = Catalog::new();
         catalog
             .create(
@@ -655,9 +633,7 @@ mod tests {
                 .unwrap(),
             )
             .unwrap();
-        let (report, _) = SemanticBackend::from_set(&set)
-            .detect(&mut catalog)
-            .unwrap();
+        let (report, _) = NativeBackend::from_set(&set).detect(&mut catalog).unwrap();
         assert!(report.is_clean());
     }
 }

@@ -149,7 +149,7 @@ impl IncrementalDetector {
     /// The table must carry exactly the base attributes: one with columns
     /// beyond them (a BATCHDETECT run's `SV` / `MV`) is refused.
     pub fn initialize(schema: &Schema, ecfds: &[ECfd], catalog: &mut Catalog) -> Result<Self> {
-        Self::initialize_from(SemanticDetector::new(schema, ecfds)?, catalog, None)
+        Self::initialize_from(SemanticDetector::new(schema, ecfds)?, catalog)
     }
 
     /// Like [`IncrementalDetector::initialize`], but reusing an
@@ -158,31 +158,26 @@ impl IncrementalDetector {
     ///
     /// [`ConstraintSet`]: ecfd_core::ConstraintSet
     pub fn from_set(set: &ecfd_core::ConstraintSet, catalog: &mut Catalog) -> Result<Self> {
-        Self::initialize_from(SemanticDetector::from_set(set), catalog, None)
+        Self::initialize_from(SemanticDetector::from_set(set), catalog)
     }
 
     /// Like [`IncrementalDetector::initialize`], but seeding the table its
     /// schema names through an existing (already-compiled) detector and the
-    /// dictionary its clones share. The seed's view adopts `encoded`'s
-    /// columns when they describe the table as it is now (they must come
-    /// from the same dictionary); otherwise, the cold case, the table is
-    /// encoded here. Either way the seeding pass scans the view the detector
-    /// then keeps and maintains, and its report and evidence seed the
+    /// dictionary its clones share.
+    pub fn initialize_from(semantic: SemanticDetector, catalog: &mut Catalog) -> Result<Self> {
+        let relation = catalog.get(semantic.schema().name())?;
+        refuse_extra_columns(relation.schema(), semantic.schema())?;
+        let encoded = semantic.encode(relation)?;
+        Self::adopt(semantic, encoded)
+    }
+
+    /// Seeds the state from `encoded`, the codes of the table as it is now
+    /// (issued by `semantic`'s dictionary), which become the maintained view:
+    /// the seeding pass scans them, and its report and evidence seed the
     /// maintained read-out.
-    pub fn initialize_from(
-        semantic: SemanticDetector,
-        catalog: &mut Catalog,
-        encoded: Option<EncodedTable>,
-    ) -> Result<Self> {
-        let schema = semantic.schema();
-        let relation = catalog.get(schema.name())?;
-        refuse_extra_columns(relation.schema(), schema)?;
-        let encoded = match encoded.filter(|e| e.describes(relation)) {
-            Some(encoded) => encoded,
-            None => semantic.encode(relation)?,
-        };
+    pub(crate) fn adopt(semantic: SemanticDetector, encoded: EncodedTable) -> Result<Self> {
         let view = ColumnarView::index(encoded.columns);
-        let (report, evidence, groups) = semantic.scan(schema, view.columns())?;
+        let (report, evidence, groups) = semantic.scan(semantic.schema(), view.columns())?;
         crate::obs::count("detect.incremental.seeds", 1);
         Ok(IncrementalDetector {
             semantic,
@@ -201,8 +196,8 @@ impl IncrementalDetector {
     }
 
     /// The maintained columns of the table's base attributes, in the view's
-    /// own row order: what a full pass can scan instead of encoding the
-    /// table again while the state [`describes`](Self::describes) it.
+    /// own row order: what a full pass scans instead of encoding the table
+    /// again while the state describes it.
     pub(crate) fn columns(&self) -> &CodeColumns {
         self.view.columns()
     }

@@ -45,10 +45,13 @@
 //!   [`EvidenceReport`] names, for every flagged row, the violated constraint
 //!   and pattern tuple, and for multi-tuple violations the offending group —
 //!   the input the `ecfd_repair` crate turns into repairs.
-//! * [`backend`] puts all three strategies behind one [`DetectorBackend`]
-//!   trait, each constructible from a compiled [`ecfd_core::ConstraintSet`]
-//!   so constraints are validated and split once, not once per detector.
-//!   This is the layer the `ecfd_session` crate routes between.
+//! * [`backend`] puts the three strategies behind two backends, each
+//!   constructible from a compiled [`ecfd_core::ConstraintSet`] so
+//!   constraints are validated and split once, not once per detector:
+//!   [`NativeBackend`] runs the semantic full pass and INCDETECT over one
+//!   held state, [`SqlBackend`] runs BATCHDETECT, and both implement the
+//!   [`DetectorBackend`] trait. This is the layer the `ecfd_session` crate
+//!   routes between.
 //!
 //! All detectors report a [`DetectionReport`] with the same shape, so they can
 //! be compared directly.
@@ -90,9 +93,7 @@ pub mod scan;
 pub mod semantic;
 pub mod sqlgen;
 
-pub use backend::{
-    BackendKind, DetectorBackend, IncrementalBackend, ReadOut, SemanticBackend, SqlBackend,
-};
+pub use backend::{BackendKind, DetectorBackend, NativeBackend, ReadOut, SqlBackend};
 pub use batch::BatchDetector;
 pub use encode::Encoding;
 pub use evidence::{ConstraintRef, EvidenceReport, MvEvidence, SvEvidence};
@@ -101,7 +102,7 @@ pub use merge::{MergeState, MergeStats};
 pub use parallel::Parallelism;
 pub use report::DetectionReport;
 pub use scan::ScanProgram;
-pub use semantic::{EncodedTable, OpenGroup, SemanticDetector, ShardPartial};
+pub use semantic::{OpenGroup, SemanticDetector, ShardPartial};
 
 use std::fmt;
 

@@ -88,14 +88,14 @@ struct Compiled {
 /// reuses it only while that stamp is current, so it is never read for any
 /// other contents.
 #[derive(Debug, Clone)]
-pub struct EncodedTable {
+pub(crate) struct EncodedTable {
     pub(crate) stamp: u64,
     pub(crate) columns: CodeColumns,
 }
 
 impl EncodedTable {
     /// Whether these are the codes of `relation` as it is now.
-    pub fn describes(&self, relation: &Relation) -> bool {
+    pub(crate) fn describes(&self, relation: &Relation) -> bool {
         self.stamp == relation.stamp()
     }
 }

@@ -5,21 +5,21 @@
 use crate::mir::Plan;
 use crate::Result;
 use ecfd_core::ConstraintSet;
-use ecfd_detect::{BackendKind, DetectorBackend, Parallelism, ReadOut, SemanticBackend};
+use ecfd_detect::{BackendKind, DetectorBackend, NativeBackend, Parallelism, ReadOut};
 use ecfd_relation::{Catalog, Delta};
 
-/// A [`SemanticBackend`] that executes a compiled [`Plan`]'s scans: the same
+/// A [`NativeBackend`] that executes a compiled [`Plan`]'s scans: the same
 /// detector and kernel, with the program chosen by the plan (fused or
 /// unfused) rather than defaulted.
 ///
-/// For the fused plan this computes exactly what `SemanticBackend::from_set`
+/// For the fused plan this computes exactly what `NativeBackend::from_set`
 /// does; the unfused plan is the contrast arm that keeps the shared-scan win
 /// measurable. Passes are recorded by the detector, under
 /// `detect.pass.ns{backend="semantic"}`, once.
 #[derive(Debug, Clone)]
 pub struct PlanBackend {
     plan: Plan,
-    backend: SemanticBackend,
+    backend: NativeBackend,
 }
 
 impl PlanBackend {
@@ -35,7 +35,7 @@ impl PlanBackend {
     }
 
     fn from_plan(plan: Plan) -> Self {
-        let backend = SemanticBackend::from_set(plan.set()).with_program(plan.program().clone());
+        let backend = NativeBackend::from_set(plan.set()).with_program(plan.program().clone());
         PlanBackend { plan, backend }
     }
 
@@ -111,7 +111,7 @@ mod tests {
     #[test]
     fn every_driver_agrees_with_the_semantic_backend() {
         let set = set();
-        let mut reference = ecfd_detect::SemanticBackend::from_set(&set);
+        let mut reference = ecfd_detect::NativeBackend::from_set(&set);
         let mut reference_catalog = catalog();
         let (want_report, want_evidence) = reference.detect(&mut reference_catalog).unwrap();
 
@@ -149,7 +149,7 @@ mod tests {
         assert_eq!(report.num_mv(), 2);
         assert_eq!(cat.get("cust").unwrap().len(), 3);
 
-        let mut reference = ecfd_detect::SemanticBackend::from_set(&set);
+        let mut reference = ecfd_detect::NativeBackend::from_set(&set);
         let mut reference_catalog = catalog();
         reference.detect(&mut reference_catalog).unwrap();
         let (want, _) = reference.apply(&mut reference_catalog, &delta).unwrap();

@@ -25,10 +25,10 @@
 //!
 //! [`PlanBackend`] packages a plan behind the ordinary
 //! [`DetectorBackend`](ecfd_detect::DetectorBackend) trait: a
-//! [`SemanticBackend`](ecfd_detect::SemanticBackend) whose program is the
-//! plan's. On the fused plan it computes exactly what the semantic backend
-//! does; the unfused plan is the measured contrast arm (`plan.unfused_ms` in
-//! `benchmark/`). There is no interpreter here.
+//! [`NativeBackend`](ecfd_detect::NativeBackend) whose program is the
+//! plan's. On the fused plan it computes exactly what the native backend's
+//! full pass does; the unfused plan is the measured contrast arm
+//! (`plan.unfused_ms` in `benchmark/`). There is no interpreter here.
 //!
 //! ## Example
 //!

@@ -5,13 +5,13 @@
 //! database: constraints are encoded once, and the per-query work is
 //! independent of how many eCFDs are checked. [`Session`] is that service as
 //! an API — it owns the [`Catalog`](ecfd_relation::Catalog), a registry of
-//! compiled [`ConstraintSet`](ecfd_core::ConstraintSet)s, and the three
-//! detector backends per set, so callers stop hand-wiring
+//! compiled [`ConstraintSet`](ecfd_core::ConstraintSet)s, and the detector
+//! backends per set, so callers stop hand-wiring
 //! `SemanticDetector` / `BatchDetector` / `IncrementalDetector` /
 //! `RepairEngine` object graphs. A registration compiles its set into one
-//! `SemanticDetector`, and every native consumer — both native backends,
-//! each incremental seed, the repair engine and every [`Snapshot`] — shares
-//! that compile and its dictionary. (Those types remain exported from their
+//! `SemanticDetector`, and every native consumer — the native backend, each
+//! INCDETECT seed, the repair engine and every [`Snapshot`] — shares that
+//! compile and its dictionary. (Those types remain exported from their
 //! crates as the low-level layer.)
 //!
 //! ## Lifecycle state machine
@@ -32,8 +32,8 @@
 //!   constraints yet.
 //! * **Registered** — [`Session::register`] compiled constraints for it
 //!   (validate → optional implication-based minimization → normalize →
-//!   dedupe → split, see [`ecfd_core::ConstraintSet`]); all three backends
-//!   are built from the one compiled set.
+//!   dedupe → split, see [`ecfd_core::ConstraintSet`]); both backends are
+//!   built from the one compiled set.
 //! * **Detected** — a detection result (flags + evidence) is cached and
 //!   describes the current table contents. [`Session::detect`],
 //!   [`Session::explain`] and [`Session::apply`] land here.
@@ -42,44 +42,44 @@
 //!
 //! ## What invalidates what
 //!
-//! | operation                  | cached report/evidence | incremental aux state | kept encoding |
-//! |----------------------------|------------------------|-----------------------|---------------|
-//! | `load` (same name again)   | dropped                | dropped               | stamp-checked |
-//! | `register` (more rules)    | dropped                | dropped               | dropped       |
-//! | `detect` (cache present)   | served, nothing runs   | kept                  | kept          |
-//! | `detect_with(Semantic)`    | replaced               | kept (its view is scanned) | rescanned, or re-encoded if the stamp moved |
-//! | `detect_with(Incremental)` | replaced               | re-seeded: a warm state from its own view, a cold one adopting the kept encoding | handed to the seed |
-//! | `detect_with(Sql)`         | replaced               | kept                  | kept          |
-//! | `apply` via incremental    | replaced               | maintained (seeded first when cold) | handed to the seed |
-//! | `apply` via semantic       | replaced               | dropped               | re-encoded    |
-//! | `apply` via SQL            | replaced               | dropped               | dropped       |
-//! | `apply` refused (a tuple that does not fit) | kept | kept            | kept          |
-//! | `apply` failing mid-delta  | dropped (table may be partially mutated) | dropped | stamp-checked |
-//! | `repair`                   | replaced (clean)       | maintained (a cold seed adopts the kept encoding) | handed to the seed |
-//! | `catalog_mut` / `invalidate` | dropped              | dropped               | stamp-checked |
-//! | `snapshot`                 | served or replaced     | kept (its view is frozen) | frozen, encoded first only if the stamp moved |
-//! | `with_policy` (new [`Parallelism`]) | kept          | kept (fan-out retrofitted) | kept |
-//! | `with_cost_model` / `set_compile_options` | retired (version bump) | kept / dropped | kept / dropped |
+//! | operation                  | cached report/evidence | native state (Cold / Encoded / Warm) |
+//! |----------------------------|------------------------|--------------------------------------|
+//! | `load` (same name again)   | dropped                | dropped                              |
+//! | `register` (more rules)    | dropped                | dropped                              |
+//! | `detect` (cache present)   | served, nothing runs   | kept                                 |
+//! | `detect_with(Semantic)`    | replaced               | scanned as held; Cold → Encoded      |
+//! | `detect_with(Incremental)` | replaced               | re-seeded from what is held → Warm   |
+//! | `detect_with(Sql)`         | replaced               | kept                                 |
+//! | `apply` via incremental    | replaced               | folded (seeded from what is held first) → Warm |
+//! | `apply` via semantic       | replaced               | dropped, the new version encoded → Encoded |
+//! | `apply` via SQL            | replaced               | kept, stale once the rows moved      |
+//! | `apply` refused (a tuple that does not fit) | kept  | kept                                 |
+//! | `apply` failing mid-delta  | dropped (table may be partially mutated) | dropped            |
+//! | `repair`, applied or refused | replaced (clean) / kept | driven in place → Warm            |
+//! | `catalog_mut` / `invalidate` | dropped              | dropped                              |
+//! | `snapshot`                 | served or replaced     | frozen as held; Cold → Encoded       |
+//! | `with_policy` (new [`Parallelism`]) | kept          | kept (fan-out retrofitted)           |
+//! | `with_cost_model` / `set_compile_options` | retired (version bump) | kept / dropped    |
 //!
-//! The *kept encoding* is the dictionary codes of the table's current
-//! contents. The entry holds at most one: the warm incremental state's
-//! maintained view, or else the columns the semantic backend's last pass
-//! encoded. Every row change moves the table's content stamp
-//! ([`Relation::stamp`](ecfd_relation::Relation::stamp)), and an encoding is
-//! read only while the stamp it was built at is current, so "stamp-checked"
-//! means it is reused if and only if the rows did not change — whoever
-//! changed them, `catalog_mut` included. A full pass over an unchanged table
-//! therefore encodes nothing, and a cold set-up (register → detect →
-//! snapshot → first small delta) encodes the table once.
+//! The *native state* is the one slot of the entry's `NativeBackend`:
+//! nothing (Cold), the dictionary codes of the table version the last full
+//! pass read (Encoded), or the INCDETECT state, whose maintained view is
+//! those codes (Warm). Every row change moves the table's content stamp
+//! ([`Relation::stamp`](ecfd_relation::Relation::stamp)), and the slot is
+//! read only while the stamp it was built at is current; a stale slot is
+//! dropped before anything is encoded (so "Cold → Encoded" covers a stale
+//! slot too). The state is therefore reused if and only if the rows did
+//! not change, whoever changed them, `catalog_mut` included. A full pass over an unchanged table therefore
+//! encodes nothing, and a cold set-up (register → detect → snapshot → first
+//! small delta) encodes the table once.
 //!
 //! The `SV` / `MV` flags live in the cached report, never in the catalog: a
 //! full detection pass leaves the stored table exactly as loaded (the SQL
-//! backend runs the paper's statements on a scratch copy), so the
-//! incremental backend's group state stays valid across `detect_with`
-//! regardless of which backend ran. Updates applied through a
-//! non-incremental backend *do* move rows, which is why they drop it. A
-//! delta with an insertion that does not fit the loaded schema is refused
-//! before any backend sees it, so it costs nothing.
+//! backend runs the paper's statements on a scratch copy), so a Warm state
+//! stays valid across `detect_with` whichever backend ran. Updates applied
+//! through a full-pass backend *do* move rows, so the stamp retires the
+//! state they leave behind. A delta with an insertion that does not fit the
+//! loaded schema is refused before any backend sees it, so it costs nothing.
 //!
 //! Beyond the explicit drops in the table, every cached result carries the
 //! session version it was produced at, and is served (by `detect`,
@@ -718,14 +718,14 @@ mod tests {
 
     #[test]
     fn backends_stay_swappable_behind_the_trait_object() {
-        // The session's per-call dispatch goes through &mut dyn
-        // DetectorBackend; double-check the trait stays object-safe and the
-        // public constructors compose.
+        // The session holds its backends by concrete type; callers that pick
+        // one at run time hold a `Box<dyn DetectorBackend>`. Double-check the
+        // trait stays object-safe, the public constructors compose, and
+        // INCDETECT's seed agrees with both full passes.
         let set = ecfd_core::ConstraintSet::parse(&schema(), PHI).unwrap();
         let mut backends: Vec<Box<dyn DetectorBackend>> = vec![
-            Box::new(ecfd_detect::SemanticBackend::from_set(&set)),
+            Box::new(ecfd_detect::NativeBackend::from_set(&set)),
             Box::new(ecfd_detect::SqlBackend::from_set(&set).unwrap()),
-            Box::new(ecfd_detect::IncrementalBackend::from_set(&set)),
         ];
         let mut catalog = ecfd_relation::Catalog::new();
         catalog.create(dirty()).unwrap();
@@ -733,6 +733,8 @@ mod tests {
         for backend in &mut backends {
             reports.push(backend.detect(&mut catalog).unwrap().0);
         }
+        let mut native = ecfd_detect::NativeBackend::from_set(&set);
+        reports.push(native.reseed(&catalog).unwrap().0);
         assert_eq!(reports[0], reports[1]);
         assert_eq!(reports[1], reports[2]);
     }

@@ -6,9 +6,7 @@ use crate::error::{Result, SessionError};
 use crate::policy::RoutingPolicy;
 use crate::snapshot::Snapshot;
 use ecfd_core::{CompileOptions, ConstraintSet, ECfd};
-use ecfd_detect::backend::{
-    BackendKind, DetectorBackend, IncrementalBackend, ReadOut, SemanticBackend, SqlBackend,
-};
+use ecfd_detect::backend::{BackendKind, DetectorBackend, NativeBackend, ReadOut, SqlBackend};
 use ecfd_detect::{DetectionReport, EvidenceReport, SemanticDetector};
 use ecfd_relation::{Catalog, Delta, Relation, RowId, Schema, Tuple};
 use ecfd_repair::{
@@ -41,8 +39,8 @@ pub enum Stage {
 /// retires it instead of relying on every such code path to remember to
 /// clear it.
 ///
-/// Report and evidence are held by reference count: the incremental backend
-/// hands over the pair it maintains and a snapshot takes the same pair on,
+/// Report and evidence are held by reference count: INCDETECT hands over
+/// the pair it maintains and a snapshot takes the same pair on,
 /// so neither caching nor publishing a result copies it.
 #[derive(Debug, Clone)]
 struct Cached {
@@ -52,22 +50,16 @@ struct Cached {
     at_version: u64,
 }
 
-/// Everything the session holds for one registered relation.
-///
-/// The entry keeps at most one encoding of the table, and only of its
-/// current contents (both native backends key theirs by the table's
-/// stamp): while the incremental state is warm it is that state's view,
-/// which full passes and snapshots read; otherwise it is the columns the
-/// semantic backend's last pass encoded, which a snapshot freezes and the
-/// next incremental seed adopts.
+/// Everything the session holds for one registered relation. The native
+/// backend holds the entry's one encoding of the table, and only of its
+/// current contents (see [`NativeBackend`]).
 struct Entry {
     /// Shared with every snapshot taken of the relation.
     set: Arc<ConstraintSet>,
-    semantic: SemanticBackend,
+    native: NativeBackend,
     /// The SQL backend, or the reason it cannot serve this set (non-string
     /// constrained attributes are outside the SQL encoding's envelope).
     sql: std::result::Result<SqlBackend, String>,
-    incremental: IncrementalBackend,
     repair: RepairEngine,
     cache: Option<Cached>,
     stage: Stage,
@@ -83,59 +75,33 @@ impl Entry {
             })
     }
 
-    /// A full detection pass through `kind`, over the entry's one encoding.
+    /// A full detection pass through `kind`.
     fn detect(&mut self, kind: BackendKind, catalog: &mut Catalog) -> Result<ReadOut> {
-        let out = match kind {
-            BackendKind::Semantic => {
-                let relation = catalog.get(self.set.schema().name())?;
-                match self.incremental.warm(relation) {
-                    Some(state) => self.semantic.detect_over(state)?,
-                    None => self.semantic.detect(catalog)?,
-                }
-            }
-            BackendKind::Incremental => {
-                let kept = self.semantic.take_encoded();
-                self.incremental.detect_from(catalog, kept)?
-            }
+        Ok(match kind {
+            BackendKind::Semantic => self.native.detect(catalog)?,
+            BackendKind::Incremental => self.native.reseed(catalog)?,
             BackendKind::Sql => self.sql()?.detect(catalog)?,
-        };
-        Ok(out)
+        })
     }
 
-    /// Applies `delta` through `kind`. An incremental seed adopts the
-    /// semantic backend's kept encoding; a full-pass route moves rows behind
-    /// the incremental state's back, so that state goes first (and, for the
-    /// SQL route, the kept encoding too).
+    /// Applies `delta` through `kind`.
     fn apply(
         &mut self,
         kind: BackendKind,
         catalog: &mut Catalog,
         delta: &Delta,
     ) -> Result<ReadOut> {
-        let out = match kind {
-            BackendKind::Incremental => {
-                let kept = self.semantic.take_encoded();
-                self.incremental.apply_from(catalog, delta, kept)?
-            }
-            BackendKind::Semantic => {
-                self.incremental.invalidate();
-                self.semantic.apply(catalog, delta)?
-            }
-            BackendKind::Sql => {
-                self.incremental.invalidate();
-                self.semantic.invalidate();
-                self.sql()?.apply(catalog, delta)?
-            }
-        };
-        Ok(out)
+        Ok(match kind {
+            BackendKind::Incremental => self.native.fold(catalog, delta)?,
+            BackendKind::Semantic => self.native.apply(catalog, delta)?,
+            BackendKind::Sql => self.sql()?.apply(catalog, delta)?,
+        })
     }
 
-    /// Drops the cached answer and the incremental state. The semantic
-    /// backend's kept encoding stays: its stamp already decides whether it
-    /// still describes the table.
+    /// Drops the cached answer and the native state.
     fn reset(&mut self) {
         self.cache = None;
-        self.incremental.invalidate();
+        self.native.clear();
         if self.stage > Stage::Registered {
             self.stage = Stage::Registered;
         }
@@ -143,7 +109,7 @@ impl Entry {
 }
 
 /// A long-lived constraint-management session: owns the catalog, a registry
-/// of compiled constraint sets, and the three detector backends per set, with
+/// of compiled constraint sets, and the detector backends per set, with
 /// detection/evidence state cached and invalidated on mutation.
 ///
 /// See the crate-level docs for the lifecycle and invalidation rules; see
@@ -193,8 +159,7 @@ impl Session {
     pub fn with_policy(mut self, policy: RoutingPolicy) -> Self {
         self.policy = policy;
         for entry in self.tables.values_mut() {
-            entry.semantic.set_parallelism(policy.parallelism);
-            entry.incremental.set_parallelism(policy.parallelism);
+            entry.native.set_parallelism(policy.parallelism);
             entry.repair.set_parallelism(policy.parallelism);
         }
         self
@@ -320,15 +285,14 @@ impl Session {
     fn build_entry(&self, schema: &Schema, source: &[ECfd]) -> Result<Entry> {
         let set = Arc::new(ConstraintSet::compile_with(schema, source, self.compile)?);
         let sql = SqlBackend::from_set(&set).map_err(|e| e.to_string());
-        // The registration's one compile: every native consumer — both
-        // backends, each seed, the repair engine, each snapshot — holds a
+        // The registration's one compile: every native consumer — the
+        // backend, each seed, the repair engine, each snapshot — holds a
         // clone sharing its program and dictionary.
         let detector = SemanticDetector::from_set(&set).with_parallelism(self.policy.parallelism);
         let mut repair = RepairEngine::from_detector(detector.clone());
         repair.set_cost_model(self.cost.clone());
         Ok(Entry {
-            semantic: SemanticBackend::new(detector.clone()),
-            incremental: IncrementalBackend::new(detector),
+            native: NativeBackend::new(detector),
             repair,
             sql,
             set,
@@ -507,7 +471,7 @@ impl Session {
         let table_len = self.catalog.get(&name)?.len();
         let entry = self.tables.get_mut(&name).expect("resolved");
         // A delta that does not fit is refused here, before routing: the
-        // table, the cache and the warm incremental state all stay valid.
+        // table, the cache and the native state all stay valid.
         for ins in &delta.insertions {
             entry.set.schema().validate(ins)?;
         }
@@ -545,9 +509,9 @@ impl Session {
 
     /// Repairs the sole registered relation until it verifies clean, driving
     /// the repair engine from the session-held evidence: the cached detection
-    /// result seeds the loop's first planning round, and when the incremental
-    /// backend's maintenance state is warm the loop starts from it directly —
-    /// no seeding re-scan at all. Uses default [`RepairOptions`].
+    /// result seeds the loop's first planning round, and when the entry's
+    /// INCDETECT state is warm the loop starts from it directly — no seeding
+    /// re-scan at all. Uses default [`RepairOptions`].
     pub fn repair(&mut self) -> Result<VerifiedRepair> {
         self.repair_impl(None, RepairOptions::default())
     }
@@ -575,19 +539,10 @@ impl Session {
             .as_ref()
             .map(|c| EvidenceReport::clone(&c.evidence));
         entry.repair.set_options(options);
-        // Warm incremental state means flags and group structure already
-        // describe the table — hand it to the loop and skip the seeding
-        // pass; otherwise seed one through the backend. Either way the loop
-        // maintains the state, so it is handed back warm afterwards.
-        let mut inc = match entry.incremental.take_state(self.catalog.get(&name)?) {
-            Some(state) => state,
-            None => {
-                let kept = entry.semantic.take_encoded();
-                entry.incremental.seed(&mut self.catalog, kept)?
-            }
-        };
-        let outcome = repair_verified_with(&entry.repair, &mut self.catalog, &mut inc, seed)?;
-        entry.incremental.put_state(inc);
+        // The loop drives the entry's INCDETECT state in place — a warm one
+        // needs no seeding pass — and leaves it warm, refused or not.
+        let inc = entry.native.warm(&self.catalog)?;
+        let outcome = repair_verified_with(&entry.repair, &mut self.catalog, inc, seed)?;
         // Bump *before* stamping, as in `apply_impl`: the clean report
         // describes the repaired contents.
         self.version += 1;
@@ -671,9 +626,9 @@ impl Session {
     ///
     /// Nothing is encoded or copied unless the table changed since its last
     /// encoding: the frozen view *shares* the chunks of the entry's one
-    /// encoding — the warm incremental state's maintained view (the state a
-    /// served session is in after its first delta), else the semantic
-    /// backend's kept columns — and the set, report and evidence travel by
+    /// encoding — the warm INCDETECT state's maintained view (the state a
+    /// served session is in after its first delta), else the columns the
+    /// last full pass read — and the set, report and evidence travel by
     /// reference count, so a snapshot costs the same at every table size.
     pub fn snapshot(&mut self) -> Result<Snapshot> {
         let name = self.resolve(None)?;
@@ -687,19 +642,13 @@ impl Session {
         // cached (served from the cache when already current).
         self.detect_impl(Some(&name), None)?;
         let entry = self.tables.get_mut(&name).expect("resolved");
-        let relation = self.catalog.get(&name)?;
-        let frozen = match entry.incremental.warm(relation) {
-            Some(inc) => inc.freeze(),
-            None => entry.semantic.freeze(relation)?,
-        };
+        let frozen = entry.native.freeze(self.catalog.get(&name)?)?;
         let cached = entry.cache.as_ref().expect("just detected");
-        // Both arms froze codes of the entry's one detector, which the
-        // snapshot ships.
-        let detector = entry.semantic.detector();
         Ok(Snapshot {
             epoch: self.version,
             set: entry.set.clone(),
-            detector: detector.clone(),
+            // The detector whose dictionary issued the frozen codes.
+            detector: entry.native.detector().clone(),
             cost: self.cost.clone(),
             frozen,
             report: cached.report.clone(),
@@ -849,7 +798,7 @@ mod tests {
         session
             .apply_with(BackendKind::Incremental, &warmup)
             .unwrap();
-        let is_warm = |session: &Session| session.tables["cust"].incremental.detector().is_some();
+        let is_warm = |session: &Session| session.tables["cust"].native.is_warm();
         assert!(is_warm(&session));
         let version = session.version();
         let report = session.report().cloned();
@@ -888,10 +837,10 @@ mod tests {
         session
             .apply_with(BackendKind::Incremental, &warmup)
             .unwrap();
-        assert!(session.tables["cust"].incremental.detector().is_some());
+        assert!(session.tables["cust"].native.is_warm());
         let fixed = Parallelism::Fixed(1);
         let mut session = session.with_policy(RoutingPolicy::default().with_parallelism(fixed));
-        assert!(session.tables["cust"].incremental.detector().is_some());
+        assert!(session.tables["cust"].native.is_warm());
         let snapshot = session.snapshot().unwrap();
         assert_eq!(snapshot.detector.parallelism(), fixed);
         assert_eq!(&snapshot.detect_fresh().unwrap(), snapshot.report());

@@ -29,8 +29,8 @@
 //!   value-modification repairs under pluggable cost models, and a verified
 //!   repair → re-detect loop.
 //! * [`session`] — the high-level API: a stateful [`Session`](session::Session)
-//!   owning the catalog, compiled constraint sets, and the three detector
-//!   backends behind one `DetectorBackend` trait, with policy-based routing
+//!   owning the catalog, compiled constraint sets, and the three detection
+//!   strategies behind one `DetectorBackend` trait, with policy-based routing
 //!   between batch and incremental detection — plus epoch-stamped
 //!   [`Snapshot`](session::Snapshot)s for concurrent readers.
 //! * [`serve`] — the concurrent serving layer: a single writer applying
@@ -108,8 +108,8 @@ pub mod prelude {
     pub use ecfd_core::{implication, maxss, satisfiability};
     pub use ecfd_detect::{
         BackendKind, BatchDetector, ConstraintRef, DetectionReport, DetectorBackend, Encoding,
-        EvidenceReport, IncrementalBackend, IncrementalDetector, Parallelism, SemanticBackend,
-        SemanticDetector, SqlBackend,
+        EvidenceReport, IncrementalDetector, NativeBackend, Parallelism, SemanticDetector,
+        SqlBackend,
     };
     pub use ecfd_engine::{Engine, ResultSet};
     pub use ecfd_logic::{BoolExpr, HardSoftInstance, MaxGSatInstance, MaxGSatSolver};

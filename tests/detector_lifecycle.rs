@@ -9,7 +9,9 @@
 use ecfd::datagen::constraints::workload_constraints;
 use ecfd::datagen::{generate, generate_delta, CustConfig, UpdateConfig};
 use ecfd::prelude::*;
-use ecfd::repair::{repair_verified_seeded, EditDistanceCost, RepairEngine};
+use ecfd::repair::{
+    repair_verified_seeded, EditDistanceCost, RepairEngine, RepairError, VerifiedRepair,
+};
 
 fn counter(name: &str) -> u64 {
     ecfd::obs::registry().counter(name).get()
@@ -59,23 +61,28 @@ fn after_step(
     *last = counts();
 }
 
-/// Rows a verified repair of the session's table encodes of its own
-/// accord — re-explaining later rounds, keying conflict classes, the
-/// verifier's pass — on top of what the session's full pass and seed encode.
-/// The planner does not depend on interning order, so a replica repair of a
-/// copy under the same cost model does the same work; the replica's own
-/// explain and seed are left out.
-fn repair_encodes(session: &Session) -> u64 {
+/// Rows a verified repair of the session's table under `options` encodes of
+/// its own accord — re-explaining later rounds, keying conflict classes, the
+/// verifier's pass — on top of what the session's full pass and seed encode,
+/// with the replica's outcome. The planner does not depend on interning
+/// order, so a replica repair of a copy under the same cost model does the
+/// same work; the replica's own explain and seed are left out.
+fn repair_encodes(
+    session: &Session,
+    options: RepairOptions,
+) -> (Result<VerifiedRepair, RepairError>, u64) {
     let data = session.data("cust").expect("loaded").clone();
     let set = session.constraints("cust").expect("registered");
-    let engine = RepairEngine::from_set(set).with_cost_model(EditDistanceCost::default());
+    let engine = RepairEngine::from_set(set)
+        .with_cost_model(EditDistanceCost::default())
+        .with_options(options);
     let evidence = engine.explain(&data).expect("explain");
     let seed = data.len() as u64;
     let mut catalog = Catalog::new();
     catalog.create(data).expect("copy");
     let before = counter("relation.rows.encoded");
-    repair_verified_seeded(&engine, &mut catalog, Some(evidence)).expect("replica repair");
-    counter("relation.rows.encoded") - before - seed
+    let outcome = repair_verified_seeded(&engine, &mut catalog, Some(evidence));
+    (outcome, counter("relation.rows.encoded") - before - seed)
 }
 
 /// A delta of `insertions` generated tuples and `deletions` stored ones.
@@ -167,7 +174,8 @@ fn a_registration_compiles_once_and_every_consumer_shares_it() {
 
     // The verifier's from-scratch pass is the one independent compile. The
     // replica that prices the repair's own encodes runs outside the count.
-    let own = repair_encodes(&session);
+    let (replica, own) = repair_encodes(&session, RepairOptions::default());
+    replica.expect("replica repair");
     last = counts();
     let repaired = session.repair().expect("repair on the warm state");
     assert!(repaired.final_report.is_clean());
@@ -177,7 +185,8 @@ fn a_registration_compiles_once_and_every_consumer_shares_it() {
     // A cold repair's full pass encodes the table once, and its seed
     // adopts those columns.
     session.invalidate();
-    let own = repair_encodes(&session);
+    let (replica, own) = repair_encodes(&session, RepairOptions::default());
+    replica.expect("replica repair");
     last = counts();
     let n = rows(&session);
     session.repair().expect("cold repair");
@@ -220,4 +229,42 @@ fn a_registration_compiles_once_and_every_consumer_shares_it() {
     assert_eq!(session.last_backend(), Some(BackendKind::Incremental));
     let step = "small apply after the crossing";
     after_step(&mut session, &mut last, step, (0, 1, small.len() as u64));
+
+    // A repair refused before it touches a row leaves the state it drove
+    // warm, so the next small delta folds into it instead of seeding.
+    let refused = RepairOptions {
+        solver: DeletionSolver::Exact { max_nodes: 0 },
+        ..RepairOptions::default()
+    };
+    let (replica, own) = repair_encodes(&session, refused);
+    assert!(replica.is_err(), "the replica is refused too");
+    let stamp = session.data("cust").expect("loaded").stamp();
+    last = counts();
+    let err = session
+        .repair_with(refused)
+        .expect_err("no instance fits 0 nodes");
+    assert!(
+        matches!(
+            err,
+            SessionError::Repair(RepairError::InstanceTooLarge { .. })
+        ),
+        "{err}"
+    );
+    assert_eq!(
+        session.data("cust").expect("loaded").stamp(),
+        stamp,
+        "no row moved"
+    );
+    let small = delta(&session, 3, 2, 5);
+    session
+        .apply(&small)
+        .expect("small apply after the refused repair");
+    assert_eq!(session.last_backend(), Some(BackendKind::Incremental));
+    let step = "refused repair, then a small apply";
+    after_step(
+        &mut session,
+        &mut last,
+        step,
+        (0, 0, own + small.len() as u64),
+    );
 }

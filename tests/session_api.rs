@@ -1,7 +1,8 @@
 //! Integration tests for the `Session` facade: the differential contract
-//! across all three `DetectorBackend` implementations on generated workloads
-//! (including after mixed insert/delete deltas), backend auto-routing, and
-//! the session-driven detect → explain → repair → re-verify pipeline.
+//! across all three `BackendKind`s — the native full pass, BATCHDETECT and
+//! INCDETECT — on generated workloads (including after mixed insert/delete
+//! deltas), backend auto-routing, and the session-driven detect → explain →
+//! repair → re-verify pipeline.
 
 use ecfd::datagen::constraints::workload_constraints;
 use ecfd::datagen::{generate, generate_delta, CustConfig, UpdateConfig};
