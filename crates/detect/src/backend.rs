@@ -27,8 +27,10 @@
 //! [`Relation::stamp`](ecfd_relation::Relation::stamp) and dropped before
 //! anything is encoded once the rows moved under it, so the backend holds at
 //! most one encoding, and only of the table as it is, whoever changed the
-//! rows. Its trait impl is the full pass (kind `Semantic`); INCDETECT is the
-//! verbs [`NativeBackend::fold`] and [`NativeBackend::reseed`]. Every verb
+//! rows. Its trait impl is the full pass (kind `Semantic`), and a trait
+//! `apply`'s pass is INCDETECT's seed, so a bulk delta leaves the state warm;
+//! INCDETECT is the verbs [`NativeBackend::fold`] and
+//! [`NativeBackend::reseed`]. Every verb
 //! reads what the slot holds and encodes the table only when that does not
 //! describe it.
 //!
@@ -125,19 +127,17 @@ pub trait DetectorBackend {
 /// that does not fit is refused before anything moves: the table must carry
 /// exactly the base attributes (not the `SV` / `MV` columns a
 /// [`BatchDetector`] run leaves behind) and every insertion must fit `base`.
-/// Then deletions match whole stored tuples (all duplicates go, processed in
-/// victim order) and insertions are stored as given. Mirrors the mutation
-/// order of [`IncrementalDetector::apply`] so that row ids stay identical
-/// across backends fed the same delta sequence.
+/// Then every stored row equal to any victim leaves in one pass over the
+/// table (all duplicates go), and insertions are stored as given. Deletions
+/// before insertions mirrors [`IncrementalDetector::apply`], so row ids stay
+/// identical across backends fed the same delta sequence.
 pub fn apply_base_delta(catalog: &mut Catalog, base: &Schema, delta: &Delta) -> Result<()> {
     let relation = catalog.get_mut(base.name())?;
     refuse_extra_columns(relation.schema(), base)?;
     for ins in &delta.insertions {
         base.validate(ins)?;
     }
-    for victim in &delta.deletions {
-        relation.delete_matching(victim);
-    }
+    relation.delete_matching(&delta.deletions);
     for ins in &delta.insertions {
         relation.insert(ins.clone())?;
     }
@@ -332,10 +332,12 @@ impl DetectorBackend for NativeBackend {
     }
 
     /// The rows move under whatever the slot holds, so it is dropped first.
+    /// The full pass that follows is INCDETECT's seed, whose scan keeps its
+    /// group map: the slot ends warm, and the next small delta folds.
     fn apply(&mut self, catalog: &mut Catalog, delta: &Delta) -> Result<ReadOut> {
         self.clear();
         apply_base_delta(catalog, self.detector.schema(), delta)?;
-        self.detect(catalog)
+        Ok(read_out(self.warm(catalog)?))
     }
 }
 
@@ -583,6 +585,43 @@ mod tests {
         assert!(backend.is_warm(), "a full pass scans the warm view");
     }
 
+    /// The trait `apply` is a bulk delta's full pass, and that pass seeds
+    /// INCDETECT: the slot ends warm, and the next delta folds into it.
+    #[test]
+    fn a_bulk_apply_leaves_the_state_warm() {
+        let set = ConstraintSet::compile(&cust_schema(), &[phi1(), phi2(), fd_ct_ac()]).unwrap();
+        let fresh = |catalog: &Catalog| {
+            SemanticDetector::from_set(&set)
+                .detect_with_evidence(catalog.get("cust").unwrap())
+                .unwrap()
+        };
+        let mut native = NativeBackend::from_set(&set);
+        let mut catalog = catalog_with_d0();
+        let bulk = Delta {
+            insertions: vec![
+                Tuple::from_iter(["519", "7", "Zoe", "Pine St.", "Albany", "12239"]),
+                Tuple::from_iter(["999", "8", "Sam", "Bay Rd.", "NYC", "10002"]),
+            ],
+            deletions: vec![Tuple::from_iter([
+                "100", "1111111", "Rick", "8th Ave.", "NYC", "10001",
+            ])],
+        };
+        let (report, evidence) = native.apply(&mut catalog, &bulk).unwrap();
+        assert!(native.is_warm());
+        let want = fresh(&catalog);
+        assert_eq!(
+            (&*report, evidence.normalized()),
+            (&want.0, want.1.normalized())
+        );
+
+        let small = Delta::insert_only(vec![Tuple::from_iter([
+            "518", "9", "Ann", "Elm Str.", "Colonie", "12205",
+        ])]);
+        let (report, evidence) = native.fold(&mut catalog, &small).unwrap();
+        let want = fresh(&catalog);
+        assert_eq!((&*report, &*evidence), (&want.0, &want.1.normalized()));
+    }
+
     /// Rows moved outside the backend leave a warm slot stale: the next
     /// full pass drops it and scans a fresh encoding, and the next fold
     /// seeds from that encoding.
@@ -593,7 +632,7 @@ mod tests {
         let mut catalog = catalog_with_d0();
         native.reseed(&catalog).unwrap();
         let rick = Tuple::from_iter(["100", "1111111", "Rick", "8th Ave.", "NYC", "10001"]);
-        let removed = catalog.get_mut("cust").unwrap().delete_matching(&rick);
+        let removed = catalog.get_mut("cust").unwrap().delete_matching(&[rick]);
         assert_eq!(removed.len(), 1);
         let (full, _) = native.detect(&mut catalog).unwrap();
         assert!(!native.is_warm());

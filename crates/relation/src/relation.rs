@@ -4,13 +4,17 @@
 //! (`INCDETECT`, Section V-B of the paper): the violation flags SV / MV are
 //! updated in place for individual rows, and deletions `ΔD⁻` must remove
 //! specific rows without disturbing the identity of the remaining ones.
+//! A relation keeps its rows in one map ordered by [`RowId`], so a lookup,
+//! removal or in-place edit by id costs O(log n), and every view of the rows
+//! (iteration, rendering, CSV, the SQL engine's scans, encodings) sees them
+//! in id order.
 
 use crate::error::{RelationError, Result};
 use crate::schema::{AttrId, Schema};
 use crate::tuple::Tuple;
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -50,12 +54,8 @@ pub struct Relation {
     #[serde(skip, default = "fresh_stamp")]
     stamp: u64,
     next_row_id: u64,
-    /// Row storage in insertion order (after deletions, order of survivors is
-    /// preserved).
-    rows: Vec<(RowId, Tuple)>,
-    /// Index from row id to position in `rows`.
-    #[serde(skip)]
-    positions: HashMap<RowId, usize>,
+    /// The rows, keyed (and so ordered) by row id.
+    rows: BTreeMap<RowId, Tuple>,
     /// Row ids pre-assigned to upcoming insertions (front = next insert).
     /// A sharded serving layer schedules globally allocated ids here so a
     /// partitioned relation hands out the same ids a single-owner relation
@@ -75,20 +75,16 @@ impl Relation {
             schema,
             stamp: fresh_stamp(),
             next_row_id: 0,
-            rows: Vec::new(),
-            positions: HashMap::new(),
+            rows: BTreeMap::new(),
             scheduled_ids: VecDeque::new(),
             deleted: None,
         }
     }
 
-    /// Creates a relation and bulk-inserts the given tuples.
+    /// Creates a relation holding the given tuples under the ids `0..n`, as
+    /// `n` inserts into an empty relation would.
     pub fn with_tuples(schema: Schema, tuples: impl IntoIterator<Item = Tuple>) -> Result<Self> {
-        let mut rel = Relation::new(schema);
-        for t in tuples {
-            rel.insert(t)?;
-        }
-        Ok(rel)
+        Relation::with_rows(schema, (0..).map(RowId).zip(tuples))
     }
 
     /// Creates a relation from `(RowId, Tuple)` pairs, *preserving* the given
@@ -102,16 +98,19 @@ impl Relation {
         schema: Schema,
         rows: impl IntoIterator<Item = (RowId, Tuple)>,
     ) -> Result<Self> {
-        let mut rel = Relation::new(schema);
-        for (id, tuple) in rows {
-            rel.schema.validate(&tuple)?;
-            if rel.positions.contains_key(&id) {
-                return Err(RelationError::DuplicateRow(id.0));
-            }
-            rel.next_row_id = rel.next_row_id.max(id.0 + 1);
-            rel.positions.insert(id, rel.rows.len());
-            rel.rows.push((id, tuple));
+        let mut rows: Vec<(RowId, Tuple)> = rows.into_iter().collect();
+        for (_, tuple) in &rows {
+            schema.validate(tuple)?;
         }
+        // Stable, and one comparison per row when the ids come sorted.
+        rows.sort_by_key(|(id, _)| *id);
+        if let Some(pair) = rows.windows(2).find(|pair| pair[0].0 == pair[1].0) {
+            return Err(RelationError::DuplicateRow(pair[0].0 .0));
+        }
+        let mut rel = Relation::new(schema);
+        rel.next_row_id = rows.last().map_or(0, |(id, _)| id.0 + 1);
+        // Collecting sorted pairs builds the map bottom-up with full leaves.
+        rel.rows = rows.into_iter().collect();
         Ok(rel)
     }
 
@@ -126,10 +125,10 @@ impl Relation {
     }
 
     /// Names the relation's current contents: every change of its rows
-    /// (`insert`, `delete`, `replace`, `update_value`) moves it to a stamp no
-    /// earlier state of any relation carried, while a refused change, a
-    /// read, and the row-id bookkeeping (`schedule_row_ids`,
-    /// `record_deletions`, `rebuild_positions`) leave it alone. A clone keeps
+    /// (`insert`, `delete`, `delete_matching`, `replace`, `update_value`)
+    /// moves it to a stamp no earlier state of any relation carried, while a
+    /// refused change, a read, and the row-id bookkeeping
+    /// (`schedule_row_ids`, `record_deletions`) leave it alone. A clone keeps
     /// it. So two relations with equal stamps hold the same rows under the
     /// same ids, which is what lets an encoding of the rows be reused for as
     /// long as the stamp it was built at is current.
@@ -154,7 +153,7 @@ impl Relation {
         self.schema.validate(&tuple)?;
         let id = match self.scheduled_ids.pop_front() {
             Some(id) => {
-                if self.positions.contains_key(&id) {
+                if self.rows.contains_key(&id) {
                     return Err(RelationError::DuplicateRow(id.0));
                 }
                 self.next_row_id = self.next_row_id.max(id.0 + 1);
@@ -166,8 +165,7 @@ impl Relation {
                 id
             }
         };
-        self.positions.insert(id, self.rows.len());
-        self.rows.push((id, tuple));
+        self.rows.insert(id, tuple);
         self.stamp = fresh_stamp();
         Ok(id)
     }
@@ -210,15 +208,10 @@ impl Relation {
 
     /// Deletes a row by id, returning the removed tuple.
     pub fn delete(&mut self, id: RowId) -> Result<Tuple> {
-        let pos = self
-            .positions
+        let tuple = self
+            .rows
             .remove(&id)
             .ok_or(RelationError::UnknownRow(id.0))?;
-        let (_, tuple) = self.rows.remove(pos);
-        // Re-index all rows after the removed position.
-        for (i, (rid, _)) in self.rows.iter().enumerate().skip(pos) {
-            self.positions.insert(*rid, i);
-        }
         if let Some(deleted) = &mut self.deleted {
             deleted.push((id, tuple.clone()));
         }
@@ -226,47 +219,53 @@ impl Relation {
         Ok(tuple)
     }
 
-    /// Deletes every row whose tuple equals `tuple` (bag semantics: all
-    /// duplicates go). Returns the ids of the deleted rows.
-    pub fn delete_matching(&mut self, tuple: &Tuple) -> Vec<RowId> {
-        let ids: Vec<RowId> = self
-            .rows
-            .iter()
-            .filter(|(_, t)| t == tuple)
-            .map(|(id, _)| *id)
-            .collect();
-        for id in &ids {
-            let _ = self.delete(*id);
+    /// Deletes every row whose tuple equals any of `victims` (bag semantics:
+    /// all duplicates go) in one pass over the rows, and returns the removed
+    /// rows in id order.
+    pub fn delete_matching(&mut self, victims: &[Tuple]) -> Vec<(RowId, Tuple)> {
+        if victims.is_empty() || self.rows.is_empty() {
+            return Vec::new();
         }
-        ids
+        let victims: HashSet<&Tuple> = victims.iter().collect();
+        let removed: Vec<(RowId, Tuple)> = self
+            .rows
+            .extract_if(.., |_, tuple| victims.contains(&*tuple))
+            .collect();
+        if !removed.is_empty() {
+            if let Some(deleted) = &mut self.deleted {
+                deleted.extend(removed.iter().cloned());
+            }
+            self.stamp = fresh_stamp();
+        }
+        removed
     }
 
     /// Returns the tuple stored under `id`.
     pub fn get(&self, id: RowId) -> Option<&Tuple> {
-        self.positions.get(&id).map(|&pos| &self.rows[pos].1)
+        self.rows.get(&id)
     }
 
     /// Returns true if the relation still contains the row `id`.
     pub fn contains_row(&self, id: RowId) -> bool {
-        self.positions.contains_key(&id)
+        self.rows.contains_key(&id)
     }
 
     /// Replaces the tuple stored under `id`.
     pub fn replace(&mut self, id: RowId, tuple: Tuple) -> Result<Tuple> {
         self.schema.validate(&tuple)?;
-        let pos = *self
-            .positions
-            .get(&id)
+        let stored = self
+            .rows
+            .get_mut(&id)
             .ok_or(RelationError::UnknownRow(id.0))?;
         self.stamp = fresh_stamp();
-        Ok(std::mem::replace(&mut self.rows[pos].1, tuple))
+        Ok(std::mem::replace(stored, tuple))
     }
 
     /// Updates a single attribute of a row in place.
     pub fn update_value(&mut self, id: RowId, attr: AttrId, value: Value) -> Result<Value> {
-        let pos = *self
-            .positions
-            .get(&id)
+        let stored = self
+            .rows
+            .get_mut(&id)
             .ok_or(RelationError::UnknownRow(id.0))?;
         let attr_meta =
             self.schema
@@ -282,32 +281,29 @@ impl Relation {
                 actual: value.to_string(),
             });
         }
-        let old = self.rows[pos]
-            .1
-            .set(attr, value)
-            .expect("validated position");
+        let old = stored.set(attr, value).expect("validated attribute");
         self.stamp = fresh_stamp();
         Ok(old)
     }
 
-    /// Iterates over `(RowId, &Tuple)` pairs in storage order.
+    /// Iterates over `(RowId, &Tuple)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (RowId, &Tuple)> + '_ {
         self.rows.iter().map(|(id, t)| (*id, t))
     }
 
-    /// Iterates over tuples only.
+    /// Iterates over tuples only, in id order.
     pub fn tuples(&self) -> impl Iterator<Item = &Tuple> + '_ {
-        self.rows.iter().map(|(_, t)| t)
+        self.rows.values()
     }
 
-    /// All row ids in storage order.
+    /// All row ids in ascending order.
     pub fn row_ids(&self) -> Vec<RowId> {
-        self.rows.iter().map(|(id, _)| *id).collect()
+        self.rows.keys().copied().collect()
     }
 
-    /// Collects all tuples into a vector (cloning).
+    /// Collects all tuples into a vector (cloning), in id order.
     pub fn to_tuples(&self) -> Vec<Tuple> {
-        self.rows.iter().map(|(_, t)| t.clone()).collect()
+        self.rows.values().cloned().collect()
     }
 
     /// Creates a new relation with the same tuples but a schema extended by
@@ -324,9 +320,8 @@ impl Relation {
         let schema = self.schema.extend(extra)?;
         let mut rel = Relation::with_rows(
             schema,
-            self.rows
-                .iter()
-                .map(|(id, t)| (*id, t.extended(std::iter::repeat_n(fill.clone(), n_extra)))),
+            self.iter()
+                .map(|(id, t)| (id, t.extended(std::iter::repeat_n(fill.clone(), n_extra)))),
         )?;
         rel.next_row_id = rel.next_row_id.max(self.next_row_id);
         rel.scheduled_ids = self.scheduled_ids.clone();
@@ -334,7 +329,8 @@ impl Relation {
         Ok(rel)
     }
 
-    /// Renders the relation as an ASCII table (for examples and debugging).
+    /// Renders the relation as an ASCII table, rows in id order (for
+    /// examples and debugging).
     pub fn render(&self) -> String {
         let mut out = String::new();
         let names = self.schema.attr_names();
@@ -342,25 +338,17 @@ impl Relation {
         out.push('\n');
         out.push_str(&"-".repeat(out.len().saturating_sub(1)));
         out.push('\n');
-        for (_, t) in &self.rows {
+        for t in self.rows.values() {
             let row: Vec<String> = t.values().iter().map(|v| v.to_string()).collect();
             out.push_str(&row.join(" | "));
             out.push('\n');
         }
         out
     }
-
-    /// Rebuilds the row-id position index; required after deserialisation.
-    pub fn rebuild_positions(&mut self) {
-        self.positions = self
-            .rows
-            .iter()
-            .enumerate()
-            .map(|(i, (id, _))| (*id, i))
-            .collect();
-    }
 }
 
+/// Same schema, and the same tuples under the same ids, however the two
+/// relations were built.
 impl PartialEq for Relation {
     fn eq(&self, other: &Self) -> bool {
         self.schema == other.schema && self.rows == other.rows
@@ -433,13 +421,59 @@ mod tests {
 
     #[test]
     fn delete_matching_removes_duplicates() {
-        let mut r = rel_with(&[("NYC", "212"), ("NYC", "212"), ("NYC", "718")]);
-        let removed = r.delete_matching(&Tuple::from_iter(["NYC", "212"]));
-        assert_eq!(removed.len(), 2);
-        assert_eq!(r.len(), 1);
-        assert!(r
-            .delete_matching(&Tuple::from_iter(["Nowhere", "000"]))
-            .is_empty());
+        let mut r = rel_with(&[
+            ("NYC", "212"),
+            ("Troy", "518"),
+            ("NYC", "212"),
+            ("NYC", "718"),
+            ("Troy", "518"),
+        ]);
+        let ids = r.row_ids();
+        let nyc = Tuple::from_iter(["NYC", "212"]);
+        let troy = Tuple::from_iter(["Troy", "518"]);
+        let nowhere = Tuple::from_iter(["Nowhere", "000"]);
+        let victims = [troy.clone(), nowhere.clone(), nyc.clone(), troy.clone()];
+        let removed = r.delete_matching(&victims);
+        assert_eq!(
+            removed,
+            vec![
+                (ids[0], nyc.clone()),
+                (ids[1], troy.clone()),
+                (ids[2], nyc),
+                (ids[4], troy),
+            ],
+            "removed rows come back in id order"
+        );
+        assert_eq!(r.row_ids(), vec![ids[3]]);
+        assert!(r.delete_matching(&[nowhere]).is_empty());
+        assert!(r.delete_matching(&[]).is_empty());
+    }
+
+    #[test]
+    fn rows_are_kept_in_id_order_and_compare_by_id() {
+        let troy = Tuple::from_iter(["Troy", "518"]);
+        let nyc = Tuple::from_iter(["NYC", "212"]);
+        let backwards = Relation::with_rows(
+            schema(),
+            [(RowId(9), troy.clone()), (RowId(2), nyc.clone())],
+        )
+        .unwrap();
+        assert_eq!(backwards.row_ids(), vec![RowId(2), RowId(9)]);
+        assert_eq!(backwards.to_tuples(), vec![nyc.clone(), troy.clone()]);
+        assert_eq!(backwards.next_row_id(), 10);
+        let mut scheduled = Relation::new(schema());
+        scheduled.schedule_row_ids([RowId(9), RowId(2)]);
+        scheduled.insert(troy.clone()).unwrap();
+        scheduled.insert(nyc.clone()).unwrap();
+        assert_eq!(scheduled, backwards, "same ids, same tuples");
+        assert!(
+            Relation::with_rows(schema(), [(RowId(4), troy.clone()), (RowId(4), nyc)]).is_err(),
+            "duplicate ids are refused"
+        );
+        scheduled
+            .replace(RowId(9), Tuple::from_iter(["Troy", "519"]))
+            .unwrap();
+        assert_ne!(scheduled, backwards);
     }
 
     #[test]
@@ -449,7 +483,7 @@ mod tests {
         r.delete(ids[1]).unwrap();
         assert!(r.take_deleted().is_empty(), "nothing was recording");
         r.record_deletions();
-        r.delete_matching(&Tuple::from_iter(["NYC", "212"]));
+        r.delete_matching(&[Tuple::from_iter(["NYC", "212"])]);
         let nyc = Tuple::from_iter(["NYC", "212"]);
         assert_eq!(r.take_deleted(), vec![(ids[0], nyc.clone()), (ids[2], nyc)]);
         assert!(r.take_deleted().is_empty(), "taking stops the recording");
@@ -569,7 +603,7 @@ mod tests {
         r.update_value(ids[2], AttrId(1), Value::str("646"))
             .unwrap();
         changed(&r, "update_value");
-        r.delete_matching(&Tuple::from_iter(["LI", "516"]));
+        r.delete_matching(&[Tuple::from_iter(["LI", "516"])]);
         changed(&r, "delete_matching");
 
         // Refused changes, bookkeeping and reads keep the stamp.
@@ -584,13 +618,12 @@ mod tests {
             .update_value(RowId(77), AttrId(1), Value::str("x"))
             .is_err());
         assert!(r
-            .delete_matching(&Tuple::from_iter(["Nowhere", "000"]))
+            .delete_matching(&[Tuple::from_iter(["Nowhere", "000"])])
             .is_empty());
         r.schedule_row_ids([RowId(40)]);
         r.clear_scheduled_row_ids();
         r.record_deletions();
         assert!(r.take_deleted().is_empty());
-        r.rebuild_positions();
         let _ = (
             r.get(ids[1]),
             r.len(),
@@ -622,14 +655,5 @@ mod tests {
             !seen.contains(&deserialised),
             "deserialisation reused a stamp"
         );
-    }
-
-    #[test]
-    fn rebuild_positions_restores_lookup() {
-        let mut r = rel_with(&[("Albany", "518"), ("Troy", "518")]);
-        let ids = r.row_ids();
-        r.positions.clear();
-        r.rebuild_positions();
-        assert!(r.get(ids[1]).is_some());
     }
 }

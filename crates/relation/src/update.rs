@@ -9,6 +9,7 @@ use crate::error::Result;
 use crate::relation::{Relation, RowId};
 use crate::tuple::Tuple;
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
 
 /// A batch of updates against a single relation.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -105,14 +106,20 @@ impl Delta {
     /// the newly inserted rows (so callers can track them, e.g. to set their
     /// violation flags).
     pub fn apply(&self, relation: &mut Relation) -> Result<(UpdateStats, Vec<RowId>)> {
-        let mut stats = UpdateStats::default();
-        for d in &self.deletions {
-            let removed = relation.delete_matching(d);
-            if removed.is_empty() {
-                stats.missed_deletions += 1;
-            }
-            stats.deleted += removed.len();
-        }
+        let removed = relation.delete_matching(&self.deletions);
+        // As if the victims were removed one after another: the first
+        // listing of a stored tuple takes every copy, and a later listing of
+        // the same tuple finds none left.
+        let mut unclaimed: HashSet<&Tuple> = removed.iter().map(|(_, t)| t).collect();
+        let mut stats = UpdateStats {
+            deleted: removed.len(),
+            missed_deletions: self
+                .deletions
+                .iter()
+                .filter(|victim| !unclaimed.remove(victim))
+                .count(),
+            ..UpdateStats::default()
+        };
         let mut new_ids = Vec::with_capacity(self.insertions.len());
         for ins in &self.insertions {
             new_ids.push(relation.insert(ins.clone())?);
@@ -160,6 +167,21 @@ mod tests {
         assert_eq!(new_ids.len(), 1);
         assert_eq!(r.len(), 2);
         assert!(r.contains_row(new_ids[0]));
+    }
+
+    #[test]
+    fn a_victim_listed_twice_misses_once() {
+        let mut r = rel();
+        let nyc = Tuple::from_iter(["NYC", "212"]);
+        let missing = Tuple::from_iter(["Missing", "000"]);
+        let delta = Delta::delete_only(vec![nyc.clone(), missing.clone(), nyc, missing]);
+        let (stats, _) = delta.apply(&mut r).unwrap();
+        assert_eq!(stats.deleted, 2, "both duplicate NYC rows removed");
+        assert_eq!(
+            stats.missed_deletions, 3,
+            "the second NYC listing and both missing ones"
+        );
+        assert_eq!(r.len(), 1);
     }
 
     #[test]

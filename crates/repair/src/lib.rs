@@ -66,9 +66,7 @@ pub use conflict::{ConflictGraph, ConflictNode, GroupConflict};
 pub use cost::{ConstantCost, CostModel, EditDistanceCost, PerAttributeCost};
 pub use engine::{DeletionSolver, RepairEngine, RepairMode, RepairOptions};
 pub use plan::{DeletionRepair, Repair, ValueRepair};
-pub use verify::{
-    repair_verified, repair_verified_seeded, repair_verified_with, RepairRound, VerifiedRepair,
-};
+pub use verify::{repair_verified, repair_verified_with, RepairRound, VerifiedRepair};
 
 use ecfd_detect::evidence::ConstraintRef;
 use ecfd_relation::RowId;

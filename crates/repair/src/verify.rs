@@ -81,48 +81,32 @@ impl VerifiedRepair {
 /// scratch. Errors with [`RepairError::NotClean`] if the loop somehow fails
 /// to converge (which the forced delete-only final round prevents).
 pub fn repair_verified(engine: &RepairEngine, catalog: &mut Catalog) -> Result<VerifiedRepair> {
-    repair_verified_seeded(engine, catalog, None)
-}
-
-/// [`repair_verified`] with an optional pre-computed
-/// [`EvidenceReport`](ecfd_detect::EvidenceReport) for the data as it
-/// currently stands, sparing the first explain pass. The evidence must
-/// describe the table's *current* contents (stale evidence would plan
-/// repairs against rows that no longer exist).
-pub fn repair_verified_seeded(
-    engine: &RepairEngine,
-    catalog: &mut Catalog,
-    seed: Option<ecfd_detect::EvidenceReport>,
-) -> Result<VerifiedRepair> {
     // Reuse the engine's compiled detector; the seeding pass that
     // initialises the incremental maintenance state still runs.
     let mut inc = IncrementalDetector::initialize_from(engine.detector().clone(), catalog)?;
-    repair_verified_with(engine, catalog, &mut inc, seed)
+    repair_verified_with(engine, catalog, &mut inc)
 }
 
 /// The verified repair loop against an *existing* incremental detector whose
 /// flags and auxiliary state are already correct for the table's current
 /// contents — the entry point of the session layer, which hands over its warm
-/// maintenance state so no seeding re-scan runs at all. The detector is
+/// maintenance state so no seeding re-scan runs at all. Every round plans
+/// from the detector's maintained evidence, which the previous round's delta
+/// kept current, so no round re-detects the table. The detector is
 /// maintained through every applied round and remains valid afterwards.
 pub fn repair_verified_with(
     engine: &RepairEngine,
     catalog: &mut Catalog,
     inc: &mut IncrementalDetector,
-    seed: Option<ecfd_detect::EvidenceReport>,
 ) -> Result<VerifiedRepair> {
     let detector = engine.detector();
     let table = detector.schema().name().to_string();
     let max_rounds = engine.options().max_rounds.max(1);
-    let mut seed = seed;
 
     let mut rounds = Vec::new();
     for round in 0..max_rounds {
         let stored = catalog.get(&table)?;
-        let evidence = match seed.take() {
-            Some(seeded) => seeded,
-            None => engine.explain(stored)?,
-        };
+        let evidence = inc.maintained_evidence();
         if evidence.is_clean() {
             break;
         }
@@ -134,12 +118,13 @@ pub fn repair_verified_with(
         } else {
             engine.options().mode
         };
-        let repair = engine.plan_with_mode(stored, &evidence, mode)?;
+        let before = evidence.detection_report();
+        let repair = engine.plan_with_mode(stored, evidence, mode)?;
         let delta = repair.to_delta(stored)?;
         let stats = inc.apply(catalog, &delta)?;
         rounds.push(RepairRound {
             round,
-            before: evidence.detection_report(),
+            before,
             repair,
             delta,
             stats,

@@ -51,7 +51,7 @@
 //! | `detect_with(Incremental)` | replaced               | re-seeded from what is held → Warm   |
 //! | `detect_with(Sql)`         | replaced               | kept                                 |
 //! | `apply` via incremental    | replaced               | folded (seeded from what is held first) → Warm |
-//! | `apply` via semantic       | replaced               | dropped, the new version encoded → Encoded |
+//! | `apply` via semantic       | replaced               | dropped, the new version encoded and seeded → Warm |
 //! | `apply` via SQL            | replaced               | kept, stale once the rows moved      |
 //! | `apply` refused (a tuple that does not fit) | kept  | kept                                 |
 //! | `apply` failing mid-delta  | dropped (table may be partially mutated) | dropped            |
@@ -77,8 +77,8 @@
 //! full detection pass leaves the stored table exactly as loaded (the SQL
 //! backend runs the paper's statements on a scratch copy), so a Warm state
 //! stays valid across `detect_with` whichever backend ran. Updates applied
-//! through a full-pass backend *do* move rows, so the stamp retires the
-//! state they leave behind. A delta with an insertion that does not fit the
+//! through the SQL backend *do* move rows, so the stamp retires the state
+//! they leave behind; a semantic apply's full pass seeds a new one. A delta with an insertion that does not fit the
 //! loaded schema is refused before any backend sees it, so it costs nothing.
 //!
 //! Beyond the explicit drops in the table, every cached result carries the
@@ -646,7 +646,7 @@ mod tests {
             .catalog_mut()
             .get_mut("cust")
             .unwrap()
-            .delete_matching(&Tuple::from_iter(["NYC", "212"]));
+            .delete_matching(&[Tuple::from_iter(["NYC", "212"])]);
         assert!(session.report().is_none(), "cache must be dropped");
         let report = session.detect().unwrap();
         assert_eq!(report.total_rows, 2);

@@ -508,10 +508,10 @@ impl Session {
     // ── lifecycle: repair ──────────────────────────────────────────────────
 
     /// Repairs the sole registered relation until it verifies clean, driving
-    /// the repair engine from the session-held evidence: the cached detection
-    /// result seeds the loop's first planning round, and when the entry's
-    /// INCDETECT state is warm the loop starts from it directly — no seeding
-    /// re-scan at all. Uses default [`RepairOptions`].
+    /// the repair engine from the entry's INCDETECT state: a warm state is
+    /// driven in place (no seeding re-scan at all), and every round plans
+    /// from the evidence that state maintains. Uses default
+    /// [`RepairOptions`].
     pub fn repair(&mut self) -> Result<VerifiedRepair> {
         self.repair_impl(None, RepairOptions::default())
     }
@@ -534,15 +534,11 @@ impl Session {
         let name = self.resolve(table)?;
         self.detect_impl(Some(&name), None)?;
         let entry = self.tables.get_mut(&name).expect("resolved");
-        let seed = entry
-            .cache
-            .as_ref()
-            .map(|c| EvidenceReport::clone(&c.evidence));
         entry.repair.set_options(options);
         // The loop drives the entry's INCDETECT state in place — a warm one
         // needs no seeding pass — and leaves it warm, refused or not.
         let inc = entry.native.warm(&self.catalog)?;
-        let outcome = repair_verified_with(&entry.repair, &mut self.catalog, inc, seed)?;
+        let outcome = repair_verified_with(&entry.repair, &mut self.catalog, inc)?;
         // Bump *before* stamping, as in `apply_impl`: the clean report
         // describes the repaired contents.
         self.version += 1;

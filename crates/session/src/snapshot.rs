@@ -167,11 +167,10 @@ impl Snapshot {
     }
 
     /// Composes per-shard snapshots of the same relation back into one
-    /// self-contained snapshot: the union of the shards' rows (sorted by row
-    /// id, which reproduces the unsharded storage order — ids are allocated
-    /// globally in insertion order and survivors keep their relative order),
-    /// re-encoded through a fresh detector, with report and evidence derived
-    /// by a from-scratch detection pass. This is the serving layer's oracle
+    /// self-contained snapshot: the union of the shards' rows (a relation
+    /// keeps its rows in row-id order, which is the unsharded order, since
+    /// ids are allocated globally), re-encoded through a fresh detector,
+    /// with report and evidence derived by a from-scratch detection pass. This is the serving layer's oracle
     /// path: `CHECK` and `REPAIR-PLAN` on a sharded deployment run against
     /// the composition. The epoch is the sum of the parts' epochs — the
     /// sharded global epoch.
@@ -179,13 +178,12 @@ impl Snapshot {
         let first = parts
             .first()
             .ok_or_else(|| SessionError::NotLoaded("<no shards>".to_string()))?;
-        let mut rows: Vec<(ecfd_relation::RowId, Vec<ecfd_relation::Value>)> =
-            parts.iter().flat_map(|p| p.frozen.decode_rows()).collect();
-        rows.sort_by_key(|(id, _)| *id);
         let schema = first.schema();
         let relation = Relation::with_rows(
             schema.clone(),
-            rows.into_iter()
+            parts
+                .iter()
+                .flat_map(|p| p.frozen.decode_rows())
                 .map(|(id, values)| (id, Tuple::new(values))),
         )?;
         let detector =

@@ -226,8 +226,8 @@ fn maintenance_tracks_reference_semantics(constraints: &[ECfd]) {
     assert_read_out_is_current(&inc, &catalog, constraints, "seed");
 
     let mut mirror = data;
-    let mut step = |label: &str, delta: &Delta, mirror: &mut Relation| {
-        let incremental = session.apply(delta).unwrap();
+    let mut step = |kind: BackendKind, label: &str, delta: &Delta, mirror: &mut Relation| {
+        let incremental = session.apply_with(kind, delta).unwrap();
         inc.apply(&mut catalog, delta).unwrap();
         delta.apply(mirror).unwrap();
         assert_read_out_is_current(&inc, &catalog, constraints, label);
@@ -256,6 +256,7 @@ fn maintenance_tracks_reference_semantics(constraints: &[ECfd]) {
         incremental
     };
 
+    const INC: BackendKind = BackendKind::Incremental;
     let mut at_rest = DetectionReport::default();
     for k in 0..3u64 {
         let delta = generate_delta(
@@ -268,10 +269,51 @@ fn maintenance_tracks_reference_semantics(constraints: &[ECfd]) {
                 ..UpdateConfig::default()
             },
         );
-        at_rest = step(&format!("generated {k}"), &delta, &mut mirror);
+        at_rest = step(INC, &format!("generated {k}"), &delta, &mut mirror);
     }
 
-    assert_eq!(step("empty", &Delta::default(), &mut mirror), at_rest);
+    assert_eq!(step(INC, "empty", &Delta::default(), &mut mirror), at_rest);
+
+    // Victims from the middle of the table, not its tail.
+    let middle: Vec<Tuple> = mirror
+        .tuples()
+        .skip(mirror.len() / 2)
+        .take(6)
+        .cloned()
+        .collect();
+    step(
+        INC,
+        "middle victims",
+        &Delta::delete_only(middle),
+        &mut mirror,
+    );
+
+    // A bulk delta through a full pass, then small deltas folded into the
+    // state that pass left behind.
+    let bulk = generate_delta(
+        &mirror,
+        &UpdateConfig {
+            insertions: 60,
+            deletions: 40,
+            noise_percent: 8.0,
+            seed: 200,
+            ..UpdateConfig::default()
+        },
+    );
+    step(BackendKind::Semantic, "bulk delta", &bulk, &mut mirror);
+    for k in 0..2u64 {
+        let delta = generate_delta(
+            &mirror,
+            &UpdateConfig {
+                insertions: 5,
+                deletions: 4,
+                noise_percent: 8.0,
+                seed: 300 + k,
+                ..UpdateConfig::default()
+            },
+        );
+        at_rest = step(INC, &format!("small after bulk {k}"), &delta, &mut mirror);
+    }
 
     // A town whose rows all agree on the area code, and a copy of one of
     // them carrying a code nobody has: inserted three times over, the copies
@@ -295,12 +337,13 @@ fn maintenance_tracks_reference_semantics(constraints: &[ECfd]) {
     let mut odd = town.clone();
     odd.set(ac, Value::str("000")).unwrap();
     let triple = Delta::insert_only(vec![odd.clone(), odd.clone(), odd.clone()]);
-    let flipped = step("group starts violating", &triple, &mut mirror);
+    let flipped = step(INC, "group starts violating", &triple, &mut mirror);
     assert!(
         flipped.num_mv() >= at_rest.num_mv() + 4,
         "the town's own rows and the three copies are flagged"
     );
     let healed = step(
+        INC,
         "one victim, three duplicates",
         &Delta::delete_only(vec![odd.clone()]),
         &mut mirror,
@@ -312,6 +355,7 @@ fn maintenance_tracks_reference_semantics(constraints: &[ECfd]) {
     let mut ghost = town;
     ghost.set(ct, Value::str("never-interned")).unwrap();
     let unchanged = step(
+        INC,
         "victims that match nothing",
         &Delta::delete_only(vec![ghost, odd]),
         &mut mirror,

@@ -9,9 +9,7 @@
 use ecfd::datagen::constraints::workload_constraints;
 use ecfd::datagen::{generate, generate_delta, CustConfig, UpdateConfig};
 use ecfd::prelude::*;
-use ecfd::repair::{
-    repair_verified_seeded, EditDistanceCost, RepairEngine, RepairError, VerifiedRepair,
-};
+use ecfd::repair::{repair_verified, EditDistanceCost, RepairEngine, RepairError, VerifiedRepair};
 
 fn counter(name: &str) -> u64 {
     ecfd::obs::registry().counter(name).get()
@@ -62,11 +60,12 @@ fn after_step(
 }
 
 /// Rows a verified repair of the session's table under `options` encodes of
-/// its own accord — re-explaining later rounds, keying conflict classes, the
-/// verifier's pass — on top of what the session's full pass and seed encode,
-/// with the replica's outcome. The planner does not depend on interning
-/// order, so a replica repair of a copy under the same cost model does the
-/// same work; the replica's own explain and seed are left out.
+/// its own accord — keying conflict classes, the verifier's pass — on top of
+/// what the session's full pass and seed encode, with the replica's outcome.
+/// Every round plans from the maintained evidence, so no round re-encodes
+/// the table. The planner does not depend on interning order, so a replica
+/// repair of a copy under the same cost model does the same work; the
+/// replica's own seed is left out.
 fn repair_encodes(
     session: &Session,
     options: RepairOptions,
@@ -76,12 +75,11 @@ fn repair_encodes(
     let engine = RepairEngine::from_set(set)
         .with_cost_model(EditDistanceCost::default())
         .with_options(options);
-    let evidence = engine.explain(&data).expect("explain");
     let seed = data.len() as u64;
     let mut catalog = Catalog::new();
     catalog.create(data).expect("copy");
     let before = counter("relation.rows.encoded");
-    let outcome = repair_verified_seeded(&engine, &mut catalog, Some(evidence));
+    let outcome = repair_verified(&engine, &mut catalog);
     (outcome, counter("relation.rows.encoded") - before - seed)
 }
 
@@ -211,16 +209,14 @@ fn a_registration_compiles_once_and_every_consumer_shares_it() {
     after_step(&mut session, &mut last, "load", (0, 0, n));
 
     // A delta above the incremental threshold runs a full pass, which
-    // encodes the new table once, and drops the warm state, so the next
-    // small delta seeds again — from the columns that pass kept. That
-    // re-seed is current behaviour, asserted as such: re-seeding from the
-    // full pass's own group map would take it to 0.
+    // encodes the new table once and is INCDETECT's seed: its group map is
+    // kept, so the next small delta folds instead of seeding again.
     let bulk = delta(&session, 150, 10, 3);
     session.apply(&bulk).expect("threshold-crossing apply");
     assert_eq!(session.last_backend(), Some(BackendKind::Semantic));
     let step = "threshold-crossing apply";
     let n = rows(&session);
-    after_step(&mut session, &mut last, step, (0, 0, n));
+    after_step(&mut session, &mut last, step, (0, 1, n));
 
     let small = delta(&session, 3, 2, 4);
     session
@@ -228,7 +224,7 @@ fn a_registration_compiles_once_and_every_consumer_shares_it() {
         .expect("small apply after the crossing");
     assert_eq!(session.last_backend(), Some(BackendKind::Incremental));
     let step = "small apply after the crossing";
-    after_step(&mut session, &mut last, step, (0, 1, small.len() as u64));
+    after_step(&mut session, &mut last, step, (0, 0, small.len() as u64));
 
     // A repair refused before it touches a row leaves the state it drove
     // warm, so the next small delta folds into it instead of seeding.
