@@ -33,7 +33,6 @@ fn bench_greedy_deletion_plan(c: &mut Criterion) {
             .with_options(RepairOptions {
                 mode: RepairMode::DeleteOnly,
                 solver: DeletionSolver::Greedy,
-                ..RepairOptions::default()
             });
         group.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, _| {
             b.iter(|| {
@@ -83,7 +82,6 @@ fn bench_exact_vs_greedy_small(c: &mut Criterion) {
                 .with_options(RepairOptions {
                     mode: RepairMode::DeleteOnly,
                     solver,
-                    ..RepairOptions::default()
                 });
             group.bench_with_input(BenchmarkId::new(label, rows), &rows, |b, _| {
                 b.iter(|| {
@@ -109,7 +107,6 @@ fn bench_value_modification_plan(c: &mut Criterion) {
             .with_options(RepairOptions {
                 mode: RepairMode::ModifyThenDelete,
                 solver: DeletionSolver::Greedy,
-                ..RepairOptions::default()
             });
         group.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, _| {
             b.iter(|| {

@@ -32,7 +32,7 @@ use ecfd_core::matching::BoundECfd;
 use ecfd_core::{CompileOptions, ConstraintSet, CoreError, ECfd};
 use ecfd_relation::{
     AttrId, Code, CodeColumns, CodeVec, Dictionary, FrozenView, Relation, RowId, Schema,
-    SymbolTable, Tuple, Value,
+    SymbolTable, Value,
 };
 use parking_lot::RwLock;
 use std::ops::ControlFlow;
@@ -257,26 +257,6 @@ impl SemanticDetector {
         compiled
             .program
             .match_row(&compiled.cells, members, code, visit)
-    }
-
-    /// Encodes the same projection of many tuples into coded keys through
-    /// the detector's dictionary (interning unseen values), under a single
-    /// dictionary lock, in input order. This is how the repair layer keys its
-    /// conflict classes by the same codes the detectors group on.
-    pub fn encode_keys<'t>(
-        &self,
-        tuples: impl IntoIterator<Item = &'t Tuple>,
-        attrs: &[AttrId],
-    ) -> Vec<CodeVec> {
-        let mut codec = self.codec.write();
-        let keys: Vec<CodeVec> = tuples
-            .into_iter()
-            .map(|tuple| {
-                CodeVec::from_iter_exact(attrs.iter().map(|a| codec.dict.encode(tuple.value(*a))))
-            })
-            .collect();
-        crate::obs::count("relation.rows.encoded", keys.len() as u64);
-        keys
     }
 
     /// Decodes a coded group key back to the values it was issued for.

@@ -18,8 +18,12 @@ use crate::{RepairError, Result};
 use ecfd_detect::evidence::{ConstraintRef, EvidenceReport};
 use ecfd_detect::SemanticDetector;
 use ecfd_logic::{BoolExpr, HardSoftInstance, MaxGSatSolver, VarId};
-use ecfd_relation::{CodeVec, Relation, RowId, Tuple, Value};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use ecfd_relation::{Relation, RowId, Tuple, Value};
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
+
+/// The exhaustive MAXGSAT solver's own instance limit, in nodes.
+pub(crate) const EXACT_MAX_NODES: usize = 24;
 
 /// One tuple participating in a conflict.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,7 +47,7 @@ pub struct GroupConflict {
     pub source: ConstraintRef,
     /// The group's shared `X` projection.
     pub group_key: Vec<Value>,
-    /// Node indices, partitioned by `Y` projection. Always ≥ 2 classes.
+    /// Node indices, partitioned by `Y` projection in value order (≥ 2).
     pub classes: Vec<Vec<usize>>,
 }
 
@@ -119,40 +123,25 @@ impl ConflictGraph {
                 .get(&group.source)
                 .ok_or(RepairError::UnknownConstraint(group.source))?;
             let bound = &bounds[ci];
-            // Partition members by their coded `Y` projection — the same
-            // code keys the detectors group on, issued by the detector's own
-            // dictionary, so class formation is integer hashing instead of
-            // value-vector cloning. The whole group encodes under one
-            // dictionary lock.
-            let member_idx: Vec<usize> = group
-                .rows
-                .iter()
-                .map(|&row| add_node(&mut graph, &mut node_of, row))
-                .collect::<Result<_>>()?;
-            let keys = {
-                let effectives = member_idx.iter().map(|&idx| {
-                    let node = &graph.nodes[idx];
-                    patched.get(&node.row).unwrap_or(&node.tuple)
-                });
-                detector.encode_keys(effectives, bound.fd_rhs_ids())
-            };
-            let mut classes: HashMap<CodeVec, Vec<usize>> = HashMap::new();
-            for (&idx, key) in member_idx.iter().zip(keys) {
-                classes.entry(key).or_default().push(idx);
+            // Partition members by their effective `Y` values, in value
+            // order: the planner's tie-breaks see classes in that order.
+            let mut classes: BTreeMap<Vec<Value>, Vec<usize>> = BTreeMap::new();
+            for &row in &group.rows {
+                let idx = add_node(&mut graph, &mut node_of, row)?;
+                let node = &graph.nodes[idx];
+                let effective = patched.get(&row).unwrap_or(&node.tuple);
+                classes
+                    .entry(bound.fd_rhs_key(effective))
+                    .or_default()
+                    .push(idx);
             }
             // Patching may have merged all members into one class — then the
             // group no longer conflicts and value modification resolved it.
             if classes.len() > 1 {
-                // Decode for a deterministic, value-ordered class list (the
-                // planner's tie-breaks must not depend on interning order).
-                let decoded: BTreeMap<Vec<Value>, Vec<usize>> = classes
-                    .into_iter()
-                    .map(|(key, members)| (detector.decode_key(&key), members))
-                    .collect();
                 graph.groups.push(GroupConflict {
                     source: group.source,
                     group_key: group.group_key.clone(),
-                    classes: decoded.into_values().collect(),
+                    classes: classes.into_values().collect(),
                 });
             }
         }
@@ -189,96 +178,68 @@ impl ConflictGraph {
         self.nodes.len()
     }
 
-    /// Is `deleted` a valid deletion repair? Every must-delete node is gone
-    /// and every group retains at most one surviving class.
-    pub fn covers(&self, deleted: &[bool]) -> bool {
-        debug_assert_eq!(deleted.len(), self.nodes.len());
-        self.nodes
-            .iter()
-            .enumerate()
-            .all(|(i, n)| !n.must_delete || deleted[i])
-            && self.groups.iter().all(|g| {
-                g.classes
-                    .iter()
-                    .filter(|class| class.iter().any(|&i| !deleted[i]))
-                    .count()
-                    <= 1
-            })
-    }
-
     /// Greedy weighted vertex cover over the conflict pairs: repeatedly delete
     /// the node with the highest (uncovered conflicts / weight) ratio, then
     /// prune deletions that turned out redundant (which makes the cover
     /// minimal — on a single group this coincides with the optimum "keep the
     /// heaviest class").
+    ///
+    /// The state is the alive member count of every (group, class). Deletions
+    /// only lower degrees, so the next pick comes from a lazy max-heap: an
+    /// entry whose degree went stale is pushed back at its current one.
     pub fn greedy_deletions(&self) -> Vec<usize> {
-        let mut deleted: Vec<bool> = self.nodes.iter().map(|n| n.must_delete).collect();
-        loop {
-            let mut degree = vec![0usize; self.nodes.len()];
-            let mut open = false;
-            for g in &self.groups {
-                let alive: Vec<usize> = g
-                    .classes
-                    .iter()
-                    .map(|class| class.iter().filter(|&&i| !deleted[i]).count())
-                    .collect();
-                let total: usize = alive.iter().sum();
-                if alive.iter().filter(|&&c| c > 0).count() <= 1 {
-                    continue;
-                }
-                open = true;
-                for (k, class) in g.classes.iter().enumerate() {
-                    let partners = total - alive[k];
-                    for &i in class {
-                        if !deleted[i] {
-                            degree[i] += partners;
-                        }
-                    }
-                }
-            }
-            if !open {
-                break;
-            }
-            let best = (0..self.nodes.len())
-                .filter(|&i| !deleted[i] && degree[i] > 0)
-                .max_by(|&a, &b| {
-                    let score =
-                        |i: usize| degree[i] as f64 / self.nodes[i].weight.max(f64::EPSILON);
-                    score(a)
-                        .partial_cmp(&score(b))
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        // Ties: prefer the cheaper node, then the smaller row
-                        // id (determinism). `max_by` keeps the *greater*
-                        // element, so the comparisons are inverted.
-                        .then_with(|| {
-                            self.nodes[b]
-                                .weight
-                                .partial_cmp(&self.nodes[a].weight)
-                                .unwrap_or(std::cmp::Ordering::Equal)
-                        })
-                        .then_with(|| self.nodes[b].row.cmp(&self.nodes[a].row))
-                })
-                .expect("an open group has a node with positive degree");
-            deleted[best] = true;
+        let n = self.nodes.len();
+        let weight = |i: usize| self.nodes[i].weight;
+        let row = |i: usize| self.nodes[i].row;
+        let by_weight =
+            |a: usize, b: usize| weight(a).partial_cmp(&weight(b)).unwrap_or(Ordering::Equal);
+        // Score ties go to the cheaper node, then to the smaller row id:
+        // `tie[i]` is node `i`'s place in that order.
+        let mut cheapest: Vec<usize> = (0..n).collect();
+        cheapest.sort_by(|&a, &b| by_weight(a, b).then_with(|| row(a).cmp(&row(b))));
+        let mut tie = vec![0; n];
+        for (place, &i) in cheapest.iter().enumerate() {
+            tie[i] = place;
         }
-        // Minimalisation: try to resurrect expensive deletions first.
-        let mut order: Vec<usize> = (0..self.nodes.len())
+        // A score is never negative or NaN, so its bits order like it.
+        let entry = |i: usize, degree: usize| {
+            let score = degree as f64 / weight(i).max(f64::EPSILON);
+            (score.to_bits(), Reverse(tie[i]), i)
+        };
+
+        let mut deleted: Vec<bool> = self.nodes.iter().map(|n| n.must_delete).collect();
+        let mut counts = ClassCounts::new(self, &deleted);
+        let mut heap: BinaryHeap<_> = (0..n)
+            .filter(|&i| !deleted[i] && counts.degree(i) > 0)
+            .map(|i| entry(i, counts.degree(i)))
+            .collect();
+        while let Some(top) = heap.pop() {
+            let i = top.2;
+            let degree = counts.degree(i);
+            if degree == 0 {
+                continue;
+            }
+            if entry(i, degree) != top {
+                heap.push(entry(i, degree));
+                continue;
+            }
+            deleted[i] = true;
+            counts.set_alive(i, false);
+        }
+        // Minimalisation: try to resurrect expensive deletions first. The
+        // deletions cover, so a node may come back exactly when none of its
+        // groups keeps another class alive.
+        let mut order: Vec<usize> = (0..n)
             .filter(|&i| deleted[i] && !self.nodes[i].must_delete)
             .collect();
-        order.sort_by(|&a, &b| {
-            self.nodes[b]
-                .weight
-                .partial_cmp(&self.nodes[a].weight)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| self.nodes[a].row.cmp(&self.nodes[b].row))
-        });
+        order.sort_by(|&a, &b| by_weight(b, a).then_with(|| row(a).cmp(&row(b))));
         for i in order {
-            deleted[i] = false;
-            if !self.covers(&deleted) {
-                deleted[i] = true;
+            if counts.degree(i) == 0 {
+                deleted[i] = false;
+                counts.set_alive(i, true);
             }
         }
-        (0..self.nodes.len()).filter(|&i| deleted[i]).collect()
+        (0..n).filter(|&i| deleted[i]).collect()
     }
 
     /// Exact cardinality repair through the MAXGSAT oracle: one variable per
@@ -288,7 +249,7 @@ impl ConflictGraph {
     /// the exhaustive solver's own limit) return `None` — callers fall back
     /// to the greedy cover.
     pub fn exact_deletions(&self, max_nodes: usize) -> Option<Vec<usize>> {
-        if self.nodes.len() > max_nodes.min(24) {
+        if self.nodes.len() > max_nodes.min(EXACT_MAX_NODES) {
             return None;
         }
         if self.nodes.is_empty() {
@@ -325,6 +286,59 @@ impl ConflictGraph {
                 .filter(|i| !kept.contains(i))
                 .collect(),
         )
+    }
+}
+
+/// The greedy cover's state: how many members of each group and of each
+/// (group, class) are still alive.
+struct ClassCounts {
+    /// Per node, the (group, class) counters it is counted in.
+    slots: Vec<Vec<(usize, usize)>>,
+    /// Alive members, one counter per group and one per class.
+    alive: Vec<usize>,
+}
+
+impl ClassCounts {
+    fn new(graph: &ConflictGraph, deleted: &[bool]) -> Self {
+        let mut counts = ClassCounts {
+            slots: vec![Vec::new(); graph.nodes.len()],
+            alive: Vec::new(),
+        };
+        for group in &graph.groups {
+            let g = counts.alive.len();
+            counts.alive.push(0);
+            for class in &group.classes {
+                counts.alive.push(0);
+                for &i in class {
+                    counts.slots[i].push((g, counts.alive.len() - 1));
+                }
+            }
+        }
+        for i in (0..graph.nodes.len()).filter(|&i| !deleted[i]) {
+            counts.set_alive(i, true);
+        }
+        counts
+    }
+
+    /// Node `i`'s uncovered conflicts: the alive members of the other
+    /// classes, over its groups.
+    fn degree(&self, i: usize) -> usize {
+        self.slots[i]
+            .iter()
+            .map(|&(g, k)| self.alive[g] - self.alive[k])
+            .sum()
+    }
+
+    fn set_alive(&mut self, i: usize, alive: bool) {
+        for &(g, k) in &self.slots[i] {
+            for counter in [g, k] {
+                if alive {
+                    self.alive[counter] += 1;
+                } else {
+                    self.alive[counter] -= 1;
+                }
+            }
+        }
     }
 }
 

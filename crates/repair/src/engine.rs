@@ -10,7 +10,7 @@
 //! [`ConflictGraph`]: a greedy weighted vertex cover,
 //! or an exact MAXGSAT-backed cardinality repair for small instances.
 
-use crate::conflict::ConflictGraph;
+use crate::conflict::{ConflictGraph, EXACT_MAX_NODES};
 use crate::cost::{ConstantCost, CostModel};
 use crate::plan::{DeletionRepair, Repair, ValueRepair};
 use crate::{RepairError, Result};
@@ -29,7 +29,8 @@ pub enum DeletionSolver {
     Greedy,
     /// Exact MAXGSAT-backed *cardinality* repair — it minimises the number
     /// of deletions and ignores cost-model weights. Errors when the conflict
-    /// graph has more than `max_nodes` nodes.
+    /// graph has more than `max_nodes` nodes, or more than 24 (the
+    /// exhaustive solver's own limit), naming the limit that applied.
     Exact {
         /// Largest instance the exact oracle accepts (≤ 24).
         max_nodes: usize,
@@ -61,26 +62,12 @@ pub enum RepairMode {
 }
 
 /// Planner configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RepairOptions {
     /// Allowed repair operations.
     pub mode: RepairMode,
     /// Deletion solver.
     pub solver: DeletionSolver,
-    /// Maximum plan/apply/re-detect rounds of the verified-apply loop (the
-    /// final round is always forced to [`RepairMode::DeleteOnly`], which
-    /// guarantees convergence).
-    pub max_rounds: usize,
-}
-
-impl Default for RepairOptions {
-    fn default() -> Self {
-        RepairOptions {
-            mode: RepairMode::default(),
-            solver: DeletionSolver::default(),
-            max_rounds: 4,
-        }
-    }
 }
 
 /// The repair engine for one constraint set, on the schema its detector was
@@ -108,8 +95,8 @@ impl RepairEngine {
         Self::from_detector(SemanticDetector::from_set(set))
     }
 
-    /// Creates an engine driving an already-compiled detector, whose
-    /// dictionary keys the conflict classes.
+    /// Creates an engine driving an already-compiled detector, which binds
+    /// the constraints the evidence indexes.
     pub fn from_detector(detector: SemanticDetector) -> Self {
         RepairEngine {
             detector,
@@ -251,7 +238,7 @@ impl RepairEngine {
                     .exact_deletions(max_nodes)
                     .ok_or(RepairError::InstanceTooLarge {
                         nodes: graph.num_nodes(),
-                        max_nodes,
+                        max_nodes: max_nodes.min(EXACT_MAX_NODES),
                     })?
             }
             DeletionSolver::Auto { max_nodes } => match graph.exact_deletions(max_nodes) {
@@ -521,7 +508,6 @@ mod tests {
             .with_options(RepairOptions {
                 mode: RepairMode::DeleteOnly,
                 solver: DeletionSolver::Auto { max_nodes: 12 },
-                ..RepairOptions::default()
             });
         let evidence = engine.explain(&data).unwrap();
         let plan = engine.plan(&data, &evidence).unwrap();
@@ -556,5 +542,33 @@ mod tests {
             engine.plan(&data, &evidence),
             Err(RepairError::InstanceTooLarge { .. })
         ));
+    }
+
+    #[test]
+    fn exact_solver_errors_name_the_limit_that_applied() {
+        let rows: Vec<Tuple> = (0..25)
+            .map(|i| Tuple::from_iter(["Albany", &format!("7{i:02}")]))
+            .collect();
+        let data = Relation::with_tuples(schema(), rows).unwrap();
+        let fd = ECfdBuilder::new("cust")
+            .lhs(["CT"])
+            .fd_rhs(["AC"])
+            .pattern(|p| p)
+            .build()
+            .unwrap();
+        let engine = RepairEngine::new(&schema(), &[fd])
+            .unwrap()
+            .with_options(RepairOptions {
+                solver: DeletionSolver::Exact { max_nodes: 30 },
+                ..RepairOptions::default()
+            });
+        let evidence = engine.explain(&data).unwrap();
+        assert_eq!(
+            engine.plan(&data, &evidence),
+            Err(RepairError::InstanceTooLarge {
+                nodes: 25,
+                max_nodes: 24,
+            })
+        );
     }
 }

@@ -93,7 +93,8 @@ pub enum RepairError {
     InstanceTooLarge {
         /// Nodes in the conflict graph.
         nodes: usize,
-        /// The configured limit.
+        /// The limit that applied: the configured one, capped at the
+        /// exhaustive solver's own.
         max_nodes: usize,
     },
     /// The verified-apply loop finished with violations remaining (should be

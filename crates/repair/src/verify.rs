@@ -17,6 +17,10 @@ use ecfd_detect::incremental::IncrementalStats;
 use ecfd_detect::{DetectionReport, IncrementalDetector, SemanticDetector};
 use ecfd_relation::{Catalog, Delta};
 
+/// Plan/apply rounds of the verified repair loop; the last is forced to
+/// [`RepairMode::DeleteOnly`], which guarantees convergence.
+const MAX_ROUNDS: usize = 4;
+
 /// One plan/apply round of the verified repair loop.
 #[derive(Debug, Clone)]
 pub struct RepairRound {
@@ -101,10 +105,9 @@ pub fn repair_verified_with(
 ) -> Result<VerifiedRepair> {
     let detector = engine.detector();
     let table = detector.schema().name().to_string();
-    let max_rounds = engine.options().max_rounds.max(1);
 
     let mut rounds = Vec::new();
-    for round in 0..max_rounds {
+    for round in 0..MAX_ROUNDS {
         let stored = catalog.get(&table)?;
         let evidence = inc.maintained_evidence();
         if evidence.is_clean() {
@@ -113,7 +116,7 @@ pub fn repair_verified_with(
         // The final round falls back to pure deletion: deleting tuples can
         // never create an SV flag or a new FD conflict, so it always lands on
         // a clean instance.
-        let mode = if round + 1 == max_rounds {
+        let mode = if round + 1 == MAX_ROUNDS {
             RepairMode::DeleteOnly
         } else {
             engine.options().mode

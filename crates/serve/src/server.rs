@@ -8,7 +8,7 @@ use crate::sharded::{ShardedConfig, ShardedHub};
 use crate::writer::Writer;
 use crate::Result;
 use ecfd_repair::RepairOptions;
-use ecfd_session::{Session, SessionError};
+use ecfd_session::{Session, SessionError, Snapshot};
 use ecfd_wal::WalRecord;
 use std::io::{BufRead, BufReader, BufWriter, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -380,10 +380,12 @@ fn dispatch(
             epoch: hub.sync_tickets(last, config.sync_timeout)?,
         },
         Request::RepairPlan => {
-            let composed = hub.compose()?;
-            let plan = composed.repair_plan(RepairOptions::default())?;
+            let merged = hub.merged()?;
+            let parts: Vec<&Snapshot> = merged.snapshots.iter().map(Arc::as_ref).collect();
+            let plan =
+                Snapshot::repair_plan_of(&parts, &merged.evidence, RepairOptions::default())?;
             Response::Plan {
-                epoch: composed.epoch(),
+                epoch: merged.epoch(),
                 deletions: plan.num_deletions(),
                 modifications: plan.num_modifications(),
                 cost: plan.total_cost(),

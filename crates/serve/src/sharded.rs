@@ -586,7 +586,8 @@ impl ShardedHub {
 
     /// Composes the current per-shard snapshots into one self-contained
     /// single-session snapshot over the union of the shards' rows — the
-    /// oracle path behind `CHECK` and `REPAIR-PLAN`.
+    /// oracle path behind `CHECK`. (`REPAIR-PLAN` plans from the
+    /// [`ShardedHub::merged`] read-out instead.)
     pub fn compose(&self) -> Result<Snapshot> {
         let snapshots = self.snapshots();
         let refs: Vec<&Snapshot> = snapshots.iter().map(Arc::as_ref).collect();
@@ -899,10 +900,11 @@ impl PartitionMeta {
 
 impl PartitionedTemplate {
     /// Partitions a prepared template session's rows by the shard key's
-    /// hashed value into one fresh session per shard. Rows keep their global
-    /// ids, and the global id counter continues after the highest existing
-    /// id — exactly where the template's own insertion counter stood for
-    /// freshly loaded data.
+    /// hashed value into one fresh session per shard, configured like the
+    /// template (routing policy, compile options, cost model). Rows keep
+    /// their global ids, and the global id counter continues after the
+    /// highest existing id — exactly where the template's own insertion
+    /// counter stood for freshly loaded data.
     ///
     /// One shard partitions nothing: the template becomes shard 0 as it is
     /// (no decode, re-load or re-registration), no shard key is resolved,
@@ -947,7 +949,7 @@ impl PartitionedTemplate {
         for shard_rows in rows {
             let relation =
                 Relation::with_rows(schema.clone(), shard_rows).map_err(SessionError::from)?;
-            let mut session = Session::new();
+            let mut session = template.empty_like();
             session.load(relation)?;
             session.register(source)?;
             sessions.push(session);
@@ -968,7 +970,9 @@ impl PartitionedTemplate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ecfd_core::CompileOptions;
     use ecfd_relation::{DataType, Schema, Value};
+    use ecfd_repair::{EditDistanceCost, RepairOptions};
     use std::time::Duration;
 
     fn template() -> Session {
@@ -1066,6 +1070,59 @@ mod tests {
         }
     }
 
+    /// Every shard session is configured like the template: a `merge: false`
+    /// compile numbers the constraints as the unsharded session does, and
+    /// `REPAIR-PLAN` prices by the template's cost model.
+    #[test]
+    fn shards_keep_the_template_configuration() {
+        let configured = || {
+            let schema = Schema::builder("cust")
+                .attr("CT", DataType::Str)
+                .attr("AC", DataType::Str)
+                .build();
+            let data = Relation::with_tuples(
+                schema,
+                [
+                    Tuple::from_iter(["Albany", "718"]),
+                    Tuple::from_iter(["Albany", "518"]),
+                    Tuple::from_iter(["NYC", "212"]),
+                    Tuple::from_iter(["NYC", "646"]),
+                    Tuple::from_iter(["Troy", "518"]),
+                ],
+            )
+            .unwrap();
+            let mut session = Session::new()
+                .with_compile_options(CompileOptions {
+                    merge: false,
+                    ..CompileOptions::default()
+                })
+                .with_cost_model(EditDistanceCost::default());
+            session.load(data).unwrap();
+            // Two tableaux over one embedded FD: merged into one constraint
+            // unless `merge` is off.
+            session
+                .register_text(
+                    "cust: [CT] -> [AC] | [], { {Albany} || {518} }\n\
+                     cust: [CT] -> [AC] | [], { _ || _ }",
+                )
+                .unwrap();
+            session
+        };
+        let (_writers, hub) =
+            ShardedHub::bootstrap(configured(), &ShardedConfig::new(2, "AC")).unwrap();
+        let mut oracle = configured();
+        let snapshot = oracle.snapshot().unwrap();
+
+        let merged = hub.merged().unwrap();
+        assert_eq!(merged.evidence, *snapshot.evidence());
+        let parts: Vec<&Snapshot> = merged.snapshots.iter().map(Arc::as_ref).collect();
+        let options = RepairOptions::default();
+        assert_eq!(
+            Snapshot::repair_plan_of(&parts, &merged.evidence, options).unwrap(),
+            snapshot.repair_plan(options).unwrap()
+        );
+    }
+
     /// The maintained merge answers like the scanning verifier and like the
     /// unsharded oracle, report and evidence both.
     fn assert_merged_matches(hub: &ShardedHub, oracle: &mut Session) {
@@ -1119,7 +1176,12 @@ mod tests {
         drive(&mut writers, &hub);
         assert_merged_matches(&hub, &mut oracle);
         assert_eq!(
-            hub.compose().unwrap().to_relation().unwrap().row_ids(),
+            hub.compose()
+                .unwrap()
+                .frozen()
+                .view()
+                .row_ids()
+                .collect::<Vec<_>>(),
             oracle.data("cust").unwrap().row_ids()
         );
     }
@@ -1298,13 +1360,7 @@ mod tests {
         // Row ids were assigned globally in submission order: 3 base rows,
         // then 3 insertions (the ten Colonie rows came and went).
         let composed = hub.compose().unwrap();
-        let ids: Vec<u64> = composed
-            .to_relation()
-            .unwrap()
-            .row_ids()
-            .into_iter()
-            .map(|id| id.0)
-            .collect();
+        let ids: Vec<u64> = composed.frozen().view().row_ids().map(|id| id.0).collect();
         assert_eq!(ids, vec![0, 1, 2, 3, 4, 5]);
     }
 

@@ -440,10 +440,10 @@ mod tests {
         let snap = hub.snapshot();
         assert_eq!(snap.num_rows(), 2, "the inserted row was deleted again");
         assert!(!snap
-            .to_relation()
-            .unwrap()
-            .tuples()
-            .any(|t| t == &Tuple::from_iter(["Utica", "315"])));
+            .frozen()
+            .decode_rows()
+            .into_iter()
+            .any(|(_, values)| Tuple::new(values) == Tuple::from_iter(["Utica", "315"])));
         assert_eq!(hub.stats().write_errors, 0);
     }
 

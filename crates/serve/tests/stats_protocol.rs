@@ -205,6 +205,42 @@ fn stats_counters_move_with_traffic() {
     client.quit().unwrap();
 }
 
+/// `REPAIR-PLAN` plans from what the shard already published: it compiles,
+/// encodes and scans nothing, so no detection pass runs.
+#[test]
+fn repair_plan_costs_no_compile_encode_or_scan() {
+    let server = spawn_serve(&[]);
+    let mut client = Client::connect(&server.addr).unwrap();
+    client.apply(vec![op(0)]).unwrap();
+    client.sync().unwrap();
+
+    let counters = [
+        "detect.detectors.compiled",
+        "relation.rows.encoded",
+        "detect.rows.scanned",
+        SEMANTIC_PASSES,
+    ];
+    let before = scrape(&mut client, None);
+    let Response::Plan {
+        deletions,
+        modifications,
+        ..
+    } = client.repair_plan().unwrap()
+    else {
+        panic!("PLAN response expected");
+    };
+    assert!(deletions + modifications > 0, "the demo instance is dirty");
+    let after = scrape(&mut client, None);
+    for key in counters {
+        assert_eq!(
+            after.get(key).copied().unwrap_or(0) - before.get(key).copied().unwrap_or(0),
+            0,
+            "REPAIR-PLAN moved {key}"
+        );
+    }
+    client.quit().unwrap();
+}
+
 /// `EXPLAIN PLAN` against the real binary: the rendered plan survives the
 /// wire (percent-escaped multi-line payload, `parse(render(x)) == x`), the
 /// demo instance's φ1/φ2 fuse into one shared scan, and a malformed

@@ -152,6 +152,17 @@ impl Session {
         }
     }
 
+    /// An empty session with this one's routing policy, compile options and
+    /// repair cost model.
+    pub fn empty_like(&self) -> Self {
+        Session {
+            policy: self.policy,
+            compile: self.compile,
+            cost: self.cost.clone(),
+            ..Session::new()
+        }
+    }
+
     /// Replaces the routing policy, retrofitting its [`Parallelism`] onto
     /// every already-registered backend.
     ///

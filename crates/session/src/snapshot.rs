@@ -10,7 +10,8 @@
 //!   code columns plus the symbol table that decodes them);
 //! * the compiled [`ConstraintSet`] and a clone of the session entry's one
 //!   [`SemanticDetector`], so the coded pattern cells agree with the frozen
-//!   symbol table, and the session's repair cost model;
+//!   symbol table, and the session's repair cost model — a repair plan runs
+//!   on that detector and prices by that model, compiling nothing;
 //! * the [`DetectionReport`] and [`EvidenceReport`] describing that exact
 //!   state;
 //! * the **epoch**: the session's mutation counter at extraction time.
@@ -113,19 +114,6 @@ impl Snapshot {
         Ok(self.detector.detect_frozen(&self.frozen, self.schema())?)
     }
 
-    /// Materialises the frozen rows as a standalone base-schema [`Relation`]
-    /// with the original row ids preserved, so report- and evidence-carried
-    /// row ids remain meaningful against the copy.
-    pub fn to_relation(&self) -> Result<Relation> {
-        Ok(Relation::with_rows(
-            self.schema().clone(),
-            self.frozen
-                .decode_rows()
-                .into_iter()
-                .map(|(id, values)| (id, Tuple::new(values))),
-        )?)
-    }
-
     // ── shard-aware composition ───────────────────────────────────────────
 
     /// For every split constraint of the snapshot's set, whether its `X`
@@ -170,10 +158,10 @@ impl Snapshot {
     /// self-contained snapshot: the union of the shards' rows (a relation
     /// keeps its rows in row-id order, which is the unsharded order, since
     /// ids are allocated globally), re-encoded through a fresh detector,
-    /// with report and evidence derived by a from-scratch detection pass. This is the serving layer's oracle
-    /// path: `CHECK` and `REPAIR-PLAN` on a sharded deployment run against
-    /// the composition. The epoch is the sum of the parts' epochs — the
-    /// sharded global epoch.
+    /// with report and evidence derived by a from-scratch detection pass.
+    /// This is the serving layer's oracle path: `CHECK` compares the
+    /// composition's report with the merged one. The epoch is the sum of
+    /// the parts' epochs — the sharded global epoch.
     pub fn compose(parts: &[&Snapshot]) -> Result<Snapshot> {
         let first = parts
             .first()
@@ -203,14 +191,36 @@ impl Snapshot {
 
     /// Plans (but does not apply) a repair of the snapshot's violations: a
     /// deletion cover plus value modifications under `options`, priced by
-    /// the session's cost model, on a private decoded copy of the frozen
-    /// rows. A private compile too, so it never interns into the live
-    /// dictionary — the serving layer's `REPAIR-PLAN` query.
+    /// the session's cost model — the serving layer's `REPAIR-PLAN` query.
+    /// See [`Snapshot::repair_plan_of`].
     pub fn repair_plan(&self, options: RepairOptions) -> Result<Repair> {
-        let mut engine = RepairEngine::from_set(&self.set).with_options(options);
-        engine.set_cost_model(self.cost.clone());
-        let base = self.to_relation()?;
-        Ok(engine.plan(&base, &self.evidence)?)
+        Self::repair_plan_of(&[self], &self.evidence, options)
+    }
+
+    /// Plans a repair of `evidence` over the union of the parts' rows, as
+    /// [`Snapshot::compose`] would see them, without composing: it decodes
+    /// only the rows the evidence names from each part's frozen view, and
+    /// plans on a clone of the first part's detector under its cost model,
+    /// so nothing is compiled, scanned or encoded.
+    pub fn repair_plan_of(
+        parts: &[&Snapshot],
+        evidence: &EvidenceReport,
+        options: RepairOptions,
+    ) -> Result<Repair> {
+        let first = parts
+            .first()
+            .ok_or_else(|| SessionError::NotLoaded("<no shards>".to_string()))?;
+        let named = evidence.detection_report().violating_rows();
+        let rows = parts.iter().flat_map(|part| {
+            let view = part.frozen.view();
+            (0..view.num_rows())
+                .filter(|&pos| named.contains(&view.row_id(pos)))
+                .map(|pos| (view.row_id(pos), Tuple::new(part.frozen.decode_row(pos))))
+        });
+        let relation = Relation::with_rows(first.schema().clone(), rows)?;
+        let mut engine = RepairEngine::from_detector(first.detector.clone()).with_options(options);
+        engine.set_cost_model(first.cost.clone());
+        Ok(engine.plan(&relation, evidence)?)
     }
 }
 

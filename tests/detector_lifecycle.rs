@@ -60,12 +60,13 @@ fn after_step(
 }
 
 /// Rows a verified repair of the session's table under `options` encodes of
-/// its own accord — keying conflict classes, the verifier's pass — on top of
-/// what the session's full pass and seed encode, with the replica's outcome.
-/// Every round plans from the maintained evidence, so no round re-encodes
-/// the table. The planner does not depend on interning order, so a replica
-/// repair of a copy under the same cost model does the same work; the
-/// replica's own seed is left out.
+/// its own accord, on top of what the session's full pass and seed encode,
+/// with the replica's outcome. Planning encodes nothing — every round plans
+/// from the maintained evidence, keyed by values — so that is each round's
+/// delta, applied through INCDETECT, plus the verifier's pass over the
+/// repaired table. The planner does not depend on interning order, so a
+/// replica repair of a copy under the same cost model does the same work;
+/// the replica's own seed is left out.
 fn repair_encodes(
     session: &Session,
     options: RepairOptions,
@@ -80,7 +81,16 @@ fn repair_encodes(
     catalog.create(data).expect("copy");
     let before = counter("relation.rows.encoded");
     let outcome = repair_verified(&engine, &mut catalog);
-    (outcome, counter("relation.rows.encoded") - before - seed)
+    let own = counter("relation.rows.encoded") - before - seed;
+    let applied = match &outcome {
+        Ok(repair) => {
+            let deltas: u64 = repair.deltas().map(|d| d.len() as u64).sum();
+            deltas + catalog.get("cust").expect("repaired").len() as u64
+        }
+        Err(_) => 0,
+    };
+    assert_eq!(own, applied, "planning encodes nothing");
+    (outcome, own)
 }
 
 /// A delta of `insertions` generated tuples and `deletions` stored ones.
@@ -160,6 +170,21 @@ fn a_registration_compiles_once_and_every_consumer_shares_it() {
     assert_eq!(&snapshot.detect_fresh().expect("fresh"), snapshot.report());
     drop(snapshot);
     after_step(&mut session, &mut last, "warm snapshot", (0, 0, 0));
+
+    // A snapshot plans a repair from its own detector and evidence: it
+    // compiles, scans and encodes nothing.
+    let snapshot = session.snapshot().expect("warm snapshot");
+    let plan = snapshot
+        .repair_plan(RepairOptions::default())
+        .expect("snapshot plan");
+    assert!(!plan.is_empty(), "the instance is dirty");
+    drop(snapshot);
+    after_step(
+        &mut session,
+        &mut last,
+        "warm snapshot REPAIR-PLAN",
+        (0, 0, 0),
+    );
     session
         .detect_with(BackendKind::Semantic)
         .expect("full pass");

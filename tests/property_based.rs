@@ -170,7 +170,6 @@ proptest! {
             .with_options(RepairOptions {
                 mode: RepairMode::DeleteOnly,
                 solver: DeletionSolver::Greedy,
-                ..RepairOptions::default()
             });
         let evidence = engine.explain(&data).unwrap();
         let flagged = evidence.detection_report().num_violations();

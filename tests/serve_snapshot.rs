@@ -189,8 +189,8 @@ fn snapshots_pin_their_epoch() {
     assert_eq!(pinned.num_rows(), pinned_rows);
     assert_eq!(pinned.report(), &pinned_report);
     assert_eq!(&pinned.detect_fresh().unwrap(), &pinned_report);
-    // The materialised relation of the old snapshot still has the old rows.
-    assert_eq!(pinned.to_relation().unwrap().len(), pinned_rows);
+    // The frozen view of the old snapshot still has the old rows.
+    assert_eq!(pinned.frozen().decode_rows().len(), pinned_rows);
 }
 
 /// A response's wire line without its `EPOCH <n>` field — the payload, which

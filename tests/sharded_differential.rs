@@ -23,8 +23,9 @@ use ecfd::core::ECfd;
 use ecfd::datagen::constraints::workload_constraints;
 use ecfd::datagen::{generate, generate_delta, CustConfig, UpdateConfig};
 use ecfd::relation::{shard_of_value, Delta, Relation, Tuple};
+use ecfd::repair::RepairOptions;
 use ecfd::serve::{ShardedConfig, ShardedHub};
-use ecfd::session::Session;
+use ecfd::session::{Session, Snapshot};
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
@@ -113,6 +114,19 @@ fn assert_sharded_matches_oracle(
              ({shards} shard(s) by {shard_key}, workers {workers:?})"
         );
 
+        // REPAIR-PLAN plans from the merged read-out and the cut's
+        // snapshots: the unsharded oracle's plan, at every shard count.
+        let parts: Vec<&Snapshot> = merged.snapshots.iter().map(Arc::as_ref).collect();
+        assert_eq!(
+            Snapshot::repair_plan_of(&parts, &merged.evidence, RepairOptions::default())
+                .expect("sharded plan"),
+            oracle_snap
+                .repair_plan(RepairOptions::default())
+                .expect("oracle plan"),
+            "round {round}: repair plan differs from the unsharded oracle \
+             ({shards} shard(s) by {shard_key}, workers {workers:?})"
+        );
+
         // DETECT FRESH (cache bypass, full re-scan) re-derives the same
         // bytes, and the warm merge never fell back to a seed.
         let fresh = hub.merged_fresh().expect("fresh merge");
@@ -127,8 +141,8 @@ fn assert_sharded_matches_oracle(
             "round {round}: a warm merge re-seeded"
         );
 
-        // The composed single-session snapshot — the CHECK / REPAIR-PLAN
-        // oracle path — agrees as well.
+        // The composed single-session snapshot — the CHECK oracle path —
+        // agrees as well.
         let composed = hub.compose().expect("compose");
         assert_eq!(
             *composed.report(),
