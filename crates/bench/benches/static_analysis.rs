@@ -1,10 +1,13 @@
 //! Criterion microbenchmarks for the static analyses of Sections III–IV:
-//! exact satisfiability, exact implication, and the MAXGSAT-based MAXSS
-//! approximation (including a comparison of the MAXGSAT solvers).
+//! exact satisfiability, exact implication (one redundancy check and the
+//! minimal cover over the workload's single-pattern constraints), and the
+//! MAXGSAT-based MAXSS approximation (including a comparison of the MAXGSAT
+//! solvers).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ecfd_core::{implication, maxss, satisfiability};
-use ecfd_datagen::constraints::workload_constraints;
+use ecfd_core::normalize::split_patterns;
+use ecfd_core::{implication, maxss, satisfiability, ECfd};
+use ecfd_datagen::constraints::{workload_constraints, workload_with_scaled_constraint};
 use ecfd_datagen::cust_schema;
 use ecfd_logic::MaxGSatSolver;
 use std::time::Duration;
@@ -60,6 +63,21 @@ fn bench_implication(c: &mut Criterion) {
             implication::implies(&schema, &rest, phi).unwrap()
         });
     });
+    // Redundancy elimination at pattern granularity, as
+    // `CompileOptions::minimizing()` runs it: the workload's 11 single-pattern
+    // constraints, and the 49 of its 40-pattern variant.
+    for (name, set) in [
+        ("minimal_cover_workload", constraints.clone()),
+        (
+            "minimal_cover_tp40",
+            workload_with_scaled_constraint(40, 42),
+        ),
+    ] {
+        let singles: Vec<ECfd> = split_patterns(&set).into_iter().map(|s| s.ecfd).collect();
+        group.bench_function(name, |b| {
+            b.iter(|| implication::minimal_cover(&schema, &singles).unwrap());
+        });
+    }
     group.finish();
 }
 

@@ -3,23 +3,32 @@
 //! The implication problem — given `Σ` and `φ`, does every instance that
 //! satisfies `Σ` also satisfy `φ`? — is coNP-complete for eCFDs
 //! (Proposition 3.2). Its complement has a *two-tuple small model property*:
-//! `Σ ⊭ φ` iff there is an instance `I` with at most two tuples such that
-//! `I ⊨ Σ` and `I ⊭ φ`. The exact procedure here searches for such a
-//! counterexample over the active domains of `Σ ∪ {φ}`, with *two* fresh
-//! representatives per attribute outside the mentioned constants (two, not
-//! one, because the counterexample may need two tuples that agree on `X` but
-//! differ on an unconstrained `Y` attribute).
+//! `Σ ⊭ φ` iff some instance of at most two tuples satisfies `Σ` and violates
+//! `φ`. The exact procedure searches for that counterexample directly, with
+//! the small-model search it shares with [`crate::satisfiability`]:
+//!
+//! 1. **SV:** one tuple that satisfies `Σ` and fails `φ`'s right-hand
+//!    pattern. One tuple is enough here: dropping a tuple from a model of
+//!    `Σ` leaves a model of `Σ`.
+//! 2. **MV**, only when `Y ≠ ∅` and the SV run found nothing: two tuples
+//!    that share their `X` cells, match a pattern of `φ` and differ on `Y`.
+//!
+//! Both runs assign *value classes* — per attribute, the constants that every
+//! cell of `Σ ∪ {φ}` contains both or neither of, plus the values outside
+//! every constant — with two representatives per class, because
+//! `t1[Y] ≠ t2[Y]` may need two values of one class.
 
 use crate::ecfd::ECfd;
 use crate::error::{CoreError, Result};
 use crate::satisfaction;
-use ecfd_relation::{Domain, Relation, Schema, Tuple, Value};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::small_model::{self, Goal};
+use ecfd_relation::{Relation, Schema, Tuple};
 
 /// Options controlling the exact implication search.
 #[derive(Debug, Clone, Copy)]
 pub struct ImplicationOptions {
-    /// Maximum number of candidate instances to evaluate before giving up with
+    /// Maximum number of search nodes (cell assignments, over both the
+    /// single- and the two-tuple run) to explore before giving up with
     /// [`CoreError::AnalysisBudgetExceeded`].
     pub node_budget: u64,
 }
@@ -73,23 +82,25 @@ pub fn check_implication(
         ecfd.validate_against(schema)?;
     }
 
-    // Active domains over Σ ∪ {φ} with two fresh representatives.
-    let mut all: Vec<ECfd> = sigma.to_vec();
-    all.push(phi.clone());
-    let domains = two_fresh_active_domains(schema, &all);
-
-    // The candidate tuples only need to vary on the attributes mentioned by
-    // Σ ∪ {φ}; all other attributes can be fixed arbitrarily (they cannot
-    // influence satisfaction of any constraint).
-    let attrs: Vec<(String, Vec<Value>)> = domains.into_iter().collect();
-
     let mut budget = options.node_budget;
-    // Enumerate candidate pairs (t1, t2); the single-tuple counterexample case
-    // is covered by t1 == t2 (duplicate rows change nothing for eCFD
-    // semantics, so {t, t} behaves like {t}).
-    let mut assignment1: BTreeMap<String, Value> = BTreeMap::new();
-    let outcome = search_pair(schema, sigma, phi, &attrs, 0, &mut assignment1, &mut budget)?;
-    Ok(outcome.unwrap_or(ImplicationOutcome::Implied))
+    let mut run = |goal| {
+        small_model::search(schema, sigma, goal, &mut budget).map_err(|_| {
+            let what = "implication search exceeded its node budget of";
+            CoreError::AnalysisBudgetExceeded(format!("{what} {}", options.node_budget))
+        })
+    };
+    let mut found = run(Goal::Single(phi))?;
+    if found.is_none() && !phi.fd_rhs().is_empty() {
+        found = run(Goal::Pair(phi))?;
+    }
+    let Some(counterexample) = found else {
+        return Ok(ImplicationOutcome::Implied);
+    };
+    debug_assert!({
+        let db = Relation::with_tuples(schema.clone(), counterexample.clone())?;
+        satisfaction::satisfies_all(&db, sigma)? && !satisfaction::check(&db, phi)?.is_satisfied()
+    });
+    Ok(ImplicationOutcome::NotImplied(counterexample))
 }
 
 /// Removes constraints and pattern tuples that are implied by the rest of the
@@ -112,163 +123,13 @@ pub fn minimal_cover_with(
     let mut idx = retained.len();
     while idx > 0 {
         idx -= 1;
-        let candidate = retained[idx].clone();
-        let rest: Vec<ECfd> = retained
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != idx)
-            .map(|(_, e)| e.clone())
-            .collect();
+        let mut rest = retained.clone();
+        let candidate = rest.remove(idx);
         if check_implication(schema, &rest, &candidate, options)?.is_implied() {
             retained.remove(idx);
         }
     }
     Ok(retained)
-}
-
-fn two_fresh_active_domains(schema: &Schema, ecfds: &[ECfd]) -> BTreeMap<String, Vec<Value>> {
-    let mut constants: BTreeMap<String, BTreeSet<Value>> = BTreeMap::new();
-    for ecfd in ecfds {
-        for (attr, consts) in ecfd.constants_per_attribute() {
-            constants.entry(attr).or_default().extend(consts);
-        }
-    }
-    let mut out = BTreeMap::new();
-    for (attr, consts) in constants {
-        let domain = schema
-            .attr_id(&attr)
-            .and_then(|id| schema.attribute(id))
-            .map(|a| a.domain.clone())
-            .unwrap_or(Domain::Unbounded(ecfd_relation::DataType::Str));
-        let mut values: Vec<Value> = consts
-            .iter()
-            .filter(|v| domain.contains(v))
-            .cloned()
-            .collect();
-        let mut exclude = consts.clone();
-        for _ in 0..2 {
-            if let Some(fresh) = domain.fresh_value_outside(&exclude) {
-                exclude.insert(fresh.clone());
-                values.push(fresh);
-            }
-        }
-        out.insert(attr, values);
-    }
-    out
-}
-
-fn complete_tuple(schema: &Schema, assignment: &BTreeMap<String, Value>) -> Tuple {
-    Tuple::new(
-        schema
-            .attributes()
-            .iter()
-            .map(|a| {
-                assignment.get(&a.name).cloned().unwrap_or_else(|| {
-                    a.domain
-                        .fresh_value_outside(&BTreeSet::new())
-                        .unwrap_or(Value::Null)
-                })
-            })
-            .collect(),
-    )
-}
-
-/// Enumerates assignments for the first tuple; for each, enumerates the second.
-fn search_pair(
-    schema: &Schema,
-    sigma: &[ECfd],
-    phi: &ECfd,
-    attrs: &[(String, Vec<Value>)],
-    depth: usize,
-    assignment1: &mut BTreeMap<String, Value>,
-    budget: &mut u64,
-) -> Result<Option<ImplicationOutcome>> {
-    if depth == attrs.len() {
-        let t1 = complete_tuple(schema, assignment1);
-        // Prune: {t1} must satisfy Σ for any superset instance to do so —
-        // adding a second tuple can only add violations, never remove them,
-        // because eCFD satisfaction is an intersection of per-tuple and
-        // per-pair conditions.
-        let single = Relation::with_tuples(schema.clone(), [t1.clone()])?;
-        if !satisfaction::satisfies_all(&single, sigma)? {
-            return Ok(None);
-        }
-        // Single-tuple counterexample?
-        if !satisfaction::satisfies_all(&single, std::slice::from_ref(phi))? {
-            return Ok(Some(ImplicationOutcome::NotImplied(vec![t1])));
-        }
-        let mut assignment2: BTreeMap<String, Value> = BTreeMap::new();
-        return search_second(schema, sigma, phi, attrs, 0, &t1, &mut assignment2, budget);
-    }
-    let (attr, values) = &attrs[depth];
-    if values.is_empty() {
-        return Ok(None);
-    }
-    for value in values {
-        if *budget == 0 {
-            return Err(CoreError::AnalysisBudgetExceeded(
-                "implication search exceeded its node budget".into(),
-            ));
-        }
-        *budget -= 1;
-        assignment1.insert(attr.clone(), value.clone());
-        if let Some(found) = search_pair(schema, sigma, phi, attrs, depth + 1, assignment1, budget)?
-        {
-            return Ok(Some(found));
-        }
-        assignment1.remove(attr);
-    }
-    Ok(None)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn search_second(
-    schema: &Schema,
-    sigma: &[ECfd],
-    phi: &ECfd,
-    attrs: &[(String, Vec<Value>)],
-    depth: usize,
-    t1: &Tuple,
-    assignment2: &mut BTreeMap<String, Value>,
-    budget: &mut u64,
-) -> Result<Option<ImplicationOutcome>> {
-    if depth == attrs.len() {
-        let t2 = complete_tuple(schema, assignment2);
-        let db = Relation::with_tuples(schema.clone(), [t1.clone(), t2.clone()])?;
-        if satisfaction::satisfies_all(&db, sigma)?
-            && !satisfaction::satisfies_all(&db, std::slice::from_ref(phi))?
-        {
-            return Ok(Some(ImplicationOutcome::NotImplied(vec![t1.clone(), t2])));
-        }
-        return Ok(None);
-    }
-    let (attr, values) = &attrs[depth];
-    if values.is_empty() {
-        return Ok(None);
-    }
-    for value in values {
-        if *budget == 0 {
-            return Err(CoreError::AnalysisBudgetExceeded(
-                "implication search exceeded its node budget".into(),
-            ));
-        }
-        *budget -= 1;
-        assignment2.insert(attr.clone(), value.clone());
-        if let Some(found) = search_second(
-            schema,
-            sigma,
-            phi,
-            attrs,
-            depth + 1,
-            t1,
-            assignment2,
-            budget,
-        )? {
-            return Ok(Some(found));
-        }
-        assignment2.remove(attr);
-    }
-    Ok(None)
 }
 
 #[cfg(test)]

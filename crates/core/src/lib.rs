@@ -20,9 +20,10 @@
 //! * the matching and satisfaction semantics of Section II
 //!   ([`satisfaction::check`], [`satisfaction::check_all`]);
 //! * the static analyses of Section III: exact satisfiability
-//!   ([`satisfiability::is_satisfiable`], single-tuple small-model search) and
-//!   exact implication ([`implication::implies`], two-tuple small-model
-//!   search);
+//!   ([`satisfiability::is_satisfiable`]) and exact implication
+//!   ([`implication::implies`]), both thin callers of one small-model search
+//!   over per-attribute value classes (one tuple for satisfiability, at most
+//!   two for an implication counterexample);
 //! * the MAXSS → MAXGSAT approximation of Section IV ([`maxss`]);
 //! * compiled constraint sets ([`ConstraintSet`]): the validate → (optional)
 //!   minimize → merge → dedupe pipeline whose output every detector backend
@@ -79,6 +80,7 @@ pub mod pattern;
 pub mod satisfaction;
 pub mod satisfiability;
 pub mod set;
+mod small_model;
 pub mod violation;
 
 pub use builder::{ECfdBuilder, PatternTupleBuilder};

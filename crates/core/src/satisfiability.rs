@@ -3,17 +3,14 @@
 //! The satisfiability problem — "is there a nonempty instance `I` with
 //! `I ⊨ Σ`?" — is NP-complete for eCFDs (Proposition 3.1), but it enjoys a
 //! *small model property*: if `Σ` is satisfiable then a **single-tuple**
-//! instance satisfies it. The exact procedure here therefore searches for one
-//! witness tuple:
-//!
-//! 1. restrict attention to the attributes mentioned by `Σ`;
-//! 2. for each such attribute `A_i`, build the *active domain* `adom(A_i)`:
-//!    the constants appearing in the tableaux for `A_i`, plus one fresh value
-//!    of `dom(A_i)` outside those constants if such a value exists (for an
-//!    enumerated finite domain it may not) — exactly the construction used in
-//!    the reduction of Section IV;
-//! 3. backtrack over assignments of active-domain values to attributes,
-//!    pruning as soon as a fully-assigned constraint is violated.
+//! instance satisfies it. The exact procedure therefore searches for one
+//! witness tuple, with the small-model search it shares with
+//! [`crate::implication`]. Per attribute, it assigns *value classes* — the
+//! constants that every cell contains both or neither of, plus the class of
+//! values outside every constant — with one representative per class, since
+//! no cell tells two members of a class apart and one tuple never compares
+//! values. It prunes as soon as a pattern's assigned `X` matches and an
+//! assigned `Y ∪ Yp` cell fails.
 //!
 //! The search is exponential in the number of constrained attributes in the
 //! worst case — unavoidable unless P = NP — so callers can cap the number of
@@ -22,8 +19,8 @@
 
 use crate::ecfd::ECfd;
 use crate::error::{CoreError, Result};
-use crate::pattern::PatternValue;
 use crate::satisfaction;
+use crate::small_model::{self, Goal};
 use ecfd_relation::{Domain, Relation, Schema, Tuple, Value};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -73,8 +70,10 @@ impl SatOutcome {
 /// declared domain still has one) a representative value outside them.
 ///
 /// Values outside the constants are indistinguishable to every pattern cell,
-/// so one representative suffices — this is what keeps the small-model search
-/// finite and the reduction of Section IV polynomial.
+/// so one representative suffices — this is what keeps the reduction of
+/// Section IV polynomial. The MAXSS encoding ([`crate::maxss`]) builds its
+/// `f(Σ)` over these domains, as the paper does; the exact deciders search
+/// the coarser value classes instead.
 pub fn active_domains(schema: &Schema, ecfds: &[ECfd]) -> BTreeMap<String, Vec<Value>> {
     let mut constants: BTreeMap<String, BTreeSet<Value>> = BTreeMap::new();
     for ecfd in ecfds {
@@ -123,27 +122,15 @@ pub fn check_satisfiability(
     for ecfd in ecfds {
         ecfd.validate_against(schema)?;
     }
-    if ecfds.is_empty() {
-        // Any single tuple works; produce one from default values.
-        return Ok(SatOutcome::Satisfiable(default_tuple(schema)));
-    }
-
-    let domains = active_domains(schema, ecfds);
-    // Fix an attribute order for the backtracking search: constrained
-    // attributes first (most constrained — smallest active domain — first to
-    // fail fast), then the rest of the schema.
-    let mut constrained: Vec<(String, Vec<Value>)> = domains.into_iter().collect();
-    constrained.sort_by_key(|(_, vals)| vals.len());
-
-    let mut assignment: BTreeMap<String, Value> = BTreeMap::new();
     let mut budget = options.node_budget;
-    let found = search(schema, ecfds, &constrained, 0, &mut assignment, &mut budget)?;
-    if !found {
+    let exhausted = |_| {
+        let what = "satisfiability search exceeded its node budget of";
+        CoreError::AnalysisBudgetExceeded(format!("{what} {}", options.node_budget))
+    };
+    let found = small_model::search(schema, ecfds, Goal::Model, &mut budget).map_err(exhausted)?;
+    let Some(witness) = found.and_then(|mut model| model.pop()) else {
         return Ok(SatOutcome::Unsatisfiable);
-    }
-
-    // Extend the partial witness to a full tuple over the schema.
-    let witness = complete_tuple(schema, &assignment);
+    };
     debug_assert!(single_tuple_satisfies(schema, ecfds, &witness)?);
     Ok(SatOutcome::Satisfiable(witness))
 }
@@ -154,123 +141,6 @@ pub fn check_satisfiability(
 pub fn single_tuple_satisfies(schema: &Schema, ecfds: &[ECfd], tuple: &Tuple) -> Result<bool> {
     let db = Relation::with_tuples(schema.clone(), [tuple.clone()])?;
     satisfaction::satisfies_all(&db, ecfds)
-}
-
-fn default_value_for(domain: &Domain) -> Value {
-    domain
-        .fresh_value_outside(&BTreeSet::new())
-        .unwrap_or(Value::Null)
-}
-
-fn default_tuple(schema: &Schema) -> Tuple {
-    Tuple::new(
-        schema
-            .attributes()
-            .iter()
-            .map(|a| default_value_for(&a.domain))
-            .collect(),
-    )
-}
-
-fn complete_tuple(schema: &Schema, assignment: &BTreeMap<String, Value>) -> Tuple {
-    Tuple::new(
-        schema
-            .attributes()
-            .iter()
-            .map(|a| {
-                assignment
-                    .get(&a.name)
-                    .cloned()
-                    .unwrap_or_else(|| default_value_for(&a.domain))
-            })
-            .collect(),
-    )
-}
-
-/// Can constraint violation already be decided from `assignment`?
-///
-/// A single-pattern check of the form "if t[X] matches then t[Y, Yp] must
-/// match" can be *refuted* as soon as all attributes of X are assigned and
-/// match, and some assigned attribute of Y ∪ Yp fails its cell. It is
-/// *confirmed unviolated* when some assigned X attribute fails to match, or
-/// all RHS attributes are assigned and match.
-fn violates_partial(ecfd: &ECfd, assignment: &BTreeMap<String, Value>) -> bool {
-    for (tp_idx, tp) in ecfd.tableau().iter().enumerate() {
-        let mut lhs_all_assigned_and_match = true;
-        let mut lhs_definitely_unmatched = false;
-        for (attr, _cell) in ecfd.lhs().iter().zip(&tp.lhs) {
-            match assignment.get(attr) {
-                Some(value) => {
-                    if !ecfd
-                        .lhs_cell(tp_idx, attr)
-                        .expect("cell exists")
-                        .matches(value)
-                    {
-                        lhs_definitely_unmatched = true;
-                        break;
-                    }
-                }
-                None => {
-                    lhs_all_assigned_and_match = false;
-                }
-            }
-        }
-        if lhs_definitely_unmatched || !lhs_all_assigned_and_match {
-            continue;
-        }
-        // LHS fully matches: every assigned RHS attribute must match its cell.
-        let rhs_attrs = ecfd.rhs_attrs();
-        for (attr, cell) in rhs_attrs.iter().zip(&tp.rhs) {
-            if let Some(value) = assignment.get(*attr) {
-                if !cell.matches(value) {
-                    return true;
-                }
-            } else if matches!(cell, PatternValue::In(s) if s.is_empty()) {
-                return true;
-            }
-        }
-    }
-    false
-}
-
-fn search(
-    schema: &Schema,
-    ecfds: &[ECfd],
-    attrs: &[(String, Vec<Value>)],
-    depth: usize,
-    assignment: &mut BTreeMap<String, Value>,
-    budget: &mut u64,
-) -> Result<bool> {
-    if *budget == 0 {
-        return Err(CoreError::AnalysisBudgetExceeded(format!(
-            "satisfiability search exceeded its node budget with {} attributes left",
-            attrs.len() - depth
-        )));
-    }
-    *budget -= 1;
-
-    if depth == attrs.len() {
-        let candidate = complete_tuple(schema, assignment);
-        return single_tuple_satisfies(schema, ecfds, &candidate);
-    }
-
-    let (attr, values) = &attrs[depth];
-    if values.is_empty() {
-        // A constrained attribute with an empty active domain (e.g. an
-        // enumerated finite domain none of whose values are admissible) makes
-        // the set unsatisfiable along this branch.
-        return Ok(false);
-    }
-    for value in values {
-        assignment.insert(attr.clone(), value.clone());
-        if !ecfds.iter().any(|e| violates_partial(e, assignment))
-            && search(schema, ecfds, attrs, depth + 1, assignment, budget)?
-        {
-            return Ok(true);
-        }
-        assignment.remove(attr);
-    }
-    Ok(false)
 }
 
 #[cfg(test)]

@@ -130,6 +130,40 @@ fn workload_constraints_are_satisfiable_and_irredundant_enough() {
     let (schema, _, constraints) = workload(50, 0.0, 41);
     assert!(satisfiability::is_satisfiable(&schema, &constraints).unwrap());
 
+    // No φᵢ follows from the other nine, and each has a counterexample that
+    // the satisfaction semantics confirms. φ4 (ZIP → CT) and φ9 (AC → CT) are
+    // FDs, so theirs need two tuples.
+    for (i, phi) in constraints.iter().enumerate() {
+        let mut rest = constraints.clone();
+        rest.remove(i);
+        let outcome = implication::check_implication(
+            &schema,
+            &rest,
+            phi,
+            implication::ImplicationOptions::default(),
+        )
+        .unwrap();
+        let tuples = outcome
+            .counterexample()
+            .unwrap_or_else(|| panic!("φ{} is implied by the rest", i + 1));
+        let db = Relation::with_tuples(schema.clone(), tuples.iter().cloned()).unwrap();
+        assert!(check_all(&db, &rest).unwrap().is_satisfied(), "φ{}", i + 1);
+        assert!(!check(&db, phi).unwrap().is_satisfied(), "φ{}", i + 1);
+    }
+
+    // Split to pattern granularity, nothing is redundant either, and the
+    // minimizing pipeline compiles the workload and its 40-pattern variant.
+    let singles: Vec<ECfd> = ecfd::core::normalize::split_patterns(&constraints)
+        .into_iter()
+        .map(|s| s.ecfd)
+        .collect();
+    assert_eq!(singles.len(), 11);
+    let cover = implication::minimal_cover(&schema, &singles).unwrap();
+    assert_eq!(cover, singles);
+    for set in [constraints.clone(), workload_with_scaled_constraint(40, 42)] {
+        ConstraintSet::compile_with(&schema, &set, CompileOptions::minimizing()).unwrap();
+    }
+
     // The MAXSS approximation (being an approximation) may fall a constraint
     // short of the optimum on this large-active-domain workload, but it must
     // never conclude "unsatisfiable" for a satisfiable set.
