@@ -1,8 +1,8 @@
 //! Criterion microbenchmarks for the static analyses of Sections III–IV:
 //! exact satisfiability, exact implication (one redundancy check and the
-//! minimal cover over the workload's single-pattern constraints), and the
-//! MAXGSAT-based MAXSS approximation (including a comparison of the MAXGSAT
-//! solvers).
+//! minimal cover over the workload's single-pattern constraints), and MAXSS
+//! through MAXGSAT (including a comparison of the MAXGSAT solvers, the exact
+//! one among them).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ecfd_core::normalize::split_patterns;
@@ -33,13 +33,29 @@ fn bench_satisfiability(c: &mut Criterion) {
                         restarts: 4,
                         max_flips: 100,
                     },
-                    0.1,
                     42,
                 )
                 .unwrap()
             });
         });
     }
+    // The |Tp| = 160 tableau: 89 variables in f(Σ), past the exhaustive
+    // solver's limit.
+    let tp160 = workload_with_scaled_constraint(160, 42);
+    group.bench_function(BenchmarkId::new("maxgsat_approx", "tp160"), |b| {
+        b.iter(|| {
+            maxss::approximate_max_satisfiable(
+                &schema,
+                &tp160,
+                MaxGSatSolver::LocalSearch {
+                    restarts: 4,
+                    max_flips: 100,
+                },
+                42,
+            )
+            .unwrap()
+        });
+    });
     group.finish();
 }
 
@@ -89,7 +105,10 @@ fn bench_maxgsat_solvers(c: &mut Criterion) {
     let schema = cust_schema();
     let constraints = workload_constraints();
     let encoding = maxss::MaxSsEncoding::build(&schema, &constraints).unwrap();
+    // f(Σ) has one variable per value class: 14 on the workload, so the
+    // exhaustive solver runs too.
     for (name, solver) in [
+        ("exhaustive", MaxGSatSolver::Exhaustive),
         ("random", MaxGSatSolver::RandomSampling { samples: 50 }),
         ("greedy", MaxGSatSolver::GreedyConditional { samples: 20 }),
         (

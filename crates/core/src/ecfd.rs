@@ -2,9 +2,9 @@
 
 use crate::error::{CoreError, Result};
 use crate::pattern::PatternValue;
-use ecfd_relation::{Schema, Value};
+use ecfd_relation::Schema;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// A pattern tuple `tp` of an eCFD: one cell per attribute of `X` (the
@@ -216,32 +216,6 @@ impl ECfd {
         Ok(())
     }
 
-    /// Constants appearing in the tableau, grouped per attribute name.
-    ///
-    /// This is the constraint's contribution to the *active domain*
-    /// `adom(A_i)` used in the satisfiability analysis and the MAXSS
-    /// reduction (Section IV).
-    pub fn constants_per_attribute(&self) -> BTreeMap<String, BTreeSet<Value>> {
-        let mut out: BTreeMap<String, BTreeSet<Value>> = BTreeMap::new();
-        for tp in &self.tableau {
-            for (attr, cell) in self.lhs.iter().zip(&tp.lhs) {
-                out.entry(attr.clone())
-                    .or_default()
-                    .extend(cell.constants().iter().cloned());
-            }
-            for (attr, cell) in self.rhs_attrs().iter().zip(&tp.rhs) {
-                out.entry((*attr).to_string())
-                    .or_default()
-                    .extend(cell.constants().iter().cloned());
-            }
-        }
-        // Attributes mentioned only with wildcards still participate.
-        for attr in self.attributes() {
-            out.entry(attr.to_string()).or_default();
-        }
-        out
-    }
-
     /// Total number of constants across the tableau (a size measure used by
     /// complexity-oriented tests: the detection encoding must stay linear in
     /// it).
@@ -436,18 +410,9 @@ mod tests {
     }
 
     #[test]
-    fn constants_per_attribute_collects_active_domain() {
-        let p1 = phi1();
-        let consts = p1.constants_per_attribute();
-        assert_eq!(
-            consts["CT"],
-            ["NYC", "LI", "Albany", "Troy", "Colonie"]
-                .into_iter()
-                .map(Value::str)
-                .collect()
-        );
-        assert_eq!(consts["AC"], [Value::str("518")].into_iter().collect());
-        assert_eq!(p1.total_constants(), 6);
+    fn total_constants_counts_every_cell_constant() {
+        // φ1's cells: !{NYC, LI}, {Albany, Troy, Colonie} and {518}.
+        assert_eq!(phi1().total_constants(), 6);
     }
 
     #[test]

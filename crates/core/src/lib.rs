@@ -24,7 +24,8 @@
 //!   ([`implication::implies`]), both thin callers of one small-model search
 //!   over per-attribute value classes (one tuple for satisfiability, at most
 //!   two for an implication counterexample);
-//! * the MAXSS → MAXGSAT approximation of Section IV ([`maxss`]);
+//! * the MAXSS → MAXGSAT reduction of Section IV ([`maxss`]), with `f(Σ)`
+//!   over the same value classes, one variable per class;
 //! * compiled constraint sets ([`ConstraintSet`]): the validate → (optional)
 //!   minimize → merge → dedupe pipeline whose output every detector backend
 //!   shares.

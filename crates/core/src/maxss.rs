@@ -6,42 +6,55 @@
 //! preserving reduction to MAXGSAT consisting of two polynomial functions:
 //!
 //! * `f(Σ)` builds one Boolean formula per constraint, over variables
-//!   `x(i, a)` meaning "the witness tuple's attribute `A_i` equals constant
-//!   `a` of the active domain `adom(A_i)`". Each formula is
-//!   `χ(φ) ∧ φ_R`, where `φ_R` forces each attribute to take exactly one
-//!   active-domain value, and `χ(φ)` encodes "the single-tuple instance
-//!   `{t}` satisfies `φ`": for every pattern tuple, either some LHS attribute
-//!   fails to match or every RHS attribute matches.
-//! * `g(Φ_m)` maps a truth assignment back to a tuple `t` and returns the set
-//!   of constraints actually satisfied by `{t}` — which is, by construction,
-//!   at least as large as the set of satisfied formulas.
+//!   `x(A, r)` meaning "the witness tuple's attribute `A` lies in the value
+//!   class represented by `r`". The classes are those of the small-model
+//!   search behind the exact deciders: per attribute, the constants that
+//!   every cell of `Σ` contains both or neither of, plus the values outside
+//!   every constant, one representative each. Each formula is
+//!   `χ(φ) ∧ φ_R`, where `φ_R` forces each attribute into exactly one class,
+//!   and `χ(φ)` encodes "the single-tuple instance `{t}` satisfies `φ`": for
+//!   every pattern tuple, either some LHS attribute fails to match or every
+//!   RHS attribute matches. A cell is the disjunction of the `x(A, r)` whose
+//!   representative `r` it matches.
+//! * `g(Φ_m)` maps a truth assignment back to a tuple `t` of representatives
+//!   and returns the set of constraints actually satisfied by `{t}` — which
+//!   is, by construction, at least as large as the set of satisfied formulas.
 //!
-//! Running any MAXGSAT approximation algorithm between `f` and `g` yields a
-//! MAXSS approximation with the same factor. The paper's decision procedure on
-//! top of it: if the returned subset is all of `Σ`, then `Σ` is satisfiable;
-//! if it is smaller than `(1 − ε)·|Σ|` for an ε-approximation algorithm, `Σ`
-//! is certainly unsatisfiable; otherwise the approximation is inconclusive.
+//! No cell tells two members of a class apart, so `x(A, r)` stands for the
+//! whole class and the optimum is kept: a tuple satisfies exactly the
+//! constraints its tuple of representatives satisfies, so the largest number
+//! of formulas one assignment satisfies is the largest number of constraints
+//! one tuple satisfies. With `f` and `g` polynomial and `|g(Φ_m)| ≥ |Φ_m|`,
+//! running any MAXGSAT approximation algorithm between them yields a MAXSS
+//! approximation with the same factor.
+//!
+//! The verdict asks for proof either way: `Σ` is satisfiable when `g`'s
+//! witness satisfies all of it, and unsatisfiable only when the solver
+//! proves its answer optimal ([`MaxGSatSolver::Exhaustive`]) and it falls
+//! short. The paper's `(1 − ε)·|Σ|` rule needs a solver with a proven
+//! approximation factor, and none of the heuristic solvers has one; their
+//! shortfalls are [`SatisfiabilityVerdict::Unknown`].
 
 use crate::ecfd::ECfd;
-use crate::error::Result;
+use crate::error::{CoreError, Result};
 use crate::pattern::PatternValue;
-use crate::satisfiability::{active_domains, single_tuple_satisfies};
+use crate::satisfiability::single_tuple_satisfies;
+use crate::small_model::ValueClasses;
 use ecfd_logic::{
     Assignment, BoolExpr, MaxGSatInstance, MaxGSatOutcome, MaxGSatSolver, VarId, VarPool,
 };
-use ecfd_relation::{Schema, Tuple, Value};
+use ecfd_relation::{Schema, Tuple};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
-/// The paper's three-way conclusion drawn from an ε-approximate MAXSS answer.
+/// The three-way conclusion drawn from a MAXSS answer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SatisfiabilityVerdict {
-    /// The approximation satisfied every constraint: `Σ` is satisfiable.
+    /// The witness satisfies every constraint: `Σ` is satisfiable.
     Satisfiable,
-    /// Fewer than `(1 − ε)·|Σ|` constraints were satisfied: `Σ` is
-    /// unsatisfiable (assuming the solver achieves its approximation factor).
+    /// The solver proved its answer optimal and it falls short of `|Σ|`:
+    /// `Σ` is unsatisfiable.
     Unsatisfiable,
-    /// In between: the approximation cannot decide.
+    /// A heuristic solver fell short: the analysis cannot decide.
     Unknown,
 }
 
@@ -51,23 +64,22 @@ pub enum SatisfiabilityVerdict {
 pub struct MaxSsEncoding {
     schema: Schema,
     ecfds: Vec<ECfd>,
-    /// Active-domain values per constrained attribute, in a fixed order.
-    attr_values: BTreeMap<String, Vec<Value>>,
-    /// Variable ids `x(attribute, value-index)` in the same order.
-    vars: BTreeMap<String, Vec<VarId>>,
+    /// One representative per value class of every constrained attribute.
+    classes: ValueClasses,
+    /// Variable ids `x(attribute, representative)`, in the same order.
+    vars: Vec<Vec<VarId>>,
     pool: VarPool,
     instance: MaxGSatInstance,
 }
 
-/// Result of the approximate MAXSS analysis.
+/// Result of the MAXSS analysis.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MaxSsOutcome {
     /// Indices (into the input constraint list) of a satisfiable subset.
     pub satisfiable_subset: Vec<usize>,
     /// A single-tuple witness satisfying exactly that subset.
     pub witness: Tuple,
-    /// The verdict obtained with the ε supplied to
-    /// [`approximate_max_satisfiable`].
+    /// What the subset proves about the whole set.
     pub verdict: SatisfiabilityVerdict,
     /// Raw MAXGSAT outcome (for diagnostics / experiments).
     pub gsat_satisfied: usize,
@@ -82,24 +94,19 @@ impl MaxSsEncoding {
         for e in ecfds {
             e.validate_against(schema)?;
         }
-        let attr_values = active_domains(schema, ecfds);
+        let classes = ValueClasses::build(schema, &ecfds.iter().collect::<Vec<_>>(), 1);
         let mut pool = VarPool::new();
-        let mut vars: BTreeMap<String, Vec<VarId>> = BTreeMap::new();
-        for (attr, values) in &attr_values {
-            let ids = values
-                .iter()
-                .map(|v| pool.fresh(format!("x({attr},{v})")))
-                .collect();
-            vars.insert(attr.clone(), ids);
-        }
+        let vars: Vec<Vec<VarId>> = (classes.names.iter().zip(&classes.reps))
+            .map(|(attr, reps)| {
+                (reps.iter())
+                    .map(|r| pool.fresh(format!("x({attr},{r})")))
+                    .collect()
+            })
+            .collect();
 
-        // φ_R: each attribute takes exactly one of its active-domain values.
+        // φ_R: each attribute takes exactly one of its classes.
         let mut phi_r_parts = Vec::new();
-        for (attr, ids) in &vars {
-            let _ = attr;
-            if ids.is_empty() {
-                continue;
-            }
+        for ids in &vars {
             phi_r_parts.push(BoolExpr::or(ids.iter().map(|v| BoolExpr::var(*v))));
             for (i, a) in ids.iter().enumerate() {
                 for (j, b) in ids.iter().enumerate() {
@@ -111,20 +118,39 @@ impl MaxSsEncoding {
         }
         let phi_r = BoolExpr::and(phi_r_parts);
 
-        let encoding_ctx = EncodingCtx {
-            attr_values: &attr_values,
-            vars: &vars,
+        // `t[attr] ≍ cell`: `t[attr]` is in a class whose representative the
+        // cell matches.
+        let matches = |attr: &str, cell: &PatternValue| {
+            let (a, table) = classes.table(attr, cell);
+            BoolExpr::or(
+                (vars[a].iter().zip(table))
+                    .filter(|(_, m)| *m)
+                    .map(|(v, _)| BoolExpr::var(*v)),
+            )
         };
+        // "The single-tuple instance `{t}` satisfies `φ`": for every pattern
+        // tuple, either some LHS attribute fails to match or all RHS
+        // attributes match. (The embedded FD is vacuous on a single tuple.)
         let formulas: Vec<BoolExpr> = ecfds
             .iter()
-            .map(|ecfd| BoolExpr::and([encode_constraint(ecfd, &encoding_ctx), phi_r.clone()]))
+            .map(|e| {
+                let per_pattern = e.tableau().iter().map(|tp| {
+                    let lhs = e.lhs().iter().zip(&tp.lhs);
+                    let rhs = e.rhs_attrs().into_iter().zip(&tp.rhs);
+                    BoolExpr::or([
+                        BoolExpr::or(lhs.map(|(a, c)| matches(a, c).not())),
+                        BoolExpr::and(rhs.map(|(a, c)| matches(a, c))),
+                    ])
+                });
+                BoolExpr::and(per_pattern.chain([phi_r.clone()]))
+            })
             .collect();
 
         let instance = MaxGSatInstance::new(pool.len(), formulas);
         Ok(MaxSsEncoding {
             schema: schema.clone(),
             ecfds: ecfds.to_vec(),
-            attr_values,
+            classes,
             vars,
             pool,
             instance,
@@ -136,48 +162,29 @@ impl MaxSsEncoding {
         &self.instance
     }
 
-    /// The variable pool (for diagnostics: variable names are `x(attr,value)`).
+    /// The variable pool (for diagnostics: variable names are
+    /// `x(attr,representative)`).
     pub fn pool(&self) -> &VarPool {
         &self.pool
     }
 
     /// Total size of the encoding (sum of formula sizes) — tests assert this
     /// stays polynomial (in fact linear per constraint, quadratic in the
-    /// active-domain size via `φ_R`).
+    /// number of classes per attribute via `φ_R`).
     pub fn encoded_size(&self) -> usize {
         self.instance.formulas().iter().map(BoolExpr::size).sum()
     }
 
     /// The function `g`: converts a truth assignment into a witness tuple.
     ///
-    /// The tuple's attribute `A` takes the first active-domain value whose
+    /// The tuple's attribute `A` takes the first representative whose
     /// variable is true; attributes with no true variable (possible when the
     /// assignment violates `φ_R`) and attributes not mentioned by `Σ` take an
     /// arbitrary domain value.
     pub fn tuple_from_assignment(&self, assignment: &Assignment) -> Tuple {
-        let mut chosen: BTreeMap<&str, Value> = BTreeMap::new();
-        for (attr, ids) in &self.vars {
-            let values = &self.attr_values[attr];
-            for (idx, var) in ids.iter().enumerate() {
-                if assignment.get(*var) {
-                    chosen.insert(attr.as_str(), values[idx].clone());
-                    break;
-                }
-            }
-        }
-        Tuple::new(
-            self.schema
-                .attributes()
-                .iter()
-                .map(|a| {
-                    chosen.get(a.name.as_str()).cloned().unwrap_or_else(|| {
-                        a.domain
-                            .fresh_value_outside(&Default::default())
-                            .unwrap_or(Value::Null)
-                    })
-                })
-                .collect(),
-        )
+        (self.classes).tuple(&self.schema, |a| {
+            self.vars[a].iter().position(|v| assignment.get(*v))
+        })
     }
 
     /// The full `g(Φ_m)`: the indices of the constraints satisfied by the
@@ -195,89 +202,43 @@ impl MaxSsEncoding {
     }
 
     /// Runs a MAXGSAT solver on the encoding and maps the result back through
-    /// `g`.
+    /// `g`. [`MaxGSatSolver::Exhaustive`] is refused with
+    /// [`CoreError::AnalysisBudgetExceeded`] when the encoding has more
+    /// variables than it enumerates.
     pub fn solve(
         &self,
         solver: MaxGSatSolver,
         seed: u64,
     ) -> Result<(MaxGSatOutcome, Vec<usize>, Tuple)> {
+        let (vars, limit) = (
+            self.instance.num_vars(),
+            MaxGSatInstance::EXHAUSTIVE_MAX_VARS,
+        );
+        if solver == MaxGSatSolver::Exhaustive && vars > limit {
+            return Err(CoreError::AnalysisBudgetExceeded(format!(
+                "exhaustive MAXGSAT is limited to {limit} variables; f(Σ) has {vars}"
+            )));
+        }
         let outcome = self.instance.solve(solver, seed);
         let (satisfied, tuple) = self.satisfied_constraints(&outcome.assignment)?;
         Ok((outcome, satisfied, tuple))
     }
 }
 
-struct EncodingCtx<'a> {
-    attr_values: &'a BTreeMap<String, Vec<Value>>,
-    vars: &'a BTreeMap<String, Vec<VarId>>,
-}
-
-impl EncodingCtx<'_> {
-    /// The variable asserting `t[attr] = value`, if `value` is in the active
-    /// domain of `attr`.
-    fn var_for(&self, attr: &str, value: &Value) -> Option<VarId> {
-        let values = self.attr_values.get(attr)?;
-        let idx = values.iter().position(|v| v == value)?;
-        Some(self.vars[attr][idx])
-    }
-
-    /// Encodes `t[attr] ≍ cell` as a Boolean expression.
-    fn encode_match(&self, attr: &str, cell: &PatternValue) -> BoolExpr {
-        match cell {
-            PatternValue::Wildcard => BoolExpr::t(),
-            PatternValue::In(s) => BoolExpr::or(
-                s.iter()
-                    .filter_map(|v| self.var_for(attr, v))
-                    .map(BoolExpr::var),
-            ),
-            PatternValue::NotIn(s) => BoolExpr::and(
-                s.iter()
-                    .filter_map(|v| self.var_for(attr, v))
-                    .map(|v| BoolExpr::var(v).not()),
-            ),
-        }
-    }
-}
-
-/// Encodes "the single-tuple instance `{t}` satisfies `φ`": for every pattern
-/// tuple, either some LHS attribute fails to match or all RHS attributes
-/// match. (The embedded FD is vacuous on a single tuple.)
-fn encode_constraint(ecfd: &ECfd, ctx: &EncodingCtx<'_>) -> BoolExpr {
-    let mut per_pattern = Vec::new();
-    for tp in ecfd.tableau() {
-        let lhs_fails = BoolExpr::or(
-            ecfd.lhs()
-                .iter()
-                .zip(&tp.lhs)
-                .map(|(attr, cell)| ctx.encode_match(attr, cell).not()),
-        );
-        let rhs_holds = BoolExpr::and(
-            ecfd.rhs_attrs()
-                .iter()
-                .zip(&tp.rhs)
-                .map(|(attr, cell)| ctx.encode_match(attr, cell)),
-        );
-        per_pattern.push(BoolExpr::or([lhs_fails, rhs_holds]));
-    }
-    BoolExpr::and(per_pattern)
-}
-
-/// Approximate MAXSS: runs the reduction with the given MAXGSAT solver and
-/// derives the paper's three-way satisfiability verdict for the supplied
-/// approximation factor `epsilon`.
+/// MAXSS through the reduction: runs the given MAXGSAT solver on `f(Σ)`,
+/// maps its answer back through `g`, and draws the verdict that answer
+/// proves (see the module docs).
 pub fn approximate_max_satisfiable(
     schema: &Schema,
     ecfds: &[ECfd],
     solver: MaxGSatSolver,
-    epsilon: f64,
     seed: u64,
 ) -> Result<MaxSsOutcome> {
     let encoding = MaxSsEncoding::build(schema, ecfds)?;
     let (gsat, satisfied, witness) = encoding.solve(solver, seed)?;
-    let n = ecfds.len();
-    let verdict = if satisfied.len() == n {
+    let verdict = if satisfied.len() == ecfds.len() {
         SatisfiabilityVerdict::Satisfiable
-    } else if (satisfied.len() as f64) < (1.0 - epsilon) * n as f64 {
+    } else if gsat.proven_optimal {
         SatisfiabilityVerdict::Unsatisfiable
     } else {
         SatisfiabilityVerdict::Unknown
@@ -358,7 +319,6 @@ mod tests {
                 restarts: 8,
                 max_flips: 300,
             },
-            0.1,
             7,
         )
         .unwrap();
@@ -375,21 +335,33 @@ mod tests {
         let s = schema();
         let (a, b) = conflicting_pair();
         let ecfds = [a, b];
-        let outcome = approximate_max_satisfiable(
-            &s,
-            &ecfds,
-            MaxGSatSolver::LocalSearch {
-                restarts: 8,
-                max_flips: 300,
-            },
-            0.4,
-            13,
-        )
-        .unwrap();
+        let outcome =
+            approximate_max_satisfiable(&s, &ecfds, MaxGSatSolver::Exhaustive, 13).unwrap();
         assert_eq!(outcome.satisfiable_subset.len(), 1);
-        // With ε = 0.4, satisfying 1 of 2 (= 0.5 ≥ 1 − ε = 0.6? no, 0.5 < 0.6)
-        // lets the procedure conclude unsatisfiability.
+        // The exhaustive optimum keeps one of the two, and it is proven.
         assert_eq!(outcome.verdict, SatisfiabilityVerdict::Unsatisfiable);
+    }
+
+    #[test]
+    fn heuristic_shortfalls_are_unknown() {
+        // A heuristic solver proves no optimum, so falling short of |Σ| never
+        // proves unsatisfiability, even where Σ is unsatisfiable.
+        let s = schema();
+        let (a, b) = conflicting_pair();
+        for solver in [
+            MaxGSatSolver::RandomSampling { samples: 20 },
+            MaxGSatSolver::GreedyConditional { samples: 4 },
+            MaxGSatSolver::default(),
+        ] {
+            let outcome =
+                approximate_max_satisfiable(&s, &[a.clone(), b.clone()], solver, 3).unwrap();
+            assert!(outcome.satisfiable_subset.len() < 2, "{solver:?}");
+            assert_eq!(
+                outcome.verdict,
+                SatisfiabilityVerdict::Unknown,
+                "{solver:?}"
+            );
+        }
     }
 
     #[test]
@@ -447,9 +419,9 @@ mod tests {
     #[test]
     fn encoding_size_is_linear_in_the_tableau_size() {
         // Growing the tableau of a constraint must grow the encoding at most
-        // linearly (the φ_R part is shared and fixed for a fixed active
-        // domain). We keep the active domain fixed by reusing the same
-        // constants in every pattern tuple.
+        // linearly (the φ_R part is shared and fixed for fixed value
+        // classes). We keep the classes fixed by reusing the same constants
+        // in every pattern tuple.
         let s = schema();
         let base = |n: usize| -> ECfd {
             let mut builder = ECfdBuilder::new("cust").lhs(["CT"]).fd_rhs(["AC"]);
@@ -487,8 +459,7 @@ mod tests {
     #[test]
     fn empty_constraint_set_is_trivially_satisfiable() {
         let s = schema();
-        let outcome =
-            approximate_max_satisfiable(&s, &[], MaxGSatSolver::default(), 0.1, 1).unwrap();
+        let outcome = approximate_max_satisfiable(&s, &[], MaxGSatSolver::default(), 1).unwrap();
         assert!(outcome.satisfiable_subset.is_empty());
         assert_eq!(outcome.verdict, SatisfiabilityVerdict::Satisfiable);
     }

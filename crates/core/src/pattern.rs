@@ -70,9 +70,9 @@ impl PatternValue {
         }
     }
 
-    /// The constants mentioned by the cell (the cell's contribution to the
-    /// *active domain* used by the satisfiability analyses and the MAXSS
-    /// reduction).
+    /// The constants mentioned by the cell. The static analyses group an
+    /// attribute's constants into value classes by the cells that mention
+    /// them.
     pub fn constants(&self) -> &BTreeSet<Value> {
         static EMPTY: std::sync::OnceLock<BTreeSet<Value>> = std::sync::OnceLock::new();
         match self {

@@ -10,7 +10,9 @@
 //! values outside every constant — with one representative per class, since
 //! no cell tells two members of a class apart and one tuple never compares
 //! values. It prunes as soon as a pattern's assigned `X` matches and an
-//! assigned `Y ∪ Yp` cell fails.
+//! assigned `Y ∪ Yp` cell fails. The MAXSS reduction ([`crate::maxss`])
+//! builds its `f(Σ)` over the same classes, so all three static analyses
+//! draw a witness tuple's values from one domain.
 //!
 //! The search is exponential in the number of constrained attributes in the
 //! worst case — unavoidable unless P = NP — so callers can cap the number of
@@ -21,8 +23,7 @@ use crate::ecfd::ECfd;
 use crate::error::{CoreError, Result};
 use crate::satisfaction;
 use crate::small_model::{self, Goal};
-use ecfd_relation::{Domain, Relation, Schema, Tuple, Value};
-use std::collections::{BTreeMap, BTreeSet};
+use ecfd_relation::{Relation, Schema, Tuple};
 
 /// Options controlling the exact satisfiability search.
 #[derive(Debug, Clone, Copy)]
@@ -63,42 +64,6 @@ impl SatOutcome {
             SatOutcome::Unsatisfiable => None,
         }
     }
-}
-
-/// Computes the active domain of every attribute mentioned by `ecfds`:
-/// the constants appearing in pattern cells for that attribute, plus (when the
-/// declared domain still has one) a representative value outside them.
-///
-/// Values outside the constants are indistinguishable to every pattern cell,
-/// so one representative suffices — this is what keeps the reduction of
-/// Section IV polynomial. The MAXSS encoding ([`crate::maxss`]) builds its
-/// `f(Σ)` over these domains, as the paper does; the exact deciders search
-/// the coarser value classes instead.
-pub fn active_domains(schema: &Schema, ecfds: &[ECfd]) -> BTreeMap<String, Vec<Value>> {
-    let mut constants: BTreeMap<String, BTreeSet<Value>> = BTreeMap::new();
-    for ecfd in ecfds {
-        for (attr, consts) in ecfd.constants_per_attribute() {
-            constants.entry(attr).or_default().extend(consts);
-        }
-    }
-    let mut out = BTreeMap::new();
-    for (attr, consts) in constants {
-        let domain = schema
-            .attr_id(&attr)
-            .and_then(|id| schema.attribute(id))
-            .map(|a| a.domain.clone())
-            .unwrap_or(Domain::Unbounded(ecfd_relation::DataType::Str));
-        let mut values: Vec<Value> = consts
-            .iter()
-            .filter(|v| domain.contains(v))
-            .cloned()
-            .collect();
-        if let Some(fresh) = domain.fresh_value_outside(&consts) {
-            values.push(fresh);
-        }
-        out.insert(attr, values);
-    }
-    out
 }
 
 /// Exact satisfiability with default options.
@@ -148,7 +113,7 @@ mod tests {
     use super::*;
     use crate::builder::ECfdBuilder;
     use crate::pattern::PatternValue;
-    use ecfd_relation::DataType;
+    use ecfd_relation::{DataType, Value};
 
     fn cust_schema() -> Schema {
         Schema::builder("cust")
@@ -297,19 +262,6 @@ mod tests {
         let witness = find_witness(&schema, &[phi]).unwrap().unwrap();
         let ac = schema.attr_id("AC").unwrap();
         assert_eq!(witness[ac], Value::str("518"));
-    }
-
-    #[test]
-    fn active_domains_include_constants_and_a_fresh_value() {
-        let schema = cust_schema();
-        let domains = active_domains(&schema, &[phi1(), phi2()]);
-        let ct = &domains["CT"];
-        for c in ["NYC", "LI", "Albany", "Troy", "Colonie"] {
-            assert!(ct.contains(&Value::str(c)));
-        }
-        assert_eq!(ct.len(), 6, "five constants plus one fresh representative");
-        let ac = &domains["AC"];
-        assert_eq!(ac.len(), 7, "six constants plus one fresh representative");
     }
 
     #[test]

@@ -1,8 +1,11 @@
-//! The small-model search behind both static analyses of Section III.
+//! The small-model search behind both static analyses of Section III, and
+//! the value classes all three static analyses draw a witness tuple from.
 //!
 //! Satisfiability (Proposition 3.1) and implication (Proposition 3.2) are
 //! decided by looking for a tiny instance: a one-tuple model of `Σ`, or at
-//! most two tuples that satisfy `Σ` and violate `φ`.
+//! most two tuples that satisfy `Σ` and violate `φ`. The MAXSS reduction of
+//! Section IV ([`crate::maxss`]) builds `f(Σ)` over the same
+//! `ValueClasses`, one representative per class.
 //!
 //! * **Value classes.** Per attribute, constants that every cell of
 //!   `Σ ∪ {φ}` (a set or a complement, either side, every pattern tuple)
@@ -61,65 +64,9 @@ pub(crate) fn search(
         Goal::Pair(phi) => (Some(phi), 2),
     };
     let all: Vec<&ECfd> = phi.into_iter().chain(sigma).collect();
-    // Local attributes: φ's first, then the rest of Σ's.
-    let mut names: Vec<&str> = Vec::new();
-    for a in all.iter().flat_map(|e| e.attributes()) {
-        if !names.contains(&a) {
-            names.push(a);
-        }
-    }
-    let index = |a: &str| names.iter().position(|n| *n == a).expect("mentioned");
-
-    // A constant's class is the set of cells (numbered across Σ ∪ {φ}) that
-    // contain it.
-    let mut classes: Vec<BTreeMap<Value, Vec<usize>>> = vec![BTreeMap::new(); names.len()];
-    let mut cell_id = 0;
-    for e in &all {
-        let rhs = e.rhs_attrs();
-        for tp in e.tableau() {
-            let lhs = e.lhs().iter().map(String::as_str).zip(&tp.lhs);
-            for (attr, cell) in lhs.chain(rhs.iter().copied().zip(&tp.rhs)) {
-                for c in cell.constants() {
-                    let class = classes[index(attr)].entry(c.clone()).or_default();
-                    class.push(cell_id);
-                }
-                cell_id += 1;
-            }
-        }
-    }
-    let reps: Vec<Vec<Value>> = names
-        .iter()
-        .zip(classes)
-        .map(|(name, classes)| {
-            let id = schema.attr_id(name).expect("validated");
-            let domain = &schema.attribute(id).expect("validated").domain;
-            let mut taken: HashMap<&Vec<usize>, usize> = HashMap::new();
-            let mut reps: Vec<Value> = classes
-                .iter()
-                .filter(|(v, class)| {
-                    domain.contains(v) && {
-                        let n = taken.entry(class).or_default();
-                        *n += 1;
-                        *n <= tuples
-                    }
-                })
-                .map(|(v, _)| v.clone())
-                .collect();
-            let mut exclude: BTreeSet<Value> = classes.into_keys().collect();
-            for _ in 0..tuples {
-                if let Some(fresh) = domain.fresh_value_outside(&exclude) {
-                    exclude.insert(fresh.clone());
-                    reps.push(fresh);
-                }
-            }
-            reps
-        })
-        .collect();
-
-    let table = |a: &str, cell: &PatternValue| {
-        let i = index(a);
-        (i, reps[i].iter().map(|v| cell.matches(v)).collect())
-    };
+    let classes = ValueClasses::build(schema, &all, tuples);
+    let (names, reps) = (&classes.names, &classes.reps);
+    let table = |a: &str, cell: &PatternValue| classes.table(a, cell);
     let compile = |e: &ECfd| -> Vec<Check> {
         let (x, rhs): (Vec<&str>, _) =
             (e.lhs().iter().map(String::as_str).collect(), e.rhs_attrs());
@@ -128,7 +75,7 @@ pub(crate) fn search(
             .map(|tp| Check {
                 lhs: x.iter().zip(&tp.lhs).map(|(a, c)| table(a, c)).collect(),
                 rhs: rhs.iter().zip(&tp.rhs).map(|(a, c)| table(a, c)).collect(),
-                fd: e.fd_rhs().iter().map(|a| index(a)).collect(),
+                fd: e.fd_rhs().iter().map(|a| classes.index(a)).collect(),
             })
             .collect()
     };
@@ -149,7 +96,7 @@ pub(crate) fn search(
     rest.sort_by_key(|&a| reps[a].len());
     let mut vars = Vec::new();
     for a in (0..phi_attrs).chain(rest) {
-        if tuples == 2 && phi.is_some_and(|p| p.lhs().iter().any(|x| x == names[a])) {
+        if tuples == 2 && phi.is_some_and(|p| p.lhs().contains(&names[a])) {
             vars.push((a, 0, 2));
         } else {
             vars.extend((0..tuples).map(|t| (a, t, t + 1)));
@@ -157,7 +104,7 @@ pub(crate) fn search(
     }
 
     let mut state = Search {
-        reps: &reps,
+        reps,
         checks,
         touching,
         goal: phi.map(compile),
@@ -168,14 +115,111 @@ pub(crate) fn search(
     if !state.descend(0)? {
         return Ok(None);
     }
-    let instance = state.vals.iter().map(|vals| {
-        let value = |attr: &Attribute| match names.iter().position(|n| *n == attr.name) {
-            Some(a) => reps[a][vals[a].expect("assigned")].clone(),
-            None => (attr.domain.fresh_value_outside(&BTreeSet::new())).unwrap_or(Value::Null),
+    let instance = (state.vals.iter()).map(|vals| classes.tuple(schema, |a| vals[a]));
+    Ok(Some(instance.collect()))
+}
+
+/// The value classes of the attributes a constraint set mentions: per
+/// attribute, constants that every cell contains both or neither of, plus the
+/// values outside every constant, each class given by representatives.
+#[derive(Debug, Clone)]
+pub(crate) struct ValueClasses {
+    /// The mentioned attributes, in order of first mention.
+    pub(crate) names: Vec<String>,
+    /// Per attribute: up to `per_class` constants of each class, then up to
+    /// `per_class` values outside every constant.
+    pub(crate) reps: Vec<Vec<Value>>,
+}
+
+impl ValueClasses {
+    /// Groups the constants of every cell of `ecfds` into classes and picks
+    /// `per_class` representatives of each (the smallest members). Constants
+    /// outside the declared domain are dropped. Every constraint must already
+    /// be validated against `schema`.
+    pub(crate) fn build(schema: &Schema, ecfds: &[&ECfd], per_class: usize) -> Self {
+        let mut names: Vec<String> = Vec::new();
+        for a in ecfds.iter().flat_map(|e| e.attributes()) {
+            if !names.iter().any(|n| n == a) {
+                names.push(a.to_string());
+            }
+        }
+        let index = |a: &str| names.iter().position(|n| n == a).expect("mentioned");
+
+        // A constant's class is the set of cells (numbered across `ecfds`)
+        // that contain it.
+        let mut classes: Vec<BTreeMap<Value, Vec<usize>>> = vec![BTreeMap::new(); names.len()];
+        let mut cell_id = 0;
+        for e in ecfds {
+            let rhs = e.rhs_attrs();
+            for tp in e.tableau() {
+                let lhs = e.lhs().iter().map(String::as_str).zip(&tp.lhs);
+                for (attr, cell) in lhs.chain(rhs.iter().copied().zip(&tp.rhs)) {
+                    for c in cell.constants() {
+                        let class = classes[index(attr)].entry(c.clone()).or_default();
+                        class.push(cell_id);
+                    }
+                    cell_id += 1;
+                }
+            }
+        }
+        let reps = names
+            .iter()
+            .zip(classes)
+            .map(|(name, classes)| {
+                let id = schema.attr_id(name).expect("validated");
+                let domain = &schema.attribute(id).expect("validated").domain;
+                let mut taken: HashMap<&Vec<usize>, usize> = HashMap::new();
+                let mut reps: Vec<Value> = classes
+                    .iter()
+                    .filter(|(v, class)| {
+                        domain.contains(v) && {
+                            let n = taken.entry(class).or_default();
+                            *n += 1;
+                            *n <= per_class
+                        }
+                    })
+                    .map(|(v, _)| v.clone())
+                    .collect();
+                let mut exclude: BTreeSet<Value> = classes.into_keys().collect();
+                for _ in 0..per_class {
+                    if let Some(fresh) = domain.fresh_value_outside(&exclude) {
+                        exclude.insert(fresh.clone());
+                        reps.push(fresh);
+                    }
+                }
+                reps
+            })
+            .collect();
+        ValueClasses { names, reps }
+    }
+
+    /// The position of a mentioned attribute.
+    pub(crate) fn index(&self, attr: &str) -> usize {
+        (self.names.iter())
+            .position(|n| n == attr)
+            .expect("mentioned")
+    }
+
+    /// The cell's match table: the attribute's position and, per
+    /// representative, whether the cell matches it.
+    pub(crate) fn table(&self, attr: &str, cell: &PatternValue) -> (usize, Vec<bool>) {
+        let i = self.index(attr);
+        (i, self.reps[i].iter().map(|v| cell.matches(v)).collect())
+    }
+
+    /// A tuple over the full schema that takes, on each mentioned attribute,
+    /// the representative `pick` names; other attributes, and mentioned ones
+    /// `pick` leaves open, take `fresh_value_outside(∅)`.
+    pub(crate) fn tuple(&self, schema: &Schema, pick: impl Fn(usize) -> Option<usize>) -> Tuple {
+        let value = |attr: &Attribute| {
+            let chosen = self.names.iter().position(|n| *n == attr.name);
+            match chosen.and_then(|a| Some(&self.reps[a][pick(a)?])) {
+                Some(v) => v.clone(),
+                None => (attr.domain.fresh_value_outside(&BTreeSet::new())).unwrap_or(Value::Null),
+            }
         };
         Tuple::new(schema.attributes().iter().map(value).collect())
-    });
-    Ok(Some(instance.collect()))
+    }
 }
 
 /// One pattern tuple compiled over the representatives: per attribute, the
@@ -256,5 +300,58 @@ impl Search<'_> {
                 (c.rhs.iter()).any(|(a, m)| vals[0][*a].is_none_or(|v| !m[v]))
             }
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::builder::ECfdBuilder;
+    use ecfd_relation::DataType;
+
+    #[test]
+    fn value_classes_group_constants_by_the_cells_that_hold_them() {
+        let schema = Schema::builder("cust")
+            .attr("AC", DataType::Str)
+            .attr("CT", DataType::Str)
+            .build();
+        // CT cells: !{NYC, LI}, {Albany, Troy, Colonie} and {NYC};
+        // AC cells: {518} and {212, 718, 646, 347, 917}.
+        let phi1 = ECfdBuilder::new("cust")
+            .lhs(["CT"])
+            .fd_rhs(["AC"])
+            .pattern(|p| p.not_in("CT", ["NYC", "LI"]))
+            .pattern(|p| {
+                p.in_set("CT", ["Albany", "Troy", "Colonie"])
+                    .constant("AC", "518")
+            })
+            .build()
+            .unwrap();
+        let phi2 = ECfdBuilder::new("cust")
+            .lhs(["CT"])
+            .pattern_rhs(["AC"])
+            .pattern(|p| {
+                p.constant("CT", "NYC")
+                    .in_set("AC", ["212", "718", "646", "347", "917"])
+            })
+            .build()
+            .unwrap();
+        let one = ValueClasses::build(&schema, &[&phi1, &phi2], 1);
+        assert_eq!(one.names, ["CT", "AC"]);
+        let constants = |reps: &[Value]| reps[..reps.len() - 1].to_vec();
+        let strs = |vs: &[&str]| vs.iter().map(|v| Value::str(*v)).collect::<Vec<_>>();
+        // {Albany, Colonie, Troy}, {LI}, {NYC}, and the values outside them.
+        assert_eq!(constants(&one.reps[0]), strs(&["Albany", "LI", "NYC"]));
+        assert_eq!(constants(&one.reps[1]), strs(&["212", "518"]));
+        let cities = strs(&["Albany", "Colonie", "LI", "NYC", "Troy"]);
+        assert!(!cities.contains(&one.reps[0][3]));
+
+        // Two per class: a second member where the class has one, and a
+        // second value outside every constant.
+        let two = ValueClasses::build(&schema, &[&phi1, &phi2], 2);
+        assert_eq!(two.reps[0][..4], strs(&["Albany", "Colonie", "LI", "NYC"]));
+        assert_eq!(two.reps[0].len(), 6);
+        assert_eq!(two.reps[1][..3], strs(&["212", "347", "518"]));
+        assert_eq!(two.reps[1].len(), 5);
     }
 }

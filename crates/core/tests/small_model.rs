@@ -1,30 +1,34 @@
-//! Model-based property test of the two exact deciders of Section III:
-//! random constraint sets `Σ` of one to three eCFDs plus a candidate `φ` over
-//! a three-attribute schema, against reference deciders that enumerate every
-//! instance over raw active domains.
+//! Model-based property test of the three static analyses of Sections III
+//! and IV: random constraint sets `Σ` of one to three eCFDs plus a candidate
+//! `φ` over a three-attribute schema, against a brute force that enumerates
+//! every instance of at most two tuples over explicit small domains.
 //!
-//! The references are the deciders this crate used before satisfiability and
-//! implication shared one search over value classes, kept verbatim: the
-//! single-tuple backtracker with per-constraint pruning, and the two-tuple
-//! enumerator that builds a relation per candidate pair. `X`, `Y` and `Yp`
-//! are drawn from all three attributes, so an attribute may sit on both
-//! sides; cells are wildcards, sets or complements over three constants per
-//! attribute, and some cases declare a finite domain on one attribute.
+//! Per attribute the brute force takes the declared finite domain, or the
+//! attribute's three constants and two values no cell mentions. By the small
+//! model property that is enough: one tuple witnesses satisfiability, two
+//! refute an implication, and two tuples can differ on an attribute outside
+//! every constant. `X`, `Y` and `Yp` are drawn from all three attributes, so
+//! an attribute may sit on both sides; cells are wildcards, sets or
+//! complements over three constants per attribute, and some cases declare a
+//! finite domain on one attribute.
 //!
-//! Wherever a reference decides within its budget, `check_satisfiability`
-//! and `check_implication` must give the same answer, every witness must
-//! satisfy `Σ`, and every counterexample must satisfy `Σ` and violate `φ`.
+//! `check_satisfiability` must find a model exactly when one exists,
+//! `check_implication` must report `φ` implied exactly when no instance of
+//! `Σ` violates it, and the MAXSS optimum of `f(Σ)` under the exhaustive
+//! solver must be the largest number of constraints of `Σ` one tuple
+//! satisfies. Every witness must satisfy `Σ` (or its reported subset), and
+//! every counterexample must satisfy `Σ` and violate `φ`.
 
 use ecfd_core::implication::{check_implication, ImplicationOptions, ImplicationOutcome};
+use ecfd_core::maxss::{approximate_max_satisfiable, SatisfiabilityVerdict};
 use ecfd_core::satisfaction;
 use ecfd_core::satisfiability::{check_satisfiability, single_tuple_satisfies, SatOptions};
 use ecfd_core::{ECfd, PatternTuple, PatternValue};
-use ecfd_relation::{DataType, Relation, Schema, Value};
+use ecfd_logic::MaxGSatSolver;
+use ecfd_relation::{DataType, Domain, Relation, Schema, Tuple, Value};
 use proptest::prelude::*;
 
 const ATTRS: [&str; 3] = ["A", "B", "C"];
-/// Budget for the references; every generated case fits it many times over.
-const REFERENCE_BUDGET: u64 = 2_000_000;
 
 fn constant(attr: usize, i: usize) -> Value {
     Value::str(format!("{}{i}", ATTRS[attr].to_lowercase()))
@@ -96,332 +100,108 @@ fn arb_ecfd() -> impl Strategy<Value = ECfd> {
         })
 }
 
-/// The single-tuple satisfiability search, verbatim.
-mod reference_satisfiability {
-    use ecfd_core::error::{CoreError, Result};
-    use ecfd_core::pattern::PatternValue;
-    use ecfd_core::satisfiability::{active_domains, single_tuple_satisfies};
-    use ecfd_core::ECfd;
-    use ecfd_relation::{Domain, Schema, Tuple, Value};
-    use std::collections::{BTreeMap, BTreeSet};
-
-    /// `Some(satisfiable)`, or `None` when the budget runs out.
-    pub fn decide(schema: &Schema, ecfds: &[ECfd], budget: u64) -> Option<bool> {
-        let domains = active_domains(schema, ecfds);
-        let mut constrained: Vec<(String, Vec<Value>)> = domains.into_iter().collect();
-        constrained.sort_by_key(|(_, vals)| vals.len());
-        let mut assignment: BTreeMap<String, Value> = BTreeMap::new();
-        let mut budget = budget;
-        search(schema, ecfds, &constrained, 0, &mut assignment, &mut budget).ok()
-    }
-
-    fn default_value_for(domain: &Domain) -> Value {
-        domain
-            .fresh_value_outside(&BTreeSet::new())
-            .unwrap_or(Value::Null)
-    }
-
-    fn complete_tuple(schema: &Schema, assignment: &BTreeMap<String, Value>) -> Tuple {
-        Tuple::new(
-            schema
-                .attributes()
-                .iter()
-                .map(|a| {
-                    assignment
-                        .get(&a.name)
-                        .cloned()
-                        .unwrap_or_else(|| default_value_for(&a.domain))
+/// Every tuple over the explicit small domains: per attribute, the declared
+/// finite domain, or the three constants plus two values no cell mentions.
+fn all_tuples(schema: &Schema) -> Vec<Tuple> {
+    let mut tuples = vec![Vec::new()];
+    for (a, attr) in schema.attributes().iter().enumerate() {
+        let values: Vec<Value> = match &attr.domain {
+            Domain::Finite(_, values) => values.iter().cloned().collect(),
+            Domain::Unbounded(_) => (0..5).map(|i| constant(a, i)).collect(),
+        };
+        tuples = tuples
+            .into_iter()
+            .flat_map(|t| {
+                values.iter().map(move |v| {
+                    let mut t = t.clone();
+                    t.push(v.clone());
+                    t
                 })
-                .collect(),
-        )
+            })
+            .collect();
     }
-
-    fn violates_partial(ecfd: &ECfd, assignment: &BTreeMap<String, Value>) -> bool {
-        for (tp_idx, tp) in ecfd.tableau().iter().enumerate() {
-            let mut lhs_all_assigned_and_match = true;
-            let mut lhs_definitely_unmatched = false;
-            for (attr, _cell) in ecfd.lhs().iter().zip(&tp.lhs) {
-                match assignment.get(attr) {
-                    Some(value) => {
-                        if !ecfd
-                            .lhs_cell(tp_idx, attr)
-                            .expect("cell exists")
-                            .matches(value)
-                        {
-                            lhs_definitely_unmatched = true;
-                            break;
-                        }
-                    }
-                    None => {
-                        lhs_all_assigned_and_match = false;
-                    }
-                }
-            }
-            if lhs_definitely_unmatched || !lhs_all_assigned_and_match {
-                continue;
-            }
-            // LHS fully matches: every assigned RHS attribute must match its cell.
-            let rhs_attrs = ecfd.rhs_attrs();
-            for (attr, cell) in rhs_attrs.iter().zip(&tp.rhs) {
-                if let Some(value) = assignment.get(*attr) {
-                    if !cell.matches(value) {
-                        return true;
-                    }
-                } else if matches!(cell, PatternValue::In(s) if s.is_empty()) {
-                    return true;
-                }
-            }
-        }
-        false
-    }
-
-    fn search(
-        schema: &Schema,
-        ecfds: &[ECfd],
-        attrs: &[(String, Vec<Value>)],
-        depth: usize,
-        assignment: &mut BTreeMap<String, Value>,
-        budget: &mut u64,
-    ) -> Result<bool> {
-        if *budget == 0 {
-            return Err(CoreError::AnalysisBudgetExceeded(format!(
-                "satisfiability search exceeded its node budget with {} attributes left",
-                attrs.len() - depth
-            )));
-        }
-        *budget -= 1;
-
-        if depth == attrs.len() {
-            let candidate = complete_tuple(schema, assignment);
-            return single_tuple_satisfies(schema, ecfds, &candidate);
-        }
-
-        let (attr, values) = &attrs[depth];
-        if values.is_empty() {
-            // A constrained attribute with an empty active domain (e.g. an
-            // enumerated finite domain none of whose values are admissible) makes
-            // the set unsatisfiable along this branch.
-            return Ok(false);
-        }
-        for value in values {
-            assignment.insert(attr.clone(), value.clone());
-            if !ecfds.iter().any(|e| violates_partial(e, assignment))
-                && search(schema, ecfds, attrs, depth + 1, assignment, budget)?
-            {
-                return Ok(true);
-            }
-            assignment.remove(attr);
-        }
-        Ok(false)
-    }
+    tuples.into_iter().map(Tuple::new).collect()
 }
 
-/// The two-tuple implication enumerator, verbatim.
-mod reference_implication {
-    use ecfd_core::error::{CoreError, Result};
-    use ecfd_core::implication::ImplicationOutcome;
-    use ecfd_core::satisfaction;
-    use ecfd_core::ECfd;
-    use ecfd_relation::{Domain, Relation, Schema, Tuple, Value};
-    use std::collections::{BTreeMap, BTreeSet};
+fn instance(schema: &Schema, tuples: &[&Tuple]) -> Relation {
+    Relation::with_tuples(schema.clone(), tuples.iter().map(|t| (*t).clone())).unwrap()
+}
 
-    /// `Some(implied)`, or `None` when the budget runs out.
-    pub fn decide(schema: &Schema, sigma: &[ECfd], phi: &ECfd, budget: u64) -> Option<bool> {
-        let mut all: Vec<ECfd> = sigma.to_vec();
-        all.push(phi.clone());
-        let domains = two_fresh_active_domains(schema, &all);
-        let attrs: Vec<(String, Vec<Value>)> = domains.into_iter().collect();
-        let mut budget = budget;
-        let mut assignment1: BTreeMap<String, Value> = BTreeMap::new();
-        let outcome = search_pair(schema, sigma, phi, &attrs, 0, &mut assignment1, &mut budget);
-        Some(outcome.ok()?.is_none())
-    }
-
-    fn two_fresh_active_domains(schema: &Schema, ecfds: &[ECfd]) -> BTreeMap<String, Vec<Value>> {
-        let mut constants: BTreeMap<String, BTreeSet<Value>> = BTreeMap::new();
-        for ecfd in ecfds {
-            for (attr, consts) in ecfd.constants_per_attribute() {
-                constants.entry(attr).or_default().extend(consts);
-            }
-        }
-        let mut out = BTreeMap::new();
-        for (attr, consts) in constants {
-            let domain = schema
-                .attr_id(&attr)
-                .and_then(|id| schema.attribute(id))
-                .map(|a| a.domain.clone())
-                .unwrap_or(Domain::Unbounded(ecfd_relation::DataType::Str));
-            let mut values: Vec<Value> = consts
-                .iter()
-                .filter(|v| domain.contains(v))
-                .cloned()
-                .collect();
-            let mut exclude = consts.clone();
-            for _ in 0..2 {
-                if let Some(fresh) = domain.fresh_value_outside(&exclude) {
-                    exclude.insert(fresh.clone());
-                    values.push(fresh);
-                }
-            }
-            out.insert(attr, values);
-        }
-        out
-    }
-
-    fn complete_tuple(schema: &Schema, assignment: &BTreeMap<String, Value>) -> Tuple {
-        Tuple::new(
-            schema
-                .attributes()
-                .iter()
-                .map(|a| {
-                    assignment.get(&a.name).cloned().unwrap_or_else(|| {
-                        a.domain
-                            .fresh_value_outside(&BTreeSet::new())
-                            .unwrap_or(Value::Null)
-                    })
-                })
-                .collect(),
-        )
-    }
-
-    /// Enumerates assignments for the first tuple; for each, enumerates the second.
-    fn search_pair(
-        schema: &Schema,
-        sigma: &[ECfd],
-        phi: &ECfd,
-        attrs: &[(String, Vec<Value>)],
-        depth: usize,
-        assignment1: &mut BTreeMap<String, Value>,
-        budget: &mut u64,
-    ) -> Result<Option<ImplicationOutcome>> {
-        if depth == attrs.len() {
-            let t1 = complete_tuple(schema, assignment1);
-            // Prune: {t1} must satisfy Σ for any superset instance to do so —
-            // adding a second tuple can only add violations, never remove them,
-            // because eCFD satisfaction is an intersection of per-tuple and
-            // per-pair conditions.
-            let single = Relation::with_tuples(schema.clone(), [t1.clone()])?;
-            if !satisfaction::satisfies_all(&single, sigma)? {
-                return Ok(None);
-            }
-            // Single-tuple counterexample?
-            if !satisfaction::satisfies_all(&single, std::slice::from_ref(phi))? {
-                return Ok(Some(ImplicationOutcome::NotImplied(vec![t1])));
-            }
-            let mut assignment2: BTreeMap<String, Value> = BTreeMap::new();
-            return search_second(schema, sigma, phi, attrs, 0, &t1, &mut assignment2, budget);
-        }
-        let (attr, values) = &attrs[depth];
-        if values.is_empty() {
-            return Ok(None);
-        }
-        for value in values {
-            if *budget == 0 {
-                return Err(CoreError::AnalysisBudgetExceeded(
-                    "implication search exceeded its node budget".into(),
-                ));
-            }
-            *budget -= 1;
-            assignment1.insert(attr.clone(), value.clone());
-            if let Some(found) =
-                search_pair(schema, sigma, phi, attrs, depth + 1, assignment1, budget)?
-            {
-                return Ok(Some(found));
-            }
-            assignment1.remove(attr);
-        }
-        Ok(None)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn search_second(
-        schema: &Schema,
-        sigma: &[ECfd],
-        phi: &ECfd,
-        attrs: &[(String, Vec<Value>)],
-        depth: usize,
-        t1: &Tuple,
-        assignment2: &mut BTreeMap<String, Value>,
-        budget: &mut u64,
-    ) -> Result<Option<ImplicationOutcome>> {
-        if depth == attrs.len() {
-            let t2 = complete_tuple(schema, assignment2);
-            let db = Relation::with_tuples(schema.clone(), [t1.clone(), t2.clone()])?;
-            if satisfaction::satisfies_all(&db, sigma)?
-                && !satisfaction::satisfies_all(&db, std::slice::from_ref(phi))?
-            {
-                return Ok(Some(ImplicationOutcome::NotImplied(vec![t1.clone(), t2])));
-            }
-            return Ok(None);
-        }
-        let (attr, values) = &attrs[depth];
-        if values.is_empty() {
-            return Ok(None);
-        }
-        for value in values {
-            if *budget == 0 {
-                return Err(CoreError::AnalysisBudgetExceeded(
-                    "implication search exceeded its node budget".into(),
-                ));
-            }
-            *budget -= 1;
-            assignment2.insert(attr.clone(), value.clone());
-            if let Some(found) = search_second(
-                schema,
-                sigma,
-                phi,
-                attrs,
-                depth + 1,
-                t1,
-                assignment2,
-                budget,
-            )? {
-                return Ok(Some(found));
-            }
-            assignment2.remove(attr);
-        }
-        Ok(None)
-    }
+/// Is `φ` violated by some instance of `Σ` of one or two tuples? Only models
+/// of `Σ` need pairing: a pair that satisfies `Σ` has models as its tuples.
+fn has_counterexample(schema: &Schema, models: &[&Tuple], sigma: &[ECfd], phi: &ECfd) -> bool {
+    (0..models.len()).any(|i| {
+        (i..models.len()).any(|j| {
+            let tuples = if i == j {
+                vec![models[i]]
+            } else {
+                vec![models[i], models[j]]
+            };
+            let db = instance(schema, &tuples);
+            satisfaction::satisfies_all(&db, sigma).unwrap()
+                && !satisfaction::check(&db, phi).unwrap().is_satisfied()
+        })
+    })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn both_deciders_match_the_enumerating_references(
+    fn the_static_analyses_match_a_brute_force(
         sigma in proptest::collection::vec(arb_ecfd(), 1..=3),
         phi in arb_ecfd(),
         finite in (0usize..6, 1usize..16),
     ) {
         let schema = schema(finite);
+        let tuples = all_tuples(&schema);
+        // Per tuple, which constraints of Σ the one-tuple instance satisfies.
+        let kept: Vec<Vec<bool>> = (tuples.iter())
+            .map(|t| {
+                let db = instance(&schema, &[t]);
+                sigma.iter().map(|e| satisfaction::check(&db, e).unwrap().is_satisfied()).collect()
+            })
+            .collect();
+        let models: Vec<&Tuple> = (tuples.iter().zip(&kept))
+            .filter(|(_, kept)| kept.iter().all(|k| *k))
+            .map(|(t, _)| t)
+            .collect();
 
         let sat = check_satisfiability(&schema, &sigma, SatOptions::default()).unwrap();
+        prop_assert_eq!(sat.is_satisfiable(), !models.is_empty(), "Σ = {:?}", sigma);
         if let Some(witness) = sat.witness() {
             prop_assert!(single_tuple_satisfies(&schema, &sigma, witness).unwrap());
-        }
-        if let Some(expected) = reference_satisfiability::decide(&schema, &sigma, REFERENCE_BUDGET) {
-            prop_assert_eq!(sat.is_satisfiable(), expected, "Σ = {:?}", sigma);
         }
 
         let outcome =
             check_implication(&schema, &sigma, &phi, ImplicationOptions::default()).unwrap();
+        prop_assert_eq!(
+            outcome.is_implied(),
+            !has_counterexample(&schema, &models, &sigma, &phi),
+            "Σ = {:?}, φ = {}, schema = {:?}",
+            sigma.iter().map(ToString::to_string).collect::<Vec<_>>(),
+            phi,
+            schema
+        );
         if let ImplicationOutcome::NotImplied(tuples) = &outcome {
             prop_assert!((1..=2).contains(&tuples.len()));
             let db = Relation::with_tuples(schema.clone(), tuples.iter().cloned()).unwrap();
             prop_assert!(satisfaction::satisfies_all(&db, &sigma).unwrap());
             prop_assert!(!satisfaction::check(&db, &phi).unwrap().is_satisfied());
         }
-        if let Some(expected) =
-            reference_implication::decide(&schema, &sigma, &phi, REFERENCE_BUDGET)
-        {
-            prop_assert_eq!(
-                outcome.is_implied(),
-                expected,
-                "Σ = {:?}, φ = {}, schema = {:?}",
-                sigma.iter().map(ToString::to_string).collect::<Vec<_>>(),
-                phi,
-                schema
-            );
-        }
+
+        let most = kept.iter().map(|k| k.iter().filter(|k| **k).count()).max().unwrap_or(0);
+        let maxss = approximate_max_satisfiable(&schema, &sigma, MaxGSatSolver::Exhaustive, 0)
+            .unwrap();
+        prop_assert_eq!(maxss.gsat_satisfied, most, "Σ = {:?}", sigma);
+        prop_assert_eq!(maxss.satisfiable_subset.len(), most);
+        let subset: Vec<ECfd> = maxss.satisfiable_subset.iter().map(|&i| sigma[i].clone()).collect();
+        prop_assert!(single_tuple_satisfies(&schema, &subset, &maxss.witness).unwrap());
+        let verdict = if models.is_empty() {
+            SatisfiabilityVerdict::Unsatisfiable
+        } else {
+            SatisfiabilityVerdict::Satisfiable
+        };
+        prop_assert_eq!(maxss.verdict, verdict);
     }
 }

@@ -40,7 +40,7 @@ impl VarPool {
     }
 
     /// Looks a variable up by name (linear scan; pools in this codebase are
-    /// small — one variable per (attribute, active-domain constant) pair).
+    /// small — one variable per (attribute, value class) pair).
     pub fn lookup(&self, name: &str) -> Option<VarId> {
         self.names.iter().position(|n| n == name).map(VarId)
     }

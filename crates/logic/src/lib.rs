@@ -45,11 +45,9 @@
 pub mod assignment;
 pub mod expr;
 pub mod maxgsat;
-pub mod sat;
 
 pub use assignment::{Assignment, VarPool};
 pub use expr::{BoolExpr, VarId};
 pub use maxgsat::{
     HardSoftInstance, HardSoftOutcome, MaxGSatInstance, MaxGSatOutcome, MaxGSatSolver,
 };
-pub use sat::{is_satisfiable, satisfying_assignment};

@@ -38,7 +38,7 @@ pub struct MaxGSatInstance {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum MaxGSatSolver {
     /// Exact exhaustive search (exponential; refuses instances with more than
-    /// 24 variables).
+    /// [`MaxGSatInstance::EXHAUSTIVE_MAX_VARS`] variables).
     Exhaustive,
     /// Best of `samples` uniformly random assignments.
     RandomSampling {
@@ -91,6 +91,9 @@ impl MaxGSatOutcome {
 }
 
 impl MaxGSatInstance {
+    /// The most variables [`MaxGSatInstance::solve_exhaustive`] enumerates.
+    pub const EXHAUSTIVE_MAX_VARS: usize = 24;
+
     /// Creates an instance over `num_vars` variables.
     pub fn new(num_vars: usize, formulas: Vec<BoolExpr>) -> Self {
         MaxGSatInstance { num_vars, formulas }
@@ -162,12 +165,14 @@ impl MaxGSatInstance {
         }
     }
 
-    /// Exact exhaustive search. Panics if the instance has more than 24
-    /// variables (use an approximation solver instead).
+    /// Exact exhaustive search. Panics if the instance has more than
+    /// [`MaxGSatInstance::EXHAUSTIVE_MAX_VARS`] variables (use an
+    /// approximation solver instead).
     pub fn solve_exhaustive(&self) -> MaxGSatOutcome {
         assert!(
-            self.num_vars <= 24,
-            "exhaustive MAXGSAT limited to 24 variables, instance has {}",
+            self.num_vars <= Self::EXHAUSTIVE_MAX_VARS,
+            "exhaustive MAXGSAT limited to {} variables, instance has {}",
+            Self::EXHAUSTIVE_MAX_VARS,
             self.num_vars
         );
         let mut best = Assignment::all_false(self.num_vars);

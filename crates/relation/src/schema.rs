@@ -121,8 +121,8 @@ impl Domain {
     /// Picks some value of the domain that is *not* in `exclude`, if one exists.
     ///
     /// For unbounded domains a fresh value is synthesised; for finite domains the
-    /// enumeration is scanned. This is the "extra value outside the active
-    /// domain" the paper's satisfiability reduction needs.
+    /// enumeration is scanned. The static analyses draw the representatives of
+    /// the class of values outside every constant from it.
     pub fn fresh_value_outside(&self, exclude: &BTreeSet<Value>) -> Option<Value> {
         match self {
             Domain::Finite(_, vs) => vs.iter().find(|v| !exclude.contains(*v)).cloned(),

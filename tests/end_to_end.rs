@@ -2,6 +2,8 @@
 //! workloads → constraint parsing → SQL detection → incremental maintenance
 //! → static analyses.
 
+use ecfd::core::error::CoreError;
+use ecfd::core::maxss::SatisfiabilityVerdict;
 use ecfd::datagen::constraints::{workload_constraints, workload_with_scaled_constraint};
 use ecfd::datagen::{generate, generate_delta, CustConfig, UpdateConfig};
 use ecfd::prelude::*;
@@ -164,24 +166,48 @@ fn workload_constraints_are_satisfiable_and_irredundant_enough() {
         ConstraintSet::compile_with(&schema, &set, CompileOptions::minimizing()).unwrap();
     }
 
-    // The MAXSS approximation (being an approximation) may fall a constraint
-    // short of the optimum on this large-active-domain workload, but it must
-    // never conclude "unsatisfiable" for a satisfiable set.
-    let outcome = maxss::approximate_max_satisfiable(
-        &schema,
-        &constraints,
-        MaxGSatSolver::LocalSearch {
-            restarts: 8,
-            max_flips: 400,
-        },
-        0.1,
-        3,
-    )
-    .unwrap();
-    assert!(outcome.satisfiable_subset.len() + 1 >= constraints.len());
-    assert_ne!(
-        outcome.verdict,
-        ecfd::core::maxss::SatisfiabilityVerdict::Unsatisfiable
+    // MAXSS over value classes: f(Σ) has 14 variables on the workload, so
+    // the exhaustive solver decides it, keeps all ten and proves it.
+    let encoding = maxss::MaxSsEncoding::build(&schema, &constraints).unwrap();
+    assert!(encoding.instance().num_vars() <= 14);
+    let outcome =
+        maxss::approximate_max_satisfiable(&schema, &constraints, MaxGSatSolver::Exhaustive, 3)
+            .unwrap();
+    assert_eq!(outcome.satisfiable_subset.len(), constraints.len());
+    assert_eq!(outcome.verdict, SatisfiabilityVerdict::Satisfiable);
+}
+
+#[test]
+fn maxss_never_calls_a_satisfiable_set_unsatisfiable() {
+    // A heuristic MAXGSAT solver proves no optimum, so however short it
+    // falls on a satisfiable set the verdict must not be "unsatisfiable".
+    let schema = ecfd::datagen::cust_schema();
+    let workload = workload_constraints();
+    let tp160 = workload_with_scaled_constraint(160, 42);
+    let solver = MaxGSatSolver::LocalSearch {
+        restarts: 4,
+        max_flips: 100,
+    };
+    for set in [&workload[..2], &workload[..5], &workload[..], &tp160[..]] {
+        assert!(satisfiability::is_satisfiable(&schema, set).unwrap());
+        for seed in 0..20 {
+            let outcome = maxss::approximate_max_satisfiable(&schema, set, solver, seed).unwrap();
+            assert_ne!(
+                outcome.verdict,
+                SatisfiabilityVerdict::Unsatisfiable,
+                "{} constraints, seed {seed}",
+                set.len()
+            );
+        }
+    }
+
+    // f(Σ) of the |Tp| = 160 tableau has 89 variables even over classes:
+    // the exhaustive solver refuses it rather than panicking.
+    let err = maxss::approximate_max_satisfiable(&schema, &tp160, MaxGSatSolver::Exhaustive, 0)
+        .unwrap_err();
+    assert!(
+        matches!(&err, CoreError::AnalysisBudgetExceeded(m) if m.contains("24 variables")),
+        "{err:?}"
     );
 }
 
