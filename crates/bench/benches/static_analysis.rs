@@ -79,8 +79,8 @@ fn bench_implication(c: &mut Criterion) {
             implication::implies(&schema, &rest, phi).unwrap()
         });
     });
-    // Redundancy elimination at pattern granularity, as
-    // `CompileOptions::minimizing()` runs it: the workload's 11 single-pattern
+    // Redundancy elimination at pattern granularity, the analysis a caller
+    // runs before compiling the cover: the workload's 11 single-pattern
     // constraints, and the 49 of its 40-pattern variant.
     for (name, set) in [
         ("minimal_cover_workload", constraints.clone()),

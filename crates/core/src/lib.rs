@@ -26,9 +26,10 @@
 //!   two for an implication counterexample);
 //! * the MAXSS → MAXGSAT reduction of Section IV ([`maxss`]), with `f(Σ)`
 //!   over the same value classes, one variable per class;
-//! * compiled constraint sets ([`ConstraintSet`]): the validate → (optional)
-//!   minimize → merge → dedupe pipeline whose output every detector backend
-//!   shares.
+//! * compiled constraint sets ([`ConstraintSet`]): one pipeline with no
+//!   switches whose output every detector backend shares, entered through
+//!   [`ConstraintSet::compile`] (validate → merge → dedupe → split) or
+//!   [`ConstraintSet::verbatim`] (validate → split).
 //!
 //! Violation *detection* on large instances lives in the companion crate
 //! `ecfd-detect`, which encodes tableaux as data and generates SQL (Section V).
@@ -92,5 +93,5 @@ pub use error::{CoreError, Result};
 pub use parser::{parse_ecfd, parse_ecfds};
 pub use pattern::PatternValue;
 pub use satisfaction::{check, check_all, SatisfactionResult};
-pub use set::{CompileOptions, ConstraintSet};
+pub use set::ConstraintSet;
 pub use violation::{Violation, ViolationKind, ViolationSet};

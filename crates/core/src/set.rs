@@ -2,92 +2,53 @@
 //!
 //! The paper treats detection as a *fixed-query service*: constraints are
 //! encoded once and the per-query work is independent of how many eCFDs are
-//! checked. [`ConstraintSet`] is the front half of that contract — it takes a
-//! user-supplied list of eCFDs through a compilation pipeline
+//! checked. [`ConstraintSet`] is the front half of that contract. It has one
+//! pipeline with no switches and two entry points:
 //!
-//! 1. **validate** — every constraint is checked against the relation schema
-//!    ([`ECfd::validate_against`]);
-//! 2. **minimize** (optional) — the set is split to pattern-tuple granularity
-//!    ("each tuple itself is a constraint") and every single-pattern
-//!    constraint implied by the rest is removed via the exact implication
-//!    analysis ([`crate::implication::minimal_cover_with`], Section III's
-//!    redundancy elimination). It keeps the set's models, not its flags (see
-//!    [`CompileOptions::minimize`]). Off by default for that reason and
-//!    because implication is coNP-complete: on the `cust` workload the cover
-//!    takes 2 ms over its 11 singles, 38 ms over the 49 singles of a
-//!    40-pattern tableau and 0.7 s over the 169 singles of a 160-pattern one
-//!    (release build, 2-core x86-64), and the budgeted search can cost more
-//!    on wider schemas;
-//! 3. **normalize** — constraints sharing relation, `X`, `Y` and `Yp` are
-//!    merged into one tableau ([`crate::normalize::merge_compatible`]), which
-//!    is the form users write (cf. φ1 of the paper carrying two pattern
-//!    tuples);
-//! 4. **dedupe** — duplicate pattern tuples within a tableau (including those
-//!    introduced by merging identical constraints) are dropped;
+//! * [`ConstraintSet::compile`] — **validate** every constraint against the
+//!   relation schema ([`ECfd::validate_against`]), **merge** constraints
+//!   sharing relation, `X`, `Y` and `Yp` into one tableau
+//!   ([`crate::normalize::merge_compatible`], the form users write, cf. φ1
+//!   of the paper carrying two pattern tuples), **dedupe** repeated pattern
+//!   tuples within a tableau (including those merging identical constraints
+//!   introduces), then **split**;
+//! * [`ConstraintSet::verbatim`] — validate, then split. Evidence indexes the
+//!   constraints exactly as given. Every raw-constraint detector constructor
+//!   (`SemanticDetector::new`, `BatchDetector::new` and their callers in
+//!   `ecfd_detect` and `ecfd_repair`) compiles through it.
 //!
-//! and finally **splits** the result into single-pattern constraints
-//! ([`crate::normalize::split_patterns`]) — the shape every detector consumes.
-//! Detectors constructed from a `ConstraintSet` (`from_set` constructors in
-//! `ecfd_detect`) reuse the split verbatim instead of re-validating and
-//! re-splitting per detector, so a set compiled once serves the semantic,
-//! SQL and incremental backends alike.
+//! The split ([`crate::normalize::split_patterns`]) yields single-pattern
+//! constraints, the shape every detector consumes. Detectors constructed from
+//! a `ConstraintSet` (`from_set` constructors in `ecfd_detect`) reuse it
+//! instead of re-validating and re-splitting per detector, so a set compiled
+//! once serves the semantic, SQL and incremental backends alike. Both steps
+//! depend on the constraints only, never on the data.
+//!
+//! Redundancy elimination (Section III) is an analysis, not a compile step:
+//! [`crate::implication::minimal_cover_with`] drops every constraint implied
+//! by the rest, and a caller who wants the cover compiles its result. Two
+//! reasons keep it out of the pipeline. It keeps the set's models, not its
+//! flags: an instance satisfies the cover iff it satisfies the set, but a
+//! dropped constraint's own `SV`/`MV` flags go with it, even where the
+//! instance breaks what implied it (this module's tests pin a
+//! counterexample). And implication is coNP-complete: on the `cust` workload
+//! the cover takes 2 ms over its 11 singles, 38 ms over the 49 singles of a
+//! 40-pattern tableau and 0.7 s over the 169 singles of a 160-pattern one
+//! (release build, 2-core x86-64).
 //!
 //! Violation evidence produced by those detectors refers to constraints by
-//! index into [`ConstraintSet::ecfds`] — the *compiled* list, which may be
-//! smaller than what was registered when normalization or minimization
-//! collapsed redundancies.
+//! index into [`ConstraintSet::ecfds`] — the *compiled* list, which
+//! [`ConstraintSet::compile`] may shorten when merging collapsed
+//! constraints.
 
 use crate::ecfd::ECfd;
 use crate::error::Result;
-use crate::implication::{minimal_cover_with, ImplicationOptions};
 use crate::normalize::{merge_compatible, split_patterns, total_pattern_tuples, SinglePattern};
 use ecfd_relation::Schema;
 use serde::{Deserialize, Serialize};
 
-/// Options steering [`ConstraintSet::compile_with`].
-#[derive(Debug, Clone, Copy)]
-pub struct CompileOptions {
-    /// Merge constraints sharing relation, `X`, `Y` and `Yp` into a single
-    /// tableau before anything else. Default `true`.
-    pub merge: bool,
-    /// Drop duplicate pattern tuples within each tableau. Default `true`.
-    pub dedupe: bool,
-    /// Remove constraints implied by the rest of the set (exact implication
-    /// analysis). Default `false` — see the module docs.
-    ///
-    /// Minimization keeps *whether* an instance satisfies the set: an
-    /// instance satisfies the minimized set iff it satisfies the registered
-    /// one. It does not keep *which* rows are flagged on a dirty instance:
-    /// a dropped constraint's own `SV`/`MV` flags go with it, even where the
-    /// instance breaks what implied it.
-    pub minimize: bool,
-    /// Search budget for the implication analysis when `minimize` is on.
-    pub implication: ImplicationOptions,
-}
-
-impl Default for CompileOptions {
-    fn default() -> Self {
-        CompileOptions {
-            merge: true,
-            dedupe: true,
-            minimize: false,
-            implication: ImplicationOptions::default(),
-        }
-    }
-}
-
-impl CompileOptions {
-    /// The default pipeline plus implication-based minimization.
-    pub fn minimizing() -> Self {
-        CompileOptions {
-            minimize: true,
-            ..CompileOptions::default()
-        }
-    }
-}
-
-/// A validated, normalized, split — and optionally minimized — set of eCFDs
-/// over one relation schema, ready to be shared across detector backends.
+/// A validated and split set of eCFDs over one relation schema, ready to be
+/// shared across detector backends.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ConstraintSet {
     schema: Schema,
@@ -97,61 +58,49 @@ pub struct ConstraintSet {
 }
 
 impl ConstraintSet {
-    /// Compiles `ecfds` against `schema` with [`CompileOptions::default`].
+    /// Compiles `ecfds` against `schema`: validate → merge → dedupe → split.
+    /// See the module docs for the pipeline.
     pub fn compile(schema: &Schema, ecfds: &[ECfd]) -> Result<Self> {
-        Self::compile_with(schema, ecfds, CompileOptions::default())
+        ecfds.iter().try_for_each(|e| e.validate_against(schema))?;
+        let compiled = merge_compatible(ecfds)
+            .iter()
+            .map(|e| {
+                let mut tableau = e.tableau().to_vec();
+                let mut seen = Vec::with_capacity(tableau.len());
+                tableau.retain(|tp| {
+                    if seen.contains(tp) {
+                        false
+                    } else {
+                        seen.push(tp.clone());
+                        true
+                    }
+                });
+                e.with_tableau(tableau)
+                    .expect("a deduped tableau of a valid eCFD is valid")
+            })
+            .collect();
+        Ok(Self::assemble(schema, ecfds, compiled))
     }
 
-    /// Compiles `ecfds` against `schema`: validate → merge → dedupe →
-    /// (optionally) minimize → split. See the module docs for the pipeline.
-    pub fn compile_with(schema: &Schema, ecfds: &[ECfd], options: CompileOptions) -> Result<Self> {
-        for ecfd in ecfds {
-            ecfd.validate_against(schema)?;
-        }
-        let mut compiled: Vec<ECfd> = ecfds.to_vec();
-        if options.minimize {
-            // Minimize at pattern-tuple granularity ("each tuple itself is a
-            // constraint"): split first so that a single implied pattern tuple
-            // can be dropped without discarding its siblings.
-            let singles: Vec<ECfd> = split_patterns(&compiled)
-                .into_iter()
-                .map(|s| s.ecfd)
-                .collect();
-            compiled = minimal_cover_with(schema, &singles, options.implication)?;
-        }
-        if options.merge {
-            compiled = merge_compatible(&compiled);
-        }
-        if options.dedupe {
-            compiled = compiled
-                .iter()
-                .map(|e| {
-                    let mut tableau = e.tableau().to_vec();
-                    let mut seen = Vec::with_capacity(tableau.len());
-                    tableau.retain(|tp| {
-                        if seen.contains(tp) {
-                            false
-                        } else {
-                            seen.push(tp.clone());
-                            true
-                        }
-                    });
-                    e.with_tableau(tableau)
-                        .expect("a deduped tableau of a valid eCFD is valid")
-                })
-                .collect();
-        }
-        let singles = split_patterns(&compiled);
-        Ok(ConstraintSet {
+    /// Compiles `ecfds` against `schema` without merging or deduplicating:
+    /// validate → split. [`ConstraintSet::ecfds`] is `ecfds` as given, so
+    /// evidence indexes the caller's own list.
+    pub fn verbatim(schema: &Schema, ecfds: &[ECfd]) -> Result<Self> {
+        ecfds.iter().try_for_each(|e| e.validate_against(schema))?;
+        Ok(Self::assemble(schema, ecfds, ecfds.to_vec()))
+    }
+
+    fn assemble(schema: &Schema, source: &[ECfd], compiled: Vec<ECfd>) -> Self {
+        ConstraintSet {
             schema: schema.clone(),
-            source: ecfds.to_vec(),
+            source: source.to_vec(),
+            singles: split_patterns(&compiled),
             compiled,
-            singles,
-        })
+        }
     }
 
     /// Parses the textual syntax ([`crate::parse_ecfds`]) and compiles the
-    /// result with [`CompileOptions::default`].
+    /// result with [`ConstraintSet::compile`].
     pub fn parse(schema: &Schema, text: &str) -> Result<Self> {
         let ecfds = crate::parser::parse_ecfds(text)?;
         Self::compile(schema, &ecfds)
@@ -208,6 +157,7 @@ impl ConstraintSet {
 mod tests {
     use super::*;
     use crate::builder::ECfdBuilder;
+    use crate::implication::{minimal_cover_with, ImplicationOptions};
     use crate::satisfaction;
     use ecfd_relation::{DataType, Relation, RowId, Tuple};
 
@@ -236,6 +186,15 @@ mod tests {
             .unwrap()
     }
 
+    /// The minimal cover of `sigma` at pattern-tuple granularity ("each
+    /// tuple itself is a constraint"), compiled: what a caller who wants
+    /// redundancy elimination registers.
+    fn compiled_cover(sigma: &[ECfd]) -> ConstraintSet {
+        let singles: Vec<ECfd> = split_patterns(sigma).into_iter().map(|s| s.ecfd).collect();
+        let cover = minimal_cover_with(&schema(), &singles, ImplicationOptions::default()).unwrap();
+        ConstraintSet::compile(&schema(), &cover).unwrap()
+    }
+
     #[test]
     fn compile_validates_against_the_schema() {
         let bad = ECfdBuilder::new("orders")
@@ -244,7 +203,8 @@ mod tests {
             .pattern(|p| p)
             .build()
             .unwrap();
-        assert!(ConstraintSet::compile(&schema(), &[bad]).is_err());
+        assert!(ConstraintSet::compile(&schema(), std::slice::from_ref(&bad)).is_err());
+        assert!(ConstraintSet::verbatim(&schema(), &[bad]).is_err());
         let set = ConstraintSet::compile(&schema(), &[phi_albany()]).unwrap();
         assert_eq!(set.len(), 1);
         assert_eq!(set.num_patterns(), 1);
@@ -259,20 +219,21 @@ mod tests {
         assert_eq!(set.num_patterns(), 1);
         assert_eq!(set.source().len(), 2);
         assert_eq!(set.singles().len(), 1);
+
+        // The verbatim entry point keeps both, so evidence indexes them as
+        // given.
+        let verbatim = ConstraintSet::verbatim(&schema(), &[phi_albany(), phi_albany()]).unwrap();
+        assert_eq!(verbatim.ecfds(), &[phi_albany(), phi_albany()]);
+        assert_eq!(verbatim.provenance(), vec![(0, 0), (1, 0)]);
     }
 
     #[test]
     fn minimization_drops_implied_constraints() {
-        let set = ConstraintSet::compile_with(
-            &schema(),
-            &[phi_albany(), phi_weaker()],
-            CompileOptions::minimizing(),
-        )
-        .unwrap();
+        let set = compiled_cover(&[phi_albany(), phi_weaker()]);
         assert_eq!(set.len(), 1, "the weaker Albany rule is implied");
         assert_eq!(set.ecfds()[0], phi_albany());
 
-        // Without minimization both survive (they merge-compatibly share
+        // Compiled as registered both survive (they merge-compatibly share
         // X/Y/Yp, so they fold into one constraint with two pattern tuples).
         let raw = ConstraintSet::compile(&schema(), &[phi_albany(), phi_weaker()]).unwrap();
         assert_eq!(raw.num_patterns(), 2);
@@ -285,21 +246,12 @@ mod tests {
             vec![("Albany", "718")],
             vec![("NYC", "212")],
         ];
-        for variant in [
-            CompileOptions::default(),
-            CompileOptions::minimizing(),
-            CompileOptions {
-                merge: false,
-                dedupe: false,
-                ..CompileOptions::default()
-            },
+        let sigma = [phi_albany(), phi_weaker(), phi_albany()];
+        for set in [
+            ConstraintSet::compile(&schema(), &sigma).unwrap(),
+            ConstraintSet::verbatim(&schema(), &sigma).unwrap(),
+            compiled_cover(&sigma),
         ] {
-            let set = ConstraintSet::compile_with(
-                &schema(),
-                &[phi_albany(), phi_weaker(), phi_albany()],
-                variant,
-            )
-            .unwrap();
             for rows in &rows {
                 let db = Relation::with_tuples(
                     schema(),
@@ -320,17 +272,16 @@ mod tests {
     #[test]
     fn minimization_keeps_satisfaction_but_not_the_flags() {
         // Every Albany row must have area code 518, so Albany rows agree on
-        // AC: the FD is implied and minimizing drops it. On rows that break
-        // the pattern rule, the FD flags both Albany rows as MV; once it is
-        // dropped only the SV flag is left.
+        // AC: the FD is implied and the minimal cover drops it. On rows that
+        // break the pattern rule, the FD flags both Albany rows as MV; once
+        // it is dropped only the SV flag is left.
         let sigma = crate::parser::parse_ecfds(
             "cust: [CT] -> [] | [AC], { {Albany} || {518} }\n\
              cust: [CT] -> [AC] | [], { {Albany} || _ }",
         )
         .unwrap();
         let raw = ConstraintSet::compile(&schema(), &sigma).unwrap();
-        let minimized =
-            ConstraintSet::compile_with(&schema(), &sigma, CompileOptions::minimizing()).unwrap();
+        let minimized = compiled_cover(&sigma);
         assert_eq!(raw.num_patterns(), 2);
         assert_eq!(minimized.ecfds(), &sigma[..1], "the FD is implied");
 

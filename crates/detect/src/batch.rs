@@ -30,7 +30,7 @@ use crate::sqlgen;
 use crate::Result;
 use ecfd_core::coded::CodedSingle;
 use ecfd_core::matching::BoundECfd;
-use ecfd_core::ECfd;
+use ecfd_core::{ConstraintSet, ECfd};
 use ecfd_engine::Engine;
 use ecfd_relation::{
     Attribute, Catalog, CodeColumns, CodeMap, CodeVec, DataType, Dictionary, Schema, Value,
@@ -49,21 +49,21 @@ pub struct BatchDetector {
 }
 
 impl BatchDetector {
-    /// Builds the detector (encoding + generated SQL) for `ecfds` on `schema`.
+    /// Builds the detector (encoding + generated SQL) for `ecfds` on
+    /// `schema`, compiled through [`ConstraintSet::verbatim`]: evidence
+    /// indexes `ecfds` exactly as given.
     ///
     /// The data table in the catalog must carry the same name as `schema`
     /// (the constraints already name it — `cust` in the paper's examples).
     pub fn new(schema: &Schema, ecfds: &[ECfd]) -> Result<Self> {
-        Self::from_encoding(Encoding::build(schema, ecfds)?)
+        Self::from_set(&ConstraintSet::verbatim(schema, ecfds)?)
     }
 
     /// Builds the detector from an already-compiled [`ConstraintSet`],
     /// reusing its validation and split instead of re-encoding from scratch.
     /// Fails only when the set is outside the SQL encoding's envelope
     /// (non-string constrained attributes).
-    ///
-    /// [`ConstraintSet`]: ecfd_core::ConstraintSet
-    pub fn from_set(set: &ecfd_core::ConstraintSet) -> Result<Self> {
+    pub fn from_set(set: &ConstraintSet) -> Result<Self> {
         Self::from_encoding(Encoding::from_singles(
             set.schema(),
             set.singles().to_vec(),

@@ -22,8 +22,8 @@
 //! encoding is linear in the size of the constraints.
 
 use crate::{DetectError, Result};
-use ecfd_core::normalize::{split_patterns, SinglePattern};
-use ecfd_core::{ECfd, PatternValue};
+use ecfd_core::normalize::SinglePattern;
+use ecfd_core::PatternValue;
 use ecfd_relation::{Catalog, DataType, Relation, Schema, Tuple, Value};
 
 /// Name of the `enc` relation installed in the catalog.
@@ -66,28 +66,16 @@ pub struct Encoding {
 }
 
 impl Encoding {
-    /// Builds the encoding for `ecfds` on `schema`.
-    ///
-    /// Constraints are first split into single-pattern constraints
-    /// (one `CID` per pattern tuple, as the paper assumes); `CID` values start
-    /// at 1 and follow the order of the input constraints.
+    /// Builds the encoding on `schema` from single-pattern constraints, the
+    /// split a compiled [`ecfd_core::ConstraintSet`] holds (one `CID` per
+    /// pattern tuple, as the paper assumes). `CID` values start at 1 and
+    /// follow the order of `singles`.
     ///
     /// Returns [`DetectError::Unsupported`] when a constrained attribute is
     /// not string-typed: the SQL encoding stores blanked values (`'@'`) and
     /// set elements in homogeneous string columns, which matches the paper's
     /// all-string `cust` schema. (The semantic detector has no such
     /// restriction.)
-    pub fn build(schema: &Schema, ecfds: &[ECfd]) -> Result<Self> {
-        for ecfd in ecfds {
-            ecfd.validate_against(schema)?;
-        }
-        Self::from_singles(schema, split_patterns(ecfds))
-    }
-
-    /// Builds the encoding from pre-split single-pattern constraints (the
-    /// shape a compiled [`ecfd_core::ConstraintSet`] holds), skipping the
-    /// per-constraint schema validation that [`Encoding::build`] performs.
-    /// The string-typedness requirement of the SQL encoding is still checked.
     pub fn from_singles(schema: &Schema, singles: Vec<SinglePattern>) -> Result<Self> {
         for single in &singles {
             for attr in single.ecfd.attributes() {
@@ -256,8 +244,14 @@ fn push_values(table: &mut Relation, cid: i64, cell: &PatternValue) -> Result<()
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ecfd_core::ECfdBuilder;
+    use crate::BatchDetector;
+    use ecfd_core::{ECfd, ECfdBuilder};
     use ecfd_relation::AttrId;
+
+    /// The encoding the SQL detector installs for `ecfds`, compiled as given.
+    fn encoding_of(schema: &Schema, ecfds: &[ECfd]) -> Result<Encoding> {
+        BatchDetector::new(schema, ecfds).map(|d| d.encoding().clone())
+    }
 
     fn cust_schema() -> Schema {
         Schema::builder("cust")
@@ -310,7 +304,7 @@ mod tests {
         //   CID 1: CT_L = 2 (complement set), AC_R = 3 (wildcard in Y)
         //   CID 2: CT_L = 1 (set),            AC_R = 1 (set in Y)
         //   CID 3: CT_L = 1 (set),            AC_R = -1 (set in Yp)
-        let encoding = Encoding::build(&cust_schema(), &[phi1(), phi2()]).unwrap();
+        let encoding = encoding_of(&cust_schema(), &[phi1(), phi2()]).unwrap();
         assert_eq!(encoding.num_patterns(), 3);
         let enc = encoding.enc();
         assert_eq!(get_enc(enc, 1, "CT_L"), Value::Int(2));
@@ -326,7 +320,7 @@ mod tests {
 
     #[test]
     fn value_tables_match_figure_3() {
-        let encoding = Encoding::build(&cust_schema(), &[phi1(), phi2()]).unwrap();
+        let encoding = encoding_of(&cust_schema(), &[phi1(), phi2()]).unwrap();
         let tctl = encoding
             .value_tables()
             .iter()
@@ -353,8 +347,8 @@ mod tests {
     fn encoding_schema_depends_only_on_r() {
         // Remark (1) of Section V-A: the schema of the encoding relations is
         // determined by R, not by Σ.
-        let small = Encoding::build(&cust_schema(), &[phi1()]).unwrap();
-        let large = Encoding::build(&cust_schema(), &[phi1(), phi2()]).unwrap();
+        let small = encoding_of(&cust_schema(), &[phi1()]).unwrap();
+        let large = encoding_of(&cust_schema(), &[phi1(), phi2()]).unwrap();
         assert_eq!(small.enc().schema(), large.enc().schema());
         assert_eq!(small.value_tables().len(), large.value_tables().len());
     }
@@ -362,8 +356,8 @@ mod tests {
     #[test]
     fn encoding_size_is_linear_in_constraints() {
         // Remark (2): the encoding relations are linear in the size of Σ.
-        let one = Encoding::build(&cust_schema(), &[phi1()]).unwrap();
-        let both = Encoding::build(&cust_schema(), &[phi1(), phi2()]).unwrap();
+        let one = encoding_of(&cust_schema(), &[phi1()]).unwrap();
+        let both = encoding_of(&cust_schema(), &[phi1(), phi2()]).unwrap();
         // φ1 alone: 2 enc rows, 5 T_CT_L elements ({NYC, LI} ∪ {Albany, Troy,
         // Colonie}), 1 T_AC_R element ({518}).
         assert_eq!(one.total_encoding_rows(), 2 + 5 + 1);
@@ -377,7 +371,7 @@ mod tests {
     #[test]
     fn install_and_uninstall_manage_catalog_tables() {
         let mut catalog = Catalog::new();
-        let encoding = Encoding::build(&cust_schema(), &[phi1(), phi2()]).unwrap();
+        let encoding = encoding_of(&cust_schema(), &[phi1(), phi2()]).unwrap();
         encoding.install(&mut catalog);
         assert!(catalog.contains(ENC_TABLE));
         assert!(catalog.contains(&value_table_left("CT")));
@@ -389,7 +383,7 @@ mod tests {
 
     #[test]
     fn provenance_maps_cids_back_to_constraints() {
-        let encoding = Encoding::build(&cust_schema(), &[phi1(), phi2()]).unwrap();
+        let encoding = encoding_of(&cust_schema(), &[phi1(), phi2()]).unwrap();
         assert_eq!(encoding.provenance(1), Some((0, 0)));
         assert_eq!(encoding.provenance(2), Some((0, 1)));
         assert_eq!(encoding.provenance(3), Some((1, 0)));
@@ -409,7 +403,7 @@ mod tests {
             .pattern(|p| p.in_set("N", [1i64, 2]))
             .build()
             .unwrap();
-        let err = Encoding::build(&schema, &[phi]).unwrap_err();
+        let err = encoding_of(&schema, &[phi]).unwrap_err();
         assert!(matches!(err, DetectError::Unsupported(_)));
         assert!(err.to_string().contains("N"));
     }
@@ -424,7 +418,7 @@ mod tests {
             .build()
             .unwrap();
         assert!(matches!(
-            Encoding::build(&schema, &[phi]),
+            encoding_of(&schema, &[phi]),
             Err(DetectError::Core(_))
         ));
     }

@@ -29,7 +29,7 @@ use crate::scan::{Hit, Members, ScanProgram};
 use crate::{DetectError, Result};
 use ecfd_core::coded::{intern_singles, CodedSingle};
 use ecfd_core::matching::BoundECfd;
-use ecfd_core::{CompileOptions, ConstraintSet, CoreError, ECfd};
+use ecfd_core::{ConstraintSet, CoreError, ECfd};
 use ecfd_relation::{
     AttrId, Code, CodeColumns, CodeVec, Dictionary, FrozenView, Relation, RowId, Schema,
     SymbolTable, Value,
@@ -109,17 +109,10 @@ pub struct SemanticDetector {
 }
 
 impl SemanticDetector {
-    /// Creates a detector for `ecfds` on `schema`. The constraints are
-    /// validated and split but neither merged nor deduplicated, so evidence
-    /// indexes `ecfds` exactly as given.
+    /// Creates a detector for `ecfds` on `schema`, compiled through
+    /// [`ConstraintSet::verbatim`]: evidence indexes `ecfds` exactly as given.
     pub fn new(schema: &Schema, ecfds: &[ECfd]) -> Result<Self> {
-        let verbatim = CompileOptions {
-            merge: false,
-            dedupe: false,
-            ..CompileOptions::default()
-        };
-        let set = ConstraintSet::compile_with(schema, ecfds, verbatim)?;
-        Ok(Self::from_set(&set))
+        Ok(Self::from_set(&ConstraintSet::verbatim(schema, ecfds)?))
     }
 
     /// Creates a detector from an already-compiled [`ConstraintSet`]: the

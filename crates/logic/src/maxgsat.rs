@@ -18,7 +18,7 @@
 //!   formulas (estimated by sampling completions with a fixed seed);
 //! * [`MaxGSatSolver::LocalSearch`] — GSAT-flavoured hill climbing with random
 //!   restarts: repeatedly flip the variable that yields the largest increase in
-//!   satisfied formulas.
+//!   satisfied formulas, ties broken by satisfied top-level conjuncts.
 
 use crate::assignment::Assignment;
 use crate::expr::{BoolExpr, VarId};
@@ -132,6 +132,30 @@ impl MaxGSatInstance {
     /// Number of formulas satisfied by `assignment`.
     pub fn count_satisfied(&self, assignment: &Assignment) -> usize {
         self.formulas.iter().filter(|f| f.eval(assignment)).count()
+    }
+
+    /// The local search's hill: the number of satisfied formulas, then the
+    /// number of satisfied top-level conjuncts summed over all formulas (a
+    /// formula that is not a conjunction counts as its own one conjunct).
+    ///
+    /// Ordered as a pair, it agrees with [`MaxGSatInstance::count_satisfied`]
+    /// wherever that count differs, and grades the plateaus where it does
+    /// not. A conjunct shared by every formula (MAXSS's `φ_R`) makes such
+    /// plateaus the norm: from all-false no single flip satisfies a formula,
+    /// and from any satisfying tuple every flip breaks the shared conjunct.
+    fn graded_score(&self, assignment: &Assignment) -> (usize, usize) {
+        self.formulas
+            .iter()
+            .fold((0, 0), |(formulas, conjuncts), f| match f {
+                BoolExpr::And(es) => {
+                    let met = es.iter().filter(|e| e.eval(assignment)).count();
+                    (formulas + usize::from(met == es.len()), conjuncts + met)
+                }
+                _ => {
+                    let met = usize::from(f.eval(assignment));
+                    (formulas + met, conjuncts + met)
+                }
+            })
     }
 
     /// Variables that actually occur in some formula.
@@ -252,7 +276,7 @@ impl MaxGSatInstance {
     fn solve_local_search(&self, restarts: usize, max_flips: usize, seed: u64) -> MaxGSatOutcome {
         let mut rng = StdRng::seed_from_u64(seed);
         let vars = self.occurring_vars();
-        let mut best: Option<(usize, Assignment)> = None;
+        let mut best: Option<((usize, usize), Assignment)> = None;
         for restart in 0..restarts.max(1) {
             let mut current = if restart == 0 {
                 // First restart starts from all-false, a useful baseline for
@@ -261,38 +285,38 @@ impl MaxGSatInstance {
             } else {
                 self.random_assignment(&mut rng)
             };
-            let mut current_count = self.count_satisfied(&current);
+            let mut current_score = self.graded_score(&current);
             for _ in 0..max_flips {
-                if current_count == self.formulas.len() {
+                if current_score.0 == self.formulas.len() {
                     break;
                 }
                 // Find the best single flip.
-                let mut best_flip: Option<(usize, VarId)> = None;
+                let mut best_flip: Option<((usize, usize), VarId)> = None;
                 for &var in &vars {
                     current.flip(var);
-                    let count = self.count_satisfied(&current);
+                    let score = self.graded_score(&current);
                     current.flip(var);
-                    if count > current_count && best_flip.map(|(c, _)| count > c).unwrap_or(true) {
-                        best_flip = Some((count, var));
+                    if score > current_score && best_flip.map(|(s, _)| score > s).unwrap_or(true) {
+                        best_flip = Some((score, var));
                     }
                 }
                 match best_flip {
-                    Some((count, var)) => {
+                    Some((score, var)) => {
                         current.flip(var);
-                        current_count = count;
+                        current_score = score;
                     }
                     None => break, // local optimum
                 }
             }
             if best
                 .as_ref()
-                .map(|(c, _)| current_count > *c)
+                .map(|(s, _)| current_score > *s)
                 .unwrap_or(true)
             {
-                best = Some((current_count, current));
+                best = Some((current_score, current));
             }
-            if let Some((c, _)) = &best {
-                if *c == self.formulas.len() {
+            if let Some((s, _)) = &best {
+                if s.0 == self.formulas.len() {
                     break;
                 }
             }
@@ -448,6 +472,30 @@ mod tests {
                 "solver {solver:?} should reach the optimum on a 2-variable instance"
             );
         }
+    }
+
+    #[test]
+    fn local_search_climbs_a_plateau_of_shared_conjuncts() {
+        // Every formula is `v_i ∧ s`: from all-false no single flip
+        // satisfies a formula, so a count of satisfied formulas alone stalls
+        // at once. Counting satisfied conjuncts grades the plateau.
+        let mut pool = VarPool::new();
+        let shared = pool.fresh("s");
+        let own: Vec<VarId> = (0..3).map(|i| pool.fresh(format!("v{i}"))).collect();
+        let formulas: Vec<BoolExpr> = own
+            .iter()
+            .map(|&v| BoolExpr::and([BoolExpr::var(v), BoolExpr::var(shared)]))
+            .collect();
+        let inst = MaxGSatInstance::new(pool.len(), formulas);
+        let all_false = Assignment::all_false(inst.num_vars());
+        assert_eq!(inst.graded_score(&all_false), (0, 0));
+        let solver = MaxGSatSolver::LocalSearch {
+            restarts: 1,
+            max_flips: 10,
+        };
+        let outcome = inst.solve(solver, 0);
+        assert_eq!(outcome.num_satisfied(), 3);
+        assert_eq!(inst.graded_score(&outcome.assignment), (3, 6));
     }
 
     #[test]

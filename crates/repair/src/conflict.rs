@@ -20,7 +20,7 @@ use ecfd_detect::SemanticDetector;
 use ecfd_logic::{BoolExpr, HardSoftInstance, MaxGSatSolver, VarId};
 use ecfd_relation::{Relation, RowId, Tuple, Value};
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, HashSet};
 
 /// The exhaustive MAXGSAT solver's own instance limit, in nodes.
 pub(crate) const EXACT_MAX_NODES: usize = 24;
@@ -75,6 +75,12 @@ impl ConflictGraph {
     /// * `patched` — tuples to use *instead of* the stored ones when computing
     ///   `Y` classes (the planner passes the post-modification tuples so that
     ///   a value-repaired row joins the class of its new `Y` projection).
+    ///
+    /// A group whose class partition equals one already added is skipped:
+    /// it demands the same cover, and counting it twice would double its
+    /// weight in the greedy's scores. (φ1's two pattern tuples both match
+    /// the capital-district cities, so each such conflict arrives as two
+    /// evidence records with the same members.)
     pub fn build(
         detector: &SemanticDetector,
         relation: &Relation,
@@ -118,6 +124,7 @@ impl ConflictGraph {
         for &row in must_delete {
             add_node(&mut graph, &mut node_of, row)?;
         }
+        let mut partitions: HashSet<Vec<Vec<usize>>> = HashSet::new();
         for group in &evidence.mv_groups {
             let ci = *split_of
                 .get(&group.source)
@@ -138,11 +145,14 @@ impl ConflictGraph {
             // Patching may have merged all members into one class — then the
             // group no longer conflicts and value modification resolved it.
             if classes.len() > 1 {
-                graph.groups.push(GroupConflict {
-                    source: group.source,
-                    group_key: group.group_key.clone(),
-                    classes: classes.into_values().collect(),
-                });
+                let classes: Vec<Vec<usize>> = classes.into_values().collect();
+                if partitions.insert(classes.clone()) {
+                    graph.groups.push(GroupConflict {
+                        source: group.source,
+                        group_key: group.group_key.clone(),
+                        classes,
+                    });
+                }
             }
         }
         Ok(graph)

@@ -203,4 +203,45 @@ proptest! {
             deleted[i] = true;
         }
     }
+
+    /// Registering `A → C` twice makes every violating `A` group arrive as
+    /// two evidence records with the same members. The graph keeps one of
+    /// them, so the greedy plans exactly as without the duplicate.
+    #[test]
+    fn a_duplicate_group_is_counted_once(
+        rows in proptest::collection::vec(0usize..27, 0..16),
+        weights in proptest::collection::vec(0usize..4, 27),
+    ) {
+        let relation = Relation::with_tuples(schema(), rows.iter().map(|&n| tuple(n))).unwrap();
+        let cost = TableCost {
+            weights: weights.iter().map(|&w| WEIGHTS[w]).collect(),
+        };
+        let graph_of = |constraints: &[ECfd]| {
+            let detector = SemanticDetector::new(&schema(), constraints).unwrap();
+            let (_, evidence) = detector.detect_with_evidence(&relation).unwrap();
+            let graph = ConflictGraph::build(
+                &detector,
+                &relation,
+                &evidence,
+                &BTreeSet::new(),
+                &HashMap::new(),
+                &cost,
+            )
+            .unwrap();
+            (graph, evidence)
+        };
+        let (single, evidence) = graph_of(&fds());
+        let mut doubled = fds();
+        doubled.insert(1, doubled[0].clone());
+        let (graph, doubled_evidence) = graph_of(&doubled);
+
+        let a_groups = evidence.mv_groups.iter().filter(|g| g.source.constraint == 0).count();
+        prop_assert_eq!(doubled_evidence.mv_groups.len(), evidence.mv_groups.len() + a_groups);
+        let partitions = |g: &ConflictGraph| {
+            g.groups().iter().map(|g| g.classes.clone()).collect::<Vec<_>>()
+        };
+        prop_assert_eq!(partitions(&graph), partitions(&single));
+        prop_assert_eq!(graph.greedy_deletions(), single.greedy_deletions());
+        prop_assert_eq!(graph.greedy_deletions(), reference_greedy(&graph));
+    }
 }

@@ -901,10 +901,10 @@ impl PartitionMeta {
 impl PartitionedTemplate {
     /// Partitions a prepared template session's rows by the shard key's
     /// hashed value into one fresh session per shard, configured like the
-    /// template (routing policy, compile options, cost model). Rows keep
-    /// their global ids, and the global id counter continues after the
-    /// highest existing id — exactly where the template's own insertion
-    /// counter stood for freshly loaded data.
+    /// template (routing policy, cost model). Rows keep their global ids,
+    /// and the global id counter continues after the highest existing id —
+    /// exactly where the template's own insertion counter stood for freshly
+    /// loaded data.
     ///
     /// One shard partitions nothing: the template becomes shard 0 as it is
     /// (no decode, re-load or re-registration), no shard key is resolved,
@@ -970,7 +970,6 @@ impl PartitionedTemplate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ecfd_core::CompileOptions;
     use ecfd_relation::{DataType, Schema, Value};
     use ecfd_repair::{EditDistanceCost, RepairOptions};
     use std::time::Duration;
@@ -1070,9 +1069,9 @@ mod tests {
         }
     }
 
-    /// Every shard session is configured like the template: a `merge: false`
-    /// compile numbers the constraints as the unsharded session does, and
-    /// `REPAIR-PLAN` prices by the template's cost model.
+    /// Every shard session is configured like the template: `REPAIR-PLAN`
+    /// prices by the template's cost model. (Shards compile like the
+    /// template by construction: compilation has no options.)
     #[test]
     fn shards_keep_the_template_configuration() {
         let configured = || {
@@ -1091,15 +1090,9 @@ mod tests {
                 ],
             )
             .unwrap();
-            let mut session = Session::new()
-                .with_compile_options(CompileOptions {
-                    merge: false,
-                    ..CompileOptions::default()
-                })
-                .with_cost_model(EditDistanceCost::default());
+            let mut session = Session::new().with_cost_model(EditDistanceCost::default());
             session.load(data).unwrap();
-            // Two tableaux over one embedded FD: merged into one constraint
-            // unless `merge` is off.
+            // Two tableaux over one embedded FD, merged into one constraint.
             session
                 .register_text(
                     "cust: [CT] -> [AC] | [], { {Albany} || {518} }\n\

@@ -31,9 +31,9 @@
 //! * **Loaded** — [`Session::load`] put the relation into the catalog; no
 //!   constraints yet.
 //! * **Registered** — [`Session::register`] compiled constraints for it
-//!   (validate → optional implication-based minimization → normalize →
-//!   dedupe → split, see [`ecfd_core::ConstraintSet`]); both backends are
-//!   built from the one compiled set.
+//!   with [`ecfd_core::ConstraintSet::compile`] (validate → merge → dedupe
+//!   → split, no options); both backends are built from the one compiled
+//!   set.
 //! * **Detected** — a detection result (flags + evidence) is cached and
 //!   describes the current table contents. [`Session::detect`],
 //!   [`Session::explain`] and [`Session::apply`] land here.
@@ -59,7 +59,7 @@
 //! | `catalog_mut` / `invalidate` | dropped              | dropped                              |
 //! | `snapshot`                 | served or replaced     | frozen as held; Cold → Encoded       |
 //! | `with_policy` (new [`Parallelism`]) | kept          | kept (fan-out retrofitted)           |
-//! | `with_cost_model` / `set_compile_options` | retired (version bump) | kept / dropped    |
+//! | `with_cost_model`          | retired (version bump) | kept                                 |
 //!
 //! The *native state* is the one slot of the entry's `NativeBackend`:
 //! nothing (Cold), the dictionary codes of the table version the last full
@@ -160,7 +160,7 @@ pub use ecfd_detect::{OpenGroup, ShardPartial};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ecfd_core::{CompileOptions, ECfdBuilder};
+    use ecfd_core::ECfdBuilder;
     use ecfd_detect::DetectorBackend;
     use ecfd_relation::{AttrId, DataType, Delta, Relation, Schema, Tuple, Value};
     use ecfd_repair::{RepairMode, RepairOptions};
@@ -314,8 +314,10 @@ mod tests {
     }
 
     #[test]
-    fn minimizing_compile_options_shrink_the_registered_set() {
-        let mut session = Session::new().with_compile_options(CompileOptions::minimizing());
+    fn a_registered_minimal_cover_shrinks_the_set() {
+        // Minimization is an analysis, not a registration switch: the caller
+        // registers the cover, and the session compiles what it is given.
+        let mut session = Session::new();
         session.load(dirty()).unwrap();
         let strong = ECfdBuilder::new("cust")
             .lhs(["CT"])
@@ -329,10 +331,13 @@ mod tests {
             .pattern(|p| p.in_set("CT", ["Albany"]).constant("AC", "518"))
             .build()
             .unwrap();
-        session.register(&[strong, weak]).unwrap();
+        let cover =
+            ecfd_core::implication::minimal_cover(&schema(), &[strong.clone(), weak]).unwrap();
+        assert_eq!(cover, vec![strong], "the weak rule is implied");
+        session.register(&cover).unwrap();
         let set = session.constraints("cust").unwrap();
-        assert_eq!(set.num_patterns(), 1, "the weak rule is implied");
-        assert_eq!(set.source().len(), 2);
+        assert_eq!(set.num_patterns(), 1);
+        assert_eq!(set.source(), &cover[..]);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use crate::error::{Result, SessionError};
 use crate::policy::RoutingPolicy;
 use crate::snapshot::Snapshot;
-use ecfd_core::{CompileOptions, ConstraintSet, ECfd};
+use ecfd_core::{ConstraintSet, ECfd};
 use ecfd_detect::backend::{BackendKind, DetectorBackend, NativeBackend, ReadOut, SqlBackend};
 use ecfd_detect::{DetectionReport, EvidenceReport, SemanticDetector};
 use ecfd_relation::{Catalog, Delta, Relation, RowId, Schema, Tuple};
@@ -118,7 +118,6 @@ impl Entry {
 pub struct Session {
     catalog: Catalog,
     policy: RoutingPolicy,
-    compile: CompileOptions,
     cost: Arc<dyn CostModel + Send + Sync>,
     /// Base schema of every loaded relation, keyed by relation name: what
     /// constraints compile against, and what the stored table keeps (no
@@ -126,8 +125,8 @@ pub struct Session {
     loaded: BTreeMap<String, Schema>,
     tables: BTreeMap<String, Entry>,
     /// Mutation counter: bumped by every operation that can change what a
-    /// detection-state snapshot would contain (data, constraints, compile
-    /// options, cost model). Snapshots are stamped with it as their epoch.
+    /// detection-state snapshot would contain (data, constraints, cost
+    /// model). Snapshots are stamped with it as their epoch.
     version: u64,
 }
 
@@ -138,13 +137,12 @@ impl Default for Session {
 }
 
 impl Session {
-    /// An empty session with the default [`RoutingPolicy`], default
-    /// [`CompileOptions`] and the constant cost model.
+    /// An empty session with the default [`RoutingPolicy`] and the constant
+    /// cost model.
     pub fn new() -> Self {
         Session {
             catalog: Catalog::new(),
             policy: RoutingPolicy::default(),
-            compile: CompileOptions::default(),
             cost: Arc::new(ecfd_repair::ConstantCost::default()),
             loaded: BTreeMap::new(),
             tables: BTreeMap::new(),
@@ -152,12 +150,11 @@ impl Session {
         }
     }
 
-    /// An empty session with this one's routing policy, compile options and
-    /// repair cost model.
+    /// An empty session with this one's routing policy and repair cost
+    /// model.
     pub fn empty_like(&self) -> Self {
         Session {
             policy: self.policy,
-            compile: self.compile,
             cost: self.cost.clone(),
             ..Session::new()
         }
@@ -174,34 +171,6 @@ impl Session {
             entry.repair.set_parallelism(policy.parallelism);
         }
         self
-    }
-
-    /// Replaces the constraint-compilation options used by subsequent
-    /// [`Session::register`] calls. Already-registered sets keep the options
-    /// they were compiled under — use [`Session::set_compile_options`] to
-    /// recompile them.
-    pub fn with_compile_options(mut self, options: CompileOptions) -> Self {
-        self.compile = options;
-        self
-    }
-
-    /// Replaces the compilation options *and* recompiles every registered
-    /// constraint set under them (dropping all cached detection state).
-    pub fn set_compile_options(&mut self, options: CompileOptions) -> Result<()> {
-        self.compile = options;
-        let names: Vec<String> = self.tables.keys().cloned().collect();
-        let mut rebuilt = Vec::with_capacity(names.len());
-        for name in names {
-            let entry = self.tables.get(&name).expect("iterating own keys");
-            let schema = entry.set.schema().clone();
-            let source = entry.set.source().to_vec();
-            rebuilt.push((name, self.build_entry(&schema, &source)?));
-        }
-        for (name, entry) in rebuilt {
-            self.tables.insert(name, entry);
-        }
-        self.version += 1;
-        Ok(())
     }
 
     /// Replaces the repair cost model, for already-registered relations as
@@ -250,8 +219,9 @@ impl Session {
     /// Registers constraints, compiling them once into the session's
     /// [`ConstraintSet`] registry. Constraints are grouped by the relation
     /// they name (which must already be loaded); registering more constraints
-    /// for a relation extends its set, and the union is recompiled
-    /// (validate → minimize → normalize → dedupe) so duplicates collapse.
+    /// for a relation extends its set, and the union is recompiled with
+    /// [`ConstraintSet::compile`] (validate → merge → dedupe → split) so
+    /// duplicates collapse.
     /// Invalidates cached detection state for every touched relation.
     /// Registration is atomic: if any constraint fails to compile, no
     /// relation's set changes.
@@ -294,7 +264,7 @@ impl Session {
     }
 
     fn build_entry(&self, schema: &Schema, source: &[ECfd]) -> Result<Entry> {
-        let set = Arc::new(ConstraintSet::compile_with(schema, source, self.compile)?);
+        let set = Arc::new(ConstraintSet::compile(schema, source)?);
         let sql = SqlBackend::from_set(&set).map_err(|e| e.to_string());
         // The registration's one compile: every native consumer — the
         // backend, each seed, the repair engine, each snapshot — holds a

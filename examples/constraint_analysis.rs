@@ -6,6 +6,7 @@
 //!
 //! Run with: `cargo run --example constraint_analysis`
 
+use ecfd::core::normalize::split_patterns;
 use ecfd::core::{implication, maxss, satisfiability};
 use ecfd::prelude::*;
 
@@ -64,21 +65,28 @@ fn main() {
     );
 
     // --- implication & redundancy removal ---------------------------------
-    // The compilation pipeline behind `Session::register`: validate →
-    // implication-based minimization → normalize → dedupe. Compiling the
-    // satisfiable subset with minimization drops the redundant constraint.
+    // Redundancy elimination is an analysis, not a compile step. The minimal
+    // cover of the satisfiable subset, split to one pattern tuple per
+    // constraint, drops the redundant constraint; the cover is then compiled
+    // by the pipeline behind `Session::register` (validate → merge → dedupe
+    // → split).
     let keep: Vec<ECfd> = outcome
         .satisfiable_subset
         .iter()
         .map(|&i| constraints[i].clone())
         .collect();
-    let compiled = ConstraintSet::compile_with(&schema, &keep, CompileOptions::minimizing())
-        .expect("implication analysis runs");
+    let singles: Vec<ECfd> = split_patterns(&keep).into_iter().map(|s| s.ecfd).collect();
+    let cover = implication::minimal_cover_with(
+        &schema,
+        &singles,
+        implication::ImplicationOptions::default(),
+    )
+    .expect("implication analysis runs");
+    let compiled = ConstraintSet::compile(&schema, &cover).expect("the cover compiles");
     println!(
-        "\nCompiled with minimization: {} of {} registered constraints remain \
-         ({} pattern tuples):",
+        "\nCompiled minimal cover: {} of {} constraints remain ({} pattern tuples):",
         compiled.len(),
-        compiled.source().len(),
+        keep.len(),
         compiled.num_patterns()
     );
     for c in compiled.ecfds() {

@@ -101,9 +101,8 @@ pub use ecfd_wal as wal;
 /// The most commonly used items, re-exported flat.
 pub mod prelude {
     pub use ecfd_core::{
-        check, check_all, parse_ecfd, parse_ecfds, Cfd, CompileOptions, ConstraintSet, ECfd,
-        ECfdBuilder, PatternTuple, PatternValue, SatisfactionResult, Violation, ViolationKind,
-        ViolationSet,
+        check, check_all, parse_ecfd, parse_ecfds, Cfd, ConstraintSet, ECfd, ECfdBuilder,
+        PatternTuple, PatternValue, SatisfactionResult, Violation, ViolationKind, ViolationSet,
     };
     pub use ecfd_core::{implication, maxss, satisfiability};
     pub use ecfd_detect::{

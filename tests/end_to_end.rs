@@ -154,16 +154,21 @@ fn workload_constraints_are_satisfiable_and_irredundant_enough() {
     }
 
     // Split to pattern granularity, nothing is redundant either, and the
-    // minimizing pipeline compiles the workload and its 40-pattern variant.
-    let singles: Vec<ECfd> = ecfd::core::normalize::split_patterns(&constraints)
-        .into_iter()
-        .map(|s| s.ecfd)
-        .collect();
-    assert_eq!(singles.len(), 11);
-    let cover = implication::minimal_cover(&schema, &singles).unwrap();
-    assert_eq!(cover, singles);
-    for set in [constraints.clone(), workload_with_scaled_constraint(40, 42)] {
-        ConstraintSet::compile_with(&schema, &set, CompileOptions::minimizing()).unwrap();
+    // minimal cover of the workload and of its 40-pattern variant compiles.
+    for (set, singles) in [
+        (constraints.clone(), 11),
+        (workload_with_scaled_constraint(40, 42), 49),
+    ] {
+        let split: Vec<ECfd> = ecfd::core::normalize::split_patterns(&set)
+            .into_iter()
+            .map(|s| s.ecfd)
+            .collect();
+        assert_eq!(split.len(), singles);
+        let cover = implication::minimal_cover(&schema, &split).unwrap();
+        if singles == 11 {
+            assert_eq!(cover, split);
+        }
+        ConstraintSet::compile(&schema, &cover).unwrap();
     }
 
     // MAXSS over value classes: f(Σ) has 14 variables on the workload, so
@@ -178,6 +183,37 @@ fn workload_constraints_are_satisfiable_and_irredundant_enough() {
 }
 
 #[test]
+fn compile_and_verbatim_sizes_are_pinned() {
+    // (constraints, singles) per entry point on the workload and on its
+    // variants with φ1's tableau scaled to |Tp| = 10, 40 and 160. `compile`
+    // merges the two constraints that share X, Y and Yp and dedupes repeated
+    // pattern tuples; `verbatim` keeps the list as given.
+    let schema = ecfd::datagen::cust_schema();
+    let sets = [
+        workload_constraints(),
+        workload_with_scaled_constraint(10, 42),
+        workload_with_scaled_constraint(40, 42),
+        workload_with_scaled_constraint(160, 42),
+    ];
+    let sizes = |compile: fn(&Schema, &[ECfd]) -> Result<ConstraintSet, CoreError>| {
+        sets.iter()
+            .map(|set| {
+                let compiled = compile(&schema, set).unwrap();
+                (compiled.len(), compiled.singles().len())
+            })
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(
+        sizes(ConstraintSet::compile),
+        [(9, 11), (9, 18), (9, 38), (9, 125)]
+    );
+    assert_eq!(
+        sizes(ConstraintSet::verbatim),
+        [(10, 11), (10, 19), (10, 49), (10, 169)]
+    );
+}
+
+#[test]
 fn maxss_never_calls_a_satisfiable_set_unsatisfiable() {
     // A heuristic MAXGSAT solver proves no optimum, so however short it
     // falls on a satisfiable set the verdict must not be "unsatisfiable".
@@ -188,8 +224,11 @@ fn maxss_never_calls_a_satisfiable_set_unsatisfiable() {
         restarts: 4,
         max_flips: 100,
     };
+    // The search climbs on satisfied conjuncts, so it also moves off φ_R's
+    // plateaus and keeps the whole set on nearly every seed.
     for set in [&workload[..2], &workload[..5], &workload[..], &tp160[..]] {
         assert!(satisfiability::is_satisfiable(&schema, set).unwrap());
+        let mut kept = 0;
         for seed in 0..20 {
             let outcome = maxss::approximate_max_satisfiable(&schema, set, solver, seed).unwrap();
             assert_ne!(
@@ -198,7 +237,9 @@ fn maxss_never_calls_a_satisfiable_set_unsatisfiable() {
                 "{} constraints, seed {seed}",
                 set.len()
             );
+            kept += usize::from(outcome.satisfiable_subset.len() == set.len());
         }
+        assert!(kept >= 18, "{} constraints: {kept} of 20 seeds", set.len());
     }
 
     // f(Σ) of the |Tp| = 160 tableau has 89 variables even over classes:

@@ -67,6 +67,91 @@ fn arb_constraints() -> impl Strategy<Value = Vec<ECfd>> {
     proptest::collection::vec(arb_ecfd(), 1..4)
 }
 
+const ZIPS: [&str; 4] = ["zip0", "zip1", "zip2", "zip3"];
+
+/// The three attributes of [`schema`], each with the values its data and
+/// pattern cells draw from.
+const ATTRS: [(&str, &[&str]); 3] = [("CT", &CITIES), ("AC", &CODES), ("ZIP", &ZIPS)];
+
+/// Raw material for one pattern cell: a kind (wildcard, set, complement) and
+/// up to two value indices.
+fn arb_cell() -> impl Strategy<Value = (usize, usize, usize, bool)> {
+    (0..3usize, 0..5usize, 0..5usize, any::<bool>())
+}
+
+fn cell(attr: usize, (kind, i, j, pair): (usize, usize, usize, bool)) -> PatternValue {
+    let values = ATTRS[attr].1;
+    let mut picked = vec![values[i % values.len()]];
+    if pair {
+        picked.push(values[j % values.len()]);
+    }
+    match kind {
+        0 => PatternValue::Wildcard,
+        1 => PatternValue::in_set(picked),
+        _ => PatternValue::not_in_set(picked),
+    }
+}
+
+/// Random eCFDs of any shape over the three attributes: `X` is a non-empty
+/// subset, every attribute is independently in `Y`, in `Yp` or in neither
+/// (at least one is on the right), and the tableau has 1–3 tuples.
+fn arb_family_ecfd() -> impl Strategy<Value = ECfd> {
+    (
+        1..8usize,
+        1..27usize,
+        1..=3usize,
+        proptest::collection::vec(arb_cell(), 18),
+    )
+        .prop_map(|(x_mask, rhs_roles, rows, cells)| {
+            let x: Vec<usize> = (0..3).filter(|a| (x_mask >> a) & 1 == 1).collect();
+            let role = |a: u32| rhs_roles / 3usize.pow(a) % 3;
+            let y: Vec<usize> = (0..3).filter(|&a| role(a as u32) == 1).collect();
+            let yp: Vec<usize> = (0..3).filter(|&a| role(a as u32) == 2).collect();
+            let mut cells = cells.into_iter();
+            let tableau = (0..rows)
+                .map(|_| {
+                    let mut side = |attrs: &[usize]| -> Vec<PatternValue> {
+                        attrs
+                            .iter()
+                            .map(|&a| cell(a, cells.next().expect("18 cells cover 3 rows")))
+                            .collect()
+                    };
+                    let lhs = side(&x);
+                    let rhs = side(&[y.clone(), yp.clone()].concat());
+                    PatternTuple::new(lhs, rhs)
+                })
+                .collect();
+            let names = |attrs: &[usize]| attrs.iter().map(|&a| ATTRS[a].0.to_string()).collect();
+            ECfd::new("cust", names(&x), names(&y), names(&yp), tableau)
+                .expect("generated constraints are well-formed")
+        })
+}
+
+/// 1–3 random eCFDs plus 1–2 merge-compatible duplicates: a copy of one of
+/// them, whole or with just one of its pattern tuples. Every such Σ gives
+/// `ConstraintSet::compile` something to merge and something to dedupe.
+fn arb_family() -> impl Strategy<Value = Vec<ECfd>> {
+    (
+        proptest::collection::vec(arb_family_ecfd(), 1..4),
+        proptest::collection::vec((0..3usize, 0..3usize, any::<bool>(), 0..5usize), 1..3),
+    )
+        .prop_map(|(mut sigma, copies)| {
+            for (which, row, whole, at) in copies {
+                let original = &sigma[which % sigma.len()];
+                let tableau = original.tableau();
+                let copy = if whole {
+                    original.clone()
+                } else {
+                    original
+                        .with_tableau(vec![tableau[row % tableau.len()].clone()])
+                        .expect("one pattern tuple of a valid eCFD is valid")
+                };
+                sigma.insert(at % (sigma.len() + 1), copy);
+            }
+            sigma
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -218,43 +303,33 @@ proptest! {
         prop_assert!(recheck.is_clean());
     }
 
-    /// On this generator's `[CT] → [AC]` constraints, `ConstraintSet`
-    /// minimization leaves detection output unchanged: the minimized and the
-    /// raw set yield identical violation flags on random instances (and the
-    /// minimized set is never larger). The flag equality is checked on this
-    /// family only. In general minimization keeps whether an instance
-    /// satisfies the set, not which rows are flagged; `set.rs` pins a
-    /// counterexample.
+    /// The compile pipeline keeps flags on every family: the merged and
+    /// deduped set (`ConstraintSet::compile`), the verbatim one
+    /// (`SemanticDetector::new`) and a default `Session` flag the same rows,
+    /// and all three agree with the reference semantics.
     #[test]
-    fn minimization_preserves_detection_output(
+    fn compile_pipeline_keeps_flags_on_every_family(
         data in arb_relation(),
-        constraints in arb_constraints(),
+        sigma in arb_family(),
     ) {
         let schema = schema();
-        let raw = ConstraintSet::compile(&schema, &constraints).unwrap();
-        let minimized =
-            ConstraintSet::compile_with(&schema, &constraints, CompileOptions::minimizing())
-                .unwrap();
-        prop_assert!(minimized.num_patterns() <= raw.num_patterns());
+        let reference = check_all(&data, &sigma).unwrap();
+        let set = ConstraintSet::compile(&schema, &sigma).unwrap();
+        // The generated duplicates give both steps work.
+        prop_assert!(set.len() < sigma.len(), "nothing merged");
+        let registered: usize = sigma.iter().map(|e| e.tableau().len()).sum();
+        prop_assert!(set.num_patterns() < registered, "nothing deduped");
 
-        let flags_raw = SemanticDetector::from_set(&raw).detect(&data).unwrap();
-        let flags_min = SemanticDetector::from_set(&minimized).detect(&data).unwrap();
-        prop_assert_eq!(&flags_raw.sv_rows, &flags_min.sv_rows);
-        prop_assert_eq!(&flags_raw.mv_rows, &flags_min.mv_rows);
-
-        // The session registers through the same pipeline: a minimizing
-        // session and a default one must flag the same rows.
-        let mut plain = Session::new();
-        plain.load(data.clone()).unwrap();
-        plain.register(&constraints).unwrap();
-        let mut minimizing = Session::new()
-            .with_compile_options(CompileOptions::minimizing());
-        minimizing.load(data).unwrap();
-        minimizing.register(&constraints).unwrap();
-        let a = plain.detect().unwrap();
-        let b = minimizing.detect().unwrap();
-        prop_assert_eq!(a.sv_rows, b.sv_rows);
-        prop_assert_eq!(a.mv_rows, b.mv_rows);
+        let compiled = SemanticDetector::from_set(&set).detect(&data).unwrap();
+        let verbatim = SemanticDetector::new(&schema, &sigma).unwrap().detect(&data).unwrap();
+        let mut session = Session::new();
+        session.load(data).unwrap();
+        session.register(&sigma).unwrap();
+        let registered = session.detect().unwrap();
+        for report in [&compiled, &verbatim, &registered] {
+            prop_assert_eq!(&report.sv_rows, reference.violations().sv_rows());
+            prop_assert_eq!(&report.mv_rows, reference.violations().mv_rows());
+        }
     }
 
     /// Applying a delta and detecting incrementally always matches detecting
