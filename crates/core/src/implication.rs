@@ -103,10 +103,15 @@ pub fn check_implication(
     Ok(ImplicationOutcome::NotImplied(counterexample))
 }
 
-/// Removes constraints and pattern tuples that are implied by the rest of the
-/// set — the redundancy-elimination optimisation motivated in Section III
-/// ("A natural optimization strategy for cleaning data with eCFDs is by
-/// removing redundancies"). Returns the retained constraints.
+/// Removes the constraints that are implied by the rest of the set — the
+/// redundancy-elimination optimisation motivated in Section III ("A natural
+/// optimization strategy for cleaning data with eCFDs is by removing
+/// redundancies"). Returns the retained constraints.
+///
+/// The cover drops whole constraints only: a constraint keeps its whole
+/// tableau even when some of its pattern tuples are implied. For
+/// pattern-tuple granularity ("each tuple itself is a constraint"), split
+/// the set first with [`crate::normalize::split_patterns`].
 pub fn minimal_cover(schema: &Schema, ecfds: &[ECfd]) -> Result<Vec<ECfd>> {
     minimal_cover_with(schema, ecfds, ImplicationOptions::default())
 }
@@ -118,7 +123,7 @@ pub fn minimal_cover_with(
     options: ImplicationOptions,
 ) -> Result<Vec<ECfd>> {
     let mut retained: Vec<ECfd> = ecfds.to_vec();
-    // Try to drop whole constraints first, in reverse order so that earlier
+    // Drop implied constraints in reverse order, so that earlier
     // (presumably more fundamental) constraints are preferred.
     let mut idx = retained.len();
     while idx > 0 {
@@ -136,6 +141,7 @@ pub fn minimal_cover_with(
 mod tests {
     use super::*;
     use crate::builder::ECfdBuilder;
+    use crate::normalize::{split_patterns, total_pattern_tuples};
     use ecfd_relation::DataType;
 
     fn schema() -> Schema {
@@ -157,6 +163,28 @@ mod tests {
             })
             .build()
             .unwrap()
+    }
+
+    #[test]
+    fn the_cover_drops_whole_constraints_only() {
+        // The satisfiable subset of `examples/constraint_analysis.rs`: with
+        // AC = 212 everywhere, φ1's FD tuple is implied, yet the cover keeps
+        // φ1 whole. Split first, the cover drops that tuple too.
+        let sigma = crate::parser::parse_ecfds(
+            "cust: [CT] -> [AC] | [], { !{NYC, LI} || _ ; {Albany, Troy, Colonie} || {518} }\n\
+             cust: [CT] -> [] | [AC], { {NYC} || {212, 718, 646, 347, 917} }\n\
+             cust: [CT] -> [AC] | [], { {Albany} || {518} }\n\
+             cust: [CT] -> [] | [AC], { _ || {212} }",
+        )
+        .unwrap();
+        let cover = minimal_cover(&schema(), &sigma).unwrap();
+        assert_eq!(cover, [sigma[0].clone(), sigma[3].clone()]);
+        assert_eq!(total_pattern_tuples(&cover), 3);
+
+        let singles: Vec<ECfd> = split_patterns(&sigma).into_iter().map(|s| s.ecfd).collect();
+        let split_cover = minimal_cover(&schema(), &singles).unwrap();
+        assert_eq!(total_pattern_tuples(&split_cover), 2);
+        assert_eq!(split_cover[0].tableau(), &sigma[0].tableau()[1..]);
     }
 
     #[test]

@@ -28,7 +28,8 @@
 //!   over the same value classes, one variable per class;
 //! * compiled constraint sets ([`ConstraintSet`]): one pipeline with no
 //!   switches whose output every detector backend shares, entered through
-//!   [`ConstraintSet::compile`] (validate → merge → dedupe → split) or
+//!   [`ConstraintSet::compile`] (validate → merge → dedupe → split → drop
+//!   subsumed) or
 //!   [`ConstraintSet::verbatim`] (validate → split).
 //!
 //! Violation *detection* on large instances lives in the companion crate
@@ -93,5 +94,5 @@ pub use error::{CoreError, Result};
 pub use parser::{parse_ecfd, parse_ecfds};
 pub use pattern::PatternValue;
 pub use satisfaction::{check, check_all, SatisfactionResult};
-pub use set::ConstraintSet;
+pub use set::{ConstraintSet, PatternIndex};
 pub use violation::{Violation, ViolationKind, ViolationSet};

@@ -11,7 +11,7 @@
 //!   ([`crate::normalize::merge_compatible`], the form users write, cf. φ1
 //!   of the paper carrying two pattern tuples), **dedupe** repeated pattern
 //!   tuples within a tableau (including those merging identical constraints
-//!   introduces), then **split**;
+//!   introduces), **split**, then **drop subsumed** singles;
 //! * [`ConstraintSet::verbatim`] — validate, then split. Evidence indexes the
 //!   constraints exactly as given. Every raw-constraint detector constructor
 //!   (`SemanticDetector::new`, `BatchDetector::new` and their callers in
@@ -21,8 +21,26 @@
 //! constraints, the shape every detector consumes. Detectors constructed from
 //! a `ConstraintSet` (`from_set` constructors in `ecfd_detect`) reuse it
 //! instead of re-validating and re-splitting per detector, so a set compiled
-//! once serves the semantic, SQL and incremental backends alike. Both steps
-//! depend on the constraints only, never on the data.
+//! once serves the semantic, SQL and incremental backends alike. Every step
+//! depends on the constraints only, never on the data.
+//!
+//! **Drop subsumed.** Single `s₂` subsumes single `s₁` when they share
+//! relation, `X` and `Y`, every `X` cell of `s₂` generalizes
+//! ([`crate::PatternValue::generalizes`]) the cell of `s₁` at the same
+//! position, and for every non-wildcard `Y ∪ Yp` cell `c₁` of `s₁` on an
+//! attribute `A`, `s₂` has a cell `c₂` on `A` with `c₁` generalizing `c₂`.
+//! Then on every instance the rows `s₁` flags `SV` are flagged `SV` by `s₂`:
+//! a row matching `s₁`'s `X` cells matches `s₂`'s, and a value outside `c₁`
+//! is outside `c₂`. The same holds for `MV`, because a group is the rows
+//! sharing one `X` value and breaks the embedded FD on the same `Y` list. So
+//! a single is dropped when another one strictly subsumes it, or when an
+//! equivalent one comes earlier, and the compiled singles flag exactly the
+//! rows the whole tableau flags. [`ConstraintSet::subsumed`] records every
+//! dropped single with a kept single that subsumes it: subsumption is
+//! transitive, so one always exists. A dropped pattern still sits in
+//! [`ConstraintSet::ecfds`]; it raises no evidence of its own, its subsumer
+//! does. `generalizes` reads cells syntactically, so over a finite domain
+//! the rule is still sound, only less complete.
 //!
 //! Redundancy elimination (Section III) is an analysis, not a compile step:
 //! [`crate::implication::minimal_cover_with`] drops every constraint implied
@@ -31,10 +49,13 @@
 //! flags: an instance satisfies the cover iff it satisfies the set, but a
 //! dropped constraint's own `SV`/`MV` flags go with it, even where the
 //! instance breaks what implied it (this module's tests pin a
-//! counterexample). And implication is coNP-complete: on the `cust` workload
-//! the cover takes 2 ms over its 11 singles, 38 ms over the 49 singles of a
-//! 40-pattern tableau and 0.7 s over the 169 singles of a 160-pattern one
-//! (release build, 2-core x86-64).
+//! counterexample). Subsumption is the stronger, syntactic relation that
+//! keeps the flags too. And implication is coNP-complete: on the `cust`
+//! workload the cover takes 2 ms over its 11 singles, 38 ms over the 49
+//! singles of a 40-pattern tableau and 0.7 s over the 169 singles of a
+//! 160-pattern one (release build, 2-core x86-64), where dropping subsumed
+//! singles, a quadratic syntactic check, adds about 0.35 ms to compiling the
+//! 160-pattern one.
 //!
 //! Violation evidence produced by those detectors refers to constraints by
 //! index into [`ConstraintSet::ecfds`] — the *compiled* list, which
@@ -47,6 +68,10 @@ use crate::normalize::{merge_compatible, split_patterns, total_pattern_tuples, S
 use ecfd_relation::Schema;
 use serde::{Deserialize, Serialize};
 
+/// Where a pattern tuple sits in a compiled set: `(constraint, pattern)`,
+/// indexing [`ConstraintSet::ecfds`] and that constraint's tableau.
+pub type PatternIndex = (usize, usize);
+
 /// A validated and split set of eCFDs over one relation schema, ready to be
 /// shared across detector backends.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -55,11 +80,12 @@ pub struct ConstraintSet {
     source: Vec<ECfd>,
     compiled: Vec<ECfd>,
     singles: Vec<SinglePattern>,
+    subsumed: Vec<(PatternIndex, PatternIndex)>,
 }
 
 impl ConstraintSet {
-    /// Compiles `ecfds` against `schema`: validate → merge → dedupe → split.
-    /// See the module docs for the pipeline.
+    /// Compiles `ecfds` against `schema`: validate → merge → dedupe → split
+    /// → drop subsumed. See the module docs for the pipeline.
     pub fn compile(schema: &Schema, ecfds: &[ECfd]) -> Result<Self> {
         ecfds.iter().try_for_each(|e| e.validate_against(schema))?;
         let compiled = merge_compatible(ecfds)
@@ -79,7 +105,9 @@ impl ConstraintSet {
                     .expect("a deduped tableau of a valid eCFD is valid")
             })
             .collect();
-        Ok(Self::assemble(schema, ecfds, compiled))
+        let mut set = Self::assemble(schema, ecfds, compiled);
+        set.drop_subsumed();
+        Ok(set)
     }
 
     /// Compiles `ecfds` against `schema` without merging or deduplicating:
@@ -96,7 +124,32 @@ impl ConstraintSet {
             source: source.to_vec(),
             singles: split_patterns(&compiled),
             compiled,
+            subsumed: Vec::new(),
         }
+    }
+
+    /// Drops every single another single strictly subsumes, or an earlier
+    /// equivalent one does, and records it with a kept subsumer.
+    fn drop_subsumed(&mut self) {
+        let singles = &self.singles;
+        let by = |j: usize, i: usize| subsumes(&singles[j].ecfd, &singles[i].ecfd);
+        let dropped: Vec<bool> = (0..singles.len())
+            .map(|i| (0..singles.len()).any(|j| j != i && by(j, i) && (j < i || !by(i, j))))
+            .collect();
+        let at = |s: &SinglePattern| (s.source_constraint, s.source_pattern);
+        self.subsumed = (0..singles.len())
+            .filter(|&i| dropped[i])
+            .map(|i| {
+                let kept = (0..singles.len())
+                    .find(|&j| !dropped[j] && by(j, i))
+                    .expect(
+                        "subsumption is transitive, so a kept single subsumes each dropped one",
+                    );
+                (at(&singles[i]), at(&singles[kept]))
+            })
+            .collect();
+        let mut dropped = dropped.into_iter();
+        self.singles.retain(|_| !dropped.next().unwrap_or(false));
     }
 
     /// Parses the textual syntax ([`crate::parse_ecfds`]) and compiles the
@@ -128,9 +181,16 @@ impl ConstraintSet {
         &self.singles
     }
 
+    /// The singles [`ConstraintSet::compile`] dropped as subsumed, each as
+    /// `(dropped, kept)`: the dropped single's pattern and that of a kept
+    /// single that subsumes it. Empty for [`ConstraintSet::verbatim`].
+    pub fn subsumed(&self) -> &[(PatternIndex, PatternIndex)] {
+        &self.subsumed
+    }
+
     /// `(constraint, pattern)` provenance per split constraint — parallel to
     /// [`ConstraintSet::singles`].
-    pub fn provenance(&self) -> Vec<(usize, usize)> {
+    pub fn provenance(&self) -> Vec<PatternIndex> {
         self.singles
             .iter()
             .map(|s| (s.source_constraint, s.source_pattern))
@@ -151,6 +211,20 @@ impl ConstraintSet {
     pub fn num_patterns(&self) -> usize {
         total_pattern_tuples(&self.compiled)
     }
+}
+
+/// Whether single-pattern `wide` subsumes single-pattern `narrow`: on every
+/// instance, every row `narrow` flags `SV` or `MV` is flagged alike by `wide`.
+/// The rule is in the module docs.
+fn subsumes(wide: &ECfd, narrow: &ECfd) -> bool {
+    let (w, n) = (&wide.tableau()[0], &narrow.tableau()[0]);
+    wide.relation() == narrow.relation()
+        && wide.lhs() == narrow.lhs()
+        && wide.fd_rhs() == narrow.fd_rhs()
+        && w.lhs.iter().zip(&n.lhs).all(|(w, n)| w.generalizes(n))
+        && (narrow.rhs_attrs().into_iter().zip(&n.rhs))
+            .filter(|(_, cell)| !cell.is_wildcard())
+            .all(|(attr, cell)| wide.rhs_cell(0, attr).is_some_and(|w| cell.generalizes(w)))
 }
 
 #[cfg(test)]
@@ -300,6 +374,74 @@ mod tests {
         assert_eq!(raw.multi_tuple_violations(), vec![RowId(0), RowId(1)]);
         assert!(minimized.multi_tuple_violations().is_empty());
         assert_eq!(raw.is_satisfied(), minimized.is_satisfied());
+    }
+
+    #[test]
+    fn a_narrower_pattern_is_dropped_for_its_subsumer() {
+        // {Albany} ⊆ !{NYC} and the narrow pattern checks nothing on AC, so
+        // every row it flags the first pattern flags too.
+        let set = ConstraintSet::parse(
+            &schema(),
+            "cust: [CT] -> [AC] | [], { !{NYC} || _ ; {Albany} || _ }",
+        )
+        .unwrap();
+        assert_eq!(set.num_patterns(), 2, "the tableau keeps both patterns");
+        assert_eq!(set.provenance(), vec![(0, 0)]);
+        assert_eq!(set.subsumed(), &[((0, 1), (0, 0))]);
+        let verbatim = ConstraintSet::verbatim(&schema(), set.ecfds()).unwrap();
+        assert_eq!(verbatim.singles().len(), 2);
+        assert!(verbatim.subsumed().is_empty());
+    }
+
+    #[test]
+    fn only_a_narrower_rhs_subsumes() {
+        // A wider RHS cell on the narrow pattern ({518, 212} ⊇ {518}) is
+        // subsumed; a checked AC against an unchecked one is not.
+        let set = ConstraintSet::parse(
+            &schema(),
+            "cust: [CT] -> [] | [AC], { _ || {518} ; {Albany} || {518, 212} }\n\
+             cust: [CT] -> [AC] | [], { _ || _ ; {Albany} || {518} }",
+        )
+        .unwrap();
+        assert_eq!(set.subsumed(), &[((0, 1), (0, 0))]);
+        assert_eq!(set.provenance(), vec![(0, 0), (1, 0), (1, 1)]);
+
+        let rows = [
+            ("Albany", "518"),
+            ("Albany", "212"),
+            ("Troy", "718"),
+            ("Troy", "315"),
+        ];
+        let db = Relation::with_tuples(
+            schema(),
+            rows.iter().map(|(ct, ac)| Tuple::from_iter([*ct, *ac])),
+        )
+        .unwrap();
+        let singles: Vec<ECfd> = set.singles().iter().map(|s| s.ecfd.clone()).collect();
+        let compiled = satisfaction::check_all(&db, &singles).unwrap();
+        let all = satisfaction::check_all(&db, set.ecfds()).unwrap();
+        assert_eq!(compiled.violations().sv_rows(), all.violations().sv_rows());
+        assert_eq!(compiled.violations().mv_rows(), all.violations().mv_rows());
+    }
+
+    #[test]
+    fn of_two_equivalent_singles_the_earlier_survives() {
+        // Different Yp lists keep the two constraints apart through merge,
+        // but neither checks anything on its RHS beyond the other.
+        let schema = Schema::builder("cust")
+            .attr("CT", DataType::Str)
+            .attr("AC", DataType::Str)
+            .attr("ZIP", DataType::Str)
+            .build();
+        let set = ConstraintSet::parse(
+            &schema,
+            "cust: [CT] -> [AC] | [ZIP], { {Albany} || _, _ }\n\
+             cust: [CT] -> [AC] | [], { {Albany} || _ }",
+        )
+        .unwrap();
+        assert_eq!(set.len(), 2);
+        assert_eq!(set.subsumed(), &[((1, 0), (0, 0))]);
+        assert_eq!(set.provenance(), vec![(0, 0)]);
     }
 
     #[test]

@@ -18,15 +18,22 @@
 //! solver must be the largest number of constraints of `Σ` one tuple
 //! satisfies. Every witness must satisfy `Σ` (or its reported subset), and
 //! every counterexample must satisfy `Σ` and violate `φ`.
+//!
+//! The same brute force confirms every single `ConstraintSet::compile` drops
+//! as subsumed: on every instance of at most two tuples the dropped single
+//! flags no row its recorded subsumer does not, and the compiled singles flag
+//! exactly the rows of `ConstraintSet::verbatim`'s.
 
 use ecfd_core::implication::{check_implication, ImplicationOptions, ImplicationOutcome};
 use ecfd_core::maxss::{approximate_max_satisfiable, SatisfiabilityVerdict};
 use ecfd_core::satisfaction;
 use ecfd_core::satisfiability::{check_satisfiability, single_tuple_satisfies, SatOptions};
-use ecfd_core::{ECfd, PatternTuple, PatternValue};
+use ecfd_core::{ConstraintSet, ECfd, PatternTuple, PatternValue, ViolationKind};
 use ecfd_logic::MaxGSatSolver;
-use ecfd_relation::{DataType, Domain, Relation, Schema, Tuple, Value};
+use ecfd_relation::{DataType, Domain, Relation, RowId, Schema, Tuple, Value};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const ATTRS: [&str; 3] = ["A", "B", "C"];
 
@@ -97,6 +104,90 @@ fn arb_ecfd() -> impl Strategy<Value = ECfd> {
                 .collect();
             let names = |attrs: &[usize]| attrs.iter().map(|&a| ATTRS[a].to_string()).collect();
             ECfd::new("r", names(&x), names(&y), names(&yp), tableau).expect("well-formed")
+        })
+}
+
+/// The constants of attribute `attr` picked by the nonempty mask `mask`.
+fn picked(attr: usize, mask: usize) -> BTreeSet<Value> {
+    (0..3)
+        .filter(|i| mask & (1 << i) != 0)
+        .map(|i| constant(attr, i))
+        .collect()
+}
+
+/// A cell matching no value `cell` does not: a wildcard may become a set or
+/// a complement, a set a subset, a complement a larger complement or a set
+/// outside it.
+fn narrow(attr: usize, cell: &PatternValue, (kind, mask): (usize, usize)) -> PatternValue {
+    let picked = picked(attr, mask);
+    match cell {
+        PatternValue::Wildcard => match kind {
+            0 => PatternValue::Wildcard,
+            1 => PatternValue::In(picked),
+            _ => PatternValue::NotIn(picked),
+        },
+        PatternValue::In(s) => match s.intersection(&picked).cloned().collect::<BTreeSet<_>>() {
+            sub if sub.is_empty() => cell.clone(),
+            sub => PatternValue::In(sub),
+        },
+        PatternValue::NotIn(s) => match picked.difference(s).cloned().collect::<BTreeSet<_>>() {
+            outside if kind == 1 && !outside.is_empty() => PatternValue::In(outside),
+            _ => PatternValue::NotIn(s.union(&picked).cloned().collect()),
+        },
+    }
+}
+
+/// A cell matching every value `cell` does: a set may grow, become a
+/// complement of values outside it or a wildcard, a complement shrink.
+fn widen(attr: usize, cell: &PatternValue, (kind, mask): (usize, usize)) -> PatternValue {
+    let picked = picked(attr, mask);
+    let or_wildcard = |set: BTreeSet<Value>, cell: fn(BTreeSet<Value>) -> PatternValue| {
+        if set.is_empty() {
+            PatternValue::Wildcard
+        } else {
+            cell(set)
+        }
+    };
+    match cell {
+        PatternValue::Wildcard => PatternValue::Wildcard,
+        PatternValue::In(s) => match kind {
+            0 => PatternValue::In(s.union(&picked).cloned().collect()),
+            1 => PatternValue::Wildcard,
+            _ => or_wildcard(picked.difference(s).cloned().collect(), PatternValue::NotIn),
+        },
+        PatternValue::NotIn(s) => or_wildcard(
+            s.intersection(&picked).cloned().collect(),
+            PatternValue::NotIn,
+        ),
+    }
+}
+
+/// `Σ` with a narrowed copy of one pattern appended to its constraint:
+/// every `X` cell narrowed and every `Y ∪ Yp` cell widened, so that the
+/// pattern it was made from subsumes the copy. Also says whether the copy is
+/// new to its tableau (a repeat is deduped instead).
+fn arb_sigma_with_narrowed_copy() -> impl Strategy<Value = (Vec<ECfd>, bool)> {
+    (
+        proptest::collection::vec(arb_ecfd(), 1..=3),
+        0usize..3,
+        proptest::collection::vec((0usize..3, 1usize..8), 6),
+    )
+        .prop_map(|(mut sigma, which, choices)| {
+            let which = which % sigma.len();
+            let e = &sigma[which];
+            let tp = &e.tableau()[0];
+            let index = |name: &String| ATTRS.iter().position(|a| a == name).expect("attribute");
+            let lhs = (e.lhs().iter().zip(&tp.lhs).zip(&choices))
+                .map(|((a, c), &choice)| narrow(index(a), c, choice));
+            let rhs_attrs = e.fd_rhs().iter().chain(e.pattern_rhs());
+            let rhs = (rhs_attrs.zip(&tp.rhs).zip(&choices[3..]))
+                .map(|((a, c), &choice)| widen(index(a), c, choice));
+            let copy = PatternTuple::new(lhs.collect(), rhs.collect());
+            let is_new = !e.tableau().contains(&copy);
+            let mut tableau = e.tableau().to_vec();
+            tableau.push(copy);
+            sigma[which] = e.with_tableau(tableau).expect("well-formed");
+            (sigma, is_new)
         })
 }
 
@@ -203,5 +294,82 @@ proptest! {
             SatisfiabilityVerdict::Satisfiable
         };
         prop_assert_eq!(maxss.verdict, verdict);
+    }
+}
+
+/// The rows `ecfds` flag `SV` and `MV` on `db`.
+fn flags(db: &Relation, ecfds: &[ECfd]) -> (BTreeSet<RowId>, BTreeSet<RowId>) {
+    let result = satisfaction::check_all(db, ecfds).unwrap();
+    let violations = result.violations();
+    (violations.sv_rows().clone(), violations.mv_rows().clone())
+}
+
+/// Cases of the subsumption property so far, and those where a single was
+/// dropped as subsumed.
+static CASES: AtomicUsize = AtomicUsize::new(0);
+static FIRED: AtomicUsize = AtomicUsize::new(0);
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn every_dropped_single_flags_a_subset_of_its_subsumer(
+        case in arb_sigma_with_narrowed_copy(),
+        finite in (0usize..6, 1usize..16),
+    ) {
+        let (sigma, copy_is_new) = case;
+        let schema = schema(finite);
+        let set = ConstraintSet::compile(&schema, &sigma).unwrap();
+        let verbatim = ConstraintSet::verbatim(&schema, &sigma).unwrap();
+        // The narrowed copy is subsumed by the pattern it was made from, so
+        // unless dedupe removed it, a single was dropped.
+        prop_assert!(!copy_is_new || !set.subsumed().is_empty(), "Σ = {:?}", sigma);
+        let dropped_any = usize::from(!set.subsumed().is_empty());
+        let cases = CASES.fetch_add(1, Ordering::Relaxed) + 1;
+        let fired = FIRED.fetch_add(dropped_any, Ordering::Relaxed) + dropped_any;
+        prop_assert!(cases < 16 || fired * 2 >= cases, "{fired} of {cases} cases dropped a single");
+
+        let compiled_at: BTreeSet<(usize, usize)> = set.provenance().into_iter().collect();
+        let reference: Vec<ECfd> = verbatim.singles().iter().map(|s| s.ecfd.clone()).collect();
+        let tuples = all_tuples(&schema);
+        for i in 0..tuples.len() {
+            for j in i..tuples.len() {
+                let db = if i == j {
+                    instance(&schema, &[&tuples[i]])
+                } else {
+                    instance(&schema, &[&tuples[i], &tuples[j]])
+                };
+                // `check_all` checks every pattern of every constraint on its
+                // own, and each violation carries the (constraint, pattern)
+                // of `ecfds()` that raised it: the indices `subsumed()` and
+                // `provenance()` record.
+                let all = satisfaction::check_all(&db, set.ecfds()).unwrap();
+                let raised = |at: (usize, usize)| -> BTreeSet<(RowId, ViolationKind)> {
+                    (all.violations().violations().iter())
+                        .filter(|v| (v.constraint, v.pattern) == at)
+                        .map(|v| (v.row, v.kind))
+                        .collect()
+                };
+                for &(dropped, kept) in set.subsumed() {
+                    prop_assert!(
+                        raised(dropped).is_subset(&raised(kept)),
+                        "{:?} by {:?} in {:?}",
+                        dropped,
+                        kept,
+                        set.ecfds().iter().map(ToString::to_string).collect::<Vec<_>>()
+                    );
+                }
+                let mut compiled = (BTreeSet::new(), BTreeSet::new());
+                for v in all.violations().violations() {
+                    if compiled_at.contains(&(v.constraint, v.pattern)) {
+                        match v.kind {
+                            ViolationKind::SingleTuple => compiled.0.insert(v.row),
+                            ViolationKind::MultiTuple => compiled.1.insert(v.row),
+                        };
+                    }
+                }
+                prop_assert_eq!(compiled, flags(&db, &reference), "Σ = {:?}", sigma);
+            }
+        }
     }
 }

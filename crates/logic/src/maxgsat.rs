@@ -143,6 +143,10 @@ impl MaxGSatInstance {
     /// not. A conjunct shared by every formula (MAXSS's `φ_R`) makes such
     /// plateaus the norm: from all-false no single flip satisfies a formula,
     /// and from any satisfying tuple every flip breaks the shared conjunct.
+    ///
+    /// The search itself keeps this score up to date flip by flip
+    /// ([`GradedScore`]); this full rescore is the reference it must equal.
+    #[cfg(test)]
     fn graded_score(&self, assignment: &Assignment) -> (usize, usize) {
         self.formulas
             .iter()
@@ -276,6 +280,7 @@ impl MaxGSatInstance {
     fn solve_local_search(&self, restarts: usize, max_flips: usize, seed: u64) -> MaxGSatOutcome {
         let mut rng = StdRng::seed_from_u64(seed);
         let vars = self.occurring_vars();
+        let mut graded = GradedScore::new(self);
         let mut best: Option<((usize, usize), Assignment)> = None;
         for restart in 0..restarts.max(1) {
             let mut current = if restart == 0 {
@@ -285,35 +290,30 @@ impl MaxGSatInstance {
             } else {
                 self.random_assignment(&mut rng)
             };
-            let mut current_score = self.graded_score(&current);
+            graded.reset(&current);
             for _ in 0..max_flips {
-                if current_score.0 == self.formulas.len() {
+                if graded.score.0 == self.formulas.len() {
                     break;
                 }
                 // Find the best single flip.
                 let mut best_flip: Option<((usize, usize), VarId)> = None;
                 for &var in &vars {
-                    current.flip(var);
-                    let score = self.graded_score(&current);
-                    current.flip(var);
-                    if score > current_score && best_flip.map(|(s, _)| score > s).unwrap_or(true) {
+                    let score = graded.score_flipped(&mut current, var);
+                    if score > graded.score && best_flip.map(|(s, _)| score > s).unwrap_or(true) {
                         best_flip = Some((score, var));
                     }
                 }
                 match best_flip {
-                    Some((score, var)) => {
-                        current.flip(var);
-                        current_score = score;
-                    }
+                    Some((_, var)) => graded.flip(&mut current, var),
                     None => break, // local optimum
                 }
             }
             if best
                 .as_ref()
-                .map(|(s, _)| current_score > *s)
+                .map(|(s, _)| graded.score > *s)
                 .unwrap_or(true)
             {
-                best = Some((current_score, current));
+                best = Some((graded.score, current));
             }
             if let Some((s, _)) = &best {
                 if s.0 == self.formulas.len() {
@@ -323,6 +323,112 @@ impl MaxGSatInstance {
         }
         let (_, assignment) = best.expect("at least one restart ran");
         self.outcome(assignment, false)
+    }
+}
+
+/// [`MaxGSatInstance::graded_score`] maintained under single flips: per
+/// formula the number of its top-level conjuncts the assignment satisfies,
+/// and per variable the conjuncts that mention it, so scoring or taking a
+/// flip re-evaluates only the conjuncts of the flipped variable.
+struct GradedScore<'a> {
+    /// Every top-level conjunct with its formula, formula by formula.
+    conjuncts: Vec<(usize, &'a BoolExpr)>,
+    /// Per formula, its number of top-level conjuncts.
+    sizes: Vec<usize>,
+    /// Per conjunct, whether the assignment satisfies it.
+    holds: Vec<bool>,
+    /// Per formula, its number of satisfied conjuncts.
+    met: Vec<usize>,
+    /// Per variable, the conjuncts that mention it, in ascending order.
+    mentions: Vec<Vec<usize>>,
+    /// The graded score of the assignment.
+    score: (usize, usize),
+}
+
+impl<'a> GradedScore<'a> {
+    fn new(instance: &'a MaxGSatInstance) -> Self {
+        let mut conjuncts = Vec::new();
+        let mut sizes = Vec::with_capacity(instance.formulas.len());
+        for (fi, f) in instance.formulas.iter().enumerate() {
+            let parts = match f {
+                BoolExpr::And(es) => es.as_slice(),
+                _ => std::slice::from_ref(f),
+            };
+            sizes.push(parts.len());
+            conjuncts.extend(parts.iter().map(|e| (fi, e)));
+        }
+        let mut mentions = vec![Vec::new(); instance.num_vars];
+        for (ci, (_, e)) in conjuncts.iter().enumerate() {
+            for var in e.vars() {
+                if mentions.len() <= var.index() {
+                    mentions.resize(var.index() + 1, Vec::new());
+                }
+                mentions[var.index()].push(ci);
+            }
+        }
+        GradedScore {
+            holds: vec![false; conjuncts.len()],
+            met: vec![0; sizes.len()],
+            conjuncts,
+            sizes,
+            mentions,
+            score: (0, 0),
+        }
+    }
+
+    /// Re-evaluates every conjunct under `assignment`.
+    fn reset(&mut self, assignment: &Assignment) {
+        self.met.iter_mut().for_each(|m| *m = 0);
+        for (ci, (fi, e)) in self.conjuncts.iter().enumerate() {
+            self.holds[ci] = e.eval(assignment);
+            self.met[*fi] += usize::from(self.holds[ci]);
+        }
+        let formulas = (self.met.iter().zip(&self.sizes))
+            .filter(|(met, size)| met == size)
+            .count();
+        self.score = (formulas, self.holds.iter().filter(|h| **h).count());
+    }
+
+    /// The graded score `assignment` would have with `var` flipped; leaves
+    /// `assignment` as it was.
+    fn score_flipped(&self, assignment: &mut Assignment, var: VarId) -> (usize, usize) {
+        assignment.flip(var);
+        let (mut formulas, mut conjuncts) = self.score;
+        let mentions = &self.mentions[var.index()];
+        let mut i = 0;
+        while i < mentions.len() {
+            // One formula's conjuncts are adjacent in `mentions`.
+            let fi = self.conjuncts[mentions[i]].0;
+            let (mut gained, mut lost) = (0, 0);
+            while let Some(&ci) = mentions.get(i).filter(|&&ci| self.conjuncts[ci].0 == fi) {
+                match (self.holds[ci], self.conjuncts[ci].1.eval(assignment)) {
+                    (false, true) => gained += 1,
+                    (true, false) => lost += 1,
+                    _ => {}
+                }
+                i += 1;
+            }
+            let (met, size) = (self.met[fi], self.sizes[fi]);
+            let now = met + gained - lost;
+            formulas = formulas + usize::from(now == size) - usize::from(met == size);
+            conjuncts = conjuncts + gained - lost;
+        }
+        assignment.flip(var);
+        (formulas, conjuncts)
+    }
+
+    /// Flips `var` in `assignment` and updates the maintained counts.
+    fn flip(&mut self, assignment: &mut Assignment, var: VarId) {
+        self.score = self.score_flipped(assignment, var);
+        assignment.flip(var);
+        for &ci in &self.mentions[var.index()] {
+            let (fi, e) = self.conjuncts[ci];
+            let now = e.eval(assignment);
+            if now != self.holds[ci] {
+                self.holds[ci] = now;
+                self.met[fi] = self.met[fi] + usize::from(now) - usize::from(!now);
+            }
+        }
     }
 }
 
@@ -560,6 +666,49 @@ mod tests {
                     approx * 2 >= opt,
                     "solver {solver:?}: {approx} satisfied vs optimum {opt}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn the_maintained_score_equals_a_full_rescore_after_every_flip() {
+        // Formulas with several, no, repeated and nested conjuncts: every
+        // predicted flip score and the score maintained after the flip equal
+        // what `graded_score` recomputes from scratch.
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(5);
+        for trial in 0..10 {
+            let n_vars = 3 + trial % 4;
+            let lit = |rng: &mut StdRng| {
+                let v = BoolExpr::var(VarId(rng.gen_range(0..n_vars)));
+                if rng.gen_bool(0.5) {
+                    v
+                } else {
+                    v.not()
+                }
+            };
+            let formulas: Vec<BoolExpr> = (0..8)
+                .map(|_| match rng.gen_range(0..3) {
+                    0 => BoolExpr::And(
+                        (0..rng.gen_range(0..4))
+                            .map(|_| BoolExpr::Or(vec![lit(&mut rng), lit(&mut rng)]))
+                            .collect(),
+                    ),
+                    1 => BoolExpr::And(vec![lit(&mut rng), lit(&mut rng), lit(&mut rng)]),
+                    _ => BoolExpr::Or(vec![lit(&mut rng), lit(&mut rng)]),
+                })
+                .collect();
+            let inst = MaxGSatInstance::new(n_vars, formulas);
+            let mut current = inst.random_assignment(&mut rng);
+            let mut graded = GradedScore::new(&inst);
+            graded.reset(&current);
+            assert_eq!(graded.score, inst.graded_score(&current));
+            for _ in 0..20 {
+                let var = VarId(rng.gen_range(0..n_vars));
+                let predicted = graded.score_flipped(&mut current, var);
+                graded.flip(&mut current, var);
+                assert_eq!(graded.score, predicted);
+                assert_eq!(graded.score, inst.graded_score(&current));
             }
         }
     }

@@ -103,7 +103,9 @@ impl Plan {
     /// Renders the plan as deterministic, line-oriented text — the payload
     /// of the serving layer's `EXPLAIN PLAN` verb. The output is a pure
     /// function of the constraint set and plan mode: suitable for snapshot
-    /// tests and CI artifacts.
+    /// tests and CI artifacts. After the scans, one `subsumed cA.pB by
+    /// cC.pD` line per pattern [`ConstraintSet::subsumed`] dropped says why
+    /// that pattern raises no evidence of its own.
     pub fn render(&self) -> String {
         let schema = self.set.schema();
         let names = |ids: &[AttrId]| {
@@ -138,6 +140,12 @@ impl Plan {
                     names(&op.check),
                 );
             }
+        }
+        for ((constraint, pattern), (by_constraint, by_pattern)) in self.set.subsumed() {
+            let _ = writeln!(
+                out,
+                "subsumed c{constraint}.p{pattern} by c{by_constraint}.p{by_pattern}"
+            );
         }
         out
     }
@@ -177,6 +185,27 @@ mod tests {
         );
         // Re-compiling yields byte-identical text.
         assert_eq!(Plan::compile(&set()).unwrap().render(), text);
+    }
+
+    #[test]
+    fn render_names_each_subsumed_pattern_and_its_subsumer() {
+        // Troy's pattern is a narrower copy of the catch-all `!{NYC}` one
+        // (narrower CT cell, wider AC cell), so it gets no flag operator.
+        let set = ConstraintSet::parse(
+            set().schema(),
+            "cust: [CT] -> [AC] | [], { !{NYC} || {518} ; {Troy} || {518, 315} }\n\
+             cust: [AC] -> [] | [CT], { {212} || {NYC} }",
+        )
+        .unwrap();
+        assert_eq!(
+            Plan::compile(&set).unwrap().render(),
+            "plan table=cust mode=fused singles=2 scans=2\n\
+             scan[0] x=[CT]\n\
+             \x20 flag c0.p0 check=[AC] group=[AC]\n\
+             scan[1] x=[AC]\n\
+             \x20 flag c1.p0 check=[CT] group=-\n\
+             subsumed c0.p1 by c0.p0\n"
+        );
     }
 
     #[test]

@@ -32,8 +32,8 @@
 //!   constraints yet.
 //! * **Registered** — [`Session::register`] compiled constraints for it
 //!   with [`ecfd_core::ConstraintSet::compile`] (validate → merge → dedupe
-//!   → split, no options); both backends are built from the one compiled
-//!   set.
+//!   → split → drop subsumed, no options); both backends are built from the
+//!   one compiled set.
 //! * **Detected** — a detection result (flags + evidence) is cached and
 //!   describes the current table contents. [`Session::detect`],
 //!   [`Session::explain`] and [`Session::apply`] land here.

@@ -220,8 +220,8 @@ impl Session {
     /// [`ConstraintSet`] registry. Constraints are grouped by the relation
     /// they name (which must already be loaded); registering more constraints
     /// for a relation extends its set, and the union is recompiled with
-    /// [`ConstraintSet::compile`] (validate → merge → dedupe → split) so
-    /// duplicates collapse.
+    /// [`ConstraintSet::compile`] (validate → merge → dedupe → split → drop
+    /// subsumed) so duplicates collapse.
     /// Invalidates cached detection state for every touched relation.
     /// Registration is atomic: if any constraint fails to compile, no
     /// relation's set changes.

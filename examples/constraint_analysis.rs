@@ -69,7 +69,7 @@ fn main() {
     // cover of the satisfiable subset, split to one pattern tuple per
     // constraint, drops the redundant constraint; the cover is then compiled
     // by the pipeline behind `Session::register` (validate → merge → dedupe
-    // → split).
+    // → split → drop subsumed singles).
     let keep: Vec<ECfd> = outcome
         .satisfiable_subset
         .iter()

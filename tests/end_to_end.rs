@@ -187,7 +187,8 @@ fn compile_and_verbatim_sizes_are_pinned() {
     // (constraints, singles) per entry point on the workload and on its
     // variants with φ1's tableau scaled to |Tp| = 10, 40 and 160. `compile`
     // merges the two constraints that share X, Y and Yp and dedupes repeated
-    // pattern tuples; `verbatim` keeps the list as given.
+    // pattern tuples, then drops the singles another single subsumes (the
+    // scaled tableau's narrow patterns); `verbatim` keeps the list as given.
     let schema = ecfd::datagen::cust_schema();
     let sets = [
         workload_constraints(),
@@ -205,7 +206,7 @@ fn compile_and_verbatim_sizes_are_pinned() {
     };
     assert_eq!(
         sizes(ConstraintSet::compile),
-        [(9, 11), (9, 18), (9, 38), (9, 125)]
+        [(9, 11), (9, 12), (9, 13), (9, 33)]
     );
     assert_eq!(
         sizes(ConstraintSet::verbatim),

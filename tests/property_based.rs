@@ -127,15 +127,60 @@ fn arb_family_ecfd() -> impl Strategy<Value = ECfd> {
         })
 }
 
-/// 1–3 random eCFDs plus 1–2 merge-compatible duplicates: a copy of one of
-/// them, whole or with just one of its pattern tuples. Every such Σ gives
-/// `ConstraintSet::compile` something to merge and something to dedupe.
+/// A pattern tuple of `e` comparable to `tp` under subsumption but not equal
+/// to it: `tp` with every `X` cell narrowed (a wildcard to one value, a set
+/// to its least value, a complement to a larger complement) and the
+/// `Y ∪ Yp` cells `widen` picks turned into wildcards; or, where that
+/// changes nothing, `tp` with every `X` cell widened to a wildcard.
+fn comparable_copy(e: &ECfd, tp: &PatternTuple, pick: usize, widen: &[bool]) -> PatternTuple {
+    let values = |name: &str| ATTRS.iter().find(|(a, _)| *a == name).expect("attribute").1;
+    let lhs = (e.lhs().iter().zip(&tp.lhs))
+        .map(|(attr, cell)| {
+            let values = values(attr);
+            match cell {
+                PatternValue::Wildcard => PatternValue::in_set([values[pick % values.len()]]),
+                PatternValue::In(s) => PatternValue::In(s.iter().take(1).cloned().collect()),
+                PatternValue::NotIn(s) => {
+                    let outside = values.iter().find(|v| !s.contains(&Value::from(**v)));
+                    PatternValue::NotIn(
+                        s.iter()
+                            .cloned()
+                            .chain(outside.map(|v| Value::from(*v)))
+                            .collect(),
+                    )
+                }
+            }
+        })
+        .collect();
+    let rhs = (tp.rhs.iter().zip(widen.iter().cycle()))
+        .map(|(cell, &widen)| {
+            if widen {
+                PatternValue::Wildcard
+            } else {
+                cell.clone()
+            }
+        })
+        .collect();
+    let copy = PatternTuple::new(lhs, rhs);
+    if copy != *tp {
+        return copy;
+    }
+    PatternTuple::new(vec![PatternValue::Wildcard; tp.lhs.len()], tp.rhs.clone())
+}
+
+/// 1–3 random eCFDs plus 1–2 merge-compatible duplicates — a copy of one of
+/// them, whole or with just one of its pattern tuples — and one comparable
+/// copy ([`comparable_copy`]) of one of their pattern tuples. Every such Σ
+/// gives `ConstraintSet::compile` something to merge, something to dedupe
+/// and a single to drop as subsumed.
 fn arb_family() -> impl Strategy<Value = Vec<ECfd>> {
     (
         proptest::collection::vec(arb_family_ecfd(), 1..4),
         proptest::collection::vec((0..3usize, 0..3usize, any::<bool>(), 0..5usize), 1..3),
+        (0..3usize, 0..3usize, 0..5usize, 0..5usize),
+        proptest::collection::vec(any::<bool>(), 3),
     )
-        .prop_map(|(mut sigma, copies)| {
+        .prop_map(|(mut sigma, copies, (which, row, pick, at), widen)| {
             for (which, row, whole, at) in copies {
                 let original = &sigma[which % sigma.len()];
                 let tableau = original.tableau();
@@ -148,6 +193,12 @@ fn arb_family() -> impl Strategy<Value = Vec<ECfd>> {
                 };
                 sigma.insert(at % (sigma.len() + 1), copy);
             }
+            let original = &sigma[which % sigma.len()];
+            let tp = &original.tableau()[row % original.tableau().len()];
+            let copy = original
+                .with_tableau(vec![comparable_copy(original, tp, pick, &widen)])
+                .expect("a comparable copy of a valid pattern tuple is valid");
+            sigma.insert(at % (sigma.len() + 1), copy);
             sigma
         })
 }
@@ -303,8 +354,8 @@ proptest! {
         prop_assert!(recheck.is_clean());
     }
 
-    /// The compile pipeline keeps flags on every family: the merged and
-    /// deduped set (`ConstraintSet::compile`), the verbatim one
+    /// The compile pipeline keeps flags on every family: the merged, deduped
+    /// and subsumption-free set (`ConstraintSet::compile`), the verbatim one
     /// (`SemanticDetector::new`) and a default `Session` flag the same rows,
     /// and all three agree with the reference semantics.
     #[test]
@@ -319,6 +370,7 @@ proptest! {
         prop_assert!(set.len() < sigma.len(), "nothing merged");
         let registered: usize = sigma.iter().map(|e| e.tableau().len()).sum();
         prop_assert!(set.num_patterns() < registered, "nothing deduped");
+        prop_assert!(!set.subsumed().is_empty(), "nothing subsumed");
 
         let compiled = SemanticDetector::from_set(&set).detect(&data).unwrap();
         let verbatim = SemanticDetector::new(&schema, &sigma).unwrap().detect(&data).unwrap();

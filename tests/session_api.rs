@@ -4,7 +4,7 @@
 //! deltas), backend auto-routing, and the session-driven detect → explain →
 //! repair → re-verify pipeline.
 
-use ecfd::datagen::constraints::workload_constraints;
+use ecfd::datagen::constraints::{workload_constraints, workload_with_scaled_constraint};
 use ecfd::datagen::{generate, generate_delta, CustConfig, UpdateConfig};
 use ecfd::prelude::*;
 
@@ -156,6 +156,28 @@ fn session_repair_cleans_generated_workloads_end_to_end() {
     assert!(session.report().unwrap().is_clean());
     for kind in BackendKind::ALL {
         assert!(session.detect_with(kind).unwrap().is_clean(), "{kind}");
+    }
+}
+
+/// A default session detects with the compiled cover of the scaled tableau,
+/// without the singles another single subsumes, and flags exactly the rows
+/// the verbatim detector flags with every pattern.
+#[test]
+fn a_default_session_flags_what_the_verbatim_tableau_flags() {
+    let (data, _) = workload(2000, 5.0, 42);
+    for tp in [10, 40, 160] {
+        let constraints = workload_with_scaled_constraint(tp, 42);
+        let verbatim = SemanticDetector::new(data.schema(), &constraints)
+            .unwrap()
+            .detect(&data)
+            .unwrap();
+        assert!(!verbatim.is_clean());
+        let mut session = Session::new();
+        session.load(data.clone()).unwrap();
+        session.register(&constraints).unwrap();
+        let set = session.constraints("cust").unwrap();
+        assert!(!set.subsumed().is_empty(), "|Tp| = {tp}");
+        assert_eq!(session.detect().unwrap(), verbatim, "|Tp| = {tp}");
     }
 }
 
