@@ -1,15 +1,13 @@
 //! Criterion microbenchmarks for the static analyses of Sections III–IV:
 //! exact satisfiability, exact implication (one redundancy check and the
-//! minimal cover over the workload's single-pattern constraints), and MAXSS
-//! through MAXGSAT (including a comparison of the MAXGSAT solvers, the exact
-//! one among them).
+//! minimal cover over the workload's single-pattern constraints), exact
+//! MAXSS, and MAXGSAT's exhaustive solver on the reduction's `f(Σ)`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ecfd_core::normalize::split_patterns;
-use ecfd_core::{implication, maxss, satisfiability, ECfd};
+use ecfd_core::{implication, maxss, parse_ecfd, satisfiability, ECfd};
 use ecfd_datagen::constraints::{workload_constraints, workload_with_scaled_constraint};
 use ecfd_datagen::cust_schema;
-use ecfd_logic::MaxGSatSolver;
 use std::time::Duration;
 
 fn bench_satisfiability(c: &mut Criterion) {
@@ -20,41 +18,38 @@ fn bench_satisfiability(c: &mut Criterion) {
     let schema = cust_schema();
     let constraints = workload_constraints();
     for n in [2usize, 5, 10] {
-        let subset = &constraints[..n];
         group.bench_with_input(BenchmarkId::new("exact", n), &n, |b, _| {
-            b.iter(|| satisfiability::is_satisfiable(&schema, subset).unwrap());
-        });
-        group.bench_with_input(BenchmarkId::new("maxgsat_approx", n), &n, |b, _| {
-            b.iter(|| {
-                maxss::approximate_max_satisfiable(
-                    &schema,
-                    subset,
-                    MaxGSatSolver::LocalSearch {
-                        restarts: 4,
-                        max_flips: 100,
-                    },
-                    42,
-                )
-                .unwrap()
-            });
+            b.iter(|| satisfiability::is_satisfiable(&schema, &constraints[..n]).unwrap());
         });
     }
-    // The |Tp| = 160 tableau: 89 variables in f(Σ), past the exhaustive
-    // solver's limit.
-    let tp160 = workload_with_scaled_constraint(160, 42);
-    group.bench_function(BenchmarkId::new("maxgsat_approx", "tp160"), |b| {
-        b.iter(|| {
-            maxss::approximate_max_satisfiable(
-                &schema,
-                &tp160,
-                MaxGSatSolver::LocalSearch {
-                    restarts: 4,
-                    max_flips: 100,
-                },
-                42,
-            )
-            .unwrap()
+    group.finish();
+}
+
+fn bench_maxss(c: &mut Criterion) {
+    let mut group = c.benchmark_group("maxss");
+    group.sample_size(10);
+    group.warm_up_time(Duration::from_millis(500));
+    group.measurement_time(Duration::from_secs(2));
+    let schema = cust_schema();
+    let constraints = workload_constraints();
+    for n in [2usize, 5, 10] {
+        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
+            b.iter(|| maxss::max_satisfiable(&schema, &constraints[..n]).unwrap());
         });
+    }
+    // The |Tp| = 160 tableau (89 variables in f(Σ)), satisfiable, and with a
+    // conflicting pair added (|Σ| = 12, 11 kept): the search fails with no
+    // constraint broken, then succeeds with one.
+    let mut tp160 = workload_with_scaled_constraint(160, 42);
+    group.bench_function("tp160", |b| {
+        b.iter(|| maxss::max_satisfiable(&schema, &tp160).unwrap());
+    });
+    tp160.extend(
+        ["{518}", "{212}"]
+            .map(|ac| parse_ecfd(&format!("cust: [CT] -> [] | [AC], {{ _ || {ac} }}")).unwrap()),
+    );
+    group.bench_function("tp160_unsat", |b| {
+        b.iter(|| maxss::max_satisfiable(&schema, &tp160).unwrap());
     });
     group.finish();
 }
@@ -105,30 +100,18 @@ fn bench_maxgsat_solvers(c: &mut Criterion) {
     let schema = cust_schema();
     let constraints = workload_constraints();
     let encoding = maxss::MaxSsEncoding::build(&schema, &constraints).unwrap();
-    // f(Σ) has one variable per value class: 14 on the workload, so the
-    // exhaustive solver runs too.
-    for (name, solver) in [
-        ("exhaustive", MaxGSatSolver::Exhaustive),
-        ("random", MaxGSatSolver::RandomSampling { samples: 50 }),
-        ("greedy", MaxGSatSolver::GreedyConditional { samples: 20 }),
-        (
-            "local_search",
-            MaxGSatSolver::LocalSearch {
-                restarts: 4,
-                max_flips: 100,
-            },
-        ),
-    ] {
-        group.bench_function(name, |b| {
-            b.iter(|| encoding.instance().solve(solver, 42));
-        });
-    }
+    // f(Σ) has one variable per value class: 14 on the workload, within the
+    // exhaustive solver's limit.
+    group.bench_function("exhaustive", |b| {
+        b.iter(|| encoding.instance().solve_exhaustive());
+    });
     group.finish();
 }
 
 criterion_group!(
     benches,
     bench_satisfiability,
+    bench_maxss,
     bench_implication,
     bench_maxgsat_solvers
 );

@@ -84,7 +84,7 @@ pub fn check_implication(
 
     let mut budget = options.node_budget;
     let mut run = |goal| {
-        small_model::search(schema, sigma, goal, &mut budget).map_err(|_| {
+        small_model::search(schema, sigma, goal, 0, &mut budget).map_err(|_| {
             let what = "implication search exceeded its node budget of";
             CoreError::AnalysisBudgetExceeded(format!("{what} {}", options.node_budget))
         })

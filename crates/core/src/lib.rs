@@ -19,13 +19,17 @@
 //! * a concrete textual syntax and parser ([`parse_ecfd`], [`parse_ecfds`]);
 //! * the matching and satisfaction semantics of Section II
 //!   ([`satisfaction::check`], [`satisfaction::check_all`]);
-//! * the static analyses of Section III: exact satisfiability
-//!   ([`satisfiability::is_satisfiable`]) and exact implication
-//!   ([`implication::implies`]), both thin callers of one small-model search
+//! * the static analyses of Sections III and IV: exact satisfiability
+//!   ([`satisfiability::is_satisfiable`]), exact implication
+//!   ([`implication::implies`]) and exact MAXSS
+//!   ([`maxss::max_satisfiable`]), all thin callers of one small-model search
 //!   over per-attribute value classes (one tuple for satisfiability, at most
-//!   two for an implication counterexample);
-//! * the MAXSS → MAXGSAT reduction of Section IV ([`maxss`]), with `f(Σ)`
-//!   over the same value classes, one variable per class;
+//!   two for an implication counterexample, one that breaks as few
+//!   constraints as possible for MAXSS);
+//! * the MAXSS → MAXGSAT reduction of Section IV
+//!   ([`maxss::MaxSsEncoding`]), with `f(Σ)` over the same value classes,
+//!   one variable per class, kept as a tested claim: its exhaustive optimum
+//!   equals the search's;
 //! * compiled constraint sets ([`ConstraintSet`]): one pipeline with no
 //!   switches whose output every detector backend shares, entered through
 //!   [`ConstraintSet::compile`] (validate → merge → dedupe → split → drop

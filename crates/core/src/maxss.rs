@@ -1,61 +1,65 @@
-//! The MAXSS → MAXGSAT approximation-preserving reduction (Section IV).
+//! MAXSS, the maximum satisfiable subset problem of Section IV, and the
+//! paper's reduction of it to MAXGSAT.
 //!
 //! Because eCFD satisfiability is NP-complete, the paper considers the
 //! *maximum satisfiable subset* problem (MAXSS): given `Σ`, find a largest
-//! subset that is satisfiable. Section IV gives an approximation-factor
-//! preserving reduction to MAXGSAT consisting of two polynomial functions:
+//! subset that is satisfiable. By the small model property a subset is
+//! satisfiable exactly when one tuple satisfies it, so MAXSS asks for one
+//! tuple that violates as few constraints of `Σ` as possible.
 //!
-//! * `f(Σ)` builds one Boolean formula per constraint, over variables
-//!   `x(A, r)` meaning "the witness tuple's attribute `A` lies in the value
-//!   class represented by `r`". The classes are those of the small-model
-//!   search behind the exact deciders: per attribute, the constants that
-//!   every cell of `Σ` contains both or neither of, plus the values outside
-//!   every constant, one representative each. Each formula is
-//!   `χ(φ) ∧ φ_R`, where `φ_R` forces each attribute into exactly one class,
-//!   and `χ(φ)` encodes "the single-tuple instance `{t}` satisfies `φ`": for
-//!   every pattern tuple, either some LHS attribute fails to match or every
-//!   RHS attribute matches. A cell is the disjunction of the `x(A, r)` whose
-//!   representative `r` it matches.
-//! * `g(Φ_m)` maps a truth assignment back to a tuple `t` of representatives
-//!   and returns the set of constraints actually satisfied by `{t}` — which
-//!   is, by construction, at least as large as the set of satisfied formulas.
+//! * **The exact search decides.** [`max_satisfiable`] runs the small-model
+//!   search of the exact deciders, letting the tuple violate at most `k`
+//!   constraints, for `k = 0, 1, …`. The first `k` at which a tuple exists
+//!   gives the optimum `|Σ| − k`, and the search that failed at `k − 1` is
+//!   its proof; `k = 0` is
+//!   [`check_satisfiability`](crate::satisfiability::check_satisfiability).
+//!   So the verdict is always proven: `Satisfiable` at `k = 0`,
+//!   `Unsatisfiable` above. All the searches share one node budget, that of
+//!   [`SatOptions::default`].
+//! * **The reduction stays, as a tested claim.** `f(Σ)`
+//!   ([`MaxSsEncoding::build`]) builds one Boolean formula per constraint,
+//!   over variables `x(A, r)` meaning "the witness tuple's attribute `A`
+//!   lies in the value class represented by `r`". The classes are those of
+//!   the search: per attribute, the constants that every cell of `Σ`
+//!   contains both or neither of, plus the values outside every constant,
+//!   one representative each. Each formula is `χ(φ) ∧ φ_R`, where `φ_R`
+//!   forces each attribute into exactly one class, and `χ(φ)` encodes "the
+//!   single-tuple instance `{t}` satisfies `φ`": for every pattern tuple,
+//!   either some LHS attribute fails to match or every RHS attribute
+//!   matches. A cell is the disjunction of the `x(A, r)` whose
+//!   representative `r` it matches. `g(Φ_m)`
+//!   ([`MaxSsEncoding::satisfied_constraints`]) maps a truth assignment back
+//!   to a tuple `t` of representatives and returns the constraints `{t}`
+//!   satisfies, at least as many as the satisfied formulas.
 //!
 //! No cell tells two members of a class apart, so `x(A, r)` stands for the
-//! whole class and the optimum is kept: a tuple satisfies exactly the
-//! constraints its tuple of representatives satisfies, so the largest number
-//! of formulas one assignment satisfies is the largest number of constraints
+//! whole class and the reduction keeps the optimum: the largest number of
+//! formulas one assignment satisfies is the largest number of constraints
 //! one tuple satisfies. With `f` and `g` polynomial and `|g(Φ_m)| ≥ |Φ_m|`,
-//! running any MAXGSAT approximation algorithm between them yields a MAXSS
-//! approximation with the same factor.
-//!
-//! The verdict asks for proof either way: `Σ` is satisfiable when `g`'s
-//! witness satisfies all of it, and unsatisfiable only when the solver
-//! proves its answer optimal ([`MaxGSatSolver::Exhaustive`]) and it falls
-//! short. The paper's `(1 − ε)·|Σ|` rule needs a solver with a proven
-//! approximation factor, and none of the heuristic solvers has one; their
-//! shortfalls are [`SatisfiabilityVerdict::Unknown`].
+//! the paper runs MAXGSAT approximation algorithms between them. Here that
+//! route is a fidelity check, not the decider: an approximation algorithm
+//! proves no optimum, so its shortfall can never say "unsatisfiable", while
+//! the search over the same classes proves its optimum outright.
+//! [`MaxSsEncoding::solve`] runs MAXGSAT's exhaustive solver on `f(Σ)`, up
+//! to its variable limit, and the tests check that its optimum equals the
+//! search's.
 
 use crate::ecfd::ECfd;
 use crate::error::{CoreError, Result};
 use crate::pattern::PatternValue;
-use crate::satisfiability::single_tuple_satisfies;
-use crate::small_model::ValueClasses;
-use ecfd_logic::{
-    Assignment, BoolExpr, MaxGSatInstance, MaxGSatOutcome, MaxGSatSolver, VarId, VarPool,
-};
+use crate::satisfiability::{single_tuple_satisfies, SatOptions};
+use crate::small_model::{self, Goal, ValueClasses};
+use ecfd_logic::{Assignment, BoolExpr, MaxGSatInstance, MaxGSatOutcome, VarId, VarPool};
 use ecfd_relation::{Schema, Tuple};
 use serde::{Deserialize, Serialize};
 
-/// The three-way conclusion drawn from a MAXSS answer.
+/// What a MAXSS answer proves about the whole set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SatisfiabilityVerdict {
     /// The witness satisfies every constraint: `Σ` is satisfiable.
     Satisfiable,
-    /// The solver proved its answer optimal and it falls short of `|Σ|`:
-    /// `Σ` is unsatisfiable.
+    /// No tuple satisfies every constraint: `Σ` is unsatisfiable.
     Unsatisfiable,
-    /// A heuristic solver fell short: the analysis cannot decide.
-    Unknown,
 }
 
 /// The MAXGSAT encoding `f(Σ)` of a constraint set, plus the bookkeeping
@@ -81,8 +85,6 @@ pub struct MaxSsOutcome {
     pub witness: Tuple,
     /// What the subset proves about the whole set.
     pub verdict: SatisfiabilityVerdict,
-    /// Raw MAXGSAT outcome (for diagnostics / experiments).
-    pub gsat_satisfied: usize,
 }
 
 impl MaxSsEncoding {
@@ -192,63 +194,74 @@ impl MaxSsEncoding {
     /// eCFD semantics.
     pub fn satisfied_constraints(&self, assignment: &Assignment) -> Result<(Vec<usize>, Tuple)> {
         let tuple = self.tuple_from_assignment(assignment);
-        let mut satisfied = Vec::new();
-        for (i, ecfd) in self.ecfds.iter().enumerate() {
-            if single_tuple_satisfies(&self.schema, std::slice::from_ref(ecfd), &tuple)? {
-                satisfied.push(i);
-            }
-        }
-        Ok((satisfied, tuple))
+        Ok((satisfied_by(&self.schema, &self.ecfds, &tuple)?, tuple))
     }
 
-    /// Runs a MAXGSAT solver on the encoding and maps the result back through
-    /// `g`. [`MaxGSatSolver::Exhaustive`] is refused with
-    /// [`CoreError::AnalysisBudgetExceeded`] when the encoding has more
-    /// variables than it enumerates.
-    pub fn solve(
-        &self,
-        solver: MaxGSatSolver,
-        seed: u64,
-    ) -> Result<(MaxGSatOutcome, Vec<usize>, Tuple)> {
+    /// Runs MAXGSAT's exhaustive solver on the encoding and maps its optimum
+    /// back through `g`. An encoding of more variables than the solver
+    /// enumerates is refused with [`CoreError::AnalysisBudgetExceeded`].
+    pub fn solve(&self) -> Result<(MaxGSatOutcome, Vec<usize>, Tuple)> {
         let (vars, limit) = (
             self.instance.num_vars(),
             MaxGSatInstance::EXHAUSTIVE_MAX_VARS,
         );
-        if solver == MaxGSatSolver::Exhaustive && vars > limit {
+        if vars > limit {
             return Err(CoreError::AnalysisBudgetExceeded(format!(
                 "exhaustive MAXGSAT is limited to {limit} variables; f(Σ) has {vars}"
             )));
         }
-        let outcome = self.instance.solve(solver, seed);
+        let outcome = self.instance.solve_exhaustive();
         let (satisfied, tuple) = self.satisfied_constraints(&outcome.assignment)?;
         Ok((outcome, satisfied, tuple))
     }
 }
 
-/// MAXSS through the reduction: runs the given MAXGSAT solver on `f(Σ)`,
-/// maps its answer back through `g`, and draws the verdict that answer
-/// proves (see the module docs).
-pub fn approximate_max_satisfiable(
-    schema: &Schema,
-    ecfds: &[ECfd],
-    solver: MaxGSatSolver,
-    seed: u64,
-) -> Result<MaxSsOutcome> {
-    let encoding = MaxSsEncoding::build(schema, ecfds)?;
-    let (gsat, satisfied, witness) = encoding.solve(solver, seed)?;
-    let verdict = if satisfied.len() == ecfds.len() {
-        SatisfiabilityVerdict::Satisfiable
-    } else if gsat.proven_optimal {
-        SatisfiabilityVerdict::Unsatisfiable
-    } else {
-        SatisfiabilityVerdict::Unknown
-    };
-    Ok(MaxSsOutcome {
-        satisfiable_subset: satisfied,
-        witness,
-        verdict,
-        gsat_satisfied: gsat.num_satisfied(),
-    })
+/// The indices of the constraints the single-tuple instance `{tuple}`
+/// satisfies.
+fn satisfied_by(schema: &Schema, ecfds: &[ECfd], tuple: &Tuple) -> Result<Vec<usize>> {
+    let mut satisfied = Vec::new();
+    for (i, ecfd) in ecfds.iter().enumerate() {
+        if single_tuple_satisfies(schema, std::slice::from_ref(ecfd), tuple)? {
+            satisfied.push(i);
+        }
+    }
+    Ok(satisfied)
+}
+
+/// MAXSS, exactly: a largest satisfiable subset of `ecfds`, its one-tuple
+/// witness and the verdict it proves (see the module docs). Fails with
+/// [`CoreError::AnalysisBudgetExceeded`] when the searches exhaust
+/// [`SatOptions::default`]'s node budget.
+pub fn max_satisfiable(schema: &Schema, ecfds: &[ECfd]) -> Result<MaxSsOutcome> {
+    for e in ecfds {
+        e.validate_against(schema)?;
+    }
+    let limit = SatOptions::default().node_budget;
+    let mut budget = limit;
+    for broken in 0..=ecfds.len() {
+        let found =
+            small_model::search(schema, ecfds, Goal::Model, broken, &mut budget).map_err(|_| {
+                let what = "MAXSS search exceeded its node budget of";
+                CoreError::AnalysisBudgetExceeded(format!("{what} {limit}"))
+            })?;
+        if let Some(witness) = found.and_then(|mut model| model.pop()) {
+            let satisfiable_subset = satisfied_by(schema, ecfds, &witness)?;
+            debug_assert_eq!(satisfiable_subset.len(), ecfds.len() - broken);
+            let verdict = if broken == 0 {
+                SatisfiabilityVerdict::Satisfiable
+            } else {
+                SatisfiabilityVerdict::Unsatisfiable
+            };
+            return Ok(MaxSsOutcome {
+                satisfiable_subset,
+                witness,
+                verdict,
+            });
+        }
+    }
+    Err(CoreError::InvalidConstraint(
+        "no tuple exists: an attribute the constraints mention has an empty domain".into(),
+    ))
 }
 
 #[cfg(test)]
@@ -312,16 +325,7 @@ mod tests {
     fn satisfiable_sets_get_a_full_subset_and_a_real_witness() {
         let s = schema();
         let ecfds = [phi1(), phi2()];
-        let outcome = approximate_max_satisfiable(
-            &s,
-            &ecfds,
-            MaxGSatSolver::LocalSearch {
-                restarts: 8,
-                max_flips: 300,
-            },
-            7,
-        )
-        .unwrap();
+        let outcome = max_satisfiable(&s, &ecfds).unwrap();
         assert_eq!(outcome.satisfiable_subset, vec![0, 1]);
         assert_eq!(outcome.verdict, SatisfiabilityVerdict::Satisfiable);
         assert!(
@@ -334,54 +338,61 @@ mod tests {
     fn conflicting_sets_lose_exactly_one_constraint() {
         let s = schema();
         let (a, b) = conflicting_pair();
-        let ecfds = [a, b];
-        let outcome =
-            approximate_max_satisfiable(&s, &ecfds, MaxGSatSolver::Exhaustive, 13).unwrap();
-        assert_eq!(outcome.satisfiable_subset.len(), 1);
-        // The exhaustive optimum keeps one of the two, and it is proven.
+        let ecfds = [phi1(), a, b];
+        let outcome = max_satisfiable(&s, &ecfds).unwrap();
+        // φ1 and one of the pair; the search that failed with none broken
+        // proves it optimal.
+        assert_eq!(outcome.satisfiable_subset.len(), 2);
+        assert!(outcome.satisfiable_subset.contains(&0));
         assert_eq!(outcome.verdict, SatisfiabilityVerdict::Unsatisfiable);
+        // The exhaustive MAXGSAT optimum of f(Σ) agrees.
+        let encoding = MaxSsEncoding::build(&s, &ecfds).unwrap();
+        let (gsat, satisfied, _) = encoding.solve().unwrap();
+        assert_eq!((gsat.num_satisfied(), satisfied.len()), (2, 2));
     }
 
     #[test]
-    fn heuristic_shortfalls_are_unknown() {
-        // A heuristic solver proves no optimum, so falling short of |Σ| never
-        // proves unsatisfiability, even where Σ is unsatisfiable.
+    fn a_constraint_counts_once_however_many_of_its_patterns_fail() {
+        // AC = 212 breaks ψ alone, in all three of its pattern tuples; AC =
+        // 518 breaks both rivals. Counting broken pattern tuples would
+        // prefer the second.
         let s = schema();
-        let (a, b) = conflicting_pair();
-        for solver in [
-            MaxGSatSolver::RandomSampling { samples: 20 },
-            MaxGSatSolver::GreedyConditional { samples: 4 },
-            MaxGSatSolver::default(),
-        ] {
-            let outcome =
-                approximate_max_satisfiable(&s, &[a.clone(), b.clone()], solver, 3).unwrap();
-            assert!(outcome.satisfiable_subset.len() < 2, "{solver:?}");
-            assert_eq!(
-                outcome.verdict,
-                SatisfiabilityVerdict::Unknown,
-                "{solver:?}"
-            );
-        }
+        let ac_in = |values: &[&'static str]| {
+            ECfdBuilder::new("cust")
+                .lhs(["CT"])
+                .pattern_rhs(["AC"])
+                .pattern(|p| p.in_set("AC", values.iter().copied()))
+        };
+        let psi = (ac_in(&["518"]))
+            .pattern(|p| p.in_set("AC", ["518", "607"]))
+            .pattern(|p| p.in_set("AC", ["518", "646"]))
+            .build()
+            .unwrap();
+        let rivals = [ac_in(&["212"]), ac_in(&["212", "718"])].map(|b| b.build().unwrap());
+        let ecfds = [psi, rivals[0].clone(), rivals[1].clone()];
+        let outcome = max_satisfiable(&s, &ecfds).unwrap();
+        assert_eq!(outcome.satisfiable_subset, vec![1, 2]);
+        assert_eq!(outcome.verdict, SatisfiabilityVerdict::Unsatisfiable);
     }
 
     #[test]
     fn g_returns_at_least_as_many_constraints_as_satisfied_formulas() {
         // Property 3 of an approximation-factor-preserving reduction:
-        // card(g(Φ_m)) ≥ card(Φ_m).
+        // card(g(Φ_m)) ≥ card(Φ_m), on every assignment of f(Σ).
         let s = schema();
         let (a, b) = conflicting_pair();
         let ecfds = [phi1(), phi2(), a, b];
         let encoding = MaxSsEncoding::build(&s, &ecfds).unwrap();
-        for seed in 0..10u64 {
-            let outcome = encoding
-                .instance()
-                .solve(MaxGSatSolver::RandomSampling { samples: 20 }, seed);
-            let (satisfied, _) = encoding.satisfied_constraints(&outcome.assignment).unwrap();
+        let n = encoding.instance().num_vars();
+        assert!(n <= 12, "{n} variables");
+        for bits in 0..1u64 << n {
+            let assignment = Assignment::from_bits(bits, n);
+            let formulas = encoding.instance().count_satisfied(&assignment);
+            let (satisfied, _) = encoding.satisfied_constraints(&assignment).unwrap();
             assert!(
-                satisfied.len() >= outcome.num_satisfied(),
-                "seed {seed}: g returned {} constraints but {} formulas were satisfied",
+                satisfied.len() >= formulas,
+                "{bits:b}: g returned {} constraints but {formulas} formulas were satisfied",
                 satisfied.len(),
-                outcome.num_satisfied()
             );
         }
     }
@@ -457,9 +468,20 @@ mod tests {
     }
 
     #[test]
+    fn an_empty_domain_leaves_no_witness() {
+        // No tuple of this schema exists, so no k gives a witness.
+        let s = Schema::builder("cust")
+            .finite_attr("AC", DataType::Str, [])
+            .attr("CT", DataType::Str)
+            .build();
+        let err = max_satisfiable(&s, &[phi2()]).unwrap_err();
+        assert!(matches!(err, CoreError::InvalidConstraint(_)), "{err:?}");
+    }
+
+    #[test]
     fn empty_constraint_set_is_trivially_satisfiable() {
         let s = schema();
-        let outcome = approximate_max_satisfiable(&s, &[], MaxGSatSolver::default(), 1).unwrap();
+        let outcome = max_satisfiable(&s, &[]).unwrap();
         assert!(outcome.satisfiable_subset.is_empty());
         assert_eq!(outcome.verdict, SatisfiabilityVerdict::Satisfiable);
     }

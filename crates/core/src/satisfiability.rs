@@ -5,14 +5,15 @@
 //! *small model property*: if `Σ` is satisfiable then a **single-tuple**
 //! instance satisfies it. The exact procedure therefore searches for one
 //! witness tuple, with the small-model search it shares with
-//! [`crate::implication`]. Per attribute, it assigns *value classes* — the
+//! [`crate::implication`] and [`crate::maxss`]. Per attribute, it assigns *value classes* — the
 //! constants that every cell contains both or neither of, plus the class of
 //! values outside every constant — with one representative per class, since
 //! no cell tells two members of a class apart and one tuple never compares
 //! values. It prunes as soon as a pattern's assigned `X` matches and an
-//! assigned `Y ∪ Yp` cell fails. The MAXSS reduction ([`crate::maxss`])
-//! builds its `f(Σ)` over the same classes, so all three static analyses
-//! draw a witness tuple's values from one domain.
+//! assigned `Y ∪ Yp` cell fails. MAXSS runs the same search letting `k`
+//! constraints break, and its reduction builds `f(Σ)` over the same
+//! classes, so all three static analyses draw a witness tuple's values from
+//! one domain.
 //!
 //! The search is exponential in the number of constrained attributes in the
 //! worst case — unavoidable unless P = NP — so callers can cap the number of
@@ -92,7 +93,8 @@ pub fn check_satisfiability(
         let what = "satisfiability search exceeded its node budget of";
         CoreError::AnalysisBudgetExceeded(format!("{what} {}", options.node_budget))
     };
-    let found = small_model::search(schema, ecfds, Goal::Model, &mut budget).map_err(exhausted)?;
+    let found =
+        small_model::search(schema, ecfds, Goal::Model, 0, &mut budget).map_err(exhausted)?;
     let Some(witness) = found.and_then(|mut model| model.pop()) else {
         return Ok(SatOutcome::Unsatisfiable);
     };

@@ -3,9 +3,11 @@
 //!
 //! Satisfiability (Proposition 3.1) and implication (Proposition 3.2) are
 //! decided by looking for a tiny instance: a one-tuple model of `Σ`, or at
-//! most two tuples that satisfy `Σ` and violate `φ`. The MAXSS reduction of
-//! Section IV ([`crate::maxss`]) builds `f(Σ)` over the same
-//! `ValueClasses`, one representative per class.
+//! most two tuples that satisfy `Σ` and violate `φ`. MAXSS (Section IV,
+//! [`crate::maxss`]) looks for one tuple that violates at most `k`
+//! constraints of `Σ`, for the smallest `k` that succeeds; the reduction's
+//! `f(Σ)` is built over the same `ValueClasses`, one representative per
+//! class.
 //!
 //! * **Value classes.** Per attribute, constants that every cell of
 //!   `Σ ∪ {φ}` (a set or a complement, either side, every pattern tuple)
@@ -18,10 +20,14 @@
 //!   mentions take `fresh_value_outside(∅)`.
 //! * **Pruning.** The variables are (tuple, attribute) cells, matched
 //!   against per-cell tables compiled once per pattern tuple. After each
-//!   assignment the search backtracks when some `σ ∈ Σ` is violated: a
-//!   tuple's assigned `X` matches and an assigned `Y ∪ Yp` cell fails, or
-//!   the tuples agree on a matching `X` and differ on an assigned `Y` cell.
-//!   Each assignment costs one node of the caller's budget.
+//!   assignment the search marks each `σ ∈ Σ` that is now violated as
+//!   broken: a tuple's assigned `X` matches and an assigned `Y ∪ Yp` cell
+//!   fails, or the tuples agree on a matching `X` and differ on an assigned
+//!   `Y` cell. A constraint is marked once, however many of its pattern
+//!   tuples fail, and the mark is undone on backtrack. The search backtracks
+//!   when more constraints are broken than the caller tolerates: none for
+//!   satisfiability and implication. Each assignment costs one node of the
+//!   caller's budget.
 //! * **The goal.** `φ`'s cells are assigned first, so a branch that cannot
 //!   violate `φ` is cut before the other attributes are enumerated: one
 //!   tuple failing `φ`'s right-hand pattern (SV), or two tuples that share
@@ -47,15 +53,16 @@ pub(crate) enum Goal<'a> {
 #[derive(Debug)]
 pub(crate) struct OutOfBudget;
 
-/// Searches for a model of `sigma` of one tuple (or two, for
-/// [`Goal::Pair`]) that reaches `goal`, charging one unit of `budget` per
-/// assignment. Returns the tuples over the full schema, or `None` when no
-/// such instance exists. Every constraint must already be validated against
-/// `schema`.
+/// Searches for an instance of one tuple (or two, for [`Goal::Pair`]) that
+/// reaches `goal` and violates at most `tolerance` constraints of `sigma`,
+/// charging one unit of `budget` per assignment. Returns the tuples over the
+/// full schema, or `None` when no such instance exists. Every constraint
+/// must already be validated against `schema`.
 pub(crate) fn search(
     schema: &Schema,
     sigma: &[ECfd],
     goal: Goal<'_>,
+    tolerance: usize,
     budget: &mut u64,
 ) -> Result<Option<Vec<Tuple>>, OutOfBudget> {
     let (phi, tuples) = match goal {
@@ -67,19 +74,20 @@ pub(crate) fn search(
     let classes = ValueClasses::build(schema, &all, tuples);
     let (names, reps) = (&classes.names, &classes.reps);
     let table = |a: &str, cell: &PatternValue| classes.table(a, cell);
-    let compile = |e: &ECfd| -> Vec<Check> {
+    let compile = |(constraint, e): (usize, &ECfd)| -> Vec<Check> {
         let (x, rhs): (Vec<&str>, _) =
             (e.lhs().iter().map(String::as_str).collect(), e.rhs_attrs());
         e.tableau()
             .iter()
             .map(|tp| Check {
+                constraint,
                 lhs: x.iter().zip(&tp.lhs).map(|(a, c)| table(a, c)).collect(),
                 rhs: rhs.iter().zip(&tp.rhs).map(|(a, c)| table(a, c)).collect(),
                 fd: e.fd_rhs().iter().map(|a| classes.index(a)).collect(),
             })
             .collect()
     };
-    let checks: Vec<Check> = sigma.iter().flat_map(compile).collect();
+    let checks: Vec<Check> = sigma.iter().enumerate().flat_map(compile).collect();
     let mut touching: Vec<Vec<usize>> = vec![Vec::new(); names.len()];
     for (i, check) in checks.iter().enumerate() {
         for &(a, _) in check.lhs.iter().chain(&check.rhs) {
@@ -107,9 +115,11 @@ pub(crate) fn search(
         reps,
         checks,
         touching,
-        goal: phi.map(compile),
+        goal: phi.map(|p| compile((0, p))),
         vars,
         vals: vec![vec![None; names.len()]; tuples],
+        broken: Vec::new(),
+        tolerance,
         budget,
     };
     if !state.descend(0)? {
@@ -225,6 +235,8 @@ impl ValueClasses {
 /// One pattern tuple compiled over the representatives: per attribute, the
 /// local attribute index and which representatives the cell matches.
 struct Check {
+    /// The position in `Σ` of the constraint the pattern tuple belongs to.
+    constraint: usize,
     lhs: Vec<(usize, Vec<bool>)>,
     rhs: Vec<(usize, Vec<bool>)>,
     /// The `Y` attributes (the embedded FD's right-hand side).
@@ -243,6 +255,11 @@ struct Search<'a> {
     vars: Vec<(usize, usize, usize)>,
     /// Per tuple, per attribute: the assigned representative.
     vals: Vec<Vec<Option<usize>>>,
+    /// The constraints the assigned cells violate, each once, in the order
+    /// they broke.
+    broken: Vec<usize>,
+    /// How many constraints may break.
+    tolerance: usize,
     budget: &'a mut u64,
 }
 
@@ -251,14 +268,16 @@ impl Search<'_> {
         let Some(&(attr, lo, hi)) = self.vars.get(depth) else {
             return Ok(true);
         };
+        let unbroken = self.broken.len();
         for v in 0..self.reps[attr].len() {
             *self.budget = self.budget.checked_sub(1).ok_or(OutOfBudget)?;
             for t in lo..hi {
                 self.vals[t][attr] = Some(v);
             }
-            if !self.violated(attr) && self.goal_reachable() && self.descend(depth + 1)? {
+            if self.mark_broken(attr) && self.goal_reachable() && self.descend(depth + 1)? {
                 return Ok(true);
             }
+            self.broken.truncate(unbroken);
         }
         for t in lo..hi {
             self.vals[t][attr] = None;
@@ -273,19 +292,30 @@ impl Search<'_> {
             .all(|(a, m)| self.vals[t][*a].is_some_and(|v| m[v]))
     }
 
-    /// Is some pattern of `Σ` that mentions `attr` already violated?
-    fn violated(&self, attr: usize) -> bool {
-        let vals = &self.vals;
-        self.touching[attr].iter().any(|&i| {
+    /// Marks broken each constraint not yet broken that a pattern mentioning
+    /// `attr` now violates. False once more than the tolerance are broken.
+    fn mark_broken(&mut self, attr: usize) -> bool {
+        for &i in &self.touching[attr] {
             let c = &self.checks[i];
-            let fails = |t: usize| (c.rhs.iter()).any(|(a, m)| vals[t][*a].is_some_and(|v| !m[v]));
-            (0..vals.len()).any(|t| self.matches(c, t) && fails(t))
-                || vals.len() == 2
-                    && self.matches(c, 0)
-                    && c.lhs.iter().all(|&(a, _)| vals[0][a] == vals[1][a])
-                    && (c.fd.iter())
-                        .any(|&a| vals[0][a].zip(vals[1][a]).is_some_and(|(x, y)| x != y))
-        })
+            if self.violates(c) && !self.broken.contains(&c.constraint) {
+                self.broken.push(c.constraint);
+                if self.broken.len() > self.tolerance {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// Do the assigned cells already violate the pattern tuple?
+    fn violates(&self, c: &Check) -> bool {
+        let vals = &self.vals;
+        let fails = |t: usize| (c.rhs.iter()).any(|(a, m)| vals[t][*a].is_some_and(|v| !m[v]));
+        (0..vals.len()).any(|t| self.matches(c, t) && fails(t))
+            || vals.len() == 2
+                && self.matches(c, 0)
+                && c.lhs.iter().all(|&(a, _)| vals[0][a] == vals[1][a])
+                && (c.fd.iter()).any(|&a| vals[0][a].zip(vals[1][a]).is_some_and(|(x, y)| x != y))
     }
 
     /// Can the assigned cells of `φ` still be completed to the goal?

@@ -14,10 +14,12 @@
 //!
 //! `check_satisfiability` must find a model exactly when one exists,
 //! `check_implication` must report `φ` implied exactly when no instance of
-//! `Σ` violates it, and the MAXSS optimum of `f(Σ)` under the exhaustive
-//! solver must be the largest number of constraints of `Σ` one tuple
-//! satisfies. Every witness must satisfy `Σ` (or its reported subset), and
-//! every counterexample must satisfy `Σ` and violate `φ`.
+//! `Σ` violates it, and `max_satisfiable` must keep the largest number of
+//! constraints of `Σ` one tuple satisfies, with no limit on the size of the
+//! instance. Every witness must satisfy `Σ` (or its reported subset), and
+//! every counterexample must satisfy `Σ` and violate `φ`. Section IV's
+//! reduction is checked alongside: whenever `f(Σ)` is small enough for
+//! MAXGSAT's exhaustive solver, its optimum is that same number.
 //!
 //! The same brute force confirms every single `ConstraintSet::compile` drops
 //! as subsumed: on every instance of at most two tuples the dropped single
@@ -25,11 +27,11 @@
 //! exactly the rows of `ConstraintSet::verbatim`'s.
 
 use ecfd_core::implication::{check_implication, ImplicationOptions, ImplicationOutcome};
-use ecfd_core::maxss::{approximate_max_satisfiable, SatisfiabilityVerdict};
+use ecfd_core::maxss::{max_satisfiable, MaxSsEncoding, SatisfiabilityVerdict};
 use ecfd_core::satisfaction;
 use ecfd_core::satisfiability::{check_satisfiability, single_tuple_satisfies, SatOptions};
 use ecfd_core::{ConstraintSet, ECfd, PatternTuple, PatternValue, ViolationKind};
-use ecfd_logic::MaxGSatSolver;
+use ecfd_logic::MaxGSatInstance;
 use ecfd_relation::{DataType, Domain, Relation, RowId, Schema, Tuple, Value};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -282,10 +284,8 @@ proptest! {
         }
 
         let most = kept.iter().map(|k| k.iter().filter(|k| **k).count()).max().unwrap_or(0);
-        let maxss = approximate_max_satisfiable(&schema, &sigma, MaxGSatSolver::Exhaustive, 0)
-            .unwrap();
-        prop_assert_eq!(maxss.gsat_satisfied, most, "Σ = {:?}", sigma);
-        prop_assert_eq!(maxss.satisfiable_subset.len(), most);
+        let maxss = max_satisfiable(&schema, &sigma).unwrap();
+        prop_assert_eq!(maxss.satisfiable_subset.len(), most, "Σ = {:?}", sigma);
         let subset: Vec<ECfd> = maxss.satisfiable_subset.iter().map(|&i| sigma[i].clone()).collect();
         prop_assert!(single_tuple_satisfies(&schema, &subset, &maxss.witness).unwrap());
         let verdict = if models.is_empty() {
@@ -294,6 +294,24 @@ proptest! {
             SatisfiabilityVerdict::Satisfiable
         };
         prop_assert_eq!(maxss.verdict, verdict);
+        // Repeating a constraint's pattern tuples changes no satisfaction, so
+        // not the optimum either: a constraint breaks once, however many of
+        // its pattern tuples fail.
+        for which in 0..sigma.len() {
+            let (mut repeated, e) = (sigma.clone(), &sigma[which]);
+            let tableau = e.tableau().iter().cycle().take(3 * e.tableau_size()).cloned();
+            repeated[which] = e.with_tableau(tableau.collect()).unwrap();
+            let outcome = max_satisfiable(&schema, &repeated).unwrap();
+            prop_assert_eq!(outcome.satisfiable_subset.len(), most, "Σ = {:?}", repeated);
+        }
+
+        // The reduction keeps the optimum: f(Σ)'s best assignment satisfies
+        // as many formulas as the best tuple satisfies constraints.
+        let encoding = MaxSsEncoding::build(&schema, &sigma).unwrap();
+        if encoding.instance().num_vars() <= MaxGSatInstance::EXHAUSTIVE_MAX_VARS {
+            let optimum = encoding.instance().solve_exhaustive().num_satisfied();
+            prop_assert_eq!(optimum, most, "Σ = {:?}", sigma);
+        }
     }
 }
 

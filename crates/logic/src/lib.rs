@@ -6,16 +6,20 @@
 //! eCFDs (MAXSS) to the *Maximum Generalized Satisfiability* problem (MAXGSAT):
 //! given a set of arbitrary Boolean expressions, find a truth assignment that
 //! satisfies as many of them as possible. The paper then "applies existing
-//! approximation algorithms for MAXGSAT"; this crate supplies those algorithms,
-//! along with the Boolean-expression representation the reduction produces:
+//! approximation algorithms for MAXGSAT". This crate supplies the
+//! Boolean-expression representation the reduction produces and MAXGSAT's
+//! exact solver, which checks that the reduction keeps the optimum; MAXSS
+//! itself is decided exactly by `ecfd-core`'s small-model search, so no
+//! approximation algorithm is needed:
 //!
 //! * [`BoolExpr`] — arbitrary propositional formulas over [`VarId`] variables,
 //!   allocated from a named [`VarPool`];
 //! * [`Assignment`] — truth assignments and evaluation;
-//! * [`MaxGSatInstance`] — a MAXGSAT instance plus several solvers:
-//!   exhaustive exact search for small instances, repeated random sampling,
-//!   a derandomised conditional-expectation greedy (Johnson-style), and a
-//!   GSAT-flavoured hill-climbing local search.
+//! * [`MaxGSatInstance`] — a MAXGSAT instance and its exhaustive exact
+//!   solver, for instances of at most
+//!   [`MaxGSatInstance::EXHAUSTIVE_MAX_VARS`] variables;
+//! * [`HardSoftInstance`] — hard formulas replicated to dominate soft ones,
+//!   the exact deletion-repair oracle of `ecfd-repair`.
 //!
 //! The crate has no knowledge of eCFDs; `ecfd-core`'s `maxss` module builds
 //! instances of these types from constraint sets.
@@ -36,7 +40,6 @@
 //! ]);
 //! let outcome = instance.solve_exhaustive();
 //! assert_eq!(outcome.num_satisfied(), 2);
-//! assert!(outcome.proven_optimal);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -48,6 +51,4 @@ pub mod maxgsat;
 
 pub use assignment::{Assignment, VarPool};
 pub use expr::{BoolExpr, VarId};
-pub use maxgsat::{
-    HardSoftInstance, HardSoftOutcome, MaxGSatInstance, MaxGSatOutcome, MaxGSatSolver,
-};
+pub use maxgsat::{HardSoftInstance, HardSoftOutcome, MaxGSatInstance, MaxGSatOutcome};

@@ -17,13 +17,14 @@ use crate::cost::CostModel;
 use crate::{RepairError, Result};
 use ecfd_detect::evidence::{ConstraintRef, EvidenceReport};
 use ecfd_detect::SemanticDetector;
-use ecfd_logic::{BoolExpr, HardSoftInstance, MaxGSatSolver, VarId};
+use ecfd_logic::{BoolExpr, HardSoftInstance, MaxGSatInstance, VarId};
 use ecfd_relation::{Relation, RowId, Tuple, Value};
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, HashSet};
 
-/// The exhaustive MAXGSAT solver's own instance limit, in nodes.
-pub(crate) const EXACT_MAX_NODES: usize = 24;
+/// The exhaustive MAXGSAT solver's own instance limit, in nodes: one
+/// variable per node.
+pub(crate) const EXACT_MAX_NODES: usize = MaxGSatInstance::EXHAUSTIVE_MAX_VARS;
 
 /// One tuple participating in a conflict.
 #[derive(Debug, Clone, PartialEq)]
@@ -255,9 +256,9 @@ impl ConflictGraph {
     /// Exact cardinality repair through the MAXGSAT oracle: one variable per
     /// node ("keep it"), hard formulas for must-delete nodes and for every
     /// cross-class conflict pair, soft formulas rewarding kept nodes. Solved
-    /// exhaustively, so instances with more than `max_nodes` nodes (or 24,
-    /// the exhaustive solver's own limit) return `None` — callers fall back
-    /// to the greedy cover.
+    /// exhaustively, so instances with more than `max_nodes` nodes (or
+    /// [`MaxGSatInstance::EXHAUSTIVE_MAX_VARS`], the exhaustive solver's own
+    /// limit) return `None` — callers fall back to the greedy cover.
     pub fn exact_deletions(&self, max_nodes: usize) -> Option<Vec<usize>> {
         if self.nodes.len() > max_nodes.min(EXACT_MAX_NODES) {
             return None;
@@ -285,7 +286,7 @@ impl ConflictGraph {
         }
         let soft: Vec<BoolExpr> = (0..self.nodes.len()).map(keep).collect();
         let instance = HardSoftInstance::new(self.nodes.len(), hard, soft);
-        let outcome = instance.solve(MaxGSatSolver::Exhaustive, 0);
+        let outcome = instance.solve();
         debug_assert!(
             outcome.hard_satisfied,
             "deleting every node always satisfies the hard formulas"

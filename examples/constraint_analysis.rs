@@ -1,8 +1,8 @@
 //! Static constraint analysis: satisfiability, implication / redundancy
-//! removal, and the approximate maximum-satisfiable-subset analysis of
-//! Section IV — the checks a data steward runs *before* using a constraint
-//! set for cleaning ("it is necessary to determine whether or not the given
-//! eCFDs are not dirty themselves").
+//! removal, and the exact maximum-satisfiable-subset analysis of Section IV
+//! — the checks a data steward runs *before* using a constraint set for
+//! cleaning ("it is necessary to determine whether or not the given eCFDs
+//! are not dirty themselves").
 //!
 //! Run with: `cargo run --example constraint_analysis`
 
@@ -41,14 +41,13 @@ fn main() {
     let satisfiable = satisfiability::is_satisfiable(&schema, &constraints).expect("analysis runs");
     println!("\nExact satisfiability of the whole set: {satisfiable}");
 
-    // --- MAXSS through MAXGSAT (Section IV) --------------------------------
-    // f(Σ) has one variable per value class of AC and CT, few enough for the
-    // exhaustive solver, whose optimum is proven: a shortfall then proves the
-    // whole set unsatisfiable. A heuristic solver's shortfall would be
-    // `Unknown`.
-    let outcome =
-        maxss::approximate_max_satisfiable(&schema, &constraints, MaxGSatSolver::Exhaustive, 42)
-            .expect("MAXSS analysis runs");
+    // --- MAXSS (Section IV) -------------------------------------------------
+    // The small-model search behind the satisfiability check, letting the one
+    // tuple break k constraints for k = 0, 1, …: the first k that succeeds is
+    // optimal, because the search at k − 1 failed. So a shortfall proves the
+    // whole set unsatisfiable. (The paper's reduction to MAXGSAT, f(Σ) and g,
+    // is `maxss::MaxSsEncoding`; the tests check it keeps this optimum.)
+    let outcome = maxss::max_satisfiable(&schema, &constraints).expect("MAXSS analysis runs");
     println!(
         "MAXSS: {} of {} constraints are jointly satisfiable → verdict {:?}",
         outcome.satisfiable_subset.len(),

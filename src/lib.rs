@@ -12,10 +12,10 @@
 //!   ids, indexes, catalogs, update batches, CSV I/O).
 //! * [`engine`] — a small SQL engine (parser + executor) playing the role of
 //!   the RDBMS the paper runs its detection queries on.
-//! * [`logic`] — propositional formulas and MAXGSAT approximation algorithms.
+//! * [`logic`] — propositional formulas and an exact MAXGSAT solver.
 //! * [`core`] — the eCFD constraint language: pattern tableaux, a textual
-//!   syntax, satisfaction semantics, exact satisfiability and implication,
-//!   and the MAXSS → MAXGSAT reduction.
+//!   syntax, satisfaction semantics, exact satisfiability, implication and
+//!   MAXSS, and the MAXSS → MAXGSAT reduction as a tested claim.
 //! * [`detect`] — violation detection: the tableau-as-data encoding, the
 //!   SQL-based `BATCHDETECT`, the incremental `INCDETECT`, and a native
 //!   semantic detector whose one scan kernel (`detect::scan`) runs a
@@ -111,7 +111,7 @@ pub mod prelude {
         SqlBackend,
     };
     pub use ecfd_engine::{Engine, ResultSet};
-    pub use ecfd_logic::{BoolExpr, HardSoftInstance, MaxGSatInstance, MaxGSatSolver};
+    pub use ecfd_logic::{BoolExpr, HardSoftInstance, MaxGSatInstance};
     pub use ecfd_obs::{Histogram, Registry};
     pub use ecfd_plan::{Plan, PlanBackend};
     pub use ecfd_relation::{

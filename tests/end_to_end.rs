@@ -171,15 +171,15 @@ fn workload_constraints_are_satisfiable_and_irredundant_enough() {
         ConstraintSet::compile(&schema, &cover).unwrap();
     }
 
-    // MAXSS over value classes: f(Σ) has 14 variables on the workload, so
-    // the exhaustive solver decides it, keeps all ten and proves it.
-    let encoding = maxss::MaxSsEncoding::build(&schema, &constraints).unwrap();
-    assert!(encoding.instance().num_vars() <= 14);
-    let outcome =
-        maxss::approximate_max_satisfiable(&schema, &constraints, MaxGSatSolver::Exhaustive, 3)
-            .unwrap();
+    // MAXSS keeps all ten, and over value classes f(Σ) has 14 variables on
+    // the workload, so MAXGSAT's exhaustive solver agrees.
+    let outcome = maxss::max_satisfiable(&schema, &constraints).unwrap();
     assert_eq!(outcome.satisfiable_subset.len(), constraints.len());
     assert_eq!(outcome.verdict, SatisfiabilityVerdict::Satisfiable);
+    let encoding = maxss::MaxSsEncoding::build(&schema, &constraints).unwrap();
+    assert!(encoding.instance().num_vars() <= 14);
+    let (_, satisfied, _) = encoding.solve().unwrap();
+    assert_eq!(satisfied.len(), constraints.len());
 }
 
 #[test]
@@ -216,36 +216,45 @@ fn compile_and_verbatim_sizes_are_pinned() {
 
 #[test]
 fn maxss_never_calls_a_satisfiable_set_unsatisfiable() {
-    // A heuristic MAXGSAT solver proves no optimum, so however short it
-    // falls on a satisfiable set the verdict must not be "unsatisfiable".
+    // MAXSS is the small-model search with k constraints allowed to break,
+    // for the smallest k that succeeds: every satisfiable set is kept whole,
+    // and a shortfall is proven by the search that failed at k − 1.
     let schema = ecfd::datagen::cust_schema();
     let workload = workload_constraints();
+    let tp40 = workload_with_scaled_constraint(40, 42);
     let tp160 = workload_with_scaled_constraint(160, 42);
-    let solver = MaxGSatSolver::LocalSearch {
-        restarts: 4,
-        max_flips: 100,
-    };
-    // The search climbs on satisfied conjuncts, so it also moves off φ_R's
-    // plateaus and keeps the whole set on nearly every seed.
     for set in [&workload[..2], &workload[..5], &workload[..], &tp160[..]] {
         assert!(satisfiability::is_satisfiable(&schema, set).unwrap());
-        let mut kept = 0;
-        for seed in 0..20 {
-            let outcome = maxss::approximate_max_satisfiable(&schema, set, solver, seed).unwrap();
-            assert_ne!(
-                outcome.verdict,
-                SatisfiabilityVerdict::Unsatisfiable,
-                "{} constraints, seed {seed}",
-                set.len()
-            );
-            kept += usize::from(outcome.satisfiable_subset.len() == set.len());
-        }
-        assert!(kept >= 18, "{} constraints: {kept} of 20 seeds", set.len());
+        let outcome = maxss::max_satisfiable(&schema, set).unwrap();
+        assert_eq!(outcome.verdict, SatisfiabilityVerdict::Satisfiable);
+        assert_eq!(
+            outcome.satisfiable_subset,
+            (0..set.len()).collect::<Vec<_>>()
+        );
+        assert!(satisfiability::single_tuple_satisfies(&schema, set, &outcome.witness).unwrap());
+    }
+
+    // A pair that forces AC into disjoint sets makes each base set
+    // unsatisfiable, and one of the pair must go: 11 of 12 kept.
+    let pair = ["{518}", "{212}"]
+        .map(|ac| parse_ecfd(&format!("cust: [CT] -> [] | [AC], {{ _ || {ac} }}")).unwrap());
+    for base in [&workload, &tp40, &tp160] {
+        let set: Vec<ECfd> = base.iter().chain(&pair).cloned().collect();
+        assert!(!satisfiability::is_satisfiable(&schema, &set).unwrap());
+        let outcome = maxss::max_satisfiable(&schema, &set).unwrap();
+        assert_eq!(outcome.verdict, SatisfiabilityVerdict::Unsatisfiable);
+        assert_eq!(outcome.satisfiable_subset.len(), 11);
+        let kept: Vec<ECfd> = (outcome.satisfiable_subset.iter())
+            .map(|&i| set[i].clone())
+            .collect();
+        assert!(satisfiability::single_tuple_satisfies(&schema, &kept, &outcome.witness).unwrap());
     }
 
     // f(Σ) of the |Tp| = 160 tableau has 89 variables even over classes:
-    // the exhaustive solver refuses it rather than panicking.
-    let err = maxss::approximate_max_satisfiable(&schema, &tp160, MaxGSatSolver::Exhaustive, 0)
+    // MAXGSAT's exhaustive solver refuses it rather than panicking.
+    let err = maxss::MaxSsEncoding::build(&schema, &tp160)
+        .unwrap()
+        .solve()
         .unwrap_err();
     assert!(
         matches!(&err, CoreError::AnalysisBudgetExceeded(m) if m.contains("24 variables")),

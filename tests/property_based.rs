@@ -276,9 +276,10 @@ proptest! {
         }
     }
 
-    /// The MAXSS approximation returns a subset that is genuinely satisfiable
-    /// (witnessed by a single tuple), and returns the full set whenever the
-    /// exact analysis says the set is satisfiable and the solver is exhaustive.
+    /// The exhaustive MAXGSAT optimum of f(Σ), mapped back through g, is a
+    /// subset that is genuinely satisfiable (witnessed by a single tuple), as
+    /// large as exact MAXSS's, and the full set whenever the exact analysis
+    /// says the set is satisfiable.
     #[test]
     fn maxss_subsets_are_satisfiable(constraints in arb_constraints()) {
         let schema = schema();
@@ -289,8 +290,9 @@ proptest! {
         prop_assert!(
             satisfiability::single_tuple_satisfies(&schema, &chosen, &witness).unwrap()
         );
-        let exact = satisfiability::is_satisfiable(&schema, &constraints).unwrap();
-        if exact {
+        let exact = maxss::max_satisfiable(&schema, &constraints).unwrap();
+        prop_assert_eq!(exact.satisfiable_subset.len(), subset.len());
+        if satisfiability::is_satisfiable(&schema, &constraints).unwrap() {
             prop_assert_eq!(subset.len(), constraints.len());
         }
     }
