@@ -1,6 +1,8 @@
-//! Criterion microbenchmarks for the repair subsystem: greedy vs. exact
-//! (MAXGSAT-backed) deletion planning and value-modification planning over
-//! `datagen` workloads, plus the full verified repair loop.
+//! Criterion microbenchmarks for the repair subsystem: deletion planning
+//! (greedy on the generated workloads' large conflict graphs), the greedy
+//! vs. the exact (MAXGSAT-backed) cover of small conflict graphs, and
+//! value-modification planning over `datagen` workloads, plus the full
+//! verified repair loop.
 //!
 //! Sizes are kept small because Criterion repeats every measurement many
 //! times; the shapes — greedy scaling with conflict count, exact being
@@ -10,9 +12,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ecfd_bench::PreparedWorkload;
 use ecfd_core::ECfdBuilder;
 use ecfd_relation::{Catalog, DataType, Relation, Schema, Tuple};
-use ecfd_repair::{
-    repair_verified, DeletionSolver, EditDistanceCost, RepairEngine, RepairMode, RepairOptions,
-};
+use ecfd_repair::{repair_verified, EditDistanceCost, RepairEngine, RepairMode, RepairOptions};
 use std::time::Duration;
 
 fn configure(group: &mut criterion::BenchmarkGroup<'_>) {
@@ -21,8 +21,8 @@ fn configure(group: &mut criterion::BenchmarkGroup<'_>) {
     group.measurement_time(Duration::from_secs(2));
 }
 
-/// Deletion-only planning (greedy cover) on generated workloads of growing
-/// size: explain + plan, no apply.
+/// Deletion-only planning on generated workloads of growing size (conflict
+/// graphs above 12 nodes, so the greedy cover): explain + plan, no apply.
 fn bench_greedy_deletion_plan(c: &mut Criterion) {
     let mut group = c.benchmark_group("repair_greedy_deletion");
     configure(&mut group);
@@ -32,7 +32,6 @@ fn bench_greedy_deletion_plan(c: &mut Criterion) {
             .unwrap()
             .with_options(RepairOptions {
                 mode: RepairMode::DeleteOnly,
-                solver: DeletionSolver::Greedy,
             });
         group.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, _| {
             b.iter(|| {
@@ -66,30 +65,22 @@ fn small_conflict_instance(rows: usize) -> (Schema, Relation, Vec<ecfd_core::ECf
     (schema, data, vec![fd])
 }
 
-/// Greedy vs. exact deletion planning on conflict graphs small enough for the
-/// exhaustive MAXGSAT oracle (≤ 12 nodes).
+/// The greedy vs. the exact cover of conflict graphs small enough for the
+/// exhaustive MAXGSAT oracle (≤ 12 nodes); the planner computes both there.
 fn bench_exact_vs_greedy_small(c: &mut Criterion) {
     let mut group = c.benchmark_group("repair_exact_vs_greedy_small");
     configure(&mut group);
     for rows in [6usize, 9, 12] {
         let (schema, data, constraints) = small_conflict_instance(rows);
-        for (label, solver) in [
-            ("greedy", DeletionSolver::Greedy),
-            ("exact", DeletionSolver::Exact { max_nodes: 12 }),
-        ] {
-            let engine = RepairEngine::new(&schema, &constraints)
-                .unwrap()
-                .with_options(RepairOptions {
-                    mode: RepairMode::DeleteOnly,
-                    solver,
-                });
-            group.bench_with_input(BenchmarkId::new(label, rows), &rows, |b, _| {
-                b.iter(|| {
-                    let evidence = engine.explain(&data).unwrap();
-                    engine.plan(&data, &evidence).unwrap()
-                });
-            });
-        }
+        let engine = RepairEngine::new(&schema, &constraints).unwrap();
+        let evidence = engine.explain(&data).unwrap();
+        let graph = engine.conflict_graph(&data, &evidence).unwrap();
+        group.bench_with_input(BenchmarkId::new("greedy", rows), &rows, |b, _| {
+            b.iter(|| graph.greedy_deletions());
+        });
+        group.bench_with_input(BenchmarkId::new("exact", rows), &rows, |b, _| {
+            b.iter(|| graph.exact_deletions().unwrap());
+        });
     }
     group.finish();
 }
@@ -106,7 +97,6 @@ fn bench_value_modification_plan(c: &mut Criterion) {
             .with_cost_model(EditDistanceCost::default())
             .with_options(RepairOptions {
                 mode: RepairMode::ModifyThenDelete,
-                solver: DeletionSolver::Greedy,
             });
         group.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, _| {
             b.iter(|| {
@@ -125,12 +115,7 @@ fn bench_verified_repair(c: &mut Criterion) {
     configure(&mut group);
     for size in [100usize, 200] {
         let workload = PreparedWorkload::new(size, 5.0, 42);
-        let engine = RepairEngine::new(&workload.schema, &workload.constraints)
-            .unwrap()
-            .with_options(RepairOptions {
-                solver: DeletionSolver::Greedy,
-                ..RepairOptions::default()
-            });
+        let engine = RepairEngine::new(&workload.schema, &workload.constraints).unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, _| {
             b.iter(|| {
                 let mut catalog = Catalog::new();

@@ -21,25 +21,12 @@
 use crate::ecfd::ECfd;
 use crate::error::{CoreError, Result};
 use crate::satisfaction;
-use crate::small_model::{self, Goal};
+use crate::small_model::{Goal, Search};
 use ecfd_relation::{Relation, Schema, Tuple};
 
-/// Options controlling the exact implication search.
-#[derive(Debug, Clone, Copy)]
-pub struct ImplicationOptions {
-    /// Maximum number of search nodes (cell assignments, over both the
-    /// single- and the two-tuple run) to explore before giving up with
-    /// [`CoreError::AnalysisBudgetExceeded`].
-    pub node_budget: u64,
-}
-
-impl Default for ImplicationOptions {
-    fn default() -> Self {
-        ImplicationOptions {
-            node_budget: 20_000_000,
-        }
-    }
-}
+/// The search nodes (cell assignments, over both the single- and the
+/// two-tuple run) one implication check may explore before giving up.
+const NODE_BUDGET: u64 = 20_000_000;
 
 /// Outcome of the implication analysis.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,28 +53,41 @@ impl ImplicationOutcome {
     }
 }
 
-/// Does `Σ ⊨ φ`? Uses default options.
+/// Does `Σ ⊨ φ`?
 pub fn implies(schema: &Schema, sigma: &[ECfd], phi: &ECfd) -> Result<bool> {
-    Ok(check_implication(schema, sigma, phi, ImplicationOptions::default())?.is_implied())
+    Ok(check_implication(schema, sigma, phi)?.is_implied())
 }
 
-/// Exact implication analysis with explicit options.
+/// Exact implication analysis: `Implied`, or a counterexample of one or two
+/// tuples. Fails with [`CoreError::AnalysisBudgetExceeded`] after 20 000 000
+/// search nodes.
 pub fn check_implication(
     schema: &Schema,
     sigma: &[ECfd],
     phi: &ECfd,
-    options: ImplicationOptions,
+) -> Result<ImplicationOutcome> {
+    within(schema, sigma, phi, NODE_BUDGET)
+}
+
+/// [`check_implication`] on `budget` search nodes. The error names
+/// [`NODE_BUDGET`], the budget every caller outside the tests passes.
+fn within(
+    schema: &Schema,
+    sigma: &[ECfd],
+    phi: &ECfd,
+    mut budget: u64,
 ) -> Result<ImplicationOutcome> {
     for ecfd in sigma.iter().chain(std::iter::once(phi)) {
         ecfd.validate_against(schema)?;
     }
 
-    let mut budget = options.node_budget;
     let mut run = |goal| {
-        small_model::search(schema, sigma, goal, 0, &mut budget).map_err(|_| {
-            let what = "implication search exceeded its node budget of";
-            CoreError::AnalysisBudgetExceeded(format!("{what} {}", options.node_budget))
-        })
+        Search::new(schema, sigma, goal, &mut budget)
+            .run(0)
+            .map_err(|_| {
+                let what = "implication search exceeded its node budget of";
+                CoreError::AnalysisBudgetExceeded(format!("{what} {NODE_BUDGET}"))
+            })
     };
     let mut found = run(Goal::Single(phi))?;
     if found.is_none() && !phi.fd_rhs().is_empty() {
@@ -113,15 +113,6 @@ pub fn check_implication(
 /// pattern-tuple granularity ("each tuple itself is a constraint"), split
 /// the set first with [`crate::normalize::split_patterns`].
 pub fn minimal_cover(schema: &Schema, ecfds: &[ECfd]) -> Result<Vec<ECfd>> {
-    minimal_cover_with(schema, ecfds, ImplicationOptions::default())
-}
-
-/// [`minimal_cover`] with an explicit search budget per implication check.
-pub fn minimal_cover_with(
-    schema: &Schema,
-    ecfds: &[ECfd],
-    options: ImplicationOptions,
-) -> Result<Vec<ECfd>> {
     let mut retained: Vec<ECfd> = ecfds.to_vec();
     // Drop implied constraints in reverse order, so that earlier
     // (presumably more fundamental) constraints are preferred.
@@ -130,7 +121,7 @@ pub fn minimal_cover_with(
         idx -= 1;
         let mut rest = retained.clone();
         let candidate = rest.remove(idx);
-        if check_implication(schema, &rest, &candidate, options)?.is_implied() {
+        if check_implication(schema, &rest, &candidate)?.is_implied() {
             retained.remove(idx);
         }
     }
@@ -281,7 +272,7 @@ mod tests {
     fn counterexample_instances_are_returned_and_valid() {
         let s = schema();
         let phi = phi1();
-        let outcome = check_implication(&s, &[], &phi, ImplicationOptions::default()).unwrap();
+        let outcome = check_implication(&s, &[], &phi).unwrap();
         let witness = outcome.counterexample().expect("φ1 is not implied by ∅");
         assert!(!witness.is_empty() && witness.len() <= 2);
         let db = Relation::with_tuples(s.clone(), witness.iter().cloned()).unwrap();
@@ -300,7 +291,7 @@ mod tests {
             .pattern(|p| p)
             .build()
             .unwrap();
-        let outcome = check_implication(&s, &[], &fd, ImplicationOptions::default()).unwrap();
+        let outcome = check_implication(&s, &[], &fd).unwrap();
         let witness = outcome.counterexample().expect("an FD is not implied by ∅");
         assert_eq!(witness.len(), 2, "violating a bare FD requires two tuples");
     }
@@ -308,14 +299,12 @@ mod tests {
     #[test]
     fn budget_is_enforced() {
         let s = schema();
-        let err = check_implication(
-            &s,
-            &[phi1()],
-            &phi1(),
-            ImplicationOptions { node_budget: 1 },
-        )
-        .unwrap_err();
-        assert!(matches!(err, CoreError::AnalysisBudgetExceeded(_)));
+        let err = within(&s, &[phi1()], &phi1(), 1).unwrap_err();
+        let CoreError::AnalysisBudgetExceeded(message) = err else {
+            panic!("expected an exhausted budget, got {err:?}");
+        };
+        assert!(message.contains("implication"), "{message}");
+        assert!(message.ends_with(&NODE_BUDGET.to_string()), "{message}");
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //!   its proof; `k = 0` is
 //!   [`check_satisfiability`](crate::satisfiability::check_satisfiability).
 //!   So the verdict is always proven: `Satisfiable` at `k = 0`,
-//!   `Unsatisfiable` above. All the searches share one node budget, that of
-//!   [`SatOptions::default`].
+//!   `Unsatisfiable` above. The search's value classes and compiled pattern
+//!   tuples are built once and run for every `k`, and the runs share
+//!   satisfiability's node budget of 5 000 000.
 //! * **The reduction stays, as a tested claim.** `f(Σ)`
 //!   ([`MaxSsEncoding::build`]) builds one Boolean formula per constraint,
 //!   over variables `x(A, r)` meaning "the witness tuple's attribute `A`
@@ -47,8 +48,8 @@
 use crate::ecfd::ECfd;
 use crate::error::{CoreError, Result};
 use crate::pattern::PatternValue;
-use crate::satisfiability::{single_tuple_satisfies, SatOptions};
-use crate::small_model::{self, Goal, ValueClasses};
+use crate::satisfiability::{single_tuple_satisfies, NODE_BUDGET};
+use crate::small_model::{Goal, Search, ValueClasses};
 use ecfd_logic::{Assignment, BoolExpr, MaxGSatInstance, MaxGSatOutcome, VarId, VarPool};
 use ecfd_relation::{Schema, Tuple};
 use serde::{Deserialize, Serialize};
@@ -230,20 +231,24 @@ fn satisfied_by(schema: &Schema, ecfds: &[ECfd], tuple: &Tuple) -> Result<Vec<us
 
 /// MAXSS, exactly: a largest satisfiable subset of `ecfds`, its one-tuple
 /// witness and the verdict it proves (see the module docs). Fails with
-/// [`CoreError::AnalysisBudgetExceeded`] when the searches exhaust
-/// [`SatOptions::default`]'s node budget.
+/// [`CoreError::AnalysisBudgetExceeded`] when the searches together exceed
+/// 5 000 000 nodes.
 pub fn max_satisfiable(schema: &Schema, ecfds: &[ECfd]) -> Result<MaxSsOutcome> {
+    within(schema, ecfds, NODE_BUDGET)
+}
+
+/// [`max_satisfiable`] on `budget` search nodes. The error names
+/// [`NODE_BUDGET`], the budget every caller outside the tests passes.
+fn within(schema: &Schema, ecfds: &[ECfd], mut budget: u64) -> Result<MaxSsOutcome> {
     for e in ecfds {
         e.validate_against(schema)?;
     }
-    let limit = SatOptions::default().node_budget;
-    let mut budget = limit;
+    let mut search = Search::new(schema, ecfds, Goal::Model, &mut budget);
     for broken in 0..=ecfds.len() {
-        let found =
-            small_model::search(schema, ecfds, Goal::Model, broken, &mut budget).map_err(|_| {
-                let what = "MAXSS search exceeded its node budget of";
-                CoreError::AnalysisBudgetExceeded(format!("{what} {limit}"))
-            })?;
+        let found = search.run(broken).map_err(|_| {
+            let what = "MAXSS search exceeded its node budget of";
+            CoreError::AnalysisBudgetExceeded(format!("{what} {NODE_BUDGET}"))
+        })?;
         if let Some(witness) = found.and_then(|mut model| model.pop()) {
             let satisfiable_subset = satisfied_by(schema, ecfds, &witness)?;
             debug_assert_eq!(satisfiable_subset.len(), ecfds.len() - broken);
@@ -484,5 +489,16 @@ mod tests {
         let outcome = max_satisfiable(&s, &[]).unwrap();
         assert!(outcome.satisfiable_subset.is_empty());
         assert_eq!(outcome.verdict, SatisfiabilityVerdict::Satisfiable);
+    }
+
+    #[test]
+    fn node_budget_is_enforced() {
+        let (a, b) = conflicting_pair();
+        let err = within(&schema(), &[phi1(), a, b], 1).unwrap_err();
+        let CoreError::AnalysisBudgetExceeded(message) = err else {
+            panic!("expected an exhausted budget, got {err:?}");
+        };
+        assert!(message.contains("MAXSS"), "{message}");
+        assert!(message.ends_with(&NODE_BUDGET.to_string()), "{message}");
     }
 }

@@ -16,31 +16,20 @@
 //! one domain.
 //!
 //! The search is exponential in the number of constrained attributes in the
-//! worst case — unavoidable unless P = NP — so callers can cap the number of
-//! search nodes with [`SatOptions::node_budget`]; the default is generous
-//! enough for all constraint sets used in the paper's experiments.
+//! worst case — unavoidable unless P = NP — so it gives up after 5 000 000
+//! search nodes with [`CoreError::AnalysisBudgetExceeded`], a budget
+//! generous enough for all constraint sets used in the paper's experiments.
+//! The budget is a constant: the paper's decider has no tuning.
 
 use crate::ecfd::ECfd;
 use crate::error::{CoreError, Result};
 use crate::satisfaction;
-use crate::small_model::{self, Goal};
+use crate::small_model::{Goal, Search};
 use ecfd_relation::{Relation, Schema, Tuple};
 
-/// Options controlling the exact satisfiability search.
-#[derive(Debug, Clone, Copy)]
-pub struct SatOptions {
-    /// Maximum number of backtracking nodes to explore before giving up with
-    /// [`CoreError::AnalysisBudgetExceeded`].
-    pub node_budget: u64,
-}
-
-impl Default for SatOptions {
-    fn default() -> Self {
-        SatOptions {
-            node_budget: 5_000_000,
-        }
-    }
-}
+/// The search nodes (cell assignments) satisfiability, and MAXSS over all
+/// its tolerances, may explore before giving up.
+pub(crate) const NODE_BUDGET: u64 = 5_000_000;
 
 /// Outcome of the exact satisfiability analysis.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,34 +56,35 @@ impl SatOutcome {
     }
 }
 
-/// Exact satisfiability with default options.
+/// Exact satisfiability.
 pub fn is_satisfiable(schema: &Schema, ecfds: &[ECfd]) -> Result<bool> {
-    Ok(check_satisfiability(schema, ecfds, SatOptions::default())?.is_satisfiable())
+    Ok(check_satisfiability(schema, ecfds)?.is_satisfiable())
 }
 
-/// Exact satisfiability returning a witness, with default options.
+/// Exact satisfiability returning a witness.
 pub fn find_witness(schema: &Schema, ecfds: &[ECfd]) -> Result<Option<Tuple>> {
-    Ok(check_satisfiability(schema, ecfds, SatOptions::default())?
-        .witness()
-        .cloned())
+    Ok(check_satisfiability(schema, ecfds)?.witness().cloned())
 }
 
-/// Exact satisfiability analysis with explicit options.
-pub fn check_satisfiability(
-    schema: &Schema,
-    ecfds: &[ECfd],
-    options: SatOptions,
-) -> Result<SatOutcome> {
+/// Exact satisfiability analysis: a one-tuple witness, or a proof that none
+/// exists. Fails with [`CoreError::AnalysisBudgetExceeded`] after 5 000 000
+/// search nodes.
+pub fn check_satisfiability(schema: &Schema, ecfds: &[ECfd]) -> Result<SatOutcome> {
+    within(schema, ecfds, NODE_BUDGET)
+}
+
+/// [`check_satisfiability`] on `budget` search nodes. The error names
+/// [`NODE_BUDGET`], the budget every caller outside the tests passes.
+fn within(schema: &Schema, ecfds: &[ECfd], mut budget: u64) -> Result<SatOutcome> {
     for ecfd in ecfds {
         ecfd.validate_against(schema)?;
     }
-    let mut budget = options.node_budget;
     let exhausted = |_| {
         let what = "satisfiability search exceeded its node budget of";
-        CoreError::AnalysisBudgetExceeded(format!("{what} {}", options.node_budget))
+        CoreError::AnalysisBudgetExceeded(format!("{what} {NODE_BUDGET}"))
     };
-    let found =
-        small_model::search(schema, ecfds, Goal::Model, 0, &mut budget).map_err(exhausted)?;
+    let mut search = Search::new(schema, ecfds, Goal::Model, &mut budget);
+    let found = search.run(0).map_err(exhausted)?;
     let Some(witness) = found.and_then(|mut model| model.pop()) else {
         return Ok(SatOutcome::Unsatisfiable);
     };
@@ -180,7 +170,7 @@ mod tests {
     fn paper_constraints_are_satisfiable() {
         let schema = cust_schema();
         let ecfds = [phi1(), phi2()];
-        let outcome = check_satisfiability(&schema, &ecfds, SatOptions::default()).unwrap();
+        let outcome = check_satisfiability(&schema, &ecfds).unwrap();
         let witness = outcome.witness().expect("φ1, φ2 are satisfiable").clone();
         assert!(single_tuple_satisfies(&schema, &ecfds, &witness).unwrap());
         assert!(is_satisfiable(&schema, &ecfds).unwrap());
@@ -208,7 +198,7 @@ mod tests {
     #[test]
     fn empty_constraint_set_is_satisfiable() {
         let schema = cust_schema();
-        let outcome = check_satisfiability(&schema, &[], SatOptions::default()).unwrap();
+        let outcome = check_satisfiability(&schema, &[]).unwrap();
         assert!(outcome.is_satisfiable());
     }
 
@@ -269,9 +259,12 @@ mod tests {
     #[test]
     fn node_budget_is_enforced() {
         let schema = cust_schema();
-        let err = check_satisfiability(&schema, &[phi1(), phi2()], SatOptions { node_budget: 1 })
-            .unwrap_err();
-        assert!(matches!(err, CoreError::AnalysisBudgetExceeded(_)));
+        let err = within(&schema, &[phi1(), phi2()], 1).unwrap_err();
+        let CoreError::AnalysisBudgetExceeded(message) = err else {
+            panic!("expected an exhausted budget, got {err:?}");
+        };
+        assert!(message.contains("satisfiability"), "{message}");
+        assert!(message.ends_with(&NODE_BUDGET.to_string()), "{message}");
     }
 
     #[test]

@@ -43,7 +43,7 @@
 //! the rule is still sound, only less complete.
 //!
 //! Redundancy elimination (Section III) is an analysis, not a compile step:
-//! [`crate::implication::minimal_cover_with`] drops every constraint implied
+//! [`crate::implication::minimal_cover`] drops every constraint implied
 //! by the rest, and a caller who wants the cover compiles its result. Two
 //! reasons keep it out of the pipeline. It keeps the set's models, not its
 //! flags: an instance satisfies the cover iff it satisfies the set, but a
@@ -231,7 +231,7 @@ fn subsumes(wide: &ECfd, narrow: &ECfd) -> bool {
 mod tests {
     use super::*;
     use crate::builder::ECfdBuilder;
-    use crate::implication::{minimal_cover_with, ImplicationOptions};
+    use crate::implication::minimal_cover;
     use crate::satisfaction;
     use ecfd_relation::{DataType, Relation, RowId, Tuple};
 
@@ -265,7 +265,7 @@ mod tests {
     /// redundancy elimination registers.
     fn compiled_cover(sigma: &[ECfd]) -> ConstraintSet {
         let singles: Vec<ECfd> = split_patterns(sigma).into_iter().map(|s| s.ecfd).collect();
-        let cover = minimal_cover_with(&schema(), &singles, ImplicationOptions::default()).unwrap();
+        let cover = minimal_cover(&schema(), &singles).unwrap();
         ConstraintSet::compile(&schema(), &cover).unwrap()
     }
 

@@ -53,80 +53,181 @@ pub(crate) enum Goal<'a> {
 #[derive(Debug)]
 pub(crate) struct OutOfBudget;
 
-/// Searches for an instance of one tuple (or two, for [`Goal::Pair`]) that
-/// reaches `goal` and violates at most `tolerance` constraints of `sigma`,
-/// charging one unit of `budget` per assignment. Returns the tuples over the
-/// full schema, or `None` when no such instance exists. Every constraint
-/// must already be validated against `schema`.
-pub(crate) fn search(
-    schema: &Schema,
-    sigma: &[ECfd],
-    goal: Goal<'_>,
+/// A search for an instance of one tuple (or two, for [`Goal::Pair`]) that
+/// reaches its goal, built once for `Σ` and run once per tolerance, every
+/// run charging one unit of the same budget per assignment.
+pub(crate) struct Search<'a> {
+    schema: &'a Schema,
+    classes: ValueClasses,
+    /// Every pattern tuple of `Σ`.
+    checks: Vec<Check>,
+    /// Per attribute, the checks that mention it.
+    touching: Vec<Vec<usize>>,
+    /// `φ`'s pattern tuples, or `None` when any model will do.
+    goal: Option<Vec<Check>>,
+    /// Per variable: its attribute and the range of tuples it sets.
+    vars: Vec<(usize, usize, usize)>,
+    /// Per tuple, per attribute: the assigned representative.
+    vals: Vec<Vec<Option<usize>>>,
+    /// The constraints the assigned cells violate, each once, in the order
+    /// they broke.
+    broken: Vec<usize>,
+    /// How many constraints may break.
     tolerance: usize,
-    budget: &mut u64,
-) -> Result<Option<Vec<Tuple>>, OutOfBudget> {
-    let (phi, tuples) = match goal {
-        Goal::Model => (None, 1),
-        Goal::Single(phi) => (Some(phi), 1),
-        Goal::Pair(phi) => (Some(phi), 2),
-    };
-    let all: Vec<&ECfd> = phi.into_iter().chain(sigma).collect();
-    let classes = ValueClasses::build(schema, &all, tuples);
-    let (names, reps) = (&classes.names, &classes.reps);
-    let table = |a: &str, cell: &PatternValue| classes.table(a, cell);
-    let compile = |(constraint, e): (usize, &ECfd)| -> Vec<Check> {
-        let (x, rhs): (Vec<&str>, _) =
-            (e.lhs().iter().map(String::as_str).collect(), e.rhs_attrs());
-        e.tableau()
-            .iter()
-            .map(|tp| Check {
-                constraint,
-                lhs: x.iter().zip(&tp.lhs).map(|(a, c)| table(a, c)).collect(),
-                rhs: rhs.iter().zip(&tp.rhs).map(|(a, c)| table(a, c)).collect(),
-                fd: e.fd_rhs().iter().map(|a| classes.index(a)).collect(),
-            })
-            .collect()
-    };
-    let checks: Vec<Check> = sigma.iter().enumerate().flat_map(compile).collect();
-    let mut touching: Vec<Vec<usize>> = vec![Vec::new(); names.len()];
-    for (i, check) in checks.iter().enumerate() {
-        for &(a, _) in check.lhs.iter().chain(&check.rhs) {
-            if touching[a].last() != Some(&i) {
-                touching[a].push(i);
+    budget: &'a mut u64,
+}
+
+impl<'a> Search<'a> {
+    /// Builds the value classes and compiled pattern tuples of `sigma` and
+    /// `goal`. Every constraint must already be validated against `schema`.
+    pub(crate) fn new(
+        schema: &'a Schema,
+        sigma: &[ECfd],
+        goal: Goal<'_>,
+        budget: &'a mut u64,
+    ) -> Self {
+        let (phi, tuples) = match goal {
+            Goal::Model => (None, 1),
+            Goal::Single(phi) => (Some(phi), 1),
+            Goal::Pair(phi) => (Some(phi), 2),
+        };
+        let all: Vec<&ECfd> = phi.into_iter().chain(sigma).collect();
+        let classes = ValueClasses::build(schema, &all, tuples);
+        let (names, reps) = (&classes.names, &classes.reps);
+        let table = |a: &str, cell: &PatternValue| classes.table(a, cell);
+        let compile = |(constraint, e): (usize, &ECfd)| -> Vec<Check> {
+            let (x, rhs): (Vec<&str>, _) =
+                (e.lhs().iter().map(String::as_str).collect(), e.rhs_attrs());
+            e.tableau()
+                .iter()
+                .map(|tp| Check {
+                    constraint,
+                    lhs: x.iter().zip(&tp.lhs).map(|(a, c)| table(a, c)).collect(),
+                    rhs: rhs.iter().zip(&tp.rhs).map(|(a, c)| table(a, c)).collect(),
+                    fd: e.fd_rhs().iter().map(|a| classes.index(a)).collect(),
+                })
+                .collect()
+        };
+        let checks: Vec<Check> = sigma.iter().enumerate().flat_map(compile).collect();
+        let mut touching: Vec<Vec<usize>> = vec![Vec::new(); names.len()];
+        for (i, check) in checks.iter().enumerate() {
+            for &(a, _) in check.lhs.iter().chain(&check.rhs) {
+                if touching[a].last() != Some(&i) {
+                    touching[a].push(i);
+                }
             }
         }
-    }
 
-    // Variables: (attribute, first tuple, one past the last tuple it sets).
-    // φ's cells come first; in the pair search its X cells are shared.
-    let phi_attrs = phi.map_or(0, |p| p.attributes().len());
-    let mut rest: Vec<usize> = (phi_attrs..names.len()).collect();
-    rest.sort_by_key(|&a| reps[a].len());
-    let mut vars = Vec::new();
-    for a in (0..phi_attrs).chain(rest) {
-        if tuples == 2 && phi.is_some_and(|p| p.lhs().contains(&names[a])) {
-            vars.push((a, 0, 2));
-        } else {
-            vars.extend((0..tuples).map(|t| (a, t, t + 1)));
+        // Variables: (attribute, first tuple, one past the last tuple it
+        // sets). φ's cells come first; in the pair search its X cells are
+        // shared.
+        let phi_attrs = phi.map_or(0, |p| p.attributes().len());
+        let mut rest: Vec<usize> = (phi_attrs..names.len()).collect();
+        rest.sort_by_key(|&a| reps[a].len());
+        let mut vars = Vec::new();
+        for a in (0..phi_attrs).chain(rest) {
+            if tuples == 2 && phi.is_some_and(|p| p.lhs().contains(&names[a])) {
+                vars.push((a, 0, 2));
+            } else {
+                vars.extend((0..tuples).map(|t| (a, t, t + 1)));
+            }
+        }
+        let goal = phi.map(|p| compile((0, p)));
+        Search {
+            vals: vec![vec![None; names.len()]; tuples],
+            schema,
+            classes,
+            checks,
+            touching,
+            goal,
+            vars,
+            broken: Vec::new(),
+            tolerance: 0,
+            budget,
         }
     }
 
-    let mut state = Search {
-        reps,
-        checks,
-        touching,
-        goal: phi.map(|p| compile((0, p))),
-        vars,
-        vals: vec![vec![None; names.len()]; tuples],
-        broken: Vec::new(),
-        tolerance,
-        budget,
-    };
-    if !state.descend(0)? {
-        return Ok(None);
+    /// Looks for an instance that reaches the goal and violates at most
+    /// `tolerance` constraints of `Σ`. Returns the tuples over the full
+    /// schema, or `None` when no such instance exists. A run that finds
+    /// nothing leaves no cell assigned and nothing broken, so the search
+    /// can run again with another tolerance.
+    pub(crate) fn run(&mut self, tolerance: usize) -> Result<Option<Vec<Tuple>>, OutOfBudget> {
+        self.tolerance = tolerance;
+        if !self.descend(0)? {
+            return Ok(None);
+        }
+        let instance = (self.vals.iter()).map(|vals| self.classes.tuple(self.schema, |a| vals[a]));
+        Ok(Some(instance.collect()))
     }
-    let instance = (state.vals.iter()).map(|vals| classes.tuple(schema, |a| vals[a]));
-    Ok(Some(instance.collect()))
+
+    fn descend(&mut self, depth: usize) -> Result<bool, OutOfBudget> {
+        let Some(&(attr, lo, hi)) = self.vars.get(depth) else {
+            return Ok(true);
+        };
+        let unbroken = self.broken.len();
+        for v in 0..self.classes.reps[attr].len() {
+            *self.budget = self.budget.checked_sub(1).ok_or(OutOfBudget)?;
+            for t in lo..hi {
+                self.vals[t][attr] = Some(v);
+            }
+            if self.mark_broken(attr) && self.goal_reachable() && self.descend(depth + 1)? {
+                return Ok(true);
+            }
+            self.broken.truncate(unbroken);
+        }
+        for t in lo..hi {
+            self.vals[t][attr] = None;
+        }
+        Ok(false)
+    }
+
+    fn matches(&self, check: &Check, t: usize) -> bool {
+        check
+            .lhs
+            .iter()
+            .all(|(a, m)| self.vals[t][*a].is_some_and(|v| m[v]))
+    }
+
+    /// Marks broken each constraint not yet broken that a pattern mentioning
+    /// `attr` now violates. False once more than the tolerance are broken.
+    fn mark_broken(&mut self, attr: usize) -> bool {
+        for &i in &self.touching[attr] {
+            let c = &self.checks[i];
+            if self.violates(c) && !self.broken.contains(&c.constraint) {
+                self.broken.push(c.constraint);
+                if self.broken.len() > self.tolerance {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// Do the assigned cells already violate the pattern tuple?
+    fn violates(&self, c: &Check) -> bool {
+        let vals = &self.vals;
+        let fails = |t: usize| (c.rhs.iter()).any(|(a, m)| vals[t][*a].is_some_and(|v| !m[v]));
+        (0..vals.len()).any(|t| self.matches(c, t) && fails(t))
+            || vals.len() == 2
+                && self.matches(c, 0)
+                && c.lhs.iter().all(|&(a, _)| vals[0][a] == vals[1][a])
+                && (c.fd.iter()).any(|&a| vals[0][a].zip(vals[1][a]).is_some_and(|(x, y)| x != y))
+    }
+
+    /// Can the assigned cells of `φ` still be completed to the goal?
+    fn goal_reachable(&self) -> bool {
+        let Some(goal) = &self.goal else { return true };
+        let vals = &self.vals;
+        goal.iter().any(|c| {
+            let lhs = (c.lhs.iter()).all(|(a, m)| vals[0][*a].is_none_or(|v| m[v]));
+            lhs && if vals.len() == 2 {
+                (c.fd.iter()).any(|&a| vals[0][a].zip(vals[1][a]).is_none_or(|(x, y)| x != y))
+            } else {
+                (c.rhs.iter()).any(|(a, m)| vals[0][*a].is_none_or(|v| !m[v]))
+            }
+        })
+    }
 }
 
 /// The value classes of the attributes a constraint set mentions: per
@@ -241,96 +342,6 @@ struct Check {
     rhs: Vec<(usize, Vec<bool>)>,
     /// The `Y` attributes (the embedded FD's right-hand side).
     fd: Vec<usize>,
-}
-
-struct Search<'a> {
-    reps: &'a [Vec<Value>],
-    /// Every pattern tuple of `Σ`.
-    checks: Vec<Check>,
-    /// Per attribute, the checks that mention it.
-    touching: Vec<Vec<usize>>,
-    /// `φ`'s pattern tuples, or `None` when any model will do.
-    goal: Option<Vec<Check>>,
-    /// Per variable: its attribute and the range of tuples it sets.
-    vars: Vec<(usize, usize, usize)>,
-    /// Per tuple, per attribute: the assigned representative.
-    vals: Vec<Vec<Option<usize>>>,
-    /// The constraints the assigned cells violate, each once, in the order
-    /// they broke.
-    broken: Vec<usize>,
-    /// How many constraints may break.
-    tolerance: usize,
-    budget: &'a mut u64,
-}
-
-impl Search<'_> {
-    fn descend(&mut self, depth: usize) -> Result<bool, OutOfBudget> {
-        let Some(&(attr, lo, hi)) = self.vars.get(depth) else {
-            return Ok(true);
-        };
-        let unbroken = self.broken.len();
-        for v in 0..self.reps[attr].len() {
-            *self.budget = self.budget.checked_sub(1).ok_or(OutOfBudget)?;
-            for t in lo..hi {
-                self.vals[t][attr] = Some(v);
-            }
-            if self.mark_broken(attr) && self.goal_reachable() && self.descend(depth + 1)? {
-                return Ok(true);
-            }
-            self.broken.truncate(unbroken);
-        }
-        for t in lo..hi {
-            self.vals[t][attr] = None;
-        }
-        Ok(false)
-    }
-
-    fn matches(&self, check: &Check, t: usize) -> bool {
-        check
-            .lhs
-            .iter()
-            .all(|(a, m)| self.vals[t][*a].is_some_and(|v| m[v]))
-    }
-
-    /// Marks broken each constraint not yet broken that a pattern mentioning
-    /// `attr` now violates. False once more than the tolerance are broken.
-    fn mark_broken(&mut self, attr: usize) -> bool {
-        for &i in &self.touching[attr] {
-            let c = &self.checks[i];
-            if self.violates(c) && !self.broken.contains(&c.constraint) {
-                self.broken.push(c.constraint);
-                if self.broken.len() > self.tolerance {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// Do the assigned cells already violate the pattern tuple?
-    fn violates(&self, c: &Check) -> bool {
-        let vals = &self.vals;
-        let fails = |t: usize| (c.rhs.iter()).any(|(a, m)| vals[t][*a].is_some_and(|v| !m[v]));
-        (0..vals.len()).any(|t| self.matches(c, t) && fails(t))
-            || vals.len() == 2
-                && self.matches(c, 0)
-                && c.lhs.iter().all(|&(a, _)| vals[0][a] == vals[1][a])
-                && (c.fd.iter()).any(|&a| vals[0][a].zip(vals[1][a]).is_some_and(|(x, y)| x != y))
-    }
-
-    /// Can the assigned cells of `φ` still be completed to the goal?
-    fn goal_reachable(&self) -> bool {
-        let Some(goal) = &self.goal else { return true };
-        let vals = &self.vals;
-        goal.iter().any(|c| {
-            let lhs = (c.lhs.iter()).all(|(a, m)| vals[0][*a].is_none_or(|v| m[v]));
-            lhs && if vals.len() == 2 {
-                (c.fd.iter()).any(|&a| vals[0][a].zip(vals[1][a]).is_none_or(|(x, y)| x != y))
-            } else {
-                (c.rhs.iter()).any(|(a, m)| vals[0][*a].is_none_or(|v| !m[v]))
-            }
-        })
-    }
 }
 
 #[cfg(test)]

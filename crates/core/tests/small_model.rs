@@ -26,10 +26,10 @@
 //! flags no row its recorded subsumer does not, and the compiled singles flag
 //! exactly the rows of `ConstraintSet::verbatim`'s.
 
-use ecfd_core::implication::{check_implication, ImplicationOptions, ImplicationOutcome};
+use ecfd_core::implication::{check_implication, ImplicationOutcome};
 use ecfd_core::maxss::{max_satisfiable, MaxSsEncoding, SatisfiabilityVerdict};
 use ecfd_core::satisfaction;
-use ecfd_core::satisfiability::{check_satisfiability, single_tuple_satisfies, SatOptions};
+use ecfd_core::satisfiability::{check_satisfiability, single_tuple_satisfies};
 use ecfd_core::{ConstraintSet, ECfd, PatternTuple, PatternValue, ViolationKind};
 use ecfd_logic::MaxGSatInstance;
 use ecfd_relation::{DataType, Domain, Relation, RowId, Schema, Tuple, Value};
@@ -260,14 +260,13 @@ proptest! {
             .map(|(t, _)| t)
             .collect();
 
-        let sat = check_satisfiability(&schema, &sigma, SatOptions::default()).unwrap();
+        let sat = check_satisfiability(&schema, &sigma).unwrap();
         prop_assert_eq!(sat.is_satisfiable(), !models.is_empty(), "Σ = {:?}", sigma);
         if let Some(witness) = sat.witness() {
             prop_assert!(single_tuple_satisfies(&schema, &sigma, witness).unwrap());
         }
 
-        let outcome =
-            check_implication(&schema, &sigma, &phi, ImplicationOptions::default()).unwrap();
+        let outcome = check_implication(&schema, &sigma, &phi).unwrap();
         prop_assert_eq!(
             outcome.is_implied(),
             !has_counterexample(&schema, &models, &sigma, &phi),

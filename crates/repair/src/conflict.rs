@@ -10,8 +10,9 @@
 //! *must-delete* nodes. Minimising the deleted weight is exactly a weighted
 //! vertex cover over the cross-class conflict pairs — the frame of "The
 //! Complexity of Computing a Cardinality Repair for Functional Dependencies"
-//! (Livshits & Kimelfeld) — which the crate solves greedily, or exactly for
-//! small instances through the [`ecfd_logic`] MAXGSAT oracle.
+//! (Livshits & Kimelfeld) — which the crate solves greedily, or exactly
+//! through the [`ecfd_logic`] MAXGSAT oracle when the graph has at most 12
+//! nodes.
 
 use crate::cost::CostModel;
 use crate::{RepairError, Result};
@@ -22,9 +23,10 @@ use ecfd_relation::{Relation, RowId, Tuple, Value};
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, HashSet};
 
-/// The exhaustive MAXGSAT solver's own instance limit, in nodes: one
-/// variable per node.
-pub(crate) const EXACT_MAX_NODES: usize = MaxGSatInstance::EXHAUSTIVE_MAX_VARS;
+/// The largest conflict graph, in nodes, that gets the exact cover: one
+/// MAXGSAT variable per node, enumerated exhaustively.
+const EXACT_MAX_NODES: usize = 12;
+const _: () = assert!(EXACT_MAX_NODES <= MaxGSatInstance::EXHAUSTIVE_MAX_VARS);
 
 /// One tuple participating in a conflict.
 #[derive(Debug, Clone, PartialEq)]
@@ -256,11 +258,10 @@ impl ConflictGraph {
     /// Exact cardinality repair through the MAXGSAT oracle: one variable per
     /// node ("keep it"), hard formulas for must-delete nodes and for every
     /// cross-class conflict pair, soft formulas rewarding kept nodes. Solved
-    /// exhaustively, so instances with more than `max_nodes` nodes (or
-    /// [`MaxGSatInstance::EXHAUSTIVE_MAX_VARS`], the exhaustive solver's own
-    /// limit) return `None` — callers fall back to the greedy cover.
-    pub fn exact_deletions(&self, max_nodes: usize) -> Option<Vec<usize>> {
-        if self.nodes.len() > max_nodes.min(EXACT_MAX_NODES) {
+    /// exhaustively, so a graph of more than 12 nodes returns `None` — the
+    /// planner falls back to the greedy cover.
+    pub fn exact_deletions(&self) -> Option<Vec<usize>> {
+        if self.nodes.len() > EXACT_MAX_NODES {
             return None;
         }
         if self.nodes.is_empty() {
@@ -406,7 +407,7 @@ mod tests {
         assert_eq!(graph.num_conflicts(), 2);
 
         let greedy = graph.greedy_deletions();
-        let exact = graph.exact_deletions(12).unwrap();
+        let exact = graph.exact_deletions().unwrap();
         assert_eq!(greedy.len(), 1);
         assert_eq!(exact.len(), 1);
         assert_eq!(greedy, exact);
@@ -430,7 +431,7 @@ mod tests {
         ]);
         assert_eq!(graph.groups().len(), 2);
         let greedy = graph.greedy_deletions();
-        let exact = graph.exact_deletions(12).unwrap();
+        let exact = graph.exact_deletions().unwrap();
         assert_eq!(exact.len(), 2);
         assert_eq!(greedy.len(), exact.len());
     }
@@ -452,7 +453,7 @@ mod tests {
         )
         .unwrap();
         let greedy = graph.greedy_deletions();
-        let exact = graph.exact_deletions(12).unwrap();
+        let exact = graph.exact_deletions().unwrap();
         // Deleting row 0 also resolves the group, so both settle for one
         // deletion — the mandatory one.
         assert_eq!(greedy.len(), 1);
@@ -540,7 +541,7 @@ mod tests {
         let borrowed: Vec<(&str, &str)> =
             rows.iter().map(|(a, b)| (a.as_str(), b.as_str())).collect();
         let (graph, _) = graph_for(&borrowed);
-        assert_eq!(graph.exact_deletions(12), None);
+        assert_eq!(graph.exact_deletions(), None);
         // The greedy cover still handles it: 14 rows, all distinct Y values →
         // keep one class (one row), delete 13.
         assert_eq!(graph.greedy_deletions().len(), 13);

@@ -7,10 +7,13 @@
 //! admit no canonical witness and fall back to deletion). Second, the
 //! remaining violations — unrepairable SV rows plus the multi-tuple FD
 //! conflicts — are resolved by *tuple deletion* over the
-//! [`ConflictGraph`]: a greedy weighted vertex cover,
-//! or an exact MAXGSAT-backed cardinality repair for small instances.
+//! [`ConflictGraph`]. An exact cardinality repair is out of reach in general
+//! (Livshits & Kimelfeld), so the instance size decides: a graph of at most
+//! 12 nodes gets the exact MAXGSAT-backed cardinality repair, with the cost
+//! model breaking cardinality ties, and a larger one the greedy weighted
+//! vertex cover.
 
-use crate::conflict::{ConflictGraph, EXACT_MAX_NODES};
+use crate::conflict::ConflictGraph;
 use crate::cost::{ConstantCost, CostModel};
 use crate::plan::{DeletionRepair, Repair, ValueRepair};
 use crate::{RepairError, Result};
@@ -21,34 +24,6 @@ use ecfd_detect::{Parallelism, SemanticDetector};
 use ecfd_relation::{AttrId, Relation, RowId, Schema, Tuple};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
-
-/// How deletion repairs are computed over the conflict graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeletionSolver {
-    /// Greedy weighted vertex cover (any instance size, 2-approximate).
-    Greedy,
-    /// Exact MAXGSAT-backed *cardinality* repair — it minimises the number
-    /// of deletions and ignores cost-model weights. Errors when the conflict
-    /// graph has more than `max_nodes` nodes, or more than 24 (the
-    /// exhaustive solver's own limit), naming the limit that applied.
-    Exact {
-        /// Largest instance the exact oracle accepts (≤ 24).
-        max_nodes: usize,
-    },
-    /// Exact when the instance has at most `max_nodes` nodes, greedy
-    /// otherwise. When both covers have the same cardinality the cost model
-    /// arbitrates, so weights are never silently discarded.
-    Auto {
-        /// Threshold between exact and greedy.
-        max_nodes: usize,
-    },
-}
-
-impl Default for DeletionSolver {
-    fn default() -> Self {
-        DeletionSolver::Auto { max_nodes: 12 }
-    }
-}
 
 /// What kinds of repair operations the planner may use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -66,8 +41,6 @@ pub enum RepairMode {
 pub struct RepairOptions {
     /// Allowed repair operations.
     pub mode: RepairMode,
-    /// Deletion solver.
-    pub solver: DeletionSolver,
 }
 
 /// The repair engine for one constraint set, on the schema its detector was
@@ -231,36 +204,21 @@ impl RepairEngine {
             &patched,
             &*self.cost,
         )?;
-        let deleted = match self.options.solver {
-            DeletionSolver::Greedy => graph.greedy_deletions(),
-            DeletionSolver::Exact { max_nodes } => {
-                graph
-                    .exact_deletions(max_nodes)
-                    .ok_or(RepairError::InstanceTooLarge {
-                        nodes: graph.num_nodes(),
-                        max_nodes: max_nodes.min(EXACT_MAX_NODES),
-                    })?
+        // The exact oracle, when the graph is small enough for it, minimises
+        // cardinality and knows nothing of weights; the greedy cover is
+        // weight-aware but may over-delete. Keep the oracle's cardinality
+        // win, and on ties let the cost model arbitrate.
+        let greedy = graph.greedy_deletions();
+        let weight_of =
+            |cover: &[usize]| -> f64 { cover.iter().map(|&i| graph.nodes()[i].weight).sum() };
+        let deleted = match graph.exact_deletions() {
+            Some(exact)
+                if exact.len() < greedy.len()
+                    || (exact.len() == greedy.len() && weight_of(&exact) <= weight_of(&greedy)) =>
+            {
+                exact
             }
-            DeletionSolver::Auto { max_nodes } => match graph.exact_deletions(max_nodes) {
-                None => graph.greedy_deletions(),
-                Some(exact) => {
-                    // The exact oracle minimises cardinality and knows
-                    // nothing of weights; the greedy cover is weight-aware
-                    // but may over-delete. Keep the oracle's cardinality
-                    // win, and on ties let the cost model arbitrate.
-                    let greedy = graph.greedy_deletions();
-                    let weight_of = |cover: &[usize]| -> f64 {
-                        cover.iter().map(|&i| graph.nodes()[i].weight).sum()
-                    };
-                    if exact.len() < greedy.len()
-                        || (exact.len() == greedy.len() && weight_of(&exact) <= weight_of(&greedy))
-                    {
-                        exact
-                    } else {
-                        greedy
-                    }
-                }
-            },
+            _ => greedy,
         };
         let deletions: Vec<DeletionRepair> = deleted
             .iter()
@@ -436,7 +394,6 @@ mod tests {
             .unwrap()
             .with_options(RepairOptions {
                 mode: RepairMode::DeleteOnly,
-                ..RepairOptions::default()
             });
         let evidence = engine.explain(&data).unwrap();
         let plan = engine.plan(&data, &evidence).unwrap();
@@ -507,7 +464,6 @@ mod tests {
             .with_cost_model(Biased)
             .with_options(RepairOptions {
                 mode: RepairMode::DeleteOnly,
-                solver: DeletionSolver::Auto { max_nodes: 12 },
             });
         let evidence = engine.explain(&data).unwrap();
         let plan = engine.plan(&data, &evidence).unwrap();
@@ -516,59 +472,6 @@ mod tests {
             plan.deletions[0].tuple,
             Tuple::from_iter(["Albany", "518"]),
             "the expensive 718 row must survive"
-        );
-    }
-
-    #[test]
-    fn exact_solver_errors_on_oversized_instances() {
-        let rows: Vec<Tuple> = (0..15)
-            .map(|i| Tuple::from_iter(["Albany", &format!("7{i:02}")]))
-            .collect();
-        let data = Relation::with_tuples(schema(), rows).unwrap();
-        let fd = ECfdBuilder::new("cust")
-            .lhs(["CT"])
-            .fd_rhs(["AC"])
-            .pattern(|p| p)
-            .build()
-            .unwrap();
-        let engine = RepairEngine::new(&schema(), &[fd])
-            .unwrap()
-            .with_options(RepairOptions {
-                solver: DeletionSolver::Exact { max_nodes: 12 },
-                ..RepairOptions::default()
-            });
-        let evidence = engine.explain(&data).unwrap();
-        assert!(matches!(
-            engine.plan(&data, &evidence),
-            Err(RepairError::InstanceTooLarge { .. })
-        ));
-    }
-
-    #[test]
-    fn exact_solver_errors_name_the_limit_that_applied() {
-        let rows: Vec<Tuple> = (0..25)
-            .map(|i| Tuple::from_iter(["Albany", &format!("7{i:02}")]))
-            .collect();
-        let data = Relation::with_tuples(schema(), rows).unwrap();
-        let fd = ECfdBuilder::new("cust")
-            .lhs(["CT"])
-            .fd_rhs(["AC"])
-            .pattern(|p| p)
-            .build()
-            .unwrap();
-        let engine = RepairEngine::new(&schema(), &[fd])
-            .unwrap()
-            .with_options(RepairOptions {
-                solver: DeletionSolver::Exact { max_nodes: 30 },
-                ..RepairOptions::default()
-            });
-        let evidence = engine.explain(&data).unwrap();
-        assert_eq!(
-            engine.plan(&data, &evidence),
-            Err(RepairError::InstanceTooLarge {
-                nodes: 25,
-                max_nodes: 24,
-            })
         );
     }
 }

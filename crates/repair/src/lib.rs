@@ -9,10 +9,11 @@
 //!    flagged row, the violated constraint and pattern tuple, and for
 //!    multi-tuple violations the offending enforcement group.
 //! 2. **Planning** — [`RepairEngine`] builds a [`ConflictGraph`] from the
-//!    evidence and computes (a) *cardinality repairs* by tuple deletion — a
-//!    greedy weighted vertex cover, with an exact mode that reduces small
-//!    instances to [`ecfd_logic::MaxGSatInstance`] as an oracle (the frame of
-//!    Livshits & Kimelfeld's cardinality-repair analysis) — and (b) *value
+//!    evidence and computes (a) *cardinality repairs* by tuple deletion — an
+//!    exact cover through [`ecfd_logic::MaxGSatInstance`] as an oracle when
+//!    the graph has at most 12 nodes, a greedy weighted vertex cover above
+//!    (the frame of Livshits & Kimelfeld's cardinality-repair analysis) —
+//!    and (b) *value
 //!    modification* repairs for single-tuple violations, choosing the
 //!    cheapest consequent value under a pluggable [`CostModel`].
 //! 3. **Verified apply** — [`repair_verified`] emits the plan as
@@ -64,7 +65,7 @@ pub mod verify;
 
 pub use conflict::{ConflictGraph, ConflictNode, GroupConflict};
 pub use cost::{ConstantCost, CostModel, EditDistanceCost, PerAttributeCost};
-pub use engine::{DeletionSolver, RepairEngine, RepairMode, RepairOptions};
+pub use engine::{RepairEngine, RepairMode, RepairOptions};
 pub use plan::{DeletionRepair, Repair, ValueRepair};
 pub use verify::{repair_verified, repair_verified_with, RepairRound, VerifiedRepair};
 
@@ -88,15 +89,6 @@ pub enum RepairError {
     UnknownRow(RowId),
     /// Evidence referenced a constraint / pattern the engine does not know.
     UnknownConstraint(ConstraintRef),
-    /// The exact deletion solver was requested on a conflict graph larger
-    /// than its limit.
-    InstanceTooLarge {
-        /// Nodes in the conflict graph.
-        nodes: usize,
-        /// The limit that applied: the configured one, capped at the
-        /// exhaustive solver's own.
-        max_nodes: usize,
-    },
     /// The verified-apply loop finished with violations remaining (should be
     /// unreachable thanks to the forced delete-only final round).
     NotClean {
@@ -116,10 +108,6 @@ impl fmt::Display for RepairError {
                 f,
                 "evidence references unknown constraint {} pattern {}",
                 c.constraint, c.pattern
-            ),
-            RepairError::InstanceTooLarge { nodes, max_nodes } => write!(
-                f,
-                "exact repair limited to {max_nodes} conflict nodes, instance has {nodes}"
             ),
             RepairError::NotClean { remaining } => write!(
                 f,

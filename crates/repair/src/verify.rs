@@ -221,7 +221,6 @@ mod tests {
             .unwrap()
             .with_options(RepairOptions {
                 mode: RepairMode::DeleteOnly,
-                ..RepairOptions::default()
             });
         let outcome = repair_verified(&engine, &mut catalog).unwrap();
         assert_eq!(outcome.rounds.len(), 1);

@@ -92,18 +92,19 @@
 //! ## Backend routing and parallelism
 //!
 //! Every detection-shaped call can name a [`BackendKind`] explicitly
-//! (`detect_with`, `apply_with`); otherwise the session's [`RoutingPolicy`]
-//! decides. The default policy runs full passes on the native semantic
-//! detector — the fast path: one shared-scan program over the
-//! dictionary-encoded columns, the `ScanProgram` an `ecfd_plan::Plan` holds
-//! and renders for `EXPLAIN PLAN` — and routes update batches by the
-//! delta-size threshold of the paper's Fig. 7(a): small batches go to
-//! incremental maintenance, which runs each touched tuple through the same
-//! program's per-row step, large ones to a fresh full pass. The SQL batch
+//! (`detect_with`, `apply_with`); otherwise one fixed rule decides. Full
+//! passes run on the native semantic detector — the fast path: one
+//! shared-scan program over the dictionary-encoded columns, the
+//! `ScanProgram` an `ecfd_plan::Plan` holds and renders for `EXPLAIN PLAN`.
+//! Update batches are routed by the delta-size threshold of the paper's
+//! Fig. 7(a): a batch of at most a quarter of the table goes to incremental
+//! maintenance, which runs each touched tuple through the same program's
+//! per-row step, a larger one to a fresh semantic pass. The SQL batch
 //! detector remains the paper-faithful reference (its role is fidelity, not
-//! speed), selectable per call or via [`RoutingPolicy::fixed`].
+//! speed), reached per call only.
 //!
-//! The policy also carries the [`Parallelism`] of the detection scans:
+//! The session's [`RoutingPolicy`] carries the [`Parallelism`] of the
+//! detection scans:
 //! `Auto` (every available core, the default) or `Fixed(n)`. It is applied
 //! to the backends at registration time; replacing the policy with
 //! [`Session::with_policy`](session::Session::with_policy) retrofits the new
@@ -281,7 +282,6 @@ mod tests {
         let outcome = session
             .repair_with(RepairOptions {
                 mode: RepairMode::DeleteOnly,
-                ..RepairOptions::default()
             })
             .unwrap();
         assert!(outcome.final_report.is_clean());
@@ -400,7 +400,7 @@ mod tests {
             .pattern(|p| p)
             .build()
             .unwrap();
-        let mut session = Session::new().with_policy(RoutingPolicy::fixed(BackendKind::Semantic));
+        let mut session = Session::new();
         session
             .load(
                 Relation::with_tuples(
@@ -415,7 +415,10 @@ mod tests {
             .unwrap();
         session.register(&[phi]).unwrap();
         // The semantic path serves the int-typed schema fine…
-        assert_eq!(session.detect().unwrap().num_mv(), 2);
+        assert_eq!(
+            session.detect_with(BackendKind::Semantic).unwrap().num_mv(),
+            2
+        );
         // …and only an explicit SQL request errors.
         assert!(matches!(
             session.detect_with(BackendKind::Sql),
@@ -599,15 +602,23 @@ mod tests {
 
     /// What a scheduled apply removed comes back as rows, whichever backend
     /// the delta was routed to — every duplicate a victim matched, in
-    /// removal order, and nothing for a victim that matched no row.
+    /// removal order, and nothing for a victim that matched no row. The
+    /// four-tuple delta is above a quarter of the three-row table (a
+    /// semantic pass) and within a quarter of it padded to 23 rows
+    /// (incremental maintenance).
     #[test]
     fn a_scheduled_apply_returns_the_rows_it_removed() {
         use ecfd_relation::RowId;
         let albany = Tuple::from_iter(["Albany", "718"]);
         let base = |t: &Tuple| t.values()[..2].to_vec();
-        for kind in BackendKind::ALL {
-            let mut session = Session::new().with_policy(RoutingPolicy::fixed(kind));
-            session.load(dirty()).unwrap();
+        for (padding, kind) in [(0, BackendKind::Semantic), (20, BackendKind::Incremental)] {
+            let mut data = dirty();
+            for i in 0..padding {
+                data.insert(Tuple::from_iter([format!("Town{i}"), "518".into()]))
+                    .unwrap();
+            }
+            let mut session = Session::new();
+            session.load(data).unwrap();
             session.register_text(PHI).unwrap();
             session.detect().unwrap();
             let delta = Delta {
@@ -615,8 +626,9 @@ mod tests {
                 insertions: vec![albany.clone(), albany.clone()],
             };
             let removed = session
-                .apply_scheduled_on("cust", &delta, &[RowId(7), RowId(9)])
+                .apply_scheduled_on("cust", &delta, &[RowId(107), RowId(109)])
                 .unwrap();
+            assert_eq!(session.last_backend(), Some(kind));
             let ids: Vec<RowId> = removed.iter().map(|(id, _)| *id).collect();
             assert_eq!(ids, [RowId(0)], "{kind}");
             assert_eq!(base(&removed[0].1), albany.values(), "{kind}");
@@ -625,8 +637,12 @@ mod tests {
                 .apply_scheduled_on("cust", &Delta::delete_only(vec![albany.clone()]), &[])
                 .unwrap();
             let ids: Vec<RowId> = removed.iter().map(|(id, _)| *id).collect();
-            assert_eq!(ids, [RowId(7), RowId(9)], "{kind}: both scheduled rows go");
-            assert_eq!(session.data("cust").unwrap().len(), 2, "{kind}");
+            assert_eq!(
+                ids,
+                [RowId(107), RowId(109)],
+                "{kind}: both scheduled rows go"
+            );
+            assert_eq!(session.data("cust").unwrap().len(), 2 + padding, "{kind}");
         }
     }
 
@@ -637,7 +653,6 @@ mod tests {
         let plan = snap
             .repair_plan(RepairOptions {
                 mode: RepairMode::DeleteOnly,
-                ..RepairOptions::default()
             })
             .unwrap();
         assert!(!plan.is_empty(), "the dirty instance needs repairs");
@@ -709,15 +724,15 @@ mod tests {
     #[test]
     fn detector_state_never_leaks_into_the_catalog() {
         for kind in BackendKind::ALL {
-            let mut session = Session::new().with_policy(RoutingPolicy::fixed(kind));
+            let mut session = Session::new();
             session.load(dirty()).unwrap();
             session.register_text(PHI).unwrap();
-            session.detect().unwrap();
+            session.detect_with(kind).unwrap();
             let delta = Delta {
                 insertions: vec![Tuple::from_iter(["Albany", "519"])],
                 deletions: vec![Tuple::from_iter(["NYC", "212"])],
             };
-            session.apply(&delta).unwrap();
+            session.apply_with(kind, &delta).unwrap();
             assert_eq!(session.last_backend(), Some(kind));
             assert!(session.repair().unwrap().final_report.is_clean(), "{kind}");
             let catalog = session.catalog();

@@ -3,7 +3,7 @@
 //! cache-invalidation rules.
 
 use crate::error::{Result, SessionError};
-use crate::policy::RoutingPolicy;
+use crate::policy::{route_delta, RoutingPolicy};
 use crate::snapshot::Snapshot;
 use ecfd_core::{ConstraintSet, ECfd};
 use ecfd_detect::backend::{BackendKind, DetectorBackend, NativeBackend, ReadOut, SqlBackend};
@@ -285,8 +285,9 @@ impl Session {
     // ── lifecycle: detect / explain ────────────────────────────────────────
 
     /// Detects violations on the session's sole registered relation, serving
-    /// the cached result when one is current. The backend is the policy's
-    /// `detect_backend` — use [`Session::detect_with`] to force one.
+    /// the cached result when one is current. The backend is
+    /// [`BackendKind::Semantic`] — use [`Session::detect_with`] to force
+    /// another.
     pub fn detect(&mut self) -> Result<DetectionReport> {
         self.detect_impl(None, None)
     }
@@ -327,7 +328,7 @@ impl Session {
                 return Ok(DetectionReport::clone(&cached.report));
             }
         }
-        let kind = kind.unwrap_or(self.policy.detect_backend);
+        let kind = kind.unwrap_or(BackendKind::Semantic);
         ecfd_obs::registry()
             .counter_with("session.detect.passes", &[("backend", kind.as_str())])
             .inc();
@@ -380,9 +381,9 @@ impl Session {
 
     /// Applies a batch of base-schema updates to the sole registered
     /// relation, keeping flags, caches and auxiliary state current. The
-    /// backend is chosen by the routing policy's delta-size threshold —
-    /// incremental maintenance for small batches, a fresh batch pass for
-    /// large ones (the crossover of the paper's Fig. 7a).
+    /// backend is chosen by the delta-size threshold of the paper's Fig. 7a:
+    /// incremental maintenance when `|ΔD| ≤ 0.25 · |D|`, a fresh semantic
+    /// pass otherwise.
     pub fn apply(&mut self, delta: &Delta) -> Result<DetectionReport> {
         self.apply_impl(None, None, delta).map(owned)
     }
@@ -456,7 +457,7 @@ impl Session {
         for ins in &delta.insertions {
             entry.set.schema().validate(ins)?;
         }
-        let kind = kind.unwrap_or_else(|| self.policy.route_delta(delta.len(), table_len));
+        let kind = kind.unwrap_or_else(|| route_delta(delta.len(), table_len));
         ecfd_obs::registry()
             .counter_with("session.apply.routed", &[("backend", kind.as_str())])
             .inc();

@@ -75,12 +75,7 @@ fn main() {
         .map(|&i| constraints[i].clone())
         .collect();
     let singles: Vec<ECfd> = split_patterns(&keep).into_iter().map(|s| s.ecfd).collect();
-    let cover = implication::minimal_cover_with(
-        &schema,
-        &singles,
-        implication::ImplicationOptions::default(),
-    )
-    .expect("implication analysis runs");
+    let cover = implication::minimal_cover(&schema, &singles).expect("implication analysis runs");
     let compiled = ConstraintSet::compile(&schema, &cover).expect("the cover compiles");
     println!(
         "\nCompiled minimal cover: {} of {} constraints remain ({} pattern tuples):",

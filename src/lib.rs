@@ -119,7 +119,7 @@ pub mod prelude {
         Schema, Tuple, Value,
     };
     pub use ecfd_repair::{
-        repair_verified, ConflictGraph, ConstantCost, CostModel, DeletionSolver, EditDistanceCost,
+        repair_verified, ConflictGraph, ConstantCost, CostModel, EditDistanceCost,
         PerAttributeCost, Repair, RepairEngine, RepairMode, RepairOptions, VerifiedRepair,
     };
     pub use ecfd_serve::{Hub, ServeConfig, Server, SnapshotStore, Writer};

@@ -129,15 +129,15 @@ fn backends_agree_on_datagen_workloads_at_one_and_n_threads() {
         let mut outputs = Vec::new();
         for kind in BackendKind::ALL {
             for threads in [1usize, 4] {
-                let policy = ecfd::session::RoutingPolicy::fixed(kind)
+                let policy = ecfd::session::RoutingPolicy::default()
                     .with_parallelism(Parallelism::Fixed(threads));
                 let mut session = Session::new().with_policy(policy);
                 session.load(data.clone()).unwrap();
                 session.register(&constraints).unwrap();
 
-                let report = session.detect().unwrap();
+                let report = session.detect_with(kind).unwrap();
                 let evidence = session.explain().unwrap();
-                let after = session.apply(&delta).unwrap();
+                let after = session.apply_with(kind, &delta).unwrap();
                 let after_evidence = session.explain().unwrap();
                 outputs.push((
                     format!("{kind}@{threads}"),
@@ -212,12 +212,11 @@ fn maintenance_tracks_reference_semantics(constraints: &[ECfd]) {
         ..CustConfig::default()
     });
     let mut session = Session::new().with_policy(
-        ecfd::session::RoutingPolicy::fixed(BackendKind::Incremental)
-            .with_parallelism(Parallelism::Fixed(4)),
+        ecfd::session::RoutingPolicy::default().with_parallelism(Parallelism::Fixed(4)),
     );
     session.load(data.clone()).unwrap();
     session.register(constraints).unwrap();
-    session.detect().unwrap();
+    session.detect_with(BackendKind::Incremental).unwrap();
 
     let mut catalog = Catalog::new();
     catalog.create(data.clone()).unwrap();

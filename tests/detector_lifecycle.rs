@@ -9,7 +9,7 @@
 use ecfd::datagen::constraints::workload_constraints;
 use ecfd::datagen::{generate, generate_delta, CustConfig, UpdateConfig};
 use ecfd::prelude::*;
-use ecfd::repair::{repair_verified, EditDistanceCost, RepairEngine, RepairError, VerifiedRepair};
+use ecfd::repair::{repair_verified, EditDistanceCost, RepairEngine};
 
 fn counter(name: &str) -> u64 {
     ecfd::obs::registry().counter(name).get()
@@ -59,38 +59,27 @@ fn after_step(
     *last = counts();
 }
 
-/// Rows a verified repair of the session's table under `options` encodes of
-/// its own accord, on top of what the session's full pass and seed encode,
-/// with the replica's outcome. Planning encodes nothing — every round plans
+/// Rows a verified repair of the session's table encodes of its own accord,
+/// on top of what the session's full pass and seed encode. Planning encodes nothing — every round plans
 /// from the maintained evidence, keyed by values — so that is each round's
 /// delta, applied through INCDETECT, plus the verifier's pass over the
 /// repaired table. The planner does not depend on interning order, so a
 /// replica repair of a copy under the same cost model does the same work;
 /// the replica's own seed is left out.
-fn repair_encodes(
-    session: &Session,
-    options: RepairOptions,
-) -> (Result<VerifiedRepair, RepairError>, u64) {
+fn repair_encodes(session: &Session) -> u64 {
     let data = session.data("cust").expect("loaded").clone();
     let set = session.constraints("cust").expect("registered");
-    let engine = RepairEngine::from_set(set)
-        .with_cost_model(EditDistanceCost::default())
-        .with_options(options);
+    let engine = RepairEngine::from_set(set).with_cost_model(EditDistanceCost::default());
     let seed = data.len() as u64;
     let mut catalog = Catalog::new();
     catalog.create(data).expect("copy");
     let before = counter("relation.rows.encoded");
-    let outcome = repair_verified(&engine, &mut catalog);
+    let repair = repair_verified(&engine, &mut catalog).expect("replica repair");
     let own = counter("relation.rows.encoded") - before - seed;
-    let applied = match &outcome {
-        Ok(repair) => {
-            let deltas: u64 = repair.deltas().map(|d| d.len() as u64).sum();
-            deltas + catalog.get("cust").expect("repaired").len() as u64
-        }
-        Err(_) => 0,
-    };
+    let deltas: u64 = repair.deltas().map(|d| d.len() as u64).sum();
+    let applied = deltas + catalog.get("cust").expect("repaired").len() as u64;
     assert_eq!(own, applied, "planning encodes nothing");
-    (outcome, own)
+    own
 }
 
 /// A delta of `insertions` generated tuples and `deletions` stored ones.
@@ -197,8 +186,7 @@ fn a_registration_compiles_once_and_every_consumer_shares_it() {
 
     // The verifier's from-scratch pass is the one independent compile. The
     // replica that prices the repair's own encodes runs outside the count.
-    let (replica, own) = repair_encodes(&session, RepairOptions::default());
-    replica.expect("replica repair");
+    let own = repair_encodes(&session);
     last = counts();
     let repaired = session.repair().expect("repair on the warm state");
     assert!(repaired.final_report.is_clean());
@@ -208,8 +196,7 @@ fn a_registration_compiles_once_and_every_consumer_shares_it() {
     // A cold repair's full pass encodes the table once, and its seed
     // adopts those columns.
     session.invalidate();
-    let (replica, own) = repair_encodes(&session, RepairOptions::default());
-    replica.expect("replica repair");
+    let own = repair_encodes(&session);
     last = counts();
     let n = rows(&session);
     session.repair().expect("cold repair");
@@ -250,42 +237,4 @@ fn a_registration_compiles_once_and_every_consumer_shares_it() {
     assert_eq!(session.last_backend(), Some(BackendKind::Incremental));
     let step = "small apply after the crossing";
     after_step(&mut session, &mut last, step, (0, 0, small.len() as u64));
-
-    // A repair refused before it touches a row leaves the state it drove
-    // warm, so the next small delta folds into it instead of seeding.
-    let refused = RepairOptions {
-        solver: DeletionSolver::Exact { max_nodes: 0 },
-        ..RepairOptions::default()
-    };
-    let (replica, own) = repair_encodes(&session, refused);
-    assert!(replica.is_err(), "the replica is refused too");
-    let stamp = session.data("cust").expect("loaded").stamp();
-    last = counts();
-    let err = session
-        .repair_with(refused)
-        .expect_err("no instance fits 0 nodes");
-    assert!(
-        matches!(
-            err,
-            SessionError::Repair(RepairError::InstanceTooLarge { .. })
-        ),
-        "{err}"
-    );
-    assert_eq!(
-        session.data("cust").expect("loaded").stamp(),
-        stamp,
-        "no row moved"
-    );
-    let small = delta(&session, 3, 2, 5);
-    session
-        .apply(&small)
-        .expect("small apply after the refused repair");
-    assert_eq!(session.last_backend(), Some(BackendKind::Incremental));
-    let step = "refused repair, then a small apply";
-    after_step(
-        &mut session,
-        &mut last,
-        step,
-        (0, 0, own + small.len() as u64),
-    );
 }

@@ -138,13 +138,7 @@ fn workload_constraints_are_satisfiable_and_irredundant_enough() {
     for (i, phi) in constraints.iter().enumerate() {
         let mut rest = constraints.clone();
         rest.remove(i);
-        let outcome = implication::check_implication(
-            &schema,
-            &rest,
-            phi,
-            implication::ImplicationOptions::default(),
-        )
-        .unwrap();
+        let outcome = implication::check_implication(&schema, &rest, phi).unwrap();
         let tuples = outcome
             .counterexample()
             .unwrap_or_else(|| panic!("φ{} is implied by the rest", i + 1));

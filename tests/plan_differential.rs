@@ -183,13 +183,13 @@ fn plan_sessions_agree_with_every_backend_on_datagen_workloads() {
         assert!(!delta.insertions.is_empty() && !delta.deletions.is_empty());
 
         let run = |kind: BackendKind, threads: usize| {
-            let policy = RoutingPolicy::fixed(kind).with_parallelism(Parallelism::Fixed(threads));
+            let policy = RoutingPolicy::default().with_parallelism(Parallelism::Fixed(threads));
             let mut session = Session::new().with_policy(policy);
             session.load(data.clone()).unwrap();
             session.register(&constraints).unwrap();
-            let report = session.detect().unwrap();
+            let report = session.detect_with(kind).unwrap();
             let evidence = session.explain().unwrap().normalized();
-            let after = session.apply(&delta).unwrap();
+            let after = session.apply_with(kind, &delta).unwrap();
             let after_evidence = session.explain().unwrap().normalized();
             (report, evidence, after, after_evidence)
         };

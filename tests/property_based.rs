@@ -232,11 +232,7 @@ proptest! {
     #[test]
     fn satisfiability_witnesses_are_sound(constraints in arb_constraints()) {
         let schema = schema();
-        let outcome = satisfiability::check_satisfiability(
-            &schema,
-            &constraints,
-            satisfiability::SatOptions::default(),
-        ).unwrap();
+        let outcome = satisfiability::check_satisfiability(&schema, &constraints).unwrap();
         match outcome {
             satisfiability::SatOutcome::Satisfiable(witness) => {
                 prop_assert!(
@@ -298,16 +294,16 @@ proptest! {
     }
 
     /// Repair soundness: a deletion-only plan never deletes more rows than
-    /// the trivial repair (delete every flagged row), greedy and exact
-    /// (MAXGSAT-backed) deletion repairs agree on small conflict graphs, and
-    /// applying the plan yields a relation the detector reports clean.
+    /// the trivial repair (delete every flagged row) nor than either cover of
+    /// its conflict graph, the greedy and the exact (MAXGSAT-backed) cover
+    /// agree in size on small graphs, and applying the plan yields a
+    /// relation the detector reports clean.
     #[test]
     fn repairs_are_clean_and_bounded(data in arb_relation(), constraints in arb_constraints()) {
         let schema = schema();
         let engine = RepairEngine::new(&schema, &constraints).unwrap()
             .with_options(RepairOptions {
                 mode: RepairMode::DeleteOnly,
-                solver: DeletionSolver::Greedy,
             });
         let evidence = engine.explain(&data).unwrap();
         let flagged = evidence.detection_report().num_violations();
@@ -321,12 +317,15 @@ proptest! {
         // On instances small enough for the exhaustive MAXGSAT oracle the
         // greedy cover must match the exact cardinality repair.
         let graph = engine.conflict_graph(&data, &evidence).unwrap();
+        let greedy = graph.greedy_deletions();
+        prop_assert!(plan.num_deletions() <= greedy.len());
         if graph.num_nodes() <= 12 {
-            let exact = graph.exact_deletions(12).expect("instance fits the oracle");
+            let exact = graph.exact_deletions().expect("instance fits the oracle");
             prop_assert_eq!(
-                plan.num_deletions(), exact.len(),
+                greedy.len(), exact.len(),
                 "greedy and exact deletion repairs diverge on a small instance"
             );
+            prop_assert!(plan.num_deletions() <= exact.len());
         }
 
         let mut repaired = data.clone();

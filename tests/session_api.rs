@@ -18,8 +18,8 @@ fn workload(size: usize, noise: f64, seed: u64) -> (Relation, Vec<ECfd>) {
     (data, workload_constraints())
 }
 
-fn session_for(kind: BackendKind, data: Relation, constraints: &[ECfd]) -> Session {
-    let mut session = Session::new().with_policy(RoutingPolicy::fixed(kind));
+fn session_for(data: Relation, constraints: &[ECfd]) -> Session {
+    let mut session = Session::new();
     session.load(data).expect("load succeeds");
     session.register(constraints).expect("constraints compile");
     session
@@ -46,13 +46,13 @@ fn all_backends_agree_on_generated_workloads_and_after_mixed_deltas() {
 
         let mut outputs = Vec::new();
         for kind in BackendKind::ALL {
-            let mut session = session_for(kind, data.clone(), &constraints);
-            let report = session.detect().expect("detection runs");
+            let mut session = session_for(data.clone(), &constraints);
+            let report = session.detect_with(kind).expect("detection runs");
             let evidence = session.explain().expect("evidence cached");
             assert_eq!(session.last_backend(), Some(kind));
             assert_eq!(evidence.detection_report(), report);
 
-            let after = session.apply(&delta).expect("delta applies");
+            let after = session.apply_with(kind, &delta).expect("delta applies");
             let after_evidence = session.explain().expect("evidence refreshed");
             assert_eq!(after_evidence.detection_report(), after);
 
