@@ -1,6 +1,6 @@
 //! Criterion microbenchmarks for the repair subsystem: deletion planning
 //! (greedy on the generated workloads' large conflict graphs), the greedy
-//! vs. the exact (MAXGSAT-backed) cover of small conflict graphs, and
+//! vs. the exact (keep-mask enumerating) cover of small conflict graphs, and
 //! value-modification planning over `datagen` workloads, plus the full
 //! verified repair loop.
 //!
@@ -44,7 +44,7 @@ fn bench_greedy_deletion_plan(c: &mut Criterion) {
 }
 
 /// A small FD-conflict instance with `rows` conflicting tuples (one group,
-/// all-distinct area codes) — the regime where the exact MAXGSAT oracle is
+/// all-distinct area codes) — the regime where the exact cover is
 /// applicable.
 fn small_conflict_instance(rows: usize) -> (Schema, Relation, Vec<ecfd_core::ECfd>) {
     let schema = Schema::builder("cust")
@@ -66,7 +66,7 @@ fn small_conflict_instance(rows: usize) -> (Schema, Relation, Vec<ecfd_core::ECf
 }
 
 /// The greedy vs. the exact cover of conflict graphs small enough for the
-/// exhaustive MAXGSAT oracle (≤ 12 nodes); the planner computes both there.
+/// exact cover (≤ 12 nodes); the planner computes both there.
 fn bench_exact_vs_greedy_small(c: &mut Criterion) {
     let mut group = c.benchmark_group("repair_exact_vs_greedy_small");
     configure(&mut group);

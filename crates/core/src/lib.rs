@@ -34,7 +34,9 @@
 //!   switches whose output every detector backend shares, entered through
 //!   [`ConstraintSet::compile`] (validate → merge → dedupe → split → drop
 //!   subsumed) or
-//!   [`ConstraintSet::verbatim`] (validate → split).
+//!   [`ConstraintSet::verbatim`] (validate → split). Both store every
+//!   single's cells as sets of value classes ([`ClassSet`]), the one
+//!   alphabet subsumption and the detectors' scan read.
 //!
 //! Violation *detection* on large instances lives in the companion crate
 //! `ecfd-detect`, which encodes tableaux as data and generates SQL (Section V).
@@ -75,7 +77,6 @@
 
 pub mod builder;
 pub mod cfd;
-pub mod coded;
 pub mod ecfd;
 pub mod error;
 pub mod implication;
@@ -92,11 +93,10 @@ pub mod violation;
 
 pub use builder::{ECfdBuilder, PatternTupleBuilder};
 pub use cfd::Cfd;
-pub use coded::{CodedCell, CodedSingle};
 pub use ecfd::{ECfd, PatternTuple};
 pub use error::{CoreError, Result};
 pub use parser::{parse_ecfd, parse_ecfds};
 pub use pattern::PatternValue;
 pub use satisfaction::{check, check_all, SatisfactionResult};
-pub use set::{ConstraintSet, PatternIndex};
+pub use set::{AttrClasses, CellClasses, ClassSet, ConstraintSet, PatternIndex};
 pub use violation::{Violation, ViolationKind, ViolationSet};

@@ -46,11 +46,6 @@ impl PatternValue {
         PatternValue::In([value.into()].into_iter().collect())
     }
 
-    /// Whether the cell is the wildcard.
-    pub fn is_wildcard(&self) -> bool {
-        matches!(self, PatternValue::Wildcard)
-    }
-
     /// Whether the cell is a CFD-compatible cell: a wildcard or a singleton
     /// positive set (no disjunction, no inequality).
     pub fn is_cfd_compatible(&self) -> bool {
@@ -70,9 +65,9 @@ impl PatternValue {
         }
     }
 
-    /// The constants mentioned by the cell. The static analyses group an
-    /// attribute's constants into value classes by the cells that mention
-    /// them.
+    /// The constants mentioned by the cell. The static analyses and the
+    /// compiled constraint sets group an attribute's constants into value
+    /// classes by the cells that mention them.
     pub fn constants(&self) -> &BTreeSet<Value> {
         static EMPTY: std::sync::OnceLock<BTreeSet<Value>> = std::sync::OnceLock::new();
         match self {
@@ -84,38 +79,6 @@ impl PatternValue {
     /// Number of constants mentioned by the cell.
     pub fn num_constants(&self) -> usize {
         self.constants().len()
-    }
-
-    /// Whether this cell is *more general* than `other`: every value matching
-    /// `other` also matches `self`. Used when reasoning about redundant
-    /// pattern tuples.
-    ///
-    /// The check is sound but only complete over the constants mentioned by
-    /// the two cells plus "everything else" treated as a single bucket, which
-    /// is exactly the granularity eCFD semantics can distinguish.
-    pub fn generalizes(&self, other: &PatternValue) -> bool {
-        match (self, other) {
-            (PatternValue::Wildcard, _) => true,
-            (_, PatternValue::Wildcard) => matches!(self, PatternValue::Wildcard),
-            (PatternValue::In(sup), PatternValue::In(sub)) => sub.is_subset(sup),
-            (PatternValue::NotIn(excl), PatternValue::In(s)) => s.is_disjoint(excl),
-            (PatternValue::NotIn(small), PatternValue::NotIn(large)) => small.is_subset(large),
-            (PatternValue::In(_), PatternValue::NotIn(_)) => false,
-        }
-    }
-
-    /// Whether some value can match both cells simultaneously, assuming the
-    /// underlying domain has more values than the constants mentioned.
-    pub fn compatible_with(&self, other: &PatternValue) -> bool {
-        match (self, other) {
-            (PatternValue::Wildcard, _) | (_, PatternValue::Wildcard) => true,
-            (PatternValue::In(a), PatternValue::In(b)) => !a.is_disjoint(b),
-            (PatternValue::In(a), PatternValue::NotIn(b)) => a.difference(b).next().is_some(),
-            (PatternValue::NotIn(b), PatternValue::In(a)) => a.difference(b).next().is_some(),
-            // Two complements are always jointly satisfiable in a large-enough
-            // domain (pick a value outside both exclusion sets).
-            (PatternValue::NotIn(_), PatternValue::NotIn(_)) => true,
-        }
     }
 }
 
@@ -179,38 +142,6 @@ mod tests {
         assert_eq!(PatternValue::in_set(["a", "b"]).num_constants(), 2);
         assert_eq!(PatternValue::not_in_set(["a"]).num_constants(), 1);
         assert!(PatternValue::wildcard().constants().is_empty());
-    }
-
-    #[test]
-    fn generalizes_relation() {
-        let wild = PatternValue::wildcard();
-        let ab = PatternValue::in_set(["a", "b"]);
-        let a = PatternValue::in_set(["a"]);
-        let not_c = PatternValue::not_in_set(["c"]);
-        let not_cd = PatternValue::not_in_set(["c", "d"]);
-
-        assert!(wild.generalizes(&ab));
-        assert!(!ab.generalizes(&wild));
-        assert!(ab.generalizes(&a));
-        assert!(!a.generalizes(&ab));
-        assert!(not_c.generalizes(&a), "a ∉ {{c}} so {{a}} ⊆ compl({{c}})");
-        assert!(!not_c.generalizes(&PatternValue::in_set(["c"])));
-        assert!(not_c.generalizes(&not_cd));
-        assert!(!not_cd.generalizes(&not_c));
-        assert!(!a.generalizes(&not_c), "complement sets are infinite");
-    }
-
-    #[test]
-    fn compatibility() {
-        let a = PatternValue::in_set(["a"]);
-        let b = PatternValue::in_set(["b"]);
-        let not_a = PatternValue::not_in_set(["a"]);
-        assert!(!a.compatible_with(&b));
-        assert!(a.compatible_with(&PatternValue::in_set(["a", "b"])));
-        assert!(!a.compatible_with(&not_a));
-        assert!(b.compatible_with(&not_a));
-        assert!(not_a.compatible_with(&PatternValue::not_in_set(["b"])));
-        assert!(PatternValue::wildcard().compatible_with(&a));
     }
 
     #[test]

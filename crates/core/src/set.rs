@@ -24,23 +24,39 @@
 //! once serves the semantic, SQL and incremental backends alike. Every step
 //! depends on the constraints only, never on the data.
 //!
+//! **Value classes.** Both entry points group, per attribute, the constants
+//! of every split single's cells into value classes (`compile` groups again
+//! once it has dropped subsumed singles): two constants share a class when
+//! every cell contains both or neither, and one more class holds every
+//! value outside every constant. A class belongs to a cell exactly
+//! when [`crate::PatternValue::matches`] accepts a member of it, so the
+//! outside class belongs to complements and wildcards and never to a set.
+//! Each single's cells are stored as [`ClassSet`]s over these classes
+//! ([`ConstraintSet::cells`]), and the detectors match rows by looking up a
+//! value's class ([`ConstraintSet::classes`]). The partition keeps every
+//! constant and ignores declared finite domains: stored rows may hold NULL
+//! or other values outside a declared domain (a schema checks types only),
+//! and such a row falls into the outside class like any other stranger.
+//!
 //! **Drop subsumed.** Single `s₂` subsumes single `s₁` when they share
-//! relation, `X` and `Y`, every `X` cell of `s₂` generalizes
-//! ([`crate::PatternValue::generalizes`]) the cell of `s₁` at the same
-//! position, and for every non-wildcard `Y ∪ Yp` cell `c₁` of `s₁` on an
-//! attribute `A`, `s₂` has a cell `c₂` on `A` with `c₁` generalizing `c₂`.
-//! Then on every instance the rows `s₁` flags `SV` are flagged `SV` by `s₂`:
-//! a row matching `s₁`'s `X` cells matches `s₂`'s, and a value outside `c₁`
-//! is outside `c₂`. The same holds for `MV`, because a group is the rows
-//! sharing one `X` value and breaks the embedded FD on the same `Y` list. So
-//! a single is dropped when another one strictly subsumes it, or when an
-//! equivalent one comes earlier, and the compiled singles flag exactly the
-//! rows the whole tableau flags. [`ConstraintSet::subsumed`] records every
-//! dropped single with a kept single that subsumes it: subsumption is
-//! transitive, so one always exists. A dropped pattern still sits in
-//! [`ConstraintSet::ecfds`]; it raises no evidence of its own, its subsumer
-//! does. `generalizes` reads cells syntactically, so over a finite domain
-//! the rule is still sound, only less complete.
+//! relation, `X` and `Y`, every `X` cell of `s₂` holds every class of the
+//! `s₁` cell at the same position, and for every `Y ∪ Yp` cell `c₁` of `s₁`
+//! on an attribute `A` that lacks some class, `s₂` has a cell `c₂` on `A`
+//! whose classes are all in `c₁`. Then on every instance the rows `s₁` flags
+//! `SV` are flagged `SV` by `s₂`: a row matching `s₁`'s `X` cells matches
+//! `s₂`'s, and a value outside `c₁` is outside `c₂`. The same holds for `MV`,
+//! because a group is the rows sharing one `X` value and breaks the embedded
+//! FD on the same `Y` list. So a single is dropped when another one strictly
+//! subsumes it, or when an equivalent one comes earlier, and the compiled
+//! singles flag exactly the rows the whole tableau flags.
+//! [`ConstraintSet::subsumed`] records every dropped single with a kept
+//! single that subsumes it: subsumption is transitive, so one always exists.
+//! A dropped pattern still sits in [`ConstraintSet::ecfds`]; it raises no
+//! evidence of its own, its subsumer does. Because the partition ignores
+//! declared domains, so does the rule: over `X: {a, b}` the cells `{b}` and
+//! `!{a}` accept the same declared values, yet `!{a}` also accepts NULL and
+//! every undeclared value a row may hold, so `!{a}` subsumes `{b}` and not
+//! the other way round.
 //!
 //! Redundancy elimination (Section III) is an analysis, not a compile step:
 //! [`crate::implication::minimal_cover`] drops every constraint implied
@@ -49,13 +65,13 @@
 //! flags: an instance satisfies the cover iff it satisfies the set, but a
 //! dropped constraint's own `SV`/`MV` flags go with it, even where the
 //! instance breaks what implied it (this module's tests pin a
-//! counterexample). Subsumption is the stronger, syntactic relation that
-//! keeps the flags too. And implication is coNP-complete: on the `cust`
-//! workload the cover takes 2 ms over its 11 singles, 38 ms over the 49
-//! singles of a 40-pattern tableau and 0.7 s over the 169 singles of a
-//! 160-pattern one (release build, 2-core x86-64), where dropping subsumed
-//! singles, a quadratic syntactic check, adds about 0.35 ms to compiling the
-//! 160-pattern one.
+//! counterexample). Subsumption is the stronger relation, read off the class
+//! sets, that keeps the flags too. And implication is coNP-complete: on the
+//! `cust` workload the cover takes 2 ms over its 11 singles, 38 ms over the
+//! 49 singles of a 40-pattern tableau and 0.7 s over the 169 singles of a
+//! 160-pattern one (release build, 2-core x86-64), where the whole compile,
+//! class sets and the quadratic subsumption check included, takes about
+//! 2.6 ms.
 //!
 //! Violation evidence produced by those detectors refers to constraints by
 //! index into [`ConstraintSet::ecfds`] — the *compiled* list, which
@@ -65,7 +81,8 @@
 use crate::ecfd::ECfd;
 use crate::error::Result;
 use crate::normalize::{merge_compatible, split_patterns, total_pattern_tuples, SinglePattern};
-use ecfd_relation::Schema;
+use crate::small_model::group_constants;
+use ecfd_relation::{Schema, Value};
 use serde::{Deserialize, Serialize};
 
 /// Where a pattern tuple sits in a compiled set: `(constraint, pattern)`,
@@ -80,7 +97,86 @@ pub struct ConstraintSet {
     source: Vec<ECfd>,
     compiled: Vec<ECfd>,
     singles: Vec<SinglePattern>,
+    classes: Vec<AttrClasses>,
+    cells: Vec<CellClasses>,
     subsumed: Vec<(PatternIndex, PatternIndex)>,
+}
+
+/// The value classes of one attribute the split singles mention: classes
+/// `0..outside` hold the constants, class `outside` every other value.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct AttrClasses {
+    /// The attribute.
+    pub attr: String,
+    /// Every constant a cell on the attribute mentions, ascending, with its
+    /// class.
+    pub constants: Vec<(Value, usize)>,
+    /// The class of every value no cell on the attribute mentions.
+    pub outside: usize,
+}
+
+/// A set of one attribute's value classes: the classes a pattern cell
+/// accepts.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ClassSet {
+    words: Vec<u64>,
+    full: bool,
+}
+
+impl ClassSet {
+    /// The classes of `attr` whose members `cell` accepts: one member of
+    /// each is probed with [`crate::PatternValue::matches`] — a class's
+    /// smallest constant, which comes first because classes are numbered in
+    /// that order, and for the outside class a value no cell mentions.
+    fn of(cell: &crate::PatternValue, attr: &AttrClasses) -> Self {
+        let known = |v: &Value| attr.constants.binary_search_by(|(c, _)| c.cmp(v)).is_ok();
+        let fresh = (0..).map(|i| Value::str(format!("⊥fresh{i}")));
+        let stranger = fresh.into_iter().find(|v| !known(v)).expect("unbounded");
+        let mut members = Vec::with_capacity(attr.outside + 1);
+        for (v, class) in &attr.constants {
+            if *class == members.len() {
+                members.push(v);
+            }
+        }
+        members.push(&stranger);
+        let mut words = vec![0u64; members.len().div_ceil(64)];
+        for (class, v) in members.into_iter().enumerate() {
+            words[class / 64] |= u64::from(cell.matches(v)) << (class % 64);
+        }
+        let full = words.iter().map(|w| w.count_ones() as usize).sum::<usize>() > attr.outside;
+        ClassSet { words, full }
+    }
+
+    /// Whether the set holds `class`.
+    #[inline]
+    pub fn contains(&self, class: usize) -> bool {
+        self.words[class / 64] >> (class % 64) & 1 == 1
+    }
+
+    /// Whether the set holds every class of its attribute: the cell accepts
+    /// every value.
+    #[inline]
+    pub fn is_full(&self) -> bool {
+        self.full
+    }
+
+    /// Whether every class of `self` is in `other`, both over one attribute.
+    pub fn is_subset(&self, other: &ClassSet) -> bool {
+        self.words
+            .iter()
+            .zip(&other.words)
+            .all(|(a, b)| a & !b == 0)
+    }
+}
+
+/// One single's cells as class sets: `lhs` parallel to its `X` attributes,
+/// `rhs` to its `Y ∪ Yp` attributes in tableau cell order.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct CellClasses {
+    /// The `X` cells.
+    pub lhs: Vec<ClassSet>,
+    /// The `Y ∪ Yp` cells.
+    pub rhs: Vec<ClassSet>,
 }
 
 impl ConstraintSet {
@@ -119,11 +215,15 @@ impl ConstraintSet {
     }
 
     fn assemble(schema: &Schema, source: &[ECfd], compiled: Vec<ECfd>) -> Self {
+        let singles = split_patterns(&compiled);
+        let (classes, cells) = partition(&singles);
         ConstraintSet {
             schema: schema.clone(),
             source: source.to_vec(),
-            singles: split_patterns(&compiled),
+            singles,
             compiled,
+            classes,
+            cells,
             subsumed: Vec::new(),
         }
     }
@@ -131,8 +231,10 @@ impl ConstraintSet {
     /// Drops every single another single strictly subsumes, or an earlier
     /// equivalent one does, and records it with a kept subsumer.
     fn drop_subsumed(&mut self) {
-        let singles = &self.singles;
-        let by = |j: usize, i: usize| subsumes(&singles[j].ecfd, &singles[i].ecfd);
+        let (singles, cells) = (&self.singles, &self.cells);
+        let by = |j: usize, i: usize| {
+            subsumes((&singles[j].ecfd, &cells[j]), (&singles[i].ecfd, &cells[i]))
+        };
         let dropped: Vec<bool> = (0..singles.len())
             .map(|i| (0..singles.len()).any(|j| j != i && by(j, i) && (j < i || !by(i, j))))
             .collect();
@@ -148,8 +250,11 @@ impl ConstraintSet {
                 (at(&singles[i]), at(&singles[kept]))
             })
             .collect();
-        let mut dropped = dropped.into_iter();
-        self.singles.retain(|_| !dropped.next().unwrap_or(false));
+        if !self.subsumed.is_empty() {
+            let mut kept = dropped.iter();
+            self.singles.retain(|_| kept.next() == Some(&false));
+            (self.classes, self.cells) = partition(&self.singles);
+        }
     }
 
     /// Parses the textual syntax ([`crate::parse_ecfds`]) and compiles the
@@ -188,6 +293,18 @@ impl ConstraintSet {
         &self.subsumed
     }
 
+    /// The value classes of every attribute the singles mention, in order
+    /// of first mention.
+    pub fn classes(&self) -> &[AttrClasses] {
+        &self.classes
+    }
+
+    /// The cells of every split single as class sets over
+    /// [`ConstraintSet::classes`] — parallel to [`ConstraintSet::singles`].
+    pub fn cells(&self) -> &[CellClasses] {
+        &self.cells
+    }
+
     /// `(constraint, pattern)` provenance per split constraint — parallel to
     /// [`ConstraintSet::singles`].
     pub fn provenance(&self) -> Vec<PatternIndex> {
@@ -213,18 +330,48 @@ impl ConstraintSet {
     }
 }
 
-/// Whether single-pattern `wide` subsumes single-pattern `narrow`: on every
-/// instance, every row `narrow` flags `SV` or `MV` is flagged alike by `wide`.
-/// The rule is in the module docs.
-fn subsumes(wide: &ECfd, narrow: &ECfd) -> bool {
-    let (w, n) = (&wide.tableau()[0], &narrow.tableau()[0]);
+/// The value classes of every attribute `singles` mention, and each single's
+/// cells as class sets over them.
+fn partition(singles: &[SinglePattern]) -> (Vec<AttrClasses>, Vec<CellClasses>) {
+    let ecfds: Vec<&ECfd> = singles.iter().map(|s| &s.ecfd).collect();
+    let classes = group_constants(&ecfds);
+    let sets = |attrs: Vec<&str>, cells: &[crate::PatternValue]| -> Vec<ClassSet> {
+        (attrs.into_iter().zip(cells))
+            .map(|(name, cell)| {
+                let at = classes.iter().position(|a| a.attr == name);
+                ClassSet::of(cell, &classes[at.expect("mentioned")])
+            })
+            .collect()
+    };
+    let cells = (ecfds.iter())
+        .map(|e| {
+            let tp = &e.tableau()[0];
+            let lhs = e.lhs().iter().map(String::as_str).collect();
+            CellClasses {
+                lhs: sets(lhs, &tp.lhs),
+                rhs: sets(e.rhs_attrs(), &tp.rhs),
+            }
+        })
+        .collect();
+    (classes, cells)
+}
+
+/// Whether single-pattern `wide` subsumes single-pattern `narrow`, each
+/// given with its cells as class sets: on every instance, every row `narrow`
+/// flags `SV` or `MV` is flagged alike by `wide`. The rule is in the module
+/// docs.
+fn subsumes((wide, w): (&ECfd, &CellClasses), (narrow, n): (&ECfd, &CellClasses)) -> bool {
+    let wide_rhs = wide.rhs_attrs();
     wide.relation() == narrow.relation()
         && wide.lhs() == narrow.lhs()
         && wide.fd_rhs() == narrow.fd_rhs()
-        && w.lhs.iter().zip(&n.lhs).all(|(w, n)| w.generalizes(n))
+        && w.lhs.iter().zip(&n.lhs).all(|(w, n)| n.is_subset(w))
         && (narrow.rhs_attrs().into_iter().zip(&n.rhs))
-            .filter(|(_, cell)| !cell.is_wildcard())
-            .all(|(attr, cell)| wide.rhs_cell(0, attr).is_some_and(|w| cell.generalizes(w)))
+            .filter(|(_, cell)| !cell.is_full())
+            .all(|(attr, cell)| {
+                let at = wide_rhs.iter().position(|a| *a == attr);
+                at.is_some_and(|at| w.rhs[at].is_subset(cell))
+            })
 }
 
 #[cfg(test)]
@@ -233,6 +380,7 @@ mod tests {
     use crate::builder::ECfdBuilder;
     use crate::implication::minimal_cover;
     use crate::satisfaction;
+    use crate::PatternValue;
     use ecfd_relation::{DataType, Relation, RowId, Tuple};
 
     fn schema() -> Schema {
@@ -442,6 +590,101 @@ mod tests {
         assert_eq!(set.len(), 2);
         assert_eq!(set.subsumed(), &[((1, 0), (0, 0))]);
         assert_eq!(set.provenance(), vec![(0, 0)]);
+    }
+
+    #[test]
+    fn class_sets_agree_with_value_cells() {
+        // One pattern tuple per cell, all on CT; AC keeps a wildcard.
+        let cells = [
+            PatternValue::wildcard(),
+            PatternValue::in_set(["NYC", "LI"]),
+            PatternValue::not_in_set(["NYC", "LI"]),
+            PatternValue::constant("518"),
+            PatternValue::in_set([518i64, 212]),
+            PatternValue::NotIn(Default::default()),
+        ];
+        let tableau = (cells.iter().cloned())
+            .map(|c| crate::PatternTuple::new(vec![c], vec![PatternValue::wildcard()]))
+            .collect();
+        let phi = ECfd::new(
+            "cust",
+            vec!["CT".into()],
+            vec!["AC".into()],
+            vec![],
+            tableau,
+        );
+        let set = ConstraintSet::verbatim(&schema(), &[phi.unwrap()]).unwrap();
+        let ct = &set.classes()[0];
+        assert_eq!(ct.attr, "CT");
+        let class = |v: &Value| {
+            let found = ct.constants.iter().find(|(c, _)| c == v);
+            found.map_or(ct.outside, |(_, class)| *class)
+        };
+        let probes = [
+            Value::str("NYC"),
+            Value::str("LI"),
+            Value::str("Albany"),
+            Value::str("518"),
+            Value::int(518),
+            Value::int(999),
+            Value::Null,
+            Value::bool(true),
+            Value::str("⊥fresh0"),
+        ];
+        for probe in &probes {
+            for (cell, sets) in cells.iter().zip(set.cells()) {
+                let matches = sets.lhs[0].contains(class(probe));
+                assert_eq!(cell.matches(probe), matches, "cell {cell} probe {probe:?}");
+            }
+        }
+        // NYC and LI share a class; the wildcard and the empty complement
+        // hold every class, and no set holds the outside one.
+        assert_eq!(class(&Value::str("NYC")), class(&Value::str("LI")));
+        assert!(set.cells()[0].lhs[0].is_full() && set.cells()[5].lhs[0].is_full());
+        assert!(!set.cells()[1].lhs[0].contains(ct.outside));
+        assert!(set.cells()[1].lhs[0].is_subset(&set.cells()[5].lhs[0]));
+        assert!(!set.cells()[2].lhs[0].is_subset(&set.cells()[1].lhs[0]));
+    }
+
+    #[test]
+    fn class_set_inclusion_is_the_generalization_rule() {
+        // One pattern tuple per cell, all on CT.
+        let texts = ["_", "{a, b}", "{a}", "!{c}", "!{c, d}", "{c}", "!{}"];
+        let cells = [
+            PatternValue::wildcard(),
+            PatternValue::in_set(["a", "b"]),
+            PatternValue::in_set(["a"]),
+            PatternValue::not_in_set(["c"]),
+            PatternValue::not_in_set(["c", "d"]),
+            PatternValue::in_set(["c"]),
+            PatternValue::NotIn(Default::default()),
+        ];
+        let tableau = (cells.iter().cloned())
+            .map(|c| crate::PatternTuple::new(vec![c], vec![PatternValue::wildcard()]))
+            .collect();
+        let phi = ECfd::new(
+            "cust",
+            vec!["CT".into()],
+            vec!["AC".into()],
+            vec![],
+            tableau,
+        );
+        let set = ConstraintSet::verbatim(&schema(), &[phi.unwrap()]).unwrap();
+        let at = |text: &str| &set.cells()[texts.iter().position(|t| *t == text).unwrap()].lhs[0];
+        let covers = |wide: &str, narrow: &str| at(narrow).is_subset(at(wide));
+
+        assert!(covers("_", "{a, b}"));
+        assert!(!covers("{a, b}", "_"));
+        assert!(covers("{a, b}", "{a}"));
+        assert!(!covers("{a}", "{a, b}"));
+        assert!(covers("!{c}", "{a}"), "a ∉ {{c}} so {{a}} ⊆ compl({{c}})");
+        assert!(!covers("!{c}", "{c}"));
+        assert!(covers("!{c}", "!{c, d}"));
+        assert!(!covers("!{c, d}", "!{c}"));
+        assert!(!covers("{a}", "!{c}"), "complements hold the outside class");
+        // The one departure from reading cells syntactically: the empty
+        // complement accepts every value, so it is the wildcard.
+        assert!(covers("!{}", "_") && covers("_", "!{}"));
     }
 
     #[test]

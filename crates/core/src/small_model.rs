@@ -17,7 +17,10 @@
 //!   per class when it looks for one tuple and two when it looks for two,
 //!   because `t1[Y] ≠ t2[Y]` may need two values of one class. Constants
 //!   outside the declared domain are dropped; attributes no constraint
-//!   mentions take `fresh_value_outside(∅)`.
+//!   mentions take `fresh_value_outside(∅)`. The grouping itself is the one
+//!   [`crate::ConstraintSet`] compiles its singles' cells over; detection
+//!   keeps every constant and the outside class, because stored rows may
+//!   hold values outside a declared domain.
 //! * **Pruning.** The variables are (tuple, attribute) cells, matched
 //!   against per-cell tables compiled once per pattern tuple. After each
 //!   assignment the search marks each `σ ∈ Σ` that is now violated as
@@ -35,6 +38,7 @@
 
 use crate::ecfd::ECfd;
 use crate::pattern::PatternValue;
+use crate::set::AttrClasses;
 use ecfd_relation::{Attribute, Schema, Tuple, Value};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -230,9 +234,9 @@ impl<'a> Search<'a> {
     }
 }
 
-/// The value classes of the attributes a constraint set mentions: per
-/// attribute, constants that every cell contains both or neither of, plus the
-/// values outside every constant, each class given by representatives.
+/// The value classes of the attributes a constraint set mentions
+/// ([`group_constants`]), plus the values outside every constant, each class
+/// given by representatives.
 #[derive(Debug, Clone)]
 pub(crate) struct ValueClasses {
     /// The mentioned attributes, in order of first mention.
@@ -243,64 +247,44 @@ pub(crate) struct ValueClasses {
 }
 
 impl ValueClasses {
-    /// Groups the constants of every cell of `ecfds` into classes and picks
-    /// `per_class` representatives of each (the smallest members). Constants
-    /// outside the declared domain are dropped. Every constraint must already
-    /// be validated against `schema`.
+    /// Picks `per_class` representatives of each value class of `ecfds`
+    /// ([`group_constants`]): the smallest members. Constants outside the
+    /// declared domain are dropped. Every constraint must already be
+    /// validated against `schema`.
     pub(crate) fn build(schema: &Schema, ecfds: &[&ECfd], per_class: usize) -> Self {
-        let mut names: Vec<String> = Vec::new();
-        for a in ecfds.iter().flat_map(|e| e.attributes()) {
-            if !names.iter().any(|n| n == a) {
-                names.push(a.to_string());
-            }
-        }
-        let index = |a: &str| names.iter().position(|n| n == a).expect("mentioned");
-
-        // A constant's class is the set of cells (numbered across `ecfds`)
-        // that contain it.
-        let mut classes: Vec<BTreeMap<Value, Vec<usize>>> = vec![BTreeMap::new(); names.len()];
-        let mut cell_id = 0;
-        for e in ecfds {
-            let rhs = e.rhs_attrs();
-            for tp in e.tableau() {
-                let lhs = e.lhs().iter().map(String::as_str).zip(&tp.lhs);
-                for (attr, cell) in lhs.chain(rhs.iter().copied().zip(&tp.rhs)) {
-                    for c in cell.constants() {
-                        let class = classes[index(attr)].entry(c.clone()).or_default();
-                        class.push(cell_id);
-                    }
-                    cell_id += 1;
-                }
-            }
-        }
-        let reps = names
-            .iter()
-            .zip(classes)
-            .map(|(name, classes)| {
-                let id = schema.attr_id(name).expect("validated");
-                let domain = &schema.attribute(id).expect("validated").domain;
-                let mut taken: HashMap<&Vec<usize>, usize> = HashMap::new();
-                let mut reps: Vec<Value> = classes
-                    .iter()
-                    .filter(|(v, class)| {
-                        domain.contains(v) && {
-                            let n = taken.entry(class).or_default();
-                            *n += 1;
-                            *n <= per_class
+        let (names, reps) = group_constants(ecfds)
+            .into_iter()
+            .map(
+                |AttrClasses {
+                     attr,
+                     constants,
+                     outside,
+                 }| {
+                    let id = schema.attr_id(&attr).expect("validated");
+                    let domain = &schema.attribute(id).expect("validated").domain;
+                    let mut taken = vec![0; outside];
+                    let mut reps: Vec<Value> = constants
+                        .iter()
+                        .filter(|(v, class)| {
+                            domain.contains(v) && {
+                                taken[*class] += 1;
+                                taken[*class] <= per_class
+                            }
+                        })
+                        .map(|(v, _)| v.clone())
+                        .collect();
+                    let mut exclude: BTreeSet<Value> =
+                        constants.into_iter().map(|(v, _)| v).collect();
+                    for _ in 0..per_class {
+                        if let Some(fresh) = domain.fresh_value_outside(&exclude) {
+                            exclude.insert(fresh.clone());
+                            reps.push(fresh);
                         }
-                    })
-                    .map(|(v, _)| v.clone())
-                    .collect();
-                let mut exclude: BTreeSet<Value> = classes.into_keys().collect();
-                for _ in 0..per_class {
-                    if let Some(fresh) = domain.fresh_value_outside(&exclude) {
-                        exclude.insert(fresh.clone());
-                        reps.push(fresh);
                     }
-                }
-                reps
-            })
-            .collect();
+                    (attr, reps)
+                },
+            )
+            .unzip();
         ValueClasses { names, reps }
     }
 
@@ -331,6 +315,52 @@ impl ValueClasses {
         };
         Tuple::new(schema.attributes().iter().map(value).collect())
     }
+}
+
+/// The one definition of a value class. Per attribute `ecfds` mention, in
+/// order of first mention, every constant a cell on it mentions, each with
+/// its class: two constants share a class when every cell (a set or a
+/// complement, either side, every pattern tuple) contains both or neither.
+/// Classes are numbered in the order of their smallest members.
+pub(crate) fn group_constants(ecfds: &[&ECfd]) -> Vec<AttrClasses> {
+    let mut attrs: Vec<(String, BTreeMap<Value, Vec<usize>>)> = Vec::new();
+    for a in ecfds.iter().flat_map(|e| e.attributes()) {
+        if !attrs.iter().any(|(n, _)| n == a) {
+            attrs.push((a.to_string(), BTreeMap::new()));
+        }
+    }
+    // A constant's class is the set of cells (numbered across `ecfds`) that
+    // contain it.
+    let mut cell_id = 0;
+    for e in ecfds {
+        let rhs = e.rhs_attrs();
+        for tp in e.tableau() {
+            let lhs = e.lhs().iter().map(String::as_str).zip(&tp.lhs);
+            for (attr, cell) in lhs.chain(rhs.iter().copied().zip(&tp.rhs)) {
+                let at = (attrs.iter().position(|(n, _)| n == attr)).expect("mentioned");
+                for c in cell.constants() {
+                    attrs[at].1.entry(c.clone()).or_default().push(cell_id);
+                }
+                cell_id += 1;
+            }
+        }
+    }
+    let group = |(attr, cells): (String, BTreeMap<Value, Vec<usize>>)| {
+        let mut ids: HashMap<Vec<usize>, usize> = HashMap::new();
+        let constants = (cells.into_iter())
+            .map(|(v, cells)| {
+                let next = ids.len();
+                (v, *ids.entry(cells).or_insert(next))
+            })
+            .collect();
+        let outside = ids.len();
+        AttrClasses {
+            attr,
+            constants,
+            outside,
+        }
+    };
+    attrs.into_iter().map(group).collect()
 }
 
 /// One pattern tuple compiled over the representatives: per attribute, the

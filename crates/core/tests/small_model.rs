@@ -24,7 +24,10 @@
 //! The same brute force confirms every single `ConstraintSet::compile` drops
 //! as subsumed: on every instance of at most two tuples the dropped single
 //! flags no row its recorded subsumer does not, and the compiled singles flag
-//! exactly the rows of `ConstraintSet::verbatim`'s.
+//! exactly the rows of `ConstraintSet::verbatim`'s. Detection reads stored
+//! rows, and a schema checks types only, so here a finite-domain attribute
+//! also takes NULL and one value outside its declared domain: a drop that
+//! only holds over the declared domain would lose flags on such rows.
 
 use ecfd_core::implication::{check_implication, ImplicationOutcome};
 use ecfd_core::maxss::{max_satisfiable, MaxSsEncoding, SatisfiabilityVerdict};
@@ -195,10 +198,15 @@ fn arb_sigma_with_narrowed_copy() -> impl Strategy<Value = (Vec<ECfd>, bool)> {
 
 /// Every tuple over the explicit small domains: per attribute, the declared
 /// finite domain, or the three constants plus two values no cell mentions.
-fn all_tuples(schema: &Schema) -> Vec<Tuple> {
+/// With `strangers`, a finite domain also takes NULL and a value outside it,
+/// which a stored row may hold.
+fn all_tuples(schema: &Schema, strangers: bool) -> Vec<Tuple> {
     let mut tuples = vec![Vec::new()];
     for (a, attr) in schema.attributes().iter().enumerate() {
         let values: Vec<Value> = match &attr.domain {
+            Domain::Finite(_, values) if strangers => (values.iter().cloned())
+                .chain([Value::Null, constant(a, 4)])
+                .collect(),
             Domain::Finite(_, values) => values.iter().cloned().collect(),
             Domain::Unbounded(_) => (0..5).map(|i| constant(a, i)).collect(),
         };
@@ -247,7 +255,7 @@ proptest! {
         finite in (0usize..6, 1usize..16),
     ) {
         let schema = schema(finite);
-        let tuples = all_tuples(&schema);
+        let tuples = all_tuples(&schema, false);
         // Per tuple, which constraints of Σ the one-tuple instance satisfies.
         let kept: Vec<Vec<bool>> = (tuples.iter())
             .map(|t| {
@@ -348,7 +356,7 @@ proptest! {
 
         let compiled_at: BTreeSet<(usize, usize)> = set.provenance().into_iter().collect();
         let reference: Vec<ECfd> = verbatim.singles().iter().map(|s| s.ecfd.clone()).collect();
-        let tuples = all_tuples(&schema);
+        let tuples = all_tuples(&schema, true);
         for i in 0..tuples.len() {
             for j in i..tuples.len() {
                 let db = if i == j {

@@ -26,11 +26,11 @@
 use crate::encode::{Encoding, AUX_TABLE};
 use crate::evidence::{attribute_sv_rows, ConstraintRef, EvidenceReport, MvEvidence};
 use crate::report::DetectionReport;
+use crate::scan::Alphabet;
 use crate::sqlgen;
 use crate::Result;
-use ecfd_core::coded::CodedSingle;
 use ecfd_core::matching::BoundECfd;
-use ecfd_core::{ConstraintSet, ECfd};
+use ecfd_core::{AttrClasses, CellClasses, ConstraintSet, ECfd};
 use ecfd_engine::Engine;
 use ecfd_relation::{
     Attribute, Catalog, CodeColumns, CodeMap, CodeVec, DataType, Dictionary, Schema, Value,
@@ -41,6 +41,10 @@ use std::collections::{BTreeSet, HashMap};
 #[derive(Debug, Clone)]
 pub struct BatchDetector {
     encoding: Encoding,
+    /// The value classes of the encoded singles and their cells as class
+    /// sets: what [`BatchDetector::explain`] matches rows against.
+    classes: Vec<AttrClasses>,
+    cells: Vec<CellClasses>,
     engine: Engine,
     sql_sv: String,
     sql_aux_insert: String,
@@ -64,13 +68,7 @@ impl BatchDetector {
     /// Fails only when the set is outside the SQL encoding's envelope
     /// (non-string constrained attributes).
     pub fn from_set(set: &ConstraintSet) -> Result<Self> {
-        Self::from_encoding(Encoding::from_singles(
-            set.schema(),
-            set.singles().to_vec(),
-        )?)
-    }
-
-    fn from_encoding(encoding: Encoding) -> Result<Self> {
+        let encoding = Encoding::from_singles(set.schema(), set.singles().to_vec())?;
         let schema = encoding.schema();
         let table = schema.name();
         Ok(BatchDetector {
@@ -79,6 +77,8 @@ impl BatchDetector {
             sql_mv: sqlgen::multi_violation_update(schema, table),
             sql_create_aux: sqlgen::create_aux_table(schema),
             encoding,
+            classes: set.classes().to_vec(),
+            cells: set.cells().to_vec(),
             engine: Engine::new(),
         })
     }
@@ -154,16 +154,11 @@ impl BatchDetector {
         let schema = self.encoding.schema();
         let data = catalog.get(schema.name())?;
         let stored_schema = data.schema();
-        let provenance: Vec<(usize, usize)> = self
-            .encoding
-            .singles()
-            .iter()
+        let singles = self.encoding.singles();
+        let provenance: Vec<(usize, usize)> = (singles.iter())
             .map(|s| (s.source_constraint, s.source_pattern))
             .collect();
-        let bounds: Vec<BoundECfd<'_>> = self
-            .encoding
-            .singles()
-            .iter()
+        let bounds: Vec<BoundECfd<'_>> = (singles.iter())
             .map(|s| BoundECfd::bind(&s.ecfd, stored_schema).map_err(Into::into))
             .collect::<Result<_>>()?;
 
@@ -180,9 +175,9 @@ impl BatchDetector {
         // member set — a row is a member iff it matches the constraint's LHS
         // with the group's X projection, which for the group keys recorded in
         // the auxiliary relation is equivalent to X-value equality. The scan
-        // runs over a dictionary-encoded view with the pending constraints'
-        // pattern cells pre-resolved to codes, so the SQL-readback membership
-        // fill is keyed by the same coded group keys as the native detectors.
+        // runs over a dictionary-encoded view with the set's value classes
+        // resolved to codes, so the SQL-readback membership fill is keyed by
+        // the same coded group keys as the native detectors.
         if catalog.contains(AUX_TABLE) {
             let aux = catalog.get(AUX_TABLE)?;
             let mut dict = Dictionary::new();
@@ -193,7 +188,7 @@ impl BatchDetector {
                     continue;
                 };
                 let ci = (cid - 1) as usize;
-                let single = &self.encoding.singles()[ci].ecfd;
+                let single = &singles[ci].ecfd;
                 let group_key: Vec<Value> = single
                     .lhs()
                     .iter()
@@ -212,22 +207,14 @@ impl BatchDetector {
                 pending.entry(ci).or_default().insert(coded_key, idx);
             }
             if !pending.is_empty() {
-                let coded_cells: HashMap<usize, CodedSingle> = pending
-                    .keys()
-                    .map(|&ci| {
-                        (
-                            ci,
-                            CodedSingle::intern(&self.encoding.singles()[ci].ecfd, &mut dict),
-                        )
-                    })
-                    .collect();
+                let (classes, cells) = (&self.classes, &self.cells);
+                let alphabet = Alphabet::intern(singles, classes, cells, stored_schema, &mut dict);
                 let view = CodeColumns::build(data, &mut dict);
                 crate::obs::count("relation.rows.encoded", view.num_rows() as u64);
                 for pos in 0..view.num_rows() {
                     for (&ci, groups) in &pending {
-                        let bound = &bounds[ci];
-                        let cells = &coded_cells[&ci];
-                        if !cells.lhs_matches(bound.lhs_ids().iter().map(|a| view.code(pos, *a))) {
+                        let (bound, cells) = (&bounds[ci], &alphabet.cells[ci]);
+                        if !alphabet.matches(&cells.lhs, bound.lhs_ids(), |a| view.code(pos, a)) {
                             continue;
                         }
                         if let Some(&idx) = groups.get(&view.key(pos, bound.lhs_ids())) {

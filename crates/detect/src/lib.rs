@@ -27,8 +27,9 @@
 //! * [`semantic`] is a pure-Rust detector with the same output, used for
 //!   differential testing and as the "native" baseline in the SQL-vs-native
 //!   ablation. It runs on the dictionary-encoded columnar core of
-//!   `ecfd_relation::columnar` — pattern constants resolve to codes once at
-//!   construction, and the scan shards across worker threads
+//!   `ecfd_relation::columnar` — the constants of the compiled set's value
+//!   classes resolve to codes once at construction, a row's value to its
+//!   class by one lookup, and the scan shards across worker threads
 //!   ([`parallel::Parallelism`]).
 //! * [`scan`] is the one scan kernel behind every full native pass: a
 //!   [`ScanProgram`] projects each distinct `X` attribute list once per row

@@ -13,6 +13,13 @@
 //! an identical `X` list one scan ([`fuse`] is that rule, and the only copy
 //! of it); `ecfd_plan` renders that same program for `EXPLAIN PLAN`.
 //!
+//! Rows are matched by value class, the alphabet a compiled
+//! [`ConstraintSet`](ecfd_core::ConstraintSet) stores its singles' cells in:
+//! a detector interns each attribute's class constants into one
+//! `code → class` table (a code not in it is in the outside class), a scan
+//! looks up its `X` values' classes once per row, and each member's `X` cell
+//! then costs one bit test.
+//!
 //! `ScanProgram::match_row` is the program's only interpreter: it matches one
 //! row, given as a code per attribute, against the members. A full pass
 //! calls it per stored row; `INCDETECT`
@@ -45,10 +52,13 @@
 use crate::evidence::{ConstraintRef, EvidenceReport, MvEvidence, SvEvidence};
 use crate::parallel::{effective_threads, split_ranges, Parallelism};
 use crate::report::DetectionReport;
-use ecfd_core::coded::CodedSingle;
 use ecfd_core::matching::BoundECfd;
+use ecfd_core::normalize::SinglePattern;
+use ecfd_core::{AttrClasses, CellClasses, ClassSet};
 use ecfd_relation::columnar::shard_of;
-use ecfd_relation::{AttrId, Code, CodeColumns, CodeMap, CodeVec, RowId, SymbolTable};
+use ecfd_relation::{
+    AttrId, Code, CodeColumns, CodeMap, CodeVec, Dictionary, RowId, Schema, SymbolTable,
+};
 use std::collections::hash_map::Entry;
 use std::ops::ControlFlow;
 
@@ -175,12 +185,98 @@ impl GroupState {
     }
 }
 
+/// Below this table size a linear scan beats binary search on 64-bit codes.
+const LINEAR_SCAN_MAX: usize = 8;
+
+/// One attribute's class constants' codes, sorted, each with its class, and
+/// the class of every other code.
+type ClassTable = (Box<[(Code, usize)]>, usize);
+
+/// What rows are matched against: one `code → class` table per attribute
+/// over the value classes of a compiled set, and per split constraint
+/// its cells as class sets. The codes are those of the dictionary the
+/// tables were interned through, and stay valid as it grows.
+#[derive(Debug, Clone)]
+pub(crate) struct Alphabet {
+    /// Per attribute position of the schema it was interned against.
+    tables: Vec<ClassTable>,
+    /// The cells of every split constraint, in split order.
+    pub(crate) cells: Vec<CellClasses>,
+    /// The name and position of every attribute the set mentions.
+    pub(crate) columns: Vec<(String, AttrId)>,
+}
+
+impl Alphabet {
+    /// Interns the class constants of a compiled set — its `singles`, their
+    /// `classes` and `cells` ([`ecfd_core::ConstraintSet::classes`],
+    /// [`ecfd_core::ConstraintSet::cells`]) — through `dict`, laying the
+    /// tables out by the positions the attributes have in `schema`.
+    pub(crate) fn intern(
+        singles: &[SinglePattern],
+        classes: &[AttrClasses],
+        cells: &[CellClasses],
+        schema: &Schema,
+        dict: &mut Dictionary,
+    ) -> Self {
+        // Constants are interned in the order the singles' cells list them.
+        for single in singles {
+            let tp = &single.ecfd.tableau()[0];
+            for v in tp.lhs.iter().chain(&tp.rhs).flat_map(|c| c.constants()) {
+                dict.encode(v);
+            }
+        }
+        let mut tables = vec![(Box::default(), 0); schema.arity()];
+        let mut columns = Vec::new();
+        for attr in classes {
+            let mut table: Vec<(Code, usize)> = (attr.constants.iter())
+                .map(|(v, class)| (dict.encode(v), *class))
+                .collect();
+            table.sort_unstable();
+            let id = schema.attr_id(&attr.attr).expect("a compiled set binds");
+            tables[id.index()] = (table.into_boxed_slice(), attr.outside);
+            columns.push((attr.attr.clone(), id));
+        }
+        let cells = cells.to_vec();
+        Alphabet {
+            tables,
+            cells,
+            columns,
+        }
+    }
+
+    /// The value class of `code` on attribute `attr`, by a size-adaptive
+    /// search.
+    #[inline]
+    fn class(&self, attr: AttrId, code: Code) -> usize {
+        let (table, outside) = &self.tables[attr.index()];
+        let at = if table.len() <= LINEAR_SCAN_MAX {
+            table.iter().position(|(c, _)| *c == code)
+        } else {
+            table.binary_search_by_key(&code, |(c, _)| *c).ok()
+        };
+        at.map_or(*outside, |i| table[i].1)
+    }
+
+    /// Whether a row — `code` gives its code per attribute — matches the
+    /// cells `sets` over the attributes `attrs`.
+    #[inline]
+    pub(crate) fn matches(
+        &self,
+        sets: &[ClassSet],
+        attrs: &[AttrId],
+        code: impl Fn(AttrId) -> Code,
+    ) -> bool {
+        (sets.iter().zip(attrs))
+            .all(|(set, a)| set.is_full() || set.contains(self.class(*a, code(*a))))
+    }
+}
+
 /// The per-row work for one split single-pattern constraint once the
 /// enclosing scan's `X` projection is in hand.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlagOp {
     /// Index into the split single-pattern constraint list — also the index
-    /// of the coded pattern cells matched for this operator.
+    /// of the class-set cells matched for this operator.
     pub ci: usize,
     /// Positions of the `Y ∪ Yp` attributes in tableau cell order (the
     /// single-tuple violation check).
@@ -258,29 +354,40 @@ impl ScanProgram {
 
     /// The per-row step, and the only place a row is matched against the
     /// constraints: projects each scan's `X` once from `code` (the row's
-    /// code per attribute) and hands every one of `members` whose pattern `X`
-    /// cells match to `visit` as a [`Hit`]. Stops at the first `Break` the
-    /// visitor returns; the result says whether it stopped.
+    /// code per attribute), looks up the class of each `X` value once, and
+    /// hands every one of `members` whose `X` cells hold those classes to
+    /// `visit` as a [`Hit`]. Stops at the first `Break` the visitor returns;
+    /// the result says whether it stopped.
     #[inline]
     pub(crate) fn match_row<F: Fn(AttrId) -> Code>(
         &self,
-        cells: &[CodedSingle],
+        alphabet: &Alphabet,
         members: Members,
         code: F,
         mut visit: impl FnMut(Hit<'_, F>) -> ControlFlow<()>,
     ) -> bool {
+        let (mut inline, mut spilled) = ([0usize; 8], Vec::new());
         for scan in &self.scans {
             let key = CodeVec::from_iter_exact(scan.x.iter().map(|a| code(*a)));
+            let classes = if scan.x.len() <= inline.len() {
+                &mut inline[..scan.x.len()]
+            } else {
+                spilled.resize(scan.x.len(), 0);
+                &mut spilled[..]
+            };
+            for ((class, a), c) in classes.iter_mut().zip(&scan.x).zip(key.as_slice()) {
+                *class = alphabet.class(*a, *c);
+            }
             for op in &scan.members {
                 if members == Members::Grouped && op.group.is_empty() {
                     continue;
                 }
-                let cell = &cells[op.ci];
-                if cell.lhs_matches(key.as_slice().iter().copied()) {
+                let lhs = &alphabet.cells[op.ci].lhs;
+                if lhs.iter().zip(&*classes).all(|(set, c)| set.contains(*c)) {
                     let hit = Hit {
                         op,
                         key: &key,
-                        cell,
+                        alphabet,
                         code: &code,
                     };
                     if visit(hit).is_break() {
@@ -311,7 +418,7 @@ pub(crate) struct Hit<'a, F> {
     pub(crate) op: &'a FlagOp,
     /// The row's projection on the enclosing scan's `X` list.
     pub(crate) key: &'a CodeVec,
-    cell: &'a CodedSingle,
+    alphabet: &'a Alphabet,
     code: &'a F,
 }
 
@@ -320,9 +427,8 @@ impl<F: Fn(AttrId) -> Code> Hit<'_, F> {
     /// `Q_sv` check). Only the visitors that need it pay for it.
     #[inline]
     pub(crate) fn violated(&self) -> bool {
-        !self
-            .cell
-            .rhs_matches(self.op.check.iter().map(|a| (self.code)(*a)))
+        let rhs = &self.alphabet.cells[self.op.ci].rhs;
+        !self.alphabet.matches(rhs, &self.op.check, self.code)
     }
 
     /// The row's projection on the member's `Y` list.
@@ -333,15 +439,16 @@ impl<F: Fn(AttrId) -> Code> Hit<'_, F> {
 }
 
 /// Runs `program` over already-encoded columns: flags, evidence and group
-/// state from one (possibly parallel) pass. `cells` and `provenance` are
-/// parallel to the split constraints the program's operators index; `dict`
-/// must be the symbol-table state (or a later state of the same lineage) of
-/// the dictionary that issued the view's codes and interned `cells`. Both
+/// state from one (possibly parallel) pass. `alphabet`'s cells and
+/// `provenance` are parallel to the split constraints the program's
+/// operators index; `dict` must be the symbol-table state (or a later state
+/// of the same lineage) of the dictionary that issued the view's codes and
+/// interned `alphabet`. Both
 /// are read sides only, so the pass runs the same over live state and over a
 /// [`FrozenView`](ecfd_relation::FrozenView).
 pub(crate) fn run(
     program: &ScanProgram,
-    cells: &[CodedSingle],
+    alphabet: &Alphabet,
     provenance: &[(usize, usize)],
     view: &CodeColumns,
     dict: &SymbolTable,
@@ -353,7 +460,7 @@ pub(crate) fn run(
 
     // Phase 1: chunked row scan.
     let chunks = fan_out(split_ranges(n_rows, threads), |(lo, hi)| {
-        scan_chunk(view, program, cells, lo, hi, n_shards)
+        scan_chunk(view, program, alphabet, lo, hi, n_shards)
     });
 
     // Transpose the per-chunk, per-shard partials into per-shard inputs
@@ -438,7 +545,7 @@ struct ChunkOut {
 fn scan_chunk(
     view: &CodeColumns,
     program: &ScanProgram,
-    cells: &[CodedSingle],
+    alphabet: &Alphabet,
     lo: usize,
     hi: usize,
     n_shards: usize,
@@ -451,7 +558,7 @@ fn scan_chunk(
         for off in 0..rows.len() {
             let row_id = rows.row_id(off);
             program.match_row(
-                cells,
+                alphabet,
                 Members::All,
                 |a| rows.code(off, a),
                 |hit| {
@@ -521,7 +628,90 @@ fn merge_shard(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ecfd_relation::{Dictionary, Value};
+    use ecfd_core::{ConstraintSet, ECfdBuilder};
+    use ecfd_relation::{DataType, Dictionary, Tuple, Value};
+
+    fn schema() -> Schema {
+        Schema::builder("cust")
+            .attr("CT", DataType::Str)
+            .attr("AC", DataType::Str)
+            .build()
+    }
+
+    #[test]
+    fn class_lookup_survives_large_tables() {
+        // Forty CT constants, one class each, put the CT table past the
+        // linear-scan size.
+        let many: Vec<String> = (0..40).map(|i| format!("v{i:02}")).collect();
+        let phi = ECfdBuilder::new("cust")
+            .lhs(["CT"])
+            .fd_rhs(["AC"])
+            .pattern(|p| p.in_set("CT", many.iter().map(String::as_str)))
+            .pattern(|p| p.constant("CT", "v07"))
+            .build()
+            .unwrap();
+        let set = ConstraintSet::verbatim(&schema(), &[phi]).unwrap();
+        let mut dict = Dictionary::new();
+        let alphabet = Alphabet::intern(
+            set.singles(),
+            set.classes(),
+            set.cells(),
+            &schema(),
+            &mut dict,
+        );
+        assert_eq!(alphabet.tables[0].0.len(), 40);
+        assert!(alphabet.tables[0].0.len() > LINEAR_SCAN_MAX);
+        let ct = AttrId(0);
+        let class = |v: &str| alphabet.class(ct, dict.try_encode(&Value::str(v)).unwrap());
+        for v in &many {
+            let want = usize::from(v.as_str() == "v07");
+            assert_eq!(class(v), want, "{v}");
+        }
+        let missing = dict.encode(&Value::str("missing"));
+        assert_eq!(alphabet.class(ct, missing), 2, "the outside class");
+    }
+
+    #[test]
+    fn class_tables_match_like_the_bound_constraint() {
+        let phi = ECfdBuilder::new("cust")
+            .lhs(["CT"])
+            .fd_rhs(["AC"])
+            .pattern(|p| p.not_in("CT", ["NYC"]).constant("AC", "518"))
+            .pattern(|p| p.in_set("CT", ["Albany", "Troy"]))
+            .build()
+            .unwrap();
+        let set = ConstraintSet::verbatim(&schema(), &[phi]).unwrap();
+        let schema = schema();
+        let bound: Vec<BoundECfd<'_>> = (set.singles().iter())
+            .map(|s| BoundECfd::bind(&s.ecfd, &schema).unwrap())
+            .collect();
+        let mut dict = Dictionary::new();
+        let alphabet = Alphabet::intern(
+            set.singles(),
+            set.classes(),
+            set.cells(),
+            &schema,
+            &mut dict,
+        );
+        for (ct, ac) in [
+            ("Albany", "518"),
+            ("Albany", "718"),
+            ("NYC", "518"),
+            ("NYC", "212"),
+            ("Troy", "212"),
+            ("Utica", "518"),
+        ] {
+            let tuple = Tuple::from_iter([ct, ac]);
+            let codes = dict.encode_tuple(&tuple);
+            let code = |a: AttrId| codes[a.index()];
+            for (b, cells) in bound.iter().zip(&alphabet.cells) {
+                let lhs = alphabet.matches(&cells.lhs, b.lhs_ids(), code);
+                let rhs = alphabet.matches(&cells.rhs, b.rhs_ids(), code);
+                assert_eq!(b.lhs_matches(&tuple, 0), lhs, "lhs {ct}/{ac}");
+                assert_eq!(b.rhs_matches(&tuple, 0), rhs, "rhs {ct}/{ac}");
+            }
+        }
+    }
 
     /// The one-attribute projection holding integer `n`.
     fn codes(n: i64) -> CodeVec {

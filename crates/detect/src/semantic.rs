@@ -9,9 +9,11 @@
 //! * it is the "native" baseline of the SQL-vs-native ablation
 //!   (`ecfd_bench::ablation_sql_vs_native`); and
 //! * it is the system's fast path: rows are encoded once into a
-//!   [`CodeColumns`], pattern constants are pre-resolved to [`Code`]s and
-//!   attribute lists to column positions at construction (registration)
-//!   time, group keys are [`CodeVec`] code slices instead of cloned
+//!   [`CodeColumns`], the constants of the set's value classes are
+//!   pre-resolved to one `Code → class` table per attribute and attribute
+//!   lists to column positions at construction (registration) time, a row
+//!   matches a cell when its value's class is in the cell's class set,
+//!   group keys are [`CodeVec`] code slices instead of cloned
 //!   `Vec<Value>`s, and every full pass runs the shared-scan program of
 //!   [`crate::scan`] — each distinct `X` list projected once per row,
 //!   fanned out across `std::thread::scope` workers (see
@@ -25,9 +27,8 @@
 use crate::evidence::{ConstraintRef, EvidenceReport, MvEvidence, SvEvidence};
 use crate::parallel::Parallelism;
 use crate::report::DetectionReport;
-use crate::scan::{Hit, Members, ScanProgram};
+use crate::scan::{Alphabet, Hit, Members, ScanProgram};
 use crate::{DetectError, Result};
-use ecfd_core::coded::{intern_singles, CodedSingle};
 use ecfd_core::matching::BoundECfd;
 use ecfd_core::{ConstraintSet, CoreError, ECfd};
 use ecfd_relation::{
@@ -44,14 +45,14 @@ pub use crate::scan::{GroupKey, GroupMap, GroupState};
 /// incremental states seeded from one): one [`Dictionary`] per compile. Two
 /// compiles of the same constraint set have two, whose codes are never
 /// compared. The dictionary only grows — interning data values never
-/// invalidates the pattern codes resolved at construction time.
+/// invalidates the class tables resolved at construction time.
 ///
-/// The coded pattern cells themselves live *outside* this lock (they are
-/// immutable after construction, see [`SemanticDetector`]), so read-only
-/// detection over a [`FrozenView`] never takes it.
+/// The class tables themselves live *outside* this lock (they are immutable
+/// after construction, see [`SemanticDetector`]), so read-only detection
+/// over a [`FrozenView`] never takes it.
 #[derive(Debug)]
 pub(crate) struct Codec {
-    /// The issuing dictionary for pattern constants and data values alike.
+    /// The issuing dictionary for class constants and data values alike.
     pub(crate) dict: Dictionary,
 }
 
@@ -66,20 +67,17 @@ struct Compiled {
     /// indices it came from — used to attribute evidence back to the user's
     /// original constraints.
     provenance: Vec<(usize, usize)>,
-    /// Coded pattern cells, parallel to the split single-pattern constraints.
-    /// Interned against the codec dictionary's *initial* state, so they stay
-    /// valid against every later dictionary state (grow-only interning) —
-    /// including the symbol table inside any [`FrozenView`] descended from
-    /// this detector's codec.
-    cells: Vec<CodedSingle>,
+    /// The `code → class` tables and the class-set cells of the split
+    /// constraints. Interned against the codec dictionary's *initial* state,
+    /// so they stay valid against every later dictionary state (grow-only
+    /// interning) — including the symbol table inside any [`FrozenView`]
+    /// descended from this detector's codec.
+    alphabet: Alphabet,
     /// What every full pass executes; by default the shared-scan fusion of
     /// `singles` ([`ScanProgram::fused`]).
     program: ScanProgram,
     /// The schema the constraints were compiled against: the stored table's.
     schema: Schema,
-    /// The position every constrained attribute had in the schema the
-    /// program was resolved against (see [`SemanticDetector::check_layout`]).
-    columns: Vec<(String, AttrId)>,
 }
 
 /// One version of a table, encoded: the code columns of its base attributes,
@@ -117,36 +115,29 @@ impl SemanticDetector {
 
     /// Creates a detector from an already-compiled [`ConstraintSet`]: the
     /// set's validation and split are reused verbatim, so no per-detector
-    /// re-validation or re-splitting happens — and the pattern constants are
+    /// re-validation or re-splitting happens — and the class constants are
     /// interned to codes, and the scan program resolved, here, once, at
     /// registration time.
     pub fn from_set(set: &ConstraintSet) -> Self {
         let schema = set.schema();
         let singles: Vec<ECfd> = set.singles().iter().map(|s| s.ecfd.clone()).collect();
         let mut dict = Dictionary::new();
-        let cells = intern_singles(&singles, &mut dict);
+        let alphabet =
+            Alphabet::intern(set.singles(), set.classes(), set.cells(), schema, &mut dict);
         let bounds: Vec<BoundECfd<'_>> = singles
             .iter()
             .map(|e| BoundECfd::bind(e, schema).expect("a compiled set binds to its own schema"))
             .collect();
         let program = ScanProgram::fused(&bounds);
-        let mut columns: Vec<(String, AttrId)> = Vec::new();
-        for name in set.ecfds().iter().flat_map(|e| e.attributes()) {
-            if !columns.iter().any(|(seen, _)| seen == name) {
-                let id = schema.attr_id(name).expect("bound above");
-                columns.push((name.to_string(), id));
-            }
-        }
         crate::obs::count("detect.detectors.compiled", 1);
         SemanticDetector {
             compiled: Arc::new(Compiled {
                 ecfds: set.ecfds().to_vec(),
                 singles,
                 provenance: set.provenance(),
-                cells,
+                alphabet,
                 program,
                 schema: schema.clone(),
-                columns,
             }),
             codec: Arc::new(RwLock::new(Codec { dict })),
             parallelism: Parallelism::default(),
@@ -174,7 +165,7 @@ impl SemanticDetector {
             })
             .collect();
         shape.sort_unstable();
-        let cells = self.compiled.cells.iter().enumerate();
+        let cells = self.compiled.alphabet.cells.iter().enumerate();
         assert!(
             shape
                 .into_iter()
@@ -238,7 +229,7 @@ impl SemanticDetector {
 
     /// Runs one row — `code` gives its code per attribute — through the
     /// program's per-row step ([`ScanProgram::match_row`]) against this
-    /// detector's coded pattern cells. The incremental detector matches
+    /// detector's class tables and cells. The incremental detector matches
     /// every tuple a delta touches through here.
     pub(crate) fn match_row<F: Fn(AttrId) -> Code>(
         &self,
@@ -249,7 +240,7 @@ impl SemanticDetector {
         let compiled = &*self.compiled;
         compiled
             .program
-            .match_row(&compiled.cells, members, code, visit)
+            .match_row(&compiled.alphabet, members, code, visit)
     }
 
     /// Decodes a coded group key back to the values it was issued for.
@@ -329,7 +320,7 @@ impl SemanticDetector {
     /// Runs a full, read-only detection pass over a [`FrozenView`] — the
     /// serving layer's reader path. The frozen dictionary must descend from
     /// this detector's codec (e.g. produced by [`SemanticDetector::freeze`]
-    /// or `IncrementalDetector::freeze`), so the pattern cells coded at
+    /// or `IncrementalDetector::freeze`), so the class tables interned at
     /// construction time match its codes. Nothing is locked and nothing is
     /// interned: any number of threads can run this concurrently against the
     /// same handle, and the output is deterministic at every worker count —
@@ -374,7 +365,7 @@ impl SemanticDetector {
         let compiled = &*self.compiled;
         let (report, evidence, groups) = crate::scan::run(
             &compiled.program,
-            &compiled.cells,
+            &compiled.alphabet,
             &compiled.provenance,
             view,
             dict,
@@ -406,7 +397,7 @@ impl SemanticDetector {
             .into());
         }
         let moved = |(name, id): &&(String, AttrId)| schema.attr_id(name) != Some(*id);
-        match compiled.columns.iter().find(moved) {
+        match compiled.alphabet.columns.iter().find(moved) {
             None => Ok(()),
             Some((name, id)) => Err(DetectError::Unsupported(format!(
                 "the detector reads attribute {name} at column {id}, which is not where this \

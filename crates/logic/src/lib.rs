@@ -17,9 +17,7 @@
 //! * [`Assignment`] — truth assignments and evaluation;
 //! * [`MaxGSatInstance`] — a MAXGSAT instance and its exhaustive exact
 //!   solver, for instances of at most
-//!   [`MaxGSatInstance::EXHAUSTIVE_MAX_VARS`] variables;
-//! * [`HardSoftInstance`] — hard formulas replicated to dominate soft ones,
-//!   the exact deletion-repair oracle of `ecfd-repair`.
+//!   [`MaxGSatInstance::EXHAUSTIVE_MAX_VARS`] variables.
 //!
 //! The crate has no knowledge of eCFDs; `ecfd-core`'s `maxss` module builds
 //! instances of these types from constraint sets.
@@ -51,4 +49,4 @@ pub mod maxgsat;
 
 pub use assignment::{Assignment, VarPool};
 pub use expr::{BoolExpr, VarId};
-pub use maxgsat::{HardSoftInstance, HardSoftOutcome, MaxGSatInstance, MaxGSatOutcome};
+pub use maxgsat::{MaxGSatInstance, MaxGSatOutcome};

@@ -9,8 +9,7 @@
 //! exhaustive one ([`MaxGSatInstance::solve_exhaustive`]), exponential in the
 //! number of variables and limited to
 //! [`MaxGSatInstance::EXHAUSTIVE_MAX_VARS`] of them. It checks that the
-//! reduction keeps the MAXSS optimum, and it is the exact deletion-repair
-//! oracle ([`HardSoftInstance`]). MAXSS itself is decided by `ecfd_core`'s
+//! reduction keeps the MAXSS optimum. MAXSS itself is decided by `ecfd_core`'s
 //! small-model search, which proves its optimum where an approximation
 //! algorithm proves none.
 
@@ -115,99 +114,6 @@ impl MaxGSatInstance {
     }
 }
 
-/// A MAXGSAT instance assembled from *hard* formulas (which any useful
-/// assignment must satisfy) and *soft* formulas (whose satisfied count is to
-/// be maximised).
-///
-/// MAXGSAT has no native notion of weights, so each hard formula is replicated
-/// `soft.len() + 1` times in the underlying instance: violating even one hard
-/// formula then costs more than satisfying every soft formula can gain, and an
-/// optimal assignment satisfies all hard formulas whenever that is possible at
-/// all. This is the oracle shape the repair subsystem uses — hard conflict
-/// constraints ("these two tuples cannot both be kept") against soft retention
-/// goals ("keep this tuple").
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HardSoftInstance {
-    instance: MaxGSatInstance,
-    num_hard: usize,
-    num_soft: usize,
-    replication: usize,
-}
-
-/// Outcome of solving a [`HardSoftInstance`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HardSoftOutcome {
-    /// The best assignment found.
-    pub assignment: Assignment,
-    /// Whether the assignment satisfies *every* hard formula. When it is
-    /// `false`, the hard formulas are jointly unsatisfiable.
-    pub hard_satisfied: bool,
-    /// Indices (into the soft formula list) of the satisfied soft formulas.
-    pub soft_satisfied: Vec<usize>,
-}
-
-impl HardSoftInstance {
-    /// Builds the replicated instance over `num_vars` variables.
-    pub fn new(num_vars: usize, hard: Vec<BoolExpr>, soft: Vec<BoolExpr>) -> Self {
-        let replication = soft.len() + 1;
-        let mut formulas = Vec::with_capacity(hard.len() * replication + soft.len());
-        for h in &hard {
-            formulas.extend(std::iter::repeat_n(h.clone(), replication));
-        }
-        formulas.extend(soft.iter().cloned());
-        HardSoftInstance {
-            num_hard: hard.len(),
-            num_soft: soft.len(),
-            replication,
-            instance: MaxGSatInstance::new(num_vars, formulas),
-        }
-    }
-
-    /// The underlying (replicated) MAXGSAT instance.
-    pub fn instance(&self) -> &MaxGSatInstance {
-        &self.instance
-    }
-
-    /// Number of hard formulas.
-    pub fn num_hard(&self) -> usize {
-        self.num_hard
-    }
-
-    /// Number of soft formulas.
-    pub fn num_soft(&self) -> usize {
-        self.num_soft
-    }
-
-    /// How many times each hard formula is replicated.
-    pub fn replication(&self) -> usize {
-        self.replication
-    }
-
-    /// Solves the replicated instance exhaustively and splits the optimum
-    /// back into its hard / soft components. Panics above
-    /// [`MaxGSatInstance::EXHAUSTIVE_MAX_VARS`] variables.
-    pub fn solve(&self) -> HardSoftOutcome {
-        let outcome = self.instance.solve_exhaustive();
-        let hard_region = self.num_hard * self.replication;
-        let hard_satisfied = (0..self.num_hard).all(|h| {
-            // Replicas of one hard formula are contiguous; checking the first
-            // replica suffices since they are identical.
-            self.instance.formulas()[h * self.replication].eval(&outcome.assignment)
-        });
-        let soft_satisfied = outcome
-            .satisfied
-            .iter()
-            .filter(|&&i| i >= hard_region)
-            .map(|&i| i - hard_region)
-            .collect();
-        HardSoftOutcome {
-            assignment: outcome.assignment,
-            hard_satisfied,
-            soft_satisfied,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,49 +175,5 @@ mod tests {
     fn exhaustive_rejects_large_instances() {
         let inst = MaxGSatInstance::new(30, vec![BoolExpr::t()]);
         let _ = inst.solve_exhaustive();
-    }
-
-    #[test]
-    fn hard_formulas_dominate_soft_formulas() {
-        // Vertex-cover-flavoured instance: keep as many of {a, b, c} as
-        // possible, but a and b conflict. Optimum keeps two variables.
-        let mut pool = VarPool::new();
-        let a = pool.fresh("a");
-        let b = pool.fresh("b");
-        let c = pool.fresh("c");
-        let hard = vec![BoolExpr::and([BoolExpr::var(a), BoolExpr::var(b)]).not()];
-        let soft = vec![BoolExpr::var(a), BoolExpr::var(b), BoolExpr::var(c)];
-        let hs = HardSoftInstance::new(pool.len(), hard, soft);
-        assert_eq!(hs.num_hard(), 1);
-        assert_eq!(hs.num_soft(), 3);
-        assert_eq!(hs.replication(), 4);
-        assert_eq!(hs.instance().len(), 4 + 3);
-
-        let outcome = hs.solve();
-        assert!(outcome.hard_satisfied);
-        assert_eq!(outcome.soft_satisfied.len(), 2);
-        // c is unconflicted, so it must always be kept.
-        assert!(outcome.soft_satisfied.contains(&2));
-    }
-
-    #[test]
-    fn unsatisfiable_hard_formulas_are_reported() {
-        let mut pool = VarPool::new();
-        let a = pool.fresh("a");
-        let hard = vec![BoolExpr::var(a), BoolExpr::var(a).not()];
-        let hs = HardSoftInstance::new(pool.len(), hard, vec![BoolExpr::var(a)]);
-        let outcome = hs.solve();
-        assert!(!outcome.hard_satisfied);
-    }
-
-    #[test]
-    fn hard_soft_with_no_soft_formulas_is_plain_satisfiability() {
-        let mut pool = VarPool::new();
-        let a = pool.fresh("a");
-        let hs = HardSoftInstance::new(pool.len(), vec![BoolExpr::var(a)], vec![]);
-        assert_eq!(hs.replication(), 1);
-        let outcome = hs.solve();
-        assert!(outcome.hard_satisfied);
-        assert!(outcome.soft_satisfied.is_empty());
     }
 }

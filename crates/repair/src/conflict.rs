@@ -10,23 +10,20 @@
 //! *must-delete* nodes. Minimising the deleted weight is exactly a weighted
 //! vertex cover over the cross-class conflict pairs — the frame of "The
 //! Complexity of Computing a Cardinality Repair for Functional Dependencies"
-//! (Livshits & Kimelfeld) — which the crate solves greedily, or exactly
-//! through the [`ecfd_logic`] MAXGSAT oracle when the graph has at most 12
-//! nodes.
+//! (Livshits & Kimelfeld) — which the crate solves greedily, or exactly by
+//! enumerating which nodes to keep when the graph has at most 12 nodes.
 
 use crate::cost::CostModel;
 use crate::{RepairError, Result};
 use ecfd_detect::evidence::{ConstraintRef, EvidenceReport};
 use ecfd_detect::SemanticDetector;
-use ecfd_logic::{BoolExpr, HardSoftInstance, MaxGSatInstance, VarId};
 use ecfd_relation::{Relation, RowId, Tuple, Value};
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, HashSet};
 
-/// The largest conflict graph, in nodes, that gets the exact cover: one
-/// MAXGSAT variable per node, enumerated exhaustively.
+/// The largest conflict graph, in nodes, that gets the exact cover: every
+/// keep-mask of its nodes is enumerated.
 const EXACT_MAX_NODES: usize = 12;
-const _: () = assert!(EXACT_MAX_NODES <= MaxGSatInstance::EXHAUSTIVE_MAX_VARS);
 
 /// One tuple participating in a conflict.
 #[derive(Debug, Clone, PartialEq)]
@@ -255,49 +252,43 @@ impl ConflictGraph {
         (0..n).filter(|&i| deleted[i]).collect()
     }
 
-    /// Exact cardinality repair through the MAXGSAT oracle: one variable per
-    /// node ("keep it"), hard formulas for must-delete nodes and for every
-    /// cross-class conflict pair, soft formulas rewarding kept nodes. Solved
-    /// exhaustively, so a graph of more than 12 nodes returns `None` — the
-    /// planner falls back to the greedy cover.
+    /// Exact cardinality repair: the largest set of nodes that can all be
+    /// kept — no must-delete node and no two nodes of different classes of
+    /// one group — found by scanning every keep-mask in ascending order and
+    /// taking a mask only when it keeps strictly more nodes than the best so
+    /// far; the cover is the rest. A graph of more than 12 nodes returns
+    /// `None` — the planner falls back to the greedy cover.
     pub fn exact_deletions(&self) -> Option<Vec<usize>> {
-        if self.nodes.len() > EXACT_MAX_NODES {
+        let n = self.nodes.len();
+        if n > EXACT_MAX_NODES {
             return None;
         }
-        if self.nodes.is_empty() {
-            return Some(Vec::new());
-        }
-        let keep = |i: usize| BoolExpr::var(VarId(i));
-        let mut hard = Vec::new();
+        // Bit `i` of a mask keeps node `i`.
+        let mut must_delete = 0u32;
         for (i, node) in self.nodes.iter().enumerate() {
-            if node.must_delete {
-                hard.push(keep(i).not());
-            }
+            must_delete |= u32::from(node.must_delete) << i;
         }
+        let mut conflicts = vec![0u32; n];
         for g in &self.groups {
-            for (k, class) in g.classes.iter().enumerate() {
-                for other in &g.classes[k + 1..] {
-                    for &i in class {
-                        for &j in other {
-                            hard.push(BoolExpr::and([keep(i), keep(j)]).not());
-                        }
-                    }
+            let all: u32 = g.classes.iter().flatten().map(|&i| 1u32 << i).sum();
+            for class in &g.classes {
+                let own: u32 = class.iter().map(|&i| 1u32 << i).sum();
+                for &i in class {
+                    conflicts[i] |= all & !own;
                 }
             }
         }
-        let soft: Vec<BoolExpr> = (0..self.nodes.len()).map(keep).collect();
-        let instance = HardSoftInstance::new(self.nodes.len(), hard, soft);
-        let outcome = instance.solve();
-        debug_assert!(
-            outcome.hard_satisfied,
-            "deleting every node always satisfies the hard formulas"
-        );
-        let kept: BTreeSet<usize> = outcome.soft_satisfied.iter().copied().collect();
-        Some(
-            (0..self.nodes.len())
-                .filter(|i| !kept.contains(i))
-                .collect(),
-        )
+        let valid = |keep: u32| {
+            keep & must_delete == 0
+                && (0..n).all(|i| keep >> i & 1 == 0 || keep & conflicts[i] == 0)
+        };
+        let mut best = 0u32;
+        for keep in 1..1u32 << n {
+            if keep.count_ones() > best.count_ones() && valid(keep) {
+                best = keep;
+            }
+        }
+        Some((0..n).filter(|i| best >> i & 1 == 0).collect())
     }
 }
 

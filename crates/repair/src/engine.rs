@@ -9,7 +9,7 @@
 //! conflicts — are resolved by *tuple deletion* over the
 //! [`ConflictGraph`]. An exact cardinality repair is out of reach in general
 //! (Livshits & Kimelfeld), so the instance size decides: a graph of at most
-//! 12 nodes gets the exact MAXGSAT-backed cardinality repair, with the cost
+//! 12 nodes gets the exact cardinality repair, with the cost
 //! model breaking cardinality ties, and a larger one the greedy weighted
 //! vertex cover.
 
@@ -204,9 +204,9 @@ impl RepairEngine {
             &patched,
             &*self.cost,
         )?;
-        // The exact oracle, when the graph is small enough for it, minimises
+        // The exact cover, when the graph is small enough for it, minimises
         // cardinality and knows nothing of weights; the greedy cover is
-        // weight-aware but may over-delete. Keep the oracle's cardinality
+        // weight-aware but may over-delete. Keep the exact cover's cardinality
         // win, and on ties let the cost model arbitrate.
         let greedy = graph.greedy_deletions();
         let weight_of =

@@ -10,8 +10,8 @@
 //!    multi-tuple violations the offending enforcement group.
 //! 2. **Planning** — [`RepairEngine`] builds a [`ConflictGraph`] from the
 //!    evidence and computes (a) *cardinality repairs* by tuple deletion — an
-//!    exact cover through [`ecfd_logic::MaxGSatInstance`] as an oracle when
-//!    the graph has at most 12 nodes, a greedy weighted vertex cover above
+//!    exact cover, by enumerating which nodes to keep, when the graph has at
+//!    most 12 nodes, a greedy weighted vertex cover above
 //!    (the frame of Livshits & Kimelfeld's cardinality-repair analysis) —
 //!    and (b) *value
 //!    modification* repairs for single-tuple violations, choosing the

@@ -303,9 +303,12 @@ impl Writer {
         }
         let snapshot = self.session.snapshot_of(&self.table)?;
         let epoch = snapshot.epoch();
-        let hash = report_hash(snapshot.report());
+        // The hash reads every flagged row; only a WAL checkpoint stores it.
+        let hash = hub.is_durable().then(|| report_hash(snapshot.report()));
         let published = hub.publish(snapshot, rows);
-        hub.log_checkpoint(epoch, max_ticket, hash)?;
+        if let Some(hash) = hash {
+            hub.log_checkpoint(epoch, max_ticket, hash)?;
+        }
         published
     }
 

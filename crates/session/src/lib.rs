@@ -108,9 +108,10 @@
 //! `Auto` (every available core, the default) or `Fixed(n)`. It is applied
 //! to the backends at registration time; replacing the policy with
 //! [`Session::with_policy`](session::Session::with_policy) retrofits the new
-//! fan-out onto already-registered backends. Constraint pattern constants
-//! are pre-resolved to dictionary codes once at `register` time, so per-scan
-//! match tests are integer comparisons regardless of the fan-out.
+//! fan-out onto already-registered backends. The constants of each
+//! attribute's value classes are pre-resolved to dictionary codes once at
+//! `register` time, so per-scan match tests are a class lookup and a bit
+//! test regardless of the fan-out.
 //!
 //! ## Example
 //!

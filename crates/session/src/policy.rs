@@ -7,7 +7,7 @@ use ecfd_detect::{BackendKind, Parallelism};
 ///
 /// Which backend serves a call is not a setting. Full passes
 /// ([`crate::Session::detect`]) run the native semantic backend — the
-/// system's fast path (coded pattern matching, one shared-scan program
+/// system's fast path (matching by value class, one shared-scan program
 /// however many pattern tuples are checked, sharded parallel scan). Update
 /// batches ([`crate::Session::apply`]) follow the crossover the paper's
 /// Fig. 7(a) measures: below a certain batch size incremental maintenance

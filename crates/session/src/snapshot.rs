@@ -9,7 +9,7 @@
 //! * the relation's base attributes as a [`FrozenView`] (dictionary-encoded
 //!   code columns plus the symbol table that decodes them);
 //! * the compiled [`ConstraintSet`] and a clone of the session entry's one
-//!   [`SemanticDetector`], so the coded pattern cells agree with the frozen
+//!   [`SemanticDetector`], so its class tables agree with the frozen
 //!   symbol table, and the session's repair cost model — a repair plan runs
 //!   on that detector and prices by that model, compiling nothing;
 //! * the [`DetectionReport`] and [`EvidenceReport`] describing that exact

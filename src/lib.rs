@@ -111,7 +111,7 @@ pub mod prelude {
         SqlBackend,
     };
     pub use ecfd_engine::{Engine, ResultSet};
-    pub use ecfd_logic::{BoolExpr, HardSoftInstance, MaxGSatInstance};
+    pub use ecfd_logic::{BoolExpr, MaxGSatInstance};
     pub use ecfd_obs::{Histogram, Registry};
     pub use ecfd_plan::{Plan, PlanBackend};
     pub use ecfd_relation::{
