@@ -1,13 +1,15 @@
 //! Criterion microbenchmarks for the static analyses of Sections III–IV:
 //! exact satisfiability, exact implication (one redundancy check and the
 //! minimal cover over the workload's single-pattern constraints), exact
-//! MAXSS, and MAXGSAT's exhaustive solver on the reduction's `f(Σ)`.
+//! MAXSS, and MAXGSAT's exhaustive solver on the reduction's `f(Σ)`, which
+//! the test-only `ecfd_oracle` crate builds.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ecfd_core::normalize::split_patterns;
 use ecfd_core::{implication, maxss, parse_ecfd, satisfiability, ECfd};
 use ecfd_datagen::constraints::{workload_constraints, workload_with_scaled_constraint};
 use ecfd_datagen::cust_schema;
+use ecfd_oracle::MaxSsEncoding;
 use std::time::Duration;
 
 fn bench_satisfiability(c: &mut Criterion) {
@@ -99,7 +101,7 @@ fn bench_maxgsat_solvers(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(2));
     let schema = cust_schema();
     let constraints = workload_constraints();
-    let encoding = maxss::MaxSsEncoding::build(&schema, &constraints).unwrap();
+    let encoding = MaxSsEncoding::build(&schema, &constraints).unwrap();
     // f(Σ) has one variable per value class: 14 on the workload, within the
     // exhaustive solver's limit.
     group.bench_function("exhaustive", |b| {

@@ -25,11 +25,9 @@
 //!   ([`maxss::max_satisfiable`]), all thin callers of one small-model search
 //!   over per-attribute value classes (one tuple for satisfiability, at most
 //!   two for an implication counterexample, one that breaks as few
-//!   constraints as possible for MAXSS);
-//! * the MAXSS → MAXGSAT reduction of Section IV
-//!   ([`maxss::MaxSsEncoding`]), with `f(Σ)` over the same value classes,
-//!   one variable per class, kept as a tested claim: its exhaustive optimum
-//!   equals the search's;
+//!   constraints as possible for MAXSS; the paper's reduction of MAXSS to
+//!   MAXGSAT is a tested claim of the workspace's test-only oracle crate,
+//!   see [`maxss`]);
 //! * compiled constraint sets ([`ConstraintSet`]): one pipeline with no
 //!   switches whose output every detector backend shares, entered through
 //!   [`ConstraintSet::compile`] (validate → merge → dedupe → split → drop

@@ -5,9 +5,7 @@
 //! decided by looking for a tiny instance: a one-tuple model of `Σ`, or at
 //! most two tuples that satisfy `Σ` and violate `φ`. MAXSS (Section IV,
 //! [`crate::maxss`]) looks for one tuple that violates at most `k`
-//! constraints of `Σ`, for the smallest `k` that succeeds; the reduction's
-//! `f(Σ)` is built over the same `ValueClasses`, one representative per
-//! class.
+//! constraints of `Σ`, for the smallest `k` that succeeds.
 //!
 //! * **Value classes.** Per attribute, constants that every cell of
 //!   `Σ ∪ {φ}` (a set or a complement, either side, every pattern tuple)

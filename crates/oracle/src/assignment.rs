@@ -1,12 +1,11 @@
 //! Truth assignments and variable pools.
 
 use crate::expr::VarId;
-use serde::{Deserialize, Serialize};
 
 /// Allocates propositional variables and remembers a human-readable name for
 /// each (the MAXSS reduction names variables `x(i, a)` after an attribute
 /// index and a constant).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VarPool {
     names: Vec<String>,
 }
@@ -47,7 +46,7 @@ impl VarPool {
 }
 
 /// A total truth assignment over the variables `x0 .. x_{n-1}`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Assignment {
     values: Vec<bool>,
 }
@@ -60,24 +59,12 @@ impl Assignment {
         }
     }
 
-    /// The all-true assignment over `n` variables.
-    pub fn all_true(n: usize) -> Self {
-        Assignment {
-            values: vec![true; n],
-        }
-    }
-
     /// Builds an assignment from the low `n` bits of `bits` (bit `i` gives the
-    /// value of variable `i`). Used by the exhaustive solvers.
+    /// value of variable `i`). Used by the exhaustive solver.
     pub fn from_bits(bits: u64, n: usize) -> Self {
         Assignment {
             values: (0..n).map(|i| (bits >> i) & 1 == 1).collect(),
         }
-    }
-
-    /// Builds an assignment from an explicit boolean vector.
-    pub fn from_vec(values: Vec<bool>) -> Self {
-        Assignment { values }
     }
 
     /// Number of variables covered.
@@ -102,27 +89,6 @@ impl Assignment {
         }
         self.values[var.index()] = value;
     }
-
-    /// Flips the value of a variable.
-    pub fn flip(&mut self, var: VarId) {
-        let cur = self.get(var);
-        self.set(var, !cur);
-    }
-
-    /// Variables currently set to true.
-    pub fn true_vars(&self) -> Vec<VarId> {
-        self.values
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| **v)
-            .map(|(i, _)| VarId(i))
-            .collect()
-    }
-
-    /// Raw access to the underlying vector.
-    pub fn as_slice(&self) -> &[bool] {
-        &self.values
-    }
 }
 
 #[cfg(test)]
@@ -145,34 +111,25 @@ mod tests {
     }
 
     #[test]
-    fn assignment_get_set_flip() {
+    fn assignment_get_set() {
         let mut asg = Assignment::all_false(3);
         assert!(!asg.get(VarId(0)));
         asg.set(VarId(0), true);
         assert!(asg.get(VarId(0)));
-        asg.flip(VarId(0));
+        asg.set(VarId(0), false);
         assert!(!asg.get(VarId(0)));
         // Out-of-range reads are false; sets grow the assignment.
         assert!(!asg.get(VarId(10)));
         asg.set(VarId(10), true);
         assert_eq!(asg.len(), 11);
         assert!(asg.get(VarId(10)));
+        assert!(Assignment::all_false(0).is_empty());
     }
 
     #[test]
     fn from_bits_uses_little_endian_bit_order() {
         let asg = Assignment::from_bits(0b101, 3);
-        assert_eq!(asg.as_slice(), &[true, false, true]);
-        assert_eq!(asg.true_vars(), vec![VarId(0), VarId(2)]);
-    }
-
-    #[test]
-    fn all_true_and_from_vec() {
-        assert_eq!(Assignment::all_true(2).as_slice(), &[true, true]);
-        assert_eq!(
-            Assignment::from_vec(vec![false, true]).true_vars(),
-            vec![VarId(1)]
-        );
-        assert!(Assignment::all_false(0).is_empty());
+        let values: Vec<bool> = (0..3).map(|i| asg.get(VarId(i))).collect();
+        assert_eq!(values, [true, false, true]);
     }
 }

@@ -8,12 +8,10 @@
 //! MAXSAT).
 
 use crate::assignment::Assignment;
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// Identifier of a propositional variable (index into a [`crate::VarPool`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VarId(pub usize);
 
 impl VarId {
@@ -30,7 +28,7 @@ impl fmt::Display for VarId {
 }
 
 /// An arbitrary propositional formula.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BoolExpr {
     /// A constant `true` / `false`.
     Const(bool),
@@ -47,16 +45,6 @@ pub enum BoolExpr {
 }
 
 impl BoolExpr {
-    /// The constant `true`.
-    pub fn t() -> Self {
-        BoolExpr::Const(true)
-    }
-
-    /// The constant `false`.
-    pub fn f() -> Self {
-        BoolExpr::Const(false)
-    }
-
     /// A variable reference.
     pub fn var(v: VarId) -> Self {
         BoolExpr::Var(v)
@@ -124,32 +112,6 @@ impl BoolExpr {
         }
     }
 
-    /// Collects the set of variables occurring in the formula.
-    pub fn vars(&self) -> BTreeSet<VarId> {
-        let mut out = BTreeSet::new();
-        self.collect_vars(&mut out);
-        out
-    }
-
-    fn collect_vars(&self, out: &mut BTreeSet<VarId>) {
-        match self {
-            BoolExpr::Const(_) => {}
-            BoolExpr::Var(v) => {
-                out.insert(*v);
-            }
-            BoolExpr::Not(e) => e.collect_vars(out),
-            BoolExpr::And(es) | BoolExpr::Or(es) => {
-                for e in es {
-                    e.collect_vars(out);
-                }
-            }
-            BoolExpr::Implies(a, b) => {
-                a.collect_vars(out);
-                b.collect_vars(out);
-            }
-        }
-    }
-
     /// Number of nodes in the expression tree (a size measure used to verify
     /// that the MAXSS reduction stays polynomial).
     pub fn size(&self) -> usize {
@@ -160,58 +122,6 @@ impl BoolExpr {
                 1 + es.iter().map(BoolExpr::size).sum::<usize>()
             }
             BoolExpr::Implies(a, b) => 1 + a.size() + b.size(),
-        }
-    }
-
-    /// Constant-folds the formula: removes constants from connectives and
-    /// collapses subtrees whose value no longer depends on any variable.
-    pub fn simplify(&self) -> BoolExpr {
-        match self {
-            BoolExpr::Const(_) | BoolExpr::Var(_) => self.clone(),
-            BoolExpr::Not(e) => match e.simplify() {
-                BoolExpr::Const(b) => BoolExpr::Const(!b),
-                BoolExpr::Not(inner) => *inner,
-                other => BoolExpr::Not(Box::new(other)),
-            },
-            BoolExpr::And(es) => {
-                let mut out = Vec::new();
-                for e in es {
-                    match e.simplify() {
-                        BoolExpr::Const(false) => return BoolExpr::Const(false),
-                        BoolExpr::Const(true) => {}
-                        BoolExpr::And(inner) => out.extend(inner),
-                        other => out.push(other),
-                    }
-                }
-                match out.len() {
-                    0 => BoolExpr::Const(true),
-                    1 => out.pop().expect("len checked"),
-                    _ => BoolExpr::And(out),
-                }
-            }
-            BoolExpr::Or(es) => {
-                let mut out = Vec::new();
-                for e in es {
-                    match e.simplify() {
-                        BoolExpr::Const(true) => return BoolExpr::Const(true),
-                        BoolExpr::Const(false) => {}
-                        BoolExpr::Or(inner) => out.extend(inner),
-                        other => out.push(other),
-                    }
-                }
-                match out.len() {
-                    0 => BoolExpr::Const(false),
-                    1 => out.pop().expect("len checked"),
-                    _ => BoolExpr::Or(out),
-                }
-            }
-            BoolExpr::Implies(a, b) => match (a.simplify(), b.simplify()) {
-                (BoolExpr::Const(false), _) => BoolExpr::Const(true),
-                (BoolExpr::Const(true), rhs) => rhs,
-                (_, BoolExpr::Const(true)) => BoolExpr::Const(true),
-                (lhs, BoolExpr::Const(false)) => BoolExpr::Not(Box::new(lhs)).simplify(),
-                (lhs, rhs) => BoolExpr::Implies(Box::new(lhs), Box::new(rhs)),
-            },
         }
     }
 }
@@ -273,8 +183,8 @@ mod tests {
         assert!(!BoolExpr::and([BoolExpr::var(a), BoolExpr::var(b)]).eval(&asg));
         assert!(BoolExpr::var(b).implies(BoolExpr::var(a)).eval(&asg));
         assert!(!BoolExpr::var(a).implies(BoolExpr::var(b)).eval(&asg));
-        assert!(BoolExpr::t().eval(&asg));
-        assert!(!BoolExpr::f().eval(&asg));
+        assert!(BoolExpr::Const(true).eval(&asg));
+        assert!(!BoolExpr::Const(false).eval(&asg));
     }
 
     #[test]
@@ -306,57 +216,10 @@ mod tests {
     }
 
     #[test]
-    fn vars_and_size() {
+    fn size_counts_every_node() {
         let (_, a, b, c) = pool3();
         let e = BoolExpr::var(a).implies(BoolExpr::or([BoolExpr::var(b), BoolExpr::var(c).not()]));
-        assert_eq!(e.vars(), [a, b, c].into_iter().collect());
         assert_eq!(e.size(), 6);
-    }
-
-    #[test]
-    fn simplify_constant_folds() {
-        let (_, a, _, _) = pool3();
-        let e = BoolExpr::and([BoolExpr::t(), BoolExpr::var(a), BoolExpr::t()]);
-        assert_eq!(e.simplify(), BoolExpr::var(a));
-
-        let e = BoolExpr::and([BoolExpr::var(a), BoolExpr::f()]);
-        assert_eq!(e.simplify(), BoolExpr::f());
-
-        let e = BoolExpr::or([BoolExpr::var(a), BoolExpr::t()]);
-        assert_eq!(e.simplify(), BoolExpr::t());
-
-        let e = BoolExpr::Not(Box::new(BoolExpr::Not(Box::new(BoolExpr::var(a)))));
-        assert_eq!(e.simplify(), BoolExpr::var(a));
-
-        let e = BoolExpr::f().implies(BoolExpr::var(a));
-        assert_eq!(e.simplify(), BoolExpr::t());
-        let e = BoolExpr::t().implies(BoolExpr::var(a));
-        assert_eq!(e.simplify(), BoolExpr::var(a));
-        let e = BoolExpr::var(a).implies(BoolExpr::f());
-        assert_eq!(e.simplify(), BoolExpr::var(a).not());
-    }
-
-    #[test]
-    fn simplify_preserves_semantics_on_all_assignments() {
-        let (pool, a, b, c) = pool3();
-        let exprs = vec![
-            BoolExpr::and([
-                BoolExpr::var(a),
-                BoolExpr::or([BoolExpr::var(b), BoolExpr::f()]),
-            ]),
-            BoolExpr::var(a).implies(BoolExpr::and([BoolExpr::var(b), BoolExpr::var(c)])),
-            BoolExpr::or([
-                BoolExpr::var(a).not(),
-                BoolExpr::and([BoolExpr::t(), BoolExpr::var(c)]),
-            ]),
-        ];
-        for e in exprs {
-            let s = e.simplify();
-            for bits in 0..(1u32 << pool.len()) {
-                let asg = Assignment::from_bits(bits as u64, pool.len());
-                assert_eq!(e.eval(&asg), s.eval(&asg), "expr {e} vs {s}");
-            }
-        }
     }
 
     #[test]

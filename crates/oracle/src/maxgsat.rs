@@ -9,23 +9,22 @@
 //! exhaustive one ([`MaxGSatInstance::solve_exhaustive`]), exponential in the
 //! number of variables and limited to
 //! [`MaxGSatInstance::EXHAUSTIVE_MAX_VARS`] of them. It checks that the
-//! reduction keeps the MAXSS optimum. MAXSS itself is decided by `ecfd_core`'s
-//! small-model search, which proves its optimum where an approximation
-//! algorithm proves none.
+//! reduction ([`crate::maxss`]) keeps the MAXSS optimum. MAXSS itself is
+//! decided by `ecfd_core`'s small-model search, which proves its optimum
+//! where an approximation algorithm proves none.
 
 use crate::assignment::Assignment;
 use crate::expr::BoolExpr;
-use serde::{Deserialize, Serialize};
 
 /// A MAXGSAT instance: a number of variables and a list of formulas over them.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MaxGSatInstance {
     num_vars: usize,
     formulas: Vec<BoolExpr>,
 }
 
 /// An optimal solution of a MAXGSAT instance.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MaxGSatOutcome {
     /// An assignment satisfying as many formulas as any assignment does.
     pub assignment: Assignment,
@@ -53,16 +52,6 @@ impl MaxGSatInstance {
     /// The formulas of the instance.
     pub fn formulas(&self) -> &[BoolExpr] {
         &self.formulas
-    }
-
-    /// Number of formulas.
-    pub fn len(&self) -> usize {
-        self.formulas.len()
-    }
-
-    /// True when the instance has no formulas.
-    pub fn is_empty(&self) -> bool {
-        self.formulas.is_empty()
     }
 
     /// Number of variables.
@@ -165,7 +154,7 @@ mod tests {
     #[test]
     fn empty_instance() {
         let inst = MaxGSatInstance::new(0, vec![]);
-        assert!(inst.is_empty());
+        assert!(inst.formulas().is_empty());
         let outcome = inst.solve_exhaustive();
         assert_eq!(outcome.num_satisfied(), 0);
     }
@@ -173,7 +162,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "exhaustive MAXGSAT limited")]
     fn exhaustive_rejects_large_instances() {
-        let inst = MaxGSatInstance::new(30, vec![BoolExpr::t()]);
+        let inst = MaxGSatInstance::new(30, vec![BoolExpr::Const(true)]);
         let _ = inst.solve_exhaustive();
     }
 }

@@ -46,7 +46,8 @@ fn main() {
     // tuple break k constraints for k = 0, 1, …: the first k that succeeds is
     // optimal, because the search at k − 1 failed. So a shortfall proves the
     // whole set unsatisfiable. (The paper's reduction to MAXGSAT, f(Σ) and g,
-    // is `maxss::MaxSsEncoding`; the tests check it keeps this optimum.)
+    // lives in the test-only `ecfd_oracle` crate, whose suites check that it
+    // keeps this optimum.)
     let outcome = maxss::max_satisfiable(&schema, &constraints).expect("MAXSS analysis runs");
     println!(
         "MAXSS: {} of {} constraints are jointly satisfiable → verdict {:?}",

@@ -12,10 +12,10 @@
 //!   ids, indexes, catalogs, update batches, CSV I/O).
 //! * [`engine`] — a small SQL engine (parser + executor) playing the role of
 //!   the RDBMS the paper runs its detection queries on.
-//! * [`logic`] — propositional formulas and an exact MAXGSAT solver.
 //! * [`core`] — the eCFD constraint language: pattern tableaux, a textual
 //!   syntax, satisfaction semantics, exact satisfiability, implication and
-//!   MAXSS, and the MAXSS → MAXGSAT reduction as a tested claim.
+//!   MAXSS. The paper's MAXSS → MAXGSAT reduction is a tested claim of the
+//!   workspace's test-only oracle crate, not part of the library.
 //! * [`detect`] — violation detection: the tableau-as-data encoding, the
 //!   SQL-based `BATCHDETECT`, the incremental `INCDETECT`, and a native
 //!   semantic detector whose one scan kernel (`detect::scan`) runs a
@@ -25,7 +25,8 @@
 //!   set (fused, or unfused as the measured contrast), with attribute names
 //!   resolved only when `EXPLAIN PLAN` renders it.
 //! * [`repair`] — violation explanation and data repair: conflict graphs,
-//!   cardinality repairs by tuple deletion (greedy and MAXGSAT-backed exact),
+//!   cardinality repairs by tuple deletion (greedy, and exact on small
+//!   conflict graphs),
 //!   value-modification repairs under pluggable cost models, and a verified
 //!   repair → re-detect loop.
 //! * [`session`] — the high-level API: a stateful [`Session`](session::Session)
@@ -89,7 +90,6 @@ pub use ecfd_core as core;
 pub use ecfd_datagen as datagen;
 pub use ecfd_detect as detect;
 pub use ecfd_engine as engine;
-pub use ecfd_logic as logic;
 pub use ecfd_obs as obs;
 pub use ecfd_plan as plan;
 pub use ecfd_relation as relation;
@@ -111,7 +111,6 @@ pub mod prelude {
         SqlBackend,
     };
     pub use ecfd_engine::{Engine, ResultSet};
-    pub use ecfd_logic::{BoolExpr, MaxGSatInstance};
     pub use ecfd_obs::{Histogram, Registry};
     pub use ecfd_plan::{Plan, PlanBackend};
     pub use ecfd_relation::{

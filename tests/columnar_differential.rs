@@ -16,60 +16,8 @@
 use ecfd::datagen::constraints::{workload_constraints, workload_with_scaled_constraint};
 use ecfd::datagen::{generate, generate_delta, CustConfig, UpdateConfig};
 use ecfd::prelude::*;
+use ecfd_oracle::cust::{arb_constraints, arb_relation, schema};
 use proptest::prelude::*;
-
-const CITIES: [&str; 5] = ["Albany", "Troy", "NYC", "LI", "Utica"];
-const CODES: [&str; 4] = ["518", "212", "315", "716"];
-
-fn schema() -> Schema {
-    Schema::builder("cust")
-        .attr("CT", DataType::Str)
-        .attr("AC", DataType::Str)
-        .attr("ZIP", DataType::Str)
-        .build()
-}
-
-fn arb_tuple() -> impl Strategy<Value = Tuple> {
-    (0..CITIES.len(), 0..CODES.len(), 0..3usize)
-        .prop_map(|(c, a, z)| Tuple::from_iter([CITIES[c], CODES[a], &format!("zip{z}")]))
-}
-
-fn arb_relation() -> impl Strategy<Value = Relation> {
-    proptest::collection::vec(arb_tuple(), 0..30)
-        .prop_map(|tuples| Relation::with_tuples(schema(), tuples).expect("tuples fit the schema"))
-}
-
-fn arb_pattern_value(values: &'static [&'static str]) -> impl Strategy<Value = PatternValue> {
-    prop_oneof![
-        Just(PatternValue::Wildcard),
-        proptest::collection::btree_set(0..values.len(), 1..=2)
-            .prop_map(move |idx| PatternValue::in_set(idx.into_iter().map(|i| values[i]))),
-        proptest::collection::btree_set(0..values.len(), 1..=2)
-            .prop_map(move |idx| PatternValue::not_in_set(idx.into_iter().map(|i| values[i]))),
-    ]
-}
-
-fn arb_ecfd() -> impl Strategy<Value = ECfd> {
-    (
-        arb_pattern_value(&CITIES),
-        arb_pattern_value(&CODES),
-        proptest::option::of(arb_pattern_value(&CODES)),
-    )
-        .prop_map(|(lhs, rhs, second)| {
-            let mut tableau = vec![PatternTuple::new(vec![lhs.clone()], vec![rhs])];
-            if let Some(extra) = second {
-                tableau.push(PatternTuple::new(vec![lhs], vec![extra]));
-            }
-            ECfd::new(
-                "cust",
-                vec!["CT".into()],
-                vec!["AC".into()],
-                vec![],
-                tableau,
-            )
-            .expect("generated constraints are well-formed")
-        })
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
@@ -80,7 +28,7 @@ proptest! {
     #[test]
     fn coded_detection_matches_value_semantics_at_any_parallelism(
         data in arb_relation(),
-        constraints in proptest::collection::vec(arb_ecfd(), 1..4),
+        constraints in arb_constraints(),
     ) {
         let reference = check_all(&data, &constraints).unwrap();
         let expected = DetectionReport::from_violation_set(reference.violations(), data.len());

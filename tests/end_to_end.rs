@@ -7,6 +7,7 @@ use ecfd::core::maxss::SatisfiabilityVerdict;
 use ecfd::datagen::constraints::{workload_constraints, workload_with_scaled_constraint};
 use ecfd::datagen::{generate, generate_delta, CustConfig, UpdateConfig};
 use ecfd::prelude::*;
+use ecfd_oracle::MaxSsEncoding;
 
 fn workload(size: usize, noise: f64, seed: u64) -> (Schema, Relation, Vec<ECfd>) {
     let (data, _) = generate(&CustConfig {
@@ -170,7 +171,7 @@ fn workload_constraints_are_satisfiable_and_irredundant_enough() {
     let outcome = maxss::max_satisfiable(&schema, &constraints).unwrap();
     assert_eq!(outcome.satisfiable_subset.len(), constraints.len());
     assert_eq!(outcome.verdict, SatisfiabilityVerdict::Satisfiable);
-    let encoding = maxss::MaxSsEncoding::build(&schema, &constraints).unwrap();
+    let encoding = MaxSsEncoding::build(&schema, &constraints).unwrap();
     assert!(encoding.instance().num_vars() <= 14);
     let (_, satisfied, _) = encoding.solve().unwrap();
     assert_eq!(satisfied.len(), constraints.len());
@@ -246,7 +247,7 @@ fn maxss_never_calls_a_satisfiable_set_unsatisfiable() {
 
     // f(Σ) of the |Tp| = 160 tableau has 89 variables even over classes:
     // MAXGSAT's exhaustive solver refuses it rather than panicking.
-    let err = maxss::MaxSsEncoding::build(&schema, &tp160)
+    let err = MaxSsEncoding::build(&schema, &tp160)
         .unwrap()
         .solve()
         .unwrap_err();

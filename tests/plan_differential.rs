@@ -20,39 +20,9 @@ use ecfd::datagen::constraints::workload_constraints;
 use ecfd::datagen::{generate, generate_delta, CustConfig, UpdateConfig};
 use ecfd::detect::semantic::GroupMap;
 use ecfd::prelude::*;
+use ecfd_oracle::cust::{arb_pattern_value, arb_relation, schema, CITIES, CODES};
 use proptest::prelude::*;
 use std::sync::Arc;
-
-const CITIES: [&str; 5] = ["Albany", "Troy", "NYC", "LI", "Utica"];
-const CODES: [&str; 4] = ["518", "212", "315", "716"];
-
-fn schema() -> Schema {
-    Schema::builder("cust")
-        .attr("CT", DataType::Str)
-        .attr("AC", DataType::Str)
-        .attr("ZIP", DataType::Str)
-        .build()
-}
-
-fn arb_tuple() -> impl Strategy<Value = Tuple> {
-    (0..CITIES.len(), 0..CODES.len(), 0..3usize)
-        .prop_map(|(c, a, z)| Tuple::from_iter([CITIES[c], CODES[a], &format!("zip{z}")]))
-}
-
-fn arb_relation() -> impl Strategy<Value = Relation> {
-    proptest::collection::vec(arb_tuple(), 0..30)
-        .prop_map(|tuples| Relation::with_tuples(schema(), tuples).expect("tuples fit the schema"))
-}
-
-fn arb_pattern_value(values: &'static [&'static str]) -> impl Strategy<Value = PatternValue> {
-    prop_oneof![
-        Just(PatternValue::Wildcard),
-        proptest::collection::btree_set(0..values.len(), 1..=2)
-            .prop_map(move |idx| PatternValue::in_set(idx.into_iter().map(|i| values[i]))),
-        proptest::collection::btree_set(0..values.len(), 1..=2)
-            .prop_map(move |idx| PatternValue::not_in_set(idx.into_iter().map(|i| values[i]))),
-    ]
-}
 
 /// Constraints over two different X attribute sets ([CT] and [AC]), so the
 /// generated sets exercise both sides of shared-scan fusion: constraints

@@ -4,204 +4,12 @@
 //! properties (small-model soundness, implication ↔ satisfaction).
 
 use ecfd::prelude::*;
+use ecfd_oracle::cust::{
+    arb_constraints, arb_ecfd, arb_family, arb_relation, arb_tuple, schema, CITIES, CODES,
+};
+use ecfd_oracle::MaxSsEncoding;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-
-/// A small universe of values keeps collisions (and therefore interesting FD
-/// conflicts) frequent.
-const CITIES: [&str; 5] = ["Albany", "Troy", "NYC", "LI", "Utica"];
-const CODES: [&str; 4] = ["518", "212", "315", "716"];
-
-fn schema() -> Schema {
-    Schema::builder("cust")
-        .attr("CT", DataType::Str)
-        .attr("AC", DataType::Str)
-        .attr("ZIP", DataType::Str)
-        .build()
-}
-
-fn arb_tuple() -> impl Strategy<Value = Tuple> {
-    (0..CITIES.len(), 0..CODES.len(), 0..4usize)
-        .prop_map(|(c, a, z)| Tuple::from_iter([CITIES[c], CODES[a], &format!("zip{z}")]))
-}
-
-fn arb_relation() -> impl Strategy<Value = Relation> {
-    proptest::collection::vec(arb_tuple(), 0..25)
-        .prop_map(|tuples| Relation::with_tuples(schema(), tuples).expect("tuples fit the schema"))
-}
-
-fn arb_pattern_value(values: &'static [&'static str]) -> impl Strategy<Value = PatternValue> {
-    prop_oneof![
-        Just(PatternValue::Wildcard),
-        proptest::collection::btree_set(0..values.len(), 1..=2)
-            .prop_map(move |idx| PatternValue::in_set(idx.into_iter().map(|i| values[i]))),
-        proptest::collection::btree_set(0..values.len(), 1..=2)
-            .prop_map(move |idx| PatternValue::not_in_set(idx.into_iter().map(|i| values[i]))),
-    ]
-}
-
-/// Random single-pattern eCFDs of the shape `[CT] → [AC] | [ZIP?]`.
-fn arb_ecfd() -> impl Strategy<Value = ECfd> {
-    (
-        arb_pattern_value(&CITIES),
-        arb_pattern_value(&CODES),
-        proptest::option::of(arb_pattern_value(&CODES)),
-    )
-        .prop_map(|(lhs, rhs, second)| {
-            let mut tableau = vec![PatternTuple::new(vec![lhs.clone()], vec![rhs])];
-            if let Some(extra) = second {
-                tableau.push(PatternTuple::new(vec![lhs], vec![extra]));
-            }
-            ECfd::new(
-                "cust",
-                vec!["CT".into()],
-                vec!["AC".into()],
-                vec![],
-                tableau,
-            )
-            .expect("generated constraints are well-formed")
-        })
-}
-
-fn arb_constraints() -> impl Strategy<Value = Vec<ECfd>> {
-    proptest::collection::vec(arb_ecfd(), 1..4)
-}
-
-const ZIPS: [&str; 4] = ["zip0", "zip1", "zip2", "zip3"];
-
-/// The three attributes of [`schema`], each with the values its data and
-/// pattern cells draw from.
-const ATTRS: [(&str, &[&str]); 3] = [("CT", &CITIES), ("AC", &CODES), ("ZIP", &ZIPS)];
-
-/// Raw material for one pattern cell: a kind (wildcard, set, complement) and
-/// up to two value indices.
-fn arb_cell() -> impl Strategy<Value = (usize, usize, usize, bool)> {
-    (0..3usize, 0..5usize, 0..5usize, any::<bool>())
-}
-
-fn cell(attr: usize, (kind, i, j, pair): (usize, usize, usize, bool)) -> PatternValue {
-    let values = ATTRS[attr].1;
-    let mut picked = vec![values[i % values.len()]];
-    if pair {
-        picked.push(values[j % values.len()]);
-    }
-    match kind {
-        0 => PatternValue::Wildcard,
-        1 => PatternValue::in_set(picked),
-        _ => PatternValue::not_in_set(picked),
-    }
-}
-
-/// Random eCFDs of any shape over the three attributes: `X` is a non-empty
-/// subset, every attribute is independently in `Y`, in `Yp` or in neither
-/// (at least one is on the right), and the tableau has 1–3 tuples.
-fn arb_family_ecfd() -> impl Strategy<Value = ECfd> {
-    (
-        1..8usize,
-        1..27usize,
-        1..=3usize,
-        proptest::collection::vec(arb_cell(), 18),
-    )
-        .prop_map(|(x_mask, rhs_roles, rows, cells)| {
-            let x: Vec<usize> = (0..3).filter(|a| (x_mask >> a) & 1 == 1).collect();
-            let role = |a: u32| rhs_roles / 3usize.pow(a) % 3;
-            let y: Vec<usize> = (0..3).filter(|&a| role(a as u32) == 1).collect();
-            let yp: Vec<usize> = (0..3).filter(|&a| role(a as u32) == 2).collect();
-            let mut cells = cells.into_iter();
-            let tableau = (0..rows)
-                .map(|_| {
-                    let mut side = |attrs: &[usize]| -> Vec<PatternValue> {
-                        attrs
-                            .iter()
-                            .map(|&a| cell(a, cells.next().expect("18 cells cover 3 rows")))
-                            .collect()
-                    };
-                    let lhs = side(&x);
-                    let rhs = side(&[y.clone(), yp.clone()].concat());
-                    PatternTuple::new(lhs, rhs)
-                })
-                .collect();
-            let names = |attrs: &[usize]| attrs.iter().map(|&a| ATTRS[a].0.to_string()).collect();
-            ECfd::new("cust", names(&x), names(&y), names(&yp), tableau)
-                .expect("generated constraints are well-formed")
-        })
-}
-
-/// A pattern tuple of `e` comparable to `tp` under subsumption but not equal
-/// to it: `tp` with every `X` cell narrowed (a wildcard to one value, a set
-/// to its least value, a complement to a larger complement) and the
-/// `Y ∪ Yp` cells `widen` picks turned into wildcards; or, where that
-/// changes nothing, `tp` with every `X` cell widened to a wildcard.
-fn comparable_copy(e: &ECfd, tp: &PatternTuple, pick: usize, widen: &[bool]) -> PatternTuple {
-    let values = |name: &str| ATTRS.iter().find(|(a, _)| *a == name).expect("attribute").1;
-    let lhs = (e.lhs().iter().zip(&tp.lhs))
-        .map(|(attr, cell)| {
-            let values = values(attr);
-            match cell {
-                PatternValue::Wildcard => PatternValue::in_set([values[pick % values.len()]]),
-                PatternValue::In(s) => PatternValue::In(s.iter().take(1).cloned().collect()),
-                PatternValue::NotIn(s) => {
-                    let outside = values.iter().find(|v| !s.contains(&Value::from(**v)));
-                    PatternValue::NotIn(
-                        s.iter()
-                            .cloned()
-                            .chain(outside.map(|v| Value::from(*v)))
-                            .collect(),
-                    )
-                }
-            }
-        })
-        .collect();
-    let rhs = (tp.rhs.iter().zip(widen.iter().cycle()))
-        .map(|(cell, &widen)| {
-            if widen {
-                PatternValue::Wildcard
-            } else {
-                cell.clone()
-            }
-        })
-        .collect();
-    let copy = PatternTuple::new(lhs, rhs);
-    if copy != *tp {
-        return copy;
-    }
-    PatternTuple::new(vec![PatternValue::Wildcard; tp.lhs.len()], tp.rhs.clone())
-}
-
-/// 1–3 random eCFDs plus 1–2 merge-compatible duplicates — a copy of one of
-/// them, whole or with just one of its pattern tuples — and one comparable
-/// copy ([`comparable_copy`]) of one of their pattern tuples. Every such Σ
-/// gives `ConstraintSet::compile` something to merge, something to dedupe
-/// and a single to drop as subsumed.
-fn arb_family() -> impl Strategy<Value = Vec<ECfd>> {
-    (
-        proptest::collection::vec(arb_family_ecfd(), 1..4),
-        proptest::collection::vec((0..3usize, 0..3usize, any::<bool>(), 0..5usize), 1..3),
-        (0..3usize, 0..3usize, 0..5usize, 0..5usize),
-        proptest::collection::vec(any::<bool>(), 3),
-    )
-        .prop_map(|(mut sigma, copies, (which, row, pick, at), widen)| {
-            for (which, row, whole, at) in copies {
-                let original = &sigma[which % sigma.len()];
-                let tableau = original.tableau();
-                let copy = if whole {
-                    original.clone()
-                } else {
-                    original
-                        .with_tableau(vec![tableau[row % tableau.len()].clone()])
-                        .expect("one pattern tuple of a valid eCFD is valid")
-                };
-                sigma.insert(at % (sigma.len() + 1), copy);
-            }
-            let original = &sigma[which % sigma.len()];
-            let tp = &original.tableau()[row % original.tableau().len()];
-            let copy = original
-                .with_tableau(vec![comparable_copy(original, tp, pick, &widen)])
-                .expect("a comparable copy of a valid pattern tuple is valid");
-            sigma.insert(at % (sigma.len() + 1), copy);
-            sigma
-        })
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -279,7 +87,7 @@ proptest! {
     #[test]
     fn maxss_subsets_are_satisfiable(constraints in arb_constraints()) {
         let schema = schema();
-        let encoding = maxss::MaxSsEncoding::build(&schema, &constraints).unwrap();
+        let encoding = MaxSsEncoding::build(&schema, &constraints).unwrap();
         let gsat = encoding.instance().solve_exhaustive();
         let (subset, witness) = encoding.satisfied_constraints(&gsat.assignment).unwrap();
         let chosen: Vec<ECfd> = subset.iter().map(|&i| constraints[i].clone()).collect();
@@ -295,7 +103,7 @@ proptest! {
 
     /// Repair soundness: a deletion-only plan never deletes more rows than
     /// the trivial repair (delete every flagged row) nor than either cover of
-    /// its conflict graph, the greedy and the exact (MAXGSAT-backed) cover
+    /// its conflict graph, the greedy and the exact cover
     /// agree in size on small graphs, and applying the plan yields a
     /// relation the detector reports clean.
     #[test]
@@ -314,8 +122,8 @@ proptest! {
             plan.num_deletions()
         );
 
-        // On instances small enough for the exhaustive MAXGSAT oracle the
-        // greedy cover must match the exact cardinality repair.
+        // On graphs small enough for the exact cover the greedy cover must
+        // match the exact cardinality repair.
         let graph = engine.conflict_graph(&data, &evidence).unwrap();
         let greedy = graph.greedy_deletions();
         prop_assert!(plan.num_deletions() <= greedy.len());
@@ -392,7 +200,7 @@ proptest! {
         data in arb_relation(),
         constraints in arb_constraints(),
         insertions in proptest::collection::vec(arb_tuple(), 0..6),
-        delete_mask in proptest::collection::vec(any::<bool>(), 25),
+        delete_mask in proptest::collection::vec(any::<bool>(), 30),
     ) {
         let schema = schema();
         let deletions: Vec<Tuple> = data
