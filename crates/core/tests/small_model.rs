@@ -128,23 +128,25 @@ proptest! {
         pair in (0usize..16, 0usize..2, 0usize..8),
     ) {
         let (mut sigma, copy_is_new) = case;
-        sigma.extend(domain_pairs(finite, pair));
         let schema = schema(finite);
-        let set = ConstraintSet::compile(&schema, &sigma).unwrap();
         // The copy is comparable to the pattern it was made from, so unless
-        // dedupe removed it, a single was dropped.
+        // dedupe removed it, a single was dropped. Asked before the domain
+        // pairs join Σ, which are dropped whenever `f` is finite.
+        let set = ConstraintSet::compile(&schema, &sigma).unwrap();
         prop_assert!(!copy_is_new || !set.subsumed().is_empty(), "Σ = {:?}", sigma);
         let dropped_any = usize::from(!set.subsumed().is_empty());
         let cases = CASES.fetch_add(1, Ordering::Relaxed) + 1;
         let fired = FIRED.fetch_add(dropped_any, Ordering::Relaxed) + dropped_any;
         prop_assert!(cases < 16 || fired * 2 >= cases, "{fired} of {cases} cases dropped a single");
 
+        sigma.extend(domain_pairs(finite, pair));
+        let set = ConstraintSet::compile(&schema, &sigma).unwrap();
         let compiled_at: BTreeSet<(usize, usize)> = set.provenance().into_iter().collect();
         let tuples = all_tuples(&schema, true);
-        // Two tuples that agree on no constraint's `X` share no group: their
-        // instance raises only the `SV` flags each raises alone, which the
-        // one-tuple instances check.
-        let xs: Vec<Vec<usize>> = (set.ecfds().iter())
+        // Two tuples that agree on no constraint's `X`, of Σ or compiled,
+        // share no group: their instance raises only the `SV` flags each
+        // raises alone, which the one-tuple instances check.
+        let xs: Vec<Vec<usize>> = (sigma.iter().chain(set.ecfds()))
             .map(|e| e.lhs().iter().map(|a| schema.attr_id(a).unwrap().index()).collect())
             .collect();
         let agree = |t: &Tuple, u: &Tuple| {
@@ -163,12 +165,10 @@ proptest! {
                 // `check_all` checks every pattern of every constraint on its
                 // own, and each violation carries the (constraint, pattern)
                 // of `ecfds()` that raised it: the indices `subsumed()` and
-                // `provenance()` record. Merging and dedupe keep every
-                // pattern of Σ, so all of them together flag what Σ flags.
+                // `provenance()` record.
                 let all = satisfaction::check_all(&db, set.ecfds()).unwrap();
-                let violations = all.violations().violations();
                 let flags = |from: &dyn Fn(&(usize, usize)) -> bool| {
-                    (violations.iter())
+                    (all.violations().violations().iter())
                         .filter(|v| from(&(v.constraint, v.pattern)))
                         .map(|v| (v.row, v.kind))
                         .collect::<BTreeSet<(RowId, ViolationKind)>>()
@@ -183,7 +183,17 @@ proptest! {
                     );
                 }
                 let compiled = flags(&|at| compiled_at.contains(at));
-                prop_assert_eq!(compiled, flags(&|_| true), "Σ = {:?}", sigma);
+                let given = satisfaction::check_all(&db, &sigma).unwrap();
+                let given = given.violations();
+                let rows = |kind: ViolationKind| -> BTreeSet<RowId> {
+                    compiled.iter().filter(|f| f.1 == kind).map(|f| f.0).collect()
+                };
+                prop_assert_eq!(
+                    (rows(ViolationKind::SingleTuple), rows(ViolationKind::MultiTuple)),
+                    (given.sv_rows().clone(), given.mv_rows().clone()),
+                    "Σ = {:?}",
+                    sigma
+                );
             }
         }
     }

@@ -1,8 +1,7 @@
 //! # ecfd-oracle
 //!
-//! Test-only oracles of the eCFD workspace, written once and owing nothing
-//! to the deciders they check. Every crate takes this one as a
-//! dev-dependency only; the library never links it.
+//! Test-only oracles of the eCFD workspace, written once. Every crate takes
+//! this one as a dev-dependency only; the library never links it.
 //!
 //! * **Section IV's reduction.** The paper reduces the *maximum satisfiable
 //!   subset* problem for eCFDs (MAXSS) to the *Maximum Generalized
@@ -13,8 +12,14 @@
 //!   solver are the target problem; [`MaxSsEncoding`] is `f(Σ)` and `g`.
 //!   `ecfd_core` decides MAXSS exactly by its small-model search, and the
 //!   suites check that the MAXGSAT optimum of `f(Σ)` equals the search's.
+//!   `f(Σ)` reuses `ecfd_core`'s value-class grouping (through
+//!   `ConstraintSet::classes`), the one the search uses too, so a grouping
+//!   fault would reach both alike.
 //! * **Brute force.** [`brute`] enumerates every instance of at most two
-//!   tuples over explicit small domains.
+//!   tuples over explicit small domains and checks each with
+//!   `ecfd_core::satisfaction` alone, none of the deciders: it is the
+//!   independent reference the small-model suite checks the analyses, the
+//!   reduction and `ConstraintSet::compile` against.
 //! * **Shapes.** The proptest generators the suites share: [`cust`] for the
 //!   facade's property and differential suites, [`abc`] for the small-model
 //!   suite, both built on one generator of eCFDs of every shape and one
